@@ -4,18 +4,20 @@ The acceptance criterion of the wave engine (`repro.serving.engine`): a
 1,000,000-request diurnal mixed trace — the diurnal-week workload mix
 (text chat, multi-image, long context) over a full day-long sine cycle —
 must finish in under 10 seconds single-process, with warm cost caches,
-while producing ``==``-identical ``RequestRecord``s to the macro engine
-on a 100,000-request equivalence sample of the same trace.
+while producing ``==``-identical ``RequestRecord``s to the per-step
+oracle on a 20,000-request equivalence sample of the same trace (small
+enough for the oracle's one-iteration-per-step loop to finish in a few
+seconds).
 
 The trace is compiled straight to the columnar ``TRACE_DTYPE`` form via
 ``compile_scenario_chunks``: one million requests stream through in
 100k-row chunks and no per-request ``ServingRequest`` objects are ever
 materialised on the benchmark path (the equivalence sample rebuilds
-objects for the macro engine only, since macro consumes object traces).
+objects for the oracle only, since it consumes object traces).
 
-An untimed warm-up run fills the engine-independent cost memos first,
-exactly as the macro benchmark does: caches only move work, so the
-timed number measures the decode loop, not cost-model evaluation.
+An untimed warm-up run fills the engine-independent cost memos first:
+caches only move work, so the timed number measures the decode loop,
+not cost-model evaluation.
 
 Feeds ``BENCH_results.json`` (via ``benchmarks/run.py``) with the
 ``serving_wave_1M`` scenario, which records the wall-clock seconds of
@@ -32,7 +34,7 @@ from repro.serving.trace import array_to_trace, concat_trace_arrays
 
 N_REQUESTS = 1_000_000
 TIME_BUDGET_S = 10.0
-SAMPLE_REQUESTS = 100_000
+SAMPLE_REQUESTS = 20_000
 CHUNK_SIZE = 100_000
 RATE_RPS = 400.0
 PERIOD_S = 86_400.0
@@ -84,18 +86,18 @@ def _measure():
     wave = timed.run(array)
     wave_seconds = time.perf_counter() - start
 
-    # Equivalence sample: macro (object trace) vs wave (columnar) on the
-    # first 100k requests, from identical caches.
+    # Equivalence sample: the step oracle (object trace) vs wave
+    # (columnar) on the first requests, from identical caches.
     sample = array[:SAMPLE_REQUESTS]
     wave_sample = _chip("wave", donor=warm).run(sample)
-    macro_chip = _chip("macro", donor=warm)
+    step_chip = _chip("step", donor=warm)
     start = time.perf_counter()
-    macro_sample = macro_chip.run(array_to_trace(sample))
+    step_sample = step_chip.run(array_to_trace(sample))
     sample_seconds = time.perf_counter() - start
     identical = (
-        macro_sample.records == wave_sample.records
-        and macro_sample.peak_batch_size == wave_sample.peak_batch_size
-        and macro_sample.decode_steps == wave_sample.decode_steps
+        step_sample.records == wave_sample.records
+        and step_sample.peak_batch_size == wave_sample.peak_batch_size
+        and step_sample.decode_steps == wave_sample.decode_steps
     )
     return wave, wave_seconds, identical, sample_seconds
 
@@ -111,7 +113,7 @@ def run_wave_1m() -> dict:
         "time_budget_s": TIME_BUDGET_S,
         "identical_records": identical,
         "sample_requests": SAMPLE_REQUESTS,
-        "macro_sample_seconds": sample_seconds,
+        "step_sample_seconds": sample_seconds,
     }
 
 

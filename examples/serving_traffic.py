@@ -1,8 +1,8 @@
 """Traffic-scale serving: a bursty 100,000-request trace on EdgeMM.
 
 Simulates one EdgeMM chip serving a bursty open-loop trace of 100k mixed
-SPHINX-Tiny requests with continuous batching on the macro-stepping
-engine (`repro.serving.engine`), printing wall-clock time alongside the
+SPHINX-Tiny requests with continuous batching on the wave engine
+(`repro.serving.engine`), printing wall-clock time alongside the
 p50/p95/p99 latency and TTFT percentiles, then replays a 4-chip
 least-loaded fleet on the same trace.
 
@@ -40,7 +40,7 @@ def main() -> None:
         f"({result.decode_steps} decode steps)"
     )
     print(
-        f"macro-engine wall  : {wall:.2f} s -> {N_REQUESTS / wall:,.0f} requests "
+        f"wave-engine wall   : {wall:.2f} s -> {N_REQUESTS / wall:,.0f} requests "
         f"({result.decode_steps / wall:,.0f} decode steps) simulated per second"
     )
 

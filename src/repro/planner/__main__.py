@@ -133,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="simulate surviving candidates across N processes",
     )
     plan.add_argument(
-        "--engine", choices=ENGINES, default="macro",
+        "--engine", choices=ENGINES, default="wave",
         help="decode-loop implementation survivors replay through "
         "(reports are engine-independent; 'step' is the slow oracle)",
     )

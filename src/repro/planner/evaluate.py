@@ -167,7 +167,7 @@ def candidate_fleet(
     ttft_target: Optional[float],
     *,
     simulator: Optional[PerformanceSimulator] = None,
-    engine: str = "macro",
+    engine: str = "wave",
 ):
     """Instantiate the serving fleet a (``design``, ``option``) candidate describes.
 
@@ -179,8 +179,8 @@ def candidate_fleet(
     require a ``ttft_target`` for the controller's set point.  ``simulator``
     optionally shares one (memoized, design-matched) performance simulator
     across all chips instead of building one per chip; ``engine`` selects
-    the chips' decode-loop implementation (macro by default — survivors
-    replay through the macro-stepping engine, records unchanged).
+    the chips' decode-loop implementation (wave by default — survivors
+    replay through the run-compressing wave engine, records unchanged).
     """
     system = design.system()
 
@@ -231,7 +231,7 @@ def evaluate_candidate(
     targets: Mapping[str, float],
     *,
     warm: Optional[MutableMapping[str, DesignWarmCache]] = None,
-    engine: str = "macro",
+    engine: str = "wave",
 ) -> CandidateOutcome:
     """Exactly simulate one (``design``, ``option``) candidate.
 
@@ -243,7 +243,7 @@ def evaluate_candidate(
     bit-identical to cold ones because every cached value is a
     deterministic function of the design.  The harvested CC-latency,
     bucket-cost and composition/run-length (step) memos feed both decode
-    engines, so the default macro ``engine`` replays warm exactly like the
+    engines, so the default wave ``engine`` replays warm exactly like the
     per-step oracle would.
     """
     model = get_mllm(spec.fleet.model)
@@ -294,7 +294,7 @@ def candidate_survives_chip_loss(
     option: FleetOption,
     targets: Mapping[str, float],
     *,
-    engine: str = "macro",
+    engine: str = "wave",
 ) -> bool:
     """Whether a candidate still meets every objective after losing a chip.
 
@@ -343,7 +343,7 @@ def simulate_candidate(
     design: Dict[str, Any],
     option: Dict[str, Any],
     targets: Dict[str, float],
-    engine: str = "macro",
+    engine: str = "wave",
 ) -> CandidateOutcome:
     """Picklable worker: rebuild the candidate from data and simulate it.
 

@@ -160,7 +160,7 @@ def plan_scenario(
     slo: Optional[SLOSpec] = None,
     prune: bool = True,
     processes: Optional[int] = None,
-    engine: str = "macro",
+    engine: str = "wave",
     search: str = "flat",
     store: Optional[PlanStore] = None,
     require_chip_loss: bool = False,
@@ -175,7 +175,7 @@ def plan_scenario(
     results are identical to the serial path because every worker derives
     the bit-identical trace from the spec hash; ``engine`` selects the
     decode-loop implementation survivors replay through (reports are
-    engine-independent — the macro default just gets there faster).
+    engine-independent — the wave default just gets there faster).
 
     ``search`` picks the pruning strategy: ``"flat"`` bounds every design
     individually, ``"bnb"`` branch-and-bounds nested subgrids and prices

@@ -10,7 +10,7 @@ TTFT set point the controller targets) — so outcomes can be cached
 exactly the inputs the simulation depends on, and a hit is byte-identical
 to a fresh run by construction.  The decode ``engine`` is deliberately
 excluded from the key: all engines replay the same schedule and produce
-identical records (the macro/step/wave equivalence contract).
+identical records (the wave/step equivalence contract).
 
 On-disk layout (git-friendly, one object per file)::
 

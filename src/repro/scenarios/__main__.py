@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit the canonical JSON report"
     )
     run.add_argument(
-        "--engine", choices=ENGINES, default="macro",
+        "--engine", choices=ENGINES, default="wave",
         help="decode-loop implementation (reports are engine-independent; "
         "'step' is the slow per-step oracle)",
     )
@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run(
     name: str,
     as_json: bool,
-    engine: str = "macro",
+    engine: str = "wave",
     runtime: str = "batch",
     chaos_seed: Optional[int] = None,
     max_retries: Optional[int] = None,

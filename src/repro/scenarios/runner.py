@@ -62,13 +62,13 @@ def autoscaler_config(spec: ScenarioSpec) -> Optional[AutoscalerConfig]:
 def build_fleet(
     spec: ScenarioSpec,
     *,
-    engine: str = "macro",
+    engine: str = "wave",
 ) -> Union[FleetSimulator, AutoscalingFleetSimulator]:
     """Instantiate the fleet ``spec``'s :class:`FleetSpec` describes.
 
     ``engine`` selects the chips' decode-loop implementation (see
     :data:`repro.serving.queue.ENGINES`); reports are engine-independent,
-    the macro default just simulates faster.
+    the wave default just simulates faster.
     """
     model = get_mllm(spec.fleet.model)
     controller = autoscaler_config(spec)
@@ -138,7 +138,7 @@ def scenario_run_kwargs(compiled: CompiledScenario, fleet) -> dict:
 
 
 def run_scenario(
-    spec: ScenarioSpec, *, engine: str = "macro", runtime: str = "batch"
+    spec: ScenarioSpec, *, engine: str = "wave", runtime: str = "batch"
 ) -> ScenarioReport:
     """Compile and run one scenario ``spec`` end to end.
 

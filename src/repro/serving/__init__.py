@@ -54,7 +54,7 @@ from .metrics import (
     summarize,
     summarize_scalar,
 )
-from .engine import run_macro, run_wave
+from .engine import run_wave
 from .fleet import simulate_chip_shard
 from .trace import (
     TRACE_DTYPE,
@@ -114,7 +114,6 @@ __all__ = [
     "ServingRequest",
     "ServingResult",
     "build_trace",
-    "run_macro",
     "run_wave",
     "simulate_chip_shard",
     "RUNTIMES",

@@ -189,7 +189,7 @@ class AutoscalingFleetSimulator(FleetSimulator):
         cc_bandwidth_fraction: float = 0.5,
         context_bucket: int = 32,
         precompute: bool = True,
-        engine: str = "macro",
+        engine: str = "wave",
         processes: Optional[int] = None,
     ) -> None:
         super().__init__(

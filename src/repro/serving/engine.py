@@ -1,77 +1,45 @@
-"""Macro- and wave-stepping decode engines: compress composition runs.
+"""Wave decode engine: compress composition runs, vectorise the cutoff.
 
 The per-step event loop of :meth:`~repro.serving.queue.
 ContinuousBatchingSimulator.run_step` pays one Python iteration — a batch
 scan, a composition hash, a per-stream update loop — for *every* decode
-step.  This module removes that scalar hot path by exploiting two
+step.  :func:`run_wave` removes that scalar hot path by exploiting two
 structural invariants of the continuous-batching discipline:
 
 1. **The CC-stage is an independent serial pipeline.**  Vision encode +
    projection + prefill serve requests one at a time, FIFO, and decode
-   never back-pressures it, so every request's prefill window is the
-   simple recurrence ``start = max(previous end, arrival)``, ``end =
-   start + latency`` — computable for the whole trace up front, before a
-   single decode step runs.
+   never back-pressures it, so :func:`prefill_windows` computes every
+   request's prefill window up front, before a single decode step runs.
 
 2. **Between external events the batch's bucket composition is constant.**
    The decode-step latency is a pure function of the batch's
-   context-bucket composition.  That composition only changes when a
-   stream joins (its prefill finished and a slot is free), a stream
-   leaves (it generated its last token), or a stream's growing context
-   crosses a bucket boundary.  Between two such events every step has the
-   *same* latency ``dt``, so ``k`` consecutive steps collapse into one
-   macro step.
+   context-bucket composition, which only changes when a stream joins,
+   leaves, or crosses a context-bucket boundary.  Between two such
+   events every step has the *same* latency ``dt``, so ``k`` consecutive
+   steps collapse into one run.
 
 Bit-identity with the per-step loop is a hard guarantee, not an
-approximation.  The per-step loop produces boundary timestamps by
-left-fold repeated addition (``t_{i} = t_{i-1} + dt``), so the macro
-engine reconstructs them the same way: short runs fold in Python, long
-runs through ``np.add.accumulate`` — NumPy's accumulate is defined
-element-by-element (``out[i] = out[i-1] + a[i]``), the exact left fold,
-unlike ``np.sum``'s pairwise reduction.  Step latencies come from the
-same :class:`~repro.serving.queue.BatchDecodeCostModel` memo
-(:meth:`~repro.serving.queue.BatchDecodeCostModel.
-step_latency_for_buckets`), keyed by the same order-preserving bucket
-tuple, so every ``dt`` is the identical cached float.  The hypothesis
-suite in ``tests/serving/test_macro_engine.py`` asserts ``==`` equality
-of every record field, plus peak-batch and decode-step counters, across
-randomized traces.
+approximation.  Boundary timestamps are rebuilt by the loop's own left
+fold (``t_{i} = t_{i-1} + dt``) — in Python, ``itertools.accumulate`` or
+``np.add.accumulate``, which is defined element by element, unlike
+``np.sum``'s pairwise reduction — and every ``dt`` is the identical
+float from :meth:`~repro.serving.queue.BatchDecodeCostModel.
+step_latency_for_buckets`'s order-preserving memo.  The one modelling
+assumption beyond the per-step loop: CC-stage latencies are strictly
+positive, so two prefills never complete at the same instant.
+``tests/serving/test_wave_engine.py`` asserts ``==`` equality of every
+record field and counter across randomized traces.
 
-The one modelling assumption beyond the per-step loop: CC-stage latencies
-are strictly positive (true for every real workload — prefill always
-moves bytes), so two prefills never complete at the same instant.
-
-Per-stream bookkeeping is kept in *absolute step counts* so a macro step
-is O(changed streams), not O(batch): a stream admitted at step count
-``N0`` with ``T`` output tokens finishes at count ``N0 + T``; its bucket
-next changes at count ``N0 + (bucket - context + 1)``.  Advancing ``k``
-steps just adds ``k`` to the global counter.
-
-:func:`run_wave` keeps the macro engine's event semantics and removes its
-two scale bottlenecks.  (1) The admission-cutoff walk — macro's per-step
-Python loop hunting the first decode boundary at or past the next prefill
-completion — becomes **one array pass per prefill wave**: the boundary
-sequence is reconstructed with ``np.add.accumulate`` (the exact left
-fold) and the cutoff found with ``np.searchsorted``, which stops at the
-identical boundary the scalar walk stops at.  A macro walk is O(steps)
-Python work per admission, so in admission-heavy regimes (a partially
-filled batch of long decodes with prefills landing mid-run) it degrades
-toward the per-step loop; the wave cutoff stays O(1) array calls.
-(2) The wave engine consumes the columnar
-:data:`repro.serving.trace.TRACE_DTYPE` format directly, so
-million-request traces need no per-request objects on the way in
-(records still materialise on the way out) — request shapes resolve
-through a per-shape memo and the handful of distinct
-``InferenceRequest`` instances are shared across records.
-
-On top of those, the chain loop's per-event bookkeeping is incremental
-rather than per-iteration: the next crossing/finish step counts are
-maintained under mutation instead of re-scanned with ``min()``, and when
-every active stream occupies the same context bucket — the common case
-at realistic bucket widths — the composition tuple is fully determined
-by ``(bucket value, batch size)``, so a two-tuple memo stands in for
-building and hashing a width-``batch`` tuple every iteration.  Both are
-pure work moves; every probed key and every ``dt`` float is unchanged.
+Per-stream bookkeeping is kept in *absolute step counts*, so a run costs
+O(changed streams), not O(batch).  With a free slot and a prefill in
+flight, a run stops at the first boundary at or past that prefill's
+completion; long searches for this admission cutoff take one
+``np.add.accumulate`` + ``np.searchsorted`` array pass per prefill wave
+instead of a step-by-step walk.  Traces arrive as ``ServingRequest``
+sequences or columnar :data:`repro.serving.trace.TRACE_DTYPE` arrays,
+normalised into the same columns; the columnar form needs no
+per-request objects on the way in.  ``docs/performance.md`` (layer 4)
+has the full derivation.
 """
 
 from __future__ import annotations
@@ -79,7 +47,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import accumulate, repeat
 from operator import attrgetter
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,7 +55,7 @@ from ..models.mllm import InferenceRequest
 from .metrics import RequestRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .queue import ContinuousBatchingSimulator, ServingRequest, ServingResult
+    from .queue import ContinuousBatchingSimulator, ServingResult
 
 #: Runs at least this long reconstruct their boundary timestamps through
 #: ``np.add.accumulate`` instead of a Python fold; below it the array-call
@@ -102,244 +70,29 @@ ACCUMULATE_FOLD_MIN = 12
 
 
 def prefill_windows(
-    chip: "ContinuousBatchingSimulator",
-    pending: Sequence["ServingRequest"],
-) -> tuple:
-    """Prefill (start, end) arrays for ``pending`` on ``chip``, in order.
+    arrivals: Sequence[float], latencies: Sequence[float]
+) -> Tuple[List[float], List[float]]:
+    """Prefill (start, end) lists of the serial CC pipeline, in order.
 
-    ``pending`` must already be in dispatch order (sorted by arrival time,
-    ties by request id).  Because the CC-stage is a serial FIFO pipeline
-    that decode never back-pressures, each window is ``start =
-    max(previous end, arrival)``, ``end = start + cc_latency`` — the exact
-    floats the per-step event loop produces, since ``max`` selects an
-    existing float and the addition is the single rounding the loop
-    performs.  Returns two lists of floats.
+    ``arrivals`` and ``latencies`` are per-request columns in dispatch
+    order (sorted by arrival time, ties by request id); ``latencies``
+    holds each request's CC-stage seconds.  Because the CC-stage is a
+    serial FIFO pipeline that decode never back-pressures, each window is
+    ``start = max(previous end, arrival)``, ``end = start + latency`` —
+    the exact floats the per-step event loop produces, since ``max``
+    selects an existing float and the addition is the single rounding the
+    loop performs.  The wave engine's first stage and the fault path's
+    era split (:mod:`repro.serving.faults`) share this one recurrence.
     """
     starts: List[float] = []
     ends: List[float] = []
     cc_end = 0.0
-    cc_latency_s = chip.cc_latency_s
-    # Inline probe of the chip's shape-keyed latency memo; misses fall
-    # through to cc_latency_s, which fills the same dict.
-    cache_get = chip._cc_latency_cache.get
-    for item in pending:
-        request = item.request
-        latency = cache_get((request.images, request.prompt_text_tokens))
-        if latency is None:
-            latency = cc_latency_s(request)
-        arrival = item.arrival_s
+    for arrival, latency in zip(arrivals, latencies):
         start = arrival if arrival > cc_end else cc_end
         cc_end = start + latency
         starts.append(start)
         ends.append(cc_end)
     return starts, ends
-
-
-def run_macro(
-    chip: "ContinuousBatchingSimulator", trace: Sequence["ServingRequest"]
-) -> "ServingResult":
-    """Simulate ``trace`` on ``chip`` by macro-stepping the decode loop.
-
-    Returns the same :class:`~repro.serving.queue.ServingResult` —
-    records, peak batch size and decode-step count — as
-    :meth:`~repro.serving.queue.ContinuousBatchingSimulator.run_step`,
-    bit for bit, in one macro step per composition run instead of one
-    Python iteration per decode step.
-    """
-    from .queue import ServingResult
-
-    if not trace:
-        raise ValueError("trace must not be empty")
-    pending = sorted(trace, key=lambda r: (r.arrival_s, r.request_id))
-    n = len(pending)
-    model = chip.model
-    cost_model = chip.cost_model
-    step_latency_for_buckets = cost_model.step_latency_for_buckets
-    # Inlined context_bucket_for: quantization runs a few times per
-    # request, and the three-deep call chain through the cost model costs
-    # more than the arithmetic.  ``test_macro_engine`` pins the inlined
-    # form against the canonical helper so the definitions cannot drift.
-    width = cost_model.context_bucket
-    max_batch = chip.max_batch_size
-    chip_id = chip.chip_id
-
-    # Stage 1: the whole CC pipeline, before any decode step.
-    prefill_start, prefill_end = prefill_windows(chip, pending)
-    # Prompt-token counts are a pure function of the request's shape, and
-    # large traces repeat a small set of shapes — memoize per shape.
-    prompt_tokens = model.prompt_tokens
-    token_memo: dict = {}
-    contexts0: List[int] = []
-    for item in pending:
-        request = item.request
-        shape = (request.images, request.prompt_text_tokens)
-        tokens = token_memo.get(shape)
-        if tokens is None:
-            tokens = prompt_tokens(request)
-            token_memo[shape] = tokens
-        contexts0.append(tokens)
-
-    # Stage 2: macro-stepped decode.  Streams enter the ready queue in CC
-    # completion order == ``pending`` order, so a single cursor replaces
-    # the queue.  Active-stream state lives in parallel lists, in
-    # admission order (the order the composition memo key preserves).
-    act: List[int] = []  # index into ``pending``
-    ctx_offset: List[int] = []  # context - global step count, constant per run
-    buckets: List[int] = []  # current bucket per stream
-    cross_at: List[int] = []  # absolute step count of the next bucket change
-    finish_at: List[int] = []  # absolute step count of the last token
-    first_token: List[Optional[float]] = []
-
-    # The composition -> step-latency memo is probed inline (the engine
-    # co-owns it with the cost model through seed/snapshot hooks); misses
-    # fall through to the cost model, which fills the same dict.
-    step_cache_get = cost_model._step_cache.get
-
-    records: List[RequestRecord] = []
-    records_append = records.append
-    steps = 0  # global decode-step count (the absolute clock)
-    peak = 0
-    now = 0.0
-    cursor = 0  # next stream not yet admitted
-
-    while act or cursor < n:
-        if not act:
-            # Decode is idle; it restarts at the next prefill completion.
-            restart = prefill_end[cursor]
-            if restart > now:
-                now = restart
-        # Admission at the boundary ``now``: FIFO while a slot is free.
-        fresh = 0
-        while (
-            cursor < n
-            and len(act) < max_batch
-            and prefill_end[cursor] <= now
-        ):
-            context = contexts0[cursor]
-            bucket = ((max(context, 1) + width - 1) // width) * width
-            act.append(cursor)
-            ctx_offset.append(context - steps)
-            buckets.append(bucket)
-            cross_at.append(steps + bucket - context + 1)
-            finish_at.append(steps + pending[cursor].request.output_tokens)
-            first_token.append(None)
-            cursor += 1
-            fresh += 1
-        batch = len(act)
-        if fresh and batch > peak:
-            peak = batch
-        # Hoisted out of the chain below: neither the batch, the finish
-        # schedule nor the admission deadline can change across a
-        # crossing-only boundary.
-        capacity = batch < max_batch and cursor < n
-        admit_t = prefill_end[cursor] if capacity else 0.0
-        min_finish = min(finish_at)
-
-        # A *chain* of composition runs: bucket crossings change the step
-        # latency but provably admit nobody (the cutoff below stops the
-        # chain at any boundary that could), so the chain only ends at a
-        # finish or at an admission boundary.
-        while True:
-            key = tuple(buckets)
-            dt = step_cache_get(key)
-            if dt is None:
-                dt = step_latency_for_buckets(key)
-            # Longest run with this composition: up to the earliest finish
-            # or bucket crossing (both strictly ahead of the count) ...
-            min_cross = min(cross_at)
-            k = (min_cross if min_cross < min_finish else min_finish) - steps
-            if capacity and (now + dt * k) * (1.0 + 1e-8) >= admit_t:
-                # ... but with a free slot and a prefill in flight, the
-                # run must stop at the first boundary that can admit it.
-                # The boundaries are the left-fold sequence; walk it.  The
-                # screen brackets the folded endpoint within relative
-                # 1e-8, orders of magnitude above the fold's worst-case
-                # accumulation error, so it can only ever *keep* a walk,
-                # never skip a needed one (the walk itself stays exact).
-                first_boundary = now + dt
-                boundary = first_boundary
-                run = 1
-                while run < k and boundary < admit_t:
-                    boundary += dt
-                    run += 1
-                k = run
-            elif k >= NUMPY_FOLD_MIN:
-                # Long uninterrupted run: the same left fold, vectorised.
-                fold = np.full(k + 1, dt)
-                fold[0] = now
-                folded = np.add.accumulate(fold)
-                first_boundary = float(folded[1])
-                boundary = float(folded[k])
-            elif k >= ACCUMULATE_FOLD_MIN:
-                # Medium run: the left fold consumed in C, keeping the
-                # last element only (a maxlen-1 deque drains it in C).
-                first_boundary = now + dt
-                boundary = deque(
-                    accumulate(repeat(dt, k - 1), initial=first_boundary),
-                    maxlen=1,
-                )[0]
-            else:
-                first_boundary = now + dt
-                boundary = first_boundary
-                for _ in range(k - 1):
-                    boundary += dt
-            steps += k
-            now = boundary
-
-            # Streams admitted at the chain's start see their first token
-            # at the end of its first step.  They sit at the tail of
-            # ``act`` (everyone admitted earlier decoded a step already).
-            if fresh:
-                for position in range(batch - fresh, batch):
-                    first_token[position] = first_boundary
-                fresh = 0
-
-            # Containment probes and ``index`` run at C speed, so the
-            # common events — one stream finishing, one stream crossing —
-            # cost two list scans, not a Python pass over the batch.
-            finished = min_finish == steps
-            if finished:
-                # At least one stream emitted its last token here.
-                while steps in finish_at:
-                    position = finish_at.index(steps)
-                    source = pending[act[position]]
-                    records_append(
-                        RequestRecord(
-                            request_id=source.request_id,
-                            request=source.request,
-                            arrival_s=source.arrival_s,
-                            prefill_start_s=prefill_start[act[position]],
-                            prefill_end_s=prefill_end[act[position]],
-                            first_token_s=first_token[position],
-                            finish_s=boundary,
-                            chip_id=chip_id,
-                        )
-                    )
-                    del act[position]
-                    del ctx_offset[position]
-                    del buckets[position]
-                    del cross_at[position]
-                    del finish_at[position]
-                    del first_token[position]
-            if min_cross == steps:
-                # A crosser may also have been a finisher, removed above.
-                while steps in cross_at:
-                    position = cross_at.index(steps)
-                    context = ctx_offset[position] + steps
-                    bucket = ((max(context, 1) + width - 1) // width) * width
-                    buckets[position] = bucket
-                    cross_at[position] = steps + bucket - context + 1
-            if finished:
-                break  # a slot may have opened: re-run admission
-            if capacity and boundary >= admit_t:
-                break  # the waiting prefill is admissible at ``boundary``
-
-    records.sort(key=attrgetter("request_id"))
-    return ServingResult(
-        records=tuple(records),
-        peak_batch_size=peak,
-        decode_steps=steps,
-    )
 
 
 #: Admission walks at least this long run through the vectorised
@@ -355,7 +108,7 @@ def _wave_columns(chip: "ContinuousBatchingSimulator", trace) -> tuple:
     Normalises either trace form (a ``ServingRequest`` sequence or a
     columnar :data:`~repro.serving.trace.TRACE_DTYPE` array) into plain
     Python column lists sorted by ``(arrival_s, request_id)`` — the exact
-    dispatch order the other engines use — plus per-request CC-stage
+    dispatch order the per-step oracle uses — plus per-request CC-stage
     latencies and initial contexts gathered through the chip's memos.
     Returns ``(ids, arrivals, images, prompts, outputs, latencies,
     contexts, requests)`` where ``requests`` is the per-request
@@ -422,13 +175,11 @@ def run_wave(
 
     Accepts either trace form — a ``ServingRequest`` sequence or a
     columnar :data:`repro.serving.trace.TRACE_DTYPE` array — and returns
-    the same :class:`~repro.serving.queue.ServingResult` as
-    :func:`run_macro` and the per-step oracle, bit for bit (the
-    three-way hypothesis suite in ``tests/serving/test_wave_engine.py``
-    asserts it).  See the module docstring for what changes versus the
-    macro engine: the admission-cutoff walk batched into one
-    ``np.add.accumulate`` + ``np.searchsorted`` array pass per prefill
-    wave, and columnar trace ingestion with no per-request objects.
+    the same :class:`~repro.serving.queue.ServingResult` — records, peak
+    batch size and decode-step count — as the per-step oracle
+    :meth:`~repro.serving.queue.ContinuousBatchingSimulator.run_step`,
+    bit for bit, in one run per constant composition instead of one
+    Python iteration per decode step (see the module docstring).
     """
     from .queue import ServingResult
 
@@ -447,30 +198,31 @@ def run_wave(
     n = len(ids)
     cost_model = chip.cost_model
     step_latency_for_buckets = cost_model.step_latency_for_buckets
+    # The composition -> step-latency memo is probed inline (the engine
+    # co-owns it with the cost model through seed/snapshot hooks); misses
+    # fall through to the cost model, which fills the same dict.
     step_cache_get = cost_model._step_cache.get
+    # Inlined context_bucket_for: quantization runs a few times per
+    # request, and the three-deep call chain through the cost model costs
+    # more than the arithmetic.  ``test_wave_engine`` pins the inlined
+    # form against the canonical helper so the definitions cannot drift.
     width = cost_model.context_bucket
     max_batch = chip.max_batch_size
     chip_id = chip.chip_id
 
-    # Stage 1: the serial CC pipeline over the gathered latency column —
-    # the same recurrence (and the identical floats) as prefill_windows.
-    prefill_start: List[float] = []
-    prefill_end: List[float] = []
-    cc_end = 0.0
-    for arrival, latency in zip(arrivals, latencies):
-        start = arrival if arrival > cc_end else cc_end
-        cc_end = start + latency
-        prefill_start.append(start)
-        prefill_end.append(cc_end)
+    # Stage 1: the whole CC pipeline, before any decode step.
+    prefill_start, prefill_end = prefill_windows(arrivals, latencies)
 
-    # Stage 2: macro-stepped decode over the columns, with the
-    # admission-cutoff walk vectorised.  Active-stream state lives in
-    # parallel lists in admission order, exactly as in run_macro.
-    act: List[int] = []
-    ctx_offset: List[int] = []
-    buckets: List[int] = []
-    cross_at: List[int] = []
-    finish_at: List[int] = []
+    # Stage 2: run-compressed decode over the columns.  Streams enter the
+    # ready queue in CC completion order == dispatch order, so a single
+    # cursor replaces the queue.  Active-stream state lives in parallel
+    # lists, in admission order (the order the composition memo key
+    # preserves).
+    act: List[int] = []  # index into the dispatch-ordered columns
+    ctx_offset: List[int] = []  # context - global step count, constant per run
+    buckets: List[int] = []  # current bucket per stream
+    cross_at: List[int] = []  # absolute step count of the next bucket change
+    finish_at: List[int] = []  # absolute step count of the last token
     first_token: List[Optional[float]] = []
     act_append = act.append
     ctx_offset_append = ctx_offset.append
@@ -482,10 +234,10 @@ def run_wave(
     request_memo: dict = {}
     records: List[RequestRecord] = []
     records_append = records.append
-    steps = 0
+    steps = 0  # global decode-step count (the absolute clock)
     peak = 0
     now = 0.0
-    cursor = 0
+    cursor = 0  # next stream not yet admitted
     # min(cross_at) / min(finish_at), maintained incrementally: appends
     # can only lower them, and they only need a rescan when the minimum
     # itself is deleted or crossed — rare events relative to chain
@@ -508,9 +260,11 @@ def run_wave(
 
     while act or cursor < n:
         if not act:
+            # Decode is idle; it restarts at the next prefill completion.
             restart = prefill_end[cursor]
             if restart > now:
                 now = restart
+        # Admission at the boundary ``now``: FIFO while a slot is free.
         fresh = 0
         while (
             cursor < n
@@ -541,9 +295,15 @@ def run_wave(
         batch = len(act)
         if fresh and batch > peak:
             peak = batch
+        # Hoisted out of the chain below: neither the batch nor the
+        # admission deadline can change across a crossing-only boundary.
         capacity = batch < max_batch and cursor < n
         admit_t = prefill_end[cursor] if capacity else 0.0
 
+        # A *chain* of composition runs: bucket crossings change the step
+        # latency but provably admit nobody (the cutoff below stops the
+        # chain at any boundary that could), so the chain only ends at a
+        # finish or at an admission boundary.
         while True:
             if mixed:
                 key = tuple(buckets)
@@ -558,11 +318,17 @@ def run_wave(
                     if dt is None:
                         dt = step_latency_for_buckets(key)
                     uniform_memo[(uniform_value, batch)] = dt
+            # Longest run with this composition: up to the earliest finish
+            # or bucket crossing (both strictly ahead of the count) ...
             k = (next_cross if next_cross < min_finish else min_finish) - steps
             if capacity and (now + dt * k) * (1.0 + 1e-8) >= admit_t:
-                # The admission cutoff.  The run must stop at the first
-                # boundary of the left-fold sequence at or past the next
-                # prefill completion; macro walks the fold step by step.
+                # ... but with a free slot and a prefill in flight, the
+                # run must stop at the first boundary of the left-fold
+                # sequence at or past the next prefill completion.  The
+                # screen brackets the folded endpoint within relative
+                # 1e-8, orders of magnitude above the fold's worst-case
+                # accumulation error, so it can only ever *keep* a cutoff
+                # search, never skip a needed one (the search stays exact).
                 if k < SEARCH_CUTOFF_MIN:
                     first_boundary = now + dt
                     boundary = first_boundary
@@ -591,6 +357,7 @@ def run_wave(
                     boundary = float(folded[run])
                     k = run
             elif k >= NUMPY_FOLD_MIN:
+                # Long uninterrupted run: the same left fold, vectorised.
                 fold = np.empty(k + 1)
                 fold.fill(dt)
                 fold[0] = now
@@ -598,6 +365,8 @@ def run_wave(
                 first_boundary = float(folded[1])
                 boundary = float(folded[k])
             elif k >= ACCUMULATE_FOLD_MIN:
+                # Medium run: the left fold consumed in C, keeping the
+                # last element only (a maxlen-1 deque drains it in C).
                 first_boundary = now + dt
                 boundary = deque(
                     accumulate(repeat(dt, k - 1), initial=first_boundary),
@@ -611,13 +380,20 @@ def run_wave(
             steps += k
             now = boundary
 
+            # Streams admitted at the chain's start see their first token
+            # at the end of its first step.  They sit at the tail of
+            # ``act`` (everyone admitted earlier decoded a step already).
             if fresh:
                 for position in range(batch - fresh, batch):
                     first_token[position] = first_boundary
                 fresh = 0
 
+            # Containment probes and ``index`` run at C speed, so the
+            # common events — one stream finishing, one stream crossing —
+            # cost two list scans, not a Python pass over the batch.
             finished = min_finish == steps
             if finished:
+                # At least one stream emitted its last token here.
                 while steps in finish_at:
                     position = finish_at.index(steps)
                     index = act[position]
@@ -658,6 +434,7 @@ def run_wave(
                         next_cross = min(cross_at) if act else inf
                 min_finish = min(finish_at) if act else inf
             if next_cross == steps:
+                # A crosser may also have been a finisher, removed above.
                 while steps in cross_at:
                     position = cross_at.index(steps)
                     context = ctx_offset[position] + steps
@@ -670,9 +447,9 @@ def run_wave(
                     cross_at[position] = steps + bucket - context + 1
                 next_cross = min(cross_at)
             if finished:
-                break
+                break  # a slot may have opened: re-run admission
             if capacity and boundary >= admit_t:
-                break
+                break  # the waiting prefill is admissible at ``boundary``
 
     records.sort(key=attrgetter("request_id"))
     return ServingResult(

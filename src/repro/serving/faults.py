@@ -35,7 +35,7 @@ DRAM tier; its decode bucket-cost triples seed from the healthy chip
 CC-stage and whole-step latencies recompute against the degraded
 bandwidth.  Because era splits use the engine-independent
 ``prefill_windows`` recurrence and era replays go through
-``chip.run()`` (bit-identical across the ``step``/``macro``/``wave``
+``chip.run()`` (bit-identical across the ``step`` and ``wave``
 engines), fault runs are engine-independent too — and an *empty*
 schedule reproduces the fault-free path ``==``-identically, which the
 differential chaos suite asserts.
@@ -379,7 +379,10 @@ def _split_era(
     shard = _era_shard(state)
     if not shard:
         return [], [], time_s
-    starts, _ = prefill_windows(state.sim, shard)
+    starts, _ = prefill_windows(
+        [item.arrival_s for item in shard],
+        [state.sim.cc_latency_s(item.request) for item in shard],
+    )
     cut = len(shard)
     for position, start in enumerate(starts):
         if start >= time_s:

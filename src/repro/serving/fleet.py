@@ -114,7 +114,7 @@ class FleetSimulator:
         cc_bandwidth_fraction: float = 0.5,
         context_bucket: int = 32,
         precompute: bool = True,
-        engine: str = "macro",
+        engine: str = "wave",
         processes: Optional[int] = None,
     ) -> None:
         if n_chips < 1:

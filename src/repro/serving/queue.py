@@ -169,9 +169,9 @@ class BatchDecodeCostModel:
         """Step latency for an already-quantized batch composition.
 
         The bucket-domain twin of :meth:`step_latency_s` for callers that
-        track bucket compositions directly (the macro-stepping engine keeps
-        every stream's bucket incrementally instead of re-quantizing the
-        whole batch each step).  The fold over ``buckets`` and the memo key
+        track bucket compositions directly (the wave engine keeps every
+        stream's bucket incrementally instead of re-quantizing the whole
+        batch each step).  The fold over ``buckets`` and the memo key
         are the exact ones :meth:`step_latency_s` uses, so both entry
         points share one cache and return bit-identical floats.
         """
@@ -232,17 +232,15 @@ class ServingResult:
 
 
 #: Decode-loop implementations of :class:`ContinuousBatchingSimulator`:
-#: ``"macro"`` advances whole constant-composition runs of decode steps in
-#: one shot (:mod:`repro.serving.engine`), ``"wave"`` additionally batches
-#: the admission-cutoff walk into one array pass per prefill wave, keeps
-#: the run bookkeeping (composition minima, uniform-batch step latencies)
-#: incremental instead of per-iteration, and consumes columnar
-#: :data:`repro.serving.trace.TRACE_DTYPE` traces directly, and ``"step"``
-#: executes the original one-iteration-per-step event loop.  All three
-#: produce bit-identical results; ``"step"`` is retained as the exact
-#: oracle the compressed engines are tested against, ``"macro"`` as the
-#: mid-tier reference.
-ENGINES: Tuple[str, ...] = ("macro", "step", "wave")
+#: ``"wave"`` (the default) advances whole constant-composition runs of
+#: decode steps in one shot, batches the admission-cutoff walk into one
+#: array pass per prefill wave and consumes columnar
+#: :data:`repro.serving.trace.TRACE_DTYPE` traces directly
+#: (:mod:`repro.serving.engine`); ``"step"`` executes the original
+#: one-iteration-per-step event loop.  Both produce bit-identical results;
+#: ``"step"`` is retained as the exact oracle the wave engine is tested
+#: against.
+ENGINES: Tuple[str, ...] = ("step", "wave")
 
 
 class ContinuousBatchingSimulator:
@@ -256,7 +254,7 @@ class ContinuousBatchingSimulator:
     faithful model of homogeneous serving.
 
     ``engine`` selects the decode-loop implementation (see :data:`ENGINES`);
-    the default ``"macro"`` compresses constant-composition runs of decode
+    the default ``"wave"`` compresses constant-composition runs of decode
     steps and is typically an order of magnitude faster on large traces,
     with records bit-identical to the per-step loop.
     """
@@ -270,7 +268,7 @@ class ContinuousBatchingSimulator:
         cc_bandwidth_fraction: float = 0.5,
         context_bucket: int = 32,
         chip_id: int = 0,
-        engine: str = "macro",
+        engine: str = "wave",
     ) -> None:
         if model is None:
             raise ValueError("a serving simulator needs an MLLM model")
@@ -348,12 +346,11 @@ class ContinuousBatchingSimulator:
         """Simulate the trace to completion and return per-request records.
 
         Dispatches to the configured :data:`ENGINES` member: the default
-        macro-stepping engine (:func:`repro.serving.engine.run_macro`),
-        the wave engine (:func:`repro.serving.engine.run_wave`) or the
-        per-step oracle loop (:meth:`run_step`).  All return the same
+        wave engine (:func:`repro.serving.engine.run_wave`) or the
+        per-step oracle loop (:meth:`run_step`).  Both return the same
         :class:`ServingResult` bit for bit.  ``trace`` may also be a
         columnar :data:`repro.serving.trace.TRACE_DTYPE` array; the wave
-        engine consumes it directly, the others materialise the object
+        engine consumes it directly, the oracle materialises the object
         trace first (same records either way).
         """
         if self.engine == "wave":
@@ -364,10 +361,6 @@ class ContinuousBatchingSimulator:
             from .trace import array_to_trace
 
             trace = array_to_trace(trace)
-        if self.engine == "macro":
-            from .engine import run_macro
-
-            return run_macro(self, trace)
         return self.run_step(trace)
 
     def run_step(self, trace: Sequence[ServingRequest]) -> ServingResult:
@@ -375,7 +368,7 @@ class ContinuousBatchingSimulator:
 
         One Python iteration per decode step over three event sources
         (arrival, CC-stage completion, decode-step completion).  The
-        macro engine is regression-tested for ``==`` record identity
+        wave engine is regression-tested for ``==`` record identity
         against this loop; keep their semantics in lockstep.
         """
         if not trace:

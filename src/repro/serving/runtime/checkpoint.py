@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
 from ..dispatch import request_to_state
-from ..queue import ServingRequest
+from ..queue import ENGINES, ServingRequest
 
 #: Format marker written into every checkpoint file.
 CHECKPOINT_VERSION = 1
@@ -72,7 +72,10 @@ class Checkpoint:
     ``"fault_autoscale"``); ``cursor`` counts consumed arrivals in
     canonical order; ``trace_sha256`` pins the trace; ``scenario``
     (optional) embeds the originating scenario spec's ``to_dict`` data
-    plus the engine so scenario checkpoints are self-contained.
+    plus the engine so scenario checkpoints are self-contained.  An
+    ``engine`` outside :data:`~repro.serving.queue.ENGINES` raises
+    :class:`CheckpointError` at construction, so no checkpoint that parses
+    can fail later in fleet construction.
     """
 
     kind: str
@@ -82,6 +85,13 @@ class Checkpoint:
     scenario: Optional[Dict[str, Any]] = None
     engine: Optional[str] = None
     version: int = field(default=CHECKPOINT_VERSION)
+
+    def __post_init__(self) -> None:
+        if self.engine is not None and self.engine not in ENGINES:
+            raise CheckpointError(
+                f"checkpoint field 'engine' must be one of {ENGINES}, "
+                f"got {self.engine!r}"
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         """Serialize to plain JSON data."""
@@ -103,7 +113,8 @@ class Checkpoint:
         """Rebuild a checkpoint from :meth:`to_dict` data.
 
         Raises :class:`CheckpointError` on any malformed payload —
-        missing or mistyped fields, or an unsupported format version.
+        missing or mistyped fields, an unknown engine, or an unsupported
+        format version.
         """
         if not isinstance(data, Mapping):
             raise CheckpointError(
@@ -138,6 +149,8 @@ class Checkpoint:
             raise CheckpointError(
                 f"checkpoint is missing required field {error.args[0]!r}"
             ) from None
+        except CheckpointError:
+            raise
         except (TypeError, ValueError) as error:
             raise CheckpointError(
                 f"checkpoint field has the wrong type: {error}"

@@ -250,7 +250,7 @@ def resume_live(
 def run_scenario_live(
     spec,
     *,
-    engine: str = "macro",
+    engine: str = "wave",
     pace: Optional[float] = None,
     pause_after: Optional[int] = None,
 ) -> Union[Any, Checkpoint]:
@@ -314,7 +314,7 @@ def resume_scenario(
             "resume_live against the original fleet and trace"
         )
     spec = ScenarioSpec.from_dict(checkpoint.scenario)
-    engine = checkpoint.engine or "macro"
+    engine = checkpoint.engine or "wave"
     compiled = compile_scenario(spec)
     fleet = build_fleet(spec, engine=engine)
     outcome = resume_live(
@@ -377,7 +377,7 @@ def requests_from_lines(lines: Iterable[str]) -> List[ServingRequest]:
 def run_scenario_supervised(
     spec,
     *,
-    engine: str = "macro",
+    engine: str = "wave",
     chaos: Optional[ChaosSchedule] = None,
     supervision: Optional[SupervisionConfig] = None,
     hang_unit_s: float = DEFAULT_HANG_UNIT_S,

@@ -25,6 +25,7 @@ from repro.scenarios import (
     WorkloadComponent,
 )
 from repro.scenarios.compile import compile_scenario
+from repro.serving.queue import ENGINES
 
 SPEC = ScenarioSpec(
     name="survival-prop",
@@ -76,7 +77,7 @@ class TestSurvivalProbe:
                 SPEC, compiled.trace, design, option, SPEC.slo.targets(),
                 engine=engine,
             )
-            for engine in ("step", "macro", "wave")
+            for engine in ENGINES
         }
         assert len(verdicts) == 1  # all engines agree, run to run too
 

@@ -3,7 +3,7 @@
 ``chat-chipfail`` is the PR's acceptance scenario: a two-chip fleet
 loses one chip mid-trace and gets it back, and the committed golden
 report pins the measured p99-TTFT dent *and* a finite time-to-recover —
-identically across the step, macro and wave engines.  ``tenant-tiers``
+identically across every engine.  ``tenant-tiers``
 exercises weighted admission: the premium tenant holds its SLO while the
 free tier absorbs the queueing, all in one report.
 
@@ -82,14 +82,11 @@ class TestChipFailAcceptance:
         spec = get_scenario("chat-chipfail")
         return {engine: run_scenario(spec, engine=engine) for engine in ENGINES}
 
-    def test_identical_across_all_three_engines(self, reports):
-        step, macro, wave = (
-            reports[engine].to_json() for engine in ("step", "macro", "wave")
-        )
-        assert step == macro == wave
+    def test_identical_across_engines(self, reports):
+        assert len({report.to_json() for report in reports.values()}) == 1
 
     def test_report_captures_dent_and_measured_recovery(self, reports):
-        faults = reports["macro"].faults
+        faults = reports["wave"].faults
         assert faults is not None
         kinds = [event.kind for event in faults.events]
         assert kinds == ["chip_down", "chip_up"]
@@ -97,14 +94,14 @@ class TestChipFailAcceptance:
         assert impact.event.kind == "chip_down"
         assert impact.dent_depth_s > 0.0
         assert impact.time_to_recover_s is not None
-        assert 0.0 < impact.time_to_recover_s < reports["macro"].makespan_s
+        assert 0.0 < impact.time_to_recover_s < reports["wave"].makespan_s
 
     def test_matches_the_committed_golden_bytes(self, reports):
         golden = (GOLDEN_DIR / "chat-chipfail.json").read_text(encoding="utf-8")
-        assert reports["macro"].to_json() == golden
+        assert reports["wave"].to_json() == golden
 
     def test_formatted_report_narrates_the_fault_timeline(self, reports):
-        text = format_scenario_report(reports["macro"])
+        text = format_scenario_report(reports["wave"])
         assert "faults             : 2 events (drain)" in text
         assert "p99 TTFT dent" in text
         assert "recovered in" in text
@@ -112,15 +109,16 @@ class TestChipFailAcceptance:
 
 class TestTenantTiers:
     @pytest.fixture(scope="class")
-    def report(self):
-        return run_scenario(get_scenario("tenant-tiers"))
+    def reports(self):
+        spec = get_scenario("tenant-tiers")
+        return {engine: run_scenario(spec, engine=engine) for engine in ENGINES}
 
-    def test_identical_across_all_three_engines(self, report):
-        for engine in ("step", "wave"):
-            assert (
-                run_scenario(get_scenario("tenant-tiers"), engine=engine).to_json()
-                == report.to_json()
-            )
+    @pytest.fixture(scope="class")
+    def report(self, reports):
+        return reports["wave"]
+
+    def test_identical_across_engines(self, reports):
+        assert len({report.to_json() for report in reports.values()}) == 1
 
     def test_per_tenant_attainment_is_reported(self, report):
         assert report.tenants is not None

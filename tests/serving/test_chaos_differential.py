@@ -8,10 +8,10 @@ the conditional ``incidents`` block (whose content is timing-dependent
 by nature; ``without_incidents()`` is the comparison surface).
 
 Three legs: a pinned spec-derived schedule across **every** registered
-scenario (macro) and every engine on a per-controller-kind pool; a
-hypothesis leg drawing random schedules; and a subprocess leg proving
-a supervisor crash restored from a serialized ring checkpoint under a
-*different* ``PYTHONHASHSEED`` still lands on the same bytes.
+scenario on **every** engine; a hypothesis leg drawing random schedules
+on a per-controller-kind pool; and a subprocess leg proving a supervisor
+crash restored from a serialized ring checkpoint under a *different*
+``PYTHONHASHSEED`` still lands on the same bytes.
 """
 
 import os
@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from repro.scenarios.registry import available_scenarios, get_scenario
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ChaosSpec
+from repro.serving.queue import ENGINES
 from repro.serving.runtime.chaos import generate_chaos_schedule
 from repro.serving.runtime.service import run_scenario_supervised
 from repro.serving.runtime.supervision import SupervisionConfig
@@ -35,7 +36,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 SCENARIOS = available_scenarios()
 
-#: One scenario per controller kind for the cross-engine legs.
+#: One scenario per controller kind for the heavy and randomized legs.
 POOL = (
     "chat-poisson",  # static
     "edge-kiosk-overload",  # autoscale
@@ -66,33 +67,26 @@ FAST = SupervisionConfig(
 _BATCH_CACHE = {}
 
 
-def batch_json(spec, engine="macro"):
+def batch_json(spec, engine="wave"):
     key = (spec.spec_hash(), engine)
     if key not in _BATCH_CACHE:
         _BATCH_CACHE[key] = run_scenario(spec, engine=engine).to_json()
     return _BATCH_CACHE[key]
 
 
-def supervised(spec, engine="macro", chaos=None):
+def supervised(spec, engine="wave", chaos=None):
     return run_scenario_supervised(
         spec, engine=engine, chaos=chaos, supervision=FAST, hang_unit_s=0.01
     )
 
 
 class TestPinnedScheduleMatrix:
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("name", SCENARIOS)
-    def test_every_scenario_macro(self, name):
-        spec = replace(get_scenario(name), chaos=LIGHT)
-        report = supervised(spec)
-        assert report.incidents is not None  # the schedule actually fired
-        assert report.without_incidents().to_json() == batch_json(spec)
-
-    @pytest.mark.parametrize("engine", ["step", "wave"])
-    @pytest.mark.parametrize("name", POOL)
-    def test_controller_kinds_across_engines(self, name, engine):
+    def test_every_scenario_every_engine(self, name, engine):
         spec = replace(get_scenario(name), chaos=LIGHT)
         report = supervised(spec, engine=engine)
-        assert report.incidents is not None
+        assert report.incidents is not None  # the schedule actually fired
         assert report.without_incidents().to_json() == batch_json(spec, engine)
 
     @pytest.mark.parametrize("name", POOL)

@@ -2,8 +2,9 @@
 
 A checkpoint is the one artifact that crosses process boundaries, so
 every failure mode — truncation, garbage bytes, a foreign JSON shape,
-an unsupported version, missing or mistyped fields, a wrong trace
-digest, tampered controller state — must surface as a single
+an unsupported version, missing or mistyped fields, a retired or unknown
+engine, a wrong trace digest, tampered controller state — must surface
+as a single
 :class:`~repro.serving.runtime.checkpoint.CheckpointError` whose
 message names what was wrong, never a hang, a KeyError leak or a
 silently wrong resume.  ``Checkpoint.load`` additionally prefixes the
@@ -81,6 +82,12 @@ CORRUPTIONS = [
     pytest.param(
         _mutate("controller", "not a dict"), "wrong type", id="mistyped-controller"
     ),
+    pytest.param(
+        _mutate("engine", "macro"), "field 'engine' must be one of", id="retired-engine"
+    ),
+    pytest.param(
+        _mutate("engine", "wavee"), "field 'engine' must be one of", id="mistyped-engine"
+    ),
 ]
 
 
@@ -117,6 +124,17 @@ class TestResumeGuards:
         data["controller"] = {"bogus": 1}
         with pytest.raises(CheckpointError, match="invalid or tampered"):
             resume_scenario(Checkpoint.from_dict(data))
+
+    @pytest.mark.parametrize("engine", ["macro", "warp"])
+    def test_unknown_engine_never_reaches_the_fleet(
+        self, checkpoint, engine, tmp_path
+    ):
+        path = tmp_path / "engine.json"
+        path.write_text(
+            _mutate("engine", engine)(checkpoint.to_json()), encoding="utf-8"
+        )
+        with pytest.raises(CheckpointError, match="'engine'"):
+            resume_scenario(Checkpoint.load(path))
 
     def test_round_trip_still_resumes(self, checkpoint, tmp_path):
         # Control leg: the uncorrupted file resumes fine.

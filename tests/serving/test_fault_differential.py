@@ -8,8 +8,8 @@ tuples (no tolerances — the fault path is bit-identical or broken):
   engine, both dispatch policies and the autoscaled fleet.  This is what
   lets the fault machinery ship inside the serving engines without
   perturbing a single committed golden.
-* **engine equivalence under faults** — step, macro and wave runs of the
-  same faulted trace produce identical records, assignments and scaling
+* **engine equivalence under faults** — runs of the same faulted trace
+  on every engine produce identical records, assignments and scaling
   events.  Era splits are computed from engine-independent prefill
   windows, so the equivalence the engines already guarantee per era
   extends to the whole faulted timeline.
@@ -156,7 +156,7 @@ class TestEngineEquivalenceUnderFaults:
             for engine in ENGINES
         }
         reference = results["step"]
-        for engine in ("macro", "wave"):
+        for engine in ENGINES:
             assert results[engine].records == reference.records, engine
             assert results[engine].assignments == reference.assignments, engine
             assert (
@@ -176,7 +176,7 @@ class TestEngineEquivalenceUnderFaults:
             for engine in ENGINES
         }
         reference = results["step"]
-        for engine in ("macro", "wave"):
+        for engine in ENGINES:
             assert results[engine].records == reference.records, engine
             assert results[engine].assignments == reference.assignments, engine
             assert results[engine].rejected_ids == reference.rejected_ids, engine

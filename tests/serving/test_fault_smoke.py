@@ -51,7 +51,6 @@ def test_autoscaler_reconverges_after_mid_trace_chip_failure():
             max_queue_depth=256,
         ),
         max_batch_size=16,
-        engine="macro",
     )
     result = fleet.run(trace, faults=schedule)
 

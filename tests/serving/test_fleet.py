@@ -178,7 +178,7 @@ class TestParallelChips:
             max_batch_size=8,
             cc_bandwidth_fraction=chip.cc_bandwidth_fraction,
             context_bucket=chip.cost_model.context_bucket,
-            engine="macro",
+            engine=chip.engine,
             shard=list(trace),
             cc_latencies=chip.cc_latencies(),
             bucket_costs=chip.cost_model.bucket_costs(),

@@ -29,6 +29,7 @@ from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import run_scenario
 from repro.serving import FleetSimulator, PoissonArrivals, RequestSampler, build_trace
 from repro.serving.faults import FaultEvent, FaultSchedule
+from repro.serving.queue import ENGINES
 from repro.serving.runtime import (
     Checkpoint,
     resume_live,
@@ -39,7 +40,7 @@ from repro.serving.runtime import (
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-#: One scenario per controller kind, all cheap on the macro engine.
+#: One scenario per controller kind, all cheap on the wave engine.
 POOL = (
     "chat-poisson",  # static
     "edge-kiosk-overload",  # autoscale
@@ -134,11 +135,12 @@ class TestScenarioProperties:
 
 
 class TestCheckpointFormat:
-    def test_scenario_checkpoint_is_self_contained(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_scenario_checkpoint_is_self_contained(self, engine):
         spec = get_scenario("chat-poisson")
-        checkpoint = run_scenario_live(spec, pause_after=10)
+        checkpoint = run_scenario_live(spec, engine=engine, pause_after=10)
         assert checkpoint.scenario == spec.to_dict()
-        assert checkpoint.engine == "macro"
+        assert checkpoint.engine == engine
         assert checkpoint.cursor == 10
         data = json.loads(checkpoint.to_json())
         assert data["version"] == 1

@@ -1,7 +1,7 @@
 """Differential suite: live actor runs ≡ batch runs, byte for byte.
 
 The headline equivalence proof of the live runtime: for **every**
-registered scenario and **every** engine (``step``/``macro``/``wave``),
+registered scenario and **every** engine (``step``/``wave``),
 ``run_scenario(..., runtime="live")`` must reproduce the batch report —
 dataclass ``==`` and canonical JSON byte identity, covering records,
 scale events, fault eras and tenant budgets in one shot.  Below the

@@ -1,35 +1,62 @@
-"""Wave engine: three-way bit-identity across wave, macro and step.
+"""Wave engine: bit-identity against the per-step oracle.
 
-The wave engine batches the admission-cutoff walk into one array pass and
-consumes columnar traces, but its contract is the macro engine's: exact
-``==`` equivalence with the per-step oracle.  Every test here asserts
-equality of ``RequestRecord`` tuples and peak-batch/decode-step counters
-across all three engines — on randomized composition-churning traces over
-batch sizes, bucket widths and fleet sizes — plus scale-event equality
-when the autoscaler drives fleets under ``engine="wave"``.
+The wave engine compresses constant-composition runs of decode steps,
+batches the admission-cutoff walk into one array pass and consumes
+columnar traces, but its contract is exact ``==`` equivalence with the
+per-step oracle.  Every test here asserts equality of ``RequestRecord``
+tuples and peak-batch/decode-step counters between ``wave`` and
+``step`` — on randomized composition-churning traces over batch sizes,
+bucket widths and fleet sizes, and on deterministic edge traces that pin
+each fold and cutoff path — plus scale-event equality when the
+autoscaler drives fleets under ``engine="wave"``.  The CC-pipeline
+recurrence both the wave engine and the fault era split share
+(:func:`~repro.serving.engine.prefill_windows`) is pinned against the
+oracle's prefill windows directly.
 """
+
+import inspect
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.batch import context_bucket_for
 from repro.models.mllm import get_mllm
+from repro.planner.__main__ import _build_parser as planner_parser
+from repro.planner.evaluate import (
+    candidate_fleet,
+    candidate_survives_chip_loss,
+    evaluate_candidate,
+    simulate_candidate,
+)
+from repro.planner.plan import plan_scenario
+from repro.scenarios.__main__ import _build_parser as scenarios_parser
+from repro.scenarios.runner import build_fleet, run_scenario
 from repro.serving import (
     AutoscalerConfig,
     AutoscalingFleetSimulator,
     BurstyArrivals,
     ContinuousBatchingSimulator,
+    ENGINES,
     FleetSimulator,
     PoissonArrivals,
     RequestSampler,
     build_trace,
     trace_to_array,
 )
+from repro.serving.engine import prefill_windows
+from repro.serving.runtime.service import (
+    run_scenario_live,
+    run_scenario_supervised,
+)
 
 MODEL = get_mllm("sphinx-tiny")
 
-#: Shared cost-cache donor, as in test_macro_engine: seeding moves work,
-#: never values, so every engine of a comparison gets identical caches.
+#: Shared cost-cache donor: every chip in this module prices the same
+#: model on the same default system, and the CC-latency / bucket-cost /
+#: step memos are independent of batch size and bucket width, so chips
+#: seed from (and harvest back into) one pool.  Seeding moves work, never
+#: values, so both engines of a comparison get identical caches.
 _DONOR = {
     "cc": {},
     "buckets": {},
@@ -56,10 +83,10 @@ def _harvest(chip):
     _DONOR["steps"].update(chip.cost_model.step_cache())
 
 
-def run_three(trace, *, max_batch_size=8, context_bucket=32):
-    """(wave, macro, step) results of the same trace on triplet chips."""
+def run_both(trace, *, max_batch_size=8, context_bucket=32):
+    """(wave result, step result) of the same trace on twin chips."""
     results = []
-    for engine in ("wave", "macro", "step"):
+    for engine in ("wave", "step"):
         chip = _chip(
             engine,
             max_batch_size=max_batch_size,
@@ -102,6 +129,70 @@ def make_trace(
     return build_trace(arrivals.generate(n), sampler.sample(n))
 
 
+def simultaneous_arrivals():
+    """Eight requests at t=0, then pairs arriving together each second."""
+    base = make_trace(24, seed=3, rate=6.0)
+    times = [0.0] * 8 + [t for t in range(1, 9) for _ in (0, 1)]
+    return build_trace(
+        [float(t) for t in times], [r.request for r in base[: len(times)]]
+    )
+
+
+class TestEngineSelection:
+    def test_engines_tuple_and_default(self):
+        assert ENGINES == ("step", "wave")
+        assert ContinuousBatchingSimulator(model=MODEL).engine == "wave"
+
+    @pytest.mark.parametrize("engine", ["macro", "warp"])
+    def test_rejects_unknown_engine(self, engine):
+        with pytest.raises(ValueError, match="engine"):
+            ContinuousBatchingSimulator(model=MODEL, engine=engine)
+
+    def test_fleet_forwards_engine_to_chips(self):
+        fleet = FleetSimulator(MODEL, n_chips=2, engine="step")
+        assert all(chip.engine == "step" for chip in fleet.chips)
+        assert FleetSimulator(MODEL, n_chips=1).chips[0].engine == "wave"
+
+    def test_every_entry_point_defaults_to_wave(self):
+        for entry in (
+            ContinuousBatchingSimulator,
+            FleetSimulator,
+            AutoscalingFleetSimulator,
+            build_fleet,
+            run_scenario,
+            run_scenario_live,
+            run_scenario_supervised,
+            candidate_fleet,
+            evaluate_candidate,
+            candidate_survives_chip_loss,
+            simulate_candidate,
+            plan_scenario,
+        ):
+            engine = inspect.signature(entry).parameters["engine"]
+            assert engine.default == "wave", entry.__name__
+
+    @pytest.mark.parametrize(
+        "parser, argv",
+        [(scenarios_parser, ["run", "chat-poisson"]),
+         (planner_parser, ["plan", "chat-poisson"])],
+        ids=["scenarios", "planner"],
+    )
+    def test_cli_engine_default_and_choices(self, parser, argv):
+        assert parser().parse_args(argv).engine == "wave"
+        with pytest.raises(SystemExit):
+            parser().parse_args(argv + ["--engine", "macro"])
+
+
+class TestInlinedBucketArithmetic:
+    def test_matches_the_canonical_quantizer(self):
+        # The engine inlines context_bucket_for's arithmetic in its hot
+        # loop; the two definitions must never drift.
+        for width in (1, 2, 3, 7, 16, 32, 64, 131):
+            for context in list(range(0, 4 * width + 2)) + [10**6, 10**6 + 1]:
+                inlined = ((max(context, 1) + width - 1) // width) * width
+                assert inlined == context_bucket_for(context, width)
+
+
 class TestPropertyEquivalence:
     @given(
         n=st.integers(min_value=1, max_value=90),
@@ -113,7 +204,7 @@ class TestPropertyEquivalence:
         images=st.integers(min_value=0, max_value=2),
     )
     @settings(max_examples=30, deadline=None)
-    def test_wave_equals_macro_equals_step(
+    def test_wave_equals_step(
         self, n, seed, rate, bursty, max_batch, bucket, images
     ):
         # Mixed output lengths churn the batch composition constantly —
@@ -122,11 +213,9 @@ class TestPropertyEquivalence:
         trace = make_trace(
             n, seed=seed, rate=rate, bursty=bursty, images=images
         )
-        wave, macro, step = run_three(
-            trace, max_batch_size=max_batch, context_bucket=bucket
+        assert_identical(
+            *run_both(trace, max_batch_size=max_batch, context_bucket=bucket)
         )
-        assert_identical(wave, step)
-        assert_identical(macro, step)
 
     @given(
         n=st.integers(min_value=1, max_value=60),
@@ -160,30 +249,70 @@ class TestPropertyEquivalence:
         assert_identical(array_result, step_result)
 
 
+#: Deterministic edge traces: (trace factory, chip kwargs).
+EDGE_TRACES = [
+    pytest.param(lambda: make_trace(1, seed=0), {}, id="single-request"),
+    pytest.param(
+        lambda: make_trace(40, seed=1, rate=20.0, output_choices=(1,)),
+        {},
+        id="single-token-outputs",
+    ),
+    pytest.param(
+        lambda: make_trace(30, seed=2, rate=8.0),
+        {"max_batch_size": 1},
+        id="serial-batch-of-one",
+    ),
+    pytest.param(
+        simultaneous_arrivals, {"max_batch_size": 3}, id="simultaneous-arrivals"
+    ),
+    # build_trace assigns ids positionally; feed the simulator a trace
+    # whose list order disagrees with arrival order.
+    pytest.param(
+        lambda: list(reversed(make_trace(30, seed=4, rate=10.0))),
+        {},
+        id="unsorted-trace-positions",
+    ),
+    # Runs between ACCUMULATE_FOLD_MIN and NUMPY_FOLD_MIN steps fold
+    # through itertools.accumulate.
+    pytest.param(
+        lambda: make_trace(12, seed=6, rate=0.2, output_choices=(24, 40)),
+        {},
+        id="accumulate-fold",
+    ),
+    # Bucket width 256 with a slow trickle of arrivals produces runs
+    # longer than NUMPY_FOLD_MIN, covering the np.add.accumulate fold.
+    pytest.param(
+        lambda: make_trace(8, seed=5, rate=0.05, output_choices=(200, 256)),
+        {"context_bucket": 256},
+        id="numpy-fold",
+    ),
+    # A slow trickle of long decodes: admissions land mid-run, with runs
+    # long past SEARCH_CUTOFF_MIN, so the vectorised cutoff (not the
+    # scalar walk) picks the admission boundary.
+    pytest.param(
+        lambda: make_trace(10, seed=5, rate=0.05, output_choices=(200, 256)),
+        {"context_bucket": 256},
+        id="searchsorted-cutoff",
+    ),
+]
+
+
 class TestDeterministicEdges:
-    def test_single_request(self):
-        wave, macro, step = run_three(make_trace(1, seed=0))
-        assert_identical(wave, step)
+    @pytest.mark.parametrize("make, chip_kwargs", EDGE_TRACES)
+    def test_wave_equals_step(self, make, chip_kwargs):
+        assert_identical(*run_both(make(), **chip_kwargs))
 
-    def test_serial_batch_of_one(self):
-        trace = make_trace(30, seed=2, rate=8.0)
-        wave, _, step = run_three(trace, max_batch_size=1)
-        assert_identical(wave, step)
-
-    def test_long_walk_exercises_the_searchsorted_cutoff(self):
-        # A slow trickle of long decodes: admissions land mid-run, with
-        # runs long past SEARCH_CUTOFF_MIN, so the vectorised cutoff (not
-        # the scalar walk) picks the admission boundary.
-        trace = make_trace(
-            10, seed=5, rate=0.05, output_choices=(200, 256)
-        )
-        wave, _, step = run_three(trace, context_bucket=256)
-        assert_identical(wave, step)
-
-    def test_unsorted_trace_positions(self):
-        trace = list(reversed(make_trace(30, seed=4, rate=10.0)))
-        wave, _, step = run_three(trace)
-        assert_identical(wave, step)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_columnar_trace_on_every_engine(self, engine):
+        # Wave consumes the array directly; step materialises the object
+        # trace first.  Either way the records match the object-trace run.
+        trace = make_trace(40, seed=7, rate=10.0)
+        results = []
+        for form in (trace_to_array(trace), trace):
+            chip = _chip(engine)
+            results.append(chip.run(form))
+            _harvest(chip)
+        assert_identical(*results)
 
     def test_empty_trace_rejected(self):
         import numpy as np
@@ -195,6 +324,53 @@ class TestDeterministicEdges:
             chip.run([])
         with pytest.raises(ValueError, match="empty"):
             chip.run(np.empty(0, dtype=TRACE_DTYPE))
+
+
+class TestPrefillWindows:
+    def test_hand_worked_windows(self):
+        # An idle pipeline starts at the arrival, a busy one at the
+        # previous end; tied arrivals queue behind each other.
+        starts, ends = prefill_windows(
+            [0.0, 0.5, 5.0, 5.0], [1.0, 1.0, 0.25, 0.25]
+        )
+        assert starts == [0.0, 1.0, 5.0, 5.25]
+        assert ends == [1.0, 2.0, 5.25, 5.5]
+
+    def test_empty_columns(self):
+        assert prefill_windows([], []) == ([], [])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(simultaneous_arrivals, id="simultaneous-arrivals"),
+            pytest.param(
+                lambda: list(reversed(make_trace(30, seed=4, rate=10.0))),
+                id="unsorted-trace-positions",
+            ),
+            pytest.param(
+                lambda: make_trace(80, seed=11, rate=12.0, bursty=True),
+                id="bursty-backlog",
+            ),
+            pytest.param(
+                lambda: make_trace(20, seed=9, rate=0.1), id="idle-gaps"
+            ),
+        ],
+    )
+    def test_matches_the_oracle_windows(self, make):
+        # Columns in dispatch order, as both callers pass them.
+        trace = make()
+        chip = _chip("step")
+        result = chip.run(trace)
+        _harvest(chip)
+        pending = sorted(trace, key=lambda r: (r.arrival_s, r.request_id))
+        starts, ends = prefill_windows(
+            [item.arrival_s for item in pending],
+            [chip.cc_latency_s(item.request) for item in pending],
+        )
+        by_id = {record.request_id: record for record in result.records}
+        records = [by_id[item.request_id] for item in pending]
+        assert starts == [record.prefill_start_s for record in records]
+        assert ends == [record.prefill_end_s for record in records]
 
 
 class TestFleetEquivalence:
