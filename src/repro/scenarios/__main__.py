@@ -53,14 +53,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--chaos-seed", type=int, default=None, metavar="N",
-        help="run under the supervised runtime with a chaos schedule "
-        "drawn from seed N (instead of the spec-hash-derived seed); the "
-        "report stays byte-identical modulo the incidents block",
+        help="run on the live runtime with a chaos schedule drawn from "
+        "seed N (instead of the spec-hash-derived seed); the report "
+        "stays byte-identical modulo the incidents block",
     )
     run.add_argument(
         "--max-retries", type=int, default=None, metavar="N",
         help="override the supervisor's per-job retry budget (implies "
-        "the supervised runtime)",
+        "the live runtime)",
     )
 
     golden = commands.add_parser(
@@ -87,7 +87,7 @@ def _run(
 ) -> None:
     spec = get_scenario(name)
     if chaos_seed is not None or max_retries is not None:
-        report = _run_supervised(spec, engine, chaos_seed, max_retries)
+        report = _run_chaos(spec, engine, chaos_seed, max_retries)
     else:
         report = run_scenario(spec, engine=engine, runtime=runtime)
     if as_json:
@@ -96,10 +96,10 @@ def _run(
         print(format_scenario_report(report))
 
 
-def _run_supervised(spec, engine: str, chaos_seed, max_retries):
+def _run_chaos(spec, engine: str, chaos_seed, max_retries):
     from dataclasses import replace
 
-    from ..serving.runtime.service import run_scenario_supervised
+    from ..serving.runtime.service import run_scenario_live
     from ..serving.runtime.supervision import SupervisionConfig
     from .compile import compile_chaos_schedule
     from .spec import ChaosSpec
@@ -109,7 +109,7 @@ def _run_supervised(spec, engine: str, chaos_seed, max_retries):
         spec = replace(spec, chaos=ChaosSpec())
     if max_retries is None:
         max_retries = spec.chaos.max_retries
-    return run_scenario_supervised(
+    return run_scenario_live(
         spec,
         engine=engine,
         chaos=compile_chaos_schedule(spec, seed=chaos_seed),

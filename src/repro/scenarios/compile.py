@@ -59,8 +59,8 @@ class CompiledScenario:
     faults: Optional[FaultSchedule] = None
     #: Concrete runtime-chaos schedule (``None`` unless the spec carries
     #: a ``chaos`` block); derived from the spec hash, see
-    #: :func:`compile_chaos_schedule`.  Consumed only by the supervised
-    #: live runtime — the batch plane ignores it by design.
+    #: :func:`compile_chaos_schedule`.  Consumed only by the live
+    #: runtime — the batch plane ignores it by design.
     chaos: Optional[ChaosSchedule] = None
 
     @property

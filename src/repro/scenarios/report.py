@@ -235,7 +235,7 @@ class FaultSummary:
 
 @dataclass(frozen=True)
 class IncidentSummary:
-    """The supervised runtime's recovery timeline for one run.
+    """The live runtime's recovery timeline for one run.
 
     ``timeline`` is the chronological
     :class:`~repro.serving.runtime.supervision.ActorIncident` sequence;
@@ -325,9 +325,9 @@ class ScenarioReport:
     tenants: Optional[Tuple[TenantSummary, ...]] = None
     #: Fault timeline + recovery metrics; present only for fault specs.
     faults: Optional[FaultSummary] = None
-    #: Supervised-runtime recovery timeline; present only when a
-    #: supervised run actually recorded incidents (conditional emission
-    #: keeps every batch and undisturbed-run golden byte-identical).
+    #: Live-runtime recovery timeline; present only when a live run
+    #: actually recorded incidents (conditional emission keeps every
+    #: batch and undisturbed-run golden byte-identical).
     incidents: Optional[IncidentSummary] = None
 
     @property

@@ -146,26 +146,25 @@ def run_scenario(
     for every engine (regression-tested through the golden suite).
     ``runtime`` selects the execution plane (see
     :data:`repro.serving.dispatch.RUNTIMES`): ``"live"`` streams the
-    compiled trace through the asyncio actor runtime and produces the
-    byte-identical report.  Specs carrying a ``faults`` block run
-    through the event-driven degradation path and their reports grow a
-    ``faults`` summary with per-disruption recovery metrics; specs
-    declaring tenants grow a per-tenant attainment block.  Plain specs
-    emit the exact historical report (golden byte identity).
+    compiled trace through the asyncio actor runtime
+    (:func:`repro.serving.runtime.service.run_scenario_live`) and
+    produces the byte-identical report.  Specs carrying a ``faults``
+    block run through the event-driven degradation path and their
+    reports grow a ``faults`` summary with per-disruption recovery
+    metrics; specs declaring tenants grow a per-tenant attainment block.
+    Plain specs emit the exact historical report (golden byte identity).
 
-    A spec carrying a ``chaos`` block routes its ``"live"`` plane
-    through the *supervised* runtime
-    (:func:`repro.serving.runtime.service.run_scenario_supervised`) with
-    the spec's own compiled chaos schedule injected — the report is
+    A spec's ``chaos`` block is a plan for the live plane only: there it
+    injects the spec's compiled chaos schedule, and the report is
     byte-identical modulo the conditional ``incidents`` block.  The
     ``"batch"`` plane ignores chaos by design (there is no control plane
     to break), which is itself the invariant: chaos must not change
     what is computed.
     """
-    if runtime == "live" and spec.chaos is not None:
-        from ..serving.runtime.service import run_scenario_supervised
+    if runtime == "live":
+        from ..serving.runtime.service import run_scenario_live
 
-        return run_scenario_supervised(spec, engine=engine)
+        return run_scenario_live(spec, engine=engine)
     compiled = compile_scenario(spec)
     fleet = build_fleet(spec, engine=engine)
     result = fleet.run(
@@ -184,10 +183,10 @@ def scenario_report(
     Pure assembly over the ``spec``, its ``compiled`` trace and the run
     ``result`` — both execution planes (and checkpoint resumes) call it
     with their result object, so report formatting lives in exactly one
-    place.  ``incidents`` (supervised runs only) attaches the recovery
+    place.  ``incidents`` (live runs only) attaches the recovery
     timeline as the conditional ``incidents`` block; an empty sequence
-    attaches nothing, so undisturbed supervised runs emit the exact
-    batch report.
+    attaches nothing, so undisturbed live runs emit the exact batch
+    report.
     """
     report = result.report
     autoscale = (
@@ -241,7 +240,7 @@ def scenario_report(
         tenants=tenants,
         faults=faults,
         # Attached only when the timeline is non-empty: an undisturbed
-        # supervised run emits the exact batch report, byte for byte.
+        # live run emits the exact batch report, byte for byte.
         incidents=(
             IncidentSummary.from_incidents(incidents) if incidents else None
         ),

@@ -441,9 +441,9 @@ class ChaosSpec:
     ``"chaos"``), so the plan stays pure data and the schedule
     reproduces bit-identically everywhere.  Chaos lives entirely at the
     live runtime's mailbox boundary: the batch plane ignores it, and the
-    supervised live plane must produce a report identical to the
-    undisturbed run's (modulo the ``incidents`` block) — that invariant
-    is exactly what a chaos block asks CI to re-prove for the scenario.
+    live plane must produce a report identical to the undisturbed run's
+    (modulo the ``incidents`` block) — that invariant is exactly what a
+    chaos block asks CI to re-prove for the scenario.
 
     ``n_crashes``/``n_hangs`` target chip actors, ``n_drops``/
     ``n_delays`` the message stream, ``n_supervisor_crashes`` the

@@ -251,7 +251,7 @@ class AutoscalingFleetSimulator(FleetSimulator):
 
             return run_live(
                 self, trace, faults=faults, priorities=priorities
-            )
+            ).result
         if faults is not None or priorities is not None:
             # Imported lazily: faults builds on this module.
             from .faults import FaultSchedule, run_autoscale_with_faults

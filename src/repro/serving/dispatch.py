@@ -38,6 +38,7 @@ the four for a given fleet/schedule/priorities combination.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -115,12 +116,20 @@ REQUEST_STATE_FIELDS: Tuple[Tuple[str, type], ...] = (
 )
 
 
+def _field_error(message: str, field: Optional[str]) -> ValueError:
+    """A ``ValueError`` naming the offending request-state ``field``."""
+    error = ValueError(message)
+    error.field = field  # type: ignore[attr-defined]
+    return error
+
+
 def request_from_state(data: Mapping[str, Any]) -> ServingRequest:
     """Rebuild a :class:`ServingRequest` from :func:`request_to_state` ``data``.
 
-    Validates field by field: a missing or uncoercible field raises a
-    ``ValueError`` *naming that field* (carried on the exception as a
-    ``field`` attribute), so streaming ingestion
+    Validates field by field: a missing, uncoercible, non-finite or
+    out-of-range field raises a ``ValueError`` *naming that field*
+    (carried on the exception as a ``field`` attribute; ``None`` only
+    for the cross-field "image or prompt" rule), so streaming ingestion
     (:func:`repro.serving.runtime.service.requests_from_lines`) can
     report exactly what was wrong with a malformed trace line.
     """
@@ -129,27 +138,39 @@ def request_from_state(data: Mapping[str, Any]) -> ServingRequest:
     values: Dict[str, Any] = {}
     for name, kind in REQUEST_STATE_FIELDS:
         if name not in data:
-            error = ValueError(f"request state is missing field {name!r}")
-            error.field = name  # type: ignore[attr-defined]
-            raise error
+            raise _field_error(
+                f"request state is missing field {name!r}", name
+            )
         try:
             values[name] = kind(data[name])
         except (TypeError, ValueError):
-            error = ValueError(
+            raise _field_error(
                 f"request state field {name!r} must be "
-                f"{kind.__name__}-like, got {data[name]!r}"
-            )
-            error.field = name  # type: ignore[attr-defined]
-            raise error from None
-    return ServingRequest(
-        request_id=values["request_id"],
-        arrival_s=values["arrival_s"],
-        request=InferenceRequest(
-            images=values["images"],
-            prompt_text_tokens=values["prompt_text_tokens"],
-            output_tokens=values["output_tokens"],
-        ),
-    )
+                f"{kind.__name__}-like, got {data[name]!r}",
+                name,
+            ) from None
+    if not math.isfinite(values["arrival_s"]):
+        raise _field_error(
+            f"request state field 'arrival_s' must be finite, "
+            f"got {values['arrival_s']!r}",
+            "arrival_s",
+        )
+    try:
+        return ServingRequest(
+            request_id=values["request_id"],
+            arrival_s=values["arrival_s"],
+            request=InferenceRequest(
+                images=values["images"],
+                prompt_text_tokens=values["prompt_text_tokens"],
+                output_tokens=values["output_tokens"],
+            ),
+        )
+    except ValueError as error:
+        # The range checks open with their field ("images must be >= 0").
+        field = next(
+            (name for name in values if str(error).startswith(name)), None
+        )
+        raise _field_error(f"request state: {error}", field) from None
 
 
 def record_to_state(record: RequestRecord) -> Dict[str, Any]:
@@ -292,16 +313,6 @@ class StaticDispatchController:
             per_chip=per_chip,
             assignments=assignments,
         )
-
-    def preview_records(self) -> Tuple[RequestRecord, ...]:
-        """Records of a hypothetical end-of-stream right now (pure).
-
-        Engine runs are pure — caches only memoize — so simulating the
-        shards dispatched so far neither consumes nor perturbs them; the
-        live runtime's interim snapshots are built on this.
-        """
-        results = run_jobs_inline(self.final_jobs())
-        return self.collect(results).records
 
     def state_dict(self) -> Dict[str, Any]:
         """JSON-serializable snapshot of the dynamic dispatch state."""
@@ -504,11 +515,6 @@ class AutoscaleDispatchController:
             events=tuple(self.events),
             final_chips=self.n_active,
         )
-
-    def preview_records(self) -> Tuple[RequestRecord, ...]:
-        """Records of a hypothetical end-of-stream right now (pure)."""
-        results = run_jobs_inline(self.final_jobs())
-        return self.collect(results).records
 
     def state_dict(self) -> Dict[str, Any]:
         """JSON-serializable snapshot of the dynamic control-loop state."""

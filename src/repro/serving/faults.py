@@ -53,7 +53,7 @@ change its result: a fault-schedule scenario run under a chaos schedule
 still reproduces its fault summary byte-identically.  Both planes meet
 in :func:`~repro.serving.dispatch.make_controller`, which wraps this
 module's simulators behind the same stepwise controller protocol the
-supervised runtime drives.
+live runtime drives.
 """
 
 from __future__ import annotations
@@ -586,31 +586,6 @@ class _FaultLedger:
                 state.closed.append(result)
                 state.entries = []
 
-    def preview_records(self) -> Tuple[RequestRecord, ...]:
-        """Records of a hypothetical end-of-stream right now (pure).
-
-        Open eras are simulated without being closed: engine runs only
-        memoize, so the ledger is untouched and dispatch can continue.
-        """
-        records: List[RequestRecord] = []
-        for state in self.states:
-            results = list(state.closed)
-            shard = _era_shard(state)
-            if shard:
-                results.append(state.sim.run(shard))
-            for result in results:
-                for record in result.records:
-                    source = self.trace[self.index_of(record.request_id)]
-                    records.append(
-                        replace(
-                            record,
-                            request_id=source.request_id,
-                            arrival_s=source.arrival_s,
-                        )
-                    )
-        records.sort(key=lambda record: record.request_id)
-        return tuple(records)
-
     def state_dict(self) -> Dict[str, Any]:
         """JSON-serializable snapshot of the era/dispatch bookkeeping.
 
@@ -871,10 +846,6 @@ class FaultFleetController:
                 self.trace[i].request_id for i in self.ledger.aborted
             ),
         )
-
-    def preview_records(self) -> Tuple[RequestRecord, ...]:
-        """Records of a hypothetical end-of-stream right now (pure)."""
-        return self.ledger.preview_records()
 
     def state_dict(self) -> Dict[str, Any]:
         """JSON-serializable snapshot of the dynamic fault-loop state."""
@@ -1142,10 +1113,6 @@ class FaultAutoscaleController:
                 self.trace[i].request_id for i in self.ledger.aborted
             ),
         )
-
-    def preview_records(self) -> Tuple[RequestRecord, ...]:
-        """Records of a hypothetical end-of-stream right now (pure)."""
-        return self.ledger.preview_records()
 
     def state_dict(self) -> Dict[str, Any]:
         """JSON-serializable snapshot of the dynamic control-loop state."""

@@ -438,7 +438,7 @@ class FleetSimulator:
 
             return run_live(
                 self, trace, faults=faults, priorities=priorities
-            )
+            ).result
         if faults is not None:
             # Imported lazily: faults builds on this module.
             from .faults import run_fleet_with_faults

@@ -8,19 +8,20 @@ drives the *same* stepwise dispatch controllers
 ``run`` entry points drive, in the same canonical arrival order, so a
 live run is byte-identical to its batch twin on records, scale events,
 fault eras and golden reports (the differential suite asserts ``==``,
-not approximation).
+not approximation) — and stays so under injected runtime chaos.
 
 Layout: :mod:`~repro.serving.runtime.messages` defines the typed
 dataclass messages actors exchange; :mod:`~repro.serving.runtime.actors`
-the ingestion/chip/supervisor actors; :mod:`~repro.serving.runtime.
-checkpoint` the JSON pause/resume format;
-:mod:`~repro.serving.runtime.supervision` the self-healing layer
-(heartbeats, deadlines, retry/quarantine recovery, the auto-checkpoint
-ring, the incident timeline); :mod:`~repro.serving.runtime.chaos` its
-adversary (seeded runtime-fault schedules injected at the mailbox
-boundary); and :mod:`~repro.serving.runtime.service` the synchronous
-entry points (:func:`run_live`, :func:`resume_live`,
-:func:`run_supervised`, and the scenario couplings).
+the mailbox substrate and the ingestion/chip workers;
+:mod:`~repro.serving.runtime.supervision` the one
+:class:`SupervisorActor` (dispatch, heartbeats, deadlines,
+retry/quarantine recovery, the auto-checkpoint ring, the incident
+timeline); :mod:`~repro.serving.runtime.checkpoint` the JSON
+pause/resume format; :mod:`~repro.serving.runtime.chaos` the
+supervisor's adversary (seeded runtime-fault schedules injected at the
+mailbox boundary); and :mod:`~repro.serving.runtime.service` the
+synchronous entry points (:func:`run_live`, :func:`resume_live` and
+the scenario couplings).
 """
 
 from .actors import (
@@ -29,7 +30,6 @@ from .actors import (
     Actor,
     ChipActor,
     IngestionActor,
-    SupervisorActor,
 )
 from .chaos import (
     CHAOS_ACTOR_KINDS,
@@ -71,14 +71,12 @@ from .service import (
     resume_scenario,
     run_live,
     run_scenario_live,
-    run_scenario_supervised,
-    run_supervised,
 )
 from .supervision import (
     INCIDENT_KINDS,
     ActorIncident,
-    SupervisedSupervisorActor,
     SupervisionConfig,
+    SupervisorActor,
     backoff_s,
 )
 
@@ -110,7 +108,6 @@ __all__ = [
     "Shutdown",
     "StreamEnded",
     "SupervisedRun",
-    "SupervisedSupervisorActor",
     "SupervisionConfig",
     "SupervisorActor",
     "TraceIngestError",
@@ -126,7 +123,5 @@ __all__ = [
     "resume_scenario",
     "run_live",
     "run_scenario_live",
-    "run_scenario_supervised",
-    "run_supervised",
     "trace_digest",
 ]

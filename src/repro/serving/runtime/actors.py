@@ -1,6 +1,7 @@
-"""The live serving control plane's actors.
+"""The mailbox substrate of the live serving control plane.
 
-Three actor roles on one tiny mailbox substrate (:class:`Actor`):
+:class:`Actor` is the tiny mailbox actor every role runs on; this module
+holds the two worker roles:
 
 * :class:`IngestionActor` — streams the arrival sequence to the
   supervisor as :class:`~repro.serving.runtime.messages.ArrivalBatch`
@@ -8,41 +9,33 @@ Three actor roles on one tiny mailbox substrate (:class:`Actor`):
   or paced against the wall clock at a multiple of simulated time;
 * :class:`ChipActor` — one per fleet chip; executes the
   :class:`~repro.serving.dispatch.ShardJob` engine runs the supervisor
-  hands it and answers with the results;
-* :class:`SupervisorActor` — owns the dispatch controller (the same
-  stepwise object the batch path drives, see
-  :mod:`repro.serving.dispatch`), applies every arrival in canonical
-  order, takes the autoscale/fault decisions the controller embodies,
-  fans the closing engine runs out to the chip actors and folds their
-  answers into the run's result.
+  hands it and answers with the results.
 
-Because the supervisor drives the *identical* controller the batch entry
-points drive, and consumes arrivals in the identical order, a live run
-is the same computation as a batch run — the differential suite asserts
-the results are ``==``-identical, not merely close.
+The third role, the
+:class:`~repro.serving.runtime.supervision.SupervisorActor` that owns
+the dispatch controller, lives with the recovery machinery it drives.
 
-Two seams make the runtime hardenable without the vanilla path knowing:
+Two seams make the runtime hardenable without the workers knowing:
 
 * every actor consults an optional :attr:`Actor.chaos` interceptor at
   its mailbox boundary (``post``/``before_work``), which is how
   :mod:`repro.serving.runtime.chaos` injects crashes, hangs, drops and
-  delays — ``None`` by default, so unsupervised runs pay nothing;
+  delays — ``None`` by default, so chaos-free runs pay nothing;
 * an actor whose :meth:`Actor.on_message` raises reports the failure
   through :meth:`Actor.on_error` instead of dying silently —
   :class:`ChipActor` posts an
   :class:`~repro.serving.runtime.messages.ActorCrashed` to the
-  supervisor, which surfaces the original exception as a clean run
-  failure (or, under :mod:`repro.serving.runtime.supervision`, triggers
-  retry/quarantine recovery).
+  supervisor, which retries the job or fails the run with the original
+  exception.
 """
 
 from __future__ import annotations
 
 import asyncio
 import logging
-from typing import Any, Dict, Optional, Sequence, Set, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
-from ..queue import ServingRequest, ServingResult
+from ..queue import ServingRequest
 from .chaos import ChaosCrash
 from .messages import (
     ActorCrashed,
@@ -77,13 +70,13 @@ class Actor:
     actors communicate exclusively through the typed messages of
     :mod:`repro.serving.runtime.messages`.
 
-    :attr:`chaos` is the fault-injection seam: when set (by the
-    supervision layer only) every inbound message passes through the
+    :attr:`chaos` is the fault-injection seam: when set (by a run
+    given a chaos schedule) every inbound message passes through the
     injector's ``intercept`` and every unit of work through its
     ``before_work`` — see :mod:`repro.serving.runtime.chaos`.
     """
 
-    #: Optional chaos injector; ``None`` outside supervised runs.
+    #: Optional chaos injector; ``None`` unless a schedule is injected.
     chaos: Optional[Any] = None
 
     def __init__(self, name: str) -> None:
@@ -317,94 +310,10 @@ class ChipActor(Actor):
         return True
 
 
-class SupervisorActor(Actor):
-    """Owns the dispatch controller and the run's outcome.
-
-    Applies every streamed arrival to ``controller`` in order; at
-    :class:`StreamEnded` it flushes trailing fault events, fans the
-    closing engine runs out to the chip actors, and resolves
-    :attr:`outcome` with ``("done", result)``.  At :class:`PauseStream`
-    it resolves with ``("paused", cursor, state)`` — the controller's
-    serialized dynamic state, ready to become a checkpoint.  Controller
-    errors (e.g. requests parked past the end of the trace), and
-    :class:`ActorCrashed` reports from the other actors, resolve the
-    outcome exceptionally — the run fails cleanly with the original
-    error rather than hanging.  (Recovering instead of failing is the
-    supervised subclass's job — see
-    :mod:`repro.serving.runtime.supervision`.)
-    """
-
-    def __init__(self, controller: Any, n_chips: int) -> None:
-        super().__init__("supervisor")
-        self.controller = controller
-        self.chips = [ChipActor(chip_id, self) for chip_id in range(n_chips)]
-        self.outcome: "asyncio.Future[Tuple[Any, ...]]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._results: Dict[int, ServingResult] = {}
-        self._pending: Set[int] = set()
-        self._seen = 0
-
-    def start(self) -> None:
-        """Launch the supervisor and its chip actors."""
-        super().start()
-        for chip in self.chips:
-            chip.start()
-
-    async def stop(self, timeout_s: float = STOP_TIMEOUT_S) -> bool:
-        """Shut down the chip actors, then the supervisor itself."""
-        clean = True
-        for chip in self.chips:
-            clean = await chip.stop(timeout_s) and clean
-        return await super().stop(timeout_s) and clean
-
-    async def on_message(self, message: Any) -> None:
-        """Advance the run by one protocol message."""
-        try:
-            if isinstance(message, ArrivalBatch):
-                for index, request in message.arrivals:
-                    self.controller.on_arrival(index, request)
-                self._seen += len(message.arrivals)
-            elif isinstance(message, PauseStream):
-                self.outcome.set_result(
-                    ("paused", message.cursor, self.controller.state_dict())
-                )
-            elif isinstance(message, StreamEnded):
-                self.controller.finish_events()
-                jobs = self.controller.final_jobs()
-                if not jobs:
-                    self.outcome.set_result(
-                        ("done", self.controller.collect({}))
-                    )
-                    return
-                self._pending = {job.chip_id for job in jobs}
-                for job in jobs:
-                    self.chips[job.chip_id].post(RunShard(job=job))
-            elif isinstance(message, ShardDone):
-                self._results[message.chip_id] = message.result
-                self._pending.discard(message.chip_id)
-                if not self._pending:
-                    self.outcome.set_result(
-                        ("done", self.controller.collect(self._results))
-                    )
-            elif isinstance(message, ActorCrashed):
-                if message.cause is not None:
-                    raise message.cause
-                raise RuntimeError(
-                    f"actor {message.actor!r} crashed: {message.error}"
-                )
-            elif isinstance(message, Heartbeat):
-                pass
-        except Exception as error:
-            if not self.outcome.done():
-                self.outcome.set_exception(error)
-
-
 __all__ = [
     "DEFAULT_BATCH_SIZE",
     "STOP_TIMEOUT_S",
     "Actor",
     "ChipActor",
     "IngestionActor",
-    "SupervisorActor",
 ]

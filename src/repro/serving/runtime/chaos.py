@@ -13,8 +13,8 @@ interposing on exactly two seams of :class:`~repro.serving.runtime.actors.Actor`
   and may raise :class:`ChaosCrash` (``crash_actor``) or sleep
   (``hang_actor``).
 
-No engine, controller or actor *logic* knows chaos exists — the vanilla
-runtime carries a ``chaos = None`` attribute and pays nothing.  Faults
+No engine, controller or actor *logic* knows chaos exists — an actor
+without an injector carries ``chaos = None`` and pays nothing.  Faults
 are addressed by *logical coordinates*, never wall-clock time:
 ``crash_actor("chip", at_shard=3)`` crashes a chip actor when it picks
 up its 4th unit of work, ``drop_message("ShardDone", nth=1)`` swallows
@@ -23,8 +23,8 @@ therefore replays identically across machines, and events whose ordinal
 never occurs simply do not fire.
 
 The headline invariant (CI-enforced by the chaos differential suite):
-**any** chaos schedule, played against a supervised live run, yields a
-final report ``==``- and byte-identical to the undisturbed run — because
+**any** chaos schedule, played against a live run, yields a final
+report ``==``- and byte-identical to the undisturbed run — because
 arrivals are applied exactly once in canonical order, shard jobs are
 pure, and recovery only re-executes work whose result is a function of
 its inputs.  Chaos perturbs *when* things happen; supervision guarantees

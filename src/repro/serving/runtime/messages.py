@@ -16,15 +16,13 @@ stream the supervisor fans :class:`RunShard` jobs out to the chip
 actors, which answer :class:`ShardDone`; :class:`Shutdown` terminates
 any actor's receive loop.
 
-The supervision layer (:mod:`repro.serving.runtime.supervision`) rides
-the same protocol, hardened: :class:`ArrivalBatch` carries its stream
-position (``start``) so drops, delays and duplicates are detectable;
-:class:`RunShard`/:class:`ShardDone` carry a ``job_id`` so a retried or
-re-dispatched job's stale completions can be ignored; chip actors
-announce liveness with :class:`Heartbeat` and report their own failures
-with :class:`ActorCrashed` instead of dying silently.  The base runtime
-leaves the sentinel defaults (``-1``) untouched, so the vanilla path is
-byte-compatible with the supervised one.
+The protocol is hardened for supervision
+(:mod:`repro.serving.runtime.supervision`): :class:`ArrivalBatch`
+carries its stream position (``start``) so drops, delays and duplicates
+are detectable; :class:`RunShard`/:class:`ShardDone` carry a ``job_id``
+so a retried or re-dispatched job's stale completions can be ignored;
+chip actors announce liveness with :class:`Heartbeat` and report their
+own failures with :class:`ActorCrashed` instead of dying silently.
 """
 
 from __future__ import annotations
@@ -45,14 +43,12 @@ class ArrivalBatch:
     the canonical ``(arrival_s, request_id)`` order.  Batching amortizes
     queue overhead when the stream runs unpaced; a paced stream sends
     batches of one.  ``start`` is the batch's cursor position in the
-    canonical stream (the ordinal of its first pair); the supervision
-    layer uses it to detect dropped, delayed or duplicated batches, and
-    ``-1`` marks an unsequenced batch (hand-posted in tests) that the
-    supervisor applies as-is.
+    canonical stream (the ordinal of its first pair); the supervisor
+    uses it to detect dropped, delayed or duplicated batches.
     """
 
     arrivals: Tuple[Tuple[int, ServingRequest], ...]
-    start: int = -1
+    start: int
 
 
 @dataclass(frozen=True)
@@ -82,13 +78,13 @@ class PauseStream:
 class RunShard:
     """One engine run to execute, supervisor → chip actor.
 
-    ``job_id`` identifies the job across retries (``-1`` on the
-    unsupervised path) and ``attempt`` counts dispatch attempts, so the
-    supervision layer can tell a fresh completion from a stale one.
+    ``job_id`` identifies the job across retries and ``attempt`` counts
+    dispatch attempts, so the supervisor can tell a fresh completion
+    from a stale one.
     """
 
     job: ShardJob
-    job_id: int = -1
+    job_id: int
     attempt: int = 1
 
 
@@ -97,14 +93,14 @@ class ShardDone:
     """An executed engine run, chip actor → supervisor.
 
     ``job_id`` echoes the :class:`RunShard` that produced the result;
-    the supervision layer ignores completions for jobs it has already
-    recorded (a re-dispatched job may finish twice — shard jobs are
-    pure, so either result is the same value).
+    the supervisor ignores completions for jobs it has already recorded
+    (a re-dispatched job may finish twice — shard jobs are pure, so
+    either result is the same value).
     """
 
     chip_id: int
     result: ServingResult
-    job_id: int = -1
+    job_id: int
 
 
 @dataclass(frozen=True)
@@ -126,10 +122,10 @@ class ActorCrashed:
     """An actor's receive loop died on an exception, actor → supervisor.
 
     ``error`` is the ``repr`` of the exception (incident-log material);
-    ``cause`` carries the exception object itself so the unsupervised
-    supervisor can re-raise the original error as a clean run failure
-    instead of hanging the session.  ``job_id`` names the shard job the
-    actor was executing, ``-1`` if it crashed between jobs.
+    ``cause`` carries the exception object itself so the supervisor can
+    fail the run with the original error instead of hanging the
+    session.  ``job_id`` names the shard job the actor was executing,
+    ``-1`` if it crashed between jobs.
     """
 
     actor: str

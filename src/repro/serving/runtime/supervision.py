@@ -1,10 +1,11 @@
-"""Supervision of the live runtime: heartbeats, deadlines, recovery.
+"""The supervisor of the live runtime: dispatch, heartbeats, recovery.
 
-The proactor/watchdog half of the live control plane.
-:class:`SupervisedSupervisorActor` extends the plain
-:class:`~repro.serving.runtime.actors.SupervisorActor` with everything
-needed to survive the faults :mod:`repro.serving.runtime.chaos` injects
-(and the real-world failures they model):
+:class:`SupervisorActor` is the control plane's one supervisor.  It
+owns the stepwise dispatch controller (the same object the batch path
+drives, see :mod:`repro.serving.dispatch`), streams arrivals into it,
+fans the closing engine runs out to the chip actors, and survives the
+faults :mod:`repro.serving.runtime.chaos` injects (and the real-world
+failures they model):
 
 * **sequenced arrivals** — every
   :class:`~repro.serving.runtime.messages.ArrivalBatch` carries its
@@ -27,10 +28,10 @@ needed to survive the faults :mod:`repro.serving.runtime.chaos` injects
   terminates;
 * **an auto-checkpoint ring** — every ``checkpoint_every`` arrivals the
   supervisor snapshots controller state into a bounded ring of
-  :class:`~repro.serving.runtime.checkpoint.Checkpoint` values (PR 9's
-  format, byte-for-byte); when the supervisor itself crashes, the
-  driver (:func:`repro.serving.runtime.service.run_supervised`) rebuilds
-  a fresh session from the newest ring entry;
+  :class:`~repro.serving.runtime.checkpoint.Checkpoint` values (the
+  pause/resume format, byte-for-byte); when the supervisor itself
+  crashes, the run loop (:func:`repro.serving.runtime.service.run_live`)
+  rebuilds a fresh session from the newest ring entry;
 * **an incident timeline** — every detection and recovery appends an
   :class:`ActorIncident`; the timeline reaches the scenario report's
   conditional ``incidents`` block, but never the result itself, because
@@ -58,10 +59,17 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
-from ..queue import ServingRequest
-from .actors import DEFAULT_BATCH_SIZE, ChipActor, IngestionActor, SupervisorActor
+from ..queue import ServingRequest, ServingResult
+from .actors import (
+    DEFAULT_BATCH_SIZE,
+    STOP_TIMEOUT_S,
+    Actor,
+    ChipActor,
+    IngestionActor,
+)
 from .checkpoint import Checkpoint
 from .messages import (
     ActorCrashed,
@@ -204,15 +212,27 @@ def backoff_s(config: SupervisionConfig, job_id: int, attempt: int) -> float:
     return min(config.backoff_cap_s, raw * (0.5 + rng.random()))
 
 
-class SupervisedSupervisorActor(SupervisorActor):
-    """A :class:`SupervisorActor` that recovers what chaos breaks.
+class SupervisorActor(Actor):
+    """Owns the dispatch controller, the run's outcome and its recovery.
+
+    Applies every streamed arrival to ``controller`` exactly once, in
+    canonical order; once the stream's terminal message has arrived and
+    every arrival before it is applied, it either flushes trailing fault
+    events, fans the closing engine runs out to the chip actors and
+    resolves :attr:`outcome` with the run's result
+    (:class:`StreamEnded`), or resolves it with a :class:`Checkpoint` of
+    the controller at that cursor (:class:`PauseStream`).  Controller
+    errors, real ingestion failures and exhausted retry budgets resolve
+    the outcome exceptionally — the run fails with the original error
+    rather than hanging.
 
     Construction wires in everything that must *outlive* one supervisor
     session: the shared incident list, the auto-checkpoint ring and the
     trace digest checkpoints pin.  ``arrivals`` is the canonical-order
-    arrival sequence (the supervisor restarts its own ingestion from it
-    on stream stalls); ``start_at`` is the resume cursor when the
-    session was rebuilt from a ring checkpoint.
+    arrival sequence the supervisor streams (and re-streams on stalls)
+    through its own :class:`IngestionActor`; ``start_at`` is the cursor
+    the session's controller was restored to and ``pause_after`` the
+    absolute cursor at which the stream pauses, if any.
     """
 
     def __init__(
@@ -226,11 +246,18 @@ class SupervisedSupervisorActor(SupervisorActor):
         ring: "Deque[Checkpoint]",
         digest: str,
         start_at: int = 0,
+        pause_after: Optional[int] = None,
         session: int = 1,
         batch_size: int = DEFAULT_BATCH_SIZE,
         pace: Optional[float] = None,
     ) -> None:
-        super().__init__(controller, n_chips)
+        super().__init__("supervisor")
+        self.controller = controller
+        self.chips = [ChipActor(chip_id, self) for chip_id in range(n_chips)]
+        #: Resolves to the run's result, or a :class:`Checkpoint` on pause.
+        self.outcome: "asyncio.Future[Any]" = (
+            asyncio.get_running_loop().create_future()
+        )
         self.config = config
         self.incidents = incidents
         self.ring = ring
@@ -239,12 +266,14 @@ class SupervisedSupervisorActor(SupervisorActor):
         self._arrivals = arrivals
         self._batch_size = batch_size
         self._pace = pace
+        self._pause_after = pause_after
         self._expected = start_at
         self._next_ckpt = start_at + config.checkpoint_every
         self._buffer: Dict[int, ArrivalBatch] = {}
-        self._stream_total: Optional[int] = None
+        self._terminal: Optional[Union[StreamEnded, PauseStream]] = None
         self._finishing = False
         self._jobs: Dict[int, Any] = {}
+        self._results: Dict[int, ServingResult] = {}
         self._attempts: Dict[int, int] = {}
         self._deadlines: Dict[int, float] = {}
         self._where: Dict[int, int] = {}
@@ -263,14 +292,16 @@ class SupervisedSupervisorActor(SupervisorActor):
     def start(self) -> None:
         """Launch supervisor, chips, the watchdog, and ingestion."""
         super().start()
+        for chip in self.chips:
+            chip.start()
         loop = asyncio.get_running_loop()
         self._monitor_task = loop.create_task(
             self._monitor(), name="supervision-monitor"
         )
         self._spawn_ingestion(self._expected)
 
-    async def shutdown(self) -> None:
-        """Tear the whole session down (watchdog, ingestion, actors)."""
+    async def stop(self, timeout_s: float = STOP_TIMEOUT_S) -> bool:
+        """Tear the session down: watchdog, ingestion, chips, then self."""
         if self._monitor_task is not None:
             self._monitor_task.cancel()
             try:
@@ -279,7 +310,10 @@ class SupervisedSupervisorActor(SupervisorActor):
                 pass
         if self._ingestion is not None:
             await self._ingestion.cancel()
-        await self.stop()
+        clean = True
+        for chip in self.chips:
+            clean = await chip.stop(timeout_s) and clean
+        return await super().stop(timeout_s) and clean
 
     def _incident(
         self,
@@ -305,6 +339,15 @@ class SupervisedSupervisorActor(SupervisorActor):
         if not self.outcome.done():
             self.outcome.set_exception(error)
 
+    def _snapshot(self) -> Checkpoint:
+        """The controller as a :class:`Checkpoint` at the current cursor."""
+        return Checkpoint(
+            kind=self.controller.kind,
+            cursor=self._expected,
+            controller=self.controller.state_dict(),
+            trace_sha256=self.digest,
+        )
+
     # -- message handling ---------------------------------------------
 
     async def on_message(self, message: Any) -> None:
@@ -312,12 +355,8 @@ class SupervisedSupervisorActor(SupervisorActor):
         try:
             if isinstance(message, ArrivalBatch):
                 self._on_batch(message)
-            elif isinstance(message, PauseStream):
-                self.outcome.set_result(
-                    ("paused", message.cursor, self.controller.state_dict())
-                )
-            elif isinstance(message, StreamEnded):
-                self._stream_total = message.total
+            elif isinstance(message, (StreamEnded, PauseStream)):
+                self._terminal = message
                 self._maybe_finish()
             elif isinstance(message, ShardDone):
                 self._on_done(message)
@@ -331,12 +370,6 @@ class SupervisedSupervisorActor(SupervisorActor):
     # -- sequenced arrival application --------------------------------
 
     def _on_batch(self, batch: ArrivalBatch) -> None:
-        if batch.start < 0:
-            # Unsequenced (hand-posted in tests): apply verbatim.
-            for index, request in batch.arrivals:
-                self.controller.on_arrival(index, request)
-            self._seen += len(batch.arrivals)
-            return
         if batch.start > self._expected:
             # A gap: an earlier batch was dropped or is delayed in
             # flight.  Park this one; the watchdog restarts ingestion
@@ -374,34 +407,39 @@ class SupervisedSupervisorActor(SupervisorActor):
         for index, request in pairs:
             self.controller.on_arrival(index, request)
         self._expected += len(pairs)
-        self._seen += len(pairs)
         self._last_progress = asyncio.get_running_loop().time()
-        if self._expected >= self._next_ckpt:
-            self.ring.append(
-                Checkpoint(
-                    kind=self.controller.kind,
-                    cursor=self._expected,
-                    controller=self.controller.state_dict(),
-                    trace_sha256=self.digest,
-                )
+        if self._pace is not None and self._expected < len(self._arrivals):
+            # A paced stream is silent until its next arrival falls due;
+            # the stall clock starts then, not now.
+            gap_s = (
+                self._arrivals[self._expected][1].arrival_s
+                - self._arrivals[self._expected - 1][1].arrival_s
             )
+            self._last_progress += gap_s / self._pace
+        if self._expected >= self._next_ckpt:
+            self.ring.append(self._snapshot())
             while self._next_ckpt <= self._expected:
                 self._next_ckpt += self.config.checkpoint_every
 
     # -- closing shard execution --------------------------------------
 
     def _maybe_finish(self) -> None:
-        if (
-            self._finishing
-            or self._stream_total is None
-            or self._expected < self._stream_total
-        ):
+        # The terminal message may overtake a delayed batch: close the
+        # stream only once every arrival before its cursor is applied.
+        end = self._terminal
+        if self._finishing or end is None:
+            return
+        pausing = isinstance(end, PauseStream)
+        if self._expected < (end.cursor if pausing else end.total):
             return
         self._finishing = True
+        if pausing:
+            self.outcome.set_result(self._snapshot())
+            return
         self.controller.finish_events()
         jobs = self.controller.final_jobs()
         if not jobs:
-            self.outcome.set_result(("done", self.controller.collect({})))
+            self.outcome.set_result(self.controller.collect({}))
             return
         self._jobs = {job_id: job for job_id, job in enumerate(jobs)}
         for job_id in sorted(self._jobs):
@@ -490,9 +528,7 @@ class SupervisedSupervisorActor(SupervisorActor):
         self._deadlines.pop(job_id, None)
         self._where.pop(job_id, None)
         if len(self._job_done) == len(self._jobs) and not self.outcome.done():
-            self.outcome.set_result(
-                ("done", self.controller.collect(self._results))
-            )
+            self.outcome.set_result(self.controller.collect(self._results))
 
     def _on_done(self, message: ShardDone) -> None:
         if message.job_id in self._job_done:
@@ -602,12 +638,19 @@ class SupervisedSupervisorActor(SupervisorActor):
             task = self._ingestion._task
             if task is not None and not task.done():
                 task.cancel()
+        if start_at == self._pause_after:
+            # Nothing is left to stream before the pause (its PauseStream
+            # was lost, or the session restarted at the pause cursor).
+            self._terminal = PauseStream(cursor=start_at)
+            self._maybe_finish()
+            return
         actor = IngestionActor(
             self._arrivals,
             self,
             batch_size=self._batch_size,
             pace=self._pace,
             start_at=start_at,
+            pause_after=self._pause_after,
         )
         if self.chaos is not None:
             actor.chaos = self.chaos
@@ -639,13 +682,8 @@ class SupervisedSupervisorActor(SupervisorActor):
                 if slot is not None:
                     self._avoid[job_id] = slot
                 self._schedule_retry(job_id)
-            stream_open = (
-                self._stream_total is None
-                or self._expected < self._stream_total
-            )
             if (
-                stream_open
-                and not self._finishing
+                not self._finishing
                 and now - self._last_progress > self.config.stall_deadline_s
             ):
                 self._ingest_restarts += 1
@@ -669,7 +707,7 @@ class SupervisedSupervisorActor(SupervisorActor):
 __all__ = [
     "INCIDENT_KINDS",
     "ActorIncident",
-    "SupervisedSupervisorActor",
     "SupervisionConfig",
+    "SupervisorActor",
     "backoff_s",
 ]

@@ -20,7 +20,7 @@ from repro.scenarios.registry import get_scenario
 from repro.scenarios.report import IncidentSummary, format_scenario_report
 from repro.scenarios.runner import scenario_report
 from repro.scenarios.spec import ChaosSpec, ScenarioSpec
-from repro.serving.runtime.service import run_scenario_supervised
+from repro.serving.runtime.service import run_scenario_live
 from repro.serving.runtime.supervision import ActorIncident, SupervisionConfig
 
 FAST = SupervisionConfig(
@@ -151,7 +151,7 @@ class TestIncidentSummary:
             get_scenario("chat-poisson"),
             chaos=ChaosSpec(n_crashes=1, n_supervisor_crashes=1),
         )
-        report = run_scenario_supervised(
+        report = run_scenario_live(
             spec, supervision=FAST, hang_unit_s=0.01
         )
         assert report.incidents is not None

@@ -7,10 +7,11 @@ final report is byte-identical to the undisturbed batch run, modulo
 the conditional ``incidents`` block (whose content is timing-dependent
 by nature; ``without_incidents()`` is the comparison surface).
 
-Three legs: a pinned spec-derived schedule across **every** registered
+Four legs: a pinned spec-derived schedule across **every** registered
 scenario on **every** engine; a hypothesis leg drawing random schedules
-on a per-controller-kind pool; and a subprocess leg proving a supervisor
-crash restored from a serialized ring checkpoint under a *different*
+on a per-controller-kind pool; a pause/resume leg whose chaos fires
+after the resume; and a subprocess leg proving a supervisor crash
+restored from a serialized ring checkpoint under a *different*
 ``PYTHONHASHSEED`` still lands on the same bytes.
 """
 
@@ -29,7 +30,8 @@ from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ChaosSpec
 from repro.serving.queue import ENGINES
 from repro.serving.runtime.chaos import generate_chaos_schedule
-from repro.serving.runtime.service import run_scenario_supervised
+from repro.serving.runtime import Checkpoint
+from repro.serving.runtime.service import resume_scenario, run_scenario_live
 from repro.serving.runtime.supervision import SupervisionConfig
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -75,7 +77,7 @@ def batch_json(spec, engine="wave"):
 
 
 def supervised(spec, engine="wave", chaos=None):
-    return run_scenario_supervised(
+    return run_scenario_live(
         spec, engine=engine, chaos=chaos, supervision=FAST, hang_unit_s=0.01
     )
 
@@ -136,6 +138,23 @@ class TestRandomSchedules:
         assert report.without_incidents().to_json() == batch_json(spec)
 
 
+class TestPauseResume:
+    def test_paused_chaotic_run_resumes_to_batch_bytes(self):
+        # The chip crash can only fire once closing shards run, i.e.
+        # after the resume; the checkpoint carries no incident timeline.
+        spec = replace(
+            get_scenario("chat-poisson"), chaos=ChaosSpec(n_crashes=1)
+        )
+        checkpoint = run_scenario_live(
+            spec, pause_after=10, supervision=FAST, hang_unit_s=0.01
+        )
+        assert isinstance(checkpoint, Checkpoint)
+        assert checkpoint.cursor == 10
+        report = resume_scenario(Checkpoint.from_json(checkpoint.to_json()))
+        assert report.incidents is not None
+        assert report.without_incidents().to_json() == batch_json(spec)
+
+
 class TestSubprocessRingRestore:
     @pytest.mark.parametrize("hashseed", ["1", "271828"])
     def test_supervisor_crash_recovers_identically(self, hashseed):
@@ -149,7 +168,7 @@ class TestSubprocessRingRestore:
             "from dataclasses import replace\n"
             "from repro.scenarios.registry import get_scenario\n"
             "from repro.scenarios.spec import ChaosSpec\n"
-            "from repro.serving.runtime.service import run_scenario_supervised\n"
+            "from repro.serving.runtime.service import run_scenario_live\n"
             "from repro.serving.runtime.supervision import SupervisionConfig\n"
             "spec = replace(get_scenario('chat-poisson'),\n"
             "               chaos=ChaosSpec(n_crashes=1, n_supervisor_crashes=1))\n"
@@ -157,8 +176,8 @@ class TestSubprocessRingRestore:
             "                           tick_s=0.01, backoff_base_s=0.005,\n"
             "                           backoff_cap_s=0.05, checkpoint_every=4,\n"
             "                           checkpoint_ring=3, seed=7)\n"
-            "report = run_scenario_supervised(spec, supervision=config,\n"
-            "                                 hang_unit_s=0.01)\n"
+            "report = run_scenario_live(spec, supervision=config,\n"
+            "                           hang_unit_s=0.01)\n"
             "kinds = {i['kind'] for i in report.incidents.to_dict()['timeline']}\n"
             "assert 'supervisor_restart' in kinds, kinds\n"
             "sys.stdout.write(report.without_incidents().to_json())\n"

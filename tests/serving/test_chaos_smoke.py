@@ -28,7 +28,7 @@ from repro.serving.runtime.chaos import (
     drop_message,
     hang_actor,
 )
-from repro.serving.runtime.service import run_supervised
+from repro.serving.runtime.service import run_live
 from repro.serving.runtime.supervision import SupervisionConfig
 
 N_REQUESTS = 100_000
@@ -47,10 +47,13 @@ def _trace():
 
 
 #: Crash + hang + drops + delay + supervisor crash, one schedule.  The
-#: supervisor crash ordinal (150) sits past the ~98 arrival batches the
-#: first stream delivers, so it fires only *after* the dropped batch 5
-#: has stalled the cursor, the watchdog has restarted ingestion, and
-#: the re-stream is being consumed — stacking the recoveries.
+#: first stream hands the supervisor 98 messages (97 of its 98 arrival
+#: batches, batch 5 dropped, then StreamEnded; ordinals 0-97).  After
+#: the stall restart, the re-sent batch 5 (ordinal 98) releases every
+#: parked batch and closes the stream, so the closing jobs still owe at
+#: least eight messages (four ShardDones with the retry, the chip
+#: crash report among the first three, three heartbeats): every run
+#: reaches ordinal 104, after the crash report and with the ring full.
 SCHEDULE = ChaosSchedule(
     events=(
         crash_actor("chip", 1),
@@ -58,7 +61,7 @@ SCHEDULE = ChaosSchedule(
         drop_message("ArrivalBatch", 5),
         drop_message("Heartbeat", 0),
         delay_message("ShardDone", 1, 0.05),
-        crash_actor("supervisor", 150),
+        crash_actor("supervisor", 104),
     )
 )
 
@@ -89,7 +92,7 @@ def test_chaos_100k_recovers_to_batch_result_wave():
     batch_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    run = run_supervised(
+    run = run_live(
         fleet,
         trace,
         chaos=SCHEDULE,

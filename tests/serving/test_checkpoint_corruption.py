@@ -125,6 +125,19 @@ class TestResumeGuards:
         with pytest.raises(CheckpointError, match="invalid or tampered"):
             resume_scenario(Checkpoint.from_dict(data))
 
+    @pytest.mark.parametrize(
+        "cursor",
+        [3, 11, -1, 10**9],
+        ids=["behind-state", "ahead-of-state", "negative", "past-trace"],
+    )
+    def test_cursor_must_match_the_restored_state(self, checkpoint, cursor):
+        # The fixture paused at 10: any other cursor either replays
+        # arrivals twice, skips some, or points outside the trace.
+        data = checkpoint.to_dict()
+        data["cursor"] = cursor
+        with pytest.raises(CheckpointError, match="'cursor'"):
+            resume_scenario(Checkpoint.from_dict(data))
+
     @pytest.mark.parametrize("engine", ["macro", "warp"])
     def test_unknown_engine_never_reaches_the_fleet(
         self, checkpoint, engine, tmp_path

@@ -20,7 +20,6 @@ from repro.serving import (
     RequestSampler,
     build_trace,
 )
-from repro.serving.dispatch import make_controller, run_jobs_inline, sorted_order
 from repro.serving.faults import FaultEvent, FaultSchedule
 from repro.serving.runtime import resume_live, run_live
 
@@ -213,7 +212,7 @@ class TestFaultAutoscaleBranches:
         )
         assert checkpoint.kind == "fault_autoscale"
         resumed = resume_live(fleet, trace, checkpoint, faults=schedule)
-        assert resumed == batch
+        assert resumed.result == batch
 
     def test_trailing_chip_up_drains_parked_arrivals(self, model):
         # The only chip dies mid-trace and only recovers *after* the
@@ -272,25 +271,6 @@ class TestFaultAutoscaleBranches:
         with pytest.raises(ValueError, match="never dispatched"):
             fleet.run(trace, faults=schedule, runtime="live")
 
-    def test_preview_is_pure_on_the_fault_autoscale_path(self, model):
-        trace = _trace(9, n=20)
-        fleet = AutoscalingFleetSimulator(model, autoscaler=self.CONFIG)
-        schedule = FaultSchedule()
-        baseline = fleet.run(trace, faults=schedule)
-        controller = make_controller(fleet, trace, faults=schedule)
-        assert controller.kind == "fault_autoscale"
-        previews = []
-        for position, index in enumerate(sorted_order(trace)):
-            controller.on_arrival(index, trace[index])
-            if position in (5, 12):
-                previews.append(controller.preview_records())
-        controller.finish_events()
-        result = controller.collect(
-            run_jobs_inline(controller.final_jobs())
-        )
-        assert result == baseline
-        assert len(previews[0]) <= len(previews[1]) <= len(result.records)
-
 
 class TestFaultFleetParkedCheckpoint:
     def test_checkpoint_during_total_outage(self, model):
@@ -321,7 +301,7 @@ class TestFaultFleetParkedCheckpoint:
         )
         assert checkpoint.kind == "fault_fleet"
         resumed = resume_live(fleet, trace, checkpoint, faults=schedule)
-        assert resumed == batch
+        assert resumed.result == batch
 
     def test_trailing_events_apply_after_the_last_arrival(self, model):
         # A chip_up scheduled past the final arrival reaches the static

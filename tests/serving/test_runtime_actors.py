@@ -2,13 +2,14 @@
 
 The differential and checkpoint suites prove the headline equivalences;
 this file pins the mechanics underneath them: ingestion batching and
-validation, the line/chunk trace sources, controller preview purity,
-supervisor error propagation, and the ``runtime=`` plumbing on the
-fleet entry points.
+validation, the line/chunk trace sources, supervisor arrival accounting
+and error propagation, and the ``runtime=`` plumbing on the fleet entry
+points.
 """
 
 import asyncio
 import json
+from collections import deque
 
 import pytest
 
@@ -23,21 +24,24 @@ from repro.serving import (
 )
 from repro.serving.dispatch import (
     StaticDispatchController,
-    make_controller,
     request_from_state,
     request_to_state,
     sorted_order,
 )
 from repro.serving.faults import FaultEvent, FaultSchedule
+from repro.serving.metrics import RequestRecord
 from repro.serving.runtime import (
     ArrivalBatch,
     IngestionActor,
     StreamEnded,
+    SupervisionConfig,
     SupervisorActor,
     TraceIngestError,
     requests_from_chunks,
     requests_from_lines,
+    resume_live,
     run_live,
+    trace_digest,
 )
 from repro.serving.runtime.actors import Actor
 
@@ -153,14 +157,29 @@ class TestSources:
         assert excinfo.value.line_no == 3
         assert excinfo.value.field == "output_tokens"
 
-    def test_mistyped_field_names_line_and_field(self, model):
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("arrival_s", "soon"),
+            # Python's json reads NaN and Infinity literals; they must
+            # not reach the controllers as arrival times.
+            ("arrival_s", float("nan")),
+            ("arrival_s", float("inf")),
+            ("arrival_s", float("-inf")),
+            ("arrival_s", -0.5),
+            ("images", -1),
+            ("prompt_text_tokens", -1),
+            ("output_tokens", 0),
+        ],
+    )
+    def test_bad_field_names_line_and_field(self, model, field, value):
         states = [request_to_state(r) for r in _trace(5, n=2)]
-        states[0]["arrival_s"] = "soon"
+        states[0][field] = value
         lines = [json.dumps(state) for state in states]
-        with pytest.raises(TraceIngestError, match="arrival_s") as excinfo:
+        with pytest.raises(TraceIngestError, match=field) as excinfo:
             requests_from_lines(lines)
         assert excinfo.value.line_no == 1
-        assert excinfo.value.field == "arrival_s"
+        assert excinfo.value.field == field
 
     def test_ingest_error_is_a_value_error(self, model):
         # Callers may keep catching ValueError for any bad trace input.
@@ -173,7 +192,7 @@ class TestSources:
         fleet = FleetSimulator(model, n_chips=2)
         batch = fleet.run(trace)
         live = run_live(fleet, requests_from_lines(lines))
-        assert live == batch
+        assert live.result == batch
 
 
 class TestSupervisor:
@@ -191,66 +210,35 @@ class TestSupervisor:
             fleet.run(trace, faults=schedule, runtime="live")
 
     def test_supervisor_counts_arrivals(self, model):
+        # A hand-posted sequenced batch races the supervisor's own
+        # ingestion of the same arrivals: each is applied exactly once.
         trace = _trace(7, n=10)
+        arrivals = [(index, trace[index]) for index in sorted_order(trace)]
 
         async def session():
             controller = StaticDispatchController(
                 FleetSimulator(model, n_chips=2)
             )
-            supervisor = SupervisorActor(controller, 2)
+            supervisor = SupervisorActor(
+                controller,
+                2,
+                arrivals=arrivals,
+                config=SupervisionConfig(),
+                incidents=[],
+                ring=deque(maxlen=1),
+                digest=trace_digest(trace),
+                batch_size=4,
+            )
             supervisor.start()
-            arrivals = [
-                (index, trace[index]) for index in sorted_order(trace)
-            ]
-            supervisor.post(ArrivalBatch(arrivals=tuple(arrivals)))
+            supervisor.post(ArrivalBatch(arrivals=tuple(arrivals), start=0))
             supervisor.post(StreamEnded(total=len(arrivals)))
-            kind, result = await supervisor.outcome
+            result = await supervisor.outcome
             await supervisor.stop()
-            return kind, supervisor._seen, result
+            return controller.n_seen, result
 
-        kind, seen, result = asyncio.run(session())
-        assert kind == "done"
+        seen, result = asyncio.run(session())
         assert seen == 10
         assert len(result.records) == 10
-
-
-class TestPreviewPurity:
-    @pytest.mark.parametrize("kind", ["static", "fault_fleet"])
-    def test_preview_does_not_perturb_the_run(self, model, kind):
-        trace = _trace(9, n=20)
-        faults = None
-        if kind == "fault_fleet":
-            horizon = max(r.arrival_s for r in trace)
-            faults = FaultSchedule(
-                events=(
-                    FaultEvent(
-                        time_s=horizon * 0.4, kind="chip_down", chip_id=0
-                    ),
-                    FaultEvent(
-                        time_s=horizon * 0.8, kind="chip_up", chip_id=0
-                    ),
-                )
-            )
-        fleet = FleetSimulator(model, n_chips=2, policy="least_loaded")
-        baseline = fleet.run(trace, faults=faults)
-
-        controller = make_controller(fleet, trace, faults=faults)
-        assert controller.kind == kind
-        order = sorted_order(trace)
-        previews = []
-        for position, index in enumerate(order):
-            controller.on_arrival(index, trace[index])
-            if position in (5, 12):
-                previews.append(controller.preview_records())
-        controller.finish_events()
-        from repro.serving.dispatch import run_jobs_inline
-
-        result = controller.collect(
-            run_jobs_inline(controller.final_jobs())
-        )
-        assert result == baseline
-        # Previews are monotone snapshots: non-decreasing record counts.
-        assert len(previews[0]) <= len(previews[1]) <= len(result.records)
 
 
 class TestRuntimePlumbing:
@@ -264,6 +252,34 @@ class TestRuntimePlumbing:
         fleet = FleetSimulator(model, n_chips=2)
         with pytest.raises(ValueError, match="empty"):
             run_live(fleet, [])
+
+    def test_pause_cursor_must_lie_ahead(self, model):
+        trace = _trace(11, n=6)
+        fleet = FleetSimulator(model, n_chips=2)
+        for pause_after in (0, 7):
+            with pytest.raises(ValueError, match="pause_after"):
+                run_live(fleet, trace, pause_after=pause_after)
+        checkpoint = run_live(fleet, trace, pause_after=3)
+        with pytest.raises(ValueError, match="pause_after"):
+            resume_live(fleet, trace, checkpoint, pause_after=3)
+
+    def test_live_run_never_formats_its_records(self, model, monkeypatch):
+        # asyncio.run on Python 3.11/3.12 formats repr(main_task), result
+        # included, while restoring the SIGINT handler; the session must
+        # hand its outcome back another way than its return value.
+        calls = []
+        original = RequestRecord.__repr__
+
+        def counting_repr(record):
+            calls.append(record.request_id)
+            return original(record)
+
+        monkeypatch.setattr(RequestRecord, "__repr__", counting_repr)
+        trace = _trace(11, n=12)
+        fleet = FleetSimulator(model, n_chips=2)
+        result = fleet.run(trace, runtime="live")
+        assert len(result.records) == 12
+        assert calls == []
 
     def test_cli_runtime_flag(self, capsys):
         from repro.scenarios.__main__ import main

@@ -180,7 +180,7 @@ class TestFleetLevelGuards:
         batch = fleet.run(trace)
         checkpoint = run_live(fleet, trace, pause_after=12)
         assert isinstance(checkpoint, Checkpoint)
-        assert resume_live(fleet, trace, checkpoint) == batch
+        assert resume_live(fleet, trace, checkpoint).result == batch
 
     def test_fault_fleet_pause_mid_era(self, model):
         trace = self._trace(9, n=40)
@@ -204,7 +204,7 @@ class TestFleetLevelGuards:
             resumed = resume_live(
                 fleet, trace, checkpoint, faults=schedule
             )
-            assert resumed == batch, f"divergence at boundary {k}"
+            assert resumed.result == batch, f"divergence at boundary {k}"
 
     def test_digest_mismatch_rejected(self, model):
         trace = self._trace(7)

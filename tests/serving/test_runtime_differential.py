@@ -189,7 +189,7 @@ class TestFleetLevel:
         batch = fleet.run(trace)
         # Enormous acceleration: real-time pacing, negligible wall-clock.
         paced = run_live(fleet, trace, pace=1e9)
-        assert paced == batch
+        assert paced.result == batch
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_engines_fleet_level(self, model, engine):

@@ -54,8 +54,8 @@ def test_live_ingestion_100k_within_2x_of_batch_wave():
     live = run_live(fleet, trace)
     live_s = time.perf_counter() - start
 
-    assert live == batch
-    assert len(live.records) == N_REQUESTS
+    assert live.result == batch
+    assert len(live.result.records) == N_REQUESTS
     # The 2x budget, with a 5s floor so a very fast batch run does not
     # turn scheduler noise into flakes.
     budget = max(2.0 * batch_s, batch_s + 5.0)

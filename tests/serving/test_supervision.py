@@ -1,15 +1,18 @@
-"""Unit and property tests of the supervision layer.
+"""Unit and property tests of the supervisor.
 
 Pins the recovery machinery the chaos differential rides on: config
 validation, deterministic capped backoff, incident records, the
 undisturbed-run identity (zero incidents, one session, batch-equal
 result), quarantine-then-inline degradation, supervisor-crash ring
-restore, stall-driven ingestion restart, bounded ``Actor.stop``, and
-the conservation property — every request recorded exactly once under
+restore, stall-driven ingestion restart, paced streams that are quiet
+but not stalled, pauses that wait for delayed batches and survive lost
+messages and supervisor crashes, bounded ``Actor.stop``, and the
+conservation property — every request recorded exactly once under
 *any* generated chaos schedule.
 """
 
 import asyncio
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -22,20 +25,29 @@ from repro.serving import (
     RequestSampler,
     build_trace,
 )
+from repro.models.mllm import InferenceRequest
+from repro.serving.queue import ServingRequest
+from repro.serving.runtime import (
+    Checkpoint,
+    resume_live,
+    run_live,
+    trace_digest,
+)
 from repro.serving.runtime.actors import Actor
 from repro.serving.runtime.chaos import (
     ChaosSchedule,
     crash_actor,
+    delay_message,
     drop_message,
     generate_chaos_schedule,
     hang_actor,
 )
 from repro.serving.runtime.messages import ActorCrashed, Heartbeat
-from repro.serving.runtime.service import run_supervised
 from repro.serving.runtime.supervision import (
     INCIDENT_KINDS,
     ActorIncident,
     SupervisionConfig,
+    SupervisorActor,
     backoff_s,
 )
 
@@ -66,14 +78,15 @@ def _trace(seed, n=12):
     )
 
 
-def _run(fleet, trace, chaos):
-    return run_supervised(
+def _run(fleet, trace, chaos, **kwargs):
+    return run_live(
         fleet,
         trace,
         chaos=chaos,
         supervision=FAST,
         batch_size=4,
         hang_unit_s=0.02,
+        **kwargs,
     )
 
 
@@ -172,7 +185,7 @@ class TestUndisturbed:
     def test_empty_trace_rejected(self, model):
         fleet = FleetSimulator(model, n_chips=2)
         with pytest.raises(ValueError, match="empty"):
-            run_supervised(fleet, [])
+            run_live(fleet, [])
 
 
 class TestRecoveryPaths:
@@ -267,7 +280,7 @@ class TestRecoveryPaths:
         from repro.serving.runtime.chaos import ChaosCrash
 
         with pytest.raises(ChaosCrash):
-            run_supervised(
+            run_live(
                 fleet,
                 trace,
                 chaos=ChaosSchedule(events=(crash_actor("chip", 0),)),
@@ -296,7 +309,7 @@ class TestRecoveryPaths:
             )
         )
         with pytest.raises(RuntimeError, match="giving up"):
-            run_supervised(
+            run_live(
                 fleet,
                 trace,
                 chaos=chaos,
@@ -316,7 +329,7 @@ class TestRecoveryPaths:
             seed=7,
         )
         with pytest.raises(RuntimeError, match="session"):
-            run_supervised(
+            run_live(
                 fleet,
                 trace,
                 chaos=ChaosSchedule(events=(crash_actor("supervisor", 0),)),
@@ -333,11 +346,18 @@ class TestCleanFailure:
         fleet = FleetSimulator(model, n_chips=1)
 
         async def session():
-            from repro.serving.dispatch import make_controller
-            from repro.serving.runtime.actors import SupervisorActor
+            from repro.serving.dispatch import make_controller, sorted_order
 
             controller = make_controller(fleet, trace)
-            supervisor = SupervisorActor(controller, 1)
+            supervisor = SupervisorActor(
+                controller,
+                1,
+                arrivals=[(i, trace[i]) for i in sorted_order(trace)],
+                config=FAST,
+                incidents=[],
+                ring=deque(maxlen=1),
+                digest=trace_digest(trace),
+            )
             supervisor.start()
             supervisor.post(
                 ActorCrashed(
@@ -353,6 +373,69 @@ class TestCleanFailure:
 
         with pytest.raises(ValueError, match="bad line"):
             asyncio.run(session())
+
+
+class TestPacing:
+    def test_long_gaps_are_not_stalls(self, model):
+        # Arrivals 2 s apart at pace 10 leave the stream quiet for 0.2 s
+        # between posts, past the 0.15 s stall deadline: waiting for the
+        # next due arrival must not count as a stall.
+        trace = [
+            ServingRequest(
+                request_id=i,
+                arrival_s=2.0 * i,
+                request=InferenceRequest(
+                    images=0, prompt_text_tokens=16, output_tokens=4
+                ),
+            )
+            for i in range(12)
+        ]
+        fleet = FleetSimulator(model, n_chips=2)
+        run = _run(fleet, trace, chaos=None, pace=10.0)
+        assert run.result == fleet.run(trace)
+        assert run.incidents == ()
+
+
+class TestPause:
+    def _pause_and_resume(self, fleet, trace, pause_after, chaos):
+        checkpoint = _run(fleet, trace, chaos, pause_after=pause_after)
+        assert isinstance(checkpoint, Checkpoint)
+        assert checkpoint.cursor == pause_after
+        undisturbed = _run(fleet, trace, None, pause_after=pause_after)
+        assert checkpoint == undisturbed
+        resumed = resume_live(
+            fleet,
+            trace,
+            Checkpoint.from_json(checkpoint.to_json()),
+            supervision=FAST,
+            batch_size=4,
+        )
+        assert resumed.result == fleet.run(trace)
+
+    def test_pause_waits_for_a_delayed_batch(self, model):
+        # Batch 1 arrives after PauseStream: the pause must still hold
+        # every arrival before its cursor.
+        trace = _trace(89)
+        fleet = FleetSimulator(model, n_chips=2)
+        chaos = ChaosSchedule(
+            events=(delay_message("ArrivalBatch", 1, 0.05),)
+        )
+        self._pause_and_resume(fleet, trace, 10, chaos)
+
+    def test_lost_pause_message_restarts_into_the_pause(self, model):
+        trace = _trace(97)
+        fleet = FleetSimulator(model, n_chips=2)
+        chaos = ChaosSchedule(events=(drop_message("PauseStream", 0),))
+        self._pause_and_resume(fleet, trace, 10, chaos)
+
+    def test_supervisor_crash_at_the_pause_cursor(self, model):
+        # With checkpoint_every=4 the ring holds cursor 8 = pause_after
+        # when the supervisor dies on its third message (PauseStream):
+        # the rebuilt session starts at the pause and resolves it.
+        trace = _trace(101)
+        fleet = FleetSimulator(model, n_chips=2)
+        chaos = ChaosSchedule(events=(crash_actor("supervisor", 2),))
+        self._pause_and_resume(fleet, trace, 8, chaos)
 
 
 class _Stuck(Actor):

@@ -45,10 +45,7 @@ from repro.serving import (
     trace_to_array,
 )
 from repro.serving.engine import prefill_windows
-from repro.serving.runtime.service import (
-    run_scenario_live,
-    run_scenario_supervised,
-)
+from repro.serving.runtime.service import run_scenario_live
 
 MODEL = get_mllm("sphinx-tiny")
 
@@ -161,7 +158,6 @@ class TestEngineSelection:
             build_fleet,
             run_scenario,
             run_scenario_live,
-            run_scenario_supervised,
             candidate_fleet,
             evaluate_candidate,
             candidate_survives_chip_loss,
