@@ -39,7 +39,7 @@ from .. import costs
 from ..arch.area_power import AreaPowerModel
 from ..arch.chip import ChipConfig
 from ..models.mllm import InferenceRequest, MLLMConfig
-from ..models.ops import Op, OpKind, Phase, Workload, merge_phases
+from ..models.ops import Op, OpKind, Phase, Workload
 from .config import SystemConfig
 from .metrics import PhaseResult, WorkloadResult
 from .simulator import PoolCostParams
@@ -911,27 +911,12 @@ class ServiceTimeBoundsPricer:
 
         # Chip-independent tables: one merged CC-stage phase per shape, one
         # decode-step phase per context bucket any shape's decode touches.
-        from .pipeline import CC_STAGE_PHASES
-
         cc_phases: List[Tuple[str, Sequence[Op], int]] = []
         prompts: List[int] = []
         bucket_counts: List[Counter] = []
         buckets: Dict[int, None] = {}
         for index, shape in enumerate(self.shapes):
-            probe = InferenceRequest(
-                images=shape.images,
-                prompt_text_tokens=shape.prompt_text_tokens,
-                output_tokens=1,
-            )
-            workload = model.build_workload(probe)
-            merged = merge_phases(
-                "cc_stage",
-                [
-                    phase
-                    for phase in workload.phases
-                    if phase.name in CC_STAGE_PHASES
-                ],
-            )
+            merged = model.cc_stage_phase(shape.images, shape.prompt_text_tokens)
             cc_phases.append((f"{index}/cc_stage", merged.ops, merged.repeat))
             prompt = model.prompt_tokens(shape)
             prompts.append(prompt)

@@ -22,15 +22,10 @@ and a bandwidth split ``Bc : Bm``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..models.mllm import InferenceRequest, MLLMConfig
-from ..models.ops import merge_phases
 from .simulator import PerformanceSimulator
-
-#: Phases executed by the CC-stage (everything before the first decoded
-#: token).  The serving layer shares this definition.
-CC_STAGE_PHASES: Tuple[str, ...] = ("vision_encoder", "projector", "llm_prefill")
 
 
 def cc_stage_latency(
@@ -48,11 +43,10 @@ def cc_stage_latency(
     """
     if not 0.0 < bandwidth_fraction <= 1.0:
         raise ValueError("bandwidth_fraction must be in (0, 1]")
-    workload = model.build_workload(request)
-    cc_phases = [phase for phase in workload.phases if phase.name in CC_STAGE_PHASES]
-    merged = merge_phases("cc_stage", cc_phases)
     result = simulator.execute_phase(
-        merged, pool=pool, bandwidth_fraction=bandwidth_fraction
+        model.cc_stage_phase(request.images, request.prompt_text_tokens),
+        pool=pool,
+        bandwidth_fraction=bandwidth_fraction,
     )
     return result.latency_s
 

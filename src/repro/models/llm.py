@@ -11,11 +11,18 @@ Phi-2 2.7B, DeepSeek-LLM 1.3B, Vicuna-7B/13B and LLaMA-33B.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .ops import Op, OpKind, Phase, matmul_op
 from .transformer import TransformerLayerConfig, decode_layer_ops, prefill_layer_ops
+
+#: Entries each lowering memo keeps.  A scenario prices every prompt length
+#: and decode context of its trace, in a different order at precompute and
+#: at pricing time; a 40k-request ``diurnal-week`` trace visits ~630 prompt
+#: lengths and ~450 decode contexts, so a smaller bound would thrash.
+_MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -75,35 +82,46 @@ class LLMConfig:
     # ------------------------------------------------------------------
     # Lowering to the operator IR
     # ------------------------------------------------------------------
+    # Each phase is lowered once per input and memoized as a tuple of
+    # frozen ops; every call wraps them in a fresh ``Phase``, so callers
+    # may mutate what they get back.
     def prefill_phase(self, prompt_tokens: int) -> Phase:
         """Operators for prefilling ``prompt_tokens`` prompt tokens."""
         if prompt_tokens <= 0:
             raise ValueError("prompt_tokens must be positive")
-        cfg = self.layer_config()
-        phase = Phase(name="llm_prefill")
-        for layer in range(self.n_layers):
-            phase.extend(
-                prefill_layer_ops(
-                    cfg, prompt_tokens, layer_index=layer, prefix=f"{self.name}.prefill"
-                )
-            )
-        phase.add(self._lm_head_op(prompt_tokens=1, label="prefill"))
-        return phase
+        return Phase(name="llm_prefill", ops=list(self._prefill_ops(prompt_tokens)))
 
     def decode_step_phase(self, context_tokens: int) -> Phase:
         """Operators for generating one token with ``context_tokens`` cached."""
         if context_tokens <= 0:
             raise ValueError("context_tokens must be positive")
+        return Phase(name="llm_decode", ops=list(self._decode_step_ops(context_tokens)))
+
+    @functools.lru_cache(maxsize=_MEMO_SIZE)
+    def _prefill_ops(self, prompt_tokens: int) -> Tuple[Op, ...]:
         cfg = self.layer_config()
-        phase = Phase(name="llm_decode")
+        ops: List[Op] = []
         for layer in range(self.n_layers):
-            phase.extend(
+            ops.extend(
+                prefill_layer_ops(
+                    cfg, prompt_tokens, layer_index=layer, prefix=f"{self.name}.prefill"
+                )
+            )
+        ops.append(self._lm_head_op(prompt_tokens=1, label="prefill"))
+        return tuple(ops)
+
+    @functools.lru_cache(maxsize=_MEMO_SIZE)
+    def _decode_step_ops(self, context_tokens: int) -> Tuple[Op, ...]:
+        cfg = self.layer_config()
+        ops: List[Op] = []
+        for layer in range(self.n_layers):
+            ops.extend(
                 decode_layer_ops(
                     cfg, context_tokens, layer_index=layer, prefix=f"{self.name}.decode"
                 )
             )
-        phase.add(self._lm_head_op(prompt_tokens=1, label="decode"))
-        return phase
+        ops.append(self._lm_head_op(prompt_tokens=1, label="decode"))
+        return tuple(ops)
 
     def decode_phase(
         self, prompt_tokens: int, output_tokens: int, *, average_context: bool = True

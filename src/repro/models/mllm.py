@@ -14,11 +14,12 @@ Qwen1.5-0.5B).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple, Union
 
-from .llm import LLMConfig, get_llm
-from .ops import Phase, Workload, merge_phases
+from .llm import _MEMO_SIZE, LLMConfig, get_llm
+from .ops import Op, Phase, Workload, merge_phases
 from .projector import (
     LDPProjectorConfig,
     MLPProjectorConfig,
@@ -104,27 +105,50 @@ class MLLMConfig:
         self, request: InferenceRequest, *, average_decode_context: bool = True
     ) -> Workload:
         """Lower one inference request to a four-phase workload."""
-        workload = Workload(name=f"{self.name}")
-        raw_vision_tokens = 0
-        if request.images > 0:
-            encode_phases = [
-                enc.encode_phase(images=request.images) for enc in self.vision_encoders
-            ]
-            workload.add(merge_phases("vision_encoder", encode_phases))
-            raw_vision_tokens = (
-                sum(enc.num_tokens for enc in self.vision_encoders) * request.images
-            )
-            workload.add(self.projector.project_phase(raw_vision_tokens))
-        prompt = self.prompt_tokens(request)
-        if prompt <= 0:
-            raise ValueError("prompt must contain at least one token")
-        workload.add(self.llm.prefill_phase(prompt))
+        workload = Workload(
+            name=self.name,
+            phases=self._cc_phases(request.images, request.prompt_text_tokens),
+        )
         workload.add(
             self.llm.decode_phase(
-                prompt, request.output_tokens, average_context=average_decode_context
+                self.prompt_tokens(request),
+                request.output_tokens,
+                average_context=average_decode_context,
             )
         )
         return workload
+
+    def cc_stage_phase(self, images: int, prompt_text_tokens: int) -> Phase:
+        """Vision encode, projector and prefill of one request as one phase.
+
+        The CC stage of the pipeline: the ops of :meth:`build_workload`'s
+        first three phases, in order.  The output length does not enter it.
+        """
+        return merge_phases("cc_stage", self._cc_phases(images, prompt_text_tokens))
+
+    def _cc_phases(self, images: int, prompt_text_tokens: int) -> List[Phase]:
+        """Fresh vision-encoder, projector and prefill phases over memoized ops."""
+        if images < 0 or prompt_text_tokens < 0:
+            raise ValueError("images and prompt_text_tokens must be >= 0")
+        phases = []
+        if images > 0:
+            encoder_ops, projector_ops = self._vision_ops(images)
+            phases.append(Phase(name="vision_encoder", ops=list(encoder_ops)))
+            phases.append(Phase(name="projector", ops=list(projector_ops)))
+        prompt = self.vision_tokens(images) + prompt_text_tokens
+        if prompt <= 0:
+            raise ValueError("prompt must contain at least one token")
+        phases.append(self.llm.prefill_phase(prompt))
+        return phases
+
+    @functools.lru_cache(maxsize=_MEMO_SIZE)
+    def _vision_ops(self, images: int) -> Tuple[Tuple[Op, ...], Tuple[Op, ...]]:
+        encoders = merge_phases(
+            "vision_encoder",
+            [enc.encode_phase(images=images) for enc in self.vision_encoders],
+        )
+        raw_tokens = sum(enc.num_tokens for enc in self.vision_encoders) * images
+        return tuple(encoders.ops), tuple(self.projector.project_phase(raw_tokens).ops)
 
     def decode_step(self, context_tokens: int) -> Phase:
         """A single decode step at a given context length (for schedulers)."""

@@ -23,10 +23,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.batch import BatchCostEngine, DesignGrid, OpTable, ordered_sum
 from ..core.config import SystemConfig
-from ..core.pipeline import CC_STAGE_PHASES
 from ..core.simulator import PerformanceSimulator
 from ..models.mllm import InferenceRequest, MLLMConfig
-from ..models.ops import merge_phases
 from .metrics import RequestRecord, ServingReport, summarize
 from .queue import ContinuousBatchingSimulator, ServingRequest, ServingResult
 
@@ -186,17 +184,11 @@ class FleetSimulator:
         shapes = sorted(
             {(r.request.images, r.request.prompt_text_tokens) for r in trace}
         )
-        probes = {
-            shape: InferenceRequest(
-                images=shape[0], prompt_text_tokens=shape[1], output_tokens=1
-            )
-            for shape in shapes
-        }
         reference = self.chips[0].cost_model
         buckets = sorted(
             {
-                reference.bucket_for(self.model.prompt_tokens(probe))
-                for probe in probes.values()
+                reference.bucket_for(self.model.vision_tokens(images) + prompt)
+                for images, prompt in shapes
             }
         )
         groups = self._chip_groups()
@@ -219,11 +211,7 @@ class FleetSimulator:
             )
             phases = []
             for position, shape in enumerate(union):
-                workload = self.model.build_workload(probes[shape])
-                merged = merge_phases(
-                    "cc_stage",
-                    [p for p in workload.phases if p.name in CC_STAGE_PHASES],
-                )
+                merged = self.model.cc_stage_phase(*shape)
                 phases.append((f"cc_{position}", merged.ops, merged.repeat))
             table = OpTable("fleet_cc_grid", phases)
             result = BatchCostEngine(grid).evaluate(table, pool=pool)

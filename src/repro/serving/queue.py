@@ -324,15 +324,10 @@ class ContinuousBatchingSimulator:
         cached = self._cc_latency_cache.get(key)
         if cached is not None:
             return cached
-        probe = InferenceRequest(
-            images=request.images,
-            prompt_text_tokens=request.prompt_text_tokens,
-            output_tokens=1,
-        )
         latency = cc_stage_latency(
             self.simulator,
             self.model,
-            probe,
+            request,
             pool=self._cc_pool,
             bandwidth_fraction=self.cc_bandwidth_fraction,
         )

@@ -132,3 +132,24 @@ class TestDecodeLowering:
         phase = tiny_llm.decode_step_phase(context_tokens=8)
         assert all(op.tag == "ffn" for op in phase.ops if op.prunable)
         assert any(op.prunable for op in phase.ops)
+
+
+class TestLoweringMemo:
+    def test_mutating_a_prefill_phase_leaves_the_next_one_unchanged(self, tiny_llm):
+        expected = tuple(tiny_llm.prefill_phase(prompt_tokens=16).ops)
+        mutated = tiny_llm.prefill_phase(prompt_tokens=16)
+        mutated.ops.append(mutated.ops[0])
+        mutated.ops.pop(0)
+        mutated.repeat = 5
+        again = tiny_llm.prefill_phase(prompt_tokens=16)
+        assert tuple(again.ops) == expected
+        assert again.repeat == 1
+
+    def test_mutating_a_decode_step_leaves_the_next_one_unchanged(self, tiny_llm):
+        expected = tuple(tiny_llm.decode_step_phase(context_tokens=40).ops)
+        mutated = tiny_llm.decode_step_phase(context_tokens=40)
+        mutated.ops.clear()
+        mutated.repeat = 7
+        again = tiny_llm.decode_step_phase(context_tokens=40)
+        assert tuple(again.ops) == expected
+        assert again.repeat == 1

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.models.mllm import InferenceRequest, MLLMConfig, available_mllms, get_mllm
-from repro.models.llm import get_llm
+from repro.models.llm import LLMConfig, get_llm
+from repro.models.ops import merge_phases
 from repro.models.projector import mlp_projector
-from repro.models.vision import get_vision_encoder
+from repro.models.vision import VisionEncoderConfig, get_vision_encoder
 
 
 class TestInferenceRequest:
@@ -118,3 +119,98 @@ class TestWorkloadLowering:
         )
         assert small.phase("llm_prefill").flops == large.phase("llm_prefill").flops
         assert large.phase("llm_decode").flops > small.phase("llm_decode").flops
+
+
+class TestCCStageLowering:
+    @pytest.mark.parametrize("name", available_mllms())
+    @pytest.mark.parametrize("images", [0, 1, 4])
+    def test_ops_equal_the_merged_first_three_phases(self, name, images):
+        model = get_mllm(name)
+        workload = model.build_workload(
+            InferenceRequest(images=images, prompt_text_tokens=24, output_tokens=1)
+        )
+        recipe = merge_phases(
+            "cc_stage",
+            [
+                phase
+                for phase in workload.phases
+                if phase.name in ("vision_encoder", "projector", "llm_prefill")
+            ],
+        )
+        phase = model.cc_stage_phase(images, 24)
+        assert phase.name == "cc_stage"
+        assert phase.repeat == recipe.repeat == 1
+        assert phase.ops == recipe.ops
+
+    def test_rejects_bad_shapes(self, sphinx_tiny):
+        for images, prompt in ((-1, 8), (1, -1), (0, 0)):
+            with pytest.raises(ValueError):
+                sphinx_tiny.cc_stage_phase(images, prompt)
+
+
+def tiny_mllm() -> MLLMConfig:
+    return MLLMConfig(
+        name="memo-test-vlm",
+        vision_encoders=(
+            VisionEncoderConfig(
+                name="memo-test-vit", n_layers=1, d_model=32, n_heads=2, d_ffn=64,
+                image_size=28,
+            ),
+        ),
+        projector=mlp_projector("memo-test.projector", 32, 64),
+        llm=LLMConfig(
+            name="memo-test-llm", n_layers=1, d_model=64, n_heads=4, d_ffn=128,
+            vocab_size=100,
+        ),
+    )
+
+
+class TestLoweringMemo:
+    """Lowering is memoized per phase input; results stay the caller's own."""
+
+    def test_mutating_a_workload_leaves_the_next_one_unchanged(self, sphinx_tiny):
+        request = InferenceRequest(images=2, prompt_text_tokens=19, output_tokens=7)
+
+        def snapshot(workload):
+            return [(p.name, tuple(p.ops), p.repeat) for p in workload.phases]
+
+        expected = snapshot(sphinx_tiny.build_workload(request))
+        mutated = sphinx_tiny.build_workload(request)
+        mutated.phases[0].ops.append(mutated.phases[-1].ops[0])
+        mutated.phases[2].ops.pop()
+        mutated.phases[-1].repeat = 99
+        mutated.phases.pop(1)
+        assert snapshot(sphinx_tiny.build_workload(request)) == expected
+
+    def test_mutating_a_cc_stage_phase_leaves_the_next_one_unchanged(self, sphinx_tiny):
+        expected = tuple(sphinx_tiny.cc_stage_phase(1, 11).ops)
+        mutated = sphinx_tiny.cc_stage_phase(1, 11)
+        mutated.ops.append(mutated.ops[0])
+        mutated.repeat = 3
+        again = sphinx_tiny.cc_stage_phase(1, 11)
+        assert tuple(again.ops) == expected
+        assert again.repeat == 1
+
+    def test_calls_share_ops_but_not_containers(self, sphinx_tiny):
+        request = InferenceRequest(images=1, prompt_text_tokens=5, output_tokens=3)
+        first = sphinx_tiny.build_workload(request)
+        second = sphinx_tiny.build_workload(request)
+        for a, b in zip(first.phases, second.phases):
+            assert a is not b
+            assert a.ops is not b.ops
+            assert all(x is y for x, y in zip(a.ops, b.ops))
+
+    def test_each_memo_stays_within_its_bound(self):
+        model = tiny_mllm()
+        memos = (
+            MLLMConfig._vision_ops,
+            LLMConfig._prefill_ops,
+            LLMConfig._decode_step_ops,
+        )
+        bound = max(memo.cache_info().maxsize for memo in memos)
+        for count in range(1, bound + 2):
+            model.cc_stage_phase(count, count)
+            model.decode_step(count)
+        for memo in memos:
+            info = memo.cache_info()
+            assert info.currsize == info.maxsize  # filled to its bound, never past it

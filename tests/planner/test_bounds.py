@@ -19,7 +19,7 @@ from repro.core.config import (
     scaled_system,
 )
 from repro.core.simulator import PerformanceSimulator
-from repro.models.mllm import InferenceRequest, get_mllm
+from repro.models.mllm import InferenceRequest, available_mllms, get_mllm
 from repro.serving.fleet import FleetSimulator
 from repro.serving.queue import ContinuousBatchingSimulator, build_trace
 
@@ -47,9 +47,17 @@ def bounds():
     )
 
 
+@pytest.fixture(scope="module", params=available_mllms())
+def model_bounds(request):
+    model = get_mllm(request.param)
+    return model, batch_service_time_bounds(
+        model, SHAPES, SYSTEMS, cc_bandwidth_fraction=0.5, context_bucket=32
+    )
+
+
 @pytest.mark.parametrize("point", range(len(SYSTEMS)))
-def test_prefill_and_first_step_match_the_scalar_serving_model(bounds, point):
-    model = get_mllm("sphinx-tiny")
+def test_prefill_and_first_step_match_the_scalar_serving_model(model_bounds, point):
+    model, bounds = model_bounds
     chip = ContinuousBatchingSimulator(
         PerformanceSimulator(SYSTEMS[point]),
         model,

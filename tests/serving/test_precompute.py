@@ -4,8 +4,10 @@ Every optimisation here carries the same contract as the batch engine:
 identical trace output, bit for bit, to the unoptimised path.
 """
 
+import pytest
+
 from repro.core.simulator import PerformanceSimulator
-from repro.models.mllm import get_mllm
+from repro.models.mllm import available_mllms, get_mllm
 from repro.serving import (
     BatchDecodeCostModel,
     ContinuousBatchingSimulator,
@@ -51,8 +53,9 @@ class TestFleetPrecompute:
             bucket = chip.cost_model.bucket_for(model.prompt_tokens(trace[0].request))
             assert chip.cost_model.has_bucket_cost(bucket)
 
-    def test_seeded_values_bit_identical_to_lazy_ones(self):
-        model = get_mllm("sphinx-tiny")
+    @pytest.mark.parametrize("name", available_mllms())
+    def test_seeded_values_bit_identical_to_lazy_ones(self, name):
+        model = get_mllm(name)
         trace = make_trace()
         fleet = FleetSimulator(model, n_chips=2, policy="least_loaded")
         fleet.precompute_service_times(trace)
