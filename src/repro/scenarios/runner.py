@@ -120,21 +120,12 @@ def price_offered_load(
 def scenario_run_kwargs(compiled: CompiledScenario, fleet) -> dict:
     """The ``faults``/``priorities`` kwargs a compiled scenario's run takes.
 
-    Shared by the batch and live execution planes so both route through
-    the fleet ``run`` entry points identically.  A static fleet has no
-    admission control, so priorities alone (no faults) change nothing
-    there — only the autoscaled loop's weighted admission reacts to
-    them, hence the ``AutoscalingFleetSimulator`` guard.
+    Shared by the batch and live execution planes so both drive the
+    fleet's controller identically.  Every ``fleet`` kind takes both
+    (``None`` when the spec has no faults, or uniform priorities), so
+    the kwargs depend on ``compiled`` alone.
     """
-    run_kwargs: dict = {}
-    if compiled.faults is not None:
-        run_kwargs["faults"] = compiled.faults
-        run_kwargs["priorities"] = compiled.priorities
-    elif compiled.priorities is not None and isinstance(
-        fleet, AutoscalingFleetSimulator
-    ):
-        run_kwargs["priorities"] = compiled.priorities
-    return run_kwargs
+    return {"faults": compiled.faults, "priorities": compiled.priorities}
 
 
 def run_scenario(
@@ -149,10 +140,9 @@ def run_scenario(
     compiled trace through the asyncio actor runtime
     (:func:`repro.serving.runtime.service.run_scenario_live`) and
     produces the byte-identical report.  Specs carrying a ``faults``
-    block run through the event-driven degradation path and their
-    reports grow a ``faults`` summary with per-disruption recovery
-    metrics; specs declaring tenants grow a per-tenant attainment block.
-    Plain specs emit the exact historical report (golden byte identity).
+    block replay their fault schedule and their reports grow a
+    ``faults`` summary with per-disruption recovery metrics; specs
+    declaring tenants grow a per-tenant attainment block.
 
     A spec's ``chaos`` block is a plan for the live plane only: there it
     injects the spec's compiled chaos schedule, and the report is
@@ -216,8 +206,8 @@ def scenario_report(
         )
         faults = FaultSummary(
             drain_policy=compiled.faults.drain_policy,
-            n_redispatched=len(getattr(result, "redispatched_ids", ())),
-            n_aborted=len(getattr(result, "aborted_ids", ())),
+            n_redispatched=len(result.redispatched_ids),
+            n_aborted=len(result.aborted_ids),
             events=compiled.faults.events,
             impacts=impacts,
         )

@@ -6,13 +6,14 @@ queue on one chip (:mod:`repro.serving.queue`) or a load-balanced fleet of
 chips (:mod:`repro.serving.fleet`) — optionally autoscaled against an SLO
 with admission control (:mod:`repro.serving.autoscale`) — and per-request
 timestamp records fold into latency/TTFT percentiles and aggregate
-throughput (:mod:`repro.serving.metrics`).  Deterministic fault schedules
-(chip outages, DRAM degradation) and weighted tenant priorities replay
-through the same engines via :mod:`repro.serving.faults`.  The live
-control plane (:mod:`repro.serving.runtime`) streams the same traces
-through asyncio actors — driving the stepwise dispatch controllers of
-:mod:`repro.serving.dispatch` — with checkpoint/restore, byte-identical
-to the batch path.
+throughput (:mod:`repro.serving.metrics`).  Every fleet run is driven by
+the era controller of its fleet kind (:mod:`repro.serving.faults`), which
+also replays deterministic fault schedules (chip outages, DRAM
+degradation) and weighted tenant priorities through the same engines.
+The live control plane (:mod:`repro.serving.runtime`) streams the same
+traces through asyncio actors — driving the same stepwise controllers
+(:mod:`repro.serving.dispatch`) — with checkpoint/restore,
+byte-identical to the batch path.
 """
 
 from .arrival import (
@@ -33,15 +34,11 @@ from .autoscale import (
 from .faults import (
     DRAIN_POLICIES,
     FAULT_KINDS,
-    FaultAutoscaleResult,
     FaultEvent,
-    FaultFleetResult,
     FaultRecovery,
     FaultSchedule,
     fault_recovery,
     normalize_priorities,
-    run_autoscale_with_faults,
-    run_fleet_with_faults,
 )
 from .fleet import FleetResult, FleetSimulator
 from .metrics import (
@@ -89,15 +86,11 @@ __all__ = [
     "static_fleet_report",
     "DRAIN_POLICIES",
     "FAULT_KINDS",
-    "FaultAutoscaleResult",
     "FaultEvent",
-    "FaultFleetResult",
     "FaultRecovery",
     "FaultSchedule",
     "fault_recovery",
     "normalize_priorities",
-    "run_autoscale_with_faults",
-    "run_fleet_with_faults",
     "FleetResult",
     "FleetSimulator",
     "PercentileStats",

@@ -23,20 +23,27 @@ loop, the way a real serving front-end scales a chip fleet:
 The control loop runs on *estimates*; the per-request records come from
 the exact per-chip :class:`~repro.serving.queue.ContinuousBatchingSimulator`
 replay of the resulting assignment, so reports stay grounded in the
-event-driven engine.  Everything is deterministic: the same trace and
-configuration reproduce bit-identical records, decisions and reports.
+event-driven engine.  The loop itself is
+:class:`~repro.serving.faults.FaultAutoscaleController`, the fleet's one
+controller, which :meth:`~repro.serving.fleet.FleetSimulator.run` drives
+with or without a fault schedule.  Everything is deterministic: the same
+trace and configuration reproduce bit-identical records, decisions and
+reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
 from ..core.simulator import PerformanceSimulator
 from ..models.mllm import MLLMConfig
 from .fleet import FleetSimulator
 from .metrics import RequestRecord, ServingReport, empty_report, summarize
 from .queue import ServingRequest, ServingResult
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from .faults import FaultEvent
 
 ADMISSION_POLICIES: Tuple[str, ...] = ("queue", "reject")
 
@@ -114,8 +121,10 @@ class AutoscaleResult:
     ``assignments`` uses ``-1`` for rejected requests; ``records`` covers
     admitted requests only (their ``arrival_s`` is the *true* arrival even
     when admission control delayed dispatch).  ``per_chip`` is the raw
-    chip-level view: its records carry the *synthetic* per-trace-position
+    chip-level view: its records carry the *synthetic* canonical-rank
     ids and admission-delayed arrivals the chips actually simulated.
+    ``fault_events``, ``redispatched_ids`` and ``aborted_ids`` account for
+    a fault schedule as on :class:`~repro.serving.fleet.FleetResult`.
     """
 
     records: Tuple[RequestRecord, ...]
@@ -124,6 +133,9 @@ class AutoscaleResult:
     rejected_ids: Tuple[int, ...]
     events: Tuple[ScalingEvent, ...]
     final_chips: int
+    fault_events: Tuple["FaultEvent", ...] = ()
+    redispatched_ids: Tuple[int, ...] = ()
+    aborted_ids: Tuple[int, ...] = ()
 
     @property
     def report(self) -> ServingReport:
@@ -206,78 +218,13 @@ class AutoscalingFleetSimulator(FleetSimulator):
         )
         self.autoscaler = autoscaler
 
-    # ------------------------------------------------------------------
-    # Controlled dispatch
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        trace: Sequence[ServingRequest],
-        *,
-        faults=None,
-        priorities: Optional[Sequence[float]] = None,
-        runtime: str = "batch",
-    ) -> AutoscaleResult:
-        """Dispatch under the control loop, then replay chips exactly.
+    @property
+    def controller_class(self) -> type:
+        """The controller class that drives this fleet's runs."""
+        # Imported lazily: faults builds on this module.
+        from .faults import FaultAutoscaleController
 
-        ``faults`` routes the run through the event-driven degradation
-        path (:func:`repro.serving.faults.run_autoscale_with_faults`) and
-        ``priorities`` weights each request's admission depth; either
-        being set selects the fault-aware loop (with an empty schedule
-        when only priorities are given).  Both ``None`` — the default —
-        keeps the historical fault-free path unchanged.  ``runtime``
-        selects the execution plane: ``"live"`` streams the trace
-        through the asyncio actor runtime, producing the bit-identical
-        result (see :data:`repro.serving.dispatch.RUNTIMES`).
-
-        The control loop itself is a stepwise
-        :class:`~repro.serving.dispatch.AutoscaleDispatchController`
-        driven over the sorted trace — the exact per-arrival arithmetic
-        the live runtime's supervisor actor applies per message.  Chips
-        then replay the controlled assignment under synthetic positional
-        ids through :meth:`~repro.serving.fleet.FleetSimulator.
-        _run_shards` (the ``processes`` fan-out applies), and the
-        controller folds the per-chip results back to true ids and
-        arrivals.
-        """
-        if runtime != "batch":
-            from .dispatch import RUNTIMES
-
-            if runtime not in RUNTIMES:
-                raise ValueError(
-                    f"runtime must be one of {RUNTIMES}, got {runtime!r}"
-                )
-            # Imported lazily: the runtime package builds on this module.
-            from .runtime import run_live
-
-            return run_live(
-                self, trace, faults=faults, priorities=priorities
-            ).result
-        if faults is not None or priorities is not None:
-            # Imported lazily: faults builds on this module.
-            from .faults import FaultSchedule, run_autoscale_with_faults
-
-            schedule = faults if faults is not None else FaultSchedule()
-            return run_autoscale_with_faults(
-                self, trace, schedule, priorities=priorities
-            )
-        if not trace:
-            raise ValueError("trace must not be empty")
-        if self.precompute:
-            self.precompute_service_times(trace)
-        # Imported lazily: dispatch builds on this module.
-        from .dispatch import AutoscaleDispatchController, sorted_order
-
-        controller = AutoscaleDispatchController(self)
-        for index in sorted_order(trace):
-            controller.on_arrival(index, trace[index])
-        jobs = controller.final_jobs()
-        shards: List[List[ServingRequest]] = [[] for _ in range(self.n_chips)]
-        for job in jobs:
-            shards[job.chip_id] = list(job.shard)
-        per_chip = self._run_shards(shards)
-        return controller.collect(
-            {chip_id: result for chip_id, result in enumerate(per_chip)}
-        )
+        return FaultAutoscaleController
 
 
 def static_fleet_report(

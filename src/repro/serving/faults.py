@@ -1,13 +1,15 @@
-"""Fault injection for fleet serving: chip loss, recovery, DRAM degradation.
+"""Fault injection and the era controllers that drive every fleet run.
 
 A :class:`FaultSchedule` is a deterministic timeline of fleet faults —
 ``chip_down`` (a chip stops admitting work), ``chip_up`` (it rejoins the
 fleet) and ``dram_degrade`` (its DRAM tier drops to a fraction of the
-healthy bandwidth).  :func:`run_fleet_with_faults` and
-:func:`run_autoscale_with_faults` play a trace through the existing
-:class:`~repro.serving.fleet.FleetSimulator` /
-:class:`~repro.serving.autoscale.AutoscalingFleetSimulator` machinery
-under such a schedule, with weighted-priority admission on top.
+healthy bandwidth).  Every fleet run, batch or live, with or without
+faults or priorities, is driven by the era controller of its fleet kind:
+:class:`FaultFleetController` for a static
+:class:`~repro.serving.fleet.FleetSimulator`,
+:class:`FaultAutoscaleController` for an
+:class:`~repro.serving.autoscale.AutoscalingFleetSimulator`.  A run
+without faults plays the empty schedule, a timeline with no events.
 
 The simulation is *era-based*: each chip's service history is a sequence
 of eras, and every era is one ordinary
@@ -28,6 +30,14 @@ splitting its dispatched requests at the CC-pipeline boundary:
   or moves into the chip's next era (``dram_degrade``), highest
   priority first.
 
+Chips simulate their eras under *synthetic* request ids: a first
+dispatch runs under its canonical arrival rank (its position in the
+``(arrival_s, request_id)`` order), a re-dispatch under a fresh id past
+the trace length.  Each chip therefore breaks arrival ties exactly as a
+bare chip run over the same requests would, whatever ids the caller
+chose, and a trace already in canonical order with ids equal to
+positions reaches the engine as its own request objects.
+
 A degraded era runs on a fresh chip whose system carries the scaled
 DRAM tier; its decode bucket-cost triples seed from the healthy chip
 (they are bandwidth-free byte/cycle quantities, see
@@ -36,9 +46,7 @@ CC-stage and whole-step latencies recompute against the degraded
 bandwidth.  Because era splits use the engine-independent
 ``prefill_windows`` recurrence and era replays go through
 ``chip.run()`` (bit-identical across the ``step`` and ``wave``
-engines), fault runs are engine-independent too — and an *empty*
-schedule reproduces the fault-free path ``==``-identically, which the
-differential chaos suite asserts.
+engines), fault runs are engine-independent too.
 
 Under the ``"abort"`` policy a closed era's ``decode_steps`` /
 ``peak_batch_size`` counters reflect the replay that *discovered* the
@@ -51,17 +59,18 @@ computes.  They compose freely with the *runtime* faults of
 which attack the control plane executing the computation and must not
 change its result: a fault-schedule scenario run under a chaos schedule
 still reproduces its fault summary byte-identically.  Both planes meet
-in :func:`~repro.serving.dispatch.make_controller`, which wraps this
-module's simulators behind the same stepwise controller protocol the
-live runtime drives.
+in :func:`~repro.serving.dispatch.make_controller`, which builds the
+fleet's era controller behind the stepwise protocol the live runtime
+drives.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import (
     Any,
     Deque,
@@ -76,6 +85,12 @@ from typing import (
 from ..core.simulator import PerformanceSimulator
 from ..models.mllm import InferenceRequest
 from .autoscale import AutoscaleResult, ScalingEvent
+from .dispatch import (
+    ShardJob,
+    result_from_state,
+    result_to_state,
+    sorted_order,
+)
 from .engine import prefill_windows
 from .fleet import FleetResult, FleetSimulator
 from .metrics import RequestRecord, percentile
@@ -207,34 +222,6 @@ class FaultSchedule:
 
 
 @dataclass(frozen=True)
-class FaultFleetResult(FleetResult):
-    """Static-fleet outcome under a fault schedule.
-
-    Extends :class:`~repro.serving.fleet.FleetResult` with the applied
-    schedule and the displaced-request accounting; ``per_chip`` records
-    carry the fault path's synthetic positional ids (original ids are
-    restored on the merged ``records``).
-    """
-
-    fault_events: Tuple[FaultEvent, ...] = ()
-    redispatched_ids: Tuple[int, ...] = ()
-    aborted_ids: Tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class FaultAutoscaleResult(AutoscaleResult):
-    """Autoscaled-fleet outcome under a fault schedule.
-
-    Extends :class:`~repro.serving.autoscale.AutoscaleResult` with the
-    applied schedule and the displaced-request accounting.
-    """
-
-    fault_events: Tuple[FaultEvent, ...] = ()
-    redispatched_ids: Tuple[int, ...] = ()
-    aborted_ids: Tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
 class FaultRecovery:
     """Measured SLO impact of one disruptive fault event.
 
@@ -328,18 +315,8 @@ def normalize_priorities(
 # ----------------------------------------------------------------------
 # Era bookkeeping
 # ----------------------------------------------------------------------
-@dataclass
-class _Entry:
-    """One dispatched request inside a chip era (synthetic-id keyed)."""
-
-    sid: int
-    eff_arrival_s: float
-    index: int
-    request: InferenceRequest
-
-
 class _ChipState:
-    """One chip's fault-path state: liveness, current era, closed eras."""
+    """One chip's era state: liveness, current era, closed eras."""
 
     def __init__(self, base: ContinuousBatchingSimulator) -> None:
         self.base = base
@@ -349,26 +326,15 @@ class _ChipState:
         self.factor = 1.0
         self.alive = True
         self.floor = 0.0
-        self.entries: List[_Entry] = []
+        #: The open era's shard: requests under their synthetic ids and
+        #: effective (dispatch) arrivals.
+        self.entries: List[ServingRequest] = []
         self.closed: List[ServingResult] = []
-
-
-def _era_shard(state: _ChipState) -> List[ServingRequest]:
-    """The era's dispatch-ordered shard (sorts entries in place)."""
-    state.entries.sort(key=lambda e: (e.eff_arrival_s, e.sid))
-    return [
-        ServingRequest(
-            request_id=entry.sid,
-            arrival_s=entry.eff_arrival_s,
-            request=entry.request,
-        )
-        for entry in state.entries
-    ]
 
 
 def _split_era(
     state: _ChipState, time_s: float, policy: str
-) -> Tuple[List[_Entry], List[_Entry], float]:
+) -> Tuple[List[ServingRequest], List[ServingRequest], float]:
     """Close the chip's current era at ``time_s``.
 
     Returns ``(suffix, aborted, drain_end)``: the entries whose prefill
@@ -376,27 +342,31 @@ def _split_era(
     policy killed mid-service (they re-dispatch from scratch), and the
     time the era's kept work actually ends.
     """
-    shard = _era_shard(state)
-    if not shard:
+    entries = state.entries
+    state.entries = []
+    if not entries:
         return [], [], time_s
+    # The engine's dispatch order: effective arrival, then synthetic id.
+    entries.sort(key=lambda item: (item.arrival_s, item.request_id))
     starts, _ = prefill_windows(
-        [item.arrival_s for item in shard],
-        [state.sim.cc_latency_s(item.request) for item in shard],
+        [item.arrival_s for item in entries],
+        [state.sim.cc_latency_s(item.request) for item in entries],
     )
-    cut = len(shard)
-    for position, start in enumerate(starts):
-        if start >= time_s:
-            cut = position
-            break
-    prefix, suffix = state.entries[:cut], state.entries[cut:]
-    aborted: List[_Entry] = []
+    cut = next(
+        (position for position, start in enumerate(starts) if start >= time_s),
+        len(entries),
+    )
+    prefix, suffix = entries[:cut], entries[cut:]
+    aborted: List[ServingRequest] = []
     drain_end = time_s
     if prefix:
-        result = state.sim.run(shard[:cut])
+        result = state.sim.run(prefix)
         if policy == "abort":
             kept = tuple(r for r in result.records if r.finish_s <= time_s)
             kept_ids = {record.request_id for record in kept}
-            aborted = [entry for entry in prefix if entry.sid not in kept_ids]
+            aborted = [
+                item for item in prefix if item.request_id not in kept_ids
+            ]
             result = ServingResult(
                 records=kept,
                 peak_batch_size=result.peak_batch_size,
@@ -407,7 +377,6 @@ def _split_era(
             if tail > drain_end:
                 drain_end = tail
         state.closed.append(result)
-    state.entries = []
     return suffix, aborted, drain_end
 
 
@@ -445,7 +414,13 @@ def _degraded_chip(
 
 
 class _FaultLedger:
-    """Dispatch/era bookkeeping shared by both fault-path loops."""
+    """Dispatch and era bookkeeping shared by both era controllers.
+
+    A first dispatch runs under its canonical arrival rank as synthetic
+    id (``order`` maps ranks back to trace positions); a re-dispatch
+    allocates a fresh id past the trace length (``origin`` maps it back),
+    so a request displaced twice stays unambiguous.
+    """
 
     def __init__(
         self,
@@ -457,6 +432,10 @@ class _FaultLedger:
         self.trace = trace
         self.policy = schedule.drain_policy
         self.states = [_ChipState(chip) for chip in fleet.chips]
+        #: Chip ids currently admitting work, in id order.
+        self.alive: List[int] = list(range(fleet.n_chips))
+        #: Trace position of every arrival seen, by canonical rank.
+        self.order: List[int] = []
         self.next_sid = len(trace)
         self.origin: Dict[int, int] = {}
         self.redispatched: List[int] = []
@@ -466,38 +445,39 @@ class _FaultLedger:
 
     def index_of(self, sid: int) -> int:
         """The trace position a synthetic record id maps back to."""
-        return self.origin.get(sid, sid)
+        if sid < len(self.trace):
+            return self.order[sid]
+        return self.origin[sid]
 
-    def place(self, chip_id: int, index: int, eff: float, fresh: bool) -> None:
+    def new_sid(self, index: int) -> int:
+        """A fresh synthetic id re-dispatching trace position ``index``."""
+        sid = self.next_sid
+        self.next_sid += 1
+        self.origin[sid] = index
+        return sid
+
+    def place(self, chip_id: int, index: int, eff: float, sid: int) -> None:
         """Dispatch trace position ``index`` onto ``chip_id`` at ``eff``.
 
-        First dispatches keep the trace position as their synthetic id
-        (the same positional-id contract the autoscaler's replay uses);
-        re-dispatches allocate a fresh id past the trace length so a
-        request displaced twice stays unambiguous.
+        The chip runs it under synthetic id ``sid``; the trace's own
+        request object is reused when it already carries that id and
+        arrival.
         """
-        if fresh:
-            sid = index
-        else:
-            sid = self.next_sid
-            self.next_sid += 1
-            self.origin[sid] = index
-        self.states[chip_id].entries.append(
-            _Entry(
-                sid=sid,
-                eff_arrival_s=eff,
-                index=index,
-                request=self.trace[index].request,
+        source = self.trace[index]
+        if sid != source.request_id or eff != source.arrival_s:
+            source = ServingRequest(
+                request_id=sid, arrival_s=eff, request=source.request
             )
-        )
+        self.states[chip_id].entries.append(source)
         self.assignments[index] = chip_id
 
     def estimate(self, chip_id: int, request: InferenceRequest) -> float:
         """Dispatcher-side batch-1 cost estimate against the current era.
 
         Healthy eras delegate to the fleet's shared estimate memo (the
-        exact floats the fault-free path uses); degraded eras price
-        against the era chip, memoized per (chip, era, shape).
+        same floats :meth:`~repro.serving.fleet.FleetSimulator.
+        _estimate_cost_s` returns); degraded eras price against the era
+        chip, memoized per (chip, era, shape).
         """
         state = self.states[chip_id]
         if state.sim is state.base:
@@ -521,21 +501,32 @@ class _FaultLedger:
         self._era_cost[key] = cost
         return cost
 
-    def apply_event(self, event: FaultEvent) -> List[_Entry]:
-        """Apply one fault event; returns the entries needing re-dispatch."""
+    def _displaced(
+        self, items: List[ServingRequest]
+    ) -> List[Tuple[int, float]]:
+        return [
+            (self.index_of(item.request_id), item.arrival_s) for item in items
+        ]
+
+    def apply_event(self, event: FaultEvent) -> List[Tuple[int, float]]:
+        """Apply one fault event; returns displaced ``(index, eff)`` pairs."""
         state = self.states[event.chip_id]
         if event.kind == "chip_down":
             suffix, aborted, drain_end = _split_era(
                 state, event.time_s, self.policy
             )
             state.alive = False
+            self.alive.remove(event.chip_id)
             state.era += 1
             state.floor = drain_end
-            self.redispatched.extend(entry.index for entry in suffix)
-            self.aborted.extend(entry.index for entry in aborted)
-            return suffix + aborted
+            unstarted = self._displaced(suffix)
+            killed = self._displaced(aborted)
+            self.redispatched.extend(index for index, _ in unstarted)
+            self.aborted.extend(index for index, _ in killed)
+            return unstarted + killed
         if event.kind == "chip_up":
             state.alive = True
+            insort(self.alive, event.chip_id)
             state.era += 1
             state.floor = max(event.time_s, state.floor)
             return []
@@ -547,36 +538,28 @@ class _FaultLedger:
         state.factor = event.factor
         state.floor = max(event.time_s, drain_end)
         state.sim = _degraded_chip(state.base, event.factor)
-        for entry in suffix:
-            entry.eff_arrival_s = max(entry.eff_arrival_s, state.floor)
-            state.entries.append(entry)
+        state.entries = [
+            item
+            if item.arrival_s >= state.floor
+            else replace(item, arrival_s=state.floor)
+            for item in suffix
+        ]
         return []
 
-    def alive_ids(self) -> List[int]:
-        """Chip ids currently admitting work, in id order."""
-        return [state.chip_id for state in self.states if state.alive]
-
-    def final_jobs(self) -> List["ShardJob"]:
-        """The engine run closing each chip's open era (possibly empty).
+    def final_jobs(self) -> List[ShardJob]:
+        """The engine run closing each open era that holds requests.
 
         Jobs carry the era sim — the degraded replacement chip when the
-        era is degraded — so any executor (inline or a chip actor) runs
-        the same simulator the batch path would.
+        era is degraded — so any executor (inline, a worker process or
+        a chip actor) runs the same simulator.
         """
-        from .dispatch import ShardJob
-
-        jobs: List[ShardJob] = []
-        for state in self.states:
-            shard = _era_shard(state)
-            if shard:
-                jobs.append(
-                    ShardJob(
-                        chip_id=state.chip_id,
-                        sim=state.sim,
-                        shard=tuple(shard),
-                    )
-                )
-        return jobs
+        return [
+            ShardJob(
+                chip_id=state.chip_id, sim=state.sim, shard=tuple(state.entries)
+            )
+            for state in self.states
+            if state.entries
+        ]
 
     def install_final(self, results: Mapping[int, ServingResult]) -> None:
         """Append executed :meth:`final_jobs` results as closing eras."""
@@ -590,12 +573,10 @@ class _FaultLedger:
         """JSON-serializable snapshot of the era/dispatch bookkeeping.
 
         Closed-era results are serialized record by record (floats
-        round-trip exactly through JSON ``repr``); entry requests are
-        stored as trace positions and rebuild from the trace on restore.
-        The era cost memo is pure and deliberately excluded.
+        round-trip exactly through JSON ``repr``); open-era entries are
+        stored as ``[sid, eff]`` pairs and rebuild from the trace on
+        restore.  The era cost memo is pure and deliberately excluded.
         """
-        from .dispatch import result_to_state
-
         return {
             "next_sid": self.next_sid,
             "origin": sorted(self.origin.items()),
@@ -609,12 +590,8 @@ class _FaultLedger:
                     "alive": state.alive,
                     "floor": state.floor,
                     "entries": [
-                        {
-                            "sid": entry.sid,
-                            "eff_arrival_s": entry.eff_arrival_s,
-                            "index": entry.index,
-                        }
-                        for entry in state.entries
+                        [item.request_id, item.arrival_s]
+                        for item in state.entries
                     ],
                     "closed": [
                         result_to_state(result) for result in state.closed
@@ -624,15 +601,15 @@ class _FaultLedger:
             ],
         }
 
-    def restore_state(self, data: Mapping[str, Any]) -> None:
+    def restore_state(self, data: Mapping[str, Any], order: List[int]) -> None:
         """Reload :meth:`state_dict` data onto fresh chip states.
 
+        ``order`` is the canonical arrival order of the arrivals seen.
         Degraded-era sims rebuild deterministically from the stored
         factor via :func:`_degraded_chip`; the cost memo starts empty and
         refills lazily (values are pure, so only speed is affected).
         """
-        from .dispatch import result_from_state
-
+        self.order = order
         self.next_sid = int(data["next_sid"])
         self.origin = {int(sid): int(index) for sid, index in data["origin"]}
         self.redispatched = [int(index) for index in data["redispatched"]]
@@ -646,28 +623,40 @@ class _FaultLedger:
             state.floor = float(chip["floor"])
             state.sim = _degraded_chip(state.base, state.factor)
             state.entries = [
-                _Entry(
-                    sid=int(entry["sid"]),
-                    eff_arrival_s=float(entry["eff_arrival_s"]),
-                    index=int(entry["index"]),
-                    request=self.trace[int(entry["index"])].request,
+                ServingRequest(
+                    request_id=int(sid),
+                    arrival_s=float(eff),
+                    request=self.trace[self.index_of(int(sid))].request,
                 )
-                for entry in chip["entries"]
+                for sid, eff in chip["entries"]
             ]
             state.closed = [
                 result_from_state(result) for result in chip["closed"]
             ]
+        self.alive = [state.chip_id for state in self.states if state.alive]
 
-    def collect(self) -> Tuple[Tuple[RequestRecord, ...], Tuple[ServingResult, ...]]:
-        """Merge closed eras into per-chip results and restored records."""
+    def collect(
+        self,
+    ) -> Tuple[Tuple[RequestRecord, ...], Tuple[ServingResult, ...]]:
+        """Merge closed eras into per-chip results and restored records.
+
+        ``per_chip`` keeps the synthetic ids, sorted by id.  The merged
+        records carry true ids and arrivals, ordered by request id, then
+        chip, then completion — the order a bare run of each chip's
+        requests emits, so duplicate caller ids keep it too.
+        """
+        trace = self.trace
+        n = len(trace)
+        order = self.order
+        origin = self.origin
+        by_id = attrgetter("request_id")
         per_chip: List[ServingResult] = []
+        records: List[RequestRecord] = []
         for state in self.states:
             merged = [
-                record
-                for result in state.closed
-                for record in result.records
+                record for result in state.closed for record in result.records
             ]
-            merged.sort(key=lambda record: record.request_id)
+            merged.sort(key=by_id)
             per_chip.append(
                 ServingResult(
                     records=tuple(merged),
@@ -680,18 +669,21 @@ class _FaultLedger:
                     ),
                 )
             )
-        records: List[RequestRecord] = []
-        for result in per_chip:
-            for record in result.records:
-                source = self.trace[self.index_of(record.request_id)]
-                records.append(
-                    replace(
+            merged.sort(key=attrgetter("finish_s"))
+            for record in merged:
+                sid = record.request_id
+                source = trace[order[sid] if sid < n else origin[sid]]
+                if (
+                    sid != source.request_id
+                    or record.arrival_s != source.arrival_s
+                ):
+                    record = replace(
                         record,
                         request_id=source.request_id,
                         arrival_s=source.arrival_s,
                     )
-                )
-        records.sort(key=lambda record: record.request_id)
+                records.append(record)
+        records.sort(key=by_id)
         return tuple(records), tuple(per_chip)
 
 
@@ -706,34 +698,205 @@ def _validate_targets(schedule: FaultSchedule, n_chips: int) -> None:
 
 
 def _pool_order(
-    pool: List[_Entry],
+    pool: List[Tuple[int, float]],
     trace: Sequence[ServingRequest],
     weights: Optional[List[float]],
-) -> List[_Entry]:
-    """Displaced entries in re-dispatch order: priority, then arrival."""
+) -> List[Tuple[int, float]]:
+    """Displaced ``(index, eff)`` pairs in re-dispatch order.
+
+    Highest priority first, then by the request's own arrival and id.
+    """
     return sorted(
         pool,
-        key=lambda e: (
-            -(weights[e.index] if weights else 1.0),
-            trace[e.index].arrival_s,
-            trace[e.index].request_id,
+        key=lambda pair: (
+            -(weights[pair[0]] if weights else 1.0),
+            trace[pair[0]].arrival_s,
+            trace[pair[0]].request_id,
         ),
     )
 
 
-# ----------------------------------------------------------------------
-# Static fleet under faults
-# ----------------------------------------------------------------------
-class FaultFleetController:
-    """Arrival-at-a-time form of the static fleet's fault-injection loop.
+def _least_loaded(horizons: List[float], targets: Sequence[int]) -> int:
+    """The target chip with the earliest horizon, the lowest id on ties."""
+    chip_id = targets[0]
+    best = horizons[chip_id]
+    for candidate in targets:
+        if horizons[candidate] < best:
+            chip_id = candidate
+            best = horizons[candidate]
+    return chip_id
 
-    The exact loop state of :func:`run_fleet_with_faults` — the event
-    cursor, the per-chip horizons, the round-robin position and the
-    parked list — lifted onto the stepwise controller protocol of
-    :mod:`repro.serving.dispatch` so the batch driver and the live actor
-    runtime share one implementation.  The controller needs the full
-    ``trace`` up front: priority normalization is global and era
-    re-dispatch reaches requests by trace position.
+
+# ----------------------------------------------------------------------
+# The era controllers
+# ----------------------------------------------------------------------
+class _EraController:
+    """What both era controllers share.
+
+    The event cursor, the per-chip horizons, the parked arrivals (every
+    chip down) and the era ledger, plus the stepwise protocol around
+    them: :meth:`finish_events`, :meth:`final_jobs` and the common state
+    keys.  Subclasses place requests (:meth:`_place`) and fold results.
+    A controller needs the full ``trace`` up front: priority
+    normalization is global and era re-dispatch reaches requests by
+    trace position.  ``schedule`` defaults to the empty
+    :class:`FaultSchedule`.
+    """
+
+    kind = ""
+
+    def __init__(
+        self,
+        fleet: FleetSimulator,
+        trace: Sequence[ServingRequest],
+        schedule: Optional[FaultSchedule] = None,
+        priorities: Optional[Sequence[float]] = None,
+    ) -> None:
+        if not trace:
+            raise ValueError("trace must not be empty")
+        schedule = schedule if schedule is not None else FaultSchedule()
+        _validate_targets(schedule, fleet.n_chips)
+        self.fleet = fleet
+        self.trace = trace
+        self.schedule = schedule
+        self.weights = normalize_priorities(priorities, len(trace))
+        if fleet.precompute:
+            fleet.precompute_service_times(trace)
+        self.ledger = _FaultLedger(fleet, trace, schedule)
+        self.event_pos = 0
+        self.horizons = [0.0] * fleet.n_chips
+        #: ``(index, eff, sid)`` of requests waiting for a chip to return.
+        self.parked: List[Tuple[int, float, int]] = []
+
+    @property
+    def n_seen(self) -> int:
+        """Arrivals processed so far (the checkpoint cursor)."""
+        return len(self.ledger.order)
+
+    def _place(self, index: int, eff: float, sid: int) -> int:
+        """Dispatch one request onto a target; returns its chip id."""
+        raise NotImplementedError
+
+    def _arrive(self, index: int, now: float) -> int:
+        """Rank one arrival and apply the fault events due by ``now``."""
+        order = self.ledger.order
+        order.append(index)
+        # Most arrivals have no event due: test before calling.
+        events = self.schedule.events
+        if self.event_pos < len(events) and events[self.event_pos].time_s <= now:
+            self._advance(now)
+        return len(order) - 1
+
+    def _advance(self, until: float) -> None:
+        """Apply every scheduled event at or before ``until``."""
+        events = self.schedule.events
+        while (
+            self.event_pos < len(events)
+            and events[self.event_pos].time_s <= until
+        ):
+            self._apply(events[self.event_pos])
+            self.event_pos += 1
+
+    def _apply(self, event: FaultEvent) -> None:
+        displaced = self.ledger.apply_event(event)
+        if event.kind == "chip_up":
+            self.horizons[event.chip_id] = (
+                self.ledger.states[event.chip_id].floor
+            )
+            flush, self.parked = self.parked, []
+            for index, eff, sid in flush:
+                self._place(index, max(eff, event.time_s), sid)
+        for index, eff in _pool_order(displaced, self.trace, self.weights):
+            sid = self.ledger.new_sid(index)
+            if self.ledger.alive:
+                self._place(index, max(eff, event.time_s), sid)
+            else:
+                self.parked.append((index, eff, sid))
+
+    def finish_events(self) -> None:
+        """Apply trailing fault events; raise if requests stayed parked."""
+        self._advance(float("inf"))
+        if self.parked:
+            raise ValueError(
+                f"{len(self.parked)} requests were never dispatched: every "
+                "chip was down through the end of the trace"
+            )
+
+    def final_jobs(self) -> List[ShardJob]:
+        """The engine runs closing every open era."""
+        return self.ledger.final_jobs()
+
+    def _collected(
+        self, results: Mapping[int, ServingResult]
+    ) -> Dict[str, Any]:
+        """Install the closing eras; the result fields both fleet kinds share."""
+        ledger = self.ledger
+        ledger.install_final(results)
+        records, per_chip = ledger.collect()
+        trace = self.trace
+        return {
+            "records": records,
+            "per_chip": per_chip,
+            "assignments": tuple(ledger.assignments),
+            "fault_events": self.schedule.events,
+            "redispatched_ids": tuple(
+                trace[i].request_id for i in ledger.redispatched
+            ),
+            "aborted_ids": tuple(trace[i].request_id for i in ledger.aborted),
+        }
+
+    def state_dict(self) -> Dict[str, Any]:
+        """JSON-serializable snapshot of the dynamic dispatch state."""
+        return {
+            "kind": self.kind,
+            "schedule": self.schedule.to_dict(),
+            "n_seen": self.n_seen,
+            "event_pos": self.event_pos,
+            "horizons": list(self.horizons),
+            "parked": [[index, eff, sid] for index, eff, sid in self.parked],
+            "ledger": self.ledger.state_dict(),
+        }
+
+    def restore_state(
+        self, state: Mapping[str, Any], trace: Sequence[ServingRequest]
+    ) -> None:
+        """Reload :meth:`state_dict` data (``trace`` must equal the original).
+
+        Raises :class:`~repro.serving.runtime.checkpoint.CheckpointError`
+        naming ``schedule`` when the state was taken under another fault
+        schedule than this controller's.
+        """
+        if state["schedule"] != self.schedule.to_dict():
+            # Imported lazily: the runtime package builds on this module.
+            from .runtime.checkpoint import CheckpointError
+
+            raise CheckpointError(
+                "checkpoint field 'schedule' holds another fault schedule "
+                "than the one this run was given"
+            )
+        n_seen = int(state["n_seen"])
+        if not 0 <= n_seen <= len(self.trace):
+            raise ValueError(f"n_seen {n_seen} lies outside the trace")
+        self.event_pos = int(state["event_pos"])
+        self.horizons = [float(h) for h in state["horizons"]]
+        self.parked = [
+            (int(index), float(eff), int(sid))
+            for index, eff, sid in state["parked"]
+        ]
+        self.ledger.restore_state(
+            state["ledger"], sorted_order(self.trace)[:n_seen]
+        )
+
+
+class FaultFleetController(_EraController):
+    """The era controller of a static fleet: one arrival at a time.
+
+    Dispatch follows the fleet's policy over the *alive* chips only —
+    round-robin cycles them, least-loaded scans their dispatcher-side
+    horizons.  A ``chip_down`` re-dispatches the dead chip's unstarted
+    (and, under ``"abort"``, killed) requests across the survivors at
+    the event time, highest ``priorities`` first; requests arriving
+    while every chip is down park until a ``chip_up``.
     """
 
     kind = "fault_fleet"
@@ -742,56 +905,37 @@ class FaultFleetController:
         self,
         fleet: FleetSimulator,
         trace: Sequence[ServingRequest],
-        schedule: FaultSchedule,
+        schedule: Optional[FaultSchedule] = None,
         priorities: Optional[Sequence[float]] = None,
     ) -> None:
-        if not trace:
-            raise ValueError("trace must not be empty")
-        _validate_targets(schedule, fleet.n_chips)
-        self.fleet = fleet
-        self.trace = trace
-        self.schedule = schedule
-        self.weights = normalize_priorities(priorities, len(trace))
-        if fleet.precompute:
-            fleet.precompute_service_times(trace)
-        self.ledger = _FaultLedger(fleet, trace, schedule)
-        self.events = list(schedule.events)
-        self.event_pos = 0
-        self.horizons = [0.0] * fleet.n_chips
+        super().__init__(fleet, trace, schedule, priorities)
+        self.round_robin = fleet.policy == "round_robin"
         self.rr_position = 0
-        self.parked: List[Tuple[int, float, bool]] = []
-        self.n_seen = 0
 
-    def _dispatch(self, index: int, eff: float, fresh: bool) -> None:
-        targets = self.ledger.alive_ids()
-        request = self.trace[index].request
-        if self.fleet.policy == "round_robin":
+    def _place(self, index: int, eff: float, sid: int) -> int:
+        # Runs once per arrival, so the two ``max`` folds are spelled as
+        # conditionals (same floats: ``max`` keeps its first argument on
+        # ties).
+        ledger = self.ledger
+        targets = ledger.alive
+        horizons = self.horizons
+        if self.round_robin:
             chip_id = targets[self.rr_position % len(targets)]
             self.rr_position += 1
-        else:  # least_loaded
-            chip_id = min(targets, key=lambda c: (self.horizons[c], c))
-        eff = max(eff, self.ledger.states[chip_id].floor)
-        cost = self.ledger.estimate(chip_id, request)
-        self.horizons[chip_id] = max(self.horizons[chip_id], eff) + cost
-        self.ledger.place(chip_id, index, eff, fresh)
-
-    def _apply(self, event: FaultEvent) -> None:
-        pool = self.ledger.apply_event(event)
-        if event.kind == "chip_up":
-            self.horizons[event.chip_id] = (
-                self.ledger.states[event.chip_id].floor
+        else:
+            chip_id = _least_loaded(horizons, targets)
+        floor = ledger.states[chip_id].floor
+        if floor > eff:
+            eff = floor
+        if not self.round_robin:
+            # Round-robin never reads the horizons, so only least-loaded
+            # dispatch prices the request.
+            horizon = horizons[chip_id]
+            horizons[chip_id] = (eff if eff > horizon else horizon) + (
+                ledger.estimate(chip_id, self.trace[index].request)
             )
-            if self.parked:
-                flush, self.parked[:] = list(self.parked), []
-                for index, eff, fresh in flush:
-                    self._dispatch(index, max(eff, event.time_s), fresh)
-        for entry in _pool_order(pool, self.trace, self.weights):
-            if not self.ledger.alive_ids():
-                self.parked.append((entry.index, entry.eff_arrival_s, False))
-                continue
-            self._dispatch(
-                entry.index, max(entry.eff_arrival_s, event.time_s), False
-            )
+        ledger.place(chip_id, index, eff, sid)
+        return chip_id
 
     def on_arrival(self, index: int, request: ServingRequest) -> int:
         """Apply due fault events, then dispatch (or park) one arrival.
@@ -799,124 +943,44 @@ class FaultFleetController:
         Returns the assigned chip id, or ``-1`` when every chip is down
         and the request parks until a ``chip_up``.
         """
-        self.n_seen += 1
-        arrival = request.arrival_s
-        while (
-            self.event_pos < len(self.events)
-            and self.events[self.event_pos].time_s <= arrival
-        ):
-            self._apply(self.events[self.event_pos])
-            self.event_pos += 1
-        if not self.ledger.alive_ids():
-            self.parked.append((index, arrival, True))
+        now = request.arrival_s
+        rank = self._arrive(index, now)
+        if not self.ledger.alive:
+            self.parked.append((index, now, rank))
             return -1
-        self._dispatch(index, arrival, True)
-        return self.ledger.assignments[index]
+        return self._place(index, now, rank)
 
-    def finish_events(self) -> None:
-        """Apply trailing fault events; raise if requests stayed parked."""
-        while self.event_pos < len(self.events):
-            self._apply(self.events[self.event_pos])
-            self.event_pos += 1
-        if self.parked:
-            raise ValueError(
-                f"{len(self.parked)} requests were never dispatched: every "
-                "chip was down through the end of the trace"
-            )
-
-    def final_jobs(self) -> List["ShardJob"]:
-        """The engine runs closing every open era."""
-        return self.ledger.final_jobs()
-
-    def collect(
-        self, results: Mapping[int, ServingResult]
-    ) -> FaultFleetResult:
-        """Fold the executed closing eras into a :class:`FaultFleetResult`."""
-        self.ledger.install_final(results)
-        records, per_chip = self.ledger.collect()
-        return FaultFleetResult(
-            records=records,
-            per_chip=per_chip,
-            assignments=tuple(self.ledger.assignments),
-            fault_events=self.schedule.events,
-            redispatched_ids=tuple(
-                self.trace[i].request_id for i in self.ledger.redispatched
-            ),
-            aborted_ids=tuple(
-                self.trace[i].request_id for i in self.ledger.aborted
-            ),
-        )
+    def collect(self, results: Mapping[int, ServingResult]) -> FleetResult:
+        """Fold the executed closing eras into a :class:`FleetResult`."""
+        return FleetResult(**self._collected(results))
 
     def state_dict(self) -> Dict[str, Any]:
-        """JSON-serializable snapshot of the dynamic fault-loop state."""
-        return {
-            "kind": self.kind,
-            "n_seen": self.n_seen,
-            "event_pos": self.event_pos,
-            "rr_position": self.rr_position,
-            "horizons": list(self.horizons),
-            "parked": [
-                [index, eff, fresh] for index, eff, fresh in self.parked
-            ],
-            "ledger": self.ledger.state_dict(),
-        }
+        """JSON-serializable snapshot of the dynamic dispatch state."""
+        state = super().state_dict()
+        state["rr_position"] = self.rr_position
+        return state
 
     def restore_state(
         self, state: Mapping[str, Any], trace: Sequence[ServingRequest]
     ) -> None:
         """Reload :meth:`state_dict` data (``trace`` must equal the original)."""
-        self.n_seen = int(state["n_seen"])
-        self.event_pos = int(state["event_pos"])
+        super().restore_state(state, trace)
         self.rr_position = int(state["rr_position"])
-        self.horizons = [float(h) for h in state["horizons"]]
-        self.parked = [
-            (int(index), float(eff), bool(fresh))
-            for index, eff, fresh in state["parked"]
-        ]
-        self.ledger.restore_state(state["ledger"])
 
 
-def run_fleet_with_faults(
-    fleet: FleetSimulator,
-    trace: Sequence[ServingRequest],
-    schedule: FaultSchedule,
-    priorities: Optional[Sequence[float]] = None,
-) -> FaultFleetResult:
-    """Play ``trace`` through a static fleet under a fault ``schedule``.
+class FaultAutoscaleController(_EraController):
+    """The era controller of an autoscaled fleet: one arrival at a time.
 
-    Dispatch follows the fleet's configured policy over the *alive*
-    chips only; a ``chip_down`` re-dispatches the dead chip's unstarted
-    (and, under ``"abort"``, killed) requests across the survivors at
-    the event time, highest ``priorities`` first.  With an empty
-    schedule and uniform priorities the result equals
-    :meth:`~repro.serving.fleet.FleetSimulator.run` field for field
-    (asserted by the differential suite).  Raises if requests remain
-    unservable because every chip is down through the end of the trace.
-
-    A thin driver over :class:`FaultFleetController` — the live actor
-    runtime drives the identical controller one message at a time.
-    """
-    from .dispatch import run_jobs_inline, sorted_order
-
-    controller = FaultFleetController(
-        fleet, trace, schedule, priorities=priorities
-    )
-    for index in sorted_order(trace):
-        controller.on_arrival(index, trace[index])
-    controller.finish_events()
-    return controller.collect(run_jobs_inline(controller.final_jobs()))
-
-
-# ----------------------------------------------------------------------
-# Autoscaled fleet under faults
-# ----------------------------------------------------------------------
-class FaultAutoscaleController:
-    """Arrival-at-a-time form of the fault-aware autoscaling loop.
-
-    The exact loop state of :func:`run_autoscale_with_faults` — the
-    admission heap, rolling TTFT window, scaling ledger, event cursor
-    and parked list — on the stepwise controller protocol.  Needs the
-    full ``trace`` up front, as :class:`FaultFleetController` does.
+    The SLO-aware control loop — the admission heap, the rolling TTFT
+    window, the cooldown clock and the scaling ledger — restricted to
+    the alive prefix of the fleet.  Per-request admission depth scales
+    with the request's priority weight (``max(1, int(depth * weight))``,
+    exactly the unweighted limit at uniform priorities), and fault
+    events displace and re-dispatch work as on a static fleet
+    (displaced requests bypass admission — they were already admitted
+    once).  The in-flight depth estimates of a dead chip stay in the
+    heap (a dispatcher cannot observe them individually); they age out
+    by their estimated finish times.
     """
 
     kind = "fault_autoscale"
@@ -925,82 +989,41 @@ class FaultAutoscaleController:
         self,
         fleet,
         trace: Sequence[ServingRequest],
-        schedule: FaultSchedule,
+        schedule: Optional[FaultSchedule] = None,
         priorities: Optional[Sequence[float]] = None,
     ) -> None:
-        if not trace:
-            raise ValueError("trace must not be empty")
-        _validate_targets(schedule, fleet.n_chips)
-        self.fleet = fleet
-        self.trace = trace
-        self.schedule = schedule
-        self.weights = normalize_priorities(priorities, len(trace))
-        if fleet.precompute:
-            fleet.precompute_service_times(trace)
+        super().__init__(fleet, trace, schedule, priorities)
         self.config = fleet.autoscaler
-        self.ledger = _FaultLedger(fleet, trace, schedule)
-        self.events = list(schedule.events)
-        self.event_pos = 0
-        self.horizons = [0.0] * fleet.n_chips
         self.inflight: List[float] = []
         self.ttft_window: Deque[float] = deque(maxlen=self.config.window)
         self.scale_events: List[ScalingEvent] = []
         self.rejected: List[int] = []
         self.n_active = self.config.min_chips
         self.last_scale = float("-inf")
-        self.parked: List[Tuple[int, float, bool]] = []
-        self.n_seen = 0
 
-    def _dispatchable(self) -> List[int]:
-        return self.ledger.alive_ids()[: self.n_active]
+    def _targets(self) -> Sequence[int]:
+        return self.ledger.alive[: self.n_active]
 
-    def _place(
-        self, index: int, eff: float, fresh: bool, observe_from: float
-    ) -> None:
-        targets = self._dispatchable()
-        chip_id = min(targets, key=lambda c: (self.horizons[c], c))
-        state = self.ledger.states[chip_id]
+    def _place(self, index: int, eff: float, sid: int) -> int:
+        ledger = self.ledger
+        chip_id = _least_loaded(self.horizons, self._targets())
+        state = ledger.states[chip_id]
         eff = max(eff, state.floor)
-        request = self.trace[index].request
-        cost = self.ledger.estimate(chip_id, request)
+        source = self.trace[index]
+        request = source.request
+        cost = ledger.estimate(chip_id, request)
         start = max(self.horizons[chip_id], eff)
         prefill = state.sim.cc_latency_s(request)
         first_step = state.sim.cost_model.step_latency_s(
             [self.fleet.model.prompt_tokens(request)]
         )
-        self.ttft_window.append(start + prefill + first_step - observe_from)
+        self.ttft_window.append(
+            start + prefill + first_step - source.arrival_s
+        )
         self.horizons[chip_id] = start + cost
         heapq.heappush(self.inflight, self.horizons[chip_id])
-        self.ledger.place(chip_id, index, eff, fresh)
-
-    def _apply(self, event: FaultEvent) -> None:
-        pool = self.ledger.apply_event(event)
-        if event.kind == "chip_up":
-            self.horizons[event.chip_id] = (
-                self.ledger.states[event.chip_id].floor
-            )
-            if self.parked:
-                flush, self.parked[:] = list(self.parked), []
-                for index, eff, fresh in flush:
-                    if not self._dispatchable():
-                        self.parked.append((index, eff, fresh))
-                        continue
-                    self._place(
-                        index,
-                        max(eff, event.time_s),
-                        fresh,
-                        self.trace[index].arrival_s,
-                    )
-        for entry in _pool_order(pool, self.trace, self.weights):
-            if not self._dispatchable():
-                self.parked.append((entry.index, entry.eff_arrival_s, False))
-                continue
-            self._place(
-                entry.index,
-                max(entry.eff_arrival_s, event.time_s),
-                False,
-                self.trace[entry.index].arrival_s,
-            )
+        ledger.place(chip_id, index, eff, sid)
+        return chip_id
 
     def on_arrival(self, index: int, request: ServingRequest) -> int:
         """Apply due fault events, then admit/dispatch one arrival.
@@ -1008,18 +1031,12 @@ class FaultAutoscaleController:
         Returns the assigned chip id, or ``-1`` when the request was
         rejected by admission control or parked (every chip down).
         """
-        self.n_seen += 1
         config = self.config
         now = request.arrival_s
-        while (
-            self.event_pos < len(self.events)
-            and self.events[self.event_pos].time_s <= now
-        ):
-            self._apply(self.events[self.event_pos])
-            self.event_pos += 1
-        targets = self._dispatchable()
+        rank = self._arrive(index, now)
+        targets = self._targets()
         if not targets:
-            self.parked.append((index, now, True))
+            self.parked.append((index, now, rank))
             return -1
 
         while self.inflight and self.inflight[0] <= now:
@@ -1037,7 +1054,7 @@ class FaultAutoscaleController:
             for _ in range(overflow):
                 effective = heapq.heappop(self.inflight)
 
-        self._place(index, effective, True, now)
+        chip_id = self._place(index, effective, rank)
 
         if (
             len(self.ttft_window) >= config.min_observations
@@ -1049,81 +1066,44 @@ class FaultAutoscaleController:
                 rolling > target * config.scale_up_ratio
                 and self.n_active < config.max_chips
             ):
-                self.scale_events.append(
-                    ScalingEvent(
-                        time_s=now,
-                        n_chips_before=self.n_active,
-                        n_chips_after=self.n_active + 1,
-                        rolling_p99_ttft_s=rolling,
-                    )
-                )
-                self.n_active += 1
-                self.last_scale = now
+                self._scale(now, rolling, +1)
             elif (
                 rolling < target * config.scale_down_ratio
                 and self.n_active > config.min_chips
             ):
-                self.scale_events.append(
-                    ScalingEvent(
-                        time_s=now,
-                        n_chips_before=self.n_active,
-                        n_chips_after=self.n_active - 1,
-                        rolling_p99_ttft_s=rolling,
-                    )
-                )
-                self.n_active -= 1
-                self.last_scale = now
-        return self.ledger.assignments[index]
+                self._scale(now, rolling, -1)
+        return chip_id
 
-    def finish_events(self) -> None:
-        """Apply trailing fault events; raise if requests stayed parked."""
-        while self.event_pos < len(self.events):
-            self._apply(self.events[self.event_pos])
-            self.event_pos += 1
-        if self.parked:
-            raise ValueError(
-                f"{len(self.parked)} requests were never dispatched: every "
-                "chip was down through the end of the trace"
+    def _scale(self, now: float, rolling: float, step: int) -> None:
+        self.scale_events.append(
+            ScalingEvent(
+                time_s=now,
+                n_chips_before=self.n_active,
+                n_chips_after=self.n_active + step,
+                rolling_p99_ttft_s=rolling,
             )
+        )
+        self.n_active += step
+        self.last_scale = now
 
-    def final_jobs(self) -> List["ShardJob"]:
-        """The engine runs closing every open era."""
-        return self.ledger.final_jobs()
-
-    def collect(
-        self, results: Mapping[int, ServingResult]
-    ) -> FaultAutoscaleResult:
-        """Fold the executed closing eras into a :class:`FaultAutoscaleResult`."""
-        self.ledger.install_final(results)
-        records, per_chip = self.ledger.collect()
-        return FaultAutoscaleResult(
-            records=records,
-            per_chip=per_chip,
-            assignments=tuple(self.ledger.assignments),
+    def collect(self, results: Mapping[int, ServingResult]) -> AutoscaleResult:
+        """Fold the executed closing eras into an :class:`AutoscaleResult`."""
+        return AutoscaleResult(
+            **self._collected(results),
             rejected_ids=tuple(
                 self.trace[i].request_id for i in self.rejected
             ),
             events=tuple(self.scale_events),
             final_chips=self.n_active,
-            fault_events=self.schedule.events,
-            redispatched_ids=tuple(
-                self.trace[i].request_id for i in self.ledger.redispatched
-            ),
-            aborted_ids=tuple(
-                self.trace[i].request_id for i in self.ledger.aborted
-            ),
         )
 
     def state_dict(self) -> Dict[str, Any]:
         """JSON-serializable snapshot of the dynamic control-loop state."""
-        return {
-            "kind": self.kind,
-            "n_seen": self.n_seen,
-            "event_pos": self.event_pos,
-            "horizons": list(self.horizons),
-            "inflight": list(self.inflight),
-            "ttft_window": list(self.ttft_window),
-            "scale_events": [
+        state = super().state_dict()
+        state.update(
+            inflight=list(self.inflight),
+            ttft_window=list(self.ttft_window),
+            scale_events=[
                 {
                     "time_s": event.time_s,
                     "n_chips_before": event.n_chips_before,
@@ -1132,25 +1112,20 @@ class FaultAutoscaleController:
                 }
                 for event in self.scale_events
             ],
-            "rejected": list(self.rejected),
-            "n_active": self.n_active,
+            rejected=list(self.rejected),
+            n_active=self.n_active,
             # -inf (never scaled) has no JSON literal; None encodes it.
-            "last_scale": (
+            last_scale=(
                 None if self.last_scale == float("-inf") else self.last_scale
             ),
-            "parked": [
-                [index, eff, fresh] for index, eff, fresh in self.parked
-            ],
-            "ledger": self.ledger.state_dict(),
-        }
+        )
+        return state
 
     def restore_state(
         self, state: Mapping[str, Any], trace: Sequence[ServingRequest]
     ) -> None:
         """Reload :meth:`state_dict` data (``trace`` must equal the original)."""
-        self.n_seen = int(state["n_seen"])
-        self.event_pos = int(state["event_pos"])
-        self.horizons = [float(h) for h in state["horizons"]]
+        super().restore_state(state, trace)
         self.inflight = [float(f) for f in state["inflight"]]
         self.ttft_window = deque(
             (float(t) for t in state["ttft_window"]),
@@ -1172,46 +1147,6 @@ class FaultAutoscaleController:
             if state["last_scale"] is None
             else float(state["last_scale"])
         )
-        self.parked = [
-            (int(index), float(eff), bool(fresh))
-            for index, eff, fresh in state["parked"]
-        ]
-        self.ledger.restore_state(state["ledger"])
-
-
-def run_autoscale_with_faults(
-    fleet,
-    trace: Sequence[ServingRequest],
-    schedule: FaultSchedule,
-    priorities: Optional[Sequence[float]] = None,
-) -> FaultAutoscaleResult:
-    """Play ``trace`` through an autoscaled fleet under a fault ``schedule``.
-
-    The control loop is the exact arithmetic of
-    :meth:`~repro.serving.autoscale.AutoscalingFleetSimulator.run` — the
-    same admission pops, rolling-percentile decisions and horizon
-    updates — restricted to the alive prefix of the fleet, with two
-    additions: per-request admission depth scales with the request's
-    priority weight (``max(1, int(depth * weight))``, exactly the
-    unweighted limit at uniform priorities), and fault events displace
-    and re-dispatch work as in :func:`run_fleet_with_faults` (displaced
-    requests bypass admission — they were already admitted once).  The
-    in-flight depth estimates of a dead chip stay in the controller's
-    heap (a dispatcher cannot observe them individually); they age out
-    by their estimated finish times.
-
-    A thin driver over :class:`FaultAutoscaleController` — the live
-    actor runtime drives the identical controller one message at a time.
-    """
-    from .dispatch import run_jobs_inline, sorted_order
-
-    controller = FaultAutoscaleController(
-        fleet, trace, schedule, priorities=priorities
-    )
-    for index in sorted_order(trace):
-        controller.on_arrival(index, trace[index])
-    controller.finish_events()
-    return controller.collect(run_jobs_inline(controller.final_jobs()))
 
 
 __all__ = [
@@ -1221,13 +1156,9 @@ __all__ = [
     "RECOVERY_TOLERANCE",
     "FaultEvent",
     "FaultSchedule",
-    "FaultFleetResult",
-    "FaultAutoscaleResult",
     "FaultRecovery",
     "FaultFleetController",
     "FaultAutoscaleController",
     "fault_recovery",
     "normalize_priorities",
-    "run_fleet_with_faults",
-    "run_autoscale_with_faults",
 ]

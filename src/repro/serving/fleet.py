@@ -14,19 +14,37 @@ Two dispatch policies are provided:
   horizon plus a batch-1 cost estimate of the request (prefill + decode).
   This is a dispatcher-side estimate, as a real front-end would compute —
   the dispatcher does not look inside the chips' queues.
+
+Every run drives the fleet's one controller,
+:class:`~repro.serving.faults.FaultFleetController`, whose fault schedule
+is empty unless the caller passes one (see :mod:`repro.serving.faults`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..core.batch import BatchCostEngine, DesignGrid, OpTable, ordered_sum
 from ..core.config import SystemConfig
 from ..core.simulator import PerformanceSimulator
 from ..models.mllm import InferenceRequest, MLLMConfig
+from .dispatch import RUNTIMES, ShardJob, make_controller, sorted_order
 from .metrics import RequestRecord, ServingReport, summarize
 from .queue import ContinuousBatchingSimulator, ServingRequest, ServingResult
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from .autoscale import AutoscaleResult
+    from .faults import FaultEvent
 
 POLICIES: Tuple[str, ...] = ("round_robin", "least_loaded")
 
@@ -72,11 +90,22 @@ def simulate_chip_shard(
 
 @dataclass(frozen=True)
 class FleetResult:
-    """Outcome of a fleet simulation: merged records plus per-chip results."""
+    """Outcome of a fleet simulation: merged records plus per-chip results.
+
+    ``records`` carry the caller's request ids and arrivals; ``per_chip``
+    is the raw chip-level view, whose records carry the synthetic ids
+    the chips simulated (see :mod:`repro.serving.faults`).
+    ``fault_events`` is the applied schedule; ``redispatched_ids`` and
+    ``aborted_ids`` account for the requests its ``chip_down`` events
+    displaced (all three are empty on a fault-free run).
+    """
 
     records: Tuple[RequestRecord, ...]
     per_chip: Tuple[ServingResult, ...]
     assignments: Tuple[int, ...]
+    fault_events: Tuple["FaultEvent", ...] = ()
+    redispatched_ids: Tuple[int, ...] = ()
+    aborted_ids: Tuple[int, ...] = ()
 
     @property
     def report(self) -> ServingReport:
@@ -96,9 +125,10 @@ class FleetSimulator:
     """Dispatches a trace across a fleet of identical EdgeMM chips.
 
     ``engine`` selects every chip's decode-loop implementation (see
-    :data:`repro.serving.queue.ENGINES`); ``processes`` fans independent
-    chip simulations out across worker processes — chips never interact
-    once dispatched, so the fan-out is trace-identical to the serial path.
+    :data:`repro.serving.queue.ENGINES`); ``processes`` fans the closing
+    engine runs of every run out across worker processes — chips never
+    interact once dispatched, so the fan-out is trace-identical to the
+    serial path.
     """
 
     def __init__(
@@ -298,32 +328,32 @@ class FleetSimulator:
         self._estimate_cache[key] = cost
         return cost
 
+    @property
+    def controller_class(self) -> type:
+        """The controller class that drives this fleet's runs."""
+        # Imported lazily: faults builds on this module.
+        from .faults import FaultFleetController
+
+        return FaultFleetController
+
+    def _dispatched(self, trace: Sequence[ServingRequest], **kwargs):
+        """The fleet's controller, fed every arrival in canonical order."""
+        controller = make_controller(self, trace, **kwargs)
+        on_arrival = controller.on_arrival
+        for index in sorted_order(trace):
+            on_arrival(index, trace[index])
+        return controller
+
     def assign(self, trace: Sequence[ServingRequest]) -> List[int]:
         """Chip index for every request of the trace, in trace order.
 
-        Assignments are positional, so traces carrying duplicate (caller-
-        supplied) request ids still dispatch every request.
+        Drives the fleet's controller exactly as :meth:`run` does, without
+        simulating the chips; ``-1`` marks a request an autoscaled fleet's
+        admission control rejected.  Assignments are positional, so traces
+        carrying duplicate (caller-supplied) request ids still dispatch
+        every request.
         """
-        if self.policy == "least_loaded" and self.precompute:
-            self.precompute_service_times(trace)
-        return self._assign(trace)
-
-    def _assign(self, trace: Sequence[ServingRequest]) -> List[int]:
-        """The assignment policy itself (caches assumed warm by callers).
-
-        Drives a stepwise :class:`~repro.serving.dispatch.
-        StaticDispatchController` over the sorted trace — the identical
-        heap/counter arithmetic the live actor runtime applies one
-        arrival message at a time, so both paths assign identically.
-        """
-        # Imported lazily: dispatch builds on this module.
-        from .dispatch import StaticDispatchController, sorted_order
-
-        controller = StaticDispatchController(self)
-        assignments = [0] * len(trace)
-        for index in sorted_order(trace):
-            assignments[index] = controller.on_arrival(index, trace[index])
-        return assignments
+        return list(self._dispatched(trace).ledger.assignments)
 
     # ------------------------------------------------------------------
     # Simulation
@@ -339,28 +369,23 @@ class FleetSimulator:
         """
         return all(type(chip.simulator) is PerformanceSimulator for chip in busy)
 
-    def _run_shards(
-        self, shards: Sequence[Sequence[ServingRequest]]
-    ) -> List[ServingResult]:
-        """Simulate one shard per chip, serially or across processes.
+    def _run_shards(self, jobs: Sequence[ShardJob]) -> Dict[int, ServingResult]:
+        """Execute the controller's closing jobs, serially or across processes.
 
         Chips are independent once dispatched, so with ``processes`` set
-        the non-empty shards fan out through
+        the jobs fan out through
         :class:`~repro.experiments.parallel.ParallelSweepRunner`; every
-        worker rebuilds its chip from picklable state and seeds it with
-        the parent chip's harvested cost memos, producing the bit-identical
-        :class:`~repro.serving.queue.ServingResult` the in-process chip
-        would return.
+        worker rebuilds the job's sim — the fleet chip or a degraded-era
+        replacement — from picklable state and seeds it with the sim's
+        harvested cost memos, producing the bit-identical
+        :class:`~repro.serving.queue.ServingResult` the in-process sim
+        would return.  Results are keyed by chip id.
         """
-        empty = ServingResult(records=(), peak_batch_size=0, decode_steps=0)
-        busy = [
-            (chip, shard) for chip, shard in zip(self.chips, shards) if shard
-        ]
         if (
             self.processes is not None
             and self.processes > 1
-            and len(busy) > 1
-            and self._parallelizable([chip for chip, _ in busy])
+            and len(jobs) > 1
+            and self._parallelizable([job.sim for job in jobs])
         ):
             # Imported lazily: repro.experiments pulls in the experiment
             # registry, which serving must not depend on at import time.
@@ -371,28 +396,23 @@ class FleetSimulator:
                 simulate_chip_shard,
                 [
                     {
-                        "system": chip.simulator.system,
+                        "system": job.sim.simulator.system,
                         "model": self.model,
-                        "chip_id": chip.chip_id,
-                        "max_batch_size": chip.max_batch_size,
-                        "cc_bandwidth_fraction": chip.cc_bandwidth_fraction,
-                        "context_bucket": chip.cost_model.context_bucket,
-                        "engine": chip.engine,
-                        "shard": list(shard),
-                        "cc_latencies": chip.cc_latencies(),
-                        "bucket_costs": chip.cost_model.bucket_costs(),
-                        "step_cache": chip.cost_model.step_cache(),
+                        "chip_id": job.chip_id,
+                        "max_batch_size": job.sim.max_batch_size,
+                        "cc_bandwidth_fraction": job.sim.cc_bandwidth_fraction,
+                        "context_bucket": job.sim.cost_model.context_bucket,
+                        "engine": job.sim.engine,
+                        "shard": list(job.shard),
+                        "cc_latencies": job.sim.cc_latencies(),
+                        "bucket_costs": job.sim.cost_model.bucket_costs(),
+                        "step_cache": job.sim.cost_model.step_cache(),
                     }
-                    for chip, shard in busy
+                    for job in jobs
                 ],
             )
-            by_chip = {
-                chip.chip_id: outcome
-                for (chip, _), outcome in zip(busy, outcomes)
-            }
-        else:
-            by_chip = {chip.chip_id: chip.run(list(shard)) for chip, shard in busy}
-        return [by_chip.get(chip.chip_id, empty) for chip in self.chips]
+            return {job.chip_id: outcome for job, outcome in zip(jobs, outcomes)}
+        return {job.chip_id: job.run() for job in jobs}
 
     def run(
         self,
@@ -401,54 +421,37 @@ class FleetSimulator:
         faults=None,
         priorities: Optional[Sequence[float]] = None,
         runtime: str = "batch",
-    ) -> FleetResult:
+    ) -> Union[FleetResult, "AutoscaleResult"]:
         """Dispatch the trace, simulate every chip and merge the records.
 
-        ``faults`` optionally routes the run through the event-driven
-        degradation path (:func:`repro.serving.faults.
-        run_fleet_with_faults`); ``priorities`` then orders post-fault
-        re-dispatch (a static fleet has no admission control, so
-        priorities only matter under faults).  With ``faults=None`` the
-        historical fault-free path runs unchanged.  ``runtime`` selects
-        the execution plane (see :data:`repro.serving.dispatch.RUNTIMES`):
-        ``"live"`` streams the trace through the asyncio actor runtime,
-        producing the bit-identical result.
+        The one run loop of every fleet kind: it feeds the fleet's
+        controller (:func:`~repro.serving.dispatch.make_controller`) every
+        arrival in canonical order, applies the trailing fault events,
+        runs the closing engine jobs (across ``processes`` when set) and
+        collects the :class:`FleetResult` — an
+        :class:`~repro.serving.autoscale.AutoscaleResult` on an autoscaled
+        fleet.  ``faults`` is an optional
+        :class:`~repro.serving.faults.FaultSchedule` (``None`` plays the
+        empty one); ``priorities`` carries one positive weight per request,
+        ordering post-fault re-dispatch and weighting an autoscaled fleet's
+        admission depth.  ``runtime`` selects the execution plane (see
+        :data:`repro.serving.dispatch.RUNTIMES`): ``"live"`` streams the
+        trace through the asyncio actor runtime, producing the
+        bit-identical result.
         """
-        if runtime != "batch":
-            from .dispatch import RUNTIMES
-
-            if runtime not in RUNTIMES:
-                raise ValueError(
-                    f"runtime must be one of {RUNTIMES}, got {runtime!r}"
-                )
+        if runtime not in RUNTIMES:
+            raise ValueError(
+                f"runtime must be one of {RUNTIMES}, got {runtime!r}"
+            )
+        if runtime == "live":
             # Imported lazily: the runtime package builds on this module.
             from .runtime import run_live
 
             return run_live(
                 self, trace, faults=faults, priorities=priorities
             ).result
-        if faults is not None:
-            # Imported lazily: faults builds on this module.
-            from .faults import run_fleet_with_faults
-
-            return run_fleet_with_faults(
-                self, trace, faults, priorities=priorities
-            )
-        if not trace:
-            raise ValueError("trace must not be empty")
-        if self.precompute:
-            self.precompute_service_times(trace)
-        assignments = self._assign(trace)
-        shards: List[List[ServingRequest]] = [[] for _ in range(self.n_chips)]
-        for request, chip_id in zip(trace, assignments):
-            shards[chip_id].append(request)
-        per_chip = self._run_shards(shards)
-        records: List[RequestRecord] = []
-        for result in per_chip:
-            records.extend(result.records)
-        records.sort(key=lambda record: record.request_id)
-        return FleetResult(
-            records=tuple(records),
-            per_chip=tuple(per_chip),
-            assignments=tuple(assignments),
+        controller = self._dispatched(
+            trace, faults=faults, priorities=priorities
         )
+        controller.finish_events()
+        return controller.collect(self._run_shards(controller.final_jobs()))

@@ -3,11 +3,10 @@
 A :class:`Checkpoint` freezes a paused run at an arrival boundary: the
 ``cursor`` (how many arrivals of the canonical ``(arrival_s,
 request_id)`` order the controller has consumed), the controller's
-serialized dynamic state (see the ``state_dict`` methods in
-:mod:`repro.serving.dispatch` and :mod:`repro.serving.faults`), and a
-digest of the trace it was taken against.  Pure memo caches are *not*
-checkpointed — they change speed, never values, and rebuild lazily —
-so a restore replays the remaining arrivals into a reconstructed
+serialized dynamic state (see the era controllers' ``state_dict`` in
+:mod:`repro.serving.faults`), and a digest of the trace it was taken
+against.  Pure memo caches are *not* checkpointed — they change speed,
+never values, and rebuild lazily — so a restore replays the remaining arrivals into a reconstructed
 controller and produces byte-identical records, reports and goldens
 (the hypothesis suite asserts this across process boundaries and hash
 seeds).
@@ -31,8 +30,9 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Union
 from ..dispatch import request_to_state
 from ..queue import ENGINES, ServingRequest
 
-#: Format marker written into every checkpoint file.
-CHECKPOINT_VERSION = 1
+#: Format marker written into every checkpoint file.  Version 2: the era
+#: controllers drive every run, and synthetic ids are canonical ranks.
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -67,12 +67,14 @@ def trace_digest(trace: Sequence[ServingRequest]) -> str:
 class Checkpoint:
     """A paused live run, frozen at an arrival boundary.
 
-    ``kind`` names the controller class that produced ``controller``
-    (``"static"``, ``"autoscale"``, ``"fault_fleet"``,
-    ``"fault_autoscale"``); ``cursor`` counts consumed arrivals in
-    canonical order; ``trace_sha256`` pins the trace; ``scenario``
-    (optional) embeds the originating scenario spec's ``to_dict`` data
-    plus the engine so scenario checkpoints are self-contained.  An
+    ``kind`` names the controller that produced ``controller`` — one
+    per fleet kind: ``"fault_fleet"`` for a static fleet,
+    ``"fault_autoscale"`` for an autoscaled one — and the controller
+    state itself pins the fault schedule it ran under; ``cursor`` counts
+    consumed arrivals in canonical order; ``trace_sha256`` pins the
+    trace; ``scenario`` (optional) embeds the originating scenario
+    spec's ``to_dict`` data plus the engine so scenario checkpoints are
+    self-contained.  An
     ``engine`` outside :data:`~repro.serving.queue.ENGINES` raises
     :class:`CheckpointError` at construction, so no checkpoint that parses
     can fail later in fleet construction.

@@ -141,9 +141,9 @@ def _restore(
     """Load ``checkpoint`` into a fresh ``controller``; returns its cursor.
 
     Every way the checkpoint can disagree with the rebuilt controller —
-    another controller kind, state the controller refuses, a cursor
-    outside the trace or different from the arrivals the state holds —
-    raises :class:`CheckpointError`.
+    another controller kind, another fault schedule, state the
+    controller refuses, a cursor outside the trace or different from the
+    arrivals the state holds — raises :class:`CheckpointError`.
     """
     if controller.kind != checkpoint.kind:
         raise CheckpointError(
@@ -288,9 +288,9 @@ def run_live(
 
     ``fleet`` is a :class:`~repro.serving.fleet.FleetSimulator` or
     :class:`~repro.serving.autoscale.AutoscalingFleetSimulator`;
-    ``faults`` and ``priorities`` route exactly as the batch ``run``
-    routes them, so the returned :class:`SupervisedRun`'s ``result``
-    matches the batch result field for field.  ``pace`` throttles
+    ``faults`` and ``priorities`` configure its controller exactly as the
+    batch ``run`` does, so the returned :class:`SupervisedRun`'s
+    ``result`` matches the batch result field for field.  ``pace`` throttles
     ingestion against the wall clock (``10.0`` = tenfold-accelerated
     simulated time; ``None`` = flat out, in ``batch_size`` chunks); it
     never changes the result.  ``pause_after`` stops the stream after
@@ -341,8 +341,9 @@ def resume_live(
     ``fleet``, ``trace``, ``faults`` and ``priorities`` must reconstruct
     the original run's configuration — the trace is verified against the
     checkpoint's digest, the rebuilt controller's kind against its
-    ``kind`` and the restored controller against its ``cursor``; any
-    mismatch raises :class:`CheckpointError`.  The tail replays through
+    ``kind``, the fault schedule against the one in its controller state
+    and the restored controller against its ``cursor``; any mismatch
+    raises :class:`CheckpointError`.  The tail replays through
     the same supervisor, so the combined run is byte-identical to an
     uninterrupted one (asserted by the hypothesis suite across process
     boundaries), chaos or not.  ``pause_after`` (an absolute arrival

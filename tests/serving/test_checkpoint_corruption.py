@@ -2,8 +2,9 @@
 
 A checkpoint is the one artifact that crosses process boundaries, so
 every failure mode — truncation, garbage bytes, a foreign JSON shape,
-an unsupported version, missing or mistyped fields, a retired or unknown
-engine, a wrong trace digest, tampered controller state — must surface
+an unsupported version (including a file in the retired version-1
+format), missing or mistyped fields, a retired or unknown engine, a
+wrong trace digest, tampered controller state — must surface
 as a single
 :class:`~repro.serving.runtime.checkpoint.CheckpointError` whose
 message names what was wrong, never a hang, a KeyError leak or a
@@ -16,13 +17,39 @@ from pathlib import Path
 
 import pytest
 
+from repro.models.mllm import InferenceRequest, get_mllm
 from repro.scenarios.registry import get_scenario
+from repro.serving import FleetSimulator, build_trace
 from repro.serving.runtime import (
     Checkpoint,
     CheckpointError,
+    resume_live,
     resume_scenario,
     run_scenario_live,
 )
+
+#: A version-1 checkpoint, written by the retired plain static
+#: controller (whose synthetic ids were trace positions) after two
+#: arrivals of :func:`_version_1_trace` on a two-chip fleet.
+VERSION_1_CHECKPOINT = {
+    "controller": {
+        "assignments": [[0, 0], [1, 1]],
+        "heap": [[0.0, 0], [0.0, 1]],
+        "kind": "static",
+        "position": 2,
+    },
+    "cursor": 2,
+    "kind": "static",
+    "trace_sha256": (
+        "2ba5b8d8e7bcf8796ab3c7d0cda44e5da333bc74e7cc00a33e82be06079d53ca"
+    ),
+    "version": 1,
+}
+
+
+def _version_1_trace():
+    shape = InferenceRequest(images=0, prompt_text_tokens=16, output_tokens=4)
+    return build_trace([0.0, 0.5, 1.0, 1.5], [shape] * 4)
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +138,25 @@ class TestParseMatrix:
             Checkpoint.from_json("{")
 
 
+class TestRetiredVersion:
+    def test_version_1_file_is_rejected_by_name(self, tmp_path):
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(VERSION_1_CHECKPOINT), encoding="utf-8")
+        with pytest.raises(
+            CheckpointError, match="unsupported checkpoint version 1"
+        ) as excinfo:
+            Checkpoint.load(path)
+        assert str(path) in str(excinfo.value)
+
+    def test_version_1_payload_never_reaches_a_controller(self):
+        # Same trace and fleet as the file was taken against: only the
+        # version gate stands between it and a silently wrong resume.
+        trace = _version_1_trace()
+        fleet = FleetSimulator(get_mllm("sphinx-tiny"), n_chips=2)
+        with pytest.raises(CheckpointError, match="version 1"):
+            resume_live(fleet, trace, Checkpoint.from_dict(VERSION_1_CHECKPOINT))
+
+
 class TestResumeGuards:
     def test_wrong_trace_digest(self, checkpoint):
         data = checkpoint.to_dict()
@@ -122,6 +168,15 @@ class TestResumeGuards:
     def test_tampered_controller_state(self, checkpoint):
         data = checkpoint.to_dict()
         data["controller"] = {"bogus": 1}
+        with pytest.raises(CheckpointError, match="invalid or tampered"):
+            resume_scenario(Checkpoint.from_dict(data))
+
+    def test_tampered_arrival_count(self, checkpoint):
+        # A negative count with a matching cursor would otherwise resume
+        # from a truncated arrival order.
+        data = json.loads(checkpoint.to_json())
+        data["controller"]["n_seen"] = -1
+        data["cursor"] = get_scenario("chat-poisson").n_requests - 1
         with pytest.raises(CheckpointError, match="invalid or tampered"):
             resume_scenario(Checkpoint.from_dict(data))
 

@@ -1,11 +1,11 @@
-"""Edge-branch tests for the autoscale and fault dispatch controllers.
+"""Edge-branch tests for the two era controllers.
 
 Targeted at the branches the broad differential/property suites rarely
 reach: autoscaler-config validation, the `AutoscaleResult` helper
-properties, fault-autoscale scale-downs, parked arrivals surviving an
-outage (and a checkpoint taken mid-outage), and the guard rails on the
-fault paths' entry points.  Together with the main suites these keep
-`repro.serving` above the CI coverage floor.
+properties, autoscaled scale-downs, parked arrivals surviving an outage
+(and a checkpoint taken mid-outage), and the guard rails on
+`fleet.run`.  Together with the main suites these keep `repro.serving`
+above the CI coverage floor.
 """
 
 import pytest

@@ -32,7 +32,6 @@ from repro.serving.faults import (
     _degraded_chip,
     fault_recovery,
     normalize_priorities,
-    run_fleet_with_faults,
 )
 
 N_REQUESTS = 60
@@ -128,7 +127,7 @@ class TestScheduleValidation:
             events=(FaultEvent(time_s=1.0, kind="chip_down", chip_id=5),)
         )
         with pytest.raises(ValueError, match="chip"):
-            run_fleet_with_faults(fleet, list(trace), schedule)
+            fleet.run(list(trace), faults=schedule)
 
 
 class TestDegradedChip:
@@ -211,7 +210,7 @@ class TestConservation:
         schedule = _random_schedule(rng, n_chips=3, span=trace[-1].arrival_s)
         policy = rng.choice(("round_robin", "least_loaded"))
         fleet = FleetSimulator(model, n_chips=3, policy=policy, max_batch_size=8)
-        result = run_fleet_with_faults(fleet, list(trace), schedule)
+        result = fleet.run(list(trace), faults=schedule)
         assert sorted(r.request_id for r in result.records) == list(
             range(len(trace))
         )
@@ -234,7 +233,7 @@ class TestConservation:
         fleet = FleetSimulator(
             model, n_chips=3, policy="least_loaded", max_batch_size=8
         )
-        result = run_fleet_with_faults(fleet, list(trace), schedule)
+        result = fleet.run(list(trace), faults=schedule)
         chip_of = dict(zip((r.request_id for r in trace), result.assignments))
         for record in result.records:
             outages = _down_intervals(schedule, chip_of[record.request_id])
@@ -261,7 +260,7 @@ class TestRecoveryMetrics:
         fleet = FleetSimulator(
             model, n_chips=2, policy="least_loaded", max_batch_size=8
         )
-        result = run_fleet_with_faults(fleet, list(trace), schedule)
+        result = fleet.run(list(trace), faults=schedule)
         (metrics,) = fault_recovery(result.records, schedule.events)
         assert metrics.event == down  # chip_up is restorative, not measured
 
@@ -301,7 +300,7 @@ class TestTotalOutage:
             FaultEvent(time_s=round(0.7 * span, 6), kind="chip_up", chip_id=1),
         )
         fleet = FleetSimulator(model, n_chips=2, max_batch_size=8)
-        result = run_fleet_with_faults(fleet, list(trace), FaultSchedule(events))
+        result = fleet.run(list(trace), faults=FaultSchedule(events))
         assert sorted(r.request_id for r in result.records) == list(
             range(len(trace))
         )
@@ -323,12 +322,12 @@ class TestTotalOutage:
         )
         fleet = FleetSimulator(model, n_chips=2, max_batch_size=8)
         with pytest.raises(ValueError, match="never dispatched"):
-            run_fleet_with_faults(fleet, list(trace), FaultSchedule(events))
+            fleet.run(list(trace), faults=FaultSchedule(events))
 
     def test_empty_trace_is_rejected(self, model):
         fleet = FleetSimulator(model, n_chips=2)
         with pytest.raises(ValueError, match="empty"):
-            run_fleet_with_faults(fleet, [], FaultSchedule())
+            fleet.run([], faults=FaultSchedule())
 
     def test_recovery_window_must_be_positive(self):
         with pytest.raises(ValueError, match="window"):

@@ -86,6 +86,24 @@ class TestFleetRun:
         assert reports[2].tokens_per_second == 0.0
         assert reports[2].latency.p99 == 0.0
 
+    @pytest.mark.parametrize(
+        "priorities, match",
+        [
+            ([1.0] * (N_REQUESTS - 1), "entries"),
+            ([1.0] * (N_REQUESTS - 1) + [0.0], "positive"),
+            ([-1.0] * N_REQUESTS, "positive"),
+        ],
+        ids=["short", "zero", "negative"],
+    )
+    def test_priorities_are_validated_without_faults(
+        self, model, trace, priorities, match
+    ):
+        # A static fleet's admission ignores priorities, but a malformed
+        # list is still an error, not silently dropped.
+        fleet = FleetSimulator(model, n_chips=2)
+        with pytest.raises(ValueError, match=match):
+            fleet.run(trace, priorities=priorities)
+
     def test_single_chip_fleet_matches_direct_simulation(self, model, trace):
         direct = ContinuousBatchingSimulator(model=model, max_batch_size=8).run(trace)
         fleet = FleetSimulator(
@@ -157,6 +175,40 @@ class TestParallelChips:
             assert chip_parallel.records == chip_serial.records
             assert chip_parallel.peak_batch_size == chip_serial.peak_batch_size
             assert chip_parallel.decode_steps == chip_serial.decode_steps
+
+    def test_process_fanout_covers_faulted_runs(self, model, trace):
+        # The closing eras of a faulted run fan out too, including a
+        # degraded era whose job carries its own (replacement) sim.
+        from repro.serving.faults import FaultEvent, FaultSchedule
+
+        span = trace[-1].arrival_s
+        schedule = FaultSchedule(
+            events=(
+                FaultEvent(time_s=0.3 * span, kind="chip_down", chip_id=0),
+                FaultEvent(
+                    time_s=0.4 * span, kind="dram_degrade", chip_id=1,
+                    factor=0.5,
+                ),
+                FaultEvent(time_s=0.6 * span, kind="chip_up", chip_id=0),
+            )
+        )
+
+        def fleet(**kwargs):
+            return FleetSimulator(
+                model, n_chips=3, policy="least_loaded", max_batch_size=8,
+                **kwargs,
+            )
+
+        serial = fleet().run(trace, faults=schedule)
+        parallel_fleet = fleet(processes=3)
+        jobs = parallel_fleet._dispatched(trace, faults=schedule)
+        jobs.finish_events()
+        assert any(
+            job.sim is not parallel_fleet.chips[job.chip_id]
+            for job in jobs.final_jobs()
+        )
+        parallel = parallel_fleet.run(trace, faults=schedule)
+        assert parallel == serial
 
     def test_single_process_stays_serial(self, model, trace):
         fleet = FleetSimulator(model, n_chips=2, processes=1)

@@ -23,7 +23,7 @@ from repro.serving import (
     build_trace,
 )
 from repro.serving.dispatch import (
-    StaticDispatchController,
+    make_controller,
     request_from_state,
     request_to_state,
     sorted_order,
@@ -216,8 +216,8 @@ class TestSupervisor:
         arrivals = [(index, trace[index]) for index in sorted_order(trace)]
 
         async def session():
-            controller = StaticDispatchController(
-                FleetSimulator(model, n_chips=2)
+            controller = make_controller(
+                FleetSimulator(model, n_chips=2), trace
             )
             supervisor = SupervisorActor(
                 controller,

@@ -9,8 +9,8 @@ in a checkpoint depends on interpreter state, hash randomization or
 memo caches; the JSON file alone reconstructs the computation.
 
 Deterministic tests cover the checkpoint format itself (JSON round
-trip, version gate) and the guard rails (trace digest mismatch,
-controller kind mismatch, scenario-less resume).
+trip, version gate) and the guard rails (trace digest mismatch, fault
+schedule mismatch, fleet kind mismatch, scenario-less resume).
 """
 
 import json
@@ -27,11 +27,19 @@ from hypothesis import strategies as st
 from repro.models.mllm import get_mllm
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import run_scenario
-from repro.serving import FleetSimulator, PoissonArrivals, RequestSampler, build_trace
+from repro.serving import (
+    AutoscalerConfig,
+    AutoscalingFleetSimulator,
+    FleetSimulator,
+    PoissonArrivals,
+    RequestSampler,
+    build_trace,
+)
 from repro.serving.faults import FaultEvent, FaultSchedule
 from repro.serving.queue import ENGINES
 from repro.serving.runtime import (
     Checkpoint,
+    CheckpointError,
     resume_live,
     resume_scenario,
     run_live,
@@ -40,12 +48,12 @@ from repro.serving.runtime import (
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-#: One scenario per controller kind, all cheap on the wave engine.
+#: Each fleet kind with and without faults, all cheap on the wave engine.
 POOL = (
     "chat-poisson",  # static
-    "edge-kiosk-overload",  # autoscale
-    "chat-chipfail",  # fault_fleet
-    "tenant-tiers",  # fault_autoscale
+    "edge-kiosk-overload",  # autoscaled
+    "chat-chipfail",  # static, faulted
+    "tenant-tiers",  # autoscaled, faulted, tenant priorities
 )
 
 _BATCH_CACHE = {}
@@ -143,7 +151,7 @@ class TestCheckpointFormat:
         assert checkpoint.engine == engine
         assert checkpoint.cursor == 10
         data = json.loads(checkpoint.to_json())
-        assert data["version"] == 1
+        assert data["version"] == 2
         assert Checkpoint.from_dict(data) == checkpoint
 
     def test_unsupported_version_rejected(self):
@@ -214,14 +222,26 @@ class TestFleetLevelGuards:
         with pytest.raises(ValueError, match="different trace"):
             resume_live(fleet, other, checkpoint)
 
-    def test_kind_mismatch_rejected(self, model):
+    def test_schedule_mismatch_rejected(self, model):
         trace = self._trace(7)
         fleet = FleetSimulator(model, n_chips=2)
         checkpoint = run_live(fleet, trace, pause_after=5)
-        with pytest.raises(ValueError, match="controller"):
-            resume_live(
-                fleet, trace, checkpoint, faults=FaultSchedule()
-            )
+        outage = FaultSchedule(
+            events=(FaultEvent(time_s=1.0, kind="chip_down", chip_id=0),)
+        )
+        with pytest.raises(CheckpointError, match="'schedule'"):
+            resume_live(fleet, trace, checkpoint, faults=outage)
+
+    def test_static_checkpoint_rejected_by_an_autoscaled_fleet(self, model):
+        trace = self._trace(7)
+        checkpoint = run_live(
+            FleetSimulator(model, n_chips=2), trace, pause_after=5
+        )
+        autoscaled = AutoscalingFleetSimulator(
+            model, autoscaler=AutoscalerConfig(target_p99_ttft_s=1.0)
+        )
+        with pytest.raises(CheckpointError, match="controller"):
+            resume_live(autoscaled, trace, checkpoint)
 
     def test_scenarioless_checkpoint_needs_resume_live(self, model):
         trace = self._trace(7)
