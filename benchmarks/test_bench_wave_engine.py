@@ -68,7 +68,6 @@ def _chip(engine, donor=None):
     if donor is not None:
         chip.seed_cc_latencies(donor.cc_latencies())
         chip.cost_model.seed_bucket_costs(donor.cost_model.bucket_costs())
-        chip.cost_model.seed_step_cache(donor.cost_model.step_cache())
     return chip
 
 

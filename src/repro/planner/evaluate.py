@@ -41,32 +41,28 @@ class DesignWarmCache:
 
     Every candidate built on the same chip design replays the same trace
     against the same cost model, so the expensive memoizations — the
-    performance simulator's op cache, CC-stage latencies, decode bucket
-    triples and whole-step latencies — are design properties, not candidate
-    properties.  The planner harvests them from each finished fleet and
-    seeds the next fleet of the same design; every seeded value is a
-    deterministic function of the design, so warmed runs are bit-identical
-    to cold ones (regression-tested).
+    performance simulator's op cache, CC-stage latencies and decode bucket
+    triples — are design properties, not candidate properties.  The planner
+    harvests them from each finished fleet and seeds the next fleet of the
+    same design; every seeded value is a deterministic function of the
+    design, so warmed runs are bit-identical to cold ones (regression-tested).
     """
 
     simulator: PerformanceSimulator
     cc_latencies: Dict[Tuple[int, int], float] = field(default_factory=dict)
     bucket_costs: Dict[int, Tuple[int, int, float]] = field(default_factory=dict)
-    step_cache: Dict[Tuple[int, ...], float] = field(default_factory=dict)
 
     def seed_fleet(self, fleet: FleetSimulator) -> None:
         """Warm every chip of a fresh fleet from the harvested caches."""
         for chip in fleet.chips:
             chip.seed_cc_latencies(self.cc_latencies)
             chip.cost_model.seed_bucket_costs(self.bucket_costs)
-            chip.cost_model.seed_step_cache(self.step_cache)
 
     def harvest_fleet(self, fleet: FleetSimulator) -> None:
         """Fold a finished fleet's per-chip memoizations back into the cache."""
         for chip in fleet.chips:
             self.cc_latencies.update(chip.cc_latencies())
             self.bucket_costs.update(chip.cost_model.bucket_costs())
-            self.step_cache.update(chip.cost_model.step_cache())
 
     def delta_seed_from(
         self, neighbor: "DesignWarmCache", changed: AbstractSet[str]
@@ -85,10 +81,10 @@ class DesignWarmCache:
           byte/cycle-level quantities with no bandwidth term (memory time
           is applied per step from the chip's own DRAM tier).
 
-        Whole-step latencies and the op cache depend on every axis and
-        never transfer.  Transferred values are float-identical to what a
-        cold run would recompute (asserted in the property suite), so
-        delta-warmed simulation stays bit-identical to cold simulation.
+        The op cache depends on every axis and never transfers.  Transferred
+        values are float-identical to what a cold run would recompute
+        (asserted in the property suite), so delta-warmed simulation stays
+        bit-identical to cold simulation.
         """
         if changed == {"keep_fraction"}:
             for key, value in neighbor.cc_latencies.items():
@@ -241,10 +237,9 @@ def evaluate_candidate(
     ``warm`` optionally carries per-design memoizations (keyed by design
     name) across candidates of one planning run; warmed evaluations are
     bit-identical to cold ones because every cached value is a
-    deterministic function of the design.  The harvested CC-latency,
-    bucket-cost and composition/run-length (step) memos feed both decode
-    engines, so the default wave ``engine`` replays warm exactly like the
-    per-step oracle would.
+    deterministic function of the design.  The harvested CC-latency and
+    bucket-cost memos feed both decode engines, so the default wave
+    ``engine`` replays warm exactly like the per-step oracle would.
     """
     model = get_mllm(spec.fleet.model)
     cache = None

@@ -2,7 +2,7 @@
 
 The per-step event loop of :meth:`~repro.serving.queue.
 ContinuousBatchingSimulator.run_step` pays one Python iteration — a batch
-scan, a composition hash, a per-stream update loop — for *every* decode
+scan, a per-stream cost sum, a per-stream update loop — for *every* decode
 step.  :func:`run_wave` removes that scalar hot path by exploiting two
 structural invariants of the continuous-batching discipline:
 
@@ -22,11 +22,11 @@ Bit-identity with the per-step loop is a hard guarantee, not an
 approximation.  Boundary timestamps are rebuilt by the loop's own left
 fold (``t_{i} = t_{i-1} + dt``) — in Python, ``itertools.accumulate`` or
 ``np.add.accumulate``, which is defined element by element, unlike
-``np.sum``'s pairwise reduction — and every ``dt`` is the identical
-float from :meth:`~repro.serving.queue.BatchDecodeCostModel.
-step_latency_for_buckets`'s order-preserving memo.  The one modelling
-assumption beyond the per-step loop: CC-stage latencies are strictly
-positive, so two prefills never complete at the same instant.
+``np.sum``'s pairwise reduction — and every ``dt`` is the oracle's float,
+since the step cost is order-free and the engine keeps its integer sums
+exact.  The one modelling assumption beyond the per-step loop: CC-stage
+latencies are strictly positive, so two prefills never complete at the
+same instant.
 ``tests/serving/test_wave_engine.py`` asserts ``==`` equality of every
 record field and counter across randomized traces.
 
@@ -197,11 +197,12 @@ def run_wave(
     ) = _wave_columns(chip, trace)
     n = len(ids)
     cost_model = chip.cost_model
-    step_latency_for_buckets = cost_model.step_latency_for_buckets
-    # The composition -> step-latency memo is probed inline (the engine
-    # co-owns it with the cost model through seed/snapshot hooks); misses
-    # fall through to the cost model, which fills the same dict.
-    step_cache_get = cost_model._step_cache.get
+    step_latency_for_sums = cost_model.step_latency_for_sums
+    # Bucket -> stream-pair memo probed inline: a method call at every
+    # admit, finish and crossing costs measurably more.  Misses fall
+    # through to the cost model, which builds and checks the pair.
+    stream_cost = cost_model.stream_cost
+    stream_cost_get = cost_model._stream_cost.get
     # Inlined context_bucket_for: quantization runs a few times per
     # request, and the three-deep call chain through the cost model costs
     # more than the arithmetic.  ``test_wave_engine`` pins the inlined
@@ -216,17 +217,16 @@ def run_wave(
     # Stage 2: run-compressed decode over the columns.  Streams enter the
     # ready queue in CC completion order == dispatch order, so a single
     # cursor replaces the queue.  Active-stream state lives in parallel
-    # lists, in admission order (the order the composition memo key
-    # preserves).
+    # lists, in admission order.
     act: List[int] = []  # index into the dispatch-ordered columns
     ctx_offset: List[int] = []  # context - global step count, constant per run
-    buckets: List[int] = []  # current bucket per stream
+    pairs: List[Tuple[int, int]] = []  # current bucket's stream pair
     cross_at: List[int] = []  # absolute step count of the next bucket change
     finish_at: List[int] = []  # absolute step count of the last token
     first_token: List[Optional[float]] = []
     act_append = act.append
     ctx_offset_append = ctx_offset.append
-    buckets_append = buckets.append
+    pairs_append = pairs.append
     cross_at_append = cross_at.append
     finish_at_append = finish_at.append
     first_token_append = first_token.append
@@ -245,18 +245,8 @@ def run_wave(
     inf = float("inf")
     next_cross = inf
     min_finish = inf
-    # Uniform-composition fast path: when every active stream sits in
-    # the same context bucket, the ordered composition tuple is fully
-    # determined by (bucket value, batch size) — there is exactly one
-    # ordering — so a two-tuple memo stands in for building and hashing
-    # the full width-`batch` tuple every chain iteration.  `mixed`
-    # counts streams whose bucket differs from the anchor value; the
-    # fast path only fires at zero, so a stale anchor can only miss the
-    # optimisation, never change a latency.
-    uniform_value = 0
-    mixed = 0
-    uniform_memo: dict = {}
-    uniform_get = uniform_memo.get
+    # Sums of the active streams' pairs, the step latency's only inputs.
+    stream_bytes = compute = 0
 
     while act or cursor < n:
         if not act:
@@ -275,14 +265,12 @@ def run_wave(
             bucket = ((max(context, 1) + width - 1) // width) * width
             cross = steps + bucket - context + 1
             finish = steps + outputs[cursor]
-            if not act:
-                uniform_value = bucket
-                mixed = 0
-            elif bucket != uniform_value:
-                mixed += 1
+            pair = stream_cost_get(bucket) or stream_cost(bucket)
+            stream_bytes += pair[0]
+            compute += pair[1]
             act_append(cursor)
             ctx_offset_append(context - steps)
-            buckets_append(bucket)
+            pairs_append(pair)
             cross_at_append(cross)
             finish_at_append(finish)
             first_token_append(None)
@@ -305,19 +293,7 @@ def run_wave(
         # chain at any boundary that could), so the chain only ends at a
         # finish or at an admission boundary.
         while True:
-            if mixed:
-                key = tuple(buckets)
-                dt = step_cache_get(key)
-                if dt is None:
-                    dt = step_latency_for_buckets(key)
-            else:
-                dt = uniform_get((uniform_value, batch))
-                if dt is None:
-                    key = (uniform_value,) * batch
-                    dt = step_cache_get(key)
-                    if dt is None:
-                        dt = step_latency_for_buckets(key)
-                    uniform_memo[(uniform_value, batch)] = dt
+            dt = step_latency_for_sums(stream_bytes, compute)
             # Longest run with this composition: up to the earliest finish
             # or bucket crossing (both strictly ahead of the count) ...
             k = (next_cross if next_cross < min_finish else min_finish) - steps
@@ -421,11 +397,11 @@ def run_wave(
                             chip_id=chip_id,
                         )
                     )
-                    if buckets[position] != uniform_value:
-                        mixed -= 1
+                    pair = pairs.pop(position)
+                    stream_bytes -= pair[0]
+                    compute -= pair[1]
                     del act[position]
                     del ctx_offset[position]
-                    del buckets[position]
                     removed = cross_at[position]
                     del cross_at[position]
                     del finish_at[position]
@@ -439,11 +415,11 @@ def run_wave(
                     position = cross_at.index(steps)
                     context = ctx_offset[position] + steps
                     bucket = ((max(context, 1) + width - 1) // width) * width
-                    if buckets[position] != uniform_value:
-                        mixed -= 1
-                    if bucket != uniform_value:
-                        mixed += 1
-                    buckets[position] = bucket
+                    old = pairs[position]
+                    pair = stream_cost_get(bucket) or stream_cost(bucket)
+                    stream_bytes += pair[0] - old[0]
+                    compute += pair[1] - old[1]
+                    pairs[position] = pair
                     cross_at[position] = steps + bucket - context + 1
                 next_cross = min(cross_at)
             if finished:

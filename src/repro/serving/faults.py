@@ -42,7 +42,7 @@ A degraded era runs on a fresh chip whose system carries the scaled
 DRAM tier; its decode bucket-cost triples seed from the healthy chip
 (they are bandwidth-free byte/cycle quantities, see
 :meth:`~repro.planner.evaluate.DesignWarmCache.delta_seed_from`), while
-CC-stage and whole-step latencies recompute against the degraded
+CC-stage and decode-step latencies recompute against the degraded
 bandwidth.  Because era splits use the engine-independent
 ``prefill_windows`` recurrence and era replays go through
 ``chip.run()`` (bit-identical across the ``step`` and ``wave``
@@ -387,7 +387,7 @@ def _degraded_chip(
 
     The factor is absolute against the chip's healthy baseline.  Decode
     bucket-cost triples seed from the healthy chip — they carry no
-    bandwidth term — while CC-stage and whole-step latencies recompute
+    bandwidth term — while CC-stage and decode-step latencies recompute
     lazily against the degraded tier.
     """
     if factor == 1.0:
@@ -1060,7 +1060,7 @@ class FaultAutoscaleController(_EraController):
             len(self.ttft_window) >= config.min_observations
             and now - self.last_scale >= config.cooldown_s
         ):
-            rolling = percentile(list(self.ttft_window), 99)
+            rolling = percentile(self.ttft_window, 99)
             target = config.target_p99_ttft_s
             if (
                 rolling > target * config.scale_up_ratio

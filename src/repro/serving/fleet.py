@@ -61,15 +61,14 @@ def simulate_chip_shard(
     shard: Sequence[ServingRequest],
     cc_latencies: Dict[Tuple[int, int], float],
     bucket_costs: Dict[int, Tuple[int, int, float]],
-    step_cache: Dict[Tuple[int, ...], float],
 ) -> ServingResult:
     """Picklable worker: rebuild one fleet chip and simulate its shard.
 
     ``system`` and ``model`` recreate the chip's performance simulator and
     workload; ``chip_id``, ``max_batch_size``, ``cc_bandwidth_fraction``,
     ``context_bucket`` and ``engine`` restore the serving configuration;
-    ``shard`` is the chip's dispatched slice of the trace; ``cc_latencies``,
-    ``bucket_costs`` and ``step_cache`` seed the rebuilt chip's cost memos
+    ``shard`` is the chip's dispatched slice of the trace; ``cc_latencies``
+    and ``bucket_costs`` seed the rebuilt chip's cost memos
     (harvested from the dispatching fleet — they only change speed, never
     values, so the worker's result is bit-identical to an in-process run).
     """
@@ -84,7 +83,6 @@ def simulate_chip_shard(
     )
     chip.seed_cc_latencies(cc_latencies)
     chip.cost_model.seed_bucket_costs(bucket_costs)
-    chip.cost_model.seed_step_cache(step_cache)
     return chip.run(list(shard))
 
 
@@ -406,7 +404,6 @@ class FleetSimulator:
                         "shard": list(job.shard),
                         "cc_latencies": job.sim.cc_latencies(),
                         "bucket_costs": job.sim.cost_model.bucket_costs(),
-                        "step_cache": job.sim.cost_model.step_cache(),
                     }
                     for job in jobs
                 ],

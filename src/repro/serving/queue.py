@@ -20,6 +20,7 @@ lookups, not thousands of full workload simulations.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -56,6 +57,14 @@ def build_trace(
     ]
 
 
+#: Decode compute cycles are summed in integer units of 2**-COMPUTE_SCALE_BITS.
+COMPUTE_SCALE_BITS = 64
+
+
+class StepCostError(ValueError):
+    """A bucket cost triple the order-free step cost cannot sum exactly."""
+
+
 class BatchDecodeCostModel:
     """Latency of one decode step for a batch of streams.
 
@@ -66,12 +75,13 @@ class BatchDecodeCostModel:
     cycles)`` is computed once per bucket and then reused for every stream
     and every step that lands in the bucket.
 
-    Whole steps memoize too: the step latency is a pure function of the
-    batch's bucket composition, and a steady-state decode batch repeats the
-    same composition for thousands of consecutive steps, so the event loop
-    usually pays one tuple hash per step instead of a per-stream scan.  The
-    memo key preserves stream order, which keeps the cached float identical
-    to the freshly-folded one.
+    The step latency is order-free: for the shared weight bytes ``W`` it
+    is ``cycles_to_seconds(max(memory_cycles(W + Σ bytes), Σ compute))``,
+    where ``Σ compute`` is the exact sum of the streams' compute cycles
+    rounded once (``==`` ``math.fsum``), kept by callers as sums of
+    per-stream integer pairs (:meth:`stream_cost`).  Unpruned compute
+    cycles are integers, on which the former float left fold over the
+    batch was already exact, so unpruned results did not move.
     """
 
     def __init__(
@@ -91,14 +101,17 @@ class BatchDecodeCostModel:
         self.mc_bandwidth_fraction = mc_bandwidth_fraction
         self.context_bucket = context_bucket
         self.pool = "mc" if simulator.has_mc else "cc"
-        self._bucket_cost: Dict[int, Tuple[int, int, float]] = {}
-        self._step_cache: Dict[Tuple[int, ...], float] = {}
+        self._stream_cost: Dict[int, Tuple[int, int]] = {}
+        self._weight_bytes: Optional[int] = None
+        # Traffic bytes -> (memory cycles, their seconds).
+        self._memory: Dict[int, Tuple[float, float]] = {}
 
     def seed_bucket_costs(
         self, bucket_costs: Dict[int, Tuple[int, int, float]]
     ) -> None:
         """Install precomputed per-bucket cost triples (fleet warm-up)."""
-        self._bucket_cost.update(bucket_costs)
+        for bucket, cost in bucket_costs.items():
+            self._stream_cost[bucket] = self._stream_pair(bucket, cost)
 
     def bucket_costs(self) -> Dict[int, Tuple[int, int, float]]:
         """Snapshot of the memoized per-bucket cost triples.
@@ -106,27 +119,22 @@ class BatchDecodeCostModel:
         The harvest side of :meth:`seed_bucket_costs`: callers replaying
         the same chip design (e.g. the capacity planner's per-design warm
         cache) copy one chip's triples into the next chip's model instead
-        of re-deriving them through workload lowering.
+        of re-deriving them through workload lowering.  Each triple is
+        rebuilt exactly from its bucket's stream pair.
         """
-        return dict(self._bucket_cost)
-
-    def seed_step_cache(self, step_cache: Dict[Tuple[int, ...], float]) -> None:
-        """Install memoized step latencies keyed by batch composition.
-
-        Companion of :meth:`seed_bucket_costs` for the whole-step memo;
-        seeded values must come from :meth:`step_cache` of a model with the
-        same chip design, bandwidth split and context bucket, in which case
-        they are bit-identical to what this model would compute.
-        """
-        self._step_cache.update(step_cache)
+        scale = -COMPUTE_SCALE_BITS
+        return {
+            bucket: (self._weight_bytes, stream_bytes, math.ldexp(compute, scale))
+            for bucket, (stream_bytes, compute) in self._stream_cost.items()
+        }
 
     def step_cache(self) -> Dict[Tuple[int, ...], float]:
-        """Snapshot of the memoized per-composition step latencies."""
-        return dict(self._step_cache)
+        """Always ``{}``: no step memo exists (e2ebench still reads its size)."""
+        return {}
 
     def has_bucket_cost(self, bucket: int) -> bool:
         """True when the bucket's cost triple is already memoized."""
-        return bucket in self._bucket_cost
+        return bucket in self._stream_cost
 
     def bucket_for(self, context: int) -> int:
         """The context bucket a given context length quantizes to."""
@@ -139,9 +147,6 @@ class BatchDecodeCostModel:
 
     def _cost(self, bucket: int) -> Tuple[int, int, float]:
         """(shared weight bytes, per-stream bytes, per-stream compute cycles)."""
-        cached = self._bucket_cost.get(bucket)
-        if cached is not None:
-            return cached
         phase = self.model.decode_step(bucket)
         keep = self.simulator.effective_keep_fraction()
         weight_bytes = 0
@@ -154,49 +159,62 @@ class BatchDecodeCostModel:
             weight_bytes += op.pruned_weight_bytes(keep)
             total_bytes += execution.dram_bytes
             compute_cycles += execution.compute_cycles
-        cost = (weight_bytes, total_bytes - weight_bytes, compute_cycles)
-        self._bucket_cost[bucket] = cost
-        return cost
+        return weight_bytes, total_bytes - weight_bytes, compute_cycles
+
+    def _stream_pair(
+        self, bucket: int, cost: Tuple[int, int, float]
+    ) -> Tuple[int, int]:
+        """Check one bucket's triple and convert it to its stream pair."""
+        weight_bytes, stream_bytes, compute = cost
+        shared = self._weight_bytes
+        if shared is not None and weight_bytes != shared:
+            raise StepCostError(
+                f"bucket {bucket}: weight_bytes {weight_bytes} differs from "
+                f"the {shared} of the other buckets"
+            )
+        # ldexp is exact here; NaN and infinities scale to non-integers.
+        scaled = math.ldexp(compute, COMPUTE_SCALE_BITS)
+        if not (compute >= 0 and scaled.is_integer()):
+            raise StepCostError(
+                f"bucket {bucket}: compute_cycles must be finite, >= 0 and a "
+                f"multiple of 2**-{COMPUTE_SCALE_BITS}, got {compute!r}"
+            )
+        self._weight_bytes = weight_bytes
+        return stream_bytes, int(scaled)
+
+    def stream_cost(self, bucket: int) -> Tuple[int, int]:
+        """One stream's opaque ``(bytes, compute)`` integer pair in ``bucket``."""
+        pair = self._stream_cost.get(bucket)
+        if pair is None:
+            pair = self._stream_pair(bucket, self._cost(bucket))
+            self._stream_cost[bucket] = pair
+        return pair
 
     def step_latency_s(self, context_lengths: Sequence[int]) -> float:
         """Seconds to generate one token for every stream in the batch."""
         if not context_lengths:
             raise ValueError("context_lengths must not be empty")
-        buckets = tuple(self._bucket(context) for context in context_lengths)
-        return self.step_latency_for_buckets(buckets)
+        stream_bytes = compute = 0
+        for context in context_lengths:
+            pair = self.stream_cost(self._bucket(context))
+            stream_bytes += pair[0]
+            compute += pair[1]
+        return self.step_latency_for_sums(stream_bytes, compute)
 
-    def step_latency_for_buckets(self, buckets: Tuple[int, ...]) -> float:
-        """Step latency for an already-quantized batch composition.
-
-        The bucket-domain twin of :meth:`step_latency_s` for callers that
-        track bucket compositions directly (the wave engine keeps every
-        stream's bucket incrementally instead of re-quantizing the whole
-        batch each step).  The fold over ``buckets`` and the memo key
-        are the exact ones :meth:`step_latency_s` uses, so both entry
-        points share one cache and return bit-identical floats.
-        """
-        if not buckets:
-            raise ValueError("buckets must not be empty")
-        cached = self._step_cache.get(buckets)
-        if cached is not None:
-            return cached
-        weight_bytes = 0
-        per_stream_bytes = 0
-        compute_cycles = 0.0
-        for bucket in buckets:
-            shared, per_stream, compute = self._cost(bucket)
-            # Weights are identical for every stream; read them once per step.
-            weight_bytes = max(weight_bytes, shared)
-            per_stream_bytes += per_stream
-            compute_cycles += compute
-        memory_cycles = self.simulator.memory_cycles(
-            weight_bytes + per_stream_bytes, self.pool, self.mc_bandwidth_fraction
-        )
-        latency = self.simulator.chip.cycles_to_seconds(
-            max(memory_cycles, compute_cycles)
-        )
-        self._step_cache[buckets] = latency
-        return latency
+    def step_latency_for_sums(self, stream_bytes: int, compute: int) -> float:
+        """Step latency of a batch from the sums of its streams' pairs."""
+        traffic = self._weight_bytes + stream_bytes
+        memory = self._memory.get(traffic)
+        if memory is None:
+            cycles = self.simulator.memory_cycles(
+                traffic, self.pool, self.mc_bandwidth_fraction
+            )
+            memory = (cycles, self.simulator.chip.cycles_to_seconds(cycles))
+            self._memory[traffic] = memory
+        compute_cycles = math.ldexp(compute, -COMPUTE_SCALE_BITS)
+        if memory[0] >= compute_cycles:
+            return memory[1]
+        return self.simulator.chip.cycles_to_seconds(compute_cycles)
 
 
 @dataclass

@@ -234,7 +234,6 @@ class TestParallelChips:
             shard=list(trace),
             cc_latencies=chip.cc_latencies(),
             bucket_costs=chip.cost_model.bucket_costs(),
-            step_cache=chip.cost_model.step_cache(),
         )
         assert rebuilt.records == direct.records
         assert rebuilt.peak_batch_size == direct.peak_batch_size

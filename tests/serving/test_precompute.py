@@ -1,4 +1,4 @@
-"""Serving fast paths: batched precomputation, step memo, heap dispatch.
+"""Serving fast paths: batched precomputation, step cost, heap dispatch.
 
 Every optimisation here carries the same contract as the batch engine:
 identical trace output, bit for bit, to the unoptimised path.
@@ -118,25 +118,20 @@ class TestHeapDispatch:
         assert assignments == expected
 
 
-class TestStepLatencyMemo:
-    def test_step_memo_returns_identical_floats(self):
+class TestStepLatency:
+    def test_fresh_model_returns_identical_float(self):
         model = get_mllm("sphinx-tiny")
         cost = BatchDecodeCostModel(PerformanceSimulator(), model)
         contexts = [64, 100, 500, 64]
         first = cost.step_latency_s(contexts)
-        assert len(cost._step_cache) == 1
         assert cost.step_latency_s(contexts) == first
         fresh = BatchDecodeCostModel(PerformanceSimulator(), model)
         assert fresh.step_latency_s(contexts) == first
 
-    def test_memo_keys_on_bucket_composition(self):
+    def test_contexts_in_the_same_buckets_share_a_latency(self):
         model = get_mllm("sphinx-tiny")
         cost = BatchDecodeCostModel(
             PerformanceSimulator(), model, context_bucket=32
         )
-        # 65 and 70 share the 96-token bucket: one memo entry.
-        cost.step_latency_s([65, 70])
-        cost.step_latency_s([66, 95])
-        assert len(cost._step_cache) == 1
-        cost.step_latency_s([65, 70, 95])
-        assert len(cost._step_cache) == 2
+        # 65, 66, 70 and 95 all quantize to the 96-token bucket.
+        assert cost.step_latency_s([65, 70]) == cost.step_latency_s([66, 95])

@@ -1,9 +1,15 @@
 """Continuous-batching queue tests: invariants of the serving engine."""
 
+import math
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.simulator import PerformanceSimulator
 from repro.models.mllm import InferenceRequest, get_mllm
+from repro.planner.space import ChipDesign
 from repro.serving import (
     BatchDecodeCostModel,
     ContinuousBatchingSimulator,
@@ -12,6 +18,7 @@ from repro.serving import (
     ServingRequest,
     build_trace,
 )
+from repro.serving.queue import COMPUTE_SCALE_BITS, StepCostError
 
 N_REQUESTS = 60
 
@@ -99,7 +106,65 @@ class TestBatchDecodeCostModel:
         )
         cost.step_latency_s([65, 70, 95])
         # 65, 70 and 95 all quantize to the 96-token bucket.
-        assert len(cost._bucket_cost) == 1
+        assert len(cost.bucket_costs()) == 1
+
+
+#: A pruned, compute-bound design: every bucket's compute cycles carry a
+#: fraction, so a float left fold over a batch depends on stream order.
+PRUNED_SYSTEM = ChipDesign(
+    n_groups=1,
+    cc_per_group=1,
+    mc_per_group=1,
+    dram_gbps=204.8,
+    keep_fraction=0.4,
+).system()
+
+
+class TestOrderFreeStepCost:
+    @given(
+        buckets=st.lists(
+            st.sampled_from(range(32, 1249, 32)), min_size=8, max_size=8
+        )
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_every_permutation_returns_the_exact_sum(self, model, buckets):
+        simulator = PerformanceSimulator(PRUNED_SYSTEM)
+        cost = BatchDecodeCostModel(simulator, model, context_bucket=32)
+        triples = [cost._cost(bucket) for bucket in buckets]
+        memory = simulator.memory_cycles(
+            triples[0][0] + sum(triple[1] for triple in triples),
+            cost.pool,
+            cost.mc_bandwidth_fraction,
+        )
+        compute = math.fsum(triple[2] for triple in triples)
+        assert compute > memory  # the design is compute-bound here
+        reference = simulator.chip.cycles_to_seconds(max(memory, compute))
+        for order in set(permutations(buckets)):
+            assert cost.step_latency_s(list(order)) == reference
+
+
+class TestStepCostError:
+    def _cost(self, model):
+        return BatchDecodeCostModel(PerformanceSimulator(), model)
+
+    @pytest.mark.parametrize(
+        "compute", [math.nan, math.inf, -1.0, 2.0 ** -(COMPUTE_SCALE_BITS + 1)]
+    )
+    def test_unrepresentable_compute_raises(self, model, compute):
+        with pytest.raises(StepCostError, match="bucket 64: compute_cycles"):
+            self._cost(model).seed_bucket_costs({64: (1000, 10, compute)})
+
+    def test_compute_at_the_scale_resolution_is_accepted(self, model):
+        cost = self._cost(model)
+        triple = (1000, 10, 2.0 ** -COMPUTE_SCALE_BITS)
+        cost.seed_bucket_costs({64: triple})
+        assert cost.bucket_costs() == {64: triple}
+
+    def test_unequal_weight_bytes_raise(self, model):
+        cost = self._cost(model)
+        cost.seed_bucket_costs({32: (1000, 10, 5.0)})
+        with pytest.raises(StepCostError, match="bucket 64: weight_bytes"):
+            cost.seed_bucket_costs({64: (1001, 20, 5.0)})
 
 
 class TestValidation:

@@ -1,6 +1,7 @@
 """Serving-metric tests: percentile math and report aggregation."""
 
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -58,6 +59,27 @@ class TestPercentile:
         assert percentile(values, 50) == 2.0
         stats = PercentileStats.from_values(values)
         assert stats.mean == 2.0
+
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(min_value=1e-12, max_value=1e6),
+                # A small pool of repeats makes ties common.
+                st.sampled_from((1e-12, 0.1, 0.5, 3.0, 1e6)),
+            ),
+            min_size=1,
+            max_size=80,
+        ),
+        q=st.one_of(
+            st.sampled_from((0, 95, 99, 100)),
+            st.floats(min_value=0.0, max_value=100.0),
+        ),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_equals_numpy_percentile(self, values, q):
+        # The rolling window the autoscaling controller reads is a deque.
+        expected = float(np.percentile(np.asarray(values, dtype=float), q))
+        assert percentile(deque(values), q) == expected
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.batch import context_bucket_for
+from repro.core.simulator import PerformanceSimulator
 from repro.models.mllm import get_mllm
 from repro.planner.__main__ import _build_parser as planner_parser
 from repro.planner.evaluate import (
@@ -30,6 +31,7 @@ from repro.planner.evaluate import (
     simulate_candidate,
 )
 from repro.planner.plan import plan_scenario
+from repro.planner.space import ChipDesign
 from repro.scenarios.__main__ import _build_parser as scenarios_parser
 from repro.scenarios.runner import build_fleet, run_scenario
 from repro.serving import (
@@ -49,38 +51,41 @@ from repro.serving.runtime.service import run_scenario_live
 
 MODEL = get_mllm("sphinx-tiny")
 
-#: Shared cost-cache donor: every chip in this module prices the same
-#: model on the same default system, and the CC-latency / bucket-cost /
-#: step memos are independent of batch size and bucket width, so chips
-#: seed from (and harvest back into) one pool.  Seeding moves work, never
-#: values, so both engines of a comparison get identical caches.
-_DONOR = {
-    "cc": {},
-    "buckets": {},
-    "steps": {},
-}
+#: A pruned, compute-bound chip: its buckets' compute cycles carry
+#: fractions, so its step latencies depend on how the per-stream compute
+#: is summed (``None`` below stands for the default system).
+PRUNED = ChipDesign(
+    n_groups=1, cc_per_group=1, mc_per_group=1, dram_gbps=204.8, keep_fraction=0.4
+)
+
+#: Shared cost-cache donors, one per chip design: every chip of a design
+#: prices the same model on the same system, and the CC-latency and
+#: bucket-cost memos are independent of batch size and bucket width, so
+#: chips seed from (and harvest back into) their design's pool.  Seeding
+#: moves work, never values, so both engines of a comparison get
+#: identical caches.
+_DONORS = {design: {"cc": {}, "buckets": {}} for design in (None, PRUNED)}
 
 
-def _chip(engine, *, max_batch_size=8, context_bucket=32):
+def _chip(engine, *, max_batch_size=8, context_bucket=32, design=None):
     chip = ContinuousBatchingSimulator(
+        None if design is None else PerformanceSimulator(design.system()),
         model=MODEL,
         max_batch_size=max_batch_size,
         context_bucket=context_bucket,
         engine=engine,
     )
-    chip.seed_cc_latencies(_DONOR["cc"])
-    chip.cost_model.seed_bucket_costs(_DONOR["buckets"])
-    chip.cost_model.seed_step_cache(_DONOR["steps"])
+    chip.seed_cc_latencies(_DONORS[design]["cc"])
+    chip.cost_model.seed_bucket_costs(_DONORS[design]["buckets"])
     return chip
 
 
-def _harvest(chip):
-    _DONOR["cc"].update(chip.cc_latencies())
-    _DONOR["buckets"].update(chip.cost_model.bucket_costs())
-    _DONOR["steps"].update(chip.cost_model.step_cache())
+def _harvest(chip, design=None):
+    _DONORS[design]["cc"].update(chip.cc_latencies())
+    _DONORS[design]["buckets"].update(chip.cost_model.bucket_costs())
 
 
-def run_both(trace, *, max_batch_size=8, context_bucket=32):
+def run_both(trace, *, max_batch_size=8, context_bucket=32, design=None):
     """(wave result, step result) of the same trace on twin chips."""
     results = []
     for engine in ("wave", "step"):
@@ -88,9 +93,10 @@ def run_both(trace, *, max_batch_size=8, context_bucket=32):
             engine,
             max_batch_size=max_batch_size,
             context_bucket=context_bucket,
+            design=design,
         )
         results.append(chip.run(trace))
-        _harvest(chip)
+        _harvest(chip, design)
     return results
 
 
@@ -198,10 +204,11 @@ class TestPropertyEquivalence:
         max_batch=st.integers(min_value=1, max_value=12),
         bucket=st.sampled_from((1, 4, 16, 32, 64, 96)),
         images=st.integers(min_value=0, max_value=2),
+        design=st.sampled_from((None, PRUNED)),
     )
     @settings(max_examples=30, deadline=None)
     def test_wave_equals_step(
-        self, n, seed, rate, bursty, max_batch, bucket, images
+        self, n, seed, rate, bursty, max_batch, bucket, images, design
     ):
         # Mixed output lengths churn the batch composition constantly —
         # the regime where an unsound admission cutoff or composition
@@ -210,7 +217,12 @@ class TestPropertyEquivalence:
             n, seed=seed, rate=rate, bursty=bursty, images=images
         )
         assert_identical(
-            *run_both(trace, max_batch_size=max_batch, context_bucket=bucket)
+            *run_both(
+                trace,
+                max_batch_size=max_batch,
+                context_bucket=bucket,
+                design=design,
+            )
         )
 
     @given(
