@@ -29,7 +29,6 @@ randomized configurations.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -60,6 +59,7 @@ __all__ = [
     "batch_price_request_mix",
     "batch_service_time_bounds",
     "context_bucket_for",
+    "reachable_buckets",
     "ordered_sum",
 ]
 
@@ -864,19 +864,38 @@ def context_bucket_for(context: int, context_bucket: int) -> int:
     ) * context_bucket
 
 
-class ServiceTimeBoundsPricer:
-    """Reusable service-time-bound evaluator over a fixed shape set.
+#: Designs :meth:`ServiceTimeBoundsPricer.seeds` prices per pass: its broadcast
+#: matrices take ~0.1 MB per design on a 100-shape trace, its memos far less.
+SEED_CHUNK_DESIGNS = 16
 
-    Compiling the *shape side* of :func:`batch_service_time_bounds` — the
-    merged CC-stage op table, the decode-bucket op table, per-shape prompt
-    lengths and bucket histograms — is design-independent and costs far
-    more than one additional design row in the broadcasted evaluation.
-    The pricer hoists that compilation into ``__init__`` so callers that
-    bound *many* batches of designs against the *same* trace (the flat
-    planner chunking over a huge grid, the branch-and-bound planner
-    pricing one wave of subgrid corners per tree level) pay it exactly
-    once; :meth:`bounds` then evaluates any batch of systems with only the
-    per-design broadcast work.
+
+def reachable_buckets(prompt: int, output_tokens: int, context_bucket: int) -> range:
+    """The context buckets a request's decode steps are priced in.
+
+    A request with ``prompt`` prompt tokens decodes its ``output_tokens``
+    tokens at contexts ``prompt … prompt + output_tokens - 1``, so it
+    reaches every ``context_bucket``-wide bucket from its prompt's to its
+    last context's: the one definition, for the pricer and the fleet.
+    """
+    return range(
+        context_bucket_for(prompt, context_bucket),
+        context_bucket_for(prompt + output_tokens - 1, context_bucket) + 1,
+        context_bucket,
+    )
+
+
+class ServiceTimeBoundsPricer:
+    """Grid pricer of a fixed shape set's serving costs across chip designs.
+
+    The one code path that prices a design's serving costs in bulk.  Its
+    *shape side* — one merged CC-stage phase per ``(images,
+    prompt_text_tokens)``, one decode-step phase per bucket any shape's
+    decode reaches (:func:`reachable_buckets`) — is design-independent,
+    so it is compiled once and every evaluation runs only per-design
+    broadcast work over one shared per-bucket reduction: :meth:`bounds`
+    floors every shape's service times (the planner's bound pass), and
+    :meth:`seeds` returns the memos fleet precompute and the planner's
+    warm caches install in their chips.
 
     ``batch_service_time_bounds(model, shapes, systems)`` is equivalent to
     ``ServiceTimeBoundsPricer(model, shapes).bounds(systems)`` and the
@@ -896,56 +915,52 @@ class ServiceTimeBoundsPricer:
             raise ValueError("cc_bandwidth_fraction must be in (0, 1)")
         if context_bucket < 1:
             raise ValueError("context_bucket must be >= 1")
-        unique: Dict[InferenceRequest, None] = {}
-        for shape in shapes:
-            unique.setdefault(shape, None)
-        if not unique:
+        self.shapes: Tuple[InferenceRequest, ...] = tuple(dict.fromkeys(shapes))
+        if not self.shapes:
             raise ValueError("shapes must not be empty")
         self.model = model
         self.cc_bandwidth_fraction = cc_bandwidth_fraction
         self.context_bucket = context_bucket
-        self.shapes: Tuple[InferenceRequest, ...] = tuple(unique)
         self._shape_column = {
             shape: column for column, shape in enumerate(self.shapes)
         }
-
-        # Chip-independent tables: one merged CC-stage phase per shape, one
-        # decode-step phase per context bucket any shape's decode touches.
-        cc_phases: List[Tuple[str, Sequence[Op], int]] = []
-        prompts: List[int] = []
-        bucket_counts: List[Counter] = []
-        buckets: Dict[int, None] = {}
-        for index, shape in enumerate(self.shapes):
-            merged = model.cc_stage_phase(shape.images, shape.prompt_text_tokens)
-            cc_phases.append((f"{index}/cc_stage", merged.ops, merged.repeat))
-            prompt = model.prompt_tokens(shape)
-            prompts.append(prompt)
-            counts = Counter(
-                context_bucket_for(prompt + step, context_bucket)
-                for step in range(shape.output_tokens)
+        # The output length does not enter the CC stage, so shapes that
+        # differ only in it share one CC phase.
+        cc_column: Dict[Tuple[int, int], int] = {}
+        buckets = set()
+        for shape in self.shapes:
+            cc = (shape.images, shape.prompt_text_tokens)
+            cc_column.setdefault(cc, len(cc_column))
+            buckets.update(
+                reachable_buckets(
+                    model.prompt_tokens(shape), shape.output_tokens, context_bucket
+                )
             )
-            bucket_counts.append(counts)
-            buckets.setdefault(context_bucket_for(prompt, context_bucket), None)
-            for bucket in counts:
-                buckets.setdefault(bucket, None)
-        self._bucket_list = sorted(buckets)
-        self._bucket_column = {
-            bucket: column for column, bucket in enumerate(self._bucket_list)
-        }
-        self._decode_table = OpTable(
-            "decode_bounds",
-            [
-                (f"bucket/{bucket}", model.decode_step(bucket).ops, 1)
-                for bucket in self._bucket_list
-            ],
-        )
-        self._cc_table = OpTable("cc_stage_bounds", cc_phases)
-        self._prompts = prompts
-        self._bucket_counts = bucket_counts
-        self._first_columns = [
-            self._bucket_column[context_bucket_for(prompt, context_bucket)]
-            for prompt in prompts
+        #: The keys every :meth:`seeds` pair fills, in column order.
+        self.cc_shapes: Tuple[Tuple[int, int], ...] = tuple(cc_column)
+        self.buckets: Tuple[int, ...] = tuple(sorted(buckets))
+        self._cc_columns = [
+            cc_column[(shape.images, shape.prompt_text_tokens)] for shape in self.shapes
         ]
+        self._bucket_column = {bucket: i for i, bucket in enumerate(self.buckets)}
+        self._tables: Optional[Tuple[OpTable, OpTable]] = None
+
+    def _op_tables(self) -> Tuple[OpTable, OpTable]:
+        """The CC-stage and decode-step op tables, lowered on first use."""
+        if self._tables is None:
+            cc = [self.model.cc_stage_phase(*shape) for shape in self.cc_shapes]
+            decode = {b: self.model.decode_step(b) for b in self.buckets}
+            self._tables = (
+                OpTable(
+                    "cc_stage_bounds",
+                    [(f"cc/{i}", p.ops, p.repeat) for i, p in enumerate(cc)],
+                ),
+                OpTable(
+                    "decode_bounds",
+                    [(f"bucket/{b}", p.ops, 1) for b, p in decode.items()],
+                ),
+            )
+        return self._tables
 
     @property
     def n_shapes(self) -> int:
@@ -971,11 +986,80 @@ class ServiceTimeBoundsPricer:
             dtype=np.int64,
         )
 
+    def _priced(self, systems: Tuple[SystemConfig, ...]):
+        """Price ``systems`` one pool group at a time.
+
+        Yields ``(points, decode grid, decode pool, CC latency, weight
+        bytes, traffic bytes, compute cycles)``, columns per :attr:`cc_shapes`
+        or :attr:`buckets`.  Points group by pool availability: the serving
+        engine's CC stage falls back to MC on MC-only chips (and decode to
+        CC on CC-only chips), and the batch engine prices one pool per call.
+        """
+        groups: Dict[Tuple[bool, bool], List[int]] = {}
+        for point, system in enumerate(systems):
+            key = (system.chip.n_cc_clusters > 0, system.chip.n_mc_clusters > 0)
+            groups.setdefault(key, []).append(point)
+        for (has_cc, has_mc), points in groups.items():
+            cc_table, decode_table = self._op_tables()
+            subset = [systems[point] for point in points]
+            grid = DesignGrid.from_systems(
+                subset, bandwidth_fraction=self.cc_bandwidth_fraction
+            )
+            pool = "cc" if has_cc else "mc"
+            cycles = BatchCostEngine(grid).op_costs(cc_table, pool=pool).cycles
+            # BatchCostEngine._reduce_phase's latency_s fold, alone.
+            cc_latency = np.stack(
+                [
+                    ordered_sum(cycles[:, cc_table.order[s.start : s.stop]])
+                    * s.repeat
+                    / grid.frequency_hz
+                    for s in cc_table.phases
+                ],
+                axis=1,
+            )
+            # Decode-bucket sums mirror BatchDecodeCostModel._cost: per-op
+            # bytes and compute at bandwidth_fraction=1 on the decode pool.
+            pool = "mc" if has_mc else "cc"
+            grid = DesignGrid.from_systems(subset, bandwidth_fraction=1.0)
+            per_op = BatchCostEngine(grid).op_costs(decode_table, pool=pool)
+            index = [decode_table.order[s.start : s.stop] for s in decode_table.phases]
+            yield (
+                points,
+                grid,
+                pool,
+                cc_latency,
+                np.stack([per_op.pruned_weight_bytes[:, i].sum(1) for i in index], 1),
+                np.stack([per_op.traffic_bytes[:, i].sum(1) for i in index], 1),
+                np.stack([ordered_sum(per_op.compute_cycles[:, i]) for i in index], 1),
+            )
+
+    def seeds(self, systems: Sequence[SystemConfig]) -> List[Tuple[Dict, Dict]]:
+        """Every system's ``(cc_latencies, bucket_costs)``, in input order.
+
+        Both take the forms
+        :meth:`~repro.serving.queue.ContinuousBatchingSimulator.seed_cc_latencies`
+        and :meth:`~repro.serving.queue.BatchDecodeCostModel.seed_bucket_costs`
+        accept, keyed by :attr:`cc_shapes` and :attr:`buckets`.  Each value
+        is the float the scalar serving cost model computes, so seeded chips
+        replay bit-identically to chips that price lazily.
+        """
+        seeds: List = [None] * len(systems)
+        for start in range(0, len(systems), SEED_CHUNK_DESIGNS):
+            chunk = tuple(systems[start : start + SEED_CHUNK_DESIGNS])
+            for points, _, _, cc_latency, *sums in self._priced(chunk):
+                for row, point in enumerate(points):
+                    rows = zip(*(column[row].tolist() for column in sums))
+                    seeds[start + point] = (
+                        dict(zip(self.cc_shapes, cc_latency[row].tolist())),
+                        {b: (w, t - w, c) for b, (w, t, c) in zip(self.buckets, rows)},
+                    )
+        return seeds
+
     def bounds(self, systems: Sequence[SystemConfig]) -> ServiceTimeBounds:
         """Evaluate the compiled shapes against a batch of ``systems``.
 
         Only the per-design broadcast runs here; the shape-side tables are
-        reused from ``__init__``, so calling this repeatedly with small
+        compiled once per pricer, so calling this repeatedly with small
         system batches costs the same total broadcast work as one big call.
         """
         if not systems:
@@ -984,68 +1068,38 @@ class ServiceTimeBoundsPricer:
         n_points, n_shapes = len(system_list), len(self.shapes)
 
         prefill_s = np.zeros((n_points, n_shapes), dtype=np.float64)
-        step_s = np.zeros((n_points, len(self._bucket_list)), dtype=np.float64)
-        mc_bandwidth_fraction = 1.0 - self.cc_bandwidth_fraction
-
-        # Points grouped by pool availability: the serving engine's CC stage
-        # falls back to the MC pool on MC-only chips (and decode to CC on
-        # CC-only chips), and the batch engine requires a uniform pool string
-        # per evaluation.
-        pool_groups: Dict[Tuple[bool, bool], List[int]] = {}
-        for point, system in enumerate(system_list):
-            key = (system.chip.n_cc_clusters > 0, system.chip.n_mc_clusters > 0)
-            pool_groups.setdefault(key, []).append(point)
-
-        for (has_cc, has_mc), points in pool_groups.items():
-            subset = [system_list[point] for point in points]
-            cc_pool = "cc" if has_cc else "mc"
-            decode_pool = "mc" if has_mc else "cc"
-
-            cc_grid = DesignGrid.from_systems(
-                subset, bandwidth_fraction=self.cc_bandwidth_fraction
+        step_s = np.zeros((n_points, len(self.buckets)), dtype=np.float64)
+        for points, grid, pool, cc_latency, _, traffic, compute in self._priced(
+            system_list
+        ):
+            prefill_s[points] = cc_latency[:, self._cc_columns]
+            # A batch-of-one decode step: one memory_cycles over the
+            # stream's whole traffic at the MC bandwidth share.
+            buffer_bytes = grid.mc_buffer if pool == "mc" else grid.cc_buffer
+            memory = costs.memory_cycles(
+                traffic,
+                buffer_bytes=buffer_bytes[:, None],
+                dram_bytes_per_cycle=grid.dram_bytes_per_cycle[:, None],
+                bandwidth_fraction=1.0 - self.cc_bandwidth_fraction,
+                request_overhead_cycles=grid.request_overhead_cycles[:, None],
+                request_latency_cycles=grid.request_latency_cycles[:, None],
             )
-            cc_result = BatchCostEngine(cc_grid).evaluate(
-                self._cc_table, pool=cc_pool
-            )
-            for column in range(n_shapes):
-                prefill_s[points, column] = cc_result.phases[column].latency_s
+            step_s[points] = np.maximum(memory, compute) / grid.frequency_hz[:, None]
 
-            # Decode-step cost triples mirror BatchDecodeCostModel._cost:
-            # per-op bytes and compute at bandwidth_fraction=1, then one
-            # step-level memory_cycles over the total traffic at the MC
-            # bandwidth share.
-            decode_grid = DesignGrid.from_systems(subset, bandwidth_fraction=1.0)
-            matrices = BatchCostEngine(decode_grid).op_costs(
-                self._decode_table, pool=decode_pool
-            )
-            buffer_bytes = (
-                decode_grid.mc_buffer
-                if decode_pool == "mc"
-                else decode_grid.cc_buffer
-            )
-            for column, slice_ in enumerate(self._decode_table.phases):
-                index = self._decode_table.order[slice_.start : slice_.stop]
-                traffic = matrices.traffic_bytes[:, index].sum(axis=1)
-                compute = ordered_sum(matrices.compute_cycles[:, index])
-                memory = costs.memory_cycles(
-                    traffic,
-                    buffer_bytes=buffer_bytes,
-                    dram_bytes_per_cycle=decode_grid.dram_bytes_per_cycle,
-                    bandwidth_fraction=mc_bandwidth_fraction,
-                    request_overhead_cycles=decode_grid.request_overhead_cycles,
-                    request_latency_cycles=decode_grid.request_latency_cycles,
-                )
-                step_s[points, column] = (
-                    np.maximum(memory, compute) / decode_grid.frequency_hz
-                )
-
-        first_step_s = step_s[:, self._first_columns]
+        width, column_of = self.context_bucket, self._bucket_column
+        first_columns = []
         decode_floor_s = np.zeros((n_points, n_shapes), dtype=np.float64)
-        for column, counts in enumerate(self._bucket_counts):
-            for bucket, count in sorted(counts.items()):
-                decode_floor_s[:, column] += (
-                    count * step_s[:, self._bucket_column[bucket]]
-                )
+        for column, shape in enumerate(self.shapes):
+            # One single-stream step per output token, in the bucket it
+            # decodes under (bucket b holds contexts b - width + 1 … b).
+            first = self.model.prompt_tokens(shape)
+            last = first + shape.output_tokens - 1
+            reached = reachable_buckets(first, shape.output_tokens, width)
+            first_columns.append(column_of[reached[0]])
+            for bucket in reached:
+                count = min(bucket, last) - max(bucket - width + 1, first) + 1
+                decode_floor_s[:, column] += count * step_s[:, column_of[bucket]]
+        first_step_s = step_s[:, first_columns]
         return ServiceTimeBounds(
             systems=system_list,
             shapes=self.shapes,

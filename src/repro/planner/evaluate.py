@@ -42,10 +42,13 @@ class DesignWarmCache:
     Every candidate built on the same chip design replays the same trace
     against the same cost model, so the expensive memoizations — the
     performance simulator's op cache, CC-stage latencies and decode bucket
-    triples — are design properties, not candidate properties.  The planner
-    harvests them from each finished fleet and seeds the next fleet of the
-    same design; every seeded value is a deterministic function of the
-    design, so warmed runs are bit-identical to cold ones (regression-tested).
+    triples — are design properties, not candidate properties.  A pruned
+    plan fills every survivor's cache from its bound pass's
+    :meth:`~repro.core.batch.ServiceTimeBoundsPricer.seeds`, so no fleet of
+    the design prices a cost; brute force harvests them from each finished
+    fleet and seeds the next fleet of the same design.  Every seeded value
+    is a deterministic function of the design, so warmed runs are
+    bit-identical to cold ones (regression-tested).
     """
 
     simulator: PerformanceSimulator

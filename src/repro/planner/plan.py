@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.batch import ServiceTimeBoundsPricer
 from ..core.simulator import PerformanceSimulator
 from ..scenarios.compile import compile_scenario
 from ..scenarios.spec import ScenarioSpec, SLOSpec
@@ -36,7 +37,7 @@ from .evaluate import (
     simulate_candidate,
 )
 from .pareto import pareto_frontier
-from .prune import DesignBounds, prune_designs
+from .prune import DesignBounds, prune_designs, trace_pricer
 from .report import PlanEntry, PlanReport, plan_hash
 from .space import ChipDesign, FleetOption, PlannerConfig
 from .store import PlanStore, candidate_key
@@ -119,19 +120,26 @@ def _serial_outcomes(
     candidates: Sequence[Tuple[ChipDesign, FleetOption]],
     targets: Dict[str, float],
     engine: str,
+    pricer: Optional[ServiceTimeBoundsPricer],
 ) -> List[CandidateOutcome]:
     """Simulate candidates serially with warm + delta-warm cost caches.
 
     Candidates sharing a chip design share one warm cost cache (the
-    memoized values are design properties), and a *fresh* design's cache is
-    delta-seeded from every already-simulated design it differs from on a
-    single transferable axis: a ``keep_fraction`` neighbor donates its
-    CC-stage latencies, a ``dram_gbps`` neighbor its decode bucket triples.
-    All transferred memos are float-identical to what a cold run would
-    recompute, so warmed and delta-warmed runs are bit-identical to cold
-    ones (property-tested) — just faster.
+    memoized values are design properties).  The bound pass's ``pricer``
+    seeds every design's cache from one ``seeds`` call; without it (brute
+    force) a *fresh* design's cache is delta-seeded from every
+    already-simulated design it differs from on a single transferable
+    axis: a ``keep_fraction`` neighbor donates its CC-stage latencies, a
+    ``dram_gbps`` neighbor its decode bucket triples.  All seeded memos
+    are float-identical to what a cold run would recompute, so warmed
+    runs are bit-identical to cold ones (property-tested) — just faster.
     """
     warm: Dict[str, DesignWarmCache] = {}
+    if pricer is not None:
+        designs = {design.name: design for design, _ in candidates}
+        systems = [design.system() for design in designs.values()]
+        for name, system, seeds in zip(designs, systems, pricer.seeds(systems)):
+            warm[name] = DesignWarmCache(PerformanceSimulator(system), *seeds)
     seen: Dict[str, ChipDesign] = {}
     outcomes: List[CandidateOutcome] = []
     for design, option in candidates:
@@ -211,6 +219,7 @@ def plan_scenario(
 
     n_pruned_subgrids: Optional[int] = None
     n_bound_evals: Optional[int] = None
+    pricer = trace_pricer(compiled) if prune else None
     if not prune:
         bounds: Sequence[DesignBounds] = [
             DesignBounds(design, lb_ttft_p99_s=None, lb_latency_p95_s=None)
@@ -218,13 +227,13 @@ def plan_scenario(
         ]
         survivors = list(designs)
     elif search == "bnb":
-        result = bnb_prune_designs(compiled, designs, targets)
+        result = bnb_prune_designs(compiled, designs, targets, pricer=pricer)
         bounds = result.verdicts
         survivors = list(result.survivors)
         n_pruned_subgrids = result.n_pruned_subgrids
         n_bound_evals = result.n_bound_evals
     else:
-        bounds = prune_designs(compiled, designs, targets)
+        bounds = prune_designs(compiled, designs, targets, pricer=pricer)
         survivors = [verdict.design for verdict in bounds if verdict.feasible]
     candidates: List[Tuple[ChipDesign, FleetOption]] = [
         (design, option) for design in survivors for option in options
@@ -282,6 +291,7 @@ def plan_scenario(
             [candidate for _, candidate in to_simulate],
             targets,
             engine,
+            pricer,
         )
 
     by_index = dict(stored)

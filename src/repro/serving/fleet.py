@@ -34,7 +34,7 @@ from typing import (
     Union,
 )
 
-from ..core.batch import BatchCostEngine, DesignGrid, OpTable, ordered_sum
+from ..core.batch import ServiceTimeBoundsPricer
 from ..core.config import SystemConfig
 from ..core.simulator import PerformanceSimulator
 from ..models.mllm import InferenceRequest, MLLMConfig
@@ -187,114 +187,36 @@ class FleetSimulator:
         return groups
 
     def precompute_service_times(self, trace: Sequence[ServingRequest]) -> None:
-        """Warm every chip's cost caches with one (chips × buckets) grid pass.
+        """Seed every chip with the trace's serving costs in one grid pass.
 
-        The fleet's chips would each lazily derive the same CC-stage
-        latencies and decode-bucket cost triples through the scalar
-        simulator.  This precomputation prices the whole fleet at once:
-        chips group by system equality, each group of systems becomes one
-        :class:`~repro.core.batch.DesignGrid` point, and every missing
-        request shape (or initial context bucket) becomes one phase of a
-        single :class:`~repro.core.batch.OpTable` — so all (group, shape)
-        CC latencies come out of one ``evaluate`` call and all
-        (group, bucket) decode cost triples out of one ``op_costs`` call,
-        instead of a table build and engine pass per shape.  Per-phase
-        reductions slice the shared op-order array exactly as the
-        single-phase tables would, and op costs are pure per unique
-        signature, so seeded values are bit-identical to the scalar path
-        and traces replay unchanged.
-
-        Buckets that only appear later (contexts grow as tokens generate)
-        still resolve lazily through the scalar path.
+        Chips group by system equality; every group lacking the CC-stage
+        latency of a request shape or the cost triple of a decode bucket the
+        trace reaches is priced by one
+        :meth:`~repro.core.batch.ServiceTimeBoundsPricer.seeds` call instead
+        of deriving them lazily through the scalar simulator.  Seeded values
+        are the floats the scalar path computes, so traces replay unchanged;
+        a fleet whose chips hold every cost already (e.g. from the planner's
+        warm cache) builds no table.
         """
         if not len(trace):
             return
-        shapes = sorted(
-            {(r.request.images, r.request.prompt_text_tokens) for r in trace}
+        pricer = ServiceTimeBoundsPricer(
+            self.model,
+            [request.request for request in trace],
+            cc_bandwidth_fraction=self.cc_bandwidth_fraction,
+            context_bucket=self.chips[0].cost_model.context_bucket,
         )
-        reference = self.chips[0].cost_model
-        buckets = sorted(
-            {
-                reference.bucket_for(self.model.vision_tokens(images) + prompt)
-                for images, prompt in shapes
-            }
-        )
-        groups = self._chip_groups()
-
-        cc_pending = [
-            (group, [s for s in shapes if not group[0].has_cc_latency(s)])
-            for group in groups
+        lacking = [
+            group
+            for group in self._chip_groups()
+            if not all(map(group[0].has_cc_latency, pricer.cc_shapes))
+            or not all(map(group[0].cost_model.has_bucket_cost, pricer.buckets))
         ]
-        cc_pending = [(g, missing) for g, missing in cc_pending if missing]
-        # The batch engine prices one pool per call; a pool is a pure
-        # function of the system, so groups partition cleanly by it.
-        for pool in sorted({g[0].cc_pool for g, _ in cc_pending}):
-            members = [
-                (g, missing) for g, missing in cc_pending if g[0].cc_pool == pool
-            ]
-            union = sorted({s for _, missing in members for s in missing})
-            grid = DesignGrid.from_systems(
-                [g[0].simulator.system for g, _ in members],
-                bandwidth_fraction=self.cc_bandwidth_fraction,
-            )
-            phases = []
-            for position, shape in enumerate(union):
-                merged = self.model.cc_stage_phase(*shape)
-                phases.append((f"cc_{position}", merged.ops, merged.repeat))
-            table = OpTable("fleet_cc_grid", phases)
-            result = BatchCostEngine(grid).evaluate(table, pool=pool)
-            column = {shape: position for position, shape in enumerate(union)}
-            for point, (group, missing) in enumerate(members):
-                latencies: Dict[Tuple[int, int], float] = {
-                    shape: float(result.phases[column[shape]].latency_s[point])
-                    for shape in missing
-                }
-                for chip in group:
-                    chip.seed_cc_latencies(latencies)
-
-        decode_pending = [
-            (
-                group,
-                [b for b in buckets if not group[0].cost_model.has_bucket_cost(b)],
-            )
-            for group in groups
-        ]
-        decode_pending = [(g, missing) for g, missing in decode_pending if missing]
-        for pool in sorted({g[0].cost_model.pool for g, _ in decode_pending}):
-            members = [
-                (g, missing)
-                for g, missing in decode_pending
-                if g[0].cost_model.pool == pool
-            ]
-            union = sorted({b for _, missing in members for b in missing})
-            grid = DesignGrid.from_systems(
-                [g[0].simulator.system for g, _ in members],
-                bandwidth_fraction=1.0,
-            )
-            table = OpTable(
-                "fleet_decode_grid",
-                [
-                    (f"decode_{bucket}", phase.ops, phase.repeat)
-                    for bucket, phase in (
-                        (b, self.model.decode_step(b)) for b in union
-                    )
-                ],
-            )
-            matrices = BatchCostEngine(grid).op_costs(table, pool=pool)
-            column = {bucket: position for position, bucket in enumerate(union)}
-            for point, (group, missing) in enumerate(members):
-                bucket_costs: Dict[int, Tuple[int, int, float]] = {}
-                for bucket in missing:
-                    slice_ = table.phases[column[bucket]]
-                    index = table.order[slice_.start : slice_.stop]
-                    weight = int(matrices.pruned_weight_bytes[point, index].sum())
-                    total = int(matrices.traffic_bytes[point, index].sum())
-                    compute = float(
-                        ordered_sum(matrices.compute_cycles[:, index])[point]
-                    )
-                    bucket_costs[bucket] = (weight, total - weight, compute)
-                for chip in group:
-                    chip.cost_model.seed_bucket_costs(bucket_costs)
+        seeds = pricer.seeds([group[0].simulator.system for group in lacking])
+        for group, (cc_latencies, bucket_costs) in zip(lacking, seeds):
+            for chip in group:
+                chip.seed_cc_latencies(cc_latencies)
+                chip.cost_model.seed_bucket_costs(bucket_costs)
 
     # ------------------------------------------------------------------
     # Dispatch

@@ -65,6 +65,20 @@ class StepCostError(ValueError):
     """A bucket cost triple the order-free step cost cannot sum exactly."""
 
 
+class CCLatencyError(ValueError):
+    """A CC-stage latency that is not strictly positive and finite."""
+
+
+def _checked_cc_latency(shape: Tuple[int, int], latency: float) -> float:
+    # engine.prefill_windows needs every latency > 0 and finite; NaN fails too.
+    if not 0.0 < latency < math.inf:
+        raise CCLatencyError(
+            f"CC-stage latency of shape {shape} (images, prompt_text_tokens) "
+            f"must be positive and finite, got {latency!r}"
+        )
+    return latency
+
+
 class BatchDecodeCostModel:
     """Latency of one decode step for a batch of streams.
 
@@ -135,10 +149,6 @@ class BatchDecodeCostModel:
     def has_bucket_cost(self, bucket: int) -> bool:
         """True when the bucket's cost triple is already memoized."""
         return bucket in self._stream_cost
-
-    def bucket_for(self, context: int) -> int:
-        """The context bucket a given context length quantizes to."""
-        return self._bucket(context)
 
     def _bucket(self, context: int) -> int:
         # Shared with the analytic service-time bounds: both sides MUST
@@ -318,7 +328,8 @@ class ContinuousBatchingSimulator:
 
     def seed_cc_latencies(self, latencies: Dict[Tuple[int, int], float]) -> None:
         """Install precomputed CC-stage latencies keyed by request shape."""
-        self._cc_latency_cache.update(latencies)
+        for shape, latency in latencies.items():
+            self._cc_latency_cache[shape] = _checked_cc_latency(shape, latency)
 
     def cc_latencies(self) -> Dict[Tuple[int, int], float]:
         """Snapshot of the memoized CC-stage latencies (fleet warm-up)."""
@@ -349,7 +360,7 @@ class ContinuousBatchingSimulator:
             pool=self._cc_pool,
             bandwidth_fraction=self.cc_bandwidth_fraction,
         )
-        self._cc_latency_cache[key] = latency
+        self._cc_latency_cache[key] = _checked_cc_latency(key, latency)
         return latency
 
     # ------------------------------------------------------------------

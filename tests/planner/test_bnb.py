@@ -6,7 +6,7 @@ Three contracts, property-tested on randomized small spaces:
   byte-identical :class:`PlanReport` as flat search modulo the search/
   store accounting fields (bnb reports per-design bounds only for
   individually-priced designs), and both agree with exhaustive exact
-  simulation on the best plan;
+  simulation on the best plan and on every frontier entry;
 * **corner-bound soundness** — a subgrid corner's per-request analytic
   floors are pointwise lower bounds on every member design's floors, the
   monotonicity fact the whole-subtree prune rests on;
@@ -166,6 +166,14 @@ def test_bnb_equals_flat_equals_brute_force(space):
         for design in config.chip_grid
         for option in options
     ]
+    # Each bnb frontier entry (simulated from pricer-seeded warm caches)
+    # equals the brute-force entry of its candidate (priced by each
+    # design's first fleet).
+    brute_by_candidate = {
+        (entry.design.name, entry.option.label): entry for entry in brute_entries
+    }
+    for entry in bnb.frontier:
+        assert entry == brute_by_candidate[(entry.design.name, entry.option.label)]
     brute_met = [entry for entry in brute_entries if entry.slo_met]
     if not brute_met:
         assert bnb.best is None

@@ -10,9 +10,14 @@ with the corollary that the planner's best plan equals brute-force search's.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.batch import SEED_CHUNK_DESIGNS
+from repro.core.simulator import PerformanceSimulator
+from repro.models.mllm import get_mllm
 from repro.planner import (
     ChipDesign,
     PlanEntry,
@@ -23,6 +28,7 @@ from repro.planner import (
     prune_designs,
     resolve_slo,
 )
+from repro.planner.prune import trace_pricer
 from repro.scenarios import (
     ArrivalSpec,
     FleetSpec,
@@ -32,6 +38,7 @@ from repro.scenarios import (
     get_scenario,
 )
 from repro.scenarios.compile import compile_scenario
+from repro.serving import BatchDecodeCostModel, FleetSimulator
 
 DESIGN_POOL = (
     ChipDesign(1, 1, 1),
@@ -213,3 +220,65 @@ def test_queue_wait_objectives_never_prune():
         compiled, DESIGN_POOL[:2], {"queue_wait_p99_s": 1e-9}
     )
     assert all(verdict.feasible for verdict in verdicts)
+
+
+def test_planner_prices_no_decode_bucket_through_the_scalar_path(monkeypatch):
+    """Pruned plans seed every survivor from the bound pass's pricer.
+
+    With the scalar bucket pricer patched to raise, both search modes
+    still complete: every fleet starts with every reachable decode bucket
+    seeded.  The pricer's seeds are exactly what a cold, lazily-priced
+    fleet of the same design harvests.
+    """
+    spec = replace(
+        _small_scenario(4.0, 30.0, None, 0),
+        mix=(
+            WorkloadComponent(
+                name="long",
+                images=1,
+                prompt_token_range=(8, 48),
+                output_token_choices=(24, 72),
+                output_token_weights=(0.5, 0.5),
+            ),
+        ),
+    )
+    config = PlannerConfig.from_axes(
+        groups=(1,),
+        mixes=((1, 1),),
+        dram_gbps=(51.2, 204.8),
+        keep_fractions=(0.4, 0.7, 1.0),
+        min_chips=1,
+        max_chips=2,
+    )
+
+    def refuse(self, bucket):
+        raise AssertionError(f"bucket {bucket} priced through the scalar path")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(BatchDecodeCostModel, "_cost", refuse)
+        reports = [plan_scenario(spec, config, search=s) for s in ("bnb", "flat")]
+    assert all(report.n_simulated == report.n_candidates for report in reports)
+    assert reports[0].frontier == reports[1].frontier
+
+    compiled = compile_scenario(spec)
+    design = config.chip_grid[0]
+    assert design.keep_fraction == 0.4
+    fleet = FleetSimulator(
+        get_mllm(spec.fleet.model),
+        n_chips=2,
+        simulator_factory=lambda: PerformanceSimulator(design.system()),
+        precompute=False,
+    )
+    fleet.run(list(compiled.trace))
+    cc_latencies, bucket_costs = {}, {}
+    for chip in fleet.chips:
+        cc_latencies.update(chip.cc_latencies())
+        bucket_costs.update(chip.cost_model.bucket_costs())
+    pricer = trace_pricer(compiled)
+    assert pricer.seeds([design.system()]) == [(cc_latencies, bucket_costs)]
+    # Past one seeding pass, every design still gets its own memos.
+    designs = list(config.chip_grid) * 3
+    assert len(designs) > SEED_CHUNK_DESIGNS
+    assert pricer.seeds([d.system() for d in designs]) == [
+        pricer.seeds([d.system()])[0] for d in designs
+    ]

@@ -6,8 +6,11 @@ identical trace output, bit for bit, to the unoptimised path.
 
 import pytest
 
+from repro.core.batch import context_bucket_for
+from repro.core.config import default_system, homo_mc_system
 from repro.core.simulator import PerformanceSimulator
 from repro.models.mllm import available_mllms, get_mllm
+from repro.planner.space import ChipDesign
 from repro.serving import (
     BatchDecodeCostModel,
     ContinuousBatchingSimulator,
@@ -18,15 +21,35 @@ from repro.serving import (
 )
 
 N_REQUESTS = 40
+#: Output lengths whose decode crosses several 32-token context buckets.
+LONG_OUTPUTS = (40, 90, 160)
+#: The default chip, an MC-only chip (its CC stage falls back to the MC
+#: pool) and a pruned, compute-bound design (non-integer compute cycles).
+SYSTEMS = {
+    "default": default_system(),
+    "homo_mc": homo_mc_system(),
+    "pruned_compute_bound": ChipDesign(
+        n_groups=1, cc_per_group=1, mc_per_group=1, dram_gbps=204.8, keep_fraction=0.4
+    ).system(),
+}
 
 
-def make_trace(seed=5, n=N_REQUESTS):
+def make_trace(seed=5, n=N_REQUESTS, outputs=(4, 8, 16)):
     return build_trace(
         PoissonArrivals(5.0, seed=seed).generate(n),
         RequestSampler(
-            seed=seed, output_token_choices=(4, 8, 16), output_token_weights=(0.4, 0.4, 0.2)
+            seed=seed, output_token_choices=outputs, output_token_weights=(0.4, 0.4, 0.2)
         ).sample(n),
     )
+
+
+def decode_buckets(model, request, width=32):
+    """Every bucket of ``request``'s decode contexts, one context at a time."""
+    prompt = model.prompt_tokens(request)
+    return {
+        context_bucket_for(context, width)
+        for context in range(prompt, prompt + request.output_tokens)
+    }
 
 
 class TestFleetPrecompute:
@@ -41,33 +64,57 @@ class TestFleetPrecompute:
             assert warm_result.assignments == cold_result.assignments
             assert warm_result.records == cold_result.records
 
-    def test_precompute_seeds_every_chip(self):
+    @pytest.mark.parametrize("system", SYSTEMS.values(), ids=SYSTEMS.keys())
+    def test_precompute_seeds_every_chip(self, system):
         model = get_mllm("sphinx-tiny")
-        trace = make_trace()
-        fleet = FleetSimulator(model, n_chips=3, policy="round_robin")
+        trace = make_trace(outputs=LONG_OUTPUTS)
+        fleet = FleetSimulator(
+            model,
+            n_chips=3,
+            policy="round_robin",
+            simulator_factory=lambda: PerformanceSimulator(system),
+        )
         fleet.precompute_service_times(trace)
-        shapes = {(r.request.images, r.request.prompt_text_tokens) for r in trace}
         for chip in fleet.chips:
-            for shape in shapes:
-                assert chip.has_cc_latency(shape)
-            bucket = chip.cost_model.bucket_for(model.prompt_tokens(trace[0].request))
-            assert chip.cost_model.has_bucket_cost(bucket)
+            for r in trace:
+                assert chip.has_cc_latency((r.request.images, r.request.prompt_text_tokens))
+                for bucket in decode_buckets(model, r.request):
+                    assert chip.cost_model.has_bucket_cost(bucket), bucket
 
-    @pytest.mark.parametrize("name", available_mllms())
-    def test_seeded_values_bit_identical_to_lazy_ones(self, name):
+    @pytest.mark.parametrize(
+        "name, system",
+        [pytest.param(name, "default", id=name) for name in available_mllms()]
+        + [
+            pytest.param("sphinx-tiny", key, id=f"sphinx-tiny-{key}")
+            for key in SYSTEMS
+            if key != "default"
+        ],
+    )
+    def test_seeded_values_bit_identical_to_lazy_ones(self, name, system):
         model = get_mllm(name)
-        trace = make_trace()
-        fleet = FleetSimulator(model, n_chips=2, policy="least_loaded")
+        system = SYSTEMS[system]
+        trace = make_trace(outputs=LONG_OUTPUTS)
+        fleet = FleetSimulator(
+            model,
+            n_chips=2,
+            policy="least_loaded",
+            simulator_factory=lambda: PerformanceSimulator(system),
+        )
         fleet.precompute_service_times(trace)
         seeded = fleet.chips[0]
         lazy = ContinuousBatchingSimulator(
+            PerformanceSimulator(system),
             model=model,
             max_batch_size=seeded.max_batch_size,
             cc_bandwidth_fraction=seeded.cc_bandwidth_fraction,
         )
+        cc_latencies = seeded.cc_latencies()
+        bucket_costs = seeded.cost_model.bucket_costs()
         for request in trace:
-            shape_latency = seeded.cc_latency_s(request.request)
-            assert shape_latency == lazy.cc_latency_s(request.request)
+            shape = (request.request.images, request.request.prompt_text_tokens)
+            assert cc_latencies[shape] == lazy.cc_latency_s(request.request)
+            for bucket in decode_buckets(model, request.request):
+                assert bucket_costs[bucket] == lazy.cost_model._cost(bucket), bucket
             context = model.prompt_tokens(request.request)
             assert seeded.cost_model.step_latency_s([context]) == (
                 lazy.cost_model.step_latency_s([context])

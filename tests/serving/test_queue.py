@@ -18,7 +18,7 @@ from repro.serving import (
     ServingRequest,
     build_trace,
 )
-from repro.serving.queue import COMPUTE_SCALE_BITS, StepCostError
+from repro.serving.queue import COMPUTE_SCALE_BITS, CCLatencyError, StepCostError
 
 N_REQUESTS = 60
 
@@ -165,6 +165,34 @@ class TestStepCostError:
         cost.seed_bucket_costs({32: (1000, 10, 5.0)})
         with pytest.raises(StepCostError, match="bucket 64: weight_bytes"):
             cost.seed_bucket_costs({64: (1001, 20, 5.0)})
+
+
+class TestCCLatencyError:
+    """CC-stage latencies must be strictly positive and finite on entry."""
+
+    REFUSED = [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("latency", REFUSED)
+    def test_seeding_refuses(self, model, latency):
+        chip = ContinuousBatchingSimulator(model=model)
+        with pytest.raises(CCLatencyError, match=r"shape \(1, 32\)"):
+            chip.seed_cc_latencies({(1, 32): latency})
+        assert not chip.has_cc_latency((1, 32))
+
+    @pytest.mark.parametrize("latency", REFUSED)
+    def test_lazy_pricing_refuses(self, model, latency, monkeypatch):
+        monkeypatch.setattr(
+            "repro.serving.queue.cc_stage_latency", lambda *args, **kwargs: latency
+        )
+        chip = ContinuousBatchingSimulator(model=model)
+        with pytest.raises(CCLatencyError, match=repr(latency)):
+            chip.cc_latency_s(InferenceRequest(images=1, prompt_text_tokens=32))
+
+    def test_smallest_positive_latency_is_accepted(self, model):
+        chip = ContinuousBatchingSimulator(model=model)
+        chip.seed_cc_latencies({(1, 32): 5e-324})
+        request = InferenceRequest(images=1, prompt_text_tokens=32)
+        assert chip.cc_latency_s(request) == 5e-324
 
 
 class TestValidation:
