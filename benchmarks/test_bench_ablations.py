@@ -1,4 +1,4 @@
-"""Benchmark: ablation sweeps over the design choices called out in DESIGN.md.
+"""Benchmark: ablation sweeps over the design choices listed in docs/experiments.md.
 
 Not a paper figure — these quantify the sensitivity of the headline results
 to the pruning threshold, the assumed DRAM bandwidth, the systolic-array

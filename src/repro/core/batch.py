@@ -97,10 +97,18 @@ class OpTable:
     position (phase by phase, in execution order) to its column, so
     reductions can preserve the scalar simulator's exact summation order
     while the expensive per-op cost math runs once per unique signature.
+
+    Ops are looked up by object identity first, so a phase that references
+    one decoder layer's ops ``n_layers`` times builds one signature per
+    distinct op object, not one per position.
     """
 
     def __init__(self, name: str, phases: Sequence[Tuple[str, Sequence[Op], int]]) -> None:
         signature_index: Dict[tuple, int] = {}
+        # Column of every op object seen, by ``id()``.  Each entry keeps
+        # its op alive until the table is built: a freed op's id could be
+        # reused by a different op from a generator of freshly built ops.
+        identity_index: Dict[int, Tuple[Op, int]] = {}
         columns: List[Op] = []
         order: List[int] = []
         slices: List[PhaseSlice] = []
@@ -108,22 +116,27 @@ class OpTable:
             start = len(order)
             flops = 0
             for op in ops:
-                signature = (
-                    op.kind,
-                    op.m,
-                    op.k,
-                    op.n,
-                    op.weight_bytes,
-                    op.activation_bytes,
-                    op.output_bytes,
-                    op.flops,
-                    op.prunable,
-                )
-                index = signature_index.get(signature)
-                if index is None:
-                    index = len(columns)
-                    signature_index[signature] = index
-                    columns.append(op)
+                seen = identity_index.get(id(op))
+                if seen is not None:
+                    index = seen[1]
+                else:
+                    signature = (
+                        op.kind,
+                        op.m,
+                        op.k,
+                        op.n,
+                        op.weight_bytes,
+                        op.activation_bytes,
+                        op.output_bytes,
+                        op.flops,
+                        op.prunable,
+                    )
+                    index = signature_index.get(signature)
+                    if index is None:
+                        index = len(columns)
+                        signature_index[signature] = index
+                        columns.append(op)
+                    identity_index[id(op)] = (op, index)
                 order.append(index)
                 flops += op.flops
             slices.append(

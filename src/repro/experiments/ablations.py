@@ -1,4 +1,4 @@
-"""Ablation studies on the design choices called out in DESIGN.md.
+"""Ablation studies on the design choices listed in docs/experiments.md.
 
 These go beyond the paper's published figures and quantify how sensitive the
 headline results are to the main architectural knobs:

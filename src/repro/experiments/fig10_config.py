@@ -46,7 +46,7 @@ def run_fig10(chip_config: ChipConfig = None, *, utilization: float = 0.1) -> Fi
     ``utilization`` defaults to 0.1 — the average compute-array activity
     during MLLM inference is low because the dominant decode phase is
     memory-bound, which is the operating point the paper's 112 mW post-P&R
-    power figure is compared against (see EXPERIMENTS.md).
+    power figure is compared against (see docs/experiments.md).
     """
     chip_config = chip_config or ChipConfig()
     chip = Chip(chip_config)

@@ -130,7 +130,8 @@ def format_report(result: Table2Result) -> str:
     if tokens_per_joule is not None:
         summary_lines.append(
             f"energy efficiency: {tokens_per_joule:.1f} tokens/J "
-            f"(paper reports 0.28 token/J — see EXPERIMENTS.md for the metric discussion)"
+            f"(paper reports 0.28 token/J — see docs/experiments.md "
+            f"for the metric discussion)"
         )
     return (
         f"Table II — EdgeMM vs mobile GPU ({result.model_name}, "

@@ -52,13 +52,7 @@ from .profiler import (
     weight_traffic_breakdown,
     workload_statistics,
 )
-from .graph import (
-    LayerNode,
-    PhaseGraph,
-    build_phase_graph,
-    partition_balance,
-    partition_ops_round_robin,
-)
+from .graph import partition_balance, partition_ops_round_robin
 
 __all__ = [
     "Op",
@@ -101,9 +95,6 @@ __all__ = [
     "phase_statistics",
     "weight_traffic_breakdown",
     "workload_statistics",
-    "LayerNode",
-    "PhaseGraph",
-    "build_phase_graph",
     "partition_balance",
     "partition_ops_round_robin",
 ]

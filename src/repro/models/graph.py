@@ -1,87 +1,14 @@
-"""Lightweight operator-graph utilities.
+"""Lightweight operator-partitioning utilities.
 
-The performance simulator mostly consumes flat phases, but the mapping
-explorer and the scheduler benefit from a dependency view: which operators
-belong to the same layer, which layers feed which, and which operators can
-be partitioned across cores.  This module provides a minimal DAG built from
-the layer indices recorded on each operator.
+The performance simulator consumes flat phases; these helpers split a
+list of operators across cores for coarse op-level load balancing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
-from .ops import Op, Phase
-
-
-@dataclass
-class LayerNode:
-    """All operators of one layer (or the layer-less preamble/epilogue)."""
-
-    layer_index: Optional[int]
-    ops: List[Op] = field(default_factory=list)
-
-    @property
-    def flops(self) -> int:
-        return sum(op.flops for op in self.ops)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(op.total_bytes for op in self.ops)
-
-    @property
-    def weight_bytes(self) -> int:
-        return sum(op.weight_bytes for op in self.ops)
-
-
-@dataclass
-class PhaseGraph:
-    """A phase viewed as an ordered chain of layer nodes.
-
-    Layers of a Transformer execute sequentially (layer *i+1* consumes layer
-    *i*'s output), while operators *within* a layer offer the parallelism the
-    mapping explorer partitions across cores.
-    """
-
-    phase_name: str
-    nodes: List[LayerNode]
-
-    @property
-    def n_layers(self) -> int:
-        return sum(1 for node in self.nodes if node.layer_index is not None)
-
-    def node_for_layer(self, layer_index: int) -> LayerNode:
-        for node in self.nodes:
-            if node.layer_index == layer_index:
-                return node
-        raise KeyError(f"phase {self.phase_name!r} has no layer {layer_index}")
-
-    def critical_path_flops(self) -> int:
-        """FLOPs along the sequential layer chain (equals total FLOPs)."""
-        return sum(node.flops for node in self.nodes)
-
-    def prunable_weight_bytes(self) -> int:
-        return sum(
-            op.weight_bytes
-            for node in self.nodes
-            for op in node.ops
-            if op.prunable
-        )
-
-
-def build_phase_graph(phase: Phase) -> PhaseGraph:
-    """Group a phase's operators into per-layer nodes, preserving order."""
-    nodes: List[LayerNode] = []
-    index: Dict[Optional[int], LayerNode] = {}
-    for op in phase.ops:
-        node = index.get(op.layer_index)
-        if node is None:
-            node = LayerNode(layer_index=op.layer_index)
-            index[op.layer_index] = node
-            nodes.append(node)
-        node.ops.append(op)
-    return PhaseGraph(phase_name=phase.name, nodes=nodes)
+from .ops import Op
 
 
 def partition_ops_round_robin(ops: Sequence[Op], n_partitions: int) -> List[List[Op]]:

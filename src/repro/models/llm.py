@@ -21,7 +21,8 @@ from .transformer import TransformerLayerConfig, decode_layer_ops, prefill_layer
 #: Entries each lowering memo keeps.  A scenario prices every prompt length
 #: and decode context of its trace, in a different order at precompute and
 #: at pricing time; a 40k-request ``diurnal-week`` trace visits ~630 prompt
-#: lengths and ~450 decode contexts, so a smaller bound would thrash.
+#: lengths and ~450 decode contexts, so a smaller bound would thrash.  An
+#: entry holds one layer's ops plus the head, so a full memo stays small.
 _MEMO_SIZE = 1024
 
 
@@ -84,7 +85,9 @@ class LLMConfig:
     # ------------------------------------------------------------------
     # Each phase is lowered once per input and memoized as a tuple of
     # frozen ops; every call wraps them in a fresh ``Phase``, so callers
-    # may mutate what they get back.
+    # may mutate what they get back.  Decoder layers all share one shape,
+    # so one layer is lowered and the same op objects are referenced
+    # ``n_layers`` times, in execution order, before the LM head.
     def prefill_phase(self, prompt_tokens: int) -> Phase:
         """Operators for prefilling ``prompt_tokens`` prompt tokens."""
         if prompt_tokens <= 0:
@@ -99,29 +102,21 @@ class LLMConfig:
 
     @functools.lru_cache(maxsize=_MEMO_SIZE)
     def _prefill_ops(self, prompt_tokens: int) -> Tuple[Op, ...]:
-        cfg = self.layer_config()
-        ops: List[Op] = []
-        for layer in range(self.n_layers):
-            ops.extend(
-                prefill_layer_ops(
-                    cfg, prompt_tokens, layer_index=layer, prefix=f"{self.name}.prefill"
-                )
-            )
-        ops.append(self._lm_head_op(prompt_tokens=1, label="prefill"))
-        return tuple(ops)
+        layer = prefill_layer_ops(
+            self.layer_config(), prompt_tokens, prefix=f"{self.name}.prefill"
+        )
+        return tuple(layer) * self.n_layers + (
+            self._lm_head_op(prompt_tokens=1, label="prefill"),
+        )
 
     @functools.lru_cache(maxsize=_MEMO_SIZE)
     def _decode_step_ops(self, context_tokens: int) -> Tuple[Op, ...]:
-        cfg = self.layer_config()
-        ops: List[Op] = []
-        for layer in range(self.n_layers):
-            ops.extend(
-                decode_layer_ops(
-                    cfg, context_tokens, layer_index=layer, prefix=f"{self.name}.decode"
-                )
-            )
-        ops.append(self._lm_head_op(prompt_tokens=1, label="decode"))
-        return tuple(ops)
+        layer = decode_layer_ops(
+            self.layer_config(), context_tokens, prefix=f"{self.name}.decode"
+        )
+        return tuple(layer) * self.n_layers + (
+            self._lm_head_op(prompt_tokens=1, label="decode"),
+        )
 
     def decode_phase(
         self, prompt_tokens: int, output_tokens: int, *, average_context: bool = True

@@ -74,7 +74,8 @@ class Op:
         Whether the operator is a candidate for activation-aware weight
         pruning (the FFN GEMVs of the decode phase in the paper).
     layer_index:
-        Index of the decoder/encoder layer this op belongs to, if any.
+        Index of the encoder layer this op belongs to, if any.  Decoder
+        ops are shared by every decoder layer and carry ``None``.
     tag:
         Free-form grouping tag used by the profiler, e.g. ``"ffn"``,
         ``"attention"``, ``"kv_cache"``.

@@ -8,6 +8,7 @@ use ``==`` on purpose — a tolerance would hide a broken mirror.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -272,6 +273,86 @@ class TestOpTable:
         assert table.default_output_tokens == 8
         prefill_only = OpTable.from_phase(small_workload().phases[0])
         assert prefill_only.default_output_tokens == 1
+
+
+def fresh_phases(n_phases=100, width=8):
+    """Phases of freshly built ops; most repeat an earlier op's shape.
+
+    Consumed as a generator, each phase's ops become garbage once the next
+    phase is built, except the first op of each shape, which the table
+    keeps as a column.  A freed op's ``id()`` is then free for reuse.
+    """
+    for p in range(n_phases):
+        ops = [
+            matmul_op(f"p{p}.{j}", 1 + (p * j) % 5, 16, 16 * (1 + (p + 3 * j) % 11))
+            for j in range(width)
+        ]
+        yield (f"phase{p}", ops, 1 + p % 3)
+
+
+TABLE_COLUMNS = (
+    "m",
+    "k",
+    "n",
+    "weight_bytes",
+    "activation_bytes",
+    "output_bytes",
+    "flops",
+    "prunable",
+    "is_mat",
+    "is_vec",
+    "is_elem",
+    "is_strict_gemv",
+    "prefers_mc",
+)
+
+
+def position_signatures(table):
+    """Each position's column values, in position order."""
+    columns = list(zip(*(getattr(table, field).tolist() for field in TABLE_COLUMNS)))
+    return [columns[index] for index in table.order.tolist()]
+
+
+def assert_tables_equal(a, b):
+    assert a.phases == b.phases
+    assert a.order.tolist() == b.order.tolist()
+    assert a.n_unique == b.n_unique
+    for field in TABLE_COLUMNS:
+        assert getattr(a, field).tolist() == getattr(b, field).tolist(), field
+
+
+class TestOpTableIdentity:
+    """Identity-first lookup must build exactly the signature table."""
+
+    def test_generator_of_fresh_ops_equals_materialized_phases(self):
+        materialized = list(fresh_phases())
+        expected = OpTable("fresh", materialized)
+        streamed = OpTable("fresh", fresh_phases())
+        assert_tables_equal(streamed, expected)
+        signatures = [
+            (
+                op.m,
+                op.k,
+                op.n,
+                op.weight_bytes,
+                op.activation_bytes,
+                op.output_bytes,
+                op.flops,
+                op.prunable,
+            )
+            for _, ops, _ in materialized
+            for op in ops
+        ]
+        assert [column[:8] for column in position_signatures(streamed)] == signatures
+
+    def test_shared_ops_equal_equal_but_distinct_ops(self):
+        decode = get_mllm("sphinx-tiny").llm.decode_step_phase(100)
+        distinct = [replace(op) for op in decode.ops]
+        assert not any(a is b for a, b in zip(decode.ops, distinct))
+        assert_tables_equal(
+            OpTable.from_phase(decode),
+            OpTable.from_phase(Phase(name="llm_decode", ops=distinct)),
+        )
 
 
 class TestGridValidation:

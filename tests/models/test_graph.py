@@ -1,50 +1,9 @@
-"""Tests for the operator-graph utilities (repro.models.graph)."""
+"""Tests for the operator-partitioning utilities (repro.models.graph)."""
 
 import pytest
 
-from repro.models.graph import (
-    build_phase_graph,
-    partition_balance,
-    partition_ops_round_robin,
-)
-from repro.models.llm import LLMConfig
-from repro.models.ops import Phase, matmul_op
-
-
-@pytest.fixture
-def tiny_llm_phase():
-    llm = LLMConfig(
-        name="graph-llm", n_layers=3, d_model=64, n_heads=4, d_ffn=128, vocab_size=500
-    )
-    return llm.decode_step_phase(context_tokens=16)
-
-
-class TestPhaseGraph:
-    def test_groups_ops_by_layer(self, tiny_llm_phase):
-        graph = build_phase_graph(tiny_llm_phase)
-        assert graph.n_layers == 3
-        assert graph.phase_name == "llm_decode"
-
-    def test_layerless_ops_get_their_own_node(self, tiny_llm_phase):
-        graph = build_phase_graph(tiny_llm_phase)
-        layerless = [node for node in graph.nodes if node.layer_index is None]
-        assert layerless  # the LM head has no layer index
-        assert all(node.ops for node in graph.nodes)
-
-    def test_node_lookup(self, tiny_llm_phase):
-        graph = build_phase_graph(tiny_llm_phase)
-        node = graph.node_for_layer(1)
-        assert node.layer_index == 1
-        with pytest.raises(KeyError):
-            graph.node_for_layer(99)
-
-    def test_critical_path_equals_total_flops(self, tiny_llm_phase):
-        graph = build_phase_graph(tiny_llm_phase)
-        assert graph.critical_path_flops() == sum(op.flops for op in tiny_llm_phase.ops)
-
-    def test_prunable_weight_bytes_positive_for_decode(self, tiny_llm_phase):
-        graph = build_phase_graph(tiny_llm_phase)
-        assert graph.prunable_weight_bytes() > 0
+from repro.models.graph import partition_balance, partition_ops_round_robin
+from repro.models.ops import matmul_op
 
 
 class TestPartitioning:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.models.llm import LLMConfig, available_llms, get_llm
 from repro.models.ops import OpKind
+from repro.models.transformer import prefill_layer_ops
 
 
 class TestCatalogue:
@@ -79,8 +80,15 @@ class TestPrefillLowering:
     def test_phase_name_and_layer_count(self, tiny_llm):
         phase = tiny_llm.prefill_phase(prompt_tokens=16)
         assert phase.name == "llm_prefill"
-        layer_indices = {op.layer_index for op in phase.ops if op.layer_index is not None}
-        assert layer_indices == {0, 1}
+        layer = prefill_layer_ops(tiny_llm.layer_config(), 16, prefix="test-llm.prefill")
+        first, second, head = (
+            phase.ops[: len(layer)],
+            phase.ops[len(layer) : 2 * len(layer)],
+            phase.ops[2 * len(layer) :],
+        )
+        assert first == layer
+        assert all(a is b for a, b in zip(second, first, strict=True))
+        assert [op.tag for op in head] == ["lm_head"]
 
     def test_prefill_matmuls_are_gemm(self, tiny_llm):
         phase = tiny_llm.prefill_phase(prompt_tokens=16)

@@ -9,10 +9,14 @@ Two nets over ``README.md`` and every ``docs/*.md`` page:
   ``` ```python no-run ``` info string — silence is never an opt-out.
 * **link integrity** — every relative markdown link resolves to an
   existing file, and every in-page anchor to an existing heading.
+
+A third net covers the code side: every ``.md`` file a string constant
+under ``src/`` names must exist at the repo root or under ``docs/``.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import subprocess
@@ -161,3 +165,37 @@ def test_relative_links_resolve(path):
             if anchor not in _headings(resolved):
                 broken.append(f"line {number}: {target} (missing anchor)")
     assert not broken, f"{path.name} has broken links:\n" + "\n".join(broken)
+
+
+#: A markdown file name, optionally under ``docs/``, inside a string.
+DOC_POINTER = re.compile(r"(?<![\w./-])(?:docs/)?[\w-]+\.md\b")
+
+
+def _source_doc_pointers() -> List[Tuple[str, str]]:
+    """(``file:line``, pointer) of every ``.md`` name in ``src`` strings.
+
+    Only string constants (docstrings, messages, report text) are read, so
+    attribute code such as ``instruction.md`` never matches.
+    """
+    pointers: List[Tuple[str, str]] = []
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for match in DOC_POINTER.finditer(node.value):
+                    label = f"{path.relative_to(REPO_ROOT)}:{node.lineno}"
+                    pointers.append((label, match.group(0)))
+    return pointers
+
+
+def test_source_doc_pointers_resolve():
+    """Every doc a source string points to exists at the root or in docs/."""
+    pointers = _source_doc_pointers()
+    assert any(pointer.startswith("docs/") for _, pointer in pointers)
+    dangling = [
+        f"{label}: {pointer}"
+        for label, pointer in pointers
+        if not (REPO_ROOT / pointer).is_file()
+        and not (REPO_ROOT / "docs" / pointer).is_file()
+    ]
+    assert not dangling, "source strings point to missing docs:\n" + "\n".join(dangling)
