@@ -25,6 +25,7 @@ from typing import (
     Tuple,
 )
 
+from ..codec import Spec
 from ..core.simulator import PerformanceSimulator
 from ..models.mllm import MLLMConfig, get_mllm
 from ..scenarios.compile import compile_scenario
@@ -109,7 +110,7 @@ def axis_delta(a: ChipDesign, b: ChipDesign) -> frozenset:
 
 
 @dataclass(frozen=True)
-class CandidateOutcome:
+class CandidateOutcome(Spec):
     """Exact-simulation metrics of one (chip design, fleet option) candidate.
 
     ``chips_provisioned`` is the fleet size the plan must stand up: the
@@ -127,35 +128,6 @@ class CandidateOutcome:
     queue_wait_p99_s: float
     chips_provisioned: int
     n_scale_events: int = 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the outcome to plain JSON data (plan-store payload)."""
-        return {
-            "design": self.design.to_dict(),
-            "option": self.option.to_dict(),
-            "n_completed": self.n_completed,
-            "makespan_s": self.makespan_s,
-            "ttft_p99_s": self.ttft_p99_s,
-            "latency_p95_s": self.latency_p95_s,
-            "queue_wait_p99_s": self.queue_wait_p99_s,
-            "chips_provisioned": self.chips_provisioned,
-            "n_scale_events": self.n_scale_events,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CandidateOutcome":
-        """Rebuild an outcome from :meth:`to_dict` data."""
-        return cls(
-            design=ChipDesign.from_dict(data["design"]),
-            option=FleetOption.from_dict(data["option"]),
-            n_completed=int(data["n_completed"]),
-            makespan_s=float(data["makespan_s"]),
-            ttft_p99_s=float(data["ttft_p99_s"]),
-            latency_p95_s=float(data["latency_p95_s"]),
-            queue_wait_p99_s=float(data["queue_wait_p99_s"]),
-            chips_provisioned=int(data["chips_provisioned"]),
-            n_scale_events=int(data.get("n_scale_events", 0)),
-        )
 
 
 def candidate_fleet(

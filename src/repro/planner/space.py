@@ -17,10 +17,10 @@ scenario and the same config produce byte-identical reports.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..codec import Spec, when_set
 from ..core.config import SystemConfig, default_system, scaled_system
 from ..serving.fleet import POLICIES
 
@@ -38,7 +38,7 @@ BASE_DRAM_GBPS: float = (
 
 
 @dataclass(frozen=True)
-class ChipDesign:
+class ChipDesign(Spec):
     """One chip design point: geometry plus optional DRAM/pruning axes.
 
     ``n_groups`` scales the whole chip; ``cc_per_group`` and
@@ -62,8 +62,8 @@ class ChipDesign:
     n_groups: int
     cc_per_group: int
     mc_per_group: int
-    dram_gbps: Optional[float] = None
-    keep_fraction: Optional[float] = None
+    dram_gbps: Optional[float] = when_set(None)
+    keep_fraction: Optional[float] = when_set(None)
 
     def __post_init__(self) -> None:
         if self.n_groups < 1:
@@ -131,40 +131,9 @@ class ChipDesign:
             system = system.with_pruning(self.keep_fraction)
         return system
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the design point to plain JSON data.
-
-        The optional DRAM/pruning axes are emitted only when set, keeping
-        geometry-only payloads (and everything hashed over them) identical
-        to the pre-axis format.
-        """
-        data: Dict[str, Any] = {
-            "n_groups": self.n_groups,
-            "cc_per_group": self.cc_per_group,
-            "mc_per_group": self.mc_per_group,
-        }
-        if self.dram_gbps is not None:
-            data["dram_gbps"] = self.dram_gbps
-        if self.keep_fraction is not None:
-            data["keep_fraction"] = self.keep_fraction
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ChipDesign":
-        """Rebuild a design point from :meth:`to_dict` data."""
-        dram_gbps = data.get("dram_gbps")
-        keep_fraction = data.get("keep_fraction")
-        return cls(
-            n_groups=int(data["n_groups"]),
-            cc_per_group=int(data["cc_per_group"]),
-            mc_per_group=int(data["mc_per_group"]),
-            dram_gbps=None if dram_gbps is None else float(dram_gbps),
-            keep_fraction=None if keep_fraction is None else float(keep_fraction),
-        )
-
 
 @dataclass(frozen=True)
-class FleetOption:
+class FleetOption(Spec):
     """One fleet topology candidate for a chip design.
 
     A *static* option (``autoscaled=False``) deploys exactly ``n_chips``
@@ -196,25 +165,6 @@ class FleetOption:
         if self.autoscaled:
             return f"auto{self.min_chips}-{self.n_chips}"
         return f"static{self.n_chips}/{self.policy}"
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the fleet option to plain JSON data."""
-        return {
-            "n_chips": self.n_chips,
-            "policy": self.policy,
-            "autoscaled": self.autoscaled,
-            "min_chips": self.min_chips,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FleetOption":
-        """Rebuild a fleet option from :meth:`to_dict` data."""
-        return cls(
-            n_chips=int(data["n_chips"]),
-            policy=str(data.get("policy", "least_loaded")),
-            autoscaled=bool(data.get("autoscaled", False)),
-            min_chips=int(data.get("min_chips", 1)),
-        )
 
 
 def default_chip_grid() -> Tuple[ChipDesign, ...]:
@@ -281,7 +231,7 @@ def parse_mixes(text: str) -> Tuple[Tuple[int, int], ...]:
 
 
 @dataclass(frozen=True)
-class PlannerConfig:
+class PlannerConfig(Spec):
     """The candidate space of one planning run (pure data).
 
     ``chip_grid`` lists the design points considered; fleet sizes span
@@ -370,33 +320,6 @@ class PlannerConfig:
                 )
             )
         return tuple(options)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the config to plain JSON data."""
-        return {
-            "chip_grid": [design.to_dict() for design in self.chip_grid],
-            "min_chips": self.min_chips,
-            "max_chips": self.max_chips,
-            "policies": list(self.policies),
-            "include_autoscaled": self.include_autoscaled,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PlannerConfig":
-        """Rebuild a config from :meth:`to_dict` data."""
-        return cls(
-            chip_grid=tuple(
-                ChipDesign.from_dict(entry) for entry in data.get("chip_grid", ())
-            ),
-            min_chips=int(data.get("min_chips", 1)),
-            max_chips=int(data.get("max_chips", 4)),
-            policies=tuple(str(p) for p in data.get("policies", ("least_loaded",))),
-            include_autoscaled=bool(data.get("include_autoscaled", True)),
-        )
-
-    def canonical_json(self) -> str:
-        """The canonical (minified, key-sorted) JSON identity of the config."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:
         """SHA-256 of the canonical JSON — the config's stable identity."""

@@ -9,8 +9,11 @@ topology* with optional SLO-aware autoscaling (:class:`FleetSpec` /
 :class:`AutoscalerSpec`) and the *service-level objectives* the run is
 judged against (:class:`SLOSpec`).
 
-Specs serialize losslessly to JSON (``to_dict`` / ``from_dict``), and the
-canonical JSON form is the *identity* of a scenario: :meth:`ScenarioSpec.
+Specs serialize losslessly to JSON through the one field-driven codec of
+:mod:`repro.codec` (``to_dict`` / ``from_dict``; the format and its
+:class:`~repro.codec.SpecError` paths are described in the "Spec JSON"
+section of ``docs/scenarios.md``), and the canonical JSON form is the
+*identity* of a scenario: :meth:`ScenarioSpec.
 spec_hash` is its SHA-256, and every random seed used while compiling the
 scenario is derived from that hash via :meth:`ScenarioSpec.derive_seed`.
 Deriving seeds from the content hash — never from Python's per-process
@@ -22,20 +25,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Dict, Optional, Tuple
+
+from ..codec import Spec, applies, for_kinds, when_set
 
 ARRIVAL_KINDS: Tuple[str, ...] = ("poisson", "bursty", "diurnal", "trace")
 ADMISSION_POLICIES: Tuple[str, ...] = ("queue", "reject")
 DRAIN_POLICIES: Tuple[str, ...] = ("drain", "abort")
 
 
-def _tuple_of(values, caster) -> Tuple:
-    return tuple(caster(value) for value in values)
-
-
 @dataclass(frozen=True)
-class WorkloadComponent:
+class WorkloadComponent(Spec):
     """One weighted slice of a scenario's workload mix.
 
     The shape parameters mirror :class:`~repro.serving.arrival.
@@ -53,11 +54,11 @@ class WorkloadComponent:
     #: Tenant class the component's requests bill to (``None`` = the
     #: implicit "default" tenant; emitted only when set, so tenant-free
     #: specs hash exactly as before the field existed).
-    tenant: Optional[str] = None
+    tenant: Optional[str] = when_set(None)
     #: Admission weight relative to the mix's other components; requests
     #: of a higher-priority component get a proportionally deeper
     #: admission queue and re-dispatch first after a chip loss.
-    priority: float = 1.0
+    priority: float = when_set(1.0)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -86,47 +87,9 @@ class WorkloadComponent:
                 f"component {self.name!r}: output token choices must be positive"
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the component (tenant/priority only when non-default)."""
-        data: Dict[str, Any] = {
-            "name": self.name,
-            "weight": self.weight,
-            "images": self.images,
-            "prompt_token_range": list(self.prompt_token_range),
-            "output_token_choices": list(self.output_token_choices),
-            "output_token_weights": list(self.output_token_weights),
-        }
-        if self.tenant is not None:
-            data["tenant"] = self.tenant
-        if self.priority != 1.0:
-            data["priority"] = self.priority
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadComponent":
-        """Rebuild a component from :meth:`to_dict` data."""
-        tenant = data.get("tenant")
-        return cls(
-            name=str(data["name"]),
-            weight=float(data.get("weight", 1.0)),
-            images=int(data.get("images", 1)),
-            prompt_token_range=tuple(
-                int(v) for v in data.get("prompt_token_range", (16, 64))
-            ),
-            output_token_choices=_tuple_of(
-                data.get("output_token_choices", (16, 32, 64, 128, 256)), int
-            ),
-            output_token_weights=_tuple_of(
-                data.get("output_token_weights", (0.3, 0.3, 0.25, 0.1, 0.05)),
-                float,
-            ),
-            tenant=None if tenant is None else str(tenant),
-            priority=float(data.get("priority", 1.0)),
-        )
-
 
 @dataclass(frozen=True)
-class ArrivalSpec:
+class ArrivalSpec(Spec):
     """The arrival process of a scenario (see :mod:`repro.serving.arrival`).
 
     ``kind`` selects the process; the rate/burst fields apply to the
@@ -136,22 +99,18 @@ class ArrivalSpec:
     """
 
     kind: str = "poisson"
-    rate_rps: float = 2.0
-    burst_multiplier: float = 8.0
-    mean_calm_arrivals: float = 60.0
-    mean_burst_arrivals: float = 20.0
-    period_s: float = 86400.0
-    times: Optional[Tuple[float, ...]] = None
+    rate_rps: float = for_kinds("poisson", "bursty", "diurnal", default=2.0)
+    burst_multiplier: float = for_kinds("bursty", default=8.0)
+    mean_calm_arrivals: float = for_kinds("bursty", default=60.0)
+    mean_burst_arrivals: float = for_kinds("bursty", default=20.0)
+    period_s: float = for_kinds("diurnal", default=86400.0)
+    times: Optional[Tuple[float, ...]] = for_kinds("trace", default=None)
 
     def __post_init__(self) -> None:
         if self.kind not in ARRIVAL_KINDS:
             raise ValueError(
                 f"arrival kind must be one of {ARRIVAL_KINDS}, got {self.kind!r}"
             )
-        # Fields that do not apply to the chosen kind must stay at their
-        # defaults: `to_dict` omits them, so any other value would be
-        # silently lost on a serialization round trip.
-        self._require_defaults_for_unused_fields()
         if self.kind == "trace":
             if not self.times:
                 raise ValueError("a trace arrival spec needs explicit times")
@@ -166,55 +125,24 @@ class ArrivalSpec:
                 raise ValueError("times only apply to trace arrivals")
             if self.kind == "diurnal" and self.period_s <= 0:
                 raise ValueError("period_s must be positive")
+        # Fields that do not apply to the chosen kind must stay at their
+        # defaults: `to_dict` omits them, so any other value would be
+        # silently lost on a serialization round trip.
+        self._require_defaults_for_unused_fields()
 
     def _require_defaults_for_unused_fields(self) -> None:
-        defaults = {f.name: f.default for f in fields(type(self))}
-        unused = []
-        if self.kind != "bursty":
-            unused += ["burst_multiplier", "mean_calm_arrivals", "mean_burst_arrivals"]
-        if self.kind != "diurnal":
-            unused.append("period_s")
-        if self.kind == "trace":
-            unused.append("rate_rps")
-        for name in unused:
-            if getattr(self, name) != defaults[name]:
+        for spec_field in fields(self):
+            if not applies(spec_field, self.kind) and (
+                getattr(self, spec_field.name) != spec_field.default
+            ):
                 raise ValueError(
-                    f"{name} does not apply to {self.kind!r} arrivals "
-                    "(it would be lost on serialization)"
+                    f"{spec_field.name} does not apply to {self.kind!r} "
+                    "arrivals (it would be lost on serialization)"
                 )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the arrival spec (unused fields omitted)."""
-        data: Dict[str, Any] = {"kind": self.kind}
-        if self.kind == "trace":
-            data["times"] = list(self.times or ())
-        else:
-            data["rate_rps"] = self.rate_rps
-        if self.kind == "bursty":
-            data["burst_multiplier"] = self.burst_multiplier
-            data["mean_calm_arrivals"] = self.mean_calm_arrivals
-            data["mean_burst_arrivals"] = self.mean_burst_arrivals
-        if self.kind == "diurnal":
-            data["period_s"] = self.period_s
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ArrivalSpec":
-        """Rebuild an arrival spec from :meth:`to_dict` data."""
-        times = data.get("times")
-        return cls(
-            kind=str(data.get("kind", "poisson")),
-            rate_rps=float(data.get("rate_rps", 2.0)),
-            burst_multiplier=float(data.get("burst_multiplier", 8.0)),
-            mean_calm_arrivals=float(data.get("mean_calm_arrivals", 60.0)),
-            mean_burst_arrivals=float(data.get("mean_burst_arrivals", 20.0)),
-            period_s=float(data.get("period_s", 86400.0)),
-            times=None if times is None else _tuple_of(times, float),
-        )
 
 
 @dataclass(frozen=True)
-class AutoscalerSpec:
+class AutoscalerSpec(Spec):
     """Knobs of the SLO-aware fleet autoscaler (pure data).
 
     The controller's TTFT target comes from the owning scenario's
@@ -254,29 +182,9 @@ class AutoscalerSpec:
                 f"got {self.admission!r}"
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the autoscaler block to plain JSON data."""
-        return {
-            "min_chips": self.min_chips,
-            "max_chips": self.max_chips,
-            "window": self.window,
-            "min_observations": self.min_observations,
-            "cooldown_s": self.cooldown_s,
-            "scale_up_ratio": self.scale_up_ratio,
-            "scale_down_ratio": self.scale_down_ratio,
-            "max_queue_depth": self.max_queue_depth,
-            "admission": self.admission,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AutoscalerSpec":
-        """Rebuild an autoscaler block from :meth:`to_dict` data."""
-        kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
-class FleetSpec:
+class FleetSpec(Spec):
     """Fleet topology: the model served and the chips serving it."""
 
     model: str = "sphinx-tiny"
@@ -285,7 +193,7 @@ class FleetSpec:
     max_batch_size: int = 8
     context_bucket: int = 32
     cc_bandwidth_fraction: float = 0.5
-    autoscaler: Optional[AutoscalerSpec] = None
+    autoscaler: Optional[AutoscalerSpec] = when_set(None)
 
     def __post_init__(self) -> None:
         if self.n_chips < 1:
@@ -293,47 +201,17 @@ class FleetSpec:
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the fleet spec to plain JSON data."""
-        data: Dict[str, Any] = {
-            "model": self.model,
-            "n_chips": self.n_chips,
-            "policy": self.policy,
-            "max_batch_size": self.max_batch_size,
-            "context_bucket": self.context_bucket,
-            "cc_bandwidth_fraction": self.cc_bandwidth_fraction,
-        }
-        if self.autoscaler is not None:
-            data["autoscaler"] = self.autoscaler.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FleetSpec":
-        """Rebuild a fleet spec from :meth:`to_dict` data."""
-        autoscaler = data.get("autoscaler")
-        return cls(
-            model=str(data.get("model", "sphinx-tiny")),
-            n_chips=int(data.get("n_chips", 1)),
-            policy=str(data.get("policy", "least_loaded")),
-            max_batch_size=int(data.get("max_batch_size", 8)),
-            context_bucket=int(data.get("context_bucket", 32)),
-            cc_bandwidth_fraction=float(data.get("cc_bandwidth_fraction", 0.5)),
-            autoscaler=(
-                None if autoscaler is None else AutoscalerSpec.from_dict(autoscaler)
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class SLOSpec:
+class SLOSpec(Spec):
     """Service-level objectives a scenario is judged against.
 
     Every field is optional: ``None`` means "no objective for this metric".
     """
 
-    ttft_p99_s: Optional[float] = None
-    latency_p95_s: Optional[float] = None
-    queue_wait_p99_s: Optional[float] = None
+    ttft_p99_s: Optional[float] = when_set(None)
+    latency_p95_s: Optional[float] = when_set(None)
+    queue_wait_p99_s: Optional[float] = when_set(None)
 
     def __post_init__(self) -> None:
         for label, value in self.targets().items():
@@ -351,22 +229,9 @@ class SLOSpec:
             targets["queue_wait_p99_s"] = float(self.queue_wait_p99_s)
         return targets
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the objectives (the non-``None`` targets)."""
-        return self.targets()
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SLOSpec":
-        """Rebuild the objectives from :meth:`to_dict` data."""
-        return cls(
-            ttft_p99_s=data.get("ttft_p99_s"),
-            latency_p95_s=data.get("latency_p95_s"),
-            queue_wait_p99_s=data.get("queue_wait_p99_s"),
-        )
-
 
 @dataclass(frozen=True)
-class FaultsSpec:
+class FaultsSpec(Spec):
     """Declarative fault plan: how many faults, when, how hard (pure data).
 
     The concrete :class:`~repro.serving.faults.FaultSchedule` — which
@@ -382,7 +247,7 @@ class FaultsSpec:
     n_chip_failures: int = 0
     n_dram_degrades: int = 0
     window: Tuple[float, float] = (0.25, 0.75)
-    outage_s: Optional[float] = None
+    outage_s: Optional[float] = when_set(None)
     degrade_factor: float = 0.5
     drain_policy: str = "drain"
 
@@ -404,35 +269,9 @@ class FaultsSpec:
                 f"got {self.drain_policy!r}"
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the fault plan (``outage_s`` omitted when unset)."""
-        data: Dict[str, Any] = {
-            "n_chip_failures": self.n_chip_failures,
-            "n_dram_degrades": self.n_dram_degrades,
-            "window": list(self.window),
-            "degrade_factor": self.degrade_factor,
-            "drain_policy": self.drain_policy,
-        }
-        if self.outage_s is not None:
-            data["outage_s"] = self.outage_s
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultsSpec":
-        """Rebuild a fault plan from :meth:`to_dict` data."""
-        outage = data.get("outage_s")
-        return cls(
-            n_chip_failures=int(data.get("n_chip_failures", 0)),
-            n_dram_degrades=int(data.get("n_dram_degrades", 0)),
-            window=tuple(float(v) for v in data.get("window", (0.25, 0.75))),
-            outage_s=None if outage is None else float(outage),
-            degrade_factor=float(data.get("degrade_factor", 0.5)),
-            drain_policy=str(data.get("drain_policy", "drain")),
-        )
-
 
 @dataclass(frozen=True)
-class ChaosSpec:
+class ChaosSpec(Spec):
     """Declarative runtime-chaos plan: how much to break the control plane.
 
     The concrete :class:`~repro.serving.runtime.chaos.ChaosSchedule` —
@@ -480,36 +319,9 @@ class ChaosSpec:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the chaos plan to plain JSON data."""
-        return {
-            "n_crashes": self.n_crashes,
-            "n_hangs": self.n_hangs,
-            "n_drops": self.n_drops,
-            "n_delays": self.n_delays,
-            "n_supervisor_crashes": self.n_supervisor_crashes,
-            "hang_shards": self.hang_shards,
-            "delay_s": self.delay_s,
-            "max_retries": self.max_retries,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ChaosSpec":
-        """Rebuild a chaos plan from :meth:`to_dict` data."""
-        return cls(
-            n_crashes=int(data.get("n_crashes", 1)),
-            n_hangs=int(data.get("n_hangs", 0)),
-            n_drops=int(data.get("n_drops", 0)),
-            n_delays=int(data.get("n_delays", 0)),
-            n_supervisor_crashes=int(data.get("n_supervisor_crashes", 0)),
-            hang_shards=int(data.get("hang_shards", 2)),
-            delay_s=float(data.get("delay_s", 0.05)),
-            max_retries=int(data.get("max_retries", 3)),
-        )
-
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Spec):
     """A complete, serializable description of one serving scenario."""
 
     name: str
@@ -525,12 +337,12 @@ class ScenarioSpec:
     #: Optional fault plan; ``None`` (the default, omitted from the
     #: serialized form) keeps the scenario on the fault-free path and its
     #: spec hash exactly as before the field existed.
-    faults: Optional[FaultsSpec] = None
+    faults: Optional[FaultsSpec] = when_set(None)
     #: Optional runtime-chaos plan; ``None`` (the default, omitted from
     #: the serialized form) keeps the spec hash exactly as before the
     #: field existed.  Chaos targets the live runtime's control plane
     #: only — it composes freely with ``faults`` (simulated hardware).
-    chaos: Optional[ChaosSpec] = None
+    chaos: Optional[ChaosSpec] = when_set(None)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -572,50 +384,6 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the whole scenario (``faults`` only when present)."""
-        data: Dict[str, Any] = {
-            "name": self.name,
-            "description": self.description,
-            "n_requests": self.n_requests,
-            "mix": [component.to_dict() for component in self.mix],
-            "arrival": self.arrival.to_dict(),
-            "fleet": self.fleet.to_dict(),
-            "slo": self.slo.to_dict(),
-            "seed_salt": self.seed_salt,
-        }
-        if self.faults is not None:
-            data["faults"] = self.faults.to_dict()
-        if self.chaos is not None:
-            data["chaos"] = self.chaos.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        """Rebuild a scenario from :meth:`to_dict` data."""
-        return cls(
-            name=str(data["name"]),
-            description=str(data.get("description", "")),
-            n_requests=int(data.get("n_requests", 100)),
-            mix=tuple(
-                WorkloadComponent.from_dict(component)
-                for component in data.get("mix", ())
-            ),
-            arrival=ArrivalSpec.from_dict(data.get("arrival", {})),
-            fleet=FleetSpec.from_dict(data.get("fleet", {})),
-            slo=SLOSpec.from_dict(data.get("slo", {})),
-            seed_salt=int(data.get("seed_salt", 0)),
-            faults=(
-                None
-                if data.get("faults") is None
-                else FaultsSpec.from_dict(data["faults"])
-            ),
-            chaos=(
-                None
-                if data.get("chaos") is None
-                else ChaosSpec.from_dict(data["chaos"])
-            ),
-        )
 
     def to_json(self) -> str:
         """Human-oriented JSON rendering (indented, key-sorted)."""
@@ -629,12 +397,6 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
     # Identity and seed derivation
     # ------------------------------------------------------------------
-    def canonical_json(self) -> str:
-        """The canonical (minified, key-sorted) JSON identity of the spec."""
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-
     def spec_hash(self) -> str:
         """SHA-256 of the canonical JSON — the scenario's stable identity."""
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()

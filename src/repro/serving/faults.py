@@ -82,6 +82,7 @@ from typing import (
     Tuple,
 )
 
+from ..codec import Spec, for_kinds
 from ..core.simulator import PerformanceSimulator
 from ..models.mllm import InferenceRequest
 from .autoscale import AutoscaleResult, ScalingEvent
@@ -107,7 +108,7 @@ RECOVERY_TOLERANCE = 1.1
 
 
 @dataclass(frozen=True)
-class FaultEvent:
+class FaultEvent(Spec):
     """One scheduled fleet fault: a kind, a time and a target chip.
 
     ``factor`` applies to ``dram_degrade`` only: the degraded DRAM
@@ -118,7 +119,7 @@ class FaultEvent:
     time_s: float
     kind: str
     chip_id: int
-    factor: float = 1.0
+    factor: float = for_kinds("dram_degrade", default=1.0)
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -135,30 +136,9 @@ class FaultEvent:
         elif self.factor != 1.0:
             raise ValueError("factor only applies to dram_degrade events")
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the event to plain JSON data (factor only if used)."""
-        data: Dict[str, Any] = {
-            "time_s": self.time_s,
-            "kind": self.kind,
-            "chip_id": self.chip_id,
-        }
-        if self.kind == "dram_degrade":
-            data["factor"] = self.factor
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultEvent":
-        """Rebuild an event from :meth:`to_dict` data."""
-        return cls(
-            time_s=float(data["time_s"]),
-            kind=str(data["kind"]),
-            chip_id=int(data["chip_id"]),
-            factor=float(data.get("factor", 1.0)),
-        )
-
 
 @dataclass(frozen=True)
-class FaultSchedule:
+class FaultSchedule(Spec):
     """A deterministic, time-ordered timeline of fleet fault events.
 
     ``drain_policy`` governs what a dying chip does with requests whose
@@ -202,23 +182,6 @@ class FaultSchedule:
                 raise ValueError(
                     f"chip {event.chip_id} cannot degrade while down"
                 )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the schedule to plain JSON data."""
-        return {
-            "drain_policy": self.drain_policy,
-            "events": [event.to_dict() for event in self.events],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultSchedule":
-        """Rebuild a schedule from :meth:`to_dict` data."""
-        return cls(
-            events=tuple(
-                FaultEvent.from_dict(event) for event in data.get("events", ())
-            ),
-            drain_policy=str(data.get("drain_policy", "drain")),
-        )
 
 
 @dataclass(frozen=True)

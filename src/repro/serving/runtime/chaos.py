@@ -36,7 +36,9 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Sequence, Set, Tuple
+from typing import Any, Dict, Set, Tuple
+
+from ...codec import Spec, for_kinds
 
 #: Actor roles chaos can target (``Actor.name`` prefixes).
 CHAOS_ACTOR_KINDS: Tuple[str, ...] = ("ingestion", "chip", "supervisor")
@@ -77,7 +79,7 @@ class ChaosCrash(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ChaosEvent:
+class ChaosEvent(Spec):
     """One scheduled runtime fault, addressed by logical coordinates.
 
     ``actor``/``at`` locate actor faults (``crash_actor``,
@@ -92,12 +94,12 @@ class ChaosEvent:
     """
 
     kind: str
-    actor: str = ""
-    message: str = ""
-    at: int = -1
-    nth: int = -1
-    for_shards: int = 0
-    by_s: float = 0.0
+    actor: str = for_kinds("crash_actor", "hang_actor", default="")
+    message: str = for_kinds("drop_message", "delay_message", default="")
+    at: int = for_kinds("crash_actor", "hang_actor", default=-1)
+    nth: int = for_kinds("drop_message", "delay_message", default=-1)
+    for_shards: int = for_kinds("hang_actor", default=0)
+    by_s: float = for_kinds("delay_message", default=0.0)
 
     def __post_init__(self) -> None:
         if self.kind not in CHAOS_KINDS:
@@ -139,34 +141,6 @@ class ChaosEvent:
             elif self.by_s != 0.0:
                 raise ValueError("by_s only applies to delay_message")
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize to plain JSON data, kind-specific fields only."""
-        data: Dict[str, Any] = {"kind": self.kind}
-        if self.kind in ("crash_actor", "hang_actor"):
-            data["actor"] = self.actor
-            data["at"] = self.at
-            if self.kind == "hang_actor":
-                data["for_shards"] = self.for_shards
-        else:
-            data["message"] = self.message
-            data["nth"] = self.nth
-            if self.kind == "delay_message":
-                data["by_s"] = self.by_s
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ChaosEvent":
-        """Rebuild an event from :meth:`to_dict` data (re-validating)."""
-        return cls(
-            kind=data["kind"],
-            actor=data.get("actor", ""),
-            message=data.get("message", ""),
-            at=data.get("at", -1),
-            nth=data.get("nth", -1),
-            for_shards=data.get("for_shards", 0),
-            by_s=data.get("by_s", 0.0),
-        )
-
 
 def crash_actor(kind: str, at_shard: int) -> ChaosEvent:
     """A ``crash_actor`` event: kill a ``kind`` actor at work unit ``at_shard``."""
@@ -191,7 +165,7 @@ def delay_message(kind: str, nth: int, by_s: float) -> ChaosEvent:
 
 
 @dataclass(frozen=True)
-class ChaosSchedule:
+class ChaosSchedule(Spec):
     """A validated, replayable set of chaos events.
 
     Order is irrelevant — events are addressed by logical coordinates,
@@ -211,19 +185,6 @@ class ChaosSchedule:
 
     def __bool__(self) -> bool:
         return bool(self.events)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the schedule to plain JSON data."""
-        return {"events": [event.to_dict() for event in self.events]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ChaosSchedule":
-        """Rebuild a schedule from :meth:`to_dict` data (re-validating)."""
-        return cls(
-            events=tuple(
-                ChaosEvent.from_dict(event) for event in data["events"]
-            )
-        )
 
 
 def generate_chaos_schedule(

@@ -206,8 +206,6 @@ def _drive(
             f"within the {len(trace)}-arrival trace; got {pause_after}"
         )
     config = supervision if supervision is not None else SupervisionConfig()
-    if fleet.precompute:
-        fleet.precompute_service_times(trace)
     arrivals = [(index, trace[index]) for index in sorted_order(trace)]
     injector = (
         ChaosInjector(chaos, hang_unit_s=hang_unit_s) if chaos else None

@@ -248,6 +248,21 @@ class TestRuntimePlumbing:
         with pytest.raises(ValueError, match="runtime"):
             fleet.run(trace, runtime="warp")
 
+    def test_one_session_precomputes_once(self, model, monkeypatch):
+        # The session's controller seeds the fleet; the driver must not
+        # price the whole trace a second time before it.
+        calls = []
+        precompute = FleetSimulator.precompute_service_times
+
+        def counted(fleet, trace):
+            calls.append(len(trace))
+            return precompute(fleet, trace)
+
+        monkeypatch.setattr(FleetSimulator, "precompute_service_times", counted)
+        trace = _trace(11, n=6)
+        run_live(FleetSimulator(model, n_chips=2), trace)
+        assert calls == [len(trace)]
+
     def test_empty_trace_rejected(self, model):
         fleet = FleetSimulator(model, n_chips=2)
         with pytest.raises(ValueError, match="empty"):

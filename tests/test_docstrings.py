@@ -1,8 +1,9 @@
 """Lightweight pydocstyle-style audit of the public entry points.
 
 Scope: every module of ``repro.serving``, ``repro.scenarios`` and
-``repro.planner``, plus ``repro.core.batch``.  The rules are deliberately
-small and mechanical so the check stays fast and non-flaky:
+``repro.planner``, plus ``repro.core.batch`` and ``repro.codec``.  The
+rules are deliberately small and mechanical so the check stays fast and
+non-flaky:
 
 * every public class, function, method and property defined in those
   modules carries a docstring whose first line is a non-empty summary;
@@ -23,13 +24,14 @@ import pkgutil
 import re
 from typing import Iterator, List, Tuple
 
+import repro.codec
 import repro.core.batch
 import repro.planner
 import repro.scenarios
 import repro.serving
 
 AUDITED_PACKAGES = (repro.serving, repro.scenarios, repro.planner)
-AUDITED_MODULES = (repro.core.batch,)
+AUDITED_MODULES = (repro.core.batch, repro.codec)
 
 
 def audited_modules() -> List[object]:
