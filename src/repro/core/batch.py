@@ -37,7 +37,7 @@ import numpy as np
 from .. import costs
 from ..arch.area_power import AreaPowerModel
 from ..arch.chip import ChipConfig
-from ..models.mllm import InferenceRequest, MLLMConfig
+from ..models.mllm import InferenceRequest, MLLMConfig, PhaseKey
 from ..models.ops import Op, OpKind, Phase, Workload
 from .config import SystemConfig
 from .metrics import PhaseResult, WorkloadResult
@@ -772,42 +772,46 @@ def batch_price_request_mix(
     The serving-scenario layer compiles traces mixing heterogeneous request
     shapes (text chat, multi-image, video frames, long context).  Pricing
     them one scalar simulation at a time would redo the same cost algebra
-    per shape; instead this stacks every unique shape's phases into a
-    *single* :class:`OpTable` — cross-shape signature deduplication comes
-    for free, decoder layers repeat across shapes — and evaluates the lot
-    against one single-point grid.  ``result[shape].latency_s`` is
-    bit-identical to
+    per shape; instead this stacks every *distinct phase* of the mix into a
+    single :class:`OpTable` and evaluates the lot against one single-point
+    grid.  Phases are keyed by :meth:`~repro.models.mllm.MLLMConfig.phase_keys`
+    (image count for the vision encoder and projector, prompt tokens for
+    the prefill, mean decode context and output tokens for the decode), so
+    shapes that share an input share its phase, and each shape's price
+    folds its phases' latencies in workload order.  ``result[shape].latency_s``
+    is bit-identical to
     ``PerformanceSimulator(system).run_request(model, shape)``'s
     ``total_latency_s`` (regression-tested in ``tests/core/test_batch.py``).
     """
-    unique: Dict[InferenceRequest, None] = {}
-    for request in requests:
-        unique.setdefault(request, None)
-    if not unique:
+    shapes = list(dict.fromkeys(requests))
+    if not shapes:
         raise ValueError("requests must not be empty")
-    shapes = list(unique)
+    index_of: Dict[PhaseKey, int] = {}
     phases: List[Tuple[str, Sequence[Op], int]] = []
-    spans: List[Tuple[int, int]] = []
-    for index, shape in enumerate(shapes):
-        workload = model.build_workload(shape)
-        start = len(phases)
-        phases.extend(
-            (f"{index}/{phase.name}", phase.ops, phase.repeat)
-            for phase in workload.phases
-        )
-        spans.append((start, len(phases)))
+    shape_phases: List[List[int]] = []
+    for shape in shapes:
+        indices = []
+        for key in model.phase_keys(shape):
+            if key not in index_of:
+                index_of[key] = len(phases)
+                name, value, repeat = key
+                phases.append((name, model.phase_ops(name, value), repeat))
+            indices.append(index_of[key])
+        shape_phases.append(indices)
     table = OpTable("request_mix", phases)
     grid = DesignGrid.from_systems([system], bandwidth_fraction=bandwidth_fraction)
     result = BatchCostEngine(grid).evaluate(table)
-    prices: Dict[InferenceRequest, RequestPrice] = {}
-    for shape, (start, stop) in zip(shapes, spans):
-        arrays = result.phases[start:stop]
-        prices[shape] = RequestPrice(
-            latency_s=sum(float(a.latency_s[0]) for a in arrays),
-            dram_bytes=sum(int(a.dram_bytes[0]) for a in arrays),
-            flops=sum(a.flops for a in arrays),
+    latency = [float(arrays.latency_s[0]) for arrays in result.phases]
+    dram_bytes = [int(arrays.dram_bytes[0]) for arrays in result.phases]
+    flops = [arrays.flops for arrays in result.phases]
+    return {
+        shape: RequestPrice(
+            latency_s=sum(latency[index] for index in indices),
+            dram_bytes=sum(dram_bytes[index] for index in indices),
+            flops=sum(flops[index] for index in indices),
         )
-    return prices
+        for shape, indices in zip(shapes, shape_phases)
+    }
 
 
 @dataclass(frozen=True)

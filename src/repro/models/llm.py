@@ -26,6 +26,20 @@ from .transformer import TransformerLayerConfig, decode_layer_ops, prefill_layer
 _MEMO_SIZE = 1024
 
 
+def mean_decode_context(prompt_tokens: int, output_tokens: int) -> int:
+    """The context of the one decode step that stands for a whole decode.
+
+    Decoding ``output_tokens`` tokens after ``prompt_tokens`` prompt
+    tokens runs at contexts ``prompt_tokens … prompt_tokens +
+    output_tokens - 1``; their mean, rounded, is the context every
+    averaged decode phase is lowered at.
+    """
+    if output_tokens <= 0:
+        raise ValueError("output_tokens must be positive")
+    mean_context = prompt_tokens + max(output_tokens - 1, 0) / 2.0
+    return max(int(round(mean_context)), 1)
+
+
 @dataclass(frozen=True)
 class LLMConfig:
     """Architecture parameters of a decoder-only language model."""
@@ -132,8 +146,9 @@ class LLMConfig:
         if output_tokens <= 0:
             raise ValueError("output_tokens must be positive")
         if average_context:
-            mean_context = prompt_tokens + max(output_tokens - 1, 0) / 2.0
-            step = self.decode_step_phase(max(int(round(mean_context)), 1))
+            step = self.decode_step_phase(
+                mean_decode_context(prompt_tokens, output_tokens)
+            )
             return step.scaled(repeat=output_tokens)
         phase = Phase(name="llm_decode")
         for step_index in range(output_tokens):

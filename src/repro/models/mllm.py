@@ -18,7 +18,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple, Union
 
-from .llm import _MEMO_SIZE, LLMConfig, get_llm
+from .llm import _MEMO_SIZE, LLMConfig, get_llm, mean_decode_context
 from .ops import Op, Phase, Workload, merge_phases
 from .projector import (
     LDPProjectorConfig,
@@ -30,6 +30,8 @@ from .vision import ConvNeXtEncoderConfig, VisionEncoderConfig, get_vision_encod
 
 VisionEncoder = Union[VisionEncoderConfig, ConvNeXtEncoderConfig]
 Projector = Union[MLPProjectorConfig, LDPProjectorConfig, QFormerProjectorConfig]
+#: One phase of a request's workload: ``(name, lowering input, repeat)``.
+PhaseKey = Tuple[str, int, int]
 
 
 @dataclass(frozen=True)
@@ -101,22 +103,44 @@ class MLLMConfig:
     # ------------------------------------------------------------------
     # Lowering
     # ------------------------------------------------------------------
-    def build_workload(
-        self, request: InferenceRequest, *, average_decode_context: bool = True
-    ) -> Workload:
-        """Lower one inference request to a four-phase workload."""
-        workload = Workload(
-            name=self.name,
-            phases=self._cc_phases(request.images, request.prompt_text_tokens),
-        )
-        workload.add(
-            self.llm.decode_phase(
-                self.prompt_tokens(request),
+    # ``build_workload`` and batch pricing lower the same phase keys, so a
+    # priced phase is always the workload's own.
+    def phase_keys(self, request: InferenceRequest) -> List[PhaseKey]:
+        """The ``(name, input, repeat)`` key of every phase of ``request``.
+
+        In workload order: the vision encoder and the projector (input:
+        the image count; both absent without images), the prefill (input:
+        the prompt tokens) and the decode (input: the mean decode context,
+        repeated once per output token).  Two requests share a phase
+        exactly when they share its key.
+        """
+        keys = self._cc_keys(request.images, request.prompt_text_tokens)
+        keys.append(
+            (
+                "llm_decode",
+                mean_decode_context(
+                    self.prompt_tokens(request), request.output_tokens
+                ),
                 request.output_tokens,
-                average_context=average_decode_context,
             )
         )
-        return workload
+        return keys
+
+    def phase_ops(self, name: str, value: int) -> Tuple[Op, ...]:
+        """The memoized ops of the phase keyed ``(name, value, repeat)``."""
+        if name == "vision_encoder":
+            return self._vision_ops(value)[0]
+        if name == "projector":
+            return self._vision_ops(value)[1]
+        if name == "llm_prefill":
+            return self.llm._prefill_ops(value)
+        if name == "llm_decode":
+            return self.llm._decode_step_ops(value)
+        raise KeyError(f"{self.name} has no phase named {name!r}")
+
+    def build_workload(self, request: InferenceRequest) -> Workload:
+        """Lower one inference request to a four-phase workload."""
+        return Workload(name=self.name, phases=self._phases(self.phase_keys(request)))
 
     def cc_stage_phase(self, images: int, prompt_text_tokens: int) -> Phase:
         """Vision encode, projector and prefill of one request as one phase.
@@ -124,22 +148,30 @@ class MLLMConfig:
         The CC stage of the pipeline: the ops of :meth:`build_workload`'s
         first three phases, in order.  The output length does not enter it.
         """
-        return merge_phases("cc_stage", self._cc_phases(images, prompt_text_tokens))
+        return merge_phases(
+            "cc_stage", self._phases(self._cc_keys(images, prompt_text_tokens))
+        )
 
-    def _cc_phases(self, images: int, prompt_text_tokens: int) -> List[Phase]:
-        """Fresh vision-encoder, projector and prefill phases over memoized ops."""
+    def _phases(self, keys: List[PhaseKey]) -> List[Phase]:
+        """Fresh phases over the memoized ops of ``keys``."""
+        return [
+            Phase(name=name, ops=list(self.phase_ops(name, value)), repeat=repeat)
+            for name, value, repeat in keys
+        ]
+
+    def _cc_keys(self, images: int, prompt_text_tokens: int) -> List[PhaseKey]:
+        """The vision-encoder, projector and prefill keys of a CC stage."""
         if images < 0 or prompt_text_tokens < 0:
             raise ValueError("images and prompt_text_tokens must be >= 0")
-        phases = []
-        if images > 0:
-            encoder_ops, projector_ops = self._vision_ops(images)
-            phases.append(Phase(name="vision_encoder", ops=list(encoder_ops)))
-            phases.append(Phase(name="projector", ops=list(projector_ops)))
         prompt = self.vision_tokens(images) + prompt_text_tokens
         if prompt <= 0:
             raise ValueError("prompt must contain at least one token")
-        phases.append(self.llm.prefill_phase(prompt))
-        return phases
+        keys: List[PhaseKey] = []
+        if images > 0:
+            keys.append(("vision_encoder", images, 1))
+            keys.append(("projector", images, 1))
+        keys.append(("llm_prefill", prompt, 1))
+        return keys
 
     @functools.lru_cache(maxsize=_MEMO_SIZE)
     def _vision_ops(self, images: int) -> Tuple[Tuple[Op, ...], Tuple[Op, ...]]:

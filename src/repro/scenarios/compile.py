@@ -7,13 +7,15 @@ bit-identical :class:`~repro.serving.queue.ServingRequest` trace in every
 process.  The compiled trace remembers which mix component produced each
 request, which the reports use for per-component accounting.
 
-Two compilation forms share one deterministic core: the classic
-:func:`compile_scenario` materialises per-request objects, while
-:func:`compile_scenario_chunks` stream-emits the columnar
-:data:`~repro.serving.trace.TRACE_DTYPE` form in bounded chunks — every
-random stream is a persistent generator with ``compile_scenario``'s exact
-RNG call order, so the chunked columns are byte-stable across chunk sizes
-and convert to the ``==``-identical object trace.  Million-request wave
+Two compilation forms share one deterministic core, the draw loop
+:func:`_draws`: the classic :func:`compile_scenario` materialises
+per-request objects (one :class:`~repro.models.mllm.InferenceRequest` per
+distinct shape), while :func:`compile_scenario_chunks` stream-emits the
+columnar :data:`~repro.serving.trace.TRACE_DTYPE` form in bounded chunks.
+Every random stream is a persistent generator, and each component's
+shape stream is drawn only for the slots that component fills, so the
+chunked columns are byte-stable across chunk sizes and convert to the
+``==``-identical object trace.  Million-request wave
 traces never pay for per-request Python objects on the way in.
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate, islice
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -34,7 +37,7 @@ from ..serving.arrival import (
     TraceArrivals,
 )
 from ..serving.faults import FaultEvent, FaultSchedule
-from ..serving.queue import ServingRequest, build_trace
+from ..serving.queue import ServingRequest
 from ..serving.runtime.actors import DEFAULT_BATCH_SIZE
 from ..serving.runtime.chaos import ChaosSchedule, generate_chaos_schedule
 from ..serving.trace import TRACE_DTYPE
@@ -240,46 +243,75 @@ def compile_chaos_schedule(
     )
 
 
+def _draws(spec: ScenarioSpec) -> Iterator[Tuple[str, float, Tuple[int, int, int]]]:
+    """Every slot's ``(component name, arrival_s, shape)``, in trace order.
+
+    The one draw loop of both compilation forms.  The arrival process,
+    the mix-selection stream and each component's shape stream
+    (:meth:`~repro.serving.arrival.RequestSampler.iter_shapes`) are
+    persistent generators seeded from the spec hash.  A slot draws its
+    component from the selection stream, its arrival, and the next shape
+    of that component's own stream, so a component draws exactly the
+    shapes of the slots it fills.
+    """
+    times = build_arrival_process(
+        spec.arrival, seed=spec.derive_seed("arrival")
+    ).iter_times()
+    shapes: Dict[str, Iterator[Tuple[int, int, int]]] = {
+        component.name: component_sampler(
+            component, seed=spec.derive_seed(f"component:{component.name}")
+        ).iter_shapes()
+        for component in spec.mix
+    }
+    names = [component.name for component in spec.mix]
+    single = len(names) == 1
+    # ``choices`` turns weights into these cumulative weights on every
+    # call; passing them draws the same component from the same random().
+    cum_weights = list(accumulate(component.weight for component in spec.mix))
+    selection = random.Random(spec.derive_seed("mix"))
+    for _ in range(spec.n_requests):
+        name = (
+            names[0]
+            if single
+            else selection.choices(names, cum_weights=cum_weights)[0]
+        )
+        yield name, next(times), next(shapes[name])
+
+
 def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
     """Lower a scenario spec to its serving trace.
 
     Arrival timestamps come from the spec's arrival process; request
     shapes interleave the mix components with spec-hash-derived seeds: a
     selection stream picks the component of every slot and each component
-    contributes the next shape of its own pre-seeded stream.  Specs with
-    a ``faults`` block additionally compile their concrete
+    contributes the next shape of its own seeded stream (see
+    :func:`_draws`).  Requests of one shape share one
+    :class:`~repro.models.mllm.InferenceRequest`, as in
+    :func:`~repro.serving.trace.array_to_trace`.  Specs with a ``faults``
+    block additionally compile their concrete
     :class:`~repro.serving.faults.FaultSchedule` against the trace's
     arrival span.
     """
-    n = spec.n_requests
-    process = build_arrival_process(spec.arrival, seed=spec.derive_seed("arrival"))
-    times = process.generate(n)
-
-    streams: Dict[str, Iterator[InferenceRequest]] = {
-        component.name: iter(
-            component_sampler(
-                component, seed=spec.derive_seed(f"component:{component.name}")
-            ).sample(n)
+    requests: Dict[Tuple[int, int, int], InferenceRequest] = {}
+    trace: List[ServingRequest] = []
+    chosen: List[str] = []
+    for request_id, (name, arrival_s, shape) in enumerate(_draws(spec)):
+        request = requests.get(shape)
+        if request is None:
+            request = requests[shape] = InferenceRequest(*shape)
+        chosen.append(name)
+        trace.append(
+            ServingRequest(request_id=request_id, arrival_s=arrival_s, request=request)
         )
-        for component in spec.mix
-    }
-    names = [component.name for component in spec.mix]
-    weights = [component.weight for component in spec.mix]
-    selection = random.Random(spec.derive_seed("mix"))
-    chosen: List[str] = [
-        names[0] if len(names) == 1 else selection.choices(names, weights=weights)[0]
-        for _ in range(n)
-    ]
-    requests = [next(streams[name]) for name in chosen]
     faults = None
     if spec.faults is not None:
-        faults = compile_fault_schedule(spec, times[-1])
+        faults = compile_fault_schedule(spec, trace[-1].arrival_s)
     chaos = None
     if spec.chaos is not None:
         chaos = compile_chaos_schedule(spec)
     return CompiledScenario(
         spec=spec,
-        trace=tuple(build_trace(times, requests)),
+        trace=tuple(trace),
         components=tuple(chosen),
         faults=faults,
         chaos=chaos,
@@ -301,11 +333,9 @@ def compile_scenario_chunks(
 ) -> Iterator[TraceChunk]:
     """Stream-compile ``spec`` to columnar :class:`TraceChunk` slices.
 
-    The streaming twin of :func:`compile_scenario`: the arrival process,
-    every component's shape sampler and the mix-selection stream run as
-    persistent generators with the exact RNG call order of the one-shot
-    path, so the concatenated chunks are byte-stable for every
-    ``chunk_size`` and convert (``array_to_trace``) to the
+    The streaming twin of :func:`compile_scenario`, over the same draw
+    loop (:func:`_draws`), so the concatenated chunks are byte-stable for
+    every ``chunk_size`` and convert (``array_to_trace``) to the
     ``==``-identical object trace.  Peak memory is one ``chunk_size``
     chunk, never the whole trace — a week-long multi-million-request
     scenario compiles without materialising a single
@@ -316,41 +346,21 @@ def compile_scenario_chunks(
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     n = spec.n_requests
-    process = build_arrival_process(
-        spec.arrival, seed=spec.derive_seed("arrival")
-    )
-    times = process.iter_times()
-    shapes: Dict[str, Iterator[Tuple[int, int, int]]] = {
-        component.name: component_sampler(
-            component, seed=spec.derive_seed(f"component:{component.name}")
-        ).iter_shapes()
-        for component in spec.mix
-    }
-    names = [component.name for component in spec.mix]
-    weights = [component.weight for component in spec.mix]
-    single = len(names) == 1
-    selection = random.Random(spec.derive_seed("mix"))
-
+    draws = _draws(spec)
     emitted = 0
     while emitted < n:
         count = min(chunk_size, n - emitted)
+        chosen: List[str] = []
         arrival_col: List[float] = []
         images_col: List[int] = []
         prompt_col: List[int] = []
         output_col: List[int] = []
-        chosen: List[str] = []
-        for _ in range(count):
-            name = (
-                names[0]
-                if single
-                else selection.choices(names, weights=weights)[0]
-            )
+        for name, arrival_s, (images, prompt, output) in islice(draws, count):
             chosen.append(name)
-            arrival_col.append(next(times))
-            images, prompt_text_tokens, output_tokens = next(shapes[name])
+            arrival_col.append(arrival_s)
             images_col.append(images)
-            prompt_col.append(prompt_text_tokens)
-            output_col.append(output_tokens)
+            prompt_col.append(prompt)
+            output_col.append(output)
         array = np.empty(count, dtype=TRACE_DTYPE)
         array["request_id"] = range(emitted, emitted + count)
         array["arrival_s"] = arrival_col

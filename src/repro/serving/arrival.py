@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Iterator, List, Sequence, Tuple
 
 from ..models.mllm import InferenceRequest
@@ -245,9 +245,11 @@ class RequestSampler:
         """
         rng = random.Random(self.seed)
         lo, hi = self.prompt_token_range
+        # What ``choices`` derives from the weights on every call.
+        cum_weights = list(accumulate(self.output_token_weights))
         while True:
             output_tokens = rng.choices(
-                self.output_token_choices, weights=self.output_token_weights
+                self.output_token_choices, cum_weights=cum_weights
             )[0]
             yield (self.images, rng.randint(lo, hi), output_tokens)
 

@@ -83,6 +83,7 @@ from typing import (
 )
 
 from ..codec import Spec, for_kinds
+from ..core.batch import ServiceTimeBoundsPricer
 from ..core.simulator import PerformanceSimulator
 from ..models.mllm import InferenceRequest
 from .autoscale import AutoscaleResult, ScalingEvent
@@ -350,8 +351,10 @@ def _degraded_chip(
 
     The factor is absolute against the chip's healthy baseline.  Decode
     bucket-cost triples seed from the healthy chip — they carry no
-    bandwidth term — while CC-stage and decode-step latencies recompute
-    lazily against the degraded tier.
+    bandwidth term.  The CC-stage latency of every shape the healthy chip
+    holds is priced against the degraded tier by one
+    :meth:`~repro.core.batch.ServiceTimeBoundsPricer.seeds` call, and
+    decode-step latencies recompute lazily.
     """
     if factor == 1.0:
         return base
@@ -373,6 +376,19 @@ def _degraded_chip(
         engine=base.engine,
     )
     chip.cost_model.seed_bucket_costs(base.cost_model.bucket_costs())
+    shapes = [
+        InferenceRequest(images=images, prompt_text_tokens=prompt, output_tokens=1)
+        for images, prompt in base.cc_latencies()
+    ]
+    if shapes:
+        pricer = ServiceTimeBoundsPricer(
+            base.model,
+            shapes,
+            cc_bandwidth_fraction=base.cc_bandwidth_fraction,
+            context_bucket=base.cost_model.context_bucket,
+        )
+        [(cc_latencies, _)] = pricer.seeds([degraded])
+        chip.seed_cc_latencies(cc_latencies)
     return chip
 
 

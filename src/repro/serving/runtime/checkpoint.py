@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
+from ...codec import SpecError
 from ..dispatch import request_to_state
 from ..queue import ENGINES, ServingRequest
 
@@ -61,6 +62,22 @@ def trace_digest(trace: Sequence[ServingRequest]) -> str:
         separators=(",", ":"),
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _check_scenario(scenario: Any) -> None:
+    """Raise :class:`CheckpointError` unless ``scenario`` decodes to a spec.
+
+    The error names the bad value's path inside the embedded spec
+    (``scenario.mix[0].weight``); the stored data itself stays as written.
+    """
+    # Imported lazily: scenarios builds on the serving package.
+    from ...scenarios.spec import ScenarioSpec
+
+    try:
+        ScenarioSpec.from_dict(scenario)
+    except SpecError as error:
+        where = f"scenario.{error}" if error.path else f"scenario: {error}"
+        raise CheckpointError(f"checkpoint field {where}") from None
 
 
 @dataclass(frozen=True)
@@ -115,8 +132,8 @@ class Checkpoint:
         """Rebuild a checkpoint from :meth:`to_dict` data.
 
         Raises :class:`CheckpointError` on any malformed payload —
-        missing or mistyped fields, an unknown engine, or an unsupported
-        format version.
+        missing or mistyped fields, an embedded scenario spec that does
+        not decode, an unknown engine, or an unsupported format version.
         """
         if not isinstance(data, Mapping):
             raise CheckpointError(
@@ -137,6 +154,8 @@ class Checkpoint:
             )
         try:
             scenario = data.get("scenario")
+            if scenario is not None:
+                _check_scenario(scenario)
             engine = data.get("engine")
             return cls(
                 kind=str(data["kind"]),

@@ -145,6 +145,23 @@ class TestExactEquivalence:
                 assert batch.result_for(0).phases[phase.name] == scalar_phase
 
 
+def priced_phases(model, shapes, monkeypatch):
+    """The ``(name, ops, repeat)`` list pricing ``shapes`` hands its table."""
+    from repro.core import batch
+
+    stacked = []
+
+    class RecordingTable(OpTable):
+        def __init__(self, name, phases):
+            stacked.extend(phases)
+            super().__init__(name, phases)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(batch, "OpTable", RecordingTable)
+        batch_price_request_mix(model, shapes, default_system())
+    return stacked
+
+
 class TestScenarioMixEquivalence:
     """Scenario-generated workload shapes price batch == scalar.
 
@@ -199,6 +216,39 @@ class TestScenarioMixEquivalence:
         ]
         self.assert_prices_match_scalar(shapes, scaled_system(2, cc, mc))
 
+    def test_shapes_sharing_a_phase_match_scalar(self):
+        shapes = [
+            # The same CC inputs with different outputs.
+            InferenceRequest(images=1, prompt_text_tokens=32, output_tokens=8),
+            InferenceRequest(images=1, prompt_text_tokens=32, output_tokens=17),
+            # The same images with different prompts.
+            InferenceRequest(images=2, prompt_text_tokens=10, output_tokens=5),
+            InferenceRequest(images=2, prompt_text_tokens=50, output_tokens=5),
+            # One decode context (p + 1) at two repeats.
+            InferenceRequest(images=0, prompt_text_tokens=40, output_tokens=3),
+            InferenceRequest(images=0, prompt_text_tokens=41, output_tokens=1),
+            # One decode context and repeat from two prompts: 39.5 and
+            # 40.5 both round to 40.
+            InferenceRequest(images=0, prompt_text_tokens=39, output_tokens=2),
+            InferenceRequest(images=0, prompt_text_tokens=40, output_tokens=2),
+        ]
+        for system in (default_system(), scaled_system(2, 1, 2)):
+            self.assert_prices_match_scalar(shapes, system)
+
+    def test_each_distinct_phase_is_stacked_once(self, monkeypatch):
+        from repro.scenarios import compile_scenario, get_scenario
+
+        model = get_mllm("sphinx-tiny")
+        shapes = compile_scenario(get_scenario("mixed-rush-hour")).unique_shapes
+        entries = [
+            (name.rsplit("/", 1)[-1], repeat, tuple(map(id, ops)))
+            for name, ops, repeat in priced_phases(model, shapes, monkeypatch)
+        ]
+        assert len(set(entries)) == len(entries)
+        assert len(entries) < sum(
+            len(model.build_workload(shape).phases) for shape in shapes
+        )
+
     def test_duplicate_requests_price_once(self):
         model = get_mllm("sphinx-tiny")
         shapes = [REQUEST, REQUEST, REQUEST]
@@ -209,6 +259,50 @@ class TestScenarioMixEquivalence:
         with pytest.raises(ValueError):
             batch_price_request_mix(
                 get_mllm("sphinx-tiny"), [], default_system()
+            )
+
+
+class TestPhaseList:
+    """``build_workload`` and offered-load pricing lower one phase list."""
+
+    def assert_workload_is_the_priced_list(self, model, shape, monkeypatch):
+        workload = model.build_workload(shape)
+        priced = priced_phases(model, [shape], monkeypatch)
+        assert [(p.name, p.repeat) for p in workload.phases] == [
+            (name.rsplit("/", 1)[-1], repeat) for name, _, repeat in priced
+        ]
+        for phase, (_, ops, _) in zip(workload.phases, priced):
+            assert len(phase.ops) == len(ops)
+            assert all(a is b for a, b in zip(phase.ops, ops))
+        # The decode phase is the LLM's own averaged decode lowering.
+        prompt = model.prompt_tokens(shape)
+        decode = model.llm.decode_phase(prompt, shape.output_tokens)
+        assert workload.phases[-1].repeat == decode.repeat == shape.output_tokens
+        assert all(a is b for a, b in zip(workload.phases[-1].ops, decode.ops))
+
+    def test_registered_scenario_shapes(self, monkeypatch):
+        from repro.scenarios import compile_scenario, get_scenario
+
+        model = get_mllm("sphinx-tiny")
+        shapes = compile_scenario(get_scenario("mixed-rush-hour")).unique_shapes
+        for shape in shapes:
+            self.assert_workload_is_the_priced_list(model, shape, monkeypatch)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        images=st.integers(min_value=0, max_value=6),
+        prompt=st.integers(min_value=0, max_value=512),
+        output=st.integers(min_value=1, max_value=300),
+    )
+    def test_randomized_shapes(self, images, prompt, output):
+        if images == 0 and prompt == 0:
+            prompt = 1
+        shape = InferenceRequest(
+            images=images, prompt_text_tokens=prompt, output_tokens=output
+        )
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.assert_workload_is_the_priced_list(
+                get_mllm("sphinx-tiny"), shape, monkeypatch
             )
 
 

@@ -1,5 +1,7 @@
 """Scenario compilation: determinism, mix accounting, arrival wiring."""
 
+import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -13,7 +15,14 @@ from repro.scenarios import (
     compile_scenario,
     get_scenario,
 )
-from repro.serving.arrival import BurstyArrivals, PoissonArrivals, TraceArrivals
+from repro.scenarios.compile import component_sampler, compile_scenario_chunks
+from repro.serving import build_trace
+from repro.serving.arrival import (
+    BurstyArrivals,
+    PoissonArrivals,
+    RequestSampler,
+    TraceArrivals,
+)
 
 MIX = (
     WorkloadComponent(name="chat", weight=3.0, images=0),
@@ -84,6 +93,95 @@ class TestTraceShape:
         )
         compiled = compile_scenario(single)
         assert compiled.components == ("chat",) * 5
+
+
+THREE = ScenarioSpec(
+    name="three-component-draws",
+    n_requests=300,
+    mix=(
+        WorkloadComponent(name="chat", weight=3.0, images=0),
+        WorkloadComponent(name="vision", weight=1.0, images=2),
+        WorkloadComponent(
+            name="long", weight=1.0, images=1, prompt_token_range=(200, 400)
+        ),
+    ),
+    arrival=ArrivalSpec(kind="bursty", rate_rps=5.0),
+)
+
+
+def _chunk_components(spec):
+    """The component of every row of the streamed columnar form."""
+    chunks = compile_scenario_chunks(spec, chunk_size=64)
+    return sum((chunk.components for chunk in chunks), ())
+
+
+def _eager_reference(spec):
+    """The trace the spec's streams define, drawn eagerly per component.
+
+    Every component draws ``n_requests`` shapes up front and each slot
+    takes the next one of its component: the spec's streams by their
+    definition, independent of how the compiler interleaves them.
+    """
+    n = spec.n_requests
+    times = build_arrival_process(
+        spec.arrival, seed=spec.derive_seed("arrival")
+    ).generate(n)
+    streams = {
+        c.name: iter(
+            component_sampler(c, seed=spec.derive_seed(f"component:{c.name}")).sample(n)
+        )
+        for c in spec.mix
+    }
+    selection = random.Random(spec.derive_seed("mix"))
+    names = [c.name for c in spec.mix]
+    weights = [c.weight for c in spec.mix]
+    chosen = [
+        names[0] if len(names) == 1 else selection.choices(names, weights=weights)[0]
+        for _ in range(n)
+    ]
+    return build_trace(times, [next(streams[name]) for name in chosen]), chosen
+
+
+class TestLazyDraws:
+    """Each component draws only the shapes of the slots it fills."""
+
+    @pytest.mark.parametrize("form", ["objects", "chunks"])
+    def test_each_component_draws_exactly_its_count(self, monkeypatch, form):
+        draws = Counter()
+        original = RequestSampler.iter_shapes
+
+        def counting(sampler):
+            for shape in original(sampler):
+                draws[sampler.seed] += 1
+                yield shape
+
+        monkeypatch.setattr(RequestSampler, "iter_shapes", counting)
+        if form == "objects":
+            components = compile_scenario(THREE).components
+        else:
+            components = _chunk_components(THREE)
+        counts = Counter(components)
+        assert sum(counts.values()) == THREE.n_requests
+        assert all(counts[c.name] > 0 for c in THREE.mix)
+        assert {
+            c.name: draws[THREE.derive_seed(f"component:{c.name}")] for c in THREE.mix
+        } == {c.name: counts[c.name] for c in THREE.mix}
+
+    def test_one_request_object_per_distinct_shape(self):
+        compiled = compile_scenario(THREE)
+        assert len({id(r.request) for r in compiled.trace}) == len(
+            compiled.unique_shapes
+        )
+        assert len(compiled.unique_shapes) < THREE.n_requests
+
+    @pytest.mark.parametrize("salt", [0, 1, 7919])
+    def test_trace_equals_the_eager_reference(self, salt):
+        spec = replace(THREE, seed_salt=salt)
+        trace, chosen = _eager_reference(spec)
+        compiled = compile_scenario(spec)
+        assert compiled.trace == tuple(trace)
+        assert compiled.components == tuple(chosen)
+        assert _chunk_components(spec) == tuple(chosen)
 
 
 class TestArrivalWiring:

@@ -3,8 +3,9 @@
 A checkpoint is the one artifact that crosses process boundaries, so
 every failure mode — truncation, garbage bytes, a foreign JSON shape,
 an unsupported version (including a file in the retired version-1
-format), missing or mistyped fields, a retired or unknown engine, a
-wrong trace digest, tampered controller state — must surface
+format), missing or mistyped fields, an embedded scenario spec that
+does not decode, a retired or unknown engine, a wrong trace digest,
+tampered controller state — must surface
 as a single
 :class:`~repro.serving.runtime.checkpoint.CheckpointError` whose
 message names what was wrong, never a hang, a KeyError leak or a
@@ -79,6 +80,15 @@ def _mutate(field, value):
     return corrupt
 
 
+def _mutate_scenario(field, value):
+    def corrupt(text):
+        data = json.loads(text)
+        data["scenario"][field] = value
+        return json.dumps(data)
+
+    return corrupt
+
+
 def _drop(field):
     def corrupt(text):
         data = json.loads(text)
@@ -108,6 +118,14 @@ CORRUPTIONS = [
     ),
     pytest.param(
         _mutate("controller", "not a dict"), "wrong type", id="mistyped-controller"
+    ),
+    pytest.param(
+        _mutate("scenario", {"name": 5}), r"scenario\.name: ", id="malformed-scenario"
+    ),
+    pytest.param(
+        _mutate_scenario("n_requests", "many"),
+        r"scenario\.n_requests: ",
+        id="mistyped-scenario-field",
     ),
     pytest.param(
         _mutate("engine", "macro"), "field 'engine' must be one of", id="retired-engine"

@@ -15,13 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import default_system, homo_mc_system
+from repro.core.simulator import PerformanceSimulator
 from repro.models.mllm import get_mllm
+from repro.planner.space import ChipDesign
 from repro.serving import (
     BurstyArrivals,
+    ContinuousBatchingSimulator,
     FleetSimulator,
     PoissonArrivals,
     RequestSampler,
     build_trace,
+    queue,
 )
 from repro.serving.metrics import percentile
 from repro.serving.faults import (
@@ -33,8 +38,13 @@ from repro.serving.faults import (
     fault_recovery,
     normalize_priorities,
 )
+from repro.serving.runtime import Checkpoint, resume_live, run_live
 
 N_REQUESTS = 60
+#: A pruned, compute-bound design (non-integer compute cycles).
+PRUNED_SYSTEM = ChipDesign(
+    n_groups=1, cc_per_group=1, mc_per_group=1, dram_gbps=204.8, keep_fraction=0.4
+).system()
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +154,61 @@ class TestDegradedChip:
     def test_factor_one_is_the_chip_itself(self, model):
         base = FleetSimulator(model, n_chips=1).chips[0]
         assert _degraded_chip(base, 1.0) is base
+
+    @pytest.mark.parametrize(
+        "system",
+        [default_system(), homo_mc_system(), PRUNED_SYSTEM],
+        ids=["default", "homo_mc", "pruned"],
+    )
+    def test_seeded_cc_latencies_equal_lazy_ones(self, model, trace, system):
+        fleet = FleetSimulator(
+            model, n_chips=1, simulator_factory=lambda: PerformanceSimulator(system)
+        )
+        fleet.precompute_service_times(trace)
+        base = fleet.chips[0]
+        degraded = _degraded_chip(base, 0.5)
+        lazy = ContinuousBatchingSimulator(
+            PerformanceSimulator(degraded.simulator.system),
+            model,
+            cc_bandwidth_fraction=base.cc_bandwidth_fraction,
+        )
+        seeded = degraded.cc_latencies()
+        assert seeded.keys() == base.cc_latencies().keys()
+        for request in trace:
+            shape = (request.request.images, request.request.prompt_text_tokens)
+            assert seeded[shape] == lazy.cc_latency_s(request.request)
+            assert seeded[shape] != base.cc_latencies()[shape]
+
+    def test_degraded_eras_price_no_cc_stage_lazily(self, model, trace, monkeypatch):
+        # Healthy chips seed from fleet precompute and degraded ones from
+        # their own grid pass, so a DRAM degrade, cut live or restored
+        # from a checkpoint, never reaches the scalar CC-stage pricer.
+        horizon = trace[-1].arrival_s
+        schedule = FaultSchedule(
+            events=(
+                FaultEvent(
+                    time_s=0.3 * horizon, kind="dram_degrade", chip_id=1, factor=0.5
+                ),
+                FaultEvent(
+                    time_s=0.6 * horizon, kind="dram_degrade", chip_id=0, factor=0.25
+                ),
+            )
+        )
+
+        def fleet():
+            return FleetSimulator(model, n_chips=2, policy="least_loaded")
+
+        expected = fleet().run(list(trace), faults=schedule)
+        paused = run_live(fleet(), list(trace), faults=schedule, pause_after=50)
+        assert isinstance(paused, Checkpoint)
+
+        def scalar_cc_stage(*args, **kwargs):
+            raise AssertionError("a CC-stage latency was priced lazily")
+
+        monkeypatch.setattr(queue, "cc_stage_latency", scalar_cc_stage)
+        assert fleet().run(list(trace), faults=schedule) == expected
+        resumed = resume_live(fleet(), list(trace), paused, faults=schedule)
+        assert resumed.result == expected
 
 
 class TestNormalizePriorities:
