@@ -7,9 +7,10 @@ batch engine — the whole grid prices as one broadcasted NumPy pass — and
 reports latency, throughput per area and energy per token: the kind of
 ablation a designer would run before fixing the Fig. 10 configuration.
 
-The multiprocessing path (``sweep_design_space(processes=N)``) produces
-identical rows; it remains the tool for sweep axes the batch engine cannot
-vectorise, such as a different model per point.
+Each row equals the scalar simulation of its point
+(``evaluate_design_point``); a sweep axis the batch engine cannot
+vectorise, such as a different model per point, maps that function
+through ``repro.experiments.parallel_map``.
 
 Run with:  PYTHONPATH=src python examples/design_space_exploration.py
 """

@@ -12,12 +12,11 @@ from .runner import (
 )
 from .parallel import (
     DesignPoint,
-    ParallelSweepRunner,
     evaluate_design_point,
     format_design_space_report,
+    parallel_map,
     run_experiments_parallel,
     sweep_design_space,
-    sweep_design_space_batched,
 )
 from . import ablations
 from . import planner_suite
@@ -126,12 +125,11 @@ __all__ = [
     "planner_suite",
     "scenario_suite",
     "DesignPoint",
-    "ParallelSweepRunner",
     "evaluate_design_point",
     "format_design_space_report",
+    "parallel_map",
     "run_experiments_parallel",
     "sweep_design_space",
-    "sweep_design_space_batched",
     "ExperimentSpec",
     "available_experiments",
     "format_bytes",

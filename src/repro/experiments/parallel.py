@@ -1,39 +1,40 @@
-"""Parallel experiment engine: design-space sweeps over ``multiprocessing``.
+"""The library's one process pool, and the CC:MC design-space sweep.
 
-Design-space exploration evaluates hundreds of chip configurations, each an
-independent simulation — an embarrassingly parallel workload.  This module
-provides:
-
-* :class:`ParallelSweepRunner` — maps a top-level function over a list of
-  keyword-argument dicts through a process pool, with an in-memory result
-  cache so repeated points (common in iterative exploration) are free;
+* :func:`parallel_map` — ``[fn(**params) for params in param_list]``
+  across a process pool.  Exactly two options start one: ``python -m
+  repro.experiments -j N`` (:func:`run_experiments_parallel`) and
+  ``python -m repro.planner plan ... --jobs N`` (the ``processes`` of
+  :func:`repro.planner.plan.plan_scenario`);
 * :func:`run_experiments_parallel` — fans the registered paper experiments
   (``fig10``, ``fig11``, ...) out over processes, producing reports
   *identical* to the serial ``run_and_report`` path;
 * :func:`sweep_design_space` — the CC:MC cluster-mix sweep used by
-  ``examples/design_space_exploration.py``, returning picklable
-  :class:`DesignPoint` rows.
+  ``examples/design_space_exploration.py``, priced in one pass of the
+  array-native batch engine and returned as :class:`DesignPoint` rows.
+  :func:`evaluate_design_point` is its scalar oracle; a sweep over an axis
+  the batch engine cannot vectorise (a different model per point) maps it
+  through :func:`parallel_map`.
 
 Workers are forked on Linux, so the registry and model catalogue are
 inherited and no per-task import cost is paid; other platforms use their
 default start method (spawn on macOS/Windows, where forking a
-numpy-initialised interpreter is unsafe).  Pools of one process fall back
-to serial execution, which by construction produces the same results.
+numpy-initialised interpreter is unsafe).  A pool of one process or a map
+of one task runs in the calling process, which by construction produces
+the same results.
 """
 
 from __future__ import annotations
 
-import copy
 import multiprocessing
 import os
-import pickle
 import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.batch import batch_run_request
-from ..core.config import SystemConfig, scaled_system
+from ..core.config import scaled_system
 from ..core.simulator import PerformanceSimulator
+from ..core.metrics import WorkloadResult
 from ..models.mllm import InferenceRequest, get_mllm
 from .runner import available_experiments, format_table, run_and_report
 
@@ -62,69 +63,25 @@ def _call_task(task: Tuple[Callable[..., object], Dict[str, object]]) -> object:
     return fn(**kwargs)
 
 
-class ParallelSweepRunner:
-    """Maps a function over parameter points through a process pool.
+def parallel_map(
+    fn: Callable[..., object],
+    param_list: Sequence[Mapping[str, object]],
+    *,
+    processes: int,
+) -> List[object]:
+    """``[fn(**params) for params in param_list]`` across ``processes`` workers.
 
-    The function must be a module-level callable and both the parameter
-    values and the results must be picklable.  Results are cached by
-    ``(function, parameters)`` so a repeated point never re-runs, whether
-    the repeat happens within one ``map`` call or across calls.
+    ``fn`` must be a module-level callable, and both the parameter values
+    and the results must be picklable.  Results come back in input order.
+    With one process or one task, every call runs in the calling process.
     """
-
-    def __init__(self, *, processes: Optional[int] = None, cache: bool = True) -> None:
-        if processes is not None and processes < 1:
-            raise ValueError("processes must be >= 1")
-        self.processes = processes if processes is not None else (os.cpu_count() or 1)
-        self._cache: Optional[Dict[tuple, object]] = {} if cache else None
-        self.cache_hits = 0
-        self.cache_misses = 0
-
-    @staticmethod
-    def _key(fn: Callable[..., object], kwargs: Mapping[str, object]) -> tuple:
-        # Parameters must be picklable to cross the process boundary anyway;
-        # keying on the pickled form is value-faithful where repr() is not
-        # (e.g. large numpy arrays truncate their repr).
-        return (fn.__module__, fn.__qualname__, pickle.dumps(sorted(kwargs.items())))
-
-    def map(
-        self,
-        fn: Callable[..., object],
-        param_list: Sequence[Mapping[str, object]],
-    ) -> List[object]:
-        """``[fn(**params) for params in param_list]``, in parallel."""
-        if not param_list:
-            return []
-        if self._cache is None:
-            # Cache disabled: every point executes, duplicates included
-            # (callers disable the cache precisely to force re-execution).
-            return self._run_tasks(fn, [dict(params) for params in param_list])
-        keys = [self._key(fn, params) for params in param_list]
-        pending: Dict[tuple, Dict[str, object]] = {}
-        for key, params in zip(keys, param_list):
-            if key in self._cache:
-                self.cache_hits += 1
-            elif key not in pending:
-                pending[key] = dict(params)
-                self.cache_misses += 1
-            else:
-                self.cache_hits += 1
-        fresh = self._run_tasks(fn, list(pending.values()))
-        self._cache.update(zip(pending.keys(), fresh))
-        # Hand out copies so a caller mutating a returned result cannot
-        # poison the cache entry behind later hits.
-        return [copy.deepcopy(self._cache[key]) for key in keys]
-
-    def _run_tasks(
-        self, fn: Callable[..., object], params: List[Dict[str, object]]
-    ) -> List[object]:
-        if not params:
-            return []
-        tasks = [(fn, kwargs) for kwargs in params]
-        n_processes = min(self.processes, len(tasks))
-        if n_processes <= 1:
-            return [_call_task(task) for task in tasks]
-        with _pool_context().Pool(processes=n_processes) as pool:
-            return pool.map(_call_task, tasks)
+    if processes < 1:
+        raise ValueError("processes must be >= 1")
+    tasks = [(fn, dict(params)) for params in param_list]
+    if processes == 1 or len(tasks) <= 1:
+        return [_call_task(task) for task in tasks]
+    with _pool_context().Pool(processes=min(processes, len(tasks))) as pool:
+        return pool.map(_call_task, tasks)
 
 
 # ----------------------------------------------------------------------
@@ -155,9 +112,10 @@ def run_experiments_parallel(
             f"unknown experiment(s): {', '.join(unknown)}; "
             f"available: {', '.join(available_experiments())}"
         )
-    runner = ParallelSweepRunner(processes=processes)
-    reports = runner.map(
-        _run_registered, [{"experiment_id": name} for name in requested]
+    reports = parallel_map(
+        _run_registered,
+        [{"experiment_id": name} for name in requested],
+        processes=processes if processes is not None else (os.cpu_count() or 1),
     )
     return dict(zip(requested, reports))
 
@@ -179,6 +137,24 @@ class DesignPoint:
     tokens_per_joule: float
 
 
+def _design_point(
+    geometry: Tuple[int, int, int], result: WorkloadResult, area_mm2: float
+) -> DesignPoint:
+    """One :class:`DesignPoint` row from a point's result and chip area."""
+    n_groups, cc_per_group, mc_per_group = geometry
+    tokens_per_s = result.tokens_per_second
+    return DesignPoint(
+        n_groups=n_groups,
+        cc_per_group=cc_per_group,
+        mc_per_group=mc_per_group,
+        area_mm2=area_mm2,
+        latency_s=result.total_latency_s,
+        tokens_per_second=tokens_per_s,
+        tokens_per_second_per_mm2=tokens_per_s / area_mm2,
+        tokens_per_joule=result.tokens_per_joule or 0.0,
+    )
+
+
 def evaluate_design_point(
     n_groups: int,
     cc_per_group: int,
@@ -189,7 +165,12 @@ def evaluate_design_point(
     prompt_text_tokens: int = 32,
     output_tokens: int = 64,
 ) -> DesignPoint:
-    """Simulate one chip configuration on one request shape."""
+    """Simulate one chip configuration on one request shape.
+
+    The scalar oracle of :func:`sweep_design_space`, and the picklable
+    point function of a sweep whose axes the batch engine cannot
+    vectorise (map it through :func:`parallel_map`).
+    """
     system_config = scaled_system(
         n_groups=n_groups,
         cc_clusters_per_group=cc_per_group,
@@ -204,17 +185,10 @@ def evaluate_design_point(
             output_tokens=output_tokens,
         ),
     )
-    area = simulator.area_power.chip_area_mm2()
-    tokens_per_s = result.tokens_per_second
-    return DesignPoint(
-        n_groups=n_groups,
-        cc_per_group=cc_per_group,
-        mc_per_group=mc_per_group,
-        area_mm2=area,
-        latency_s=result.total_latency_s,
-        tokens_per_second=tokens_per_s,
-        tokens_per_second_per_mm2=tokens_per_s / area,
-        tokens_per_joule=result.tokens_per_joule or 0.0,
+    return _design_point(
+        (n_groups, cc_per_group, mc_per_group),
+        result,
+        simulator.area_power.chip_area_mm2(),
     )
 
 
@@ -227,115 +201,50 @@ DEFAULT_CLUSTER_MIXES: Tuple[Tuple[int, int], ...] = (
 )
 
 
-def _design_space_geometries(
-    n_groups_options: Sequence[int],
-    cluster_mixes: Sequence[Tuple[int, int]],
-) -> List[Tuple[int, int, int]]:
-    """The (groups, CC/group, MC/group) points of a sweep, in sweep order."""
-    geometries: List[Tuple[int, int, int]] = []
-    for n_groups in n_groups_options:
-        for cc_per_group, mc_per_group in cluster_mixes:
-            if cc_per_group == 0 and mc_per_group == 0:
-                continue
-            geometries.append((n_groups, cc_per_group, mc_per_group))
-    return geometries
-
-
-def sweep_design_space_batched(
-    *,
-    n_groups_options: Sequence[int] = (2, 4),
-    cluster_mixes: Sequence[Tuple[int, int]] = DEFAULT_CLUSTER_MIXES,
-    model_name: str = "sphinx-tiny",
-    request: Optional[InferenceRequest] = None,
-) -> List[DesignPoint]:
-    """Evaluate the design space through the array-native batch engine.
-
-    The whole grid — every (group count, CC:MC mix) combination — prices
-    as one broadcasted NumPy pass instead of one simulation per point, and
-    the points are numerically identical to
-    :func:`evaluate_design_point` (regression-tested, not approximate).
-    This is the default engine of :func:`sweep_design_space`; prefer it
-    whenever the sweep only varies chip geometry, bandwidth or pruning.
-    """
-    request = request or InferenceRequest(
-        images=1, prompt_text_tokens=32, output_tokens=64
-    )
-    geometries = _design_space_geometries(n_groups_options, cluster_mixes)
-    systems: List[SystemConfig] = [
-        scaled_system(
-            n_groups=n_groups,
-            cc_clusters_per_group=cc_per_group,
-            mc_clusters_per_group=mc_per_group,
-        )
-        for n_groups, cc_per_group, mc_per_group in geometries
-    ]
-    batch = batch_run_request(get_mllm(model_name), request, systems)
-    points: List[DesignPoint] = []
-    for index, (n_groups, cc_per_group, mc_per_group) in enumerate(geometries):
-        result = batch.result_for(index)
-        area = batch.grid.area_power(index).chip_area_mm2()
-        tokens_per_s = result.tokens_per_second
-        points.append(
-            DesignPoint(
-                n_groups=n_groups,
-                cc_per_group=cc_per_group,
-                mc_per_group=mc_per_group,
-                area_mm2=area,
-                latency_s=result.total_latency_s,
-                tokens_per_second=tokens_per_s,
-                tokens_per_second_per_mm2=tokens_per_s / area,
-                tokens_per_joule=result.tokens_per_joule or 0.0,
-            )
-        )
-    return points
-
-
 def sweep_design_space(
     *,
     n_groups_options: Sequence[int] = (2, 4),
     cluster_mixes: Sequence[Tuple[int, int]] = DEFAULT_CLUSTER_MIXES,
     model_name: str = "sphinx-tiny",
     request: Optional[InferenceRequest] = None,
-    processes: Optional[int] = None,
-    runner: Optional[ParallelSweepRunner] = None,
 ) -> List[DesignPoint]:
     """Evaluate every (group count, CC:MC mix) combination of the sweep.
 
-    With neither ``processes`` nor ``runner`` given, the sweep runs through
-    the array-native batch engine (:func:`sweep_design_space_batched`) —
-    one vectorised pass over the whole grid.  Passing either argument
-    keeps the process-pool path, which generalises to sweep axes the batch
-    engine cannot vectorise (e.g. different models per point); both paths
-    produce identical :class:`DesignPoint` rows.
+    The whole grid prices as one broadcasted pass of the array-native
+    batch engine, in sweep order (group counts outer, mixes inner, the
+    empty ``(0, 0)`` mix skipped); each row is ``==`` the one
+    :func:`evaluate_design_point` simulates (regression-tested, not
+    approximate).
     """
-    if runner is not None and processes is not None:
-        raise ValueError("pass either processes or runner, not both")
-    if runner is None and processes is None:
-        return sweep_design_space_batched(
-            n_groups_options=n_groups_options,
-            cluster_mixes=cluster_mixes,
-            model_name=model_name,
-            request=request,
-        )
     request = request or InferenceRequest(
         images=1, prompt_text_tokens=32, output_tokens=64
     )
-    params: List[Dict[str, object]] = [
-        {
-            "n_groups": n_groups,
-            "cc_per_group": cc_per_group,
-            "mc_per_group": mc_per_group,
-            "model_name": model_name,
-            "images": request.images,
-            "prompt_text_tokens": request.prompt_text_tokens,
-            "output_tokens": request.output_tokens,
-        }
-        for n_groups, cc_per_group, mc_per_group in _design_space_geometries(
-            n_groups_options, cluster_mixes
-        )
+    geometries = [
+        (n_groups, cc_per_group, mc_per_group)
+        for n_groups in n_groups_options
+        for cc_per_group, mc_per_group in cluster_mixes
+        if cc_per_group or mc_per_group
     ]
-    runner = runner or ParallelSweepRunner(processes=processes)
-    return list(runner.map(evaluate_design_point, params))
+    batch = batch_run_request(
+        get_mllm(model_name),
+        request,
+        [
+            scaled_system(
+                n_groups=n_groups,
+                cc_clusters_per_group=cc_per_group,
+                mc_clusters_per_group=mc_per_group,
+            )
+            for n_groups, cc_per_group, mc_per_group in geometries
+        ],
+    )
+    return [
+        _design_point(
+            geometry,
+            batch.result_for(index),
+            batch.grid.area_power(index).chip_area_mm2(),
+        )
+        for index, geometry in enumerate(geometries)
+    ]
 
 
 def format_design_space_report(points: Sequence[DesignPoint]) -> str:

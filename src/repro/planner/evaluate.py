@@ -8,7 +8,7 @@ trace, on fresh per-design chips.  The module-level
 :func:`simulate_candidate` worker takes only picklable data (the spec's
 JSON, dicts for design/option, the resolved SLO targets), so the same code
 runs serially or fanned out through
-:class:`repro.experiments.parallel.ParallelSweepRunner`.
+:func:`repro.experiments.parallel.parallel_map`.
 """
 
 from __future__ import annotations

@@ -179,9 +179,10 @@ def plan_scenario(
     :func:`resolve_slo`); ``prune=False`` skips the analytic bound pass and
     exactly simulates the whole space (the brute-force baseline the
     benchmark and the soundness suite compare against); ``processes`` fans
-    candidate simulations out through the multiprocessing sweep runner —
-    results are identical to the serial path because every worker derives
-    the bit-identical trace from the spec hash; ``engine`` selects the
+    candidate simulations out through
+    :func:`~repro.experiments.parallel.parallel_map` — results are
+    identical to the serial path because every worker derives the
+    bit-identical trace from the spec hash; ``engine`` selects the
     decode-loop implementation survivors replay through (reports are
     engine-independent — the wave default just gets there faster).
 
@@ -265,24 +266,22 @@ def plan_scenario(
     if processes is not None and processes > 1 and len(to_simulate) > 1:
         # Imported lazily: repro.experiments registers the planner suite and
         # would recurse into this package at import time.
-        from ..experiments.parallel import ParallelSweepRunner
+        from ..experiments.parallel import parallel_map
 
-        runner = ParallelSweepRunner(processes=processes)
         spec_json = spec.to_json()
-        fresh = list(
-            runner.map(
-                simulate_candidate,
-                [
-                    {
-                        "spec_json": spec_json,
-                        "design": design.to_dict(),
-                        "option": option.to_dict(),
-                        "targets": targets,
-                        "engine": engine,
-                    }
-                    for _, (design, option) in to_simulate
-                ],
-            )
+        fresh = parallel_map(
+            simulate_candidate,
+            [
+                {
+                    "spec_json": spec_json,
+                    "design": design.to_dict(),
+                    "option": option.to_dict(),
+                    "targets": targets,
+                    "engine": engine,
+                }
+                for _, (design, option) in to_simulate
+            ],
+            processes=processes,
         )
     else:
         fresh = _serial_outcomes(

@@ -49,10 +49,8 @@ from .metrics import (
     format_report,
     percentile,
     summarize,
-    summarize_scalar,
 )
 from .engine import run_wave
-from .fleet import simulate_chip_shard
 from .trace import (
     TRACE_DTYPE,
     array_to_trace,
@@ -100,7 +98,6 @@ __all__ = [
     "format_report",
     "percentile",
     "summarize",
-    "summarize_scalar",
     "BatchDecodeCostModel",
     "ContinuousBatchingSimulator",
     "ENGINES",
@@ -108,7 +105,6 @@ __all__ = [
     "ServingResult",
     "build_trace",
     "run_wave",
-    "simulate_chip_shard",
     "RUNTIMES",
     "Checkpoint",
     "resume_live",

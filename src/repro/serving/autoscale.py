@@ -202,7 +202,6 @@ class AutoscalingFleetSimulator(FleetSimulator):
         context_bucket: int = 32,
         precompute: bool = True,
         engine: str = "wave",
-        processes: Optional[int] = None,
     ) -> None:
         super().__init__(
             model,
@@ -214,7 +213,6 @@ class AutoscalingFleetSimulator(FleetSimulator):
             context_bucket=context_bucket,
             precompute=precompute,
             engine=engine,
-            processes=processes,
         )
         self.autoscaler = autoscaler
 

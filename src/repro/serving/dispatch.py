@@ -11,9 +11,8 @@ controller of :mod:`repro.serving.faults`, with a uniform protocol:
 * ``finish_events`` — apply the fault events still due once the stream
   ends;
 * ``final_jobs`` — the per-chip engine runs still owed, as
-  :class:`ShardJob` values an executor of the caller's choice performs
-  (inline or across worker processes for the batch path, per-chip
-  actors for the live runtime);
+  :class:`ShardJob` values the caller executes (inline for the batch
+  path, per-chip actors for the live runtime);
 * ``collect`` — fold the executed jobs into the fleet's result object;
 * ``state_dict`` / ``restore_state`` — JSON-serializable snapshot of
   the *dynamic* decision state, the substrate of

@@ -529,8 +529,8 @@ class _FaultLedger:
         """The engine run closing each open era that holds requests.
 
         Jobs carry the era sim — the degraded replacement chip when the
-        era is degraded — so any executor (inline, a worker process or
-        a chip actor) runs the same simulator.
+        era is degraded — so either executor (inline or a chip actor)
+        runs the same simulator.
         """
         return [
             ShardJob(
@@ -843,16 +843,28 @@ class _EraController:
 
         Raises :class:`~repro.serving.runtime.checkpoint.CheckpointError`
         naming ``schedule`` when the state was taken under another fault
-        schedule than this controller's.
+        schedule than this controller's, and naming ``horizons`` or
+        ``ledger.chips`` with both counts when it was taken on a fleet of
+        another size; either check runs before anything is restored.
         """
-        if state["schedule"] != self.schedule.to_dict():
-            # Imported lazily: the runtime package builds on this module.
-            from .runtime.checkpoint import CheckpointError
+        # Imported lazily: the runtime package builds on this module.
+        from .runtime.checkpoint import CheckpointError
 
+        if state["schedule"] != self.schedule.to_dict():
             raise CheckpointError(
                 "checkpoint field 'schedule' holds another fault schedule "
                 "than the one this run was given"
             )
+        n_chips = self.fleet.n_chips
+        for field, stored in (
+            ("horizons", state["horizons"]),
+            ("ledger.chips", state["ledger"]["chips"]),
+        ):
+            if len(stored) != n_chips:
+                raise CheckpointError(
+                    f"checkpoint field '{field}' holds {len(stored)} chips, "
+                    f"but this fleet has {n_chips}"
+                )
         n_seen = int(state["n_seen"])
         if not 0 <= n_seen <= len(self.trace):
             raise ValueError(f"n_seen {n_seen} lies outside the trace")

@@ -35,10 +35,9 @@ from typing import (
 )
 
 from ..core.batch import ServiceTimeBoundsPricer
-from ..core.config import SystemConfig
 from ..core.simulator import PerformanceSimulator
 from ..models.mllm import InferenceRequest, MLLMConfig
-from .dispatch import RUNTIMES, ShardJob, make_controller, sorted_order
+from .dispatch import RUNTIMES, make_controller, sorted_order
 from .metrics import RequestRecord, ServingReport, summarize
 from .queue import ContinuousBatchingSimulator, ServingRequest, ServingResult
 
@@ -47,43 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .faults import FaultEvent
 
 POLICIES: Tuple[str, ...] = ("round_robin", "least_loaded")
-
-
-def simulate_chip_shard(
-    *,
-    system: SystemConfig,
-    model: MLLMConfig,
-    chip_id: int,
-    max_batch_size: int,
-    cc_bandwidth_fraction: float,
-    context_bucket: int,
-    engine: str,
-    shard: Sequence[ServingRequest],
-    cc_latencies: Dict[Tuple[int, int], float],
-    bucket_costs: Dict[int, Tuple[int, int, float]],
-) -> ServingResult:
-    """Picklable worker: rebuild one fleet chip and simulate its shard.
-
-    ``system`` and ``model`` recreate the chip's performance simulator and
-    workload; ``chip_id``, ``max_batch_size``, ``cc_bandwidth_fraction``,
-    ``context_bucket`` and ``engine`` restore the serving configuration;
-    ``shard`` is the chip's dispatched slice of the trace; ``cc_latencies``
-    and ``bucket_costs`` seed the rebuilt chip's cost memos
-    (harvested from the dispatching fleet — they only change speed, never
-    values, so the worker's result is bit-identical to an in-process run).
-    """
-    chip = ContinuousBatchingSimulator(
-        PerformanceSimulator(system),
-        model,
-        max_batch_size=max_batch_size,
-        cc_bandwidth_fraction=cc_bandwidth_fraction,
-        context_bucket=context_bucket,
-        chip_id=chip_id,
-        engine=engine,
-    )
-    chip.seed_cc_latencies(cc_latencies)
-    chip.cost_model.seed_bucket_costs(bucket_costs)
-    return chip.run(list(shard))
 
 
 @dataclass(frozen=True)
@@ -123,10 +85,7 @@ class FleetSimulator:
     """Dispatches a trace across a fleet of identical EdgeMM chips.
 
     ``engine`` selects every chip's decode-loop implementation (see
-    :data:`repro.serving.queue.ENGINES`); ``processes`` fans the closing
-    engine runs of every run out across worker processes — chips never
-    interact once dispatched, so the fan-out is trace-identical to the
-    serial path.
+    :data:`repro.serving.queue.ENGINES`).
     """
 
     def __init__(
@@ -141,21 +100,17 @@ class FleetSimulator:
         context_bucket: int = 32,
         precompute: bool = True,
         engine: str = "wave",
-        processes: Optional[int] = None,
     ) -> None:
         if n_chips < 1:
             raise ValueError("n_chips must be >= 1")
         if policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
-        if processes is not None and processes < 1:
-            raise ValueError("processes must be >= 1")
         self.model = model
         self.n_chips = n_chips
         self.policy = policy
         self.precompute = precompute
         self.cc_bandwidth_fraction = cc_bandwidth_fraction
         self.engine = engine
-        self.processes = processes
         self._estimate_cache: Dict[Tuple[int, int, int, int], float] = {}
         factory = simulator_factory or PerformanceSimulator
         self.chips: List[ContinuousBatchingSimulator] = [
@@ -278,61 +233,6 @@ class FleetSimulator:
     # ------------------------------------------------------------------
     # Simulation
     # ------------------------------------------------------------------
-    def _parallelizable(self, busy: Sequence[ContinuousBatchingSimulator]) -> bool:
-        """Whether the busy chips can be rebuilt faithfully in workers.
-
-        The worker reconstructs each chip as a plain
-        :class:`~repro.core.simulator.PerformanceSimulator` over the chip's
-        system config; a customised ``simulator_factory`` returning a
-        subclass could behave differently, so such fleets fall back to the
-        serial path.
-        """
-        return all(type(chip.simulator) is PerformanceSimulator for chip in busy)
-
-    def _run_shards(self, jobs: Sequence[ShardJob]) -> Dict[int, ServingResult]:
-        """Execute the controller's closing jobs, serially or across processes.
-
-        Chips are independent once dispatched, so with ``processes`` set
-        the jobs fan out through
-        :class:`~repro.experiments.parallel.ParallelSweepRunner`; every
-        worker rebuilds the job's sim — the fleet chip or a degraded-era
-        replacement — from picklable state and seeds it with the sim's
-        harvested cost memos, producing the bit-identical
-        :class:`~repro.serving.queue.ServingResult` the in-process sim
-        would return.  Results are keyed by chip id.
-        """
-        if (
-            self.processes is not None
-            and self.processes > 1
-            and len(jobs) > 1
-            and self._parallelizable([job.sim for job in jobs])
-        ):
-            # Imported lazily: repro.experiments pulls in the experiment
-            # registry, which serving must not depend on at import time.
-            from ..experiments.parallel import ParallelSweepRunner
-
-            runner = ParallelSweepRunner(processes=self.processes, cache=False)
-            outcomes = runner.map(
-                simulate_chip_shard,
-                [
-                    {
-                        "system": job.sim.simulator.system,
-                        "model": self.model,
-                        "chip_id": job.chip_id,
-                        "max_batch_size": job.sim.max_batch_size,
-                        "cc_bandwidth_fraction": job.sim.cc_bandwidth_fraction,
-                        "context_bucket": job.sim.cost_model.context_bucket,
-                        "engine": job.sim.engine,
-                        "shard": list(job.shard),
-                        "cc_latencies": job.sim.cc_latencies(),
-                        "bucket_costs": job.sim.cost_model.bucket_costs(),
-                    }
-                    for job in jobs
-                ],
-            )
-            return {job.chip_id: outcome for job, outcome in zip(jobs, outcomes)}
-        return {job.chip_id: job.run() for job in jobs}
-
     def run(
         self,
         trace: Sequence[ServingRequest],
@@ -346,8 +246,8 @@ class FleetSimulator:
         The one run loop of every fleet kind: it feeds the fleet's
         controller (:func:`~repro.serving.dispatch.make_controller`) every
         arrival in canonical order, applies the trailing fault events,
-        runs the closing engine jobs (across ``processes`` when set) and
-        collects the :class:`FleetResult` — an
+        runs the closing engine jobs inline (``job.run()``) and collects
+        the :class:`FleetResult` — an
         :class:`~repro.serving.autoscale.AutoscaleResult` on an autoscaled
         fleet.  ``faults`` is an optional
         :class:`~repro.serving.faults.FaultSchedule` (``None`` plays the
@@ -373,4 +273,6 @@ class FleetSimulator:
             trace, faults=faults, priorities=priorities
         )
         controller.finish_events()
-        return controller.collect(self._run_shards(controller.final_jobs()))
+        return controller.collect(
+            {job.chip_id: job.run() for job in controller.final_jobs()}
+        )

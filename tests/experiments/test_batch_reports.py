@@ -5,14 +5,17 @@ through the batch engine, and their formatted reports must be *byte*
 identical to what the scalar per-design simulation produces.
 """
 
+import pytest
+
 from repro.baselines.snitch import SnitchBaseline
 from repro.core.config import default_system, homo_cc_system, homo_mc_system
 from repro.core.simulator import PerformanceSimulator
 from repro.experiments import fig10_config, fig11_hetero
 from repro.experiments.ablations import cluster_mix_ablation, dram_bandwidth_ablation
 from repro.experiments.parallel import (
+    DEFAULT_CLUSTER_MIXES,
+    evaluate_design_point,
     sweep_design_space,
-    sweep_design_space_batched,
 )
 from repro.models.mllm import InferenceRequest, get_mllm
 
@@ -82,15 +85,36 @@ class TestFig10ByteIdentity:
 
 
 class TestSweepIdentity:
-    def test_batched_sweep_identical_to_process_pool(self):
-        batched = sweep_design_space_batched(n_groups_options=(2,))
-        pooled = sweep_design_space(n_groups_options=(2,), processes=1)
-        assert batched == pooled
+    @pytest.mark.parametrize(
+        "n_groups_options, cluster_mixes",
+        [
+            ((2, 4), DEFAULT_CLUSTER_MIXES),
+            ((2,), DEFAULT_CLUSTER_MIXES),
+            ((1, 3), ((3, 1), (1, 3))),
+            ((4,), ((2, 0), (0, 0), (0, 2), (1, 1))),
+        ],
+        ids=["default", "two-groups", "custom-mixes", "empty-mix-skipped"],
+    )
+    def test_sweep_equals_scalar_oracle(self, n_groups_options, cluster_mixes):
+        geometries = [
+            (n_groups, cc, mc)
+            for n_groups in n_groups_options
+            for cc, mc in cluster_mixes
+            if (cc, mc) != (0, 0)
+        ]
+        assert sweep_design_space(
+            n_groups_options=n_groups_options, cluster_mixes=cluster_mixes
+        ) == [evaluate_design_point(*geometry) for geometry in geometries]
 
-    def test_default_sweep_uses_batch_engine(self):
-        assert sweep_design_space(n_groups_options=(2,)) == sweep_design_space_batched(
-            n_groups_options=(2,)
-        )
+    def test_custom_request_equals_scalar_oracle(self):
+        request = InferenceRequest(images=2, prompt_text_tokens=16, output_tokens=8)
+        assert sweep_design_space(
+            n_groups_options=(2,), cluster_mixes=((3, 1),), request=request
+        ) == [
+            evaluate_design_point(
+                2, 3, 1, images=2, prompt_text_tokens=16, output_tokens=8
+            )
+        ]
 
 
 class TestAblationIdentity:

@@ -1,18 +1,19 @@
-"""Parallel experiment engine tests: identity with the serial path."""
+"""The process pool: ``parallel_map`` and the experiments it fans out."""
+
+import os
 
 import pytest
 
-from repro.experiments import (
-    ParallelSweepRunner,
-    run_experiments_parallel,
-    sweep_design_space,
-)
-from repro.experiments.parallel import evaluate_design_point
+from repro.experiments import parallel_map, run_experiments_parallel
 from repro.experiments.runner import run_and_report
 
 
-def _mutable_result(experiment_id):
-    return {"rows": []}
+def _square(x):
+    return x * x
+
+
+def _pid():
+    return os.getpid()
 
 
 class TestParallelExperiments:
@@ -29,43 +30,24 @@ class TestParallelExperiments:
             run_experiments_parallel(["fig99"])
 
 
-class TestParallelSweepRunner:
+class TestParallelMap:
+    def test_results_come_back_in_input_order(self):
+        params = [{"x": x} for x in range(7)]
+        assert parallel_map(_square, params, processes=2) == [
+            x * x for x in range(7)
+        ]
+
+    def test_one_process_runs_in_the_calling_process(self):
+        pids = parallel_map(_pid, [{}, {}, {}], processes=1)
+        assert pids == [os.getpid()] * 3
+
+    def test_one_task_runs_in_the_calling_process(self):
+        assert parallel_map(_pid, [{}], processes=2) == [os.getpid()]
+
     def test_empty_map(self):
-        assert ParallelSweepRunner(processes=2).map(evaluate_design_point, []) == []
+        assert parallel_map(_square, [], processes=2) == []
 
-    def test_parallel_matches_serial_sweep(self):
-        serial = sweep_design_space(
-            n_groups_options=(2,), processes=1
-        )
-        parallel = sweep_design_space(
-            n_groups_options=(2,), processes=2
-        )
-        assert serial == parallel
-
-    def test_repeated_points_hit_the_cache(self):
-        runner = ParallelSweepRunner(processes=1)
-        params = {"n_groups": 2, "cc_per_group": 1, "mc_per_group": 1}
-        first = runner.map(evaluate_design_point, [params, params])
-        assert runner.cache_misses == 1
-        assert runner.cache_hits == 1
-        second = runner.map(evaluate_design_point, [params])
-        assert runner.cache_hits == 2
-        assert runner.cache_misses == 1
-        assert first[0] == first[1] == second[0]
-
-    def test_mutating_a_result_does_not_poison_the_cache(self):
-        runner = ParallelSweepRunner(processes=1)
-        params = {"experiment_id": "fig10"}
-        first = runner.map(_mutable_result, [params])[0]
-        first["rows"].append("corrupted")
-        second = runner.map(_mutable_result, [params])[0]
-        assert second == {"rows": []}
-        assert runner.cache_hits == 1
-
-    def test_rejects_bad_process_count(self):
-        with pytest.raises(ValueError):
-            ParallelSweepRunner(processes=0)
-
-    def test_rejects_processes_and_runner_together(self):
-        with pytest.raises(ValueError):
-            sweep_design_space(processes=2, runner=ParallelSweepRunner(processes=1))
+    @pytest.mark.parametrize("processes", [0, -1])
+    def test_rejects_bad_process_count(self, processes):
+        with pytest.raises(ValueError, match="processes"):
+            parallel_map(_square, [{"x": 1}], processes=processes)

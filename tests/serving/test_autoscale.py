@@ -203,23 +203,3 @@ class TestAdmissionControl:
         ).run(trace)
         assert auto.records == static.records
         assert auto.assignments == static.assignments
-
-
-class TestParallelReplay:
-    def test_process_fanout_matches_serial_replay(self, sphinx_tiny):
-        # The exact per-chip replay of the controlled assignment may fan
-        # out across processes; decisions and records must not move.
-        trace = bursty_trace(120)
-        serial = AutoscalingFleetSimulator(
-            sphinx_tiny, autoscaler=reactive_config(), max_batch_size=8
-        ).run(trace)
-        parallel = AutoscalingFleetSimulator(
-            sphinx_tiny,
-            autoscaler=reactive_config(),
-            max_batch_size=8,
-            processes=2,
-        ).run(trace)
-        assert parallel.events == serial.events
-        assert parallel.assignments == serial.assignments
-        assert parallel.records == serial.records
-        assert parallel.final_chips == serial.final_chips

@@ -5,7 +5,7 @@ every failure mode — truncation, garbage bytes, a foreign JSON shape,
 an unsupported version (including a file in the retired version-1
 format), missing or mistyped fields, an embedded scenario spec that
 does not decode, a retired or unknown engine, a wrong trace digest,
-tampered controller state — must surface
+tampered controller state, a fleet of another size — must surface
 as a single
 :class:`~repro.serving.runtime.checkpoint.CheckpointError` whose
 message names what was wrong, never a hang, a KeyError leak or a
@@ -20,12 +20,20 @@ import pytest
 
 from repro.models.mllm import InferenceRequest, get_mllm
 from repro.scenarios.registry import get_scenario
-from repro.serving import FleetSimulator, build_trace
+from repro.serving import (
+    AutoscalerConfig,
+    AutoscalingFleetSimulator,
+    FleetSimulator,
+    PoissonArrivals,
+    RequestSampler,
+    build_trace,
+)
 from repro.serving.runtime import (
     Checkpoint,
     CheckpointError,
     resume_live,
     resume_scenario,
+    run_live,
     run_scenario_live,
 )
 
@@ -51,6 +59,25 @@ VERSION_1_CHECKPOINT = {
 def _version_1_trace():
     shape = InferenceRequest(images=0, prompt_text_tokens=16, output_tokens=4)
     return build_trace([0.0, 0.5, 1.0, 1.5], [shape] * 4)
+
+
+def _chip_count_trace():
+    return build_trace(
+        PoissonArrivals(5.0, seed=3).generate(60), RequestSampler(seed=3).sample(60)
+    )
+
+
+def _static_fleet(n_chips):
+    return FleetSimulator(
+        get_mllm("sphinx-tiny"), n_chips=n_chips, policy="least_loaded"
+    )
+
+
+def _autoscaled_fleet(n_chips):
+    return AutoscalingFleetSimulator(
+        get_mllm("sphinx-tiny"),
+        autoscaler=AutoscalerConfig(target_p99_ttft_s=1.0, max_chips=n_chips),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +248,32 @@ class TestResumeGuards:
         )
         with pytest.raises(CheckpointError, match="'engine'"):
             resume_scenario(Checkpoint.load(path))
+
+    @pytest.mark.parametrize("n_chips", [2, 4])
+    @pytest.mark.parametrize(
+        "fleet", [_static_fleet, _autoscaled_fleet], ids=["static", "autoscaled"]
+    )
+    def test_fleet_of_another_size(self, fleet, n_chips):
+        # Paused on three chips: a smaller fleet must not drop the
+        # requests of the missing chip, nor a larger one index past the
+        # stored chips.
+        trace = _chip_count_trace()
+        paused = run_live(fleet(3), trace, pause_after=30)
+        with pytest.raises(
+            CheckpointError,
+            match=f"'horizons' holds 3 chips, but this fleet has {n_chips}",
+        ):
+            resume_live(fleet(n_chips), trace, paused)
+
+    def test_ledger_of_another_size(self):
+        trace = _chip_count_trace()
+        data = run_live(_static_fleet(3), trace, pause_after=30).to_dict()
+        del data["controller"]["ledger"]["chips"][-1]
+        with pytest.raises(
+            CheckpointError,
+            match="'ledger.chips' holds 2 chips, but this fleet has 3",
+        ):
+            resume_live(_static_fleet(3), trace, Checkpoint.from_dict(data))
 
     def test_round_trip_still_resumes(self, checkpoint, tmp_path):
         # Control leg: the uncorrupted file resumes fine.

@@ -210,6 +210,42 @@ class TestDegradedChip:
         resumed = resume_live(fleet(), list(trace), paused, faults=schedule)
         assert resumed.result == expected
 
+    def test_degraded_era_job_carries_its_replacement_sim(self, model, trace):
+        # The job closing a DRAM-degraded era runs on the era's own
+        # replacement chip, not the fleet chip, and executing every
+        # closing job inline is exactly the fleet's run.
+        span = trace[-1].arrival_s
+        schedule = FaultSchedule(
+            events=(
+                FaultEvent(time_s=0.3 * span, kind="chip_down", chip_id=0),
+                FaultEvent(
+                    time_s=0.4 * span, kind="dram_degrade", chip_id=1, factor=0.5
+                ),
+                FaultEvent(time_s=0.6 * span, kind="chip_up", chip_id=0),
+            )
+        )
+
+        def fleet():
+            return FleetSimulator(
+                model, n_chips=3, policy="least_loaded", max_batch_size=8
+            )
+
+        degraded = fleet()
+        controller = degraded._dispatched(list(trace), faults=schedule)
+        controller.finish_events()
+        jobs = controller.final_jobs()
+        replaced = [
+            job for job in jobs if job.sim is not degraded.chips[job.chip_id]
+        ]
+        assert [job.chip_id for job in replaced] == [1]
+        dram = replaced[0].sim.simulator.system.chip.dram
+        healthy = degraded.chips[1].simulator.system.chip.dram
+        assert dram.peak_bandwidth_bytes_per_s == pytest.approx(
+            0.5 * healthy.peak_bandwidth_bytes_per_s
+        )
+        inline = controller.collect({job.chip_id: job.run() for job in jobs})
+        assert inline == fleet().run(list(trace), faults=schedule)
+
 
 class TestNormalizePriorities:
     def test_uniform_priorities_normalize_to_exactly_one(self):

@@ -156,104 +156,3 @@ class TestEstimateMemo:
                 * request.output_tokens
             )
             assert cached == fresh
-
-
-class TestParallelChips:
-    def test_process_fanout_matches_serial_run(self, model, trace):
-        serial = FleetSimulator(
-            model, n_chips=3, policy="least_loaded", max_batch_size=8
-        ).run(trace)
-        parallel = FleetSimulator(
-            model, n_chips=3, policy="least_loaded", max_batch_size=8,
-            processes=3,
-        ).run(trace)
-        assert parallel.assignments == serial.assignments
-        assert parallel.records == serial.records
-        for chip_parallel, chip_serial in zip(
-            parallel.per_chip, serial.per_chip
-        ):
-            assert chip_parallel.records == chip_serial.records
-            assert chip_parallel.peak_batch_size == chip_serial.peak_batch_size
-            assert chip_parallel.decode_steps == chip_serial.decode_steps
-
-    def test_process_fanout_covers_faulted_runs(self, model, trace):
-        # The closing eras of a faulted run fan out too, including a
-        # degraded era whose job carries its own (replacement) sim.
-        from repro.serving.faults import FaultEvent, FaultSchedule
-
-        span = trace[-1].arrival_s
-        schedule = FaultSchedule(
-            events=(
-                FaultEvent(time_s=0.3 * span, kind="chip_down", chip_id=0),
-                FaultEvent(
-                    time_s=0.4 * span, kind="dram_degrade", chip_id=1,
-                    factor=0.5,
-                ),
-                FaultEvent(time_s=0.6 * span, kind="chip_up", chip_id=0),
-            )
-        )
-
-        def fleet(**kwargs):
-            return FleetSimulator(
-                model, n_chips=3, policy="least_loaded", max_batch_size=8,
-                **kwargs,
-            )
-
-        serial = fleet().run(trace, faults=schedule)
-        parallel_fleet = fleet(processes=3)
-        jobs = parallel_fleet._dispatched(trace, faults=schedule)
-        jobs.finish_events()
-        assert any(
-            job.sim is not parallel_fleet.chips[job.chip_id]
-            for job in jobs.final_jobs()
-        )
-        parallel = parallel_fleet.run(trace, faults=schedule)
-        assert parallel == serial
-
-    def test_single_process_stays_serial(self, model, trace):
-        fleet = FleetSimulator(model, n_chips=2, processes=1)
-        assert fleet.run(trace).report.n_requests == len(trace)
-
-    def test_shard_worker_matches_in_process_chip(self, model, trace):
-        # The picklable worker, called in-process, reproduces the chip's
-        # run bit for bit (the fork pool calls exactly this function).
-        from repro.serving import simulate_chip_shard
-
-        chip = ContinuousBatchingSimulator(
-            model=model, max_batch_size=8, chip_id=1
-        )
-        direct = chip.run(list(trace))
-        rebuilt = simulate_chip_shard(
-            system=chip.simulator.system,
-            model=model,
-            chip_id=1,
-            max_batch_size=8,
-            cc_bandwidth_fraction=chip.cc_bandwidth_fraction,
-            context_bucket=chip.cost_model.context_bucket,
-            engine=chip.engine,
-            shard=list(trace),
-            cc_latencies=chip.cc_latencies(),
-            bucket_costs=chip.cost_model.bucket_costs(),
-        )
-        assert rebuilt.records == direct.records
-        assert rebuilt.peak_batch_size == direct.peak_batch_size
-        assert rebuilt.decode_steps == direct.decode_steps
-
-    def test_custom_simulator_factories_fall_back_to_serial(self, model, trace):
-        from repro.core.simulator import PerformanceSimulator
-
-        class TracingSimulator(PerformanceSimulator):
-            pass
-
-        fleet = FleetSimulator(
-            model, n_chips=2, processes=2,
-            simulator_factory=TracingSimulator,
-        )
-        assert not fleet._parallelizable(fleet.chips)
-        plain = FleetSimulator(model, n_chips=2, processes=2)
-        result = fleet.run(trace)
-        assert result.records == plain.run(trace).records
-
-    def test_rejects_bad_process_count(self, model):
-        with pytest.raises(ValueError):
-            FleetSimulator(model, processes=0)

@@ -14,8 +14,8 @@ from repro.serving import (
     RequestRecord,
     percentile,
     summarize,
-    summarize_scalar,
 )
+from repro.serving.metrics import summarize_scalar
 
 
 def make_record(request_id, arrival, prefill_start, prefill_end, first, finish,
