@@ -1,17 +1,22 @@
-"""One codec between the frozen spec dataclasses and their JSON data.
+"""One codec between the frozen dataclasses and their JSON data.
 
 Every declarative input of a study — scenario specs, planner configs,
-fault and chaos schedules — is a frozen dataclass that inherits
+fault and chaos schedules — and every report a study emits — scenario
+and plan reports with their blocks — is a frozen dataclass that inherits
 :class:`Spec`.  Its keys are its field names:
 
 * :meth:`Spec.to_dict` walks :func:`dataclasses.fields` and encodes each
   value by its annotation (a ``float`` field is written as a float, a
-  tuple as a list, a nested spec as its own ``to_dict``);
+  tuple as a list, a ``Dict[str, X]`` as an object, a nested spec as its
+  own ``to_dict``);
 * :meth:`Spec.from_dict` coerces each JSON value to its field's type
   hint, leaves every absent field at its dataclass default, and raises
   :class:`SpecError` naming the JSON path of the bad value — a missing
   required key, a value of the wrong type or tuple arity, an unknown key,
-  or a check the dataclass's ``__post_init__`` refused.
+  or a check the dataclass's ``__post_init__`` refused;
+* :meth:`Spec.to_json` / :meth:`Spec.from_json` are the same data as
+  indented, key-sorted text with a trailing newline (the golden-report
+  form); :meth:`Spec.canonical_json` is its minified form.
 
 Two emission rules are field metadata, stated once where the field is
 declared:
@@ -21,6 +26,11 @@ declared:
   hash) of every spec that does not use it unchanged;
 * :func:`for_kinds` — written only when the owner's ``kind`` is one the
   field applies to (see :func:`applies`).
+
+A class may also name ``derived`` properties (a verdict such as ``met``
+computed from the fields): they are written after the fields, and on
+decode their keys are accepted and ignored, since the fields determine
+them.
 
 Type hints and each class's field plan resolve once per class, on first
 use.
@@ -37,6 +47,7 @@ from types import MappingProxyType
 from typing import (
     Any,
     Callable,
+    ClassVar,
     Dict,
     FrozenSet,
     Mapping,
@@ -184,6 +195,22 @@ def _codec(hint: Any) -> Tuple[Encode, Decode]:
             )
 
         return encode_tuple, decode_tuple
+    if origin is dict and args[:1] == (str,):
+        # Dict[str, X] is a JSON object; each value keeps its key's path.
+        encode_item, decode_item = _codec(args[1])
+
+        def encode_dict(value: Any) -> dict:
+            return {key: encode_item(item) for key, item in value.items()}
+
+        def decode_dict(value: Any, path: str) -> dict:
+            if not isinstance(value, Mapping):
+                raise _mismatch(path, "a JSON object", value)
+            return {
+                key: decode_item(item, _join(path, key))
+                for key, item in value.items()
+            }
+
+        return encode_dict, decode_dict
     raise TypeError(f"no spec codec for type hint {hint!r}")
 
 
@@ -213,7 +240,7 @@ def _decode(cls: Type[S], data: Any, path: str) -> S:
         raise _mismatch(path, "a JSON object", data)
     plan = _plan(cls)
     for key in data:
-        if key not in plan:
+        if key not in plan and key not in cls.derived:
             raise SpecError(
                 _join(path, key), f"unknown key (not a field of {cls.__name__})"
             )
@@ -233,6 +260,9 @@ def _decode(cls: Type[S], data: Any, path: str) -> S:
 class Spec:
     """Mixin giving a frozen dataclass the field-driven JSON codec."""
 
+    #: Names of properties written after the fields and ignored on decode.
+    derived: ClassVar[Tuple[str, ...]] = ()
+
     def to_dict(self) -> Dict[str, Any]:
         """Plain JSON data keyed by field name (see the module docstring)."""
         kind = getattr(self, "kind", None)
@@ -244,12 +274,23 @@ class Spec:
             if entry.kinds is not None and kind not in entry.kinds:
                 continue
             data[entry.name] = entry.encode(value)
+        for name in self.derived:
+            data[name] = getattr(self, name)
         return data
 
     @classmethod
     def from_dict(cls: Type[S], data: Any) -> S:
         """Rebuild a spec from :meth:`to_dict` data; raises :class:`SpecError`."""
         return _decode(cls, data, "")
+
+    @classmethod
+    def from_json(cls: Type[S], text: str) -> S:
+        """Rebuild a spec from :meth:`to_json` text (see :meth:`from_dict`)."""
+        return cls.from_dict(json.loads(text))
+
+    def to_json(self) -> str:
+        """:meth:`to_dict` as indented, key-sorted JSON with a trailing newline."""
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def canonical_json(self) -> str:
         """The canonical (minified, key-sorted) JSON of :meth:`to_dict`."""

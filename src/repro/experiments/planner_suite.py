@@ -48,7 +48,7 @@ def format_report(result: PlannerSuiteResult) -> str:
             best = "(none feasible)"
             chips = "-"
         else:
-            best = f"{report.best.design.name} {report.best.option.label}"
+            best = f"{report.best.design.name} {report.best.fleet.label}"
             chips = str(report.best.chips_provisioned)
         rows.append(
             [

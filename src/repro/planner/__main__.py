@@ -174,9 +174,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point of ``python -m repro.planner`` (``argv`` overrides)."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
 
     if args.command == "plan":
+        if args.jobs is not None and args.jobs < 1:
+            parser.error("--jobs must be >= 1")
         spec = get_scenario(args.scenario)
         axis_flags = (args.groups, args.mixes, args.dram_gbps, args.keep_fractions)
         policies = (

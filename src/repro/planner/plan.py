@@ -109,7 +109,7 @@ def _best_entry(
             entry.fleet_area_mm2,
             entry.fleet_power_w,
             entry.design.name,
-            entry.option.label,
+            entry.fleet.label,
         ),
     )
 
@@ -178,8 +178,8 @@ def plan_scenario(
     ``spec`` is the scenario planned for; ``slo`` overrides its stated objectives (see
     :func:`resolve_slo`); ``prune=False`` skips the analytic bound pass and
     exactly simulates the whole space (the brute-force baseline the
-    benchmark and the soundness suite compare against); ``processes`` fans
-    candidate simulations out through
+    benchmark and the soundness suite compare against); ``processes`` (at
+    least 1) fans candidate simulations out through
     :func:`~repro.experiments.parallel.parallel_map` — results are
     identical to the serial path because every worker derives the
     bit-identical trace from the spec hash; ``engine`` selects the
@@ -204,6 +204,8 @@ def plan_scenario(
     """
     if search not in SEARCH_MODES:
         raise ValueError(f"unknown search mode {search!r}; expected {SEARCH_MODES}")
+    if processes is not None and processes < 1:
+        raise ValueError("processes must be >= 1")
     if search == "bnb" and not prune:
         raise ValueError(
             "bnb search *is* the pruning strategy; use search='flat' with "
@@ -323,7 +325,7 @@ def plan_scenario(
         spec_hash=spec_hash,
         plan_hash=plan_hash(spec_hash, config, targets),
         planner=config,
-        slo_targets=tuple(sorted(targets.items())),
+        slo_targets=dict(sorted(targets.items())),
         n_requests=spec.n_requests,
         n_chip_designs=len(designs),
         n_candidates=n_candidates,

@@ -22,10 +22,11 @@ brute-force exact search on randomized small spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..codec import Spec
 from ..core.batch import ServiceTimeBoundsPricer
 from ..models.mllm import get_mllm
 from ..scenarios.compile import CompiledScenario
@@ -40,7 +41,7 @@ BOUND_CHUNK_DESIGNS = 2048
 
 
 @dataclass(frozen=True)
-class DesignBounds:
+class DesignBounds(Spec):
     """One chip design's analytic bound percentiles and feasibility verdict.
 
     ``lb_ttft_p99_s`` / ``lb_latency_p95_s`` are the trace percentiles of
@@ -48,6 +49,8 @@ class DesignBounds:
     skipped); ``reasons`` names each objective the bound already misses —
     empty for designs that survive to exact simulation.
     """
+
+    derived = ("feasible",)
 
     design: ChipDesign
     lb_ttft_p99_s: Optional[float]
@@ -58,26 +61,6 @@ class DesignBounds:
     def feasible(self) -> bool:
         """True when no objective is provably missed by the bounds."""
         return not self.reasons
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the verdict to plain JSON data."""
-        return {
-            "design": self.design.to_dict(),
-            "lb_ttft_p99_s": self.lb_ttft_p99_s,
-            "lb_latency_p95_s": self.lb_latency_p95_s,
-            "feasible": self.feasible,
-            "reasons": list(self.reasons),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "DesignBounds":
-        """Rebuild a verdict from :meth:`to_dict` data."""
-        return cls(
-            design=ChipDesign.from_dict(data["design"]),
-            lb_ttft_p99_s=data.get("lb_ttft_p99_s"),
-            lb_latency_p95_s=data.get("lb_latency_p95_s"),
-            reasons=tuple(str(reason) for reason in data.get("reasons", ())),
-        )
 
 
 def trace_pricer(compiled: CompiledScenario) -> ServiceTimeBoundsPricer:

@@ -5,12 +5,13 @@ planner-config identity (hashed into ``plan_hash``), the SLO targets the
 search was judged against, the candidate-space accounting (how many designs
 the analytic bounds pruned, how many candidates were exactly simulated),
 the per-design bound verdicts, the Pareto frontier over the simulated
-candidates and the cheapest fully-SLO-meeting plan.  Its
-:meth:`~PlanReport.to_json` rendering is canonical — key-sorted, 2-space
-indented, trailing newline — and fully determined by the scenario spec and
-planner config, so golden plan reports assert byte identity the same way
-scenario reports do.  :meth:`PlanReport.from_json` round-trips the
-canonical form byte-identically (regression-tested).
+candidates and the cheapest fully-SLO-meeting plan.  Every report type is
+a :class:`~repro.codec.Spec`, so its :meth:`~repro.codec.Spec.to_json`
+rendering is canonical — key-sorted, 2-space indented, trailing newline —
+and fully determined by the scenario spec and planner config, so golden
+plan reports assert byte identity the same way scenario reports do.
+:meth:`PlanReport.from_json` round-trips the canonical form
+byte-identically (regression-tested on every golden).
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..arch.area_power import AreaPowerModel
+from ..codec import Spec, when_set
 from ..scenarios.report import SLOCheck
 from .evaluate import CandidateOutcome
 from .prune import DesignBounds
@@ -34,17 +36,20 @@ def chip_cost(design: ChipDesign) -> Tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class PlanEntry:
+class PlanEntry(Spec):
     """One exactly-simulated candidate with its cost and SLO verdicts.
 
-    ``chips_provisioned`` (peak chips for autoscaled fleets) scales the
-    per-chip silicon cost into ``fleet_area_mm2`` and ``fleet_power_w``;
-    ``slo`` holds one verdict per stated objective and ``slo_attainment``
-    the met fraction (1.0 when no objectives are stated).
+    ``fleet`` is the candidate's fleet option; ``chips_provisioned`` (peak
+    chips for autoscaled fleets) scales the per-chip silicon cost into
+    ``fleet_area_mm2`` and ``fleet_power_w``; ``slo`` holds one verdict
+    per stated objective and ``slo_attainment`` the met fraction (1.0
+    when no objectives are stated).
     """
 
+    derived = ("slo_met",)
+
     design: ChipDesign
-    option: FleetOption
+    fleet: FleetOption
     chips_provisioned: int
     chip_area_mm2: float
     fleet_area_mm2: float
@@ -60,7 +65,7 @@ class PlanEntry:
     #: Verdict of the one-chip-loss chaos probe; ``None`` (the default,
     #: omitted from the serialized form) when the planning run did not
     #: require chip-loss survival, so historical goldens stay byte-stable.
-    survives_chip_loss: Optional[bool] = None
+    survives_chip_loss: Optional[bool] = when_set(None)
 
     @property
     def slo_met(self) -> bool:
@@ -101,7 +106,7 @@ class PlanEntry:
         area, power = chip_cost(outcome.design)
         return cls(
             design=outcome.design,
-            option=outcome.option,
+            fleet=outcome.option,
             chips_provisioned=outcome.chips_provisioned,
             chip_area_mm2=area,
             fleet_area_mm2=area * outcome.chips_provisioned,
@@ -116,72 +121,19 @@ class PlanEntry:
             n_scale_events=outcome.n_scale_events,
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the entry (survival verdict only when probed)."""
-        data: Dict[str, Any] = {
-            "design": self.design.to_dict(),
-            "fleet": self.option.to_dict(),
-            "chips_provisioned": self.chips_provisioned,
-            "chip_area_mm2": self.chip_area_mm2,
-            "fleet_area_mm2": self.fleet_area_mm2,
-            "fleet_power_w": self.fleet_power_w,
-            "ttft_p99_s": self.ttft_p99_s,
-            "latency_p95_s": self.latency_p95_s,
-            "queue_wait_p99_s": self.queue_wait_p99_s,
-            "n_completed": self.n_completed,
-            "makespan_s": self.makespan_s,
-            "slo": [check.to_dict() for check in self.slo],
-            "slo_met": self.slo_met,
-            "slo_attainment": self.slo_attainment,
-            "n_scale_events": self.n_scale_events,
-        }
-        if self.survives_chip_loss is not None:
-            data["survives_chip_loss"] = self.survives_chip_loss
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PlanEntry":
-        """Rebuild an entry from :meth:`to_dict` data."""
-        return cls(
-            design=ChipDesign.from_dict(data["design"]),
-            option=FleetOption.from_dict(data["fleet"]),
-            chips_provisioned=int(data["chips_provisioned"]),
-            chip_area_mm2=float(data["chip_area_mm2"]),
-            fleet_area_mm2=float(data["fleet_area_mm2"]),
-            fleet_power_w=float(data["fleet_power_w"]),
-            ttft_p99_s=float(data["ttft_p99_s"]),
-            latency_p95_s=float(data["latency_p95_s"]),
-            queue_wait_p99_s=float(data["queue_wait_p99_s"]),
-            n_completed=int(data["n_completed"]),
-            makespan_s=float(data["makespan_s"]),
-            slo=tuple(
-                SLOCheck(
-                    metric=str(check["metric"]),
-                    target_s=float(check["target_s"]),
-                    attained_s=float(check["attained_s"]),
-                )
-                for check in data.get("slo", ())
-            ),
-            slo_attainment=float(data["slo_attainment"]),
-            n_scale_events=int(data.get("n_scale_events", 0)),
-            survives_chip_loss=(
-                None
-                if data.get("survives_chip_loss") is None
-                else bool(data["survives_chip_loss"])
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class PlanReport:
+class PlanReport(Spec):
     """The structured outcome of one capacity-planning run."""
+
+    derived = ("feasible",)
 
     scenario: str
     description: str
     spec_hash: str
     plan_hash: str
     planner: PlannerConfig
-    slo_targets: Tuple[Tuple[str, float], ...]
+    slo_targets: Dict[str, float]
     n_requests: int
     n_chip_designs: int
     n_candidates: int
@@ -195,120 +147,26 @@ class PlanReport:
     #: bounded individually — the oracle) or ``"bnb"`` (branch-and-bound
     #: over subgrids).  Both modes yield the identical frontier and best
     #: plan; ``"bnb"`` reports bounds only for individually-priced designs.
-    search: str = "flat"
+    #: Search and store accounting below is written only when set, so
+    #: flat-search reports (and the committed goldens) stay byte-stable.
+    search: str = when_set("flat")
     #: Subgrids retired by one corner comparison (bnb search only).
-    n_pruned_subgrids: Optional[int] = None
+    n_pruned_subgrids: Optional[int] = when_set(None)
     #: Analytic bound evaluations performed (bnb search only; flat search
     #: always prices exactly ``n_chip_designs``).
-    n_bound_evals: Optional[int] = None
+    n_bound_evals: Optional[int] = when_set(None)
     #: Plan-store accounting (populated only when a store was attached):
     #: hits skipped exact simulation, misses were simulated then stored.
-    store_hits: Optional[int] = None
-    store_misses: Optional[int] = None
+    store_hits: Optional[int] = when_set(None)
+    store_misses: Optional[int] = when_set(None)
     #: True when the run additionally required the best plan to survive a
-    #: one-chip loss (SLO-meeting candidates were chaos-probed; emitted
-    #: only when set, so historical goldens stay byte-stable).
-    require_chip_loss: bool = False
+    #: one-chip loss (SLO-meeting candidates were chaos-probed).
+    require_chip_loss: bool = when_set(False)
 
     @property
     def feasible(self) -> bool:
         """True when some simulated candidate met every stated objective."""
         return self.best is not None
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the report to plain JSON data (canonical field set)."""
-        data: Dict[str, Any] = {
-            "scenario": self.scenario,
-            "description": self.description,
-            "spec_hash": self.spec_hash,
-            "plan_hash": self.plan_hash,
-            "planner": self.planner.to_dict(),
-            "slo_targets": {metric: target for metric, target in self.slo_targets},
-            "n_requests": self.n_requests,
-            "n_chip_designs": self.n_chip_designs,
-            "n_candidates": self.n_candidates,
-            "n_pruned_designs": self.n_pruned_designs,
-            "n_pruned_candidates": self.n_pruned_candidates,
-            "n_simulated": self.n_simulated,
-            "design_bounds": [bounds.to_dict() for bounds in self.design_bounds],
-            "frontier": [entry.to_dict() for entry in self.frontier],
-            "best": None if self.best is None else self.best.to_dict(),
-            "feasible": self.feasible,
-        }
-        # Search/store accounting is emitted only when non-default, so
-        # flat-search reports (and the committed goldens) stay byte-stable.
-        if self.search != "flat":
-            data["search"] = self.search
-        if self.n_pruned_subgrids is not None:
-            data["n_pruned_subgrids"] = self.n_pruned_subgrids
-        if self.n_bound_evals is not None:
-            data["n_bound_evals"] = self.n_bound_evals
-        if self.store_hits is not None:
-            data["store_hits"] = self.store_hits
-        if self.store_misses is not None:
-            data["store_misses"] = self.store_misses
-        if self.require_chip_loss:
-            data["require_chip_loss"] = True
-        return data
-
-    def to_json(self) -> str:
-        """Canonical JSON: sorted keys, 2-space indent, trailing newline."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PlanReport":
-        """Rebuild a report from :meth:`to_dict` data."""
-        best = data.get("best")
-        return cls(
-            scenario=str(data["scenario"]),
-            description=str(data.get("description", "")),
-            spec_hash=str(data["spec_hash"]),
-            plan_hash=str(data["plan_hash"]),
-            planner=PlannerConfig.from_dict(data["planner"]),
-            slo_targets=tuple(sorted(
-                (str(metric), float(target))
-                for metric, target in data.get("slo_targets", {}).items()
-            )),
-            n_requests=int(data["n_requests"]),
-            n_chip_designs=int(data["n_chip_designs"]),
-            n_candidates=int(data["n_candidates"]),
-            n_pruned_designs=int(data["n_pruned_designs"]),
-            n_pruned_candidates=int(data["n_pruned_candidates"]),
-            n_simulated=int(data["n_simulated"]),
-            design_bounds=tuple(
-                DesignBounds.from_dict(entry)
-                for entry in data.get("design_bounds", ())
-            ),
-            frontier=tuple(
-                PlanEntry.from_dict(entry) for entry in data.get("frontier", ())
-            ),
-            best=None if best is None else PlanEntry.from_dict(best),
-            search=str(data.get("search", "flat")),
-            n_pruned_subgrids=(
-                None
-                if data.get("n_pruned_subgrids") is None
-                else int(data["n_pruned_subgrids"])
-            ),
-            n_bound_evals=(
-                None
-                if data.get("n_bound_evals") is None
-                else int(data["n_bound_evals"])
-            ),
-            store_hits=(
-                None if data.get("store_hits") is None else int(data["store_hits"])
-            ),
-            store_misses=(
-                None
-                if data.get("store_misses") is None
-                else int(data["store_misses"])
-            ),
-            require_chip_loss=bool(data.get("require_chip_loss", False)),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PlanReport":
-        """Parse a report back from its (canonical) JSON form."""
-        return cls.from_dict(json.loads(text))
 
 
 def plan_hash(
@@ -340,7 +198,7 @@ def format_plan_report(report: PlanReport) -> str:
         lines.append(report.description)
     lines.append(f"plan hash          : {report.plan_hash[:16]}…")
     targets = ", ".join(
-        f"{metric} <= {target:g}s" for metric, target in report.slo_targets
+        f"{metric} <= {target:g}s" for metric, target in report.slo_targets.items()
     )
     lines.append(f"objectives         : {targets or 'none stated'}")
     if report.require_chip_loss:
@@ -379,7 +237,7 @@ def format_plan_report(report: PlanReport) -> str:
                 else "  [dies with a chip]"
             )
         lines.append(
-            f"  {verdict} {entry.design.name:<12} {entry.option.label:<22} "
+            f"  {verdict} {entry.design.name:<12} {entry.fleet.label:<22} "
             f"chips {entry.chips_provisioned}  area {entry.fleet_area_mm2:8.1f} mm^2  "
             f"power {entry.fleet_power_w:6.2f} W  p99 TTFT {entry.ttft_p99_s * 1e3:9.2f} ms"
             f"{survival}"
@@ -389,7 +247,7 @@ def format_plan_report(report: PlanReport) -> str:
     else:
         best = report.best
         lines.append(
-            f"best plan          : {best.design.name} {best.option.label} — "
+            f"best plan          : {best.design.name} {best.fleet.label} — "
             f"{best.chips_provisioned} chips, {best.fleet_area_mm2:.1f} mm^2, "
             f"{best.fleet_power_w:.2f} W"
         )

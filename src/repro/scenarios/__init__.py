@@ -36,7 +36,6 @@ from .registry import (
 )
 from .report import (
     AutoscaleSummary,
-    FaultImpact,
     FaultSummary,
     IncidentSummary,
     PricingSummary,
@@ -65,7 +64,6 @@ __all__ = [
     "AutoscaleSummary",
     "ChaosSpec",
     "CompiledScenario",
-    "FaultImpact",
     "FaultSummary",
     "FaultsSpec",
     "FleetSpec",

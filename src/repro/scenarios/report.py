@@ -2,19 +2,22 @@
 
 :class:`ScenarioReport` is the artifact a scenario run emits: identity
 (name + spec hash), traffic accounting, serving percentiles, SLO verdicts,
-autoscaler activity and the batched-cost-engine pricing summary.  Its
-:meth:`~ScenarioReport.to_json` rendering is *canonical* — key-sorted,
+autoscaler activity and the batched-cost-engine pricing summary.  Every
+report type is a :class:`~repro.codec.Spec`, so its
+:meth:`~repro.codec.Spec.to_json` rendering is *canonical* — key-sorted,
 2-space-indented, trailing newline — and fully determined by the spec, so
 the golden-report regression suite asserts byte identity against committed
-files (the same discipline as the fig11 byte-identity check).
+files (the same discipline as the fig11 byte-identity check).  Optional
+blocks are written only when present (:func:`~repro.codec.when_set`), so
+reports without them keep their bytes.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
+from ..codec import Spec, when_set
 from ..serving.autoscale import AutoscaleResult, ScalingEvent
 from ..serving.faults import FaultEvent, FaultRecovery
 from ..serving.metrics import (
@@ -26,19 +29,11 @@ from ..serving.metrics import (
 from ..serving.runtime.supervision import ActorIncident
 
 
-def _stats_dict(stats: PercentileStats) -> Dict[str, float]:
-    return {
-        "p50": stats.p50,
-        "p95": stats.p95,
-        "p99": stats.p99,
-        "mean": stats.mean,
-        "max": stats.max,
-    }
-
-
 @dataclass(frozen=True)
-class SLOCheck:
+class SLOCheck(Spec):
     """One objective's verdict: the attained value against its target."""
+
+    derived = ("met",)
 
     metric: str
     target_s: float
@@ -49,18 +44,9 @@ class SLOCheck:
         """True when the attained value is within the target."""
         return self.attained_s <= self.target_s
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the verdict to plain JSON data."""
-        return {
-            "metric": self.metric,
-            "target_s": self.target_s,
-            "attained_s": self.attained_s,
-            "met": self.met,
-        }
-
 
 @dataclass(frozen=True)
-class AutoscaleSummary:
+class AutoscaleSummary(Spec):
     """Controller activity over one run."""
 
     peak_chips: int
@@ -84,30 +70,12 @@ class AutoscaleSummary:
             events=result.events,
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the controller summary to plain JSON data."""
-        return {
-            "peak_chips": self.peak_chips,
-            "final_chips": self.final_chips,
-            "n_scale_ups": self.n_scale_ups,
-            "n_scale_downs": self.n_scale_downs,
-            "n_rejected": self.n_rejected,
-            "rejection_rate": self.rejection_rate,
-            "events": [
-                {
-                    "time_s": event.time_s,
-                    "n_chips_before": event.n_chips_before,
-                    "n_chips_after": event.n_chips_after,
-                    "rolling_p99_ttft_s": event.rolling_p99_ttft_s,
-                }
-                for event in self.events
-            ],
-        }
-
 
 @dataclass(frozen=True)
-class TenantSummary:
+class TenantSummary(Spec):
     """One tenant class's traffic accounting and SLO verdicts."""
+
+    derived = ("slo_met",)
 
     tenant: str
     priority: float
@@ -123,21 +91,6 @@ class TenantSummary:
     def slo_met(self) -> bool:
         """True when the tenant meets every stated objective."""
         return all(check.met for check in self.slo)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the tenant summary to plain JSON data."""
-        return {
-            "tenant": self.tenant,
-            "priority": self.priority,
-            "n_requests": self.n_requests,
-            "n_completed": self.n_completed,
-            "n_rejected": self.n_rejected,
-            "latency": _stats_dict(self.latency),
-            "ttft": _stats_dict(self.ttft),
-            "queue_wait": _stats_dict(self.queue_wait),
-            "slo": [check.to_dict() for check in self.slo],
-            "slo_met": self.slo_met,
-        }
 
 
 def tenant_summaries(
@@ -185,56 +138,18 @@ def tenant_summaries(
 
 
 @dataclass(frozen=True)
-class FaultImpact:
-    """One fault event annotated with its measured SLO impact."""
-
-    event: FaultEvent
-    baseline_p99_ttft_s: float
-    dent_depth_s: float
-    time_to_recover_s: Optional[float]
-
-    @classmethod
-    def from_recovery(cls, recovery: FaultRecovery) -> "FaultImpact":
-        """Lift a :class:`~repro.serving.faults.FaultRecovery` measurement."""
-        return cls(
-            event=recovery.event,
-            baseline_p99_ttft_s=recovery.baseline_p99_ttft_s,
-            dent_depth_s=recovery.dent_depth_s,
-            time_to_recover_s=recovery.time_to_recover_s,
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the impact to plain JSON data."""
-        data: Dict[str, Any] = dict(self.event.to_dict())
-        data["baseline_p99_ttft_s"] = self.baseline_p99_ttft_s
-        data["dent_depth_s"] = self.dent_depth_s
-        data["time_to_recover_s"] = self.time_to_recover_s
-        return data
-
-
-@dataclass(frozen=True)
-class FaultSummary:
+class FaultSummary(Spec):
     """The run's fault timeline with recovery metrics per disruption."""
 
     drain_policy: str
     n_redispatched: int
     n_aborted: int
     events: Tuple[FaultEvent, ...]
-    impacts: Tuple[FaultImpact, ...]
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the fault summary to plain JSON data."""
-        return {
-            "drain_policy": self.drain_policy,
-            "n_redispatched": self.n_redispatched,
-            "n_aborted": self.n_aborted,
-            "events": [event.to_dict() for event in self.events],
-            "impacts": [impact.to_dict() for impact in self.impacts],
-        }
+    impacts: Tuple[FaultRecovery, ...]
 
 
 @dataclass(frozen=True)
-class IncidentSummary:
+class IncidentSummary(Spec):
     """The live runtime's recovery timeline for one run.
 
     ``timeline`` is the chronological
@@ -246,6 +161,8 @@ class IncidentSummary:
     without disturbances — strip the block with
     :meth:`ScenarioReport.without_incidents` to compare.
     """
+
+    derived = ("counts",)
 
     n_sessions: int
     timeline: Tuple[ActorIncident, ...]
@@ -269,17 +186,9 @@ class IncidentSummary:
             counts[incident.kind] = counts.get(incident.kind, 0) + 1
         return dict(sorted(counts.items()))
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the incident summary to plain JSON data."""
-        return {
-            "n_sessions": self.n_sessions,
-            "counts": self.counts,
-            "timeline": [incident.to_dict() for incident in self.timeline],
-        }
-
 
 @dataclass(frozen=True)
-class PricingSummary:
+class PricingSummary(Spec):
     """Batched cost-engine view of the trace's offered load.
 
     ``batch1_chip_seconds`` is the total batch-1 service time the trace
@@ -292,25 +201,19 @@ class PricingSummary:
     batch1_chip_seconds: float
     mean_chips_demanded: float
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the pricing summary to plain JSON data."""
-        return {
-            "unique_shapes": self.unique_shapes,
-            "batch1_chip_seconds": self.batch1_chip_seconds,
-            "mean_chips_demanded": self.mean_chips_demanded,
-        }
-
 
 @dataclass(frozen=True)
-class ScenarioReport:
+class ScenarioReport(Spec):
     """The structured outcome of one scenario run."""
+
+    derived = ("slo_met",)
 
     name: str
     description: str
     spec_hash: str
     n_requests: int
     n_completed: int
-    component_counts: Tuple[Tuple[str, int], ...]
+    component_counts: Dict[str, int]
     makespan_s: float
     requests_per_second: float
     tokens_per_second: float
@@ -319,16 +222,16 @@ class ScenarioReport:
     queue_wait: PercentileStats
     slo: Tuple[SLOCheck, ...]
     pricing: PricingSummary
-    autoscale: Optional[AutoscaleSummary] = None
+    autoscale: Optional[AutoscaleSummary] = when_set(None)
     #: Per-tenant attainment; present only when the spec declares tenants
     #: (conditional emission keeps tenant-free goldens byte-identical).
-    tenants: Optional[Tuple[TenantSummary, ...]] = None
+    tenants: Optional[Tuple[TenantSummary, ...]] = when_set(None)
     #: Fault timeline + recovery metrics; present only for fault specs.
-    faults: Optional[FaultSummary] = None
+    faults: Optional[FaultSummary] = when_set(None)
     #: Live-runtime recovery timeline; present only when a live run
     #: actually recorded incidents (conditional emission keeps every
     #: batch and undisturbed-run golden byte-identical).
-    incidents: Optional[IncidentSummary] = None
+    incidents: Optional[IncidentSummary] = when_set(None)
 
     @property
     def slo_met(self) -> bool:
@@ -344,42 +247,6 @@ class ScenarioReport:
         differential suite asserts byte-identity on.
         """
         return replace(self, incidents=None)
-
-    # ------------------------------------------------------------------
-    # Canonical serialization (golden-report surface)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the report to plain JSON data (canonical field set)."""
-        data: Dict[str, Any] = {
-            "name": self.name,
-            "description": self.description,
-            "spec_hash": self.spec_hash,
-            "n_requests": self.n_requests,
-            "n_completed": self.n_completed,
-            "component_counts": {name: count for name, count in self.component_counts},
-            "makespan_s": self.makespan_s,
-            "requests_per_second": self.requests_per_second,
-            "tokens_per_second": self.tokens_per_second,
-            "latency": _stats_dict(self.latency),
-            "ttft": _stats_dict(self.ttft),
-            "queue_wait": _stats_dict(self.queue_wait),
-            "slo": [check.to_dict() for check in self.slo],
-            "slo_met": self.slo_met,
-            "pricing": self.pricing.to_dict(),
-        }
-        if self.autoscale is not None:
-            data["autoscale"] = self.autoscale.to_dict()
-        if self.tenants is not None:
-            data["tenants"] = [tenant.to_dict() for tenant in self.tenants]
-        if self.faults is not None:
-            data["faults"] = self.faults.to_dict()
-        if self.incidents is not None:
-            data["incidents"] = self.incidents.to_dict()
-        return data
-
-    def to_json(self) -> str:
-        """Canonical JSON: sorted keys, 2-space indent, trailing newline."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def slo_checks(slo_targets: Mapping[str, float], report: ServingReport) -> Tuple[SLOCheck, ...]:
@@ -408,7 +275,9 @@ def format_scenario_report(report: ScenarioReport) -> str:
         else f"{report.n_requests}"
     )
     lines.append(f"requests completed : {completed}")
-    mix = ", ".join(f"{name} {count}" for name, count in report.component_counts)
+    mix = ", ".join(
+        f"{name} {count}" for name, count in report.component_counts.items()
+    )
     lines.append(f"mix                : {mix}")
     lines.append(f"makespan           : {report.makespan_s:.3f} s")
     lines.append(f"throughput         : {report.requests_per_second:.2f} req/s, "

@@ -27,7 +27,6 @@ from ..serving.fleet import FleetSimulator
 from .compile import CompiledScenario, compile_scenario
 from .report import (
     AutoscaleSummary,
-    FaultImpact,
     FaultSummary,
     IncidentSummary,
     PricingSummary,
@@ -198,18 +197,12 @@ def scenario_report(
         )
     faults = None
     if compiled.faults is not None:
-        impacts = tuple(
-            FaultImpact.from_recovery(recovery)
-            for recovery in fault_recovery(
-                result.records, compiled.faults.events
-            )
-        )
         faults = FaultSummary(
             drain_policy=compiled.faults.drain_policy,
             n_redispatched=len(result.redispatched_ids),
             n_aborted=len(result.aborted_ids),
             events=compiled.faults.events,
-            impacts=impacts,
+            impacts=fault_recovery(result.records, compiled.faults.events),
         )
     return ScenarioReport(
         name=spec.name,
@@ -217,7 +210,7 @@ def scenario_report(
         spec_hash=spec.spec_hash(),
         n_requests=spec.n_requests,
         n_completed=report.n_requests,
-        component_counts=tuple(sorted(compiled.component_counts.items())),
+        component_counts=dict(sorted(compiled.component_counts.items())),
         makespan_s=report.makespan_s,
         requests_per_second=report.requests_per_second,
         tokens_per_second=report.tokens_per_second,

@@ -10,12 +10,13 @@ topology* with optional SLO-aware autoscaling (:class:`FleetSpec` /
 judged against (:class:`SLOSpec`).
 
 Specs serialize losslessly to JSON through the one field-driven codec of
-:mod:`repro.codec` (``to_dict`` / ``from_dict``; the format and its
-:class:`~repro.codec.SpecError` paths are described in the "Spec JSON"
-section of ``docs/scenarios.md``), and the canonical JSON form is the
-*identity* of a scenario: :meth:`ScenarioSpec.
-spec_hash` is its SHA-256, and every random seed used while compiling the
-scenario is derived from that hash via :meth:`ScenarioSpec.derive_seed`.
+:mod:`repro.codec` (``to_dict`` / ``from_dict`` and ``to_json`` /
+``from_json``; the format and its :class:`~repro.codec.SpecError` paths
+are described in the "Spec JSON" section of ``docs/scenarios.md``), and
+the canonical JSON form is the *identity* of a scenario:
+:meth:`ScenarioSpec.spec_hash` is its SHA-256, and every random seed used
+while compiling the scenario is derived from that hash via
+:meth:`ScenarioSpec.derive_seed`.
 Deriving seeds from the content hash — never from Python's per-process
 salted ``hash()`` or any global RNG state — is what makes a scenario
 reproduce bit-identically across processes and machines.
@@ -24,7 +25,6 @@ reproduce bit-identically across processes and machines.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, fields, replace
 from typing import Dict, Optional, Tuple
 
@@ -380,19 +380,6 @@ class ScenarioSpec(Spec):
                     "permanent chip failures must leave at least one chip "
                     "alive (set outage_s or lower n_chip_failures)"
                 )
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-
-    def to_json(self) -> str:
-        """Human-oriented JSON rendering (indented, key-sorted)."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        """Parse a scenario back from its JSON ``text``."""
-        return cls.from_dict(json.loads(text))
 
     # ------------------------------------------------------------------
     # Identity and seed derivation

@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
+from ..codec import Spec
 from ..core.simulator import PerformanceSimulator
 from ..models.mllm import MLLMConfig
 from .fleet import FleetSimulator
@@ -100,7 +101,7 @@ class AutoscalerConfig:
 
 
 @dataclass(frozen=True)
-class ScalingEvent:
+class ScalingEvent(Spec):
     """One controller decision: the fleet grew or shrank."""
 
     time_s: float

@@ -186,7 +186,7 @@ class FaultSchedule(Spec):
 
 
 @dataclass(frozen=True)
-class FaultRecovery:
+class FaultRecovery(Spec):
     """Measured SLO impact of one disruptive fault event.
 
     ``baseline_p99_ttft_s`` is the p99 TTFT of all records arriving
@@ -202,6 +202,11 @@ class FaultRecovery:
     baseline_p99_ttft_s: float
     dent_depth_s: float
     time_to_recover_s: Optional[float]
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The metrics with the event's keys inlined (the report's impact form)."""
+        data = super().to_dict()
+        return {**data.pop("event"), **data}
 
 
 def fault_recovery(
@@ -948,13 +953,29 @@ class FaultFleetController(_EraController):
     def state_dict(self) -> Dict[str, Any]:
         """JSON-serializable snapshot of the dynamic dispatch state."""
         state = super().state_dict()
+        state["policy"] = self.fleet.policy
         state["rr_position"] = self.rr_position
         return state
 
     def restore_state(
         self, state: Mapping[str, Any], trace: Sequence[ServingRequest]
     ) -> None:
-        """Reload :meth:`state_dict` data (``trace`` must equal the original)."""
+        """Reload :meth:`state_dict` data (``trace`` must equal the original).
+
+        Raises :class:`~repro.serving.runtime.checkpoint.CheckpointError`
+        naming ``policy`` and both values, before anything is restored,
+        when the state was taken under another dispatch policy.  State
+        without the key (written before it was recorded) is not checked.
+        """
+        # Imported lazily: the runtime package builds on this module.
+        from .runtime.checkpoint import CheckpointError
+
+        stored = state.get("policy", self.fleet.policy)
+        if stored != self.fleet.policy:
+            raise CheckpointError(
+                f"checkpoint field 'policy' is {stored!r}, but this fleet "
+                f"dispatches {self.fleet.policy!r}"
+            )
         super().restore_state(state, trace)
         self.rr_position = int(state["rr_position"])
 
@@ -1094,15 +1115,7 @@ class FaultAutoscaleController(_EraController):
         state.update(
             inflight=list(self.inflight),
             ttft_window=list(self.ttft_window),
-            scale_events=[
-                {
-                    "time_s": event.time_s,
-                    "n_chips_before": event.n_chips_before,
-                    "n_chips_after": event.n_chips_after,
-                    "rolling_p99_ttft_s": event.rolling_p99_ttft_s,
-                }
-                for event in self.scale_events
-            ],
+            scale_events=[event.to_dict() for event in self.scale_events],
             rejected=list(self.rejected),
             n_active=self.n_active,
             # -inf (never scaled) has no JSON literal; None encodes it.
@@ -1123,13 +1136,7 @@ class FaultAutoscaleController(_EraController):
             maxlen=self.config.window,
         )
         self.scale_events = [
-            ScalingEvent(
-                time_s=float(event["time_s"]),
-                n_chips_before=int(event["n_chips_before"]),
-                n_chips_after=int(event["n_chips_after"]),
-                rolling_p99_ttft_s=float(event["rolling_p99_ttft_s"]),
-            )
-            for event in state["scale_events"]
+            ScalingEvent.from_dict(event) for event in state["scale_events"]
         ]
         self.rejected = [int(index) for index in state["rejected"]]
         self.n_active = int(state["n_active"])

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..codec import Spec
 from ..models.mllm import InferenceRequest
 
 
@@ -103,7 +104,7 @@ class RequestRecord:
 
 
 @dataclass(frozen=True)
-class PercentileStats:
+class PercentileStats(Spec):
     """p50/p95/p99 plus mean and max of one latency-like quantity."""
 
     p50: float

@@ -62,6 +62,7 @@ from typing import (
     Union,
 )
 
+from ...codec import Spec, when_set
 from ..queue import ServingRequest, ServingResult
 from .actors import (
     DEFAULT_BATCH_SIZE,
@@ -99,7 +100,7 @@ INCIDENT_KINDS: Tuple[str, ...] = (
 
 
 @dataclass(frozen=True)
-class ActorIncident:
+class ActorIncident(Spec):
     """One entry of a supervised run's incident timeline.
 
     Coordinates are logical, never wall-clock: ``session`` numbers the
@@ -113,8 +114,8 @@ class ActorIncident:
     actor: str
     kind: str
     detail: str
-    job_id: int = -1
-    attempt: int = 0
+    job_id: int = when_set(-1)
+    attempt: int = when_set(0)
 
     def __post_init__(self) -> None:
         if self.kind not in INCIDENT_KINDS:
@@ -124,20 +125,6 @@ class ActorIncident:
             )
         if self.session < 1:
             raise ValueError("incident session must be >= 1")
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize to plain JSON data (job fields only when set)."""
-        data: Dict[str, Any] = {
-            "session": self.session,
-            "actor": self.actor,
-            "kind": self.kind,
-            "detail": self.detail,
-        }
-        if self.job_id >= 0:
-            data["job_id"] = self.job_id
-        if self.attempt > 0:
-            data["attempt"] = self.attempt
-        return data
 
 
 @dataclass(frozen=True)

@@ -170,10 +170,10 @@ def test_bnb_equals_flat_equals_brute_force(space):
     # equals the brute-force entry of its candidate (priced by each
     # design's first fleet).
     brute_by_candidate = {
-        (entry.design.name, entry.option.label): entry for entry in brute_entries
+        (entry.design.name, entry.fleet.label): entry for entry in brute_entries
     }
     for entry in bnb.frontier:
-        assert entry == brute_by_candidate[(entry.design.name, entry.option.label)]
+        assert entry == brute_by_candidate[(entry.design.name, entry.fleet.label)]
     brute_met = [entry for entry in brute_entries if entry.slo_met]
     if not brute_met:
         assert bnb.best is None
@@ -185,7 +185,7 @@ def test_bnb_equals_flat_equals_brute_force(space):
                 entry.fleet_area_mm2,
                 entry.fleet_power_w,
                 entry.design.name,
-                entry.option.label,
+                entry.fleet.label,
             ),
         )
         assert bnb.best == brute_best

@@ -9,7 +9,9 @@ with::
 
     PYTHONPATH=src python -m repro.planner write-golden
 
-and commit the diff with the change that caused it.
+and commit the diff with the change that caused it.  Each committed plan
+also decodes through :meth:`PlanReport.from_json` and re-encodes to the
+same bytes.
 """
 
 import json
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.planner import GOLDEN_PLAN_SCENARIOS, plan_scenario
+from repro.planner import GOLDEN_PLAN_SCENARIOS, PlanReport, plan_scenario
 from repro.scenarios import get_scenario
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden" / "planner"
@@ -56,3 +58,9 @@ def test_at_least_one_golden_plan_exercises_analytic_pruning():
 def test_plan_report_is_byte_identical_to_golden(name):
     golden = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
     assert plan_scenario(get_scenario(name)).to_json() == golden
+
+
+@pytest.mark.parametrize("name", GOLDEN_PLAN_SCENARIOS)
+def test_golden_plan_round_trips_through_the_codec(name):
+    golden = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+    assert PlanReport.from_json(golden).to_json() == golden

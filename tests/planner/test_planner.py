@@ -145,7 +145,7 @@ def test_pruning_is_sound_and_best_matches_brute_force(space):
                 entry.fleet_area_mm2,
                 entry.fleet_power_w,
                 entry.design.name,
-                entry.option.label,
+                entry.fleet.label,
             ),
         )
         assert report.best == brute_best
@@ -179,7 +179,7 @@ def test_best_plan_verdict_reproduces_under_fresh_exact_simulation(small_plan):
     fresh = PlanEntry.from_outcome(
         evaluate_candidate(
             spec, compiled.trace, small_plan.best.design,
-            small_plan.best.option, targets,
+            small_plan.best.fleet, targets,
         ),
         targets,
     )
@@ -197,6 +197,12 @@ def test_parallel_path_is_identical_to_serial(small_plan):
     config = PlannerConfig(chip_grid=DESIGN_POOL[:3], min_chips=1, max_chips=2)
     parallel = plan_scenario(spec, config, processes=2)
     assert parallel.to_json() == small_plan.to_json()
+
+
+def test_process_count_below_one_is_rejected():
+    # Checked up front: a serial run never reaches the pool's own check.
+    with pytest.raises(ValueError, match="processes must be >= 1"):
+        plan_scenario(get_scenario("chat-poisson"), processes=0)
 
 
 def test_slo_overrides_change_targets_but_not_the_trace():

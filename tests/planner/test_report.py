@@ -86,6 +86,13 @@ def test_cli_plan_emits_canonical_json(capsys):
     assert parsed.to_json() == out
 
 
+def test_cli_plan_rejects_a_job_count_below_one(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["plan", "chat-poisson", "--jobs", "-3", "--json"])
+    assert excinfo.value.code == 2
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+
+
 def test_cli_plan_human_rendering(capsys):
     main(["plan", "chat-poisson", "--max-chips", "1", "--static-only",
           "--slo-p99-ttft", "30.0", "--slo-p95-latency", "30.0"])

@@ -105,7 +105,7 @@ class TestRequireChipLoss:
     def test_best_plan_survives_and_never_gets_cheaper(self, plain, resilient):
         if resilient.feasible:
             assert resilient.best.survives_chip_loss is True
-            assert resilient.best.option.n_chips >= 2
+            assert resilient.best.fleet.n_chips >= 2
             assert resilient.best.fleet_area_mm2 >= plain.best.fleet_area_mm2
 
     def test_report_round_trips_with_the_requirement(self, resilient):

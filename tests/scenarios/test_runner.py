@@ -36,7 +36,7 @@ class TestRunScenario:
     def test_report_accounts_every_request(self):
         report = run_scenario(FAST)
         assert report.n_completed == report.n_requests == 12
-        assert report.component_counts == (("text_chat", 12),)
+        assert report.component_counts == {"text_chat": 12}
         assert report.spec_hash == FAST.spec_hash()
         assert report.makespan_s > 0
         assert report.pricing.unique_shapes >= 1

@@ -67,10 +67,8 @@ def _chip_count_trace():
     )
 
 
-def _static_fleet(n_chips):
-    return FleetSimulator(
-        get_mllm("sphinx-tiny"), n_chips=n_chips, policy="least_loaded"
-    )
+def _static_fleet(n_chips, policy="least_loaded"):
+    return FleetSimulator(get_mllm("sphinx-tiny"), n_chips=n_chips, policy=policy)
 
 
 def _autoscaled_fleet(n_chips):
@@ -274,6 +272,31 @@ class TestResumeGuards:
             match="'ledger.chips' holds 2 chips, but this fleet has 3",
         ):
             resume_live(_static_fleet(3), trace, Checkpoint.from_dict(data))
+
+    @pytest.mark.parametrize(
+        "paused_on, resumed_on",
+        [("least_loaded", "round_robin"), ("round_robin", "least_loaded")],
+    )
+    def test_fleet_of_another_policy(self, paused_on, resumed_on):
+        # The static controller's kind is the same for both policies, so
+        # only the stored policy tells the two dispatch states apart.
+        trace = _chip_count_trace()
+        paused = run_live(_static_fleet(3, paused_on), trace, pause_after=30)
+        with pytest.raises(
+            CheckpointError,
+            match=f"'policy' is '{paused_on}', but this fleet dispatches "
+            f"'{resumed_on}'",
+        ):
+            resume_live(_static_fleet(3, resumed_on), trace, paused)
+
+    def test_state_without_a_policy_still_resumes(self):
+        # Version-2 files written before the policy was recorded resume
+        # unchecked, as before.
+        trace = _chip_count_trace()
+        data = run_live(_static_fleet(3), trace, pause_after=30).to_dict()
+        del data["controller"]["policy"]
+        resumed = resume_live(_static_fleet(3), trace, Checkpoint.from_dict(data))
+        assert resumed.result == _static_fleet(3).run(trace)
 
     def test_round_trip_still_resumes(self, checkpoint, tmp_path):
         # Control leg: the uncorrupted file resumes fine.

@@ -1,23 +1,28 @@
-"""The one spec codec (``repro.codec``) over every spec-side dataclass.
+"""The one spec codec (``repro.codec``) over the spec and report dataclasses.
 
 Four layers of evidence:
 
 * pinned decode failures — each names the bad value's JSON path in a
   :class:`~repro.codec.SpecError`;
 * ``from_dict`` of only the required keys equals the all-defaults
-  constructor, for every class;
+  constructor, for every spec class;
 * hypothesis round trips over every class — scenario specs, planner
-  configs, fault and chaos schedules and their parts
-  (``from_dict(to_dict(x)) == x`` and ``to_dict`` is a fixed point);
+  configs, fault and chaos schedules and their parts, and the report
+  blocks that decode (``from_dict(to_dict(x)) == x`` and ``to_dict`` is
+  a fixed point);
 * a fuzz suite feeding arbitrary JSON — whole payloads, and single
   values spliced into valid ones — where only ``SpecError`` may escape.
+
+The report-side rules (``Dict[str, X]`` objects and ``derived``
+properties) are pinned on a small class of their own.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict
+from pathlib import Path
+from typing import Dict, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +30,11 @@ from hypothesis import strategies as st
 
 from repro.codec import Spec, SpecError
 from repro.planner.evaluate import CandidateOutcome
+from repro.planner.prune import DesignBounds
+from repro.planner.report import PlanEntry
 from repro.planner.space import ChipDesign, FleetOption, PlannerConfig
 from repro.scenarios.registry import available_scenarios, get_scenario
+from repro.scenarios.report import ScenarioReport, SLOCheck
 from repro.scenarios.spec import (
     ADMISSION_POLICIES,
     DRAIN_POLICIES,
@@ -51,6 +59,9 @@ from repro.serving.runtime.chaos import (
     drop_message,
     hang_actor,
 )
+from repro.serving.runtime.supervision import INCIDENT_KINDS, ActorIncident
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 # ----------------------------------------------------------------------
 # Strategies: valid specs whose values match their annotations
@@ -287,7 +298,49 @@ chaos_schedules = st.lists(chaos_events, max_size=6).map(
     lambda events: ChaosSchedule(events=tuple(events))
 )
 
-#: Every spec-side class with a strategy for its valid values.
+slo_checks = st.builds(
+    SLOCheck,
+    metric=st.sampled_from(("ttft_p99_s", "latency_p95_s", "queue_wait_p99_s")),
+    target_s=positive,
+    attained_s=non_negative,
+)
+design_bounds = st.builds(
+    DesignBounds,
+    design=chip_designs(),
+    lb_ttft_p99_s=st.none() | non_negative,
+    lb_latency_p95_s=st.none() | non_negative,
+    reasons=st.lists(st.text(max_size=12), max_size=3).map(tuple),
+)
+plan_entries = st.builds(
+    PlanEntry,
+    design=chip_designs(),
+    fleet=fleet_options(),
+    chips_provisioned=st.integers(1, 8),
+    chip_area_mm2=positive,
+    fleet_area_mm2=positive,
+    fleet_power_w=positive,
+    ttft_p99_s=non_negative,
+    latency_p95_s=non_negative,
+    queue_wait_p99_s=non_negative,
+    n_completed=st.integers(0, 10_000),
+    makespan_s=non_negative,
+    slo=st.lists(slo_checks, max_size=3).map(tuple),
+    slo_attainment=st.floats(min_value=0.0, max_value=1.0),
+    n_scale_events=st.integers(0, 100),
+    survives_chip_loss=st.none() | st.booleans(),
+)
+incidents = st.builds(
+    ActorIncident,
+    session=st.integers(1, 8),
+    actor=names,
+    kind=st.sampled_from(INCIDENT_KINDS),
+    detail=st.text(max_size=12),
+    job_id=st.integers(-1, 100),
+    attempt=st.integers(0, 5),
+)
+
+#: Every spec-side class, and every report block that decodes, with a
+#: strategy for its valid values.
 VALID = {
     WorkloadComponent: components(),
     ArrivalSpec: arrivals,
@@ -307,6 +360,10 @@ VALID = {
     FaultSchedule: fault_schedules(),
     ChaosEvent: chaos_events,
     ChaosSchedule: chaos_schedules,
+    SLOCheck: slo_checks,
+    DesignBounds: design_bounds,
+    PlanEntry: plan_entries,
+    ActorIncident: incidents,
 }
 
 #: The top-level inputs a user hands in.
@@ -378,10 +435,16 @@ class TestSpecError:
     def test_an_annotation_without_a_codec_is_a_type_error(self):
         @dataclass(frozen=True)
         class Tagged(Spec):
-            tags: Dict[str, int]
+            tags: Dict[int, int]
 
         with pytest.raises(TypeError, match="no spec codec"):
             Tagged(tags={}).to_dict()
+
+    def test_report_dict_values_name_their_key(self):
+        data = json.loads((GOLDEN_DIR / "chat-poisson.json").read_text())
+        data["component_counts"]["text_chat"] = "many"
+        error = _spec_error(ScenarioReport, data)
+        assert error.path == "component_counts.text_chat"
 
     def test_integral_floats_and_ints_coerce(self):
         design = ChipDesign.from_dict(
@@ -515,6 +578,80 @@ class TestEmission:
         for name in available_scenarios():
             text = get_scenario(name).canonical_json()
             assert ScenarioSpec.from_dict(json.loads(text)).canonical_json() == text
+
+
+# ----------------------------------------------------------------------
+# Report-side rules: Dict[str, X] objects and derived properties
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Tally(Spec):
+    derived = ("total", "busy")
+
+    counts: Dict[str, int]
+    spans: Dict[str, Tuple[float, ...]]
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
+
+    @property
+    def busy(self) -> bool:
+        return self.total > 0
+
+
+tallies = st.builds(
+    Tally,
+    counts=st.dictionaries(names, st.integers(0, 10**6), max_size=4),
+    spans=st.dictionaries(names, st.lists(non_negative, max_size=3).map(tuple), max_size=3),
+)
+
+
+class TestReportRules:
+    @given(tally=tallies)
+    @settings(max_examples=60, deadline=None)
+    def test_dict_round_trip(self, tally):
+        data = json.loads(tally.to_json())
+        assert data["counts"] == tally.counts
+        rebuilt = Tally.from_dict(data)
+        assert rebuilt == tally
+        assert rebuilt.to_dict() == data
+        assert Tally.from_json(tally.to_json()) == tally
+
+    @pytest.mark.parametrize(
+        "data, path",
+        [
+            ({"counts": [["a", 1]], "spans": {}}, "counts"),
+            ({"counts": {"a": 1, "b": "x"}, "spans": {}}, "counts.b"),
+            ({"counts": {}, "spans": {"a": [1.0, "x"]}}, "spans.a[1]"),
+            ({"counts": {}, "spans": {"a": 2.0}}, "spans.a"),
+        ],
+        ids=["not-an-object", "bad-item", "bad-nested-item", "item-not-a-list"],
+    )
+    def test_dict_failures_name_their_path(self, data, path):
+        assert _spec_error(Tally, data).path == path
+
+    def test_derived_properties_are_written_after_the_fields(self):
+        data = Tally(counts={"a": 2, "b": 3}, spans={}).to_dict()
+        assert list(data) == ["counts", "spans", "total", "busy"]
+        assert data["total"] == 5 and data["busy"] is True
+
+    def test_derived_keys_are_accepted_and_ignored_on_decode(self):
+        tally = Tally(counts={"a": 2}, spans={})
+        # The fields determine a derived value, so a stale one is ignored.
+        stale = {"counts": {"a": 2}, "spans": {}, "total": 99, "busy": False}
+        assert Tally.from_dict(stale) == tally
+        assert Tally.from_dict(stale).to_dict()["total"] == 2
+
+    def test_other_unknown_keys_are_still_rejected(self):
+        data = {"counts": {}, "spans": {}, "totals": 0}
+        error = _spec_error(Tally, data)
+        assert error.path == "totals"
+        assert "unknown key" in str(error)
+
+    def test_to_json_is_indented_key_sorted_with_a_trailing_newline(self):
+        text = Tally(counts={"b": 1, "a": 2}, spans={}).to_json()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        assert text.index('"a"') < text.index('"b"')
 
 
 # ----------------------------------------------------------------------
