@@ -11,11 +11,12 @@ static fleet sizes — 210 candidates.  The TTFT objective is placed between
 the analytic floors of the design family's two fastest *tiers*, so the
 bound pass retires every design outside the fastest tier without
 simulating it; brute force (``prune=False``) must grind through all 210
-exact fleet simulations.  Both paths share the per-design warm cache.
-The pruned side reuses its bound pass's prices for its survivors: one
-more call of the same pricer seeds their caches, so no survivor is
-priced again.  Brute force runs no bound pass, so each design's first
-fleet prices its own costs in its own grid pass.  The measured gap is
+exact fleet simulations.  On both paths every fleet of a design runs
+on one shared simulator and reads its one serving-cost memo.  The pruned
+side reuses its bound pass's prices for its survivors: one more call of
+the same pricer seeds their memos, so no survivor is priced again.
+Brute force runs no bound pass, so each design's first fleet prices its
+own costs in its own grid pass.  The measured gap is
 the pruning win plus that reuse of the bound pass's tables, not a
 caching artefact.
 

@@ -18,14 +18,16 @@ and plan reports with their blocks — is a frozen dataclass that inherits
   indented, key-sorted text with a trailing newline (the golden-report
   form); :meth:`Spec.canonical_json` is its minified form.
 
-Two emission rules are field metadata, stated once where the field is
+Three emission rules are field metadata, stated once where the field is
 declared:
 
 * :func:`when_set` — written only when the value differs from its
   default, so a field added to a spec leaves the canonical JSON (and the
   hash) of every spec that does not use it unchanged;
 * :func:`for_kinds` — written only when the owner's ``kind`` is one the
-  field applies to (see :func:`applies`).
+  field applies to (see :func:`applies`);
+* :func:`inlined` — a nested spec whose keys are written into its
+  owner's object, and read back out of it on decode.
 
 A class may also name ``derived`` properties (a verdict such as ``met``
 computed from the fields): they are written after the fields, and on
@@ -60,6 +62,7 @@ from typing import (
 
 _WHEN_SET = "codec.when_set"
 _KINDS = "codec.kinds"
+_INLINED = "codec.inlined"
 
 S = TypeVar("S", bound="Spec")
 Encode = Callable[[Any], Any]
@@ -95,6 +98,15 @@ def for_kinds(*kinds: str, default: Any) -> Any:
     return dataclasses.field(default=default, metadata={_KINDS: frozenset(kinds)})
 
 
+def inlined() -> Any:
+    """A required nested-spec field whose keys are written into its owner's object.
+
+    The nested spec's keys must not collide with the owner's; on decode
+    they are lifted back out of the owner's object into the field.
+    """
+    return dataclasses.field(metadata={_INLINED: True})
+
+
 def applies(spec_field: dataclasses.Field, kind: str) -> bool:
     """Whether ``spec_field`` applies to (and is written for) ``kind``."""
     kinds = spec_field.metadata.get(_KINDS)
@@ -109,6 +121,8 @@ class _FieldPlan(NamedTuple):
     when_set: bool
     default: Any
     kinds: Optional[FrozenSet[str]]
+    #: The nested spec's keys, for an :func:`inlined` field.
+    inlined: Optional[FrozenSet[str]]
 
 
 def _join(path: str, key: Any) -> str:
@@ -220,7 +234,8 @@ def _plan(cls: type) -> Mapping[str, _FieldPlan]:
     hints = typing.get_type_hints(cls)
     plan = {}
     for spec_field in dataclasses.fields(cls):
-        encode, decode = _codec(hints[spec_field.name])
+        hint = hints[spec_field.name]
+        encode, decode = _codec(hint)
         plan[spec_field.name] = _FieldPlan(
             name=spec_field.name,
             encode=encode,
@@ -230,24 +245,46 @@ def _plan(cls: type) -> Mapping[str, _FieldPlan]:
             when_set=bool(spec_field.metadata.get(_WHEN_SET)),
             default=spec_field.default,
             kinds=spec_field.metadata.get(_KINDS),
+            inlined=(
+                frozenset(_plan(hint)) if spec_field.metadata.get(_INLINED) else None
+            ),
         )
+    for entry in plan.values():
+        if entry.inlined is not None and entry.inlined & plan.keys():
+            raise TypeError(
+                f"{cls.__name__}.{entry.name}: inlined keys collide with "
+                f"{sorted(entry.inlined & plan.keys())}"
+            )
     return MappingProxyType(plan)
+
+
+@functools.lru_cache(maxsize=None)
+def _keys(cls: type) -> FrozenSet[str]:
+    """Every key an object of spec class ``cls`` may carry."""
+    keys = set(cls.derived)
+    for entry in _plan(cls).values():
+        keys |= {entry.name} if entry.inlined is None else entry.inlined
+    return frozenset(keys)
 
 
 def _decode(cls: Type[S], data: Any, path: str) -> S:
     """Build a ``cls`` from JSON ``data`` found at ``path``."""
     if not isinstance(data, Mapping):
         raise _mismatch(path, "a JSON object", data)
-    plan = _plan(cls)
+    keys = _keys(cls)
     for key in data:
-        if key not in plan and key not in cls.derived:
+        if key not in keys:
             raise SpecError(
                 _join(path, key), f"unknown key (not a field of {cls.__name__})"
             )
     kwargs: Dict[str, Any] = {}
-    for entry in plan.values():
+    for entry in _plan(cls).values():
         at = _join(path, entry.name)
-        if entry.name in data:
+        if entry.inlined is not None:
+            # The nested keys sit in this object, at this object's path.
+            nested = {key: data[key] for key in data if key in entry.inlined}
+            kwargs[entry.name] = entry.decode(nested, path)
+        elif entry.name in data:
             kwargs[entry.name] = entry.decode(data[entry.name], at)
         elif entry.required:
             raise SpecError(at, "missing required key")
@@ -273,7 +310,10 @@ class Spec:
                 continue
             if entry.kinds is not None and kind not in entry.kinds:
                 continue
-            data[entry.name] = entry.encode(value)
+            if entry.inlined is not None:
+                data.update(entry.encode(value))
+            else:
+                data[entry.name] = entry.encode(value)
         for name in self.derived:
             data[name] = getattr(self, name)
         return data
@@ -297,4 +337,4 @@ class Spec:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-__all__ = ["Spec", "SpecError", "applies", "for_kinds", "when_set"]
+__all__ = ["Spec", "SpecError", "applies", "for_kinds", "inlined", "when_set"]

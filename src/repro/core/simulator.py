@@ -27,20 +27,26 @@ Two layers of memoization keep traffic-scale simulation fast:
   ``(model, request)``, so a serving simulation replaying thousands of
   identical requests pays for the first one only.
 
-Both caches belong to the simulator instance; :meth:`clear_cache` resets
-them (required after mutating ``self.system`` or chip state in place).
+Both caches belong to the simulator instance, and so does
+``derived``, where higher layers keep memos derived from its costs (the
+serving layer's per-design :class:`~repro.serving.queue.ChipCosts`);
+:meth:`clear_cache` resets all three (required after mutating
+``self.system`` or chip state in place).
 
 All cycle arithmetic routes through the shared array-aware kernels of
 :mod:`repro.costs` (via :class:`PoolCostParams`), the same kernels the
 batched engine in :mod:`repro.core.batch` broadcasts over whole design
 grids — which is what makes batched sweeps bit-identical to this scalar
-path.
+path.  The DRAM term is the one exception: :meth:`memory_cycles`, hot on
+the serving path, performs :func:`repro.costs.memory_cycles`'s IEEE
+operations in plain Python floats, ``==`` the kernel's result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 from .. import costs
 from ..arch.area_power import AreaPowerModel, TechnologyConfig
@@ -232,6 +238,10 @@ class PerformanceSimulator:
         self.enable_cache = enable_cache
         self._op_cache: Dict[tuple, Tuple[float, float, int]] = {}
         self._request_cache: Dict[tuple, WorkloadResult] = {}
+        #: Memos other layers derive from this simulator's costs, keyed by
+        #: their owner's choice of key; every holder of the simulator shares
+        #: them, and :meth:`clear_cache` drops them.
+        self.derived: Dict[Hashable, Any] = {}
         self._op_hits = 0
         self._op_misses = 0
         self._request_hits = 0
@@ -263,6 +273,7 @@ class PerformanceSimulator:
         """Drop all memoized results (call after mutating the system)."""
         self._op_cache.clear()
         self._request_cache.clear()
+        self.derived.clear()
         self._op_hits = self._op_misses = 0
         self._request_hits = self._request_misses = 0
         self._refresh_cost_params()
@@ -334,21 +345,26 @@ class PerformanceSimulator:
 
         Public cost primitive: the pipeline model, the mapping explorer and
         the serving layer price custom traffic patterns (e.g. batch-shared
-        weight reads) with it.
+        weight reads) with it.  :func:`repro.costs.memory_cycles` in plain
+        floats: the same IEEE operations in the same order (the ceiling of
+        the true quotient, the two overhead products, the stream term), so
+        the result is ``==`` the kernel's (property-tested) without its
+        NumPy scalar calls.
         """
         if traffic_bytes <= 0:
             return 0.0
         if bandwidth_fraction <= 0:
             raise ValueError("bandwidth_fraction must be positive")
+        transfers = float(
+            math.ceil(traffic_bytes / self._pool_params[pool].buffer_bytes)
+        )
+        stream_cycles = traffic_bytes / (
+            self._dram_bytes_per_cycle * bandwidth_fraction
+        )
         return float(
-            costs.memory_cycles(
-                traffic_bytes,
-                buffer_bytes=self._pool_params[pool].buffer_bytes,
-                dram_bytes_per_cycle=self._dram_bytes_per_cycle,
-                bandwidth_fraction=bandwidth_fraction,
-                request_overhead_cycles=self._request_overhead_cycles,
-                request_latency_cycles=self._request_latency_cycles,
-            )
+            transfers * self._request_overhead_cycles
+            + transfers * self._request_latency_cycles
+            + stream_cycles
         )
 
     def execute_op(

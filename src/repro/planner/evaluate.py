@@ -13,11 +13,12 @@ runs serially or fanned out through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     AbstractSet,
     Any,
     Dict,
+    List,
     Mapping,
     MutableMapping,
     Optional,
@@ -29,44 +30,42 @@ from ..codec import Spec
 from ..core.simulator import PerformanceSimulator
 from ..models.mllm import MLLMConfig, get_mllm
 from ..scenarios.compile import compile_scenario
+from ..scenarios.report import attained_slo
 from ..scenarios.spec import AutoscalerSpec, ScenarioSpec
 from ..serving.autoscale import AutoscalerConfig, AutoscalingFleetSimulator
 from ..serving.fleet import FleetSimulator
-from ..serving.queue import ServingRequest
+from ..serving.queue import ChipCosts, ServingRequest
 from .space import ChipDesign, FleetOption
 
 
 @dataclass
 class DesignWarmCache:
-    """Memoized per-design serving costs, shared across a design's candidates.
+    """A chip design's performance simulator, shared by all its candidates.
 
     Every candidate built on the same chip design replays the same trace
     against the same cost model, so the expensive memoizations — the
-    performance simulator's op cache, CC-stage latencies and decode bucket
-    triples — are design properties, not candidate properties.  A pruned
-    plan fills every survivor's cache from its bound pass's
-    :meth:`~repro.core.batch.ServiceTimeBoundsPricer.seeds`, so no fleet of
-    the design prices a cost; brute force harvests them from each finished
-    fleet and seeds the next fleet of the same design.  Every seeded value
-    is a deterministic function of the design, so warmed runs are
-    bit-identical to cold ones (regression-tested).
+    simulator's op cache and the serving-cost memo
+    (:class:`~repro.serving.queue.ChipCosts`) its chips fill — are design
+    properties, not candidate properties.  Every fleet of the design is
+    built on this one simulator (``candidate_fleet(simulator=...)``), so
+    its chips read and fill one memo by reference, with nothing to copy
+    in or out.  A pruned plan seeds the memo from its bound pass's
+    :meth:`~repro.core.batch.ServiceTimeBoundsPricer.seeds`, so no fleet
+    of the design prices a cost.  Every memoized value is a deterministic
+    function of the design, so warmed runs are bit-identical to cold
+    ones (regression-tested).
     """
 
     simulator: PerformanceSimulator
-    cc_latencies: Dict[Tuple[int, int], float] = field(default_factory=dict)
-    bucket_costs: Dict[int, Tuple[int, int, float]] = field(default_factory=dict)
 
-    def seed_fleet(self, fleet: FleetSimulator) -> None:
-        """Warm every chip of a fresh fleet from the harvested caches."""
-        for chip in fleet.chips:
-            chip.seed_cc_latencies(self.cc_latencies)
-            chip.cost_model.seed_bucket_costs(self.bucket_costs)
-
-    def harvest_fleet(self, fleet: FleetSimulator) -> None:
-        """Fold a finished fleet's per-chip memoizations back into the cache."""
-        for chip in fleet.chips:
-            self.cc_latencies.update(chip.cc_latencies())
-            self.bucket_costs.update(chip.cost_model.bucket_costs())
+    def costs(self, spec: ScenarioSpec) -> ChipCosts:
+        """The memo every chip of ``spec``'s candidate fleets reads."""
+        return ChipCosts.of(
+            self.simulator,
+            get_mllm(spec.fleet.model),
+            cc_bandwidth_fraction=spec.fleet.cc_bandwidth_fraction,
+            context_bucket=spec.fleet.context_bucket,
+        )
 
     def delta_seed_from(
         self, neighbor: "DesignWarmCache", changed: AbstractSet[str]
@@ -74,28 +73,48 @@ class DesignWarmCache:
         """Transfer axis-invariant memos from a neighboring design's cache.
 
         ``changed`` names the chip axes (see :meth:`ChipDesign.axes`) on
-        which this cache's design differs from ``neighbor``'s.  Only memos
-        provably untouched by every changed axis transfer:
+        which this cache's design differs from ``neighbor``'s.  Each of
+        the neighbor's serving-cost memos donates to this design's memo
+        of the same serving knobs, and only memos provably untouched by
+        every changed axis transfer:
 
         * a ``keep_fraction``-only delta transfers CC-stage latencies —
           prefill/prompt ops are compiled non-prunable, so the CC pipeline
           is identical across pruning thresholds;
-        * a ``dram_gbps``-only delta transfers decode bucket triples —
-          they are (weight bytes, per-stream bytes, compute cycles),
-          byte/cycle-level quantities with no bandwidth term (memory time
-          is applied per step from the chip's own DRAM tier).
+        * a ``dram_gbps``-only delta transfers decode stream pairs —
+          they are (per-stream bytes, compute cycles) over shared weight
+          bytes, byte/cycle-level quantities with no bandwidth term
+          (memory time is applied per step from the chip's own DRAM tier).
 
-        The op cache depends on every axis and never transfers.  Transferred
-        values are float-identical to what a cold run would recompute
-        (asserted in the property suite), so delta-warmed simulation stays
+        The op cache, the DRAM-cycle memo and the dispatch terms depend
+        on a changed axis and never transfer.  Transferred values are
+        float-identical to what a cold run would recompute (asserted in
+        the property suite), so delta-warmed simulation stays
         bit-identical to cold simulation.
         """
         if changed == {"keep_fraction"}:
-            for key, value in neighbor.cc_latencies.items():
-                self.cc_latencies.setdefault(key, value)
+            for donor, costs in self._matched(neighbor):
+                costs.seed_cc_latencies(donor.cc_latencies())
         elif changed == {"dram_gbps"}:
-            for key, value in neighbor.bucket_costs.items():
-                self.bucket_costs.setdefault(key, value)
+            for donor, costs in self._matched(neighbor):
+                costs.decode.seed_bucket_costs(donor.decode.bucket_costs())
+
+    def _matched(
+        self, neighbor: "DesignWarmCache"
+    ) -> List[Tuple[ChipCosts, ChipCosts]]:
+        """``(neighbor memo, this design's memo)`` pairs of equal serving knobs."""
+        return [
+            (
+                donor,
+                ChipCosts.of(
+                    self.simulator,
+                    donor.model,
+                    cc_bandwidth_fraction=donor.cc_bandwidth_fraction,
+                    context_bucket=donor.decode.context_bucket,
+                ),
+            )
+            for donor in ChipCosts.on(neighbor.simulator)
+        ]
 
 
 def axis_delta(a: ChipDesign, b: ChipDesign) -> frozenset:
@@ -113,10 +132,12 @@ def axis_delta(a: ChipDesign, b: ChipDesign) -> frozenset:
 class CandidateOutcome(Spec):
     """Exact-simulation metrics of one (chip design, fleet option) candidate.
 
-    ``chips_provisioned`` is the fleet size the plan must stand up: the
-    static chip count, or the autoscaled run's peak concurrent chips.
-    ``n_scale_events`` counts controller decisions (zero for static
-    fleets).
+    The three objective fields hold the run's
+    :func:`~repro.scenarios.report.attained_slo` values, under the
+    objectives' names.  ``chips_provisioned`` is the fleet size the plan
+    must stand up: the static chip count, or the autoscaled run's peak
+    concurrent chips.  ``n_scale_events`` counts controller decisions
+    (zero for static fleets).
     """
 
     design: ChipDesign
@@ -149,11 +170,14 @@ def candidate_fleet(
     block, always with queue admission (plans serve the whole trace), and
     require a ``ttft_target`` for the controller's set point.  ``simulator``
     optionally shares one (memoized, design-matched) performance simulator
-    across all chips instead of building one per chip; ``engine`` selects
-    the chips' decode-loop implementation (wave by default — survivors
-    replay through the run-compressing wave engine, records unchanged).
+    across all chips instead of building one per chip, and with it one
+    serving-cost memo (:class:`~repro.serving.queue.ChipCosts`);
+    ``engine`` selects the chips' decode-loop implementation (wave by
+    default — survivors replay through the run-compressing wave engine,
+    records unchanged).
     """
-    system = design.system()
+    # A shared simulator already carries the design's system.
+    system = design.system() if simulator is None else None
 
     def factory() -> PerformanceSimulator:
         if simulator is not None:
@@ -209,34 +233,31 @@ def evaluate_candidate(
     ``spec`` supplies the serving knobs, ``trace`` the pre-compiled
     traffic and ``targets`` the resolved SLO objectives (the autoscaled
     path needs the TTFT target as its set point).
-    ``warm`` optionally carries per-design memoizations (keyed by design
-    name) across candidates of one planning run; warmed evaluations are
-    bit-identical to cold ones because every cached value is a
-    deterministic function of the design.  The harvested CC-latency and
-    bucket-cost memos feed both decode engines, so the default wave
-    ``engine`` replays warm exactly like the per-step oracle would.
+    ``warm`` optionally carries per-design simulators (keyed by design
+    name) across candidates of one planning run: the candidate's chips
+    share its serving-cost memo with every other fleet of the design.
+    Warmed evaluations are bit-identical to cold ones because every
+    cached value is a deterministic function of the design, and the memo
+    feeds both decode engines, so the default wave ``engine`` replays
+    warm exactly like the per-step oracle would.
     """
-    model = get_mllm(spec.fleet.model)
-    cache = None
+    simulator = None
     if warm is not None:
         cache = warm.get(design.name)
         if cache is None:
             cache = DesignWarmCache(simulator=PerformanceSimulator(design.system()))
             warm[design.name] = cache
+        simulator = cache.simulator
     fleet = candidate_fleet(
-        model,
+        get_mllm(spec.fleet.model),
         spec,
         design,
         option,
         targets.get("ttft_p99_s"),
-        simulator=None if cache is None else cache.simulator,
+        simulator=simulator,
         engine=engine,
     )
-    if cache is not None:
-        cache.seed_fleet(fleet)
     result = fleet.run(list(trace))
-    if cache is not None:
-        cache.harvest_fleet(fleet)
     report = result.report
     if option.autoscaled:
         chips = result.peak_chips
@@ -249,11 +270,9 @@ def evaluate_candidate(
         option=option,
         n_completed=report.n_requests,
         makespan_s=report.makespan_s,
-        ttft_p99_s=report.ttft.p99,
-        latency_p95_s=report.latency.p95,
-        queue_wait_p99_s=report.queue_wait.p99,
         chips_provisioned=chips,
         n_scale_events=events,
+        **attained_slo(report),
     )
 
 
@@ -298,11 +317,7 @@ def candidate_survives_chip_loss(
     report = result.report
     if report.n_requests < len(trace):
         return False
-    attained = {
-        "ttft_p99_s": report.ttft.p99,
-        "latency_p95_s": report.latency.p95,
-        "queue_wait_p99_s": report.queue_wait.p99,
-    }
+    attained = attained_slo(report)
     return all(
         attained[metric] <= target for metric, target in targets.items()
     )

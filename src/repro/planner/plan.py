@@ -124,25 +124,31 @@ def _serial_outcomes(
 ) -> List[CandidateOutcome]:
     """Simulate candidates serially with warm + delta-warm cost caches.
 
-    Candidates sharing a chip design share one warm cost cache (the
-    memoized values are design properties).  The bound pass's ``pricer``
-    seeds every design's cache from one ``seeds`` call; without it (brute
-    force) a *fresh* design's cache is delta-seeded from every
-    already-simulated design it differs from on a single transferable
-    axis: a ``keep_fraction`` neighbor donates its CC-stage latencies, a
-    ``dram_gbps`` neighbor its decode bucket triples.  All seeded memos
-    are float-identical to what a cold run would recompute, so warmed
-    runs are bit-identical to cold ones (property-tested) — just faster.
+    Candidates sharing a chip design share one performance simulator and
+    with it one serving-cost memo (the memoized values are design
+    properties).  The bound pass's ``pricer`` seeds every design's memo
+    from one ``seeds`` call, and a seeded design's cache is released after
+    its last candidate, so memos do not pile up across the space; without
+    a pricer (brute force) a *fresh* design's cache is delta-seeded from
+    every already-simulated design it differs from on a single
+    transferable axis: a ``keep_fraction`` neighbor donates its CC-stage
+    latencies, a ``dram_gbps`` neighbor its decode stream pairs.  All
+    seeded memos are float-identical to what a cold run would recompute,
+    so warmed runs are bit-identical to cold ones (property-tested) —
+    just faster.
     """
     warm: Dict[str, DesignWarmCache] = {}
+    last: Dict[str, int] = {}
     if pricer is not None:
         designs = {design.name: design for design, _ in candidates}
         systems = [design.system() for design in designs.values()]
         for name, system, seeds in zip(designs, systems, pricer.seeds(systems)):
-            warm[name] = DesignWarmCache(PerformanceSimulator(system), *seeds)
+            warm[name] = DesignWarmCache(PerformanceSimulator(system))
+            warm[name].costs(spec).seed(*seeds)
+        last = {design.name: at for at, (design, _) in enumerate(candidates)}
     seen: Dict[str, ChipDesign] = {}
     outcomes: List[CandidateOutcome] = []
-    for design, option in candidates:
+    for at, (design, option) in enumerate(candidates):
         if design.name not in warm:
             cache = DesignWarmCache(
                 simulator=PerformanceSimulator(design.system())
@@ -158,6 +164,10 @@ def _serial_outcomes(
                 spec, trace, design, option, targets, warm=warm, engine=engine
             )
         )
+        if last.get(design.name) == at:
+            # A memo and its simulator reference each other: emptying the
+            # memo dict frees both now instead of at a later collection.
+            warm.pop(design.name).simulator.derived.clear()
     return outcomes
 
 

@@ -23,7 +23,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from ..arch.area_power import AreaPowerModel
 from ..codec import Spec, when_set
-from ..scenarios.report import SLOCheck
+from ..scenarios.report import SLOCheck, slo_verdicts
 from .evaluate import CandidateOutcome
 from .prune import DesignBounds
 from .space import ChipDesign, FleetOption, PlannerConfig
@@ -91,14 +91,9 @@ class PlanEntry(Spec):
         cls, outcome: CandidateOutcome, targets: Mapping[str, float]
     ) -> "PlanEntry":
         """Fold a simulation outcome and the SLO targets into an entry."""
-        attained = {
-            "ttft_p99_s": outcome.ttft_p99_s,
-            "latency_p95_s": outcome.latency_p95_s,
-            "queue_wait_p99_s": outcome.queue_wait_p99_s,
-        }
-        checks = tuple(
-            SLOCheck(metric=metric, target_s=target, attained_s=attained[metric])
-            for metric, target in sorted(targets.items())
+        # The outcome holds each objective's attained_slo value by name.
+        checks = slo_verdicts(
+            targets, {metric: getattr(outcome, metric) for metric in targets}
         )
         attainment = (
             sum(1 for check in checks if check.met) / len(checks) if checks else 1.0

@@ -42,8 +42,10 @@ from .report import (
     ScenarioReport,
     SLOCheck,
     TenantSummary,
+    attained_slo,
     format_scenario_report,
     slo_checks,
+    slo_verdicts,
     tenant_summaries,
 )
 from .runner import autoscaler_config, build_fleet, price_offered_load, run_scenario
@@ -80,6 +82,7 @@ __all__ = [
     "TraceChunk",
     "VIDEO_FRAMES",
     "WorkloadComponent",
+    "attained_slo",
     "autoscaler_config",
     "available_scenarios",
     "build_arrival_process",
@@ -95,5 +98,6 @@ __all__ = [
     "register_scenario",
     "run_scenario",
     "slo_checks",
+    "slo_verdicts",
     "tenant_summaries",
 ]

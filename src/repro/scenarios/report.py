@@ -249,13 +249,33 @@ class ScenarioReport(Spec):
         return replace(self, incidents=None)
 
 
-def slo_checks(slo_targets: Mapping[str, float], report: ServingReport) -> Tuple[SLOCheck, ...]:
-    """One verdict per objective of ``slo_targets`` against ``report``."""
-    attained = {
+def attained_slo(report: ServingReport) -> Dict[str, float]:
+    """The value ``report`` attains on every SLO objective, keyed by objective.
+
+    The one mapping from :class:`~repro.scenarios.spec.SLOSpec`'s
+    objective fields to report percentiles: scenario reports, plan
+    entries and the planner's chip-loss probe all judge through it.
+    """
+    return {
         "ttft_p99_s": report.ttft.p99,
         "latency_p95_s": report.latency.p95,
         "queue_wait_p99_s": report.queue_wait.p99,
     }
+
+
+def slo_checks(slo_targets: Mapping[str, float], report: ServingReport) -> Tuple[SLOCheck, ...]:
+    """One verdict per objective of ``slo_targets`` against ``report``."""
+    return slo_verdicts(slo_targets, attained_slo(report))
+
+
+def slo_verdicts(
+    slo_targets: Mapping[str, float], attained: Mapping[str, float]
+) -> Tuple[SLOCheck, ...]:
+    """One verdict per objective of ``slo_targets``, in metric order.
+
+    ``attained`` holds the attained values keyed by objective, as
+    :func:`attained_slo` returns them.
+    """
     return tuple(
         SLOCheck(metric=metric, target_s=target, attained_s=attained[metric])
         for metric, target in sorted(slo_targets.items())

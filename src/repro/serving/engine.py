@@ -109,7 +109,8 @@ def _wave_columns(chip: "ContinuousBatchingSimulator", trace) -> tuple:
     columnar :data:`~repro.serving.trace.TRACE_DTYPE` array) into plain
     Python column lists sorted by ``(arrival_s, request_id)`` — the exact
     dispatch order the per-step oracle uses — plus per-request CC-stage
-    latencies and initial contexts gathered through the chip's memos.
+    latencies and initial contexts gathered through the chip's
+    :class:`~repro.serving.queue.ChipCosts` memo.
     Returns ``(ids, arrivals, images, prompts, outputs, latencies,
     contexts, requests)`` where ``requests`` is the per-request
     ``InferenceRequest`` list for object traces and ``None`` for columnar
@@ -138,34 +139,19 @@ def _wave_columns(chip: "ContinuousBatchingSimulator", trace) -> tuple:
         outputs = [request.output_tokens for request in requests]
 
     # CC latencies and prompt-token counts are pure functions of the
-    # (images, prompt tokens) shape; big traces repeat a handful of
-    # shapes, so resolve each shape once and gather per request.
-    cc_cache_get = chip._cc_latency_cache.get
-    cc_latency_s = chip.cc_latency_s
-    prompt_tokens = chip.model.prompt_tokens
-    shape_memo: dict = {}
+    # (images, prompt tokens) shape, memoized in the chip's ChipCosts
+    # across runs: read each request's entry, pricing only unseen shapes.
+    shapes_get = chip.costs.shapes.get
+    shape = chip.costs.shape
     latencies: List[float] = []
     contexts: List[int] = []
     for image_count, prompt_count in zip(images, prompts):
-        shape = (image_count, prompt_count)
-        entry = shape_memo.get(shape)
+        entry = shapes_get((image_count, prompt_count))
         if entry is None:
-            probe = _probe_request(image_count, prompt_count)
-            latency = cc_cache_get(shape)
-            if latency is None:
-                latency = cc_latency_s(probe)
-            entry = (latency, prompt_tokens(probe))
-            shape_memo[shape] = entry
+            entry = shape(image_count, prompt_count)
         latencies.append(entry[0])
         contexts.append(entry[1])
     return ids, arrivals, images, prompts, outputs, latencies, contexts, requests
-
-
-def _probe_request(images: int, prompt_text_tokens: int) -> InferenceRequest:
-    """A single-output-token probe request of the given CC-stage shape."""
-    return InferenceRequest(
-        images=images, prompt_text_tokens=prompt_text_tokens, output_tokens=1
-    )
 
 
 def run_wave(

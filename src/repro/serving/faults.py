@@ -38,8 +38,9 @@ bare chip run over the same requests would, whatever ids the caller
 chose, and a trace already in canonical order with ids equal to
 positions reaches the engine as its own request objects.
 
-A degraded era runs on a fresh chip whose system carries the scaled
-DRAM tier; its decode bucket-cost triples seed from the healthy chip
+A degraded era runs on a fresh chip, on a simulator of its own whose
+system carries the scaled DRAM tier, so it holds its own serving-cost
+memo; its decode bucket-cost triples seed from the healthy chip
 (they are bandwidth-free byte/cycle quantities, see
 :meth:`~repro.planner.evaluate.DesignWarmCache.delta_seed_from`), while
 CC-stage and decode-step latencies recompute against the degraded
@@ -82,7 +83,7 @@ from typing import (
     Tuple,
 )
 
-from ..codec import Spec, for_kinds
+from ..codec import Spec, for_kinds, inlined
 from ..core.batch import ServiceTimeBoundsPricer
 from ..core.simulator import PerformanceSimulator
 from ..models.mllm import InferenceRequest
@@ -198,15 +199,11 @@ class FaultRecovery(Spec):
     ends before recovery).
     """
 
-    event: FaultEvent
+    #: Written with the event's keys inlined (the report's impact form).
+    event: FaultEvent = inlined()
     baseline_p99_ttft_s: float
     dent_depth_s: float
     time_to_recover_s: Optional[float]
-
-    def to_dict(self) -> Dict[str, Any]:
-        """The metrics with the event's keys inlined (the report's impact form)."""
-        data = super().to_dict()
-        return {**data.pop("event"), **data}
 
 
 def fault_recovery(
@@ -354,7 +351,9 @@ def _degraded_chip(
 ) -> ContinuousBatchingSimulator:
     """A fresh chip like ``base`` with its DRAM tier scaled by ``factor``.
 
-    The factor is absolute against the chip's healthy baseline.  Decode
+    The factor is absolute against the chip's healthy baseline.  The chip
+    runs on a simulator of its own, so its
+    :class:`~repro.serving.queue.ChipCosts` memo is its own too.  Decode
     bucket-cost triples seed from the healthy chip — they carry no
     bandwidth term.  The CC-stage latency of every shape the healthy chip
     holds is priced against the degraded tier by one
@@ -425,7 +424,6 @@ class _FaultLedger:
         self.redispatched: List[int] = []
         self.aborted: List[int] = []
         self.assignments = [-1] * len(trace)
-        self._era_cost: Dict[Tuple[int, int, int, int, int], float] = {}
 
     def index_of(self, sid: int) -> int:
         """The trace position a synthetic record id maps back to."""
@@ -454,36 +452,6 @@ class _FaultLedger:
             )
         self.states[chip_id].entries.append(source)
         self.assignments[index] = chip_id
-
-    def estimate(self, chip_id: int, request: InferenceRequest) -> float:
-        """Dispatcher-side batch-1 cost estimate against the current era.
-
-        Healthy eras delegate to the fleet's shared estimate memo (the
-        same floats :meth:`~repro.serving.fleet.FleetSimulator.
-        _estimate_cost_s` returns); degraded eras price against the era
-        chip, memoized per (chip, era, shape).
-        """
-        state = self.states[chip_id]
-        if state.sim is state.base:
-            return self.fleet._estimate_cost_s(state.base, request)
-        key = (
-            chip_id,
-            state.era,
-            request.images,
-            request.prompt_text_tokens,
-            request.output_tokens,
-        )
-        cached = self._era_cost.get(key)
-        if cached is not None:
-            return cached
-        context = self.fleet.model.prompt_tokens(request)
-        cost = (
-            state.sim.cc_latency_s(request)
-            + state.sim.cost_model.step_latency_s([context])
-            * request.output_tokens
-        )
-        self._era_cost[key] = cost
-        return cost
 
     def _displaced(
         self, items: List[ServingRequest]
@@ -559,7 +527,8 @@ class _FaultLedger:
         Closed-era results are serialized record by record (floats
         round-trip exactly through JSON ``repr``); open-era entries are
         stored as ``[sid, eff]`` pairs and rebuild from the trace on
-        restore.  The era cost memo is pure and deliberately excluded.
+        restore.  Cost memos are pure and live on the chips' simulators,
+        not here.
         """
         return {
             "next_sid": self.next_sid,
@@ -590,8 +559,8 @@ class _FaultLedger:
 
         ``order`` is the canonical arrival order of the arrivals seen.
         Degraded-era sims rebuild deterministically from the stored
-        factor via :func:`_degraded_chip`; the cost memo starts empty and
-        refills lazily (values are pure, so only speed is affected).
+        factor via :func:`_degraded_chip`, with memos of their own that
+        refill lazily (values are pure, so only speed is affected).
         """
         self.order = order
         self.next_sid = int(data["next_sid"])
@@ -599,7 +568,6 @@ class _FaultLedger:
         self.redispatched = [int(index) for index in data["redispatched"]]
         self.aborted = [int(index) for index in data["aborted"]]
         self.assignments = [int(chip) for chip in data["assignments"]]
-        self._era_cost = {}
         for state, chip in zip(self.states, data["chips"]):
             state.era = int(chip["era"])
             state.factor = float(chip["factor"])
@@ -920,15 +888,15 @@ class FaultFleetController(_EraController):
             self.rr_position += 1
         else:
             chip_id = _least_loaded(horizons, targets)
-        floor = ledger.states[chip_id].floor
-        if floor > eff:
-            eff = floor
+        state = ledger.states[chip_id]
+        if state.floor > eff:
+            eff = state.floor
         if not self.round_robin:
             # Round-robin never reads the horizons, so only least-loaded
-            # dispatch prices the request.
+            # dispatch prices the request, against the current era's chip.
             horizon = horizons[chip_id]
             horizons[chip_id] = (eff if eff > horizon else horizon) + (
-                ledger.estimate(chip_id, self.trace[index].request)
+                self.fleet._estimate_cost_s(state.sim, self.trace[index].request)
             )
         ledger.place(chip_id, index, eff, sid)
         return chip_id
@@ -1022,13 +990,10 @@ class FaultAutoscaleController(_EraController):
         state = ledger.states[chip_id]
         eff = max(eff, state.floor)
         source = self.trace[index]
-        request = source.request
-        cost = ledger.estimate(chip_id, request)
-        start = max(self.horizons[chip_id], eff)
-        prefill = state.sim.cc_latency_s(request)
-        first_step = state.sim.cost_model.step_latency_s(
-            [self.fleet.model.prompt_tokens(request)]
+        cost, prefill, first_step = state.sim.costs.dispatch_terms(
+            source.request
         )
+        start = max(self.horizons[chip_id], eff)
         self.ttft_window.append(
             start + prefill + first_step - source.arrival_s
         )

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
-    Dict,
     List,
     Optional,
     Sequence,
@@ -39,7 +38,12 @@ from ..core.simulator import PerformanceSimulator
 from ..models.mllm import InferenceRequest, MLLMConfig
 from .dispatch import RUNTIMES, make_controller, sorted_order
 from .metrics import RequestRecord, ServingReport, summarize
-from .queue import ContinuousBatchingSimulator, ServingRequest, ServingResult
+from .queue import (
+    ChipCosts,
+    ContinuousBatchingSimulator,
+    ServingRequest,
+    ServingResult,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .autoscale import AutoscaleResult
@@ -111,7 +115,6 @@ class FleetSimulator:
         self.precompute = precompute
         self.cc_bandwidth_fraction = cc_bandwidth_fraction
         self.engine = engine
-        self._estimate_cache: Dict[Tuple[int, int, int, int], float] = {}
         factory = simulator_factory or PerformanceSimulator
         self.chips: List[ContinuousBatchingSimulator] = [
             ContinuousBatchingSimulator(
@@ -129,31 +132,35 @@ class FleetSimulator:
     # ------------------------------------------------------------------
     # Service-time precomputation (batch engine)
     # ------------------------------------------------------------------
-    def _chip_groups(self) -> List[List[ContinuousBatchingSimulator]]:
-        """Chips grouped by system equality (pools follow the system)."""
-        groups: List[List[ContinuousBatchingSimulator]] = []
-        for chip in self.chips:
-            for group in groups:
-                if chip.simulator.system == group[0].simulator.system:
-                    group.append(chip)
-                    break
-            else:
-                groups.append([chip])
-        return groups
-
     def precompute_service_times(self, trace: Sequence[ServingRequest]) -> None:
-        """Seed every chip with the trace's serving costs in one grid pass.
+        """Seed the chips' cost memos with the trace's costs in one grid pass.
 
-        Chips group by system equality; every group lacking the CC-stage
-        latency of a request shape or the cost triple of a decode bucket the
-        trace reaches is priced by one
-        :meth:`~repro.core.batch.ServiceTimeBoundsPricer.seeds` call instead
-        of deriving them lazily through the scalar simulator.  Seeded values
-        are the floats the scalar path computes, so traces replay unchanged;
-        a fleet whose chips hold every cost already (e.g. from the planner's
-        warm cache) builds no table.
+        Chips on one simulator share its :class:`~repro.serving.queue.ChipCosts`
+        memo.  Every memo lacking the CC-stage latency of a request shape
+        or the stream pair of a decode bucket the trace reaches
+        (:meth:`~repro.serving.queue.ChipCosts.lacks`) is priced by one
+        :meth:`~repro.core.batch.ServiceTimeBoundsPricer.seeds` call, one
+        column per distinct system, instead of deriving them lazily
+        through the scalar simulator.  Seeded values are the floats the
+        scalar path computes, so traces replay unchanged; a fleet whose
+        memos hold every cost already (e.g. a planner design's later
+        fleets) builds no pricer.
         """
         if not len(trace):
+            return
+        memos = {id(chip.costs): chip.costs for chip in self.chips}.values()
+        # Lacking memos grouped by system equality: one pricer column each.
+        groups: List[List[ChipCosts]] = []
+        for costs in memos:
+            if not costs.lacks(trace):
+                continue
+            for group in groups:
+                if costs.simulator.system == group[0].simulator.system:
+                    group.append(costs)
+                    break
+            else:
+                groups.append([costs])
+        if not groups:
             return
         pricer = ServiceTimeBoundsPricer(
             self.model,
@@ -161,17 +168,10 @@ class FleetSimulator:
             cc_bandwidth_fraction=self.cc_bandwidth_fraction,
             context_bucket=self.chips[0].cost_model.context_bucket,
         )
-        lacking = [
-            group
-            for group in self._chip_groups()
-            if not all(map(group[0].has_cc_latency, pricer.cc_shapes))
-            or not all(map(group[0].cost_model.has_bucket_cost, pricer.buckets))
-        ]
-        seeds = pricer.seeds([group[0].simulator.system for group in lacking])
-        for group, (cc_latencies, bucket_costs) in zip(lacking, seeds):
-            for chip in group:
-                chip.seed_cc_latencies(cc_latencies)
-                chip.cost_model.seed_bucket_costs(bucket_costs)
+        seeds = pricer.seeds([group[0].simulator.system for group in groups])
+        for group, (cc_latencies, bucket_costs) in zip(groups, seeds):
+            for costs in group:
+                costs.seed(cc_latencies, bucket_costs)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -180,28 +180,15 @@ class FleetSimulator:
                          request: InferenceRequest) -> float:
         """Dispatcher-side batch-1 service-time estimate of one request.
 
-        Memoized per (chip, request shape): least-loaded dispatch probes a
-        chip's estimate once per request, and a large trace repeats a small
-        set of shapes, so without the memo every probe would redundantly
-        re-query the cost model.  The cached float is exactly the one a
-        fresh computation returns (a pure function of the chip's own
-        memoized latencies), so assignments are trace-identical.
+        ``prefill + first_step * output_tokens`` against ``chip``'s
+        current era, read from the chip's
+        :class:`~repro.serving.queue.ChipCosts` memo
+        (:meth:`~repro.serving.queue.ChipCosts.dispatch_terms`): every
+        fleet built on the chip's simulator shares the memoized float,
+        which is exactly the one a fresh computation returns, so
+        assignments are trace-identical.
         """
-        key = (
-            chip.chip_id,
-            request.images,
-            request.prompt_text_tokens,
-            request.output_tokens,
-        )
-        cached = self._estimate_cache.get(key)
-        if cached is not None:
-            return cached
-        prefill = chip.cc_latency_s(request)
-        context = self.model.prompt_tokens(request)
-        per_token = chip.cost_model.step_latency_s([context])
-        cost = prefill + per_token * request.output_tokens
-        self._estimate_cache[key] = cost
-        return cost
+        return chip.costs.dispatch_terms(request)[0]
 
     @property
     def controller_class(self) -> type:

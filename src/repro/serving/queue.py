@@ -15,7 +15,10 @@ Its cost model leans on the memoized
 :class:`~repro.core.simulator.PerformanceSimulator`: per-op cycles are
 cached by shape and decode contexts are quantized to ``context_bucket``
 tokens, so simulating thousands of requests costs thousands of dictionary
-lookups, not thousands of full workload simulations.
+lookups, not thousands of full workload simulations.  Every serving cost
+lives in one :class:`ChipCosts` memo per simulator and serving knobs, so
+every chip, fleet, era and dispatcher built on one simulator prices each
+cost once.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..core.batch import context_bucket_for
+from ..core.batch import context_bucket_for, reachable_buckets
 from ..core.pipeline import cc_stage_latency
 from ..core.simulator import PerformanceSimulator
 from ..models.mllm import InferenceRequest, MLLMConfig
@@ -130,11 +133,11 @@ class BatchDecodeCostModel:
     def bucket_costs(self) -> Dict[int, Tuple[int, int, float]]:
         """Snapshot of the memoized per-bucket cost triples.
 
-        The harvest side of :meth:`seed_bucket_costs`: callers replaying
-        the same chip design (e.g. the capacity planner's per-design warm
-        cache) copy one chip's triples into the next chip's model instead
-        of re-deriving them through workload lowering.  Each triple is
-        rebuilt exactly from its bucket's stream pair.
+        The donor side of :meth:`seed_bucket_costs`: a memo whose triples
+        carry over to another design (a degraded fault era, the planner's
+        DRAM-only delta transfer) copies them instead of re-deriving them
+        through workload lowering.  Each triple is rebuilt exactly from
+        its bucket's stream pair.
         """
         scale = -COMPUTE_SCALE_BITS
         return {
@@ -227,6 +230,180 @@ class BatchDecodeCostModel:
         return self.simulator.chip.cycles_to_seconds(compute_cycles)
 
 
+class ChipCosts:
+    """One chip design's serving-cost memo, shared by every chip built on it.
+
+    Every serving cost of a request is a pure function of the chip's
+    :class:`~repro.core.simulator.PerformanceSimulator` and three serving
+    knobs — the model, the CC bandwidth split and the context bucket — so
+    :meth:`of` keeps one memo per knob set in the simulator's ``derived``
+    dict.  Chips, fleets, fault eras and dispatchers built on one
+    simulator read and fill that memo by reference: a capacity planner
+    that hands one simulator to all of a design's fleets prices each cost
+    once per design, not once per fleet.  The memo holds
+
+    * each CC shape's stage latency and prompt tokens (:meth:`shape`);
+    * the decode stream pairs and the DRAM-cycle memo: the one
+      :class:`BatchDecodeCostModel` of the knob set (:attr:`decode`);
+    * each request shape's batch-1 dispatch estimate and its two TTFT
+      terms (:meth:`dispatch_terms`).
+
+    It memoizes terms, not new sums, so every caller adds exactly what it
+    added on its own.  Seeded values (:meth:`seed`) must be the floats the
+    lazy path computes, as the bulk pricer's are: entries derived from
+    them are not revisited.
+    """
+
+    def __init__(
+        self,
+        simulator: PerformanceSimulator,
+        model: MLLMConfig,
+        *,
+        cc_bandwidth_fraction: float,
+        context_bucket: int,
+    ) -> None:
+        self.simulator = simulator
+        self.model = model
+        self.cc_bandwidth_fraction = cc_bandwidth_fraction
+        self.cc_pool = "cc" if simulator.has_cc else "mc"
+        self.decode = BatchDecodeCostModel(
+            simulator,
+            model,
+            mc_bandwidth_fraction=1.0 - cc_bandwidth_fraction,
+            context_bucket=context_bucket,
+        )
+        #: (images, prompt text tokens) -> (CC-stage seconds, prompt tokens).
+        self.shapes: Dict[Tuple[int, int], Tuple[float, int]] = {}
+        #: (images, prompt text tokens, output tokens) -> (batch-1 estimate,
+        #: prefill seconds, first decode step seconds).
+        self.dispatch: Dict[Tuple[int, int, int], Tuple[float, float, float]] = {}
+        #: CC shape -> longest output whose costs :meth:`lacks` found
+        #: present (memo entries are never dropped, so it stays true).
+        self._covered: Dict[Tuple[int, int], int] = {}
+
+    @classmethod
+    def of(
+        cls,
+        simulator: PerformanceSimulator,
+        model: MLLMConfig,
+        *,
+        cc_bandwidth_fraction: float,
+        context_bucket: int,
+    ) -> "ChipCosts":
+        """The simulator's memo for these serving knobs, made on first use."""
+        key = (cls, model, cc_bandwidth_fraction, context_bucket)
+        costs = simulator.derived.get(key)
+        if costs is None:
+            costs = cls(
+                simulator,
+                model,
+                cc_bandwidth_fraction=cc_bandwidth_fraction,
+                context_bucket=context_bucket,
+            )
+            simulator.derived[key] = costs
+        return costs
+
+    @classmethod
+    def on(cls, simulator: PerformanceSimulator) -> List["ChipCosts"]:
+        """Every memo the simulator holds, one per knob set, in creation order."""
+        return [memo for memo in simulator.derived.values() if isinstance(memo, cls)]
+
+    def shape(self, images: int, prompt_text_tokens: int) -> Tuple[float, int]:
+        """``(CC-stage seconds, prompt tokens)`` of one CC shape.
+
+        The latency is :func:`~repro.core.pipeline.cc_stage_latency`'s
+        (the output length does not enter the CC stage).
+        """
+        key = (images, prompt_text_tokens)
+        entry = self.shapes.get(key)
+        if entry is None:
+            probe = InferenceRequest(
+                images=images, prompt_text_tokens=prompt_text_tokens, output_tokens=1
+            )
+            latency = cc_stage_latency(
+                self.simulator,
+                self.model,
+                probe,
+                pool=self.cc_pool,
+                bandwidth_fraction=self.cc_bandwidth_fraction,
+            )
+            entry = (_checked_cc_latency(key, latency), self.model.prompt_tokens(probe))
+            self.shapes[key] = entry
+        return entry
+
+    def seed(
+        self,
+        cc_latencies: Dict[Tuple[int, int], float],
+        bucket_costs: Dict[int, Tuple[int, int, float]],
+    ) -> None:
+        """Install one :meth:`~repro.core.batch.ServiceTimeBoundsPricer.seeds` pair."""
+        self.seed_cc_latencies(cc_latencies)
+        self.decode.seed_bucket_costs(bucket_costs)
+
+    def seed_cc_latencies(self, latencies: Dict[Tuple[int, int], float]) -> None:
+        """Install precomputed CC-stage latencies keyed by CC shape."""
+        for (images, prompt_text_tokens), latency in latencies.items():
+            self.shapes[images, prompt_text_tokens] = (
+                _checked_cc_latency((images, prompt_text_tokens), latency),
+                # MLLMConfig.prompt_tokens, without a request object.
+                self.model.vision_tokens(images) + prompt_text_tokens,
+            )
+
+    def cc_latencies(self) -> Dict[Tuple[int, int], float]:
+        """Snapshot of the memoized CC-stage latencies."""
+        return {shape: entry[0] for shape, entry in self.shapes.items()}
+
+    def dispatch_terms(self, request: InferenceRequest) -> Tuple[float, float, float]:
+        """``(estimate, prefill, first_step)`` seconds of a batch-1 request.
+
+        ``prefill`` is the CC-stage latency, ``first_step`` one decode step
+        at the prompt's context, and the dispatcher's service-time
+        estimate is ``prefill + first_step * output_tokens``.
+        """
+        key = (request.images, request.prompt_text_tokens, request.output_tokens)
+        terms = self.dispatch.get(key)
+        if terms is None:
+            prefill, context = self.shape(request.images, request.prompt_text_tokens)
+            first_step = self.decode.step_latency_s([context])
+            terms = (
+                prefill + first_step * request.output_tokens,
+                prefill,
+                first_step,
+            )
+            self.dispatch[key] = terms
+        return terms
+
+    def lacks(self, trace: Sequence[ServingRequest]) -> bool:
+        """Whether some request of ``trace`` needs a cost the memo lacks.
+
+        A CC shape without a latency or a reachable decode bucket
+        (:func:`~repro.core.batch.reachable_buckets`) without a stream
+        pair: the keys a :class:`~repro.core.batch.ServiceTimeBoundsPricer`
+        over the trace seeds.  A CC shape's buckets run contiguously from
+        its prompt's, so its longest output reaches all of them, and a
+        shape checked once for an output length is not checked again.
+        """
+        longest: Dict[Tuple[int, int], int] = {}
+        for item in trace:
+            request = item.request
+            shape = (request.images, request.prompt_text_tokens)
+            if longest.get(shape, 0) < request.output_tokens:
+                longest[shape] = request.output_tokens
+        has_pair = self.decode.has_bucket_cost
+        width = self.decode.context_bucket
+        covered = self._covered
+        for shape, output_tokens in longest.items():
+            if covered.get(shape, 0) >= output_tokens:
+                continue
+            entry = self.shapes.get(shape)
+            if entry is None or not all(
+                map(has_pair, reachable_buckets(entry[1], output_tokens, width))
+            ):
+                return True
+            covered[shape] = output_tokens
+        return False
+
+
 @dataclass
 class _DecodeStream:
     """Book-keeping of one request while it decodes."""
@@ -312,32 +489,30 @@ class ContinuousBatchingSimulator:
         self.cc_bandwidth_fraction = cc_bandwidth_fraction
         self.chip_id = chip_id
         self.engine = engine
-        self.cost_model = BatchDecodeCostModel(
+        self.costs = ChipCosts.of(
             self.simulator,
             model,
-            mc_bandwidth_fraction=1.0 - cc_bandwidth_fraction,
+            cc_bandwidth_fraction=cc_bandwidth_fraction,
             context_bucket=context_bucket,
         )
-        self._cc_pool = "cc" if self.simulator.has_cc else "mc"
-        self._cc_latency_cache: Dict[Tuple[int, int], float] = {}
+        self.cost_model = self.costs.decode
 
     @property
     def cc_pool(self) -> str:
         """The pool the CC-stage runs on ('mc' only on MC-only chips)."""
-        return self._cc_pool
+        return self.costs.cc_pool
 
     def seed_cc_latencies(self, latencies: Dict[Tuple[int, int], float]) -> None:
         """Install precomputed CC-stage latencies keyed by request shape."""
-        for shape, latency in latencies.items():
-            self._cc_latency_cache[shape] = _checked_cc_latency(shape, latency)
+        self.costs.seed_cc_latencies(latencies)
 
     def cc_latencies(self) -> Dict[Tuple[int, int], float]:
         """Snapshot of the memoized CC-stage latencies (fleet warm-up)."""
-        return dict(self._cc_latency_cache)
+        return self.costs.cc_latencies()
 
     def has_cc_latency(self, shape: Tuple[int, int]) -> bool:
         """True when the shape's CC-stage latency is already memoized."""
-        return shape in self._cc_latency_cache
+        return shape in self.costs.shapes
 
     # ------------------------------------------------------------------
     # Stage cost models
@@ -346,22 +521,11 @@ class ContinuousBatchingSimulator:
         """Encode + projector + prefill latency of one request.
 
         Shares :func:`~repro.core.pipeline.cc_stage_latency` with the
-        pipeline model; results are cached by the request's CC-stage shape
-        (the output length does not affect this stage).
+        pipeline model; results are memoized by the request's CC-stage
+        shape in the chip's :class:`ChipCosts` (the output length does not
+        affect this stage).
         """
-        key = (request.images, request.prompt_text_tokens)
-        cached = self._cc_latency_cache.get(key)
-        if cached is not None:
-            return cached
-        latency = cc_stage_latency(
-            self.simulator,
-            self.model,
-            request,
-            pool=self._cc_pool,
-            bandwidth_fraction=self.cc_bandwidth_fraction,
-        )
-        self._cc_latency_cache[key] = _checked_cc_latency(key, latency)
-        return latency
+        return self.costs.shape(request.images, request.prompt_text_tokens)[0]
 
     # ------------------------------------------------------------------
     # Event loop

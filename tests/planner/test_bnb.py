@@ -298,6 +298,14 @@ def test_axis_delta_names_differing_axes():
     assert axis_delta(ChipDesign(1, 1, 1, keep_fraction=1.0), b) == frozenset()
 
 
+def warm_memo(cache, spec, memo):
+    """A warm cache's transferable memo ``memo`` under ``spec``'s serving knobs."""
+    costs = cache.costs(spec)
+    if memo == "cc_latencies":
+        return costs.cc_latencies()
+    return costs.decode.bucket_costs()
+
+
 @pytest.mark.parametrize(
     "neighbor, memo",
     [
@@ -315,11 +323,11 @@ def test_delta_warm_equals_cold(neighbor, memo):
         with_autoscaled=False
     )[0]
 
-    # Simulate the neighbor, harvesting its memos.
+    # Simulate the neighbor, filling its memos.
     warm: dict = {}
     evaluate_candidate(spec, compiled.trace, neighbor, option, targets, warm=warm)
     neighbor_cache = warm[neighbor.name]
-    assert getattr(neighbor_cache, memo)  # the donated memo is non-empty
+    assert warm_memo(neighbor_cache, spec, memo)  # the donated memo is non-empty
 
     # Cold baseline for the base design.
     cold_warm: dict = {}
@@ -331,7 +339,7 @@ def test_delta_warm_equals_cold(neighbor, memo):
     # Delta-warmed run: seed from the one-axis neighbor, then simulate.
     delta_cache = DesignWarmCache(simulator=PerformanceSimulator(base.system()))
     delta_cache.delta_seed_from(neighbor_cache, axis_delta(base, neighbor))
-    donated = dict(getattr(delta_cache, memo))
+    donated = warm_memo(delta_cache, spec, memo)
     assert donated  # the transferable memo actually transferred
     warmed = evaluate_candidate(
         spec,
@@ -344,7 +352,7 @@ def test_delta_warm_equals_cold(neighbor, memo):
 
     assert warmed == cold
     # Every donated value is float-identical to what cold recomputed.
-    cold_memo = getattr(cold_cache, memo)
+    cold_memo = warm_memo(cold_cache, spec, memo)
     for key, value in donated.items():
         if key in cold_memo:
             assert cold_memo[key] == value
@@ -353,9 +361,10 @@ def test_delta_warm_equals_cold(neighbor, memo):
 def test_delta_warm_ignores_untransferable_deltas():
     neighbor = ChipDesign(2, 1, 1, keep_fraction=0.5)  # groups AND keep differ
     base = ChipDesign(1, 1, 1)
+    spec = small_scenario(4.0, 0.8, 3.0, 1)
     donor = DesignWarmCache(simulator=PerformanceSimulator(neighbor.system()))
-    donor.cc_latencies[(0, 8)] = 1.0
-    donor.bucket_costs[32] = (1, 2, 3.0)
+    donor.costs(spec).seed({(0, 8): 1.0}, {32: (1, 2, 3.0)})
     cache = DesignWarmCache(simulator=PerformanceSimulator(base.system()))
     cache.delta_seed_from(donor, axis_delta(base, neighbor))
-    assert not cache.cc_latencies and not cache.bucket_costs
+    assert not warm_memo(cache, spec, "cc_latencies")
+    assert not warm_memo(cache, spec, "bucket_costs")

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.scenarios import available_scenarios, get_scenario, run_scenario
+from repro.scenarios.report import ScenarioReport
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
@@ -49,3 +50,10 @@ def test_catalogue_is_large_enough_for_the_regression_net():
 def test_scenario_report_is_byte_identical_to_golden(name):
     golden = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
     assert run_scenario(get_scenario(name)).to_json() == golden
+
+
+@pytest.mark.parametrize("name", available_scenarios())
+def test_golden_report_round_trips_through_the_codec(name):
+    # Faulted reports included: their impacts inline each event's keys.
+    golden = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+    assert ScenarioReport.from_json(golden).to_json() == golden

@@ -1,5 +1,8 @@
 """ScenarioReport rendering and summary structures."""
 
+from dataclasses import fields
+
+from repro.planner.evaluate import CandidateOutcome
 from repro.scenarios import (
     ArrivalSpec,
     AutoscalerSpec,
@@ -9,10 +12,11 @@ from repro.scenarios import (
     TEXT_CHAT,
     format_scenario_report,
     get_scenario,
+    attained_slo,
     run_scenario,
     slo_checks,
 )
-from repro.serving.metrics import PercentileStats
+from repro.serving.metrics import PercentileStats, empty_report
 
 
 def tiny_spec(**overrides):
@@ -105,6 +109,13 @@ class TestStructure:
         assert not by_metric["latency_p95_s"].met
         assert serving.slo == ()  # no objectives stated -> vacuously met
         assert serving.slo_met
+
+    def test_every_slo_objective_is_mapped_to_a_percentile(self):
+        # A new SLOSpec objective fails here until attained_slo maps it,
+        # and a plan outcome needs a field to carry its attained value.
+        objectives = {field.name for field in fields(SLOSpec)}
+        assert set(attained_slo(empty_report())) == objectives
+        assert objectives <= {field.name for field in fields(CandidateOutcome)}
 
     def test_with_fleet_rebases_topology_only(self):
         spec = tiny_spec()

@@ -129,18 +129,17 @@ class TestEstimateMemo:
 
         uncached._estimate_cost_s = recompute
         assert memoized.assign(trace) == uncached.assign(trace)
-        # The memo actually engaged, and only with (chip, shape) keys —
-        # the heap probes one chip per request, so at most chips x shapes.
+        # The memo actually engaged, and only with shape keys in each
+        # chip's memo — the heap probes one chip per request, so at most
+        # chips x shapes.
         shapes = {
             (r.request.images, r.request.prompt_text_tokens,
              r.request.output_tokens)
             for r in trace
         }
-        assert 0 < len(memoized._estimate_cache) <= 3 * len(shapes)
-        assert all(
-            (images, prompt, out) in shapes
-            for (_, images, prompt, out) in memoized._estimate_cache
-        )
+        memos = [chip.costs.dispatch for chip in memoized.chips]
+        assert 0 < sum(map(len, memos)) <= 3 * len(shapes)
+        assert all(key in shapes for memo in memos for key in memo)
 
     def test_cached_estimate_equals_fresh_computation(self, model, trace):
         fleet = FleetSimulator(model, n_chips=2, policy="least_loaded")

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codec import Spec, SpecError
+from repro.codec import Spec, SpecError, inlined
 from repro.planner.evaluate import CandidateOutcome
 from repro.planner.prune import DesignBounds
 from repro.planner.report import PlanEntry
@@ -47,7 +47,7 @@ from repro.scenarios.spec import (
     SLOSpec,
     WorkloadComponent,
 )
-from repro.serving.faults import FaultEvent, FaultSchedule
+from repro.serving.faults import FaultEvent, FaultRecovery, FaultSchedule
 from repro.serving.fleet import POLICIES
 from repro.serving.runtime.chaos import (
     CHAOS_ACTOR_KINDS,
@@ -339,6 +339,19 @@ incidents = st.builds(
     attempt=st.integers(0, 5),
 )
 
+fault_events = (
+    fault_schedules()
+    .filter(lambda schedule: schedule.events)
+    .map(lambda schedule: schedule.events[0])
+)
+fault_recoveries = st.builds(
+    FaultRecovery,
+    event=fault_events,
+    baseline_p99_ttft_s=non_negative,
+    dent_depth_s=non_negative,
+    time_to_recover_s=st.none() | non_negative,
+)
+
 #: Every spec-side class, and every report block that decodes, with a
 #: strategy for its valid values.
 VALID = {
@@ -354,9 +367,7 @@ VALID = {
     FleetOption: fleet_options(),
     PlannerConfig: planner_configs(),
     CandidateOutcome: candidate_outcomes,
-    FaultEvent: fault_schedules()
-    .filter(lambda schedule: schedule.events)
-    .map(lambda schedule: schedule.events[0]),
+    FaultEvent: fault_events,
     FaultSchedule: fault_schedules(),
     ChaosEvent: chaos_events,
     ChaosSchedule: chaos_schedules,
@@ -364,6 +375,7 @@ VALID = {
     DesignBounds: design_bounds,
     PlanEntry: plan_entries,
     ActorIncident: incidents,
+    FaultRecovery: fault_recoveries,
 }
 
 #: The top-level inputs a user hands in.
@@ -652,6 +664,56 @@ class TestReportRules:
         text = Tally(counts={"b": 1, "a": 2}, spans={}).to_json()
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
         assert text.index('"a"') < text.index('"b"')
+
+
+class TestInlinedRule:
+    """An :func:`~repro.codec.inlined` spec's keys live in its owner's object."""
+
+    RECOVERY = FaultRecovery(
+        event=FaultEvent(time_s=2.0, kind="dram_degrade", chip_id=1, factor=0.5),
+        baseline_p99_ttft_s=0.1,
+        dent_depth_s=0.25,
+        time_to_recover_s=None,
+    )
+
+    def test_keys_are_written_into_the_owner(self):
+        assert self.RECOVERY.to_dict() == {
+            "time_s": 2.0,
+            "kind": "dram_degrade",
+            "chip_id": 1,
+            "factor": 0.5,
+            "baseline_p99_ttft_s": 0.1,
+            "dent_depth_s": 0.25,
+            "time_to_recover_s": None,
+        }
+        assert FaultRecovery.from_dict(self.RECOVERY.to_dict()) == self.RECOVERY
+
+    @pytest.mark.parametrize(
+        "change, path",
+        [
+            ({"time_s": "x"}, "time_s"),
+            ({"event": {}}, "event"),
+            ({"kind": None}, "kind"),
+        ],
+        ids=["bad-inlined-value", "nested-form-is-unknown", "bad-inlined-kind"],
+    )
+    def test_failures_name_the_owners_path(self, change, path):
+        data = {**self.RECOVERY.to_dict(), **change}
+        assert _spec_error(FaultRecovery, data).path == path
+
+    def test_missing_inlined_key_is_reported(self):
+        data = self.RECOVERY.to_dict()
+        del data["chip_id"]
+        assert _spec_error(FaultRecovery, data).path == "chip_id"
+
+    def test_colliding_keys_are_refused(self):
+        @dataclass(frozen=True)
+        class Clash(Spec):
+            event: FaultEvent = inlined()
+            kind: str = "x"
+
+        with pytest.raises(TypeError, match="kind"):
+            Clash.from_dict({})
 
 
 # ----------------------------------------------------------------------
