@@ -20,10 +20,16 @@ own costs in its own grid pass.  The measured gap is
 the pruning win plus that reuse of the bound pass's tables, not a
 caching artefact.
 
+The gate times each side as the median of :data:`N_TIMED_RUNS` runs,
+alternating the two sides so both sample the same stretch of host speed:
+the pruned plan takes only ~50 ms, so one host-speed swing in a single
+read could otherwise decide the ratio.
+
 Feeds ``BENCH_results.json`` (via ``benchmarks/run.py``) with both sides'
 wall-clock under the ``planner_*`` scenarios.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -35,6 +41,8 @@ from repro.scenarios import ArrivalSpec, FleetSpec, ScenarioSpec, SLOSpec, Workl
 from repro.scenarios.compile import compile_scenario
 
 N_TARGET_SPEEDUP = 10
+#: Timed runs per side of the gate; each side reads as their median.
+N_TIMED_RUNS = 3
 
 
 def bench_config() -> PlannerConfig:
@@ -122,6 +130,21 @@ def run_planner() -> dict:
     }
 
 
+def median_seconds(*plans):
+    """Each of ``plans``' median wall-clock over :data:`N_TIMED_RUNS` alternating rounds.
+
+    Returns one ``(seconds, last report)`` pair per plan, in order.
+    """
+    seconds = [[] for _ in plans]
+    reports = [None] * len(plans)
+    for _ in range(N_TIMED_RUNS):
+        for index, plan in enumerate(plans):
+            start = time.perf_counter()
+            reports[index] = plan()
+            seconds[index].append(time.perf_counter() - start)
+    return [(statistics.median(times), report) for times, report in zip(seconds, reports)]
+
+
 def test_bench_planner_10x_over_brute_force():
     config = bench_config()
     spec = bench_scenario(discriminating_ttft_target(config))
@@ -131,13 +154,10 @@ def test_bench_planner_10x_over_brute_force():
     # inherits them — the comparison is pruning vs no pruning, nothing else.
     plan_scenario(spec, config)
 
-    start = time.perf_counter()
-    planned = plan_scenario(spec, config)
-    planner_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    brute = plan_scenario(spec, config, prune=False)
-    brute_seconds = time.perf_counter() - start
+    (planner_seconds, planned), (brute_seconds, brute) = median_seconds(
+        lambda: plan_scenario(spec, config),
+        lambda: plan_scenario(spec, config, prune=False),
+    )
 
     assert planned.n_candidates >= 200
     assert brute.n_simulated == brute.n_candidates

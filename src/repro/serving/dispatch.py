@@ -13,27 +13,24 @@ controller of :mod:`repro.serving.faults`, with a uniform protocol:
 * ``final_jobs`` — the per-chip engine runs still owed, as
   :class:`ShardJob` values the caller executes (inline for the batch
   path, per-chip actors for the live runtime);
-* ``collect`` — fold the executed jobs into the fleet's result object;
-* ``state_dict`` / ``restore_state`` — JSON-serializable snapshot of
-  the *dynamic* decision state, the substrate of
-  :class:`repro.serving.runtime.Checkpoint`.  Pure memo caches (cost
-  estimates, CC latencies) are deliberately excluded: they only change
-  speed, never values, and rebuild lazily after a restore.
+* ``collect`` — fold the executed jobs into the fleet's result object.
 
 :meth:`repro.serving.fleet.FleetSimulator.run` drives the controller in a
 plain loop over the sorted trace, and the live actor runtime drives the
 *same* controller one message at a time, so both planes are equivalent by
-construction.  :func:`make_controller` builds the controller a fleet
-names.
+construction.  A controller's state after ``k`` arrivals is a function of
+those arrivals, so it has no serialized form: a
+:class:`repro.serving.runtime.Checkpoint` stores the cursor ``k``, and a
+resume feeds a fresh controller the first ``k`` arrivals again.
+:func:`make_controller` builds the controller a fleet names.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .metrics import RequestRecord
+from ..codec import Spec, SpecError
 from .queue import ContinuousBatchingSimulator, ServingRequest, ServingResult
 
 #: Execution planes of the fleet ``run`` entry point: ``"batch"`` drives
@@ -88,15 +85,21 @@ def request_to_state(request: ServingRequest) -> Dict[str, Any]:
     }
 
 
-#: The fields a :func:`request_to_state` document must carry, with the
-#: scalar type each must coerce to.
-REQUEST_STATE_FIELDS: Tuple[Tuple[str, type], ...] = (
-    ("request_id", int),
-    ("arrival_s", float),
-    ("images", int),
-    ("prompt_text_tokens", int),
-    ("output_tokens", int),
-)
+@dataclass(frozen=True)
+class RequestState(Spec):
+    """The fields of a :func:`request_to_state` document, as the codec reads them.
+
+    :func:`request_from_state` decodes through it, so a trace line
+    coerces like a spec file: integer fields take integers or integral
+    floats, ``arrival_s`` any number, never a boolean or a string, and
+    an unknown key is rejected.
+    """
+
+    request_id: int
+    arrival_s: float
+    images: int
+    prompt_text_tokens: int
+    output_tokens: int
 
 
 def _field_error(message: str, field: Optional[str]) -> ValueError:
@@ -109,8 +112,8 @@ def _field_error(message: str, field: Optional[str]) -> ValueError:
 def request_from_state(data: Mapping[str, Any]) -> ServingRequest:
     """Rebuild a :class:`ServingRequest` from :func:`request_to_state` ``data``.
 
-    Validates field by field: a missing, uncoercible, non-finite or
-    out-of-range field raises a ``ValueError`` *naming that field*
+    Validates field by field: a missing, mistyped, unknown, non-finite
+    or out-of-range field raises a ``ValueError`` *naming that field*
     (carried on the exception as a ``field`` attribute; ``None`` only
     for the cross-field "image or prompt" rule), so streaming ingestion
     (:func:`repro.serving.runtime.service.requests_from_lines`) can
@@ -118,103 +121,26 @@ def request_from_state(data: Mapping[str, Any]) -> ServingRequest:
     """
     from ..models.mllm import InferenceRequest
 
-    values: Dict[str, Any] = {}
-    for name, kind in REQUEST_STATE_FIELDS:
-        if name not in data:
-            raise _field_error(
-                f"request state is missing field {name!r}", name
-            )
-        try:
-            values[name] = kind(data[name])
-        except (TypeError, ValueError):
-            raise _field_error(
-                f"request state field {name!r} must be "
-                f"{kind.__name__}-like, got {data[name]!r}",
-                name,
-            ) from None
-    if not math.isfinite(values["arrival_s"]):
+    try:
+        state = RequestState.from_dict(data)
+    except SpecError as error:
         raise _field_error(
-            f"request state field 'arrival_s' must be finite, "
-            f"got {values['arrival_s']!r}",
-            "arrival_s",
-        )
+            f"request state field {error}", error.path or None
+        ) from None
     try:
         return ServingRequest(
-            request_id=values["request_id"],
-            arrival_s=values["arrival_s"],
+            request_id=state.request_id,
+            arrival_s=state.arrival_s,
             request=InferenceRequest(
-                images=values["images"],
-                prompt_text_tokens=values["prompt_text_tokens"],
-                output_tokens=values["output_tokens"],
+                images=state.images,
+                prompt_text_tokens=state.prompt_text_tokens,
+                output_tokens=state.output_tokens,
             ),
         )
     except ValueError as error:
         # The range checks open with their field ("images must be >= 0").
-        field = next(
-            (name for name in values if str(error).startswith(name)), None
-        )
+        field = next((name for name in data if str(error).startswith(name)), None)
         raise _field_error(f"request state: {error}", field) from None
-
-
-def record_to_state(record: RequestRecord) -> Dict[str, Any]:
-    """The ``record`` as plain JSON data.
-
-    JSON serializes floats with ``repr``, which round-trips every finite
-    double exactly — the reloaded record is ``==`` to the original, the
-    property the checkpoint byte-identity contract rests on.
-    """
-    return {
-        "request_id": record.request_id,
-        "images": record.request.images,
-        "prompt_text_tokens": record.request.prompt_text_tokens,
-        "output_tokens": record.request.output_tokens,
-        "arrival_s": record.arrival_s,
-        "prefill_start_s": record.prefill_start_s,
-        "prefill_end_s": record.prefill_end_s,
-        "first_token_s": record.first_token_s,
-        "finish_s": record.finish_s,
-        "chip_id": record.chip_id,
-    }
-
-
-def record_from_state(data: Mapping[str, Any]) -> RequestRecord:
-    """Rebuild a :class:`RequestRecord` from :func:`record_to_state` ``data``."""
-    from ..models.mllm import InferenceRequest
-
-    return RequestRecord(
-        request_id=int(data["request_id"]),
-        request=InferenceRequest(
-            images=int(data["images"]),
-            prompt_text_tokens=int(data["prompt_text_tokens"]),
-            output_tokens=int(data["output_tokens"]),
-        ),
-        arrival_s=float(data["arrival_s"]),
-        prefill_start_s=float(data["prefill_start_s"]),
-        prefill_end_s=float(data["prefill_end_s"]),
-        first_token_s=float(data["first_token_s"]),
-        finish_s=float(data["finish_s"]),
-        chip_id=int(data["chip_id"]),
-    )
-
-
-def result_to_state(result: ServingResult) -> Dict[str, Any]:
-    """A closed-era :class:`ServingResult` ``result`` as plain JSON data."""
-    return {
-        "records": [record_to_state(record) for record in result.records],
-        "peak_batch_size": result.peak_batch_size,
-        "decode_steps": result.decode_steps,
-    }
-
-
-def result_from_state(data: Mapping[str, Any]) -> ServingResult:
-    """Rebuild a :class:`ServingResult` from :func:`result_to_state` ``data``."""
-    return ServingResult(
-        records=tuple(
-            record_from_state(record) for record in data["records"]
-        ),
-        peak_batch_size=int(data["peak_batch_size"]),
-        decode_steps=int(data["decode_steps"]),
-    )
 
 
 def make_controller(
@@ -238,15 +164,11 @@ def make_controller(
 
 
 __all__ = [
-    "REQUEST_STATE_FIELDS",
     "RUNTIMES",
+    "RequestState",
     "ShardJob",
     "make_controller",
-    "record_from_state",
-    "record_to_state",
     "request_from_state",
     "request_to_state",
-    "result_from_state",
-    "result_to_state",
     "sorted_order",
 ]

@@ -88,12 +88,7 @@ from ..core.batch import ServiceTimeBoundsPricer
 from ..core.simulator import PerformanceSimulator
 from ..models.mllm import InferenceRequest
 from .autoscale import AutoscaleResult, ScalingEvent
-from .dispatch import (
-    ShardJob,
-    result_from_state,
-    result_to_state,
-    sorted_order,
-)
+from .dispatch import ShardJob
 from .engine import prefill_windows
 from .fleet import FleetResult, FleetSimulator
 from .metrics import RequestRecord, percentile
@@ -521,72 +516,6 @@ class _FaultLedger:
                 state.closed.append(result)
                 state.entries = []
 
-    def state_dict(self) -> Dict[str, Any]:
-        """JSON-serializable snapshot of the era/dispatch bookkeeping.
-
-        Closed-era results are serialized record by record (floats
-        round-trip exactly through JSON ``repr``); open-era entries are
-        stored as ``[sid, eff]`` pairs and rebuild from the trace on
-        restore.  Cost memos are pure and live on the chips' simulators,
-        not here.
-        """
-        return {
-            "next_sid": self.next_sid,
-            "origin": sorted(self.origin.items()),
-            "redispatched": list(self.redispatched),
-            "aborted": list(self.aborted),
-            "assignments": list(self.assignments),
-            "chips": [
-                {
-                    "era": state.era,
-                    "factor": state.factor,
-                    "alive": state.alive,
-                    "floor": state.floor,
-                    "entries": [
-                        [item.request_id, item.arrival_s]
-                        for item in state.entries
-                    ],
-                    "closed": [
-                        result_to_state(result) for result in state.closed
-                    ],
-                }
-                for state in self.states
-            ],
-        }
-
-    def restore_state(self, data: Mapping[str, Any], order: List[int]) -> None:
-        """Reload :meth:`state_dict` data onto fresh chip states.
-
-        ``order`` is the canonical arrival order of the arrivals seen.
-        Degraded-era sims rebuild deterministically from the stored
-        factor via :func:`_degraded_chip`, with memos of their own that
-        refill lazily (values are pure, so only speed is affected).
-        """
-        self.order = order
-        self.next_sid = int(data["next_sid"])
-        self.origin = {int(sid): int(index) for sid, index in data["origin"]}
-        self.redispatched = [int(index) for index in data["redispatched"]]
-        self.aborted = [int(index) for index in data["aborted"]]
-        self.assignments = [int(chip) for chip in data["assignments"]]
-        for state, chip in zip(self.states, data["chips"]):
-            state.era = int(chip["era"])
-            state.factor = float(chip["factor"])
-            state.alive = bool(chip["alive"])
-            state.floor = float(chip["floor"])
-            state.sim = _degraded_chip(state.base, state.factor)
-            state.entries = [
-                ServingRequest(
-                    request_id=int(sid),
-                    arrival_s=float(eff),
-                    request=self.trace[self.index_of(int(sid))].request,
-                )
-                for sid, eff in chip["entries"]
-            ]
-            state.closed = [
-                result_from_state(result) for result in chip["closed"]
-            ]
-        self.alive = [state.chip_id for state in self.states if state.alive]
-
     def collect(
         self,
     ) -> Tuple[Tuple[RequestRecord, ...], Tuple[ServingResult, ...]]:
@@ -687,8 +616,8 @@ class _EraController:
 
     The event cursor, the per-chip horizons, the parked arrivals (every
     chip down) and the era ledger, plus the stepwise protocol around
-    them: :meth:`finish_events`, :meth:`final_jobs` and the common state
-    keys.  Subclasses place requests (:meth:`_place`) and fold results.
+    them: :meth:`finish_events` and :meth:`final_jobs`.  Subclasses
+    place requests (:meth:`_place`) and fold results.
     A controller needs the full ``trace`` up front: priority
     normalization is global and era re-dispatch reaches requests by
     trace position.  ``schedule`` defaults to the empty
@@ -797,61 +726,6 @@ class _EraController:
             "aborted_ids": tuple(trace[i].request_id for i in ledger.aborted),
         }
 
-    def state_dict(self) -> Dict[str, Any]:
-        """JSON-serializable snapshot of the dynamic dispatch state."""
-        return {
-            "kind": self.kind,
-            "schedule": self.schedule.to_dict(),
-            "n_seen": self.n_seen,
-            "event_pos": self.event_pos,
-            "horizons": list(self.horizons),
-            "parked": [[index, eff, sid] for index, eff, sid in self.parked],
-            "ledger": self.ledger.state_dict(),
-        }
-
-    def restore_state(
-        self, state: Mapping[str, Any], trace: Sequence[ServingRequest]
-    ) -> None:
-        """Reload :meth:`state_dict` data (``trace`` must equal the original).
-
-        Raises :class:`~repro.serving.runtime.checkpoint.CheckpointError`
-        naming ``schedule`` when the state was taken under another fault
-        schedule than this controller's, and naming ``horizons`` or
-        ``ledger.chips`` with both counts when it was taken on a fleet of
-        another size; either check runs before anything is restored.
-        """
-        # Imported lazily: the runtime package builds on this module.
-        from .runtime.checkpoint import CheckpointError
-
-        if state["schedule"] != self.schedule.to_dict():
-            raise CheckpointError(
-                "checkpoint field 'schedule' holds another fault schedule "
-                "than the one this run was given"
-            )
-        n_chips = self.fleet.n_chips
-        for field, stored in (
-            ("horizons", state["horizons"]),
-            ("ledger.chips", state["ledger"]["chips"]),
-        ):
-            if len(stored) != n_chips:
-                raise CheckpointError(
-                    f"checkpoint field '{field}' holds {len(stored)} chips, "
-                    f"but this fleet has {n_chips}"
-                )
-        n_seen = int(state["n_seen"])
-        if not 0 <= n_seen <= len(self.trace):
-            raise ValueError(f"n_seen {n_seen} lies outside the trace")
-        self.event_pos = int(state["event_pos"])
-        self.horizons = [float(h) for h in state["horizons"]]
-        self.parked = [
-            (int(index), float(eff), int(sid))
-            for index, eff, sid in state["parked"]
-        ]
-        self.ledger.restore_state(
-            state["ledger"], sorted_order(self.trace)[:n_seen]
-        )
-
-
 class FaultFleetController(_EraController):
     """The era controller of a static fleet: one arrival at a time.
 
@@ -917,36 +791,6 @@ class FaultFleetController(_EraController):
     def collect(self, results: Mapping[int, ServingResult]) -> FleetResult:
         """Fold the executed closing eras into a :class:`FleetResult`."""
         return FleetResult(**self._collected(results))
-
-    def state_dict(self) -> Dict[str, Any]:
-        """JSON-serializable snapshot of the dynamic dispatch state."""
-        state = super().state_dict()
-        state["policy"] = self.fleet.policy
-        state["rr_position"] = self.rr_position
-        return state
-
-    def restore_state(
-        self, state: Mapping[str, Any], trace: Sequence[ServingRequest]
-    ) -> None:
-        """Reload :meth:`state_dict` data (``trace`` must equal the original).
-
-        Raises :class:`~repro.serving.runtime.checkpoint.CheckpointError`
-        naming ``policy`` and both values, before anything is restored,
-        when the state was taken under another dispatch policy.  State
-        without the key (written before it was recorded) is not checked.
-        """
-        # Imported lazily: the runtime package builds on this module.
-        from .runtime.checkpoint import CheckpointError
-
-        stored = state.get("policy", self.fleet.policy)
-        if stored != self.fleet.policy:
-            raise CheckpointError(
-                f"checkpoint field 'policy' is {stored!r}, but this fleet "
-                f"dispatches {self.fleet.policy!r}"
-            )
-        super().restore_state(state, trace)
-        self.rr_position = int(state["rr_position"])
-
 
 class FaultAutoscaleController(_EraController):
     """The era controller of an autoscaled fleet: one arrival at a time.
@@ -1072,43 +916,6 @@ class FaultAutoscaleController(_EraController):
             ),
             events=tuple(self.scale_events),
             final_chips=self.n_active,
-        )
-
-    def state_dict(self) -> Dict[str, Any]:
-        """JSON-serializable snapshot of the dynamic control-loop state."""
-        state = super().state_dict()
-        state.update(
-            inflight=list(self.inflight),
-            ttft_window=list(self.ttft_window),
-            scale_events=[event.to_dict() for event in self.scale_events],
-            rejected=list(self.rejected),
-            n_active=self.n_active,
-            # -inf (never scaled) has no JSON literal; None encodes it.
-            last_scale=(
-                None if self.last_scale == float("-inf") else self.last_scale
-            ),
-        )
-        return state
-
-    def restore_state(
-        self, state: Mapping[str, Any], trace: Sequence[ServingRequest]
-    ) -> None:
-        """Reload :meth:`state_dict` data (``trace`` must equal the original)."""
-        super().restore_state(state, trace)
-        self.inflight = [float(f) for f in state["inflight"]]
-        self.ttft_window = deque(
-            (float(t) for t in state["ttft_window"]),
-            maxlen=self.config.window,
-        )
-        self.scale_events = [
-            ScalingEvent.from_dict(event) for event in state["scale_events"]
-        ]
-        self.rejected = [int(index) for index in state["rejected"]]
-        self.n_active = int(state["n_active"])
-        self.last_scale = (
-            float("-inf")
-            if state["last_scale"] is None
-            else float(state["last_scale"])
         )
 
 

@@ -44,8 +44,11 @@ class ServingRequest:
     request: InferenceRequest
 
     def __post_init__(self) -> None:
-        if self.arrival_s < 0:
-            raise ValueError("arrival_s must be >= 0")
+        # One chained comparison also rejects NaN.
+        if not 0.0 <= self.arrival_s < math.inf:
+            raise ValueError(
+                f"arrival_s must be finite and >= 0, got {self.arrival_s!r}"
+            )
 
 
 def build_trace(

@@ -17,7 +17,7 @@ the mailbox substrate and the ingestion/chip workers;
 :class:`SupervisorActor` (dispatch, heartbeats, deadlines,
 retry/quarantine recovery, the auto-checkpoint ring, the incident
 timeline); :mod:`~repro.serving.runtime.checkpoint` the JSON
-pause/resume format; :mod:`~repro.serving.runtime.chaos` the
+pause/resume format (a cursor and the run's pins; a resume replays); :mod:`~repro.serving.runtime.chaos` the
 supervisor's adversary (seeded runtime-fault schedules injected at the
 mailbox boundary); and :mod:`~repro.serving.runtime.service` the
 synchronous entry points (:func:`run_live`, :func:`resume_live` and
@@ -50,6 +50,7 @@ from .checkpoint import (
     CHECKPOINT_VERSION,
     Checkpoint,
     CheckpointError,
+    CheckpointPins,
     trace_digest,
 )
 from .messages import (
@@ -99,6 +100,7 @@ __all__ = [
     "ChaosSchedule",
     "Checkpoint",
     "CheckpointError",
+    "CheckpointPins",
     "ChipActor",
     "Heartbeat",
     "IngestionActor",

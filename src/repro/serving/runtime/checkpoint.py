@@ -1,39 +1,54 @@
 """Checkpoint format of the live serving runtime.
 
-A :class:`Checkpoint` freezes a paused run at an arrival boundary: the
-``cursor`` (how many arrivals of the canonical ``(arrival_s,
-request_id)`` order the controller has consumed), the controller's
-serialized dynamic state (see the era controllers' ``state_dict`` in
-:mod:`repro.serving.faults`), and a digest of the trace it was taken
-against.  Pure memo caches are *not* checkpointed — they change speed,
-never values, and rebuild lazily — so a restore replays the remaining arrivals into a reconstructed
-controller and produces byte-identical records, reports and goldens
-(the hypothesis suite asserts this across process boundaries and hash
-seeds).
+A :class:`Checkpoint` freezes a paused run at an arrival boundary.  It
+records where the run paused — the ``cursor``, how many arrivals of the
+canonical ``(arrival_s, request_id)`` order the controller has consumed
+— and the configuration the run paused under, never the controller's
+state.  The era controllers are deterministic in canonical arrival
+order, so a resume builds a fresh controller and feeds it the first
+``cursor`` arrivals through ``on_arrival``
+(:func:`repro.serving.runtime.service.resume_live`); it then continues
+live from the cursor, byte-identically to an uninterrupted run (the
+hypothesis suite asserts this across process boundaries and hash
+seeds).  A file's size therefore does not grow with its cursor.
+
+What a resume must match is pinned: the trace by its digest
+(:func:`trace_digest`), the controller by its ``kind``, and the fault
+schedule, the fleet size and a static fleet's dispatch policy by the
+:class:`CheckpointPins` in the file's ``controller`` object.  A mismatch
+raises :class:`CheckpointError` naming the field before any arrival is
+replayed.
 
 Checkpoints serialize to JSON: floats round-trip exactly through
 ``repr``, ints and strings trivially, so ``load(save(checkpoint))``
 is the identity.  A checkpoint taken through the scenarios path embeds
 the full scenario spec and engine, making the file self-contained —
 :func:`repro.serving.runtime.service.resume_scenario` rebuilds the
-fleet and trace from the spec alone.
+fleet and trace from the spec alone.  Version-2 files, whose
+``controller`` object held the whole controller state, still load: only
+its ``schedule``, ``policy`` and the length of its ``horizons`` are read.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
-from ...codec import SpecError
+from ...codec import Spec, SpecError, when_set
 from ..dispatch import request_to_state
+from ..faults import FaultSchedule
 from ..queue import ENGINES, ServingRequest
 
-#: Format marker written into every checkpoint file.  Version 2: the era
-#: controllers drive every run, and synthetic ids are canonical ranks.
-CHECKPOINT_VERSION = 2
+#: Format marker written into every checkpoint file.  Version 3: a file
+#: pins the run's configuration and holds no controller state.
+CHECKPOINT_VERSION = 3
+
+#: Versions :meth:`Checkpoint.from_dict` reads; version 2 held the whole
+#: controller state next to the same pins.
+READABLE_VERSIONS = (2, CHECKPOINT_VERSION)
 
 
 class CheckpointError(ValueError):
@@ -41,9 +56,9 @@ class CheckpointError(ValueError):
 
     The single error type for every way a checkpoint can be bad —
     truncated or non-JSON text, missing or mistyped fields, an
-    unsupported format version, a trace-digest mismatch on resume, or
-    controller state a rebuilt controller refuses to restore.  Callers
-    (CLI, service entry points) can catch this one type and print its
+    unsupported format version, a trace-digest mismatch on resume, or a
+    configuration that disagrees with the file's pins.  Callers (CLI,
+    service entry points) can catch this one type and print its
     message; the message always names what was wrong.
     """
 
@@ -51,10 +66,10 @@ class CheckpointError(ValueError):
 def trace_digest(trace: Sequence[ServingRequest]) -> str:
     """SHA-256 over the canonical JSON serialization of ``trace``.
 
-    Guards a resume against a different trace: controller state is only
-    meaningful relative to the exact arrival sequence it was built from,
-    so :func:`~repro.serving.runtime.service.resume_live` refuses a
-    trace whose digest mismatches the checkpoint's.
+    Guards a resume against a different trace: a cursor only means
+    something relative to the exact arrival sequence it counts, so
+    :func:`~repro.serving.runtime.service.resume_live` refuses a trace
+    whose digest mismatches the checkpoint's.
     """
     payload = json.dumps(
         [request_to_state(request) for request in trace],
@@ -81,29 +96,107 @@ def _check_scenario(scenario: Any) -> None:
 
 
 @dataclass(frozen=True)
+class CheckpointPins(Spec):
+    """The configuration a paused run ran under, checked on resume.
+
+    ``schedule`` is the controller's fault schedule, ``n_chips`` the
+    fleet size, and ``policy`` a static fleet's dispatch policy (``None``
+    on an autoscaled fleet, whose controller dispatches least-loaded
+    whatever the fleet names).  None of them changes as the run
+    advances.
+    """
+
+    schedule: FaultSchedule
+    n_chips: int
+    policy: Optional[str] = when_set(None)
+
+    @classmethod
+    def of(cls, controller: Any) -> "CheckpointPins":
+        """The pins of the run ``controller`` drives."""
+        fleet = controller.fleet
+        return cls(
+            schedule=controller.schedule,
+            n_chips=fleet.n_chips,
+            policy=fleet.policy if controller.kind == "fault_fleet" else None,
+        )
+
+    def check(self, run: "CheckpointPins") -> None:
+        """Raise :class:`CheckpointError` naming the first pin ``run`` breaks.
+
+        ``run`` holds the pins of the configuration resuming the
+        checkpoint.  A stored ``policy`` of ``None`` (a version-2 file
+        written before the policy was recorded) is not checked.
+        """
+        if self.policy is not None and self.policy != run.policy:
+            raise CheckpointError(
+                f"checkpoint field 'policy' is {self.policy!r}, but this "
+                f"fleet dispatches {run.policy!r}"
+            )
+        if self.schedule != run.schedule:
+            raise CheckpointError(
+                "checkpoint field 'schedule' holds another fault schedule "
+                "than the one this run was given"
+            )
+        if self.n_chips != run.n_chips:
+            raise CheckpointError(
+                f"checkpoint field 'n_chips' holds {self.n_chips} chips, "
+                f"but this fleet has {run.n_chips}"
+            )
+
+
+def _pins(controller: Any, version: int) -> CheckpointPins:
+    """Decode a file's ``controller`` object into its :class:`CheckpointPins`."""
+    if not isinstance(controller, Mapping):
+        raise CheckpointError(
+            "checkpoint field 'controller' has the wrong type: expected a "
+            f"JSON object, got {type(controller).__name__}"
+        )
+    if version == 2:
+        # A version-2 block holds the whole controller state: read its
+        # pins (the chip count is the length of its horizons), ignore the rest.
+        horizons = controller.get("horizons")
+        if not isinstance(horizons, list):
+            raise CheckpointError(
+                "checkpoint field controller.horizons: expected a JSON "
+                f"array, got {type(horizons).__name__}"
+            )
+        controller = {
+            "n_chips": len(horizons),
+            **{
+                key: controller[key]
+                for key in ("schedule", "policy")
+                if key in controller
+            },
+        }
+    try:
+        return CheckpointPins.from_dict(controller)
+    except SpecError as error:
+        raise CheckpointError(f"checkpoint field controller.{error}") from None
+
+
+@dataclass(frozen=True)
 class Checkpoint:
     """A paused live run, frozen at an arrival boundary.
 
-    ``kind`` names the controller that produced ``controller`` — one
-    per fleet kind: ``"fault_fleet"`` for a static fleet,
-    ``"fault_autoscale"`` for an autoscaled one — and the controller
-    state itself pins the fault schedule it ran under; ``cursor`` counts
-    consumed arrivals in canonical order; ``trace_sha256`` pins the
-    trace; ``scenario`` (optional) embeds the originating scenario
-    spec's ``to_dict`` data plus the engine so scenario checkpoints are
-    self-contained.  An
-    ``engine`` outside :data:`~repro.serving.queue.ENGINES` raises
-    :class:`CheckpointError` at construction, so no checkpoint that parses
-    can fail later in fleet construction.
+    ``kind`` names the controller that ran — one per fleet kind:
+    ``"fault_fleet"`` for a static fleet, ``"fault_autoscale"`` for an
+    autoscaled one; ``cursor`` counts consumed arrivals in canonical
+    order; ``controller`` holds the :class:`CheckpointPins` of the
+    configuration it ran under; ``trace_sha256`` pins the trace;
+    ``scenario`` (optional) embeds the originating scenario spec's
+    ``to_dict`` data plus the engine so scenario checkpoints are
+    self-contained.  An ``engine`` outside
+    :data:`~repro.serving.queue.ENGINES` raises :class:`CheckpointError`
+    at construction, so no checkpoint that parses can fail later in
+    fleet construction.
     """
 
     kind: str
     cursor: int
-    controller: Dict[str, Any]
+    controller: CheckpointPins
     trace_sha256: str
     scenario: Optional[Dict[str, Any]] = None
     engine: Optional[str] = None
-    version: int = field(default=CHECKPOINT_VERSION)
 
     def __post_init__(self) -> None:
         if self.engine is not None and self.engine not in ENGINES:
@@ -113,13 +206,13 @@ class Checkpoint:
             )
 
     def to_dict(self) -> Dict[str, Any]:
-        """Serialize to plain JSON data."""
+        """Serialize to plain JSON data (always the current version)."""
         data: Dict[str, Any] = {
-            "version": self.version,
+            "version": CHECKPOINT_VERSION,
             "kind": self.kind,
             "cursor": self.cursor,
             "trace_sha256": self.trace_sha256,
-            "controller": self.controller,
+            "controller": self.controller.to_dict(),
         }
         if self.scenario is not None:
             data["scenario"] = self.scenario
@@ -129,11 +222,12 @@ class Checkpoint:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Checkpoint":
-        """Rebuild a checkpoint from :meth:`to_dict` data.
+        """Rebuild a checkpoint from :meth:`to_dict` data or a version-2 file.
 
         Raises :class:`CheckpointError` on any malformed payload —
-        missing or mistyped fields, an embedded scenario spec that does
-        not decode, an unknown engine, or an unsupported format version.
+        missing or mistyped fields or pins, an embedded scenario spec
+        that does not decode, an unknown engine, or an unsupported
+        format version.
         """
         if not isinstance(data, Mapping):
             raise CheckpointError(
@@ -147,10 +241,10 @@ class Checkpoint:
                 f"checkpoint version must be an integer, "
                 f"got {data.get('version')!r}"
             ) from None
-        if version != CHECKPOINT_VERSION:
+        if version not in READABLE_VERSIONS:
             raise CheckpointError(
                 f"unsupported checkpoint version {version} "
-                f"(this build reads version {CHECKPOINT_VERSION})"
+                f"(this build reads versions {READABLE_VERSIONS})"
             )
         try:
             scenario = data.get("scenario")
@@ -160,11 +254,10 @@ class Checkpoint:
             return cls(
                 kind=str(data["kind"]),
                 cursor=int(data["cursor"]),
-                controller=dict(data["controller"]),
+                controller=_pins(data["controller"], version),
                 trace_sha256=str(data["trace_sha256"]),
                 scenario=dict(scenario) if scenario is not None else None,
                 engine=str(engine) if engine is not None else None,
-                version=version,
             )
         except KeyError as error:
             raise CheckpointError(
@@ -220,5 +313,6 @@ __all__ = [
     "CHECKPOINT_VERSION",
     "Checkpoint",
     "CheckpointError",
+    "CheckpointPins",
     "trace_digest",
 ]

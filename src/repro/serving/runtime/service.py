@@ -13,10 +13,11 @@ faults changes the timeline, never the result.  ``pause_after`` turns
 the run into a :class:`~repro.serving.runtime.checkpoint.Checkpoint` at
 an arrival boundary; :func:`resume_live` picks such a checkpoint up —
 in the same process or a fresh one — and finishes the run
-byte-identically to an uninterrupted one.  Both share one run loop,
-which is also what survives *supervisor* crashes: each crash ends one
-asyncio session, and the next session restores the controller from the
-newest auto-checkpoint in the ring.
+byte-identically to an uninterrupted one: a checkpoint holds no
+controller state, so a resume builds a fresh controller and replays the
+arrivals before its cursor.  Both share one run loop, which is also
+what survives *supervisor* crashes: each crash ends one asyncio
+session, and the next session replays up to the newest auto-checkpoint.
 
 :func:`run_scenario_live` / :func:`resume_scenario` are the scenario
 couplings: checkpoints taken there embed the scenario spec and engine,
@@ -56,7 +57,12 @@ from .chaos import (
     ChaosInjector,
     ChaosSchedule,
 )
-from .checkpoint import Checkpoint, CheckpointError, trace_digest
+from .checkpoint import (
+    Checkpoint,
+    CheckpointError,
+    CheckpointPins,
+    trace_digest,
+)
 from .supervision import ActorIncident, SupervisionConfig, SupervisorActor
 
 
@@ -136,36 +142,30 @@ async def _session(
 
 
 def _restore(
-    controller: Any, checkpoint: Checkpoint, trace: Sequence[ServingRequest]
+    controller: Any,
+    checkpoint: Checkpoint,
+    arrivals: Sequence[Tuple[int, ServingRequest]],
 ) -> int:
-    """Load ``checkpoint`` into a fresh ``controller``; returns its cursor.
+    """Bring a fresh ``controller`` to ``checkpoint``'s cursor; returns it.
 
-    Every way the checkpoint can disagree with the rebuilt controller —
-    another controller kind, another fault schedule, state the
-    controller refuses, a cursor outside the trace or different from the
-    arrivals the state holds — raises :class:`CheckpointError`.
+    The controller is deterministic in canonical arrival order, so
+    feeding it the first ``cursor`` of ``arrivals`` through
+    ``on_arrival`` rebuilds the state it paused in.  Another controller
+    kind, fault schedule, fleet size or dispatch policy than the
+    checkpoint pins raises :class:`CheckpointError` before any arrival
+    is replayed (:func:`_drive` has checked the cursor against the
+    trace).
     """
     if controller.kind != checkpoint.kind:
         raise CheckpointError(
-            f"checkpoint holds {checkpoint.kind!r} controller state but "
-            f"this configuration builds a {controller.kind!r} controller"
+            f"checkpoint field 'kind' is {checkpoint.kind!r}, but this "
+            f"configuration builds a {controller.kind!r} controller"
         )
-    try:
-        controller.restore_state(checkpoint.controller, trace)
-    except CheckpointError:
-        raise
-    except (KeyError, TypeError, ValueError) as error:
-        raise CheckpointError(
-            "checkpoint controller state is invalid or tampered: "
-            f"{error!r}"
-        ) from None
-    cursor = checkpoint.cursor
-    if not 0 <= cursor <= len(trace) or cursor != controller.n_seen:
-        raise CheckpointError(
-            f"checkpoint field 'cursor' is {cursor}, but its controller "
-            f"state holds {controller.n_seen} of {len(trace)} arrivals"
-        )
-    return cursor
+    checkpoint.controller.check(CheckpointPins.of(controller))
+    on_arrival = controller.on_arrival
+    for index, request in arrivals[: checkpoint.cursor]:
+        on_arrival(index, request)
+    return checkpoint.cursor
 
 
 def _drive(
@@ -185,8 +185,8 @@ def _drive(
     """The one run loop behind :func:`run_live` and :func:`resume_live`.
 
     Each iteration is one supervisor session on a fresh controller,
-    restored from ``checkpoint`` or, after a supervisor crash, from the
-    newest auto-checkpoint in the ring — serialized and re-parsed, so
+    brought to the cursor of ``checkpoint`` or, after a supervisor
+    crash, of the newest auto-checkpoint — serialized and re-parsed, so
     every restart also proves the checkpoint format round-trips — up to
     ``max_sessions`` sessions.
     """
@@ -194,12 +194,19 @@ def _drive(
     if not trace:
         raise ValueError("trace must not be empty")
     digest = trace_digest(trace)
-    if checkpoint is not None and digest != checkpoint.trace_sha256:
-        raise CheckpointError(
-            "checkpoint was taken against a different trace "
-            f"(digest {checkpoint.trace_sha256[:12]}… != {digest[:12]}…)"
-        )
-    start = checkpoint.cursor if checkpoint is not None else 0
+    start = 0
+    if checkpoint is not None:
+        if digest != checkpoint.trace_sha256:
+            raise CheckpointError(
+                "checkpoint was taken against a different trace "
+                f"(digest {checkpoint.trace_sha256[:12]}… != {digest[:12]}…)"
+            )
+        start = checkpoint.cursor
+        if not 0 <= start <= len(trace):
+            raise CheckpointError(
+                f"checkpoint field 'cursor' is {start}, outside the "
+                f"{len(trace)}-arrival trace"
+            )
     if pause_after is not None and not start < pause_after <= len(trace):
         raise ValueError(
             f"pause_after must lie after the start cursor {start}, "
@@ -211,14 +218,14 @@ def _drive(
         ChaosInjector(chaos, hang_unit_s=hang_unit_s) if chaos else None
     )
     incidents: List[ActorIncident] = []
-    ring: "Deque[Checkpoint]" = deque(maxlen=config.checkpoint_ring)
+    ring: "Deque[Checkpoint]" = deque(maxlen=1)
     restore = checkpoint
     for session in range(1, config.max_sessions + 1):
         controller = make_controller(
             fleet, trace, faults=faults, priorities=priorities
         )
         start_at = (
-            0 if restore is None else _restore(controller, restore, trace)
+            0 if restore is None else _restore(controller, restore, arrivals)
         )
         outcome: List[Any] = []
         asyncio.run(
@@ -248,7 +255,7 @@ def _drive(
                 n_sessions=session,
             )
         # The supervisor itself was chaos-crashed: rebuild from the
-        # newest ring checkpoint, else from where this run started.
+        # newest auto-checkpoint, else from where this run started.
         if ring:
             restore = Checkpoint.from_json(ring[-1].to_json())
         incidents.append(
@@ -339,10 +346,11 @@ def resume_live(
     ``fleet``, ``trace``, ``faults`` and ``priorities`` must reconstruct
     the original run's configuration — the trace is verified against the
     checkpoint's digest, the rebuilt controller's kind against its
-    ``kind``, the fault schedule against the one in its controller state
-    and the restored controller against its ``cursor``; any mismatch
-    raises :class:`CheckpointError`.  The tail replays through
-    the same supervisor, so the combined run is byte-identical to an
+    ``kind``, and the fault schedule, fleet size and dispatch policy
+    against its pins; any mismatch, or a cursor outside the trace,
+    raises :class:`CheckpointError`.  The rebuilt controller replays the
+    arrivals before the cursor, and the tail runs through the same
+    supervisor, so the combined run is byte-identical to an
     uninterrupted one (asserted by the hypothesis suite across process
     boundaries), chaos or not.  ``pause_after`` (an absolute arrival
     cursor past the checkpoint's) pauses again; the remaining options

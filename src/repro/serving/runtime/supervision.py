@@ -27,11 +27,13 @@ failures they model):
   quarantined the supervisor runs jobs inline, so the run still
   terminates;
 * **an auto-checkpoint ring** — every ``checkpoint_every`` arrivals the
-  supervisor snapshots controller state into a bounded ring of
-  :class:`~repro.serving.runtime.checkpoint.Checkpoint` values (the
-  pause/resume format, byte-for-byte); when the supervisor itself
-  crashes, the run loop (:func:`repro.serving.runtime.service.run_live`)
-  rebuilds a fresh session from the newest ring entry;
+  supervisor snapshots a
+  :class:`~repro.serving.runtime.checkpoint.Checkpoint` at its cursor
+  into a ring that keeps only the newest (the pause/resume format,
+  byte-for-byte: pins, never controller state, so a snapshot costs the
+  same at any cursor); when the supervisor itself crashes, the run loop
+  (:func:`repro.serving.runtime.service.run_live`) rebuilds a fresh
+  session from it, replaying the arrivals before its cursor;
 * **an incident timeline** — every detection and recovery appends an
   :class:`ActorIncident`; the timeline reaches the scenario report's
   conditional ``incidents`` block, but never the result itself, because
@@ -71,7 +73,7 @@ from .actors import (
     ChipActor,
     IngestionActor,
 )
-from .checkpoint import Checkpoint
+from .checkpoint import Checkpoint, CheckpointPins
 from .messages import (
     ActorCrashed,
     ArrivalBatch,
@@ -138,9 +140,8 @@ class SupervisionConfig:
     shape :func:`backoff_s`, seeded by ``seed`` (the scenario path
     passes ``spec.derive_seed("supervision")``).  A chip actor is
     quarantined after ``quarantine_after`` crashes; a job fails the run
-    after ``max_retries`` retries.  Controller state is snapshotted
-    every ``checkpoint_every`` arrivals into a ring of the newest
-    ``checkpoint_ring`` entries.  ``max_ingest_restarts`` and
+    after ``max_retries`` retries.  The run's cursor is checkpointed
+    every ``checkpoint_every`` arrivals.  ``max_ingest_restarts`` and
     ``max_sessions`` bound the two recovery loops so a genuinely broken
     run fails cleanly instead of cycling forever.
     """
@@ -153,7 +154,6 @@ class SupervisionConfig:
     max_retries: int = 3
     quarantine_after: int = 2
     checkpoint_every: int = 4096
-    checkpoint_ring: int = 4
     max_ingest_restarts: int = 8
     max_sessions: int = 8
     seed: int = 0
@@ -172,8 +172,6 @@ class SupervisionConfig:
             raise ValueError("quarantine_after must be >= 1")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if self.checkpoint_ring < 1:
-            raise ValueError("checkpoint_ring must be >= 1")
         if self.max_ingest_restarts < 1:
             raise ValueError("max_ingest_restarts must be >= 1")
         if self.max_sessions < 1:
@@ -208,7 +206,7 @@ class SupervisorActor(Actor):
     events, fans the closing engine runs out to the chip actors and
     resolves :attr:`outcome` with the run's result
     (:class:`StreamEnded`), or resolves it with a :class:`Checkpoint` of
-    the controller at that cursor (:class:`PauseStream`).  Controller
+    the run at that cursor (:class:`PauseStream`).  Controller
     errors, real ingestion failures and exhausted retry budgets resolve
     the outcome exceptionally — the run fails with the original error
     rather than hanging.
@@ -327,11 +325,11 @@ class SupervisorActor(Actor):
             self.outcome.set_exception(error)
 
     def _snapshot(self) -> Checkpoint:
-        """The controller as a :class:`Checkpoint` at the current cursor."""
+        """A :class:`Checkpoint` of the run at the current cursor."""
         return Checkpoint(
             kind=self.controller.kind,
             cursor=self._expected,
-            controller=self.controller.state_dict(),
+            controller=CheckpointPins.of(self.controller),
             trace_sha256=self.digest,
         )
 

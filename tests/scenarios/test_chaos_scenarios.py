@@ -30,7 +30,6 @@ FAST = SupervisionConfig(
     backoff_base_s=0.005,
     backoff_cap_s=0.05,
     checkpoint_every=4,
-    checkpoint_ring=3,
     seed=7,
 )
 

@@ -62,7 +62,6 @@ FAST = SupervisionConfig(
     backoff_base_s=0.005,
     backoff_cap_s=0.05,
     checkpoint_every=4,
-    checkpoint_ring=3,
     seed=7,
 )
 
@@ -175,7 +174,7 @@ class TestSubprocessRingRestore:
             "config = SupervisionConfig(job_deadline_s=0.5, stall_deadline_s=0.15,\n"
             "                           tick_s=0.01, backoff_base_s=0.005,\n"
             "                           backoff_cap_s=0.05, checkpoint_every=4,\n"
-            "                           checkpoint_ring=3, seed=7)\n"
+            "                           seed=7)\n"
             "report = run_scenario_live(spec, supervision=config,\n"
             "                           hang_unit_s=0.01)\n"
             "kinds = {i['kind'] for i in report.incidents.to_dict()['timeline']}\n"

@@ -74,7 +74,6 @@ CONFIG = SupervisionConfig(
     backoff_base_s=0.01,
     backoff_cap_s=0.1,
     checkpoint_every=8192,
-    checkpoint_ring=4,
     seed=7,
 )
 

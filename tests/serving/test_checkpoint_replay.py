@@ -1,0 +1,224 @@
+"""A checkpoint is a cursor: resume replays, and version-2 files still load.
+
+A version-3 checkpoint holds the cursor and the configuration pins,
+never controller state; a resume builds a fresh controller and replays
+the arrivals before the cursor.  The fixtures under
+``tests/golden/checkpoints/v2`` were written by the version-2 format,
+whose ``controller`` object held the whole controller state next to the
+same pins: a static faulted run paused after a closed era
+(``chat-chipfail`` at 120), an autoscaled run (``edge-kiosk-overload``
+at 100) and a round-robin run (``trace-spike`` at 40).  Each must load,
+resume to the uninterrupted report, and ignore every key of its
+``controller`` object but the pins.
+"""
+
+import functools
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.models.mllm import get_mllm
+from repro.scenarios.registry import get_scenario
+from repro.scenarios.runner import run_scenario
+from repro.serving import (
+    AutoscalerConfig,
+    AutoscalingFleetSimulator,
+    FleetSimulator,
+    PoissonArrivals,
+    RequestSampler,
+    build_trace,
+)
+from repro.serving.dispatch import sorted_order
+from repro.serving.faults import (
+    FaultAutoscaleController,
+    FaultEvent,
+    FaultFleetController,
+    FaultSchedule,
+)
+from repro.serving.runtime import (
+    CHECKPOINT_VERSION,
+    Checkpoint,
+    CheckpointError,
+    resume_live,
+    resume_scenario,
+    run_live,
+    run_scenario_live,
+)
+
+V2_DIR = Path(__file__).resolve().parents[1] / "golden" / "checkpoints" / "v2"
+
+#: Fixture file → the scenario it paused.
+V2_FIXTURES = {
+    "chat-chipfail-120.json": "chat-chipfail",
+    "edge-kiosk-overload-100.json": "edge-kiosk-overload",
+    "trace-spike-40.json": "trace-spike",
+}
+STATIC_FIXTURES = ("chat-chipfail-120.json", "trace-spike-40.json")
+
+
+@functools.lru_cache(maxsize=None)
+def batch_json(name):
+    return run_scenario(get_scenario(name)).to_json()
+
+
+def _drop_last_assignment(controller):
+    controller["ledger"]["assignments"].pop()
+
+
+def _event_pos(controller):
+    controller["event_pos"] = -1
+
+
+def _n_seen(controller):
+    controller["n_seen"] = -1
+
+
+def _closed_eras(controller):
+    for chip in controller["ledger"]["chips"]:
+        chip["closed"] = "gone"
+
+
+class TestVersion2Fixtures:
+    def test_every_fixture_is_version_2(self):
+        assert sorted(path.name for path in V2_DIR.glob("*.json")) == sorted(
+            V2_FIXTURES
+        )
+        for file in V2_FIXTURES:
+            assert json.loads((V2_DIR / file).read_text())["version"] == 2
+
+    @pytest.mark.parametrize("file", sorted(V2_FIXTURES))
+    def test_resumes_to_the_uninterrupted_report(self, file):
+        report = resume_scenario(Checkpoint.load(V2_DIR / file))
+        assert report.to_json() == batch_json(V2_FIXTURES[file])
+
+    @pytest.mark.parametrize("file", sorted(V2_FIXTURES))
+    def test_loads_as_the_checkpoint_this_build_writes(self, file):
+        loaded = Checkpoint.load(V2_DIR / file)
+        spec = get_scenario(V2_FIXTURES[file])
+        assert loaded == run_scenario_live(spec, pause_after=loaded.cursor)
+        assert loaded.to_dict()["version"] == CHECKPOINT_VERSION
+
+    @pytest.mark.parametrize("file", STATIC_FIXTURES)
+    def test_without_a_policy_still_resumes(self, file):
+        data = json.loads((V2_DIR / file).read_text())
+        del data["controller"]["policy"]
+        report = resume_scenario(Checkpoint.from_dict(data))
+        assert report.to_json() == batch_json(V2_FIXTURES[file])
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [_drop_last_assignment, _event_pos, _n_seen, _closed_eras],
+        ids=["assignments", "event_pos", "n_seen", "closed-eras"],
+    )
+    @pytest.mark.parametrize("file", sorted(V2_FIXTURES))
+    def test_dynamic_state_is_never_read(self, file, corrupt):
+        data = json.loads((V2_DIR / file).read_text())
+        corrupt(data["controller"])
+        report = resume_scenario(Checkpoint.from_dict(data))
+        assert report.to_json() == batch_json(V2_FIXTURES[file])
+
+    def test_version_2_pins_are_still_checked(self):
+        data = json.loads((V2_DIR / "chat-chipfail-120.json").read_text())
+        data["controller"]["horizons"].append(0.0)
+        with pytest.raises(CheckpointError, match="'n_chips' holds 3 chips"):
+            resume_scenario(Checkpoint.from_dict(data))
+
+    def test_version_2_without_horizons_is_rejected(self):
+        data = json.loads((V2_DIR / "trace-spike-40.json").read_text())
+        del data["controller"]["horizons"]
+        with pytest.raises(CheckpointError, match=r"controller\.horizons"):
+            Checkpoint.from_dict(data)
+
+
+class TestVersion3:
+    @pytest.mark.parametrize("name", ["chat-chipfail", "edge-kiosk-overload"])
+    def test_length_does_not_depend_on_the_cursor(self, name):
+        spec = get_scenario(name)
+        cursors = (1, 40, spec.n_requests - 1)
+        lengths = {
+            len(run_scenario_live(spec, pause_after=cursor).to_json())
+            - len(str(cursor))
+            for cursor in cursors
+        }
+        assert len(lengths) == 1
+
+    def test_controller_object_holds_only_pins(self):
+        checkpoint = run_scenario_live(get_scenario("trace-spike"), pause_after=40)
+        assert set(checkpoint.to_dict()["controller"]) == {
+            "schedule",
+            "n_chips",
+            "policy",
+        }
+
+    def test_unknown_pin_is_rejected(self):
+        data = run_scenario_live(get_scenario("trace-spike"), pause_after=40).to_dict()
+        data["controller"]["ledger"] = {}
+        with pytest.raises(CheckpointError, match=r"controller\.ledger: unknown key"):
+            Checkpoint.from_dict(data)
+
+
+def _trace():
+    return build_trace(
+        PoissonArrivals(5.0, seed=3).generate(40), RequestSampler(seed=3).sample(40)
+    )
+
+
+def _static(n_chips=2, policy="least_loaded"):
+    return FleetSimulator(get_mllm("sphinx-tiny"), n_chips=n_chips, policy=policy)
+
+
+def _autoscaled():
+    return AutoscalingFleetSimulator(
+        get_mllm("sphinx-tiny"),
+        autoscaler=AutoscalerConfig(target_p99_ttft_s=1.0, max_chips=2),
+    )
+
+
+_OUTAGE = FaultSchedule(events=(FaultEvent(time_s=1.0, kind="chip_down", chip_id=0),))
+
+
+class TestGuardsRunBeforeReplay:
+    @pytest.mark.parametrize(
+        "fleet, faults, cursor, match",
+        [
+            (lambda: _static(policy="round_robin"), None, 20, "'policy'"),
+            (_static, _OUTAGE, 20, "'schedule'"),
+            (lambda: _static(n_chips=3), None, 20, "'n_chips'"),
+            (_autoscaled, None, 20, "'kind'"),
+            (_static, None, -1, "'cursor'"),
+            (_static, None, 41, "'cursor'"),
+        ],
+        ids=["policy", "schedule", "n_chips", "kind", "negative", "past-trace"],
+    )
+    def test_no_arrival_is_replayed(self, monkeypatch, fleet, faults, cursor, match):
+        trace = _trace()
+        paused = run_live(_static(), trace, pause_after=20)
+        data = paused.to_dict()
+        data["cursor"] = cursor
+        replayed = []
+        for cls in (FaultFleetController, FaultAutoscaleController):
+            monkeypatch.setattr(
+                cls, "on_arrival", lambda self, *args: replayed.append(args)
+            )
+        with pytest.raises(CheckpointError, match=match):
+            resume_live(fleet(), trace, Checkpoint.from_dict(data), faults=faults)
+        assert replayed == []
+
+    def test_resume_replays_exactly_the_cursor(self, monkeypatch):
+        trace = _trace()
+        fleet = _static()
+        paused = run_live(fleet, trace, pause_after=20)
+        calls = []
+        original = FaultFleetController.on_arrival
+
+        def counting(self, index, request):
+            calls.append(index)
+            return original(self, index, request)
+
+        monkeypatch.setattr(FaultFleetController, "on_arrival", counting)
+        resumed = resume_live(fleet, trace, paused)
+        # The replayed prefix, then the live tail: each arrival once.
+        assert calls == sorted_order(trace)
+        monkeypatch.undo()
+        assert resumed.result == fleet.run(trace)

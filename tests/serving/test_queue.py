@@ -213,3 +213,13 @@ class TestValidation:
                 arrival_s=-1.0,
                 request=InferenceRequest(output_tokens=4),
             )
+
+    @pytest.mark.parametrize(
+        "arrival", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+    )
+    def test_rejects_non_finite_arrivals(self, arrival):
+        shape = InferenceRequest(output_tokens=4)
+        with pytest.raises(ValueError, match="arrival_s must be finite"):
+            ServingRequest(request_id=0, arrival_s=arrival, request=shape)
+        with pytest.raises(ValueError, match="arrival_s must be finite"):
+            build_trace([0.0, arrival], [shape, shape])

@@ -170,6 +170,14 @@ class TestSources:
             ("images", -1),
             ("prompt_text_tokens", -1),
             ("output_tokens", 0),
+            # Coerced like a spec file: no truncation, booleans, strings
+            # or unknown keys.
+            ("output_tokens", 3.7),
+            ("request_id", 0.9),
+            ("images", True),
+            ("prompt_text_tokens", "32"),
+            ("arrival_s", "0.5"),
+            ("priority", 2.0),
         ],
     )
     def test_bad_field_names_line_and_field(self, model, field, value):

@@ -151,7 +151,7 @@ class TestCheckpointFormat:
         assert checkpoint.engine == engine
         assert checkpoint.cursor == 10
         data = json.loads(checkpoint.to_json())
-        assert data["version"] == 2
+        assert data["version"] == 3
         assert Checkpoint.from_dict(data) == checkpoint
 
     def test_unsupported_version_rejected(self):

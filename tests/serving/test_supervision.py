@@ -61,7 +61,6 @@ FAST = SupervisionConfig(
     max_retries=3,
     quarantine_after=2,
     checkpoint_every=4,
-    checkpoint_ring=3,
     seed=7,
 )
 
@@ -102,7 +101,6 @@ class TestConfig:
             ("max_retries", -1),
             ("quarantine_after", 0),
             ("checkpoint_every", 0),
-            ("checkpoint_ring", 0),
             ("max_ingest_restarts", 0),
             ("max_sessions", 0),
         ],
