@@ -1,9 +1,9 @@
 """SLO-aware autoscaling: the same bursty trace, static vs autoscaled.
 
 A one-chip fleet drowns under a bursty trace and blows its p99-TTFT SLO;
-the autoscaling fleet starts from the same single chip, watches rolling
-TTFT percentiles, grows up to four chips during the bursts and holds the
-objective.
+the same ``FleetSimulator`` given an ``AutoscalerConfig`` starts from
+that single chip, watches rolling TTFT percentiles, grows up to four
+chips during the bursts and holds the objective.
 
 Run with:  PYTHONPATH=src python examples/autoscale_slo.py
 """
@@ -11,7 +11,6 @@ Run with:  PYTHONPATH=src python examples/autoscale_slo.py
 from repro.models.mllm import get_mllm
 from repro.serving import (
     AutoscalerConfig,
-    AutoscalingFleetSimulator,
     BurstyArrivals,
     FleetSimulator,
     RequestSampler,
@@ -34,7 +33,7 @@ def main() -> None:
           f"({'MISS' if static_p99 > TARGET_P99_TTFT_S else 'MET '} "
           f"{TARGET_P99_TTFT_S:.1f} s SLO)")
 
-    fleet = AutoscalingFleetSimulator(
+    fleet = FleetSimulator(
         model,
         autoscaler=AutoscalerConfig(
             target_p99_ttft_s=TARGET_P99_TTFT_S,

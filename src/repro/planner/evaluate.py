@@ -1,10 +1,9 @@
 """Exact evaluation of surviving plan candidates.
 
 Candidates that survive analytic pruning are replayed through the real
-event-driven serving engines — :class:`~repro.serving.fleet.FleetSimulator`
-for static fleets, :class:`~repro.serving.autoscale.
-AutoscalingFleetSimulator` for autoscaled ones — on the scenario's compiled
-trace, on fresh per-design chips.  The module-level
+event-driven serving engines — a
+:class:`~repro.serving.fleet.FleetSimulator`, static or autoscaled — on
+the scenario's compiled trace, on fresh per-design chips.  The module-level
 :func:`simulate_candidate` worker takes only picklable data (the spec's
 JSON, dicts for design/option, the resolved SLO targets), so the same code
 runs serially or fanned out through
@@ -13,7 +12,7 @@ runs serially or fanned out through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import (
     AbstractSet,
     Any,
@@ -32,7 +31,7 @@ from ..models.mllm import MLLMConfig, get_mllm
 from ..scenarios.compile import compile_scenario
 from ..scenarios.report import attained_slo
 from ..scenarios.spec import AutoscalerSpec, ScenarioSpec
-from ..serving.autoscale import AutoscalerConfig, AutoscalingFleetSimulator
+from ..serving.autoscale import AutoscalerConfig
 from ..serving.fleet import FleetSimulator
 from ..serving.queue import ChipCosts, ServingRequest
 from .space import ChipDesign, FleetOption
@@ -184,38 +183,31 @@ def candidate_fleet(
             return simulator
         return PerformanceSimulator(system)
 
-    serving_kwargs = dict(
+    sizing: Dict[str, Any] = {"n_chips": option.n_chips, "policy": option.policy}
+    if option.autoscaled:
+        if ttft_target is None:
+            raise ValueError(
+                "an autoscaled candidate needs a ttft_p99_s objective for the "
+                "controller to target"
+            )
+        # Built like ``autoscaler_config``, so a new knob reaches both.
+        tuning = replace(
+            spec.fleet.autoscaler or AutoscalerSpec(),
+            min_chips=option.min_chips,
+            max_chips=option.n_chips,
+            admission="queue",
+        )
+        config = AutoscalerConfig(target_p99_ttft_s=ttft_target, **asdict(tuning))
+        sizing = {"autoscaler": config}
+    return FleetSimulator(
+        model,
+        **sizing,
         simulator_factory=factory,
         max_batch_size=spec.fleet.max_batch_size,
         cc_bandwidth_fraction=spec.fleet.cc_bandwidth_fraction,
         context_bucket=spec.fleet.context_bucket,
         engine=engine,
     )
-    if not option.autoscaled:
-        return FleetSimulator(
-            model, n_chips=option.n_chips, policy=option.policy, **serving_kwargs
-        )
-    if ttft_target is None:
-        raise ValueError(
-            "an autoscaled candidate needs a ttft_p99_s objective for the "
-            "controller to target"
-        )
-    tuning = spec.fleet.autoscaler or AutoscalerSpec(
-        min_chips=option.min_chips, max_chips=option.n_chips
-    )
-    controller = AutoscalerConfig(
-        target_p99_ttft_s=ttft_target,
-        min_chips=option.min_chips,
-        max_chips=option.n_chips,
-        window=tuning.window,
-        min_observations=tuning.min_observations,
-        cooldown_s=tuning.cooldown_s,
-        scale_up_ratio=tuning.scale_up_ratio,
-        scale_down_ratio=tuning.scale_down_ratio,
-        max_queue_depth=tuning.max_queue_depth,
-        admission="queue",
-    )
-    return AutoscalingFleetSimulator(model, autoscaler=controller, **serving_kwargs)
 
 
 def evaluate_candidate(

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from ..serving.dispatch import RUNTIMES
+from ..serving.fleet import RUNTIMES
 from ..serving.queue import ENGINES
 from .registry import available_scenarios, get_scenario
 from .report import format_scenario_report

@@ -163,11 +163,7 @@ def compile_fault_schedule(
     plan = spec.faults
     if plan is None:
         return FaultSchedule(events=(), drain_policy="drain")
-    n_chips = (
-        spec.fleet.autoscaler.max_chips
-        if spec.fleet.autoscaler is not None
-        else spec.fleet.n_chips
-    )
+    n_chips = spec.fleet.provisioned_chips
     rng = random.Random(spec.derive_seed("faults"))
     lo, hi = plan.window
     targets = rng.sample(
@@ -221,11 +217,7 @@ def compile_chaos_schedule(
     plan = spec.chaos
     if plan is None:
         return ChaosSchedule()
-    n_chips = (
-        spec.fleet.autoscaler.max_chips
-        if spec.fleet.autoscaler is not None
-        else spec.fleet.n_chips
-    )
+    n_chips = spec.fleet.provisioned_chips
     n_batches = max(
         1, -(-spec.n_requests // DEFAULT_BATCH_SIZE)
     )

@@ -1,27 +1,22 @@
 """Scenario execution: spec → trace → fleet simulation → report.
 
 :func:`run_scenario` is the one entry point: it compiles the spec
-(:mod:`repro.scenarios.compile`), builds the fleet it describes — a static
-:class:`~repro.serving.fleet.FleetSimulator` or, when the spec carries an
-:class:`~repro.scenarios.spec.AutoscalerSpec`, the SLO-aware
-:class:`~repro.serving.autoscale.AutoscalingFleetSimulator` — plays the
-trace, prices the offered load through the array-native batch engine and
+(:mod:`repro.scenarios.compile`), builds the
+:class:`~repro.serving.fleet.FleetSimulator` it describes — static, or
+SLO-aware autoscaled when the spec carries an
+:class:`~repro.scenarios.spec.AutoscalerSpec` — plays the trace, prices the offered load through the array-native batch engine and
 folds everything into a :class:`~repro.scenarios.report.ScenarioReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Optional, Union
+from typing import Optional
 
 from ..core.batch import batch_price_request_mix
 from ..core.config import SystemConfig, default_system
 from ..models.mllm import get_mllm
-from ..serving.autoscale import (
-    AutoscaleResult,
-    AutoscalerConfig,
-    AutoscalingFleetSimulator,
-)
+from ..serving.autoscale import AutoscaleResult, AutoscalerConfig
 from ..serving.faults import fault_recovery
 from ..serving.fleet import FleetSimulator
 from .compile import CompiledScenario, compile_scenario
@@ -58,32 +53,25 @@ def autoscaler_config(spec: ScenarioSpec) -> Optional[AutoscalerConfig]:
     return AutoscalerConfig(target_p99_ttft_s=spec.slo.ttft_p99_s, **asdict(block))
 
 
-def build_fleet(
-    spec: ScenarioSpec,
-    *,
-    engine: str = "wave",
-) -> Union[FleetSimulator, AutoscalingFleetSimulator]:
+def build_fleet(spec: ScenarioSpec, *, engine: str = "wave") -> FleetSimulator:
     """Instantiate the fleet ``spec``'s :class:`FleetSpec` describes.
 
-    ``engine`` selects the chips' decode-loop implementation (see
-    :data:`repro.serving.queue.ENGINES`); reports are engine-independent,
-    the wave default just simulates faster.
+    With an autoscaler block the fleet spec's ``n_chips`` and ``policy``
+    are not passed: the autoscaler sets the fleet's size and placement.
+    ``engine`` selects the chips' decode-loop implementation
+    (see :data:`repro.serving.queue.ENGINES`); reports are
+    engine-independent, the wave default just simulates faster.
     """
-    model = get_mllm(spec.fleet.model)
-    controller = autoscaler_config(spec)
-    if controller is not None:
-        return AutoscalingFleetSimulator(
-            model,
-            autoscaler=controller,
-            max_batch_size=spec.fleet.max_batch_size,
-            cc_bandwidth_fraction=spec.fleet.cc_bandwidth_fraction,
-            context_bucket=spec.fleet.context_bucket,
-            engine=engine,
-        )
+    autoscaler = autoscaler_config(spec)
+    sizing = (
+        {"n_chips": spec.fleet.n_chips, "policy": spec.fleet.policy}
+        if autoscaler is None
+        else {}
+    )
     return FleetSimulator(
-        model,
-        n_chips=spec.fleet.n_chips,
-        policy=spec.fleet.policy,
+        get_mllm(spec.fleet.model),
+        autoscaler=autoscaler,
+        **sizing,
         max_batch_size=spec.fleet.max_batch_size,
         cc_bandwidth_fraction=spec.fleet.cc_bandwidth_fraction,
         context_bucket=spec.fleet.context_bucket,
@@ -135,7 +123,7 @@ def run_scenario(
     ``engine`` forwards to :func:`build_fleet`; the report is identical
     for every engine (regression-tested through the golden suite).
     ``runtime`` selects the execution plane (see
-    :data:`repro.serving.dispatch.RUNTIMES`): ``"live"`` streams the
+    :data:`repro.serving.fleet.RUNTIMES`): ``"live"`` streams the
     compiled trace through the asyncio actor runtime
     (:func:`repro.serving.runtime.service.run_scenario_live`) and
     produces the byte-identical report.  Specs carrying a ``faults``

@@ -201,6 +201,13 @@ class FleetSpec(Spec):
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
 
+    @property
+    def provisioned_chips(self) -> int:
+        """Chips the fleet builds: ``autoscaler.max_chips`` if set, else ``n_chips``."""
+        if self.autoscaler is not None:
+            return self.autoscaler.max_chips
+        return self.n_chips
+
 
 @dataclass(frozen=True)
 class SLOSpec(Spec):
@@ -361,11 +368,7 @@ class ScenarioSpec(Spec):
                     f"{self.n_requests} requested"
                 )
         if self.faults is not None:
-            chips = (
-                self.fleet.autoscaler.max_chips
-                if self.fleet.autoscaler is not None
-                else self.fleet.n_chips
-            )
+            chips = self.fleet.provisioned_chips
             total = self.faults.n_chip_failures + self.faults.n_dram_degrades
             if total > chips:
                 raise ValueError(

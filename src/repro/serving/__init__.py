@@ -3,17 +3,18 @@
 The serving layer turns the single-request performance simulator into a
 deployment study: open-loop arrival processes drive a continuous-batching
 queue on one chip (:mod:`repro.serving.queue`) or a load-balanced fleet of
-chips (:mod:`repro.serving.fleet`) — optionally autoscaled against an SLO
-with admission control (:mod:`repro.serving.autoscale`) — and per-request
+chips (:class:`~repro.serving.fleet.FleetSimulator`) — optionally
+autoscaled against an SLO with admission control, given an
+:class:`~repro.serving.autoscale.AutoscalerConfig` — and per-request
 timestamp records fold into latency/TTFT percentiles and aggregate
 throughput (:mod:`repro.serving.metrics`).  Every fleet run is driven by
-the era controller of its fleet kind (:mod:`repro.serving.faults`), which
-also replays deterministic fault schedules (chip outages, DRAM
-degradation) and weighted tenant priorities through the same engines.
-The live control plane (:mod:`repro.serving.runtime`) streams the same
-traces through asyncio actors — driving the same stepwise controllers
-(:mod:`repro.serving.dispatch`) — with checkpoint/restore,
-byte-identical to the batch path.
+the era controller of its fleet kind (:mod:`repro.serving.controllers`),
+which also replays deterministic fault schedules
+(:mod:`repro.serving.faults`: chip outages, DRAM degradation) and
+weighted tenant priorities through the same engines.  The live control
+plane (:mod:`repro.serving.runtime`) streams the same traces through
+asyncio actors — driving the same stepwise controllers — with
+checkpoint/restore, byte-identical to the batch path.
 """
 
 from .arrival import (
@@ -24,13 +25,8 @@ from .arrival import (
     RequestSampler,
     TraceArrivals,
 )
-from .autoscale import (
-    AutoscaleResult,
-    AutoscalerConfig,
-    AutoscalingFleetSimulator,
-    ScalingEvent,
-    static_fleet_report,
-)
+from .autoscale import AutoscaleResult, AutoscalerConfig, ScalingEvent
+from .controllers import normalize_priorities
 from .faults import (
     DRAIN_POLICIES,
     FAULT_KINDS,
@@ -38,9 +34,8 @@ from .faults import (
     FaultRecovery,
     FaultSchedule,
     fault_recovery,
-    normalize_priorities,
 )
-from .fleet import FleetResult, FleetSimulator
+from .fleet import RUNTIMES, FleetResult, FleetSimulator
 from .metrics import (
     PercentileStats,
     RequestRecord,
@@ -67,7 +62,6 @@ from .queue import (
     ServingResult,
     build_trace,
 )
-from .dispatch import RUNTIMES
 from .runtime import Checkpoint, resume_live, run_live
 
 __all__ = [
@@ -79,9 +73,7 @@ __all__ = [
     "TraceArrivals",
     "AutoscaleResult",
     "AutoscalerConfig",
-    "AutoscalingFleetSimulator",
     "ScalingEvent",
-    "static_fleet_report",
     "DRAIN_POLICIES",
     "FAULT_KINDS",
     "FaultEvent",

@@ -1,8 +1,10 @@
 """SLO-aware fleet autoscaling and admission control.
 
-:class:`AutoscalingFleetSimulator` extends the static
-:class:`~repro.serving.fleet.FleetSimulator` with a dispatcher-side control
-loop, the way a real serving front-end scales a chip fleet:
+``FleetSimulator(model, autoscaler=AutoscalerConfig(...))`` runs a
+:class:`~repro.serving.fleet.FleetSimulator` under a dispatcher-side
+control loop, the way a real serving front-end scales a chip fleet.  The
+full ``max_chips`` fleet is built up front, but only an *active* prefix
+of it receives requests:
 
 * **observability** — for every dispatched request the controller keeps a
   dispatcher-side *estimate* of its time to first token (chip horizon +
@@ -24,24 +26,24 @@ The control loop runs on *estimates*; the per-request records come from
 the exact per-chip :class:`~repro.serving.queue.ContinuousBatchingSimulator`
 replay of the resulting assignment, so reports stay grounded in the
 event-driven engine.  The loop itself is
-:class:`~repro.serving.faults.FaultAutoscaleController`, the fleet's one
+:class:`~repro.serving.controllers.AutoscaleController`, the fleet's one
 controller, which :meth:`~repro.serving.fleet.FleetSimulator.run` drives
-with or without a fault schedule.  Everything is deterministic: the same
-trace and configuration reproduce bit-identical records, decisions and
-reports.
+with or without a fault schedule.  This module holds its tuning
+(:class:`AutoscalerConfig`) and its outcome (:class:`AutoscaleResult`).
+Everything is deterministic: the same trace and configuration reproduce
+bit-identical records, decisions and reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Tuple
 
 from ..codec import Spec
-from ..core.simulator import PerformanceSimulator
 from ..models.mllm import MLLMConfig
 from .fleet import FleetSimulator
 from .metrics import RequestRecord, ServingReport, empty_report, summarize
-from .queue import ServingRequest, ServingResult
+from .queue import ServingResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .faults import FaultEvent
@@ -184,60 +186,17 @@ class AutoscaleResult:
         return tuple(counts)
 
 
-class AutoscalingFleetSimulator(FleetSimulator):
-    """A fleet whose size follows rolling TTFT percentiles.
+def AutoscalingFleetSimulator(
+    model: MLLMConfig, *, autoscaler: AutoscalerConfig, **kwargs: Any
+) -> FleetSimulator:
+    """``FleetSimulator(model, autoscaler=autoscaler, **kwargs)``, by its old name.
 
-    The full ``max_chips`` fleet is instantiated up front (so service-time
-    precomputation seeds every chip once), but only the *active* prefix of
-    chips receives requests; the controller grows and shrinks that prefix.
+    Exists only for the traced mode of e2ebench
+    (``e2ebench/workloads.py``), which imports this name; library code
+    builds the fleet directly.  ``model`` and ``autoscaler`` are the
+    fleet's, and ``kwargs`` forward to
+    :class:`~repro.serving.fleet.FleetSimulator`.  A function, not a
+    subclass or an alias: it has no ``run`` of its own, so a wrapper
+    around ``FleetSimulator.run`` sees every fleet exactly once.
     """
-
-    def __init__(
-        self,
-        model: MLLMConfig,
-        *,
-        autoscaler: AutoscalerConfig,
-        simulator_factory: Optional[Callable[[], PerformanceSimulator]] = None,
-        max_batch_size: int = 8,
-        cc_bandwidth_fraction: float = 0.5,
-        context_bucket: int = 32,
-        precompute: bool = True,
-        engine: str = "wave",
-    ) -> None:
-        super().__init__(
-            model,
-            n_chips=autoscaler.max_chips,
-            policy="least_loaded",
-            simulator_factory=simulator_factory,
-            max_batch_size=max_batch_size,
-            cc_bandwidth_fraction=cc_bandwidth_fraction,
-            context_bucket=context_bucket,
-            precompute=precompute,
-            engine=engine,
-        )
-        self.autoscaler = autoscaler
-
-    @property
-    def controller_class(self) -> type:
-        """The controller class that drives this fleet's runs."""
-        # Imported lazily: faults builds on this module.
-        from .faults import FaultAutoscaleController
-
-        return FaultAutoscaleController
-
-
-def static_fleet_report(
-    model: MLLMConfig,
-    trace: Sequence[ServingRequest],
-    *,
-    n_chips: int,
-    **kwargs,
-) -> ServingReport:
-    """Convenience: the report of a fixed-size fleet on the same trace.
-
-    The comparison baseline for autoscaling studies: ``model`` and
-    ``trace`` as in the autoscaled run, a static fleet of ``n_chips``
-    chips, no controller; ``kwargs`` forward to :class:`FleetSimulator`.
-    """
-    fleet = FleetSimulator(model, n_chips=n_chips, **kwargs)
-    return fleet.run(trace).report
+    return FleetSimulator(model, autoscaler=autoscaler, **kwargs)

@@ -1,98 +1,31 @@
-"""Fault injection and the era controllers that drive every fleet run.
+"""Fault schedules: the modelled hardware faults a fleet run replays.
 
 A :class:`FaultSchedule` is a deterministic timeline of fleet faults —
 ``chip_down`` (a chip stops admitting work), ``chip_up`` (it rejoins the
 fleet) and ``dram_degrade`` (its DRAM tier drops to a fraction of the
-healthy bandwidth).  Every fleet run, batch or live, with or without
-faults or priorities, is driven by the era controller of its fleet kind:
-:class:`FaultFleetController` for a static
-:class:`~repro.serving.fleet.FleetSimulator`,
-:class:`FaultAutoscaleController` for an
-:class:`~repro.serving.autoscale.AutoscalingFleetSimulator`.  A run
+healthy bandwidth).  A fleet run replays it through the era controller
+of its fleet kind (:mod:`repro.serving.controllers`), which splits each
+target chip's service history into eras at the event times; a run
 without faults plays the empty schedule, a timeline with no events.
-
-The simulation is *era-based*: each chip's service history is a sequence
-of eras, and every era is one ordinary
-:class:`~repro.serving.queue.ContinuousBatchingSimulator` run.  A fault
-event closes the target chip's current era at the event time ``T`` by
-splitting its dispatched requests at the CC-pipeline boundary:
-
-* :func:`~repro.serving.engine.prefill_windows` prices the era's serial
-  CC pipeline exactly; prefill starts are monotone non-decreasing in
-  dispatch order, so the requests with ``start >= T`` form a *suffix*
-  whose removal cannot perturb anything the prefix did before ``T``
-  (suffix prefills end after ``T``, so they never joined decode earlier);
-* the prefix replays through the chip's engine — under the ``"drain"``
-  policy every in-flight request finishes (the era's drain end is its
-  last finish), under ``"abort"`` records finishing after ``T`` are
-  discarded and their requests re-dispatch from scratch;
-* the unstarted suffix re-dispatches fleet-wide at ``T`` (``chip_down``)
-  or moves into the chip's next era (``dram_degrade``), highest
-  priority first.
-
-Chips simulate their eras under *synthetic* request ids: a first
-dispatch runs under its canonical arrival rank (its position in the
-``(arrival_s, request_id)`` order), a re-dispatch under a fresh id past
-the trace length.  Each chip therefore breaks arrival ties exactly as a
-bare chip run over the same requests would, whatever ids the caller
-chose, and a trace already in canonical order with ids equal to
-positions reaches the engine as its own request objects.
-
-A degraded era runs on a fresh chip, on a simulator of its own whose
-system carries the scaled DRAM tier, so it holds its own serving-cost
-memo; its decode bucket-cost triples seed from the healthy chip
-(they are bandwidth-free byte/cycle quantities, see
-:meth:`~repro.planner.evaluate.DesignWarmCache.delta_seed_from`), while
-CC-stage and decode-step latencies recompute against the degraded
-bandwidth.  Because era splits use the engine-independent
-``prefill_windows`` recurrence and era replays go through
-``chip.run()`` (bit-identical across the ``step`` and ``wave``
-engines), fault runs are engine-independent too.
-
-Under the ``"abort"`` policy a closed era's ``decode_steps`` /
-``peak_batch_size`` counters reflect the replay that *discovered* the
-aborted records (the work the chip had started), not only the kept
-records; the per-request records themselves are exact either way.
+:func:`fault_recovery` measures each disruptive event's SLO impact from
+the run's records alone (:class:`FaultRecovery`).
 
 These are *modelled* hardware faults — part of what the simulation
 computes.  They compose freely with the *runtime* faults of
 :mod:`repro.serving.runtime.chaos` (crashed actors, dropped messages),
 which attack the control plane executing the computation and must not
 change its result: a fault-schedule scenario run under a chaos schedule
-still reproduces its fault summary byte-identically.  Both planes meet
-in :func:`~repro.serving.dispatch.make_controller`, which builds the
-fleet's era controller behind the stepwise protocol the live runtime
-drives.
+still reproduces its fault summary byte-identically.
 """
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_left, insort
-from collections import deque
-from dataclasses import dataclass, replace
-from operator import attrgetter
-from typing import (
-    Any,
-    Deque,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from bisect import bisect_left
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from ..codec import Spec, for_kinds, inlined
-from ..core.batch import ServiceTimeBoundsPricer
-from ..core.simulator import PerformanceSimulator
-from ..models.mllm import InferenceRequest
-from .autoscale import AutoscaleResult, ScalingEvent
-from .dispatch import ShardJob
-from .engine import prefill_windows
-from .fleet import FleetResult, FleetSimulator
 from .metrics import RequestRecord, percentile
-from .queue import ContinuousBatchingSimulator, ServingRequest, ServingResult
 
 FAULT_KINDS: Tuple[str, ...] = ("chip_down", "chip_up", "dram_degrade")
 DRAIN_POLICIES: Tuple[str, ...] = ("drain", "abort")
@@ -250,675 +183,6 @@ def fault_recovery(
     return tuple(out)
 
 
-def normalize_priorities(
-    priorities: Optional[Sequence[float]], n: int
-) -> Optional[List[float]]:
-    """Per-request admission weights in (0, 1], or ``None`` when uniform.
-
-    ``priorities`` carries one positive value per request of an
-    ``n``-request trace.  Weights are priorities divided by the maximum priority, so a
-    uniform-priority trace normalizes to exactly 1.0 everywhere and the
-    weighted admission arithmetic reduces to the unweighted one bit for
-    bit (the differential suite relies on it).
-    """
-    if priorities is None:
-        return None
-    if len(priorities) != n:
-        raise ValueError(
-            f"priorities has {len(priorities)} entries for {n} requests"
-        )
-    if any(p <= 0 for p in priorities):
-        raise ValueError("priorities must be positive")
-    top = max(priorities)
-    return [p / top for p in priorities]
-
-
-# ----------------------------------------------------------------------
-# Era bookkeeping
-# ----------------------------------------------------------------------
-class _ChipState:
-    """One chip's era state: liveness, current era, closed eras."""
-
-    def __init__(self, base: ContinuousBatchingSimulator) -> None:
-        self.base = base
-        self.sim = base
-        self.chip_id = base.chip_id
-        self.era = 0
-        self.factor = 1.0
-        self.alive = True
-        self.floor = 0.0
-        #: The open era's shard: requests under their synthetic ids and
-        #: effective (dispatch) arrivals.
-        self.entries: List[ServingRequest] = []
-        self.closed: List[ServingResult] = []
-
-
-def _split_era(
-    state: _ChipState, time_s: float, policy: str
-) -> Tuple[List[ServingRequest], List[ServingRequest], float]:
-    """Close the chip's current era at ``time_s``.
-
-    Returns ``(suffix, aborted, drain_end)``: the entries whose prefill
-    had not started (they re-dispatch), the entries the ``"abort"``
-    policy killed mid-service (they re-dispatch from scratch), and the
-    time the era's kept work actually ends.
-    """
-    entries = state.entries
-    state.entries = []
-    if not entries:
-        return [], [], time_s
-    # The engine's dispatch order: effective arrival, then synthetic id.
-    entries.sort(key=lambda item: (item.arrival_s, item.request_id))
-    starts, _ = prefill_windows(
-        [item.arrival_s for item in entries],
-        [state.sim.cc_latency_s(item.request) for item in entries],
-    )
-    cut = next(
-        (position for position, start in enumerate(starts) if start >= time_s),
-        len(entries),
-    )
-    prefix, suffix = entries[:cut], entries[cut:]
-    aborted: List[ServingRequest] = []
-    drain_end = time_s
-    if prefix:
-        result = state.sim.run(prefix)
-        if policy == "abort":
-            kept = tuple(r for r in result.records if r.finish_s <= time_s)
-            kept_ids = {record.request_id for record in kept}
-            aborted = [
-                item for item in prefix if item.request_id not in kept_ids
-            ]
-            result = ServingResult(
-                records=kept,
-                peak_batch_size=result.peak_batch_size,
-                decode_steps=result.decode_steps,
-            )
-        elif result.records:
-            tail = max(record.finish_s for record in result.records)
-            if tail > drain_end:
-                drain_end = tail
-        state.closed.append(result)
-    return suffix, aborted, drain_end
-
-
-def _degraded_chip(
-    base: ContinuousBatchingSimulator, factor: float
-) -> ContinuousBatchingSimulator:
-    """A fresh chip like ``base`` with its DRAM tier scaled by ``factor``.
-
-    The factor is absolute against the chip's healthy baseline.  The chip
-    runs on a simulator of its own, so its
-    :class:`~repro.serving.queue.ChipCosts` memo is its own too.  Decode
-    bucket-cost triples seed from the healthy chip — they carry no
-    bandwidth term.  The CC-stage latency of every shape the healthy chip
-    holds is priced against the degraded tier by one
-    :meth:`~repro.core.batch.ServiceTimeBoundsPricer.seeds` call, and
-    decode-step latencies recompute lazily.
-    """
-    if factor == 1.0:
-        return base
-    system = base.simulator.system
-    dram = replace(
-        system.chip.dram,
-        peak_bandwidth_bytes_per_s=(
-            system.chip.dram.peak_bandwidth_bytes_per_s * factor
-        ),
-    )
-    degraded = replace(system, chip=replace(system.chip, dram=dram))
-    chip = ContinuousBatchingSimulator(
-        PerformanceSimulator(degraded),
-        base.model,
-        max_batch_size=base.max_batch_size,
-        cc_bandwidth_fraction=base.cc_bandwidth_fraction,
-        context_bucket=base.cost_model.context_bucket,
-        chip_id=base.chip_id,
-        engine=base.engine,
-    )
-    chip.cost_model.seed_bucket_costs(base.cost_model.bucket_costs())
-    shapes = [
-        InferenceRequest(images=images, prompt_text_tokens=prompt, output_tokens=1)
-        for images, prompt in base.cc_latencies()
-    ]
-    if shapes:
-        pricer = ServiceTimeBoundsPricer(
-            base.model,
-            shapes,
-            cc_bandwidth_fraction=base.cc_bandwidth_fraction,
-            context_bucket=base.cost_model.context_bucket,
-        )
-        [(cc_latencies, _)] = pricer.seeds([degraded])
-        chip.seed_cc_latencies(cc_latencies)
-    return chip
-
-
-class _FaultLedger:
-    """Dispatch and era bookkeeping shared by both era controllers.
-
-    A first dispatch runs under its canonical arrival rank as synthetic
-    id (``order`` maps ranks back to trace positions); a re-dispatch
-    allocates a fresh id past the trace length (``origin`` maps it back),
-    so a request displaced twice stays unambiguous.
-    """
-
-    def __init__(
-        self,
-        fleet: FleetSimulator,
-        trace: Sequence[ServingRequest],
-        schedule: FaultSchedule,
-    ) -> None:
-        self.fleet = fleet
-        self.trace = trace
-        self.policy = schedule.drain_policy
-        self.states = [_ChipState(chip) for chip in fleet.chips]
-        #: Chip ids currently admitting work, in id order.
-        self.alive: List[int] = list(range(fleet.n_chips))
-        #: Trace position of every arrival seen, by canonical rank.
-        self.order: List[int] = []
-        self.next_sid = len(trace)
-        self.origin: Dict[int, int] = {}
-        self.redispatched: List[int] = []
-        self.aborted: List[int] = []
-        self.assignments = [-1] * len(trace)
-
-    def index_of(self, sid: int) -> int:
-        """The trace position a synthetic record id maps back to."""
-        if sid < len(self.trace):
-            return self.order[sid]
-        return self.origin[sid]
-
-    def new_sid(self, index: int) -> int:
-        """A fresh synthetic id re-dispatching trace position ``index``."""
-        sid = self.next_sid
-        self.next_sid += 1
-        self.origin[sid] = index
-        return sid
-
-    def place(self, chip_id: int, index: int, eff: float, sid: int) -> None:
-        """Dispatch trace position ``index`` onto ``chip_id`` at ``eff``.
-
-        The chip runs it under synthetic id ``sid``; the trace's own
-        request object is reused when it already carries that id and
-        arrival.
-        """
-        source = self.trace[index]
-        if sid != source.request_id or eff != source.arrival_s:
-            source = ServingRequest(
-                request_id=sid, arrival_s=eff, request=source.request
-            )
-        self.states[chip_id].entries.append(source)
-        self.assignments[index] = chip_id
-
-    def _displaced(
-        self, items: List[ServingRequest]
-    ) -> List[Tuple[int, float]]:
-        return [
-            (self.index_of(item.request_id), item.arrival_s) for item in items
-        ]
-
-    def apply_event(self, event: FaultEvent) -> List[Tuple[int, float]]:
-        """Apply one fault event; returns displaced ``(index, eff)`` pairs."""
-        state = self.states[event.chip_id]
-        if event.kind == "chip_down":
-            suffix, aborted, drain_end = _split_era(
-                state, event.time_s, self.policy
-            )
-            state.alive = False
-            self.alive.remove(event.chip_id)
-            state.era += 1
-            state.floor = drain_end
-            unstarted = self._displaced(suffix)
-            killed = self._displaced(aborted)
-            self.redispatched.extend(index for index, _ in unstarted)
-            self.aborted.extend(index for index, _ in killed)
-            return unstarted + killed
-        if event.kind == "chip_up":
-            state.alive = True
-            insort(self.alive, event.chip_id)
-            state.era += 1
-            state.floor = max(event.time_s, state.floor)
-            return []
-        # dram_degrade: degradation is not failure — in-flight work
-        # always drains at the pre-degrade speed, and the unstarted
-        # suffix stays on the chip, carried into the degraded era.
-        suffix, _, drain_end = _split_era(state, event.time_s, "drain")
-        state.era += 1
-        state.factor = event.factor
-        state.floor = max(event.time_s, drain_end)
-        state.sim = _degraded_chip(state.base, event.factor)
-        state.entries = [
-            item
-            if item.arrival_s >= state.floor
-            else replace(item, arrival_s=state.floor)
-            for item in suffix
-        ]
-        return []
-
-    def final_jobs(self) -> List[ShardJob]:
-        """The engine run closing each open era that holds requests.
-
-        Jobs carry the era sim — the degraded replacement chip when the
-        era is degraded — so either executor (inline or a chip actor)
-        runs the same simulator.
-        """
-        return [
-            ShardJob(
-                chip_id=state.chip_id, sim=state.sim, shard=tuple(state.entries)
-            )
-            for state in self.states
-            if state.entries
-        ]
-
-    def install_final(self, results: Mapping[int, ServingResult]) -> None:
-        """Append executed :meth:`final_jobs` results as closing eras."""
-        for state in self.states:
-            result = results.get(state.chip_id)
-            if result is not None:
-                state.closed.append(result)
-                state.entries = []
-
-    def collect(
-        self,
-    ) -> Tuple[Tuple[RequestRecord, ...], Tuple[ServingResult, ...]]:
-        """Merge closed eras into per-chip results and restored records.
-
-        ``per_chip`` keeps the synthetic ids, sorted by id.  The merged
-        records carry true ids and arrivals, ordered by request id, then
-        chip, then completion — the order a bare run of each chip's
-        requests emits, so duplicate caller ids keep it too.
-        """
-        trace = self.trace
-        n = len(trace)
-        order = self.order
-        origin = self.origin
-        by_id = attrgetter("request_id")
-        per_chip: List[ServingResult] = []
-        records: List[RequestRecord] = []
-        for state in self.states:
-            merged = [
-                record for result in state.closed for record in result.records
-            ]
-            merged.sort(key=by_id)
-            per_chip.append(
-                ServingResult(
-                    records=tuple(merged),
-                    peak_batch_size=max(
-                        (result.peak_batch_size for result in state.closed),
-                        default=0,
-                    ),
-                    decode_steps=sum(
-                        result.decode_steps for result in state.closed
-                    ),
-                )
-            )
-            merged.sort(key=attrgetter("finish_s"))
-            for record in merged:
-                sid = record.request_id
-                source = trace[order[sid] if sid < n else origin[sid]]
-                if (
-                    sid != source.request_id
-                    or record.arrival_s != source.arrival_s
-                ):
-                    record = replace(
-                        record,
-                        request_id=source.request_id,
-                        arrival_s=source.arrival_s,
-                    )
-                records.append(record)
-        records.sort(key=by_id)
-        return tuple(records), tuple(per_chip)
-
-
-def _validate_targets(schedule: FaultSchedule, n_chips: int) -> None:
-    """Reject schedules targeting chips the fleet does not have."""
-    for event in schedule.events:
-        if event.chip_id >= n_chips:
-            raise ValueError(
-                f"fault targets chip {event.chip_id} but the fleet has "
-                f"{n_chips} chips"
-            )
-
-
-def _pool_order(
-    pool: List[Tuple[int, float]],
-    trace: Sequence[ServingRequest],
-    weights: Optional[List[float]],
-) -> List[Tuple[int, float]]:
-    """Displaced ``(index, eff)`` pairs in re-dispatch order.
-
-    Highest priority first, then by the request's own arrival and id.
-    """
-    return sorted(
-        pool,
-        key=lambda pair: (
-            -(weights[pair[0]] if weights else 1.0),
-            trace[pair[0]].arrival_s,
-            trace[pair[0]].request_id,
-        ),
-    )
-
-
-def _least_loaded(horizons: List[float], targets: Sequence[int]) -> int:
-    """The target chip with the earliest horizon, the lowest id on ties."""
-    chip_id = targets[0]
-    best = horizons[chip_id]
-    for candidate in targets:
-        if horizons[candidate] < best:
-            chip_id = candidate
-            best = horizons[candidate]
-    return chip_id
-
-
-# ----------------------------------------------------------------------
-# The era controllers
-# ----------------------------------------------------------------------
-class _EraController:
-    """What both era controllers share.
-
-    The event cursor, the per-chip horizons, the parked arrivals (every
-    chip down) and the era ledger, plus the stepwise protocol around
-    them: :meth:`finish_events` and :meth:`final_jobs`.  Subclasses
-    place requests (:meth:`_place`) and fold results.
-    A controller needs the full ``trace`` up front: priority
-    normalization is global and era re-dispatch reaches requests by
-    trace position.  ``schedule`` defaults to the empty
-    :class:`FaultSchedule`.
-    """
-
-    kind = ""
-
-    def __init__(
-        self,
-        fleet: FleetSimulator,
-        trace: Sequence[ServingRequest],
-        schedule: Optional[FaultSchedule] = None,
-        priorities: Optional[Sequence[float]] = None,
-    ) -> None:
-        if not trace:
-            raise ValueError("trace must not be empty")
-        schedule = schedule if schedule is not None else FaultSchedule()
-        _validate_targets(schedule, fleet.n_chips)
-        self.fleet = fleet
-        self.trace = trace
-        self.schedule = schedule
-        self.weights = normalize_priorities(priorities, len(trace))
-        if fleet.precompute:
-            fleet.precompute_service_times(trace)
-        self.ledger = _FaultLedger(fleet, trace, schedule)
-        self.event_pos = 0
-        self.horizons = [0.0] * fleet.n_chips
-        #: ``(index, eff, sid)`` of requests waiting for a chip to return.
-        self.parked: List[Tuple[int, float, int]] = []
-
-    @property
-    def n_seen(self) -> int:
-        """Arrivals processed so far (the checkpoint cursor)."""
-        return len(self.ledger.order)
-
-    def _place(self, index: int, eff: float, sid: int) -> int:
-        """Dispatch one request onto a target; returns its chip id."""
-        raise NotImplementedError
-
-    def _arrive(self, index: int, now: float) -> int:
-        """Rank one arrival and apply the fault events due by ``now``."""
-        order = self.ledger.order
-        order.append(index)
-        # Most arrivals have no event due: test before calling.
-        events = self.schedule.events
-        if self.event_pos < len(events) and events[self.event_pos].time_s <= now:
-            self._advance(now)
-        return len(order) - 1
-
-    def _advance(self, until: float) -> None:
-        """Apply every scheduled event at or before ``until``."""
-        events = self.schedule.events
-        while (
-            self.event_pos < len(events)
-            and events[self.event_pos].time_s <= until
-        ):
-            self._apply(events[self.event_pos])
-            self.event_pos += 1
-
-    def _apply(self, event: FaultEvent) -> None:
-        displaced = self.ledger.apply_event(event)
-        if event.kind == "chip_up":
-            self.horizons[event.chip_id] = (
-                self.ledger.states[event.chip_id].floor
-            )
-            flush, self.parked = self.parked, []
-            for index, eff, sid in flush:
-                self._place(index, max(eff, event.time_s), sid)
-        for index, eff in _pool_order(displaced, self.trace, self.weights):
-            sid = self.ledger.new_sid(index)
-            if self.ledger.alive:
-                self._place(index, max(eff, event.time_s), sid)
-            else:
-                self.parked.append((index, eff, sid))
-
-    def finish_events(self) -> None:
-        """Apply trailing fault events; raise if requests stayed parked."""
-        self._advance(float("inf"))
-        if self.parked:
-            raise ValueError(
-                f"{len(self.parked)} requests were never dispatched: every "
-                "chip was down through the end of the trace"
-            )
-
-    def final_jobs(self) -> List[ShardJob]:
-        """The engine runs closing every open era."""
-        return self.ledger.final_jobs()
-
-    def _collected(
-        self, results: Mapping[int, ServingResult]
-    ) -> Dict[str, Any]:
-        """Install the closing eras; the result fields both fleet kinds share."""
-        ledger = self.ledger
-        ledger.install_final(results)
-        records, per_chip = ledger.collect()
-        trace = self.trace
-        return {
-            "records": records,
-            "per_chip": per_chip,
-            "assignments": tuple(ledger.assignments),
-            "fault_events": self.schedule.events,
-            "redispatched_ids": tuple(
-                trace[i].request_id for i in ledger.redispatched
-            ),
-            "aborted_ids": tuple(trace[i].request_id for i in ledger.aborted),
-        }
-
-class FaultFleetController(_EraController):
-    """The era controller of a static fleet: one arrival at a time.
-
-    Dispatch follows the fleet's policy over the *alive* chips only —
-    round-robin cycles them, least-loaded scans their dispatcher-side
-    horizons.  A ``chip_down`` re-dispatches the dead chip's unstarted
-    (and, under ``"abort"``, killed) requests across the survivors at
-    the event time, highest ``priorities`` first; requests arriving
-    while every chip is down park until a ``chip_up``.
-    """
-
-    kind = "fault_fleet"
-
-    def __init__(
-        self,
-        fleet: FleetSimulator,
-        trace: Sequence[ServingRequest],
-        schedule: Optional[FaultSchedule] = None,
-        priorities: Optional[Sequence[float]] = None,
-    ) -> None:
-        super().__init__(fleet, trace, schedule, priorities)
-        self.round_robin = fleet.policy == "round_robin"
-        self.rr_position = 0
-
-    def _place(self, index: int, eff: float, sid: int) -> int:
-        # Runs once per arrival, so the two ``max`` folds are spelled as
-        # conditionals (same floats: ``max`` keeps its first argument on
-        # ties).
-        ledger = self.ledger
-        targets = ledger.alive
-        horizons = self.horizons
-        if self.round_robin:
-            chip_id = targets[self.rr_position % len(targets)]
-            self.rr_position += 1
-        else:
-            chip_id = _least_loaded(horizons, targets)
-        state = ledger.states[chip_id]
-        if state.floor > eff:
-            eff = state.floor
-        if not self.round_robin:
-            # Round-robin never reads the horizons, so only least-loaded
-            # dispatch prices the request, against the current era's chip.
-            horizon = horizons[chip_id]
-            horizons[chip_id] = (eff if eff > horizon else horizon) + (
-                self.fleet._estimate_cost_s(state.sim, self.trace[index].request)
-            )
-        ledger.place(chip_id, index, eff, sid)
-        return chip_id
-
-    def on_arrival(self, index: int, request: ServingRequest) -> int:
-        """Apply due fault events, then dispatch (or park) one arrival.
-
-        Returns the assigned chip id, or ``-1`` when every chip is down
-        and the request parks until a ``chip_up``.
-        """
-        now = request.arrival_s
-        rank = self._arrive(index, now)
-        if not self.ledger.alive:
-            self.parked.append((index, now, rank))
-            return -1
-        return self._place(index, now, rank)
-
-    def collect(self, results: Mapping[int, ServingResult]) -> FleetResult:
-        """Fold the executed closing eras into a :class:`FleetResult`."""
-        return FleetResult(**self._collected(results))
-
-class FaultAutoscaleController(_EraController):
-    """The era controller of an autoscaled fleet: one arrival at a time.
-
-    The SLO-aware control loop — the admission heap, the rolling TTFT
-    window, the cooldown clock and the scaling ledger — restricted to
-    the alive prefix of the fleet.  Per-request admission depth scales
-    with the request's priority weight (``max(1, int(depth * weight))``,
-    exactly the unweighted limit at uniform priorities), and fault
-    events displace and re-dispatch work as on a static fleet
-    (displaced requests bypass admission — they were already admitted
-    once).  The in-flight depth estimates of a dead chip stay in the
-    heap (a dispatcher cannot observe them individually); they age out
-    by their estimated finish times.
-    """
-
-    kind = "fault_autoscale"
-
-    def __init__(
-        self,
-        fleet,
-        trace: Sequence[ServingRequest],
-        schedule: Optional[FaultSchedule] = None,
-        priorities: Optional[Sequence[float]] = None,
-    ) -> None:
-        super().__init__(fleet, trace, schedule, priorities)
-        self.config = fleet.autoscaler
-        self.inflight: List[float] = []
-        self.ttft_window: Deque[float] = deque(maxlen=self.config.window)
-        self.scale_events: List[ScalingEvent] = []
-        self.rejected: List[int] = []
-        self.n_active = self.config.min_chips
-        self.last_scale = float("-inf")
-
-    def _targets(self) -> Sequence[int]:
-        return self.ledger.alive[: self.n_active]
-
-    def _place(self, index: int, eff: float, sid: int) -> int:
-        ledger = self.ledger
-        chip_id = _least_loaded(self.horizons, self._targets())
-        state = ledger.states[chip_id]
-        eff = max(eff, state.floor)
-        source = self.trace[index]
-        cost, prefill, first_step = state.sim.costs.dispatch_terms(
-            source.request
-        )
-        start = max(self.horizons[chip_id], eff)
-        self.ttft_window.append(
-            start + prefill + first_step - source.arrival_s
-        )
-        self.horizons[chip_id] = start + cost
-        heapq.heappush(self.inflight, self.horizons[chip_id])
-        ledger.place(chip_id, index, eff, sid)
-        return chip_id
-
-    def on_arrival(self, index: int, request: ServingRequest) -> int:
-        """Apply due fault events, then admit/dispatch one arrival.
-
-        Returns the assigned chip id, or ``-1`` when the request was
-        rejected by admission control or parked (every chip down).
-        """
-        config = self.config
-        now = request.arrival_s
-        rank = self._arrive(index, now)
-        targets = self._targets()
-        if not targets:
-            self.parked.append((index, now, rank))
-            return -1
-
-        while self.inflight and self.inflight[0] <= now:
-            heapq.heappop(self.inflight)
-        effective = now
-        weight = self.weights[index] if self.weights is not None else 1.0
-        depth_limit = max(
-            1, int(config.max_queue_depth * len(targets) * weight)
-        )
-        if len(self.inflight) >= depth_limit:
-            if config.admission == "reject":
-                self.rejected.append(index)
-                return -1
-            overflow = len(self.inflight) - depth_limit + 1
-            for _ in range(overflow):
-                effective = heapq.heappop(self.inflight)
-
-        chip_id = self._place(index, effective, rank)
-
-        if (
-            len(self.ttft_window) >= config.min_observations
-            and now - self.last_scale >= config.cooldown_s
-        ):
-            rolling = percentile(self.ttft_window, 99)
-            target = config.target_p99_ttft_s
-            if (
-                rolling > target * config.scale_up_ratio
-                and self.n_active < config.max_chips
-            ):
-                self._scale(now, rolling, +1)
-            elif (
-                rolling < target * config.scale_down_ratio
-                and self.n_active > config.min_chips
-            ):
-                self._scale(now, rolling, -1)
-        return chip_id
-
-    def _scale(self, now: float, rolling: float, step: int) -> None:
-        self.scale_events.append(
-            ScalingEvent(
-                time_s=now,
-                n_chips_before=self.n_active,
-                n_chips_after=self.n_active + step,
-                rolling_p99_ttft_s=rolling,
-            )
-        )
-        self.n_active += step
-        self.last_scale = now
-
-    def collect(self, results: Mapping[int, ServingResult]) -> AutoscaleResult:
-        """Fold the executed closing eras into an :class:`AutoscaleResult`."""
-        return AutoscaleResult(
-            **self._collected(results),
-            rejected_ids=tuple(
-                self.trace[i].request_id for i in self.rejected
-            ),
-            events=tuple(self.scale_events),
-            final_chips=self.n_active,
-        )
-
-
 __all__ = [
     "FAULT_KINDS",
     "DRAIN_POLICIES",
@@ -927,8 +191,5 @@ __all__ = [
     "FaultEvent",
     "FaultSchedule",
     "FaultRecovery",
-    "FaultFleetController",
-    "FaultAutoscaleController",
     "fault_recovery",
-    "normalize_priorities",
 ]

@@ -2,11 +2,10 @@
 
 A deployment serving heavy traffic runs a fleet of EdgeMM chips behind a
 dispatcher.  :class:`FleetSimulator` partitions an open-loop trace across
-``n_chips`` single-chip :class:`~repro.serving.queue.ContinuousBatchingSimulator`
-instances according to a load-balancing policy and merges the per-chip
-records into one fleet-wide report.
+single-chip :class:`~repro.serving.queue.ContinuousBatchingSimulator`
+instances and merges the per-chip records into one fleet-wide report.
 
-Two dispatch policies are provided:
+A static fleet runs ``n_chips`` chips under one of two dispatch policies:
 
 * ``round_robin`` — requests go to chips cyclically, the stateless default;
 * ``least_loaded`` — each request goes to the chip whose *estimated*
@@ -15,8 +14,14 @@ Two dispatch policies are provided:
   This is a dispatcher-side estimate, as a real front-end would compute —
   the dispatcher does not look inside the chips' queues.
 
-Every run drives the fleet's one controller,
-:class:`~repro.serving.faults.FaultFleetController`, whose fault schedule
+Given an :class:`~repro.serving.autoscale.AutoscalerConfig`
+(``FleetSimulator(model, autoscaler=...)``), the fleet provisions
+``autoscaler.max_chips`` chips under least-loaded placement and an
+SLO-aware control loop grows and shrinks the prefix of them that
+receives requests (see :mod:`repro.serving.autoscale`).
+
+Every run drives the fleet's one era controller
+(:func:`~repro.serving.controllers.controller_for`), whose fault schedule
 is empty unless the caller passes one (see :mod:`repro.serving.faults`).
 """
 
@@ -35,8 +40,7 @@ from typing import (
 
 from ..core.batch import ServiceTimeBoundsPricer
 from ..core.simulator import PerformanceSimulator
-from ..models.mllm import InferenceRequest, MLLMConfig
-from .dispatch import RUNTIMES, make_controller, sorted_order
+from ..models.mllm import MLLMConfig
 from .metrics import RequestRecord, ServingReport, summarize
 from .queue import (
     ChipCosts,
@@ -46,10 +50,16 @@ from .queue import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .autoscale import AutoscaleResult
+    from .autoscale import AutoscaleResult, AutoscalerConfig
     from .faults import FaultEvent
 
 POLICIES: Tuple[str, ...] = ("round_robin", "least_loaded")
+
+#: Execution planes of :meth:`FleetSimulator.run`: ``"batch"`` drives
+#: the controller in a plain in-process loop, ``"live"`` drives the same
+#: controller through the asyncio actor runtime
+#: (:mod:`repro.serving.runtime`).  Results are bit-identical.
+RUNTIMES: Tuple[str, ...] = ("batch", "live")
 
 
 @dataclass(frozen=True)
@@ -58,7 +68,7 @@ class FleetResult:
 
     ``records`` carry the caller's request ids and arrivals; ``per_chip``
     is the raw chip-level view, whose records carry the synthetic ids
-    the chips simulated (see :mod:`repro.serving.faults`).
+    the chips simulated (see :mod:`repro.serving.controllers`).
     ``fault_events`` is the applied schedule; ``redispatched_ids`` and
     ``aborted_ids`` account for the requests its ``chip_down`` events
     displaced (all three are empty on a fault-free run).
@@ -88,7 +98,14 @@ class FleetResult:
 class FleetSimulator:
     """Dispatches a trace across a fleet of identical EdgeMM chips.
 
-    ``engine`` selects every chip's decode-loop implementation (see
+    A static fleet runs ``n_chips`` chips (default 2) under ``policy``
+    (default ``"round_robin"``, see :data:`POLICIES`).  Given an
+    ``autoscaler``, the fleet runs ``autoscaler.max_chips`` chips under
+    least-loaded placement, of which the controller keeps an active
+    prefix; ``n_chips`` or ``policy`` passed alongside it raise
+    ``ValueError``.  All chips are built up front, so service-time
+    precomputation seeds every chip once.  ``engine`` selects every
+    chip's decode-loop implementation (see
     :data:`repro.serving.queue.ENGINES`).
     """
 
@@ -96,8 +113,9 @@ class FleetSimulator:
         self,
         model: MLLMConfig,
         *,
-        n_chips: int = 2,
-        policy: str = "round_robin",
+        n_chips: Optional[int] = None,
+        policy: Optional[str] = None,
+        autoscaler: Optional["AutoscalerConfig"] = None,
         simulator_factory: Optional[Callable[[], PerformanceSimulator]] = None,
         max_batch_size: int = 8,
         cc_bandwidth_fraction: float = 0.5,
@@ -105,6 +123,16 @@ class FleetSimulator:
         precompute: bool = True,
         engine: str = "wave",
     ) -> None:
+        if autoscaler is not None:
+            for name, value in (("n_chips", n_chips), ("policy", policy)):
+                if value is not None:
+                    raise ValueError(
+                        f"{name} cannot be set on an autoscaled fleet: it "
+                        "runs autoscaler.max_chips chips least-loaded"
+                    )
+            n_chips, policy = autoscaler.max_chips, "least_loaded"
+        n_chips = 2 if n_chips is None else n_chips
+        policy = "round_robin" if policy is None else policy
         if n_chips < 1:
             raise ValueError("n_chips must be >= 1")
         if policy not in POLICIES:
@@ -112,6 +140,7 @@ class FleetSimulator:
         self.model = model
         self.n_chips = n_chips
         self.policy = policy
+        self.autoscaler = autoscaler
         self.precompute = precompute
         self.cc_bandwidth_fraction = cc_bandwidth_fraction
         self.engine = engine
@@ -176,31 +205,12 @@ class FleetSimulator:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _estimate_cost_s(self, chip: ContinuousBatchingSimulator,
-                         request: InferenceRequest) -> float:
-        """Dispatcher-side batch-1 service-time estimate of one request.
-
-        ``prefill + first_step * output_tokens`` against ``chip``'s
-        current era, read from the chip's
-        :class:`~repro.serving.queue.ChipCosts` memo
-        (:meth:`~repro.serving.queue.ChipCosts.dispatch_terms`): every
-        fleet built on the chip's simulator shares the memoized float,
-        which is exactly the one a fresh computation returns, so
-        assignments are trace-identical.
-        """
-        return chip.costs.dispatch_terms(request)[0]
-
-    @property
-    def controller_class(self) -> type:
-        """The controller class that drives this fleet's runs."""
-        # Imported lazily: faults builds on this module.
-        from .faults import FaultFleetController
-
-        return FaultFleetController
-
     def _dispatched(self, trace: Sequence[ServingRequest], **kwargs):
         """The fleet's controller, fed every arrival in canonical order."""
-        controller = make_controller(self, trace, **kwargs)
+        # Imported lazily: the controllers build on this module.
+        from .controllers import controller_for, sorted_order
+
+        controller = controller_for(self, trace, **kwargs)
         on_arrival = controller.on_arrival
         for index in sorted_order(trace):
             on_arrival(index, trace[index])
@@ -231,7 +241,7 @@ class FleetSimulator:
         """Dispatch the trace, simulate every chip and merge the records.
 
         The one run loop of every fleet kind: it feeds the fleet's
-        controller (:func:`~repro.serving.dispatch.make_controller`) every
+        controller (:func:`~repro.serving.controllers.controller_for`) every
         arrival in canonical order, applies the trailing fault events,
         runs the closing engine jobs inline (``job.run()``) and collects
         the :class:`FleetResult` — an
@@ -241,7 +251,7 @@ class FleetSimulator:
         empty one); ``priorities`` carries one positive weight per request,
         ordering post-fault re-dispatch and weighting an autoscaled fleet's
         admission depth.  ``runtime`` selects the execution plane (see
-        :data:`repro.serving.dispatch.RUNTIMES`): ``"live"`` streams the
+        :data:`RUNTIMES`): ``"live"`` streams the
         trace through the asyncio actor runtime, producing the
         bit-identical result.
         """

@@ -4,8 +4,8 @@ The runtime moves fleet serving from offline batch replay to a
 long-running control plane — streaming ingestion, supervised dispatch,
 pause/resume — without forking the computation: the supervisor actor
 drives the *same* stepwise dispatch controllers
-(:mod:`repro.serving.dispatch`, :mod:`repro.serving.faults`) the batch
-``run`` entry points drive, in the same canonical arrival order, so a
+(:mod:`repro.serving.controllers`) the batch ``run`` entry point
+drives, in the same canonical arrival order, so a
 live run is byte-identical to its batch twin on records, scale events,
 fault eras and golden reports (the differential suite asserts ``==``,
 not approximation) — and stays so under injected runtime chaos.
@@ -15,9 +15,10 @@ dataclass messages actors exchange; :mod:`~repro.serving.runtime.actors`
 the mailbox substrate and the ingestion/chip workers;
 :mod:`~repro.serving.runtime.supervision` the one
 :class:`SupervisorActor` (dispatch, heartbeats, deadlines,
-retry/quarantine recovery, the auto-checkpoint ring, the incident
-timeline); :mod:`~repro.serving.runtime.checkpoint` the JSON
-pause/resume format (a cursor and the run's pins; a resume replays); :mod:`~repro.serving.runtime.chaos` the
+retry/quarantine recovery, the auto-checkpoint ring of cursors, the
+incident timeline); :mod:`~repro.serving.runtime.checkpoint` the JSON
+pause/resume format (a cursor and the run's pins; a resume replays);
+:mod:`~repro.serving.runtime.chaos` the
 supervisor's adversary (seeded runtime-fault schedules injected at the
 mailbox boundary); and :mod:`~repro.serving.runtime.service` the
 synchronous entry points (:func:`run_live`, :func:`resume_live` and

@@ -8,7 +8,7 @@ holds the two worker roles:
   messages, either as fast as the supervisor drains them (``pace=None``)
   or paced against the wall clock at a multiple of simulated time;
 * :class:`ChipActor` — one per fleet chip; executes the
-  :class:`~repro.serving.dispatch.ShardJob` engine runs the supervisor
+  :class:`~repro.serving.controllers.ShardJob` engine runs the supervisor
   hands it and answers with the results.
 
 The third role, the

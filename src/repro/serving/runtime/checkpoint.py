@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
 from ...codec import Spec, SpecError, when_set
-from ..dispatch import request_to_state
+from ..trace import request_to_state
 from ..faults import FaultSchedule
 from ..queue import ENGINES, ServingRequest
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..dispatch import ShardJob
+from ..controllers import ShardJob
 from ..queue import ServingRequest, ServingResult
 
 

@@ -17,7 +17,11 @@ byte-identically to an uninterrupted one: a checkpoint holds no
 controller state, so a resume builds a fresh controller and replays the
 arrivals before its cursor.  Both share one run loop, which is also
 what survives *supervisor* crashes: each crash ends one asyncio
-session, and the next session replays up to the newest auto-checkpoint.
+session, and the next session replays up to the newest cursor of the
+supervisor's auto-checkpoint ring.  The loop hashes the trace
+(:func:`~repro.serving.runtime.checkpoint.trace_digest`) only when it
+checks, writes or restores a checkpoint, so an undisturbed run never
+does.
 
 :func:`run_scenario_live` / :func:`resume_scenario` are the scenario
 couplings: checkpoints taken there embed the scenario spec and engine,
@@ -48,8 +52,9 @@ from typing import (
     Union,
 )
 
-from ..dispatch import make_controller, request_from_state, sorted_order
+from ..controllers import controller_for, sorted_order
 from ..queue import ServingRequest
+from ..trace import request_from_state
 from .actors import DEFAULT_BATCH_SIZE
 from .chaos import (
     DEFAULT_HANG_UNIT_S,
@@ -63,6 +68,7 @@ from .checkpoint import (
     CheckpointPins,
     trace_digest,
 )
+from .messages import PauseStream
 from .supervision import ActorIncident, SupervisionConfig, SupervisorActor
 
 
@@ -114,8 +120,8 @@ async def _session(
 ) -> None:
     """One supervisor session: run until outcome, or supervisor death.
 
-    Appends the supervisor's outcome (the run's result, or a
-    :class:`Checkpoint` on pause) to ``outcome`` and returns ``None`` —
+    Appends the supervisor's outcome (the run's result, or the
+    :class:`PauseStream` on pause) to ``outcome`` and returns ``None`` —
     the coroutine handed to ``asyncio.run`` must not return the result,
     which the runner would format with ``repr`` on its way out.
     ``outcome`` stays empty when the supervisor task itself died of an
@@ -186,16 +192,31 @@ def _drive(
 
     Each iteration is one supervisor session on a fresh controller,
     brought to the cursor of ``checkpoint`` or, after a supervisor
-    crash, of the newest auto-checkpoint — serialized and re-parsed, so
-    every restart also proves the checkpoint format round-trips — up to
-    ``max_sessions`` sessions.
+    crash, to the newest cursor of the auto-checkpoint ring, as a
+    :class:`Checkpoint` serialized and re-parsed (so every restart also
+    proves the checkpoint format round-trips) — up to ``max_sessions``
+    sessions.  The trace digest is computed at most once, and only to
+    check ``checkpoint``, to return a pause or to restart.
     """
     trace = list(trace)
     if not trace:
         raise ValueError("trace must not be empty")
-    digest = trace_digest(trace)
+    digest: Optional[str] = None
+
+    def checkpoint_at(controller: Any, cursor: int) -> Checkpoint:
+        nonlocal digest
+        if digest is None:
+            digest = trace_digest(trace)
+        return Checkpoint(
+            kind=controller.kind,
+            cursor=cursor,
+            controller=CheckpointPins.of(controller),
+            trace_sha256=digest,
+        )
+
     start = 0
     if checkpoint is not None:
+        digest = trace_digest(trace)
         if digest != checkpoint.trace_sha256:
             raise CheckpointError(
                 "checkpoint was taken against a different trace "
@@ -218,10 +239,10 @@ def _drive(
         ChaosInjector(chaos, hang_unit_s=hang_unit_s) if chaos else None
     )
     incidents: List[ActorIncident] = []
-    ring: "Deque[Checkpoint]" = deque(maxlen=1)
+    ring: "Deque[int]" = deque(maxlen=1)
     restore = checkpoint
     for session in range(1, config.max_sessions + 1):
-        controller = make_controller(
+        controller = controller_for(
             fleet, trace, faults=faults, priorities=priorities
         )
         start_at = (
@@ -238,7 +259,6 @@ def _drive(
                 config=config,
                 incidents=incidents,
                 ring=ring,
-                digest=digest,
                 start_at=start_at,
                 pause_after=pause_after,
                 session=session,
@@ -247,17 +267,19 @@ def _drive(
             )
         )
         if outcome:
-            if isinstance(outcome[0], Checkpoint):
-                return outcome[0]
+            if isinstance(outcome[0], PauseStream):
+                return checkpoint_at(controller, outcome[0].cursor)
             return SupervisedRun(
                 result=outcome[0],
                 incidents=tuple(incidents),
                 n_sessions=session,
             )
         # The supervisor itself was chaos-crashed: rebuild from the
-        # newest auto-checkpoint, else from where this run started.
+        # ring's newest cursor, else from where this run started.
         if ring:
-            restore = Checkpoint.from_json(ring[-1].to_json())
+            restore = Checkpoint.from_json(
+                checkpoint_at(controller, ring[-1]).to_json()
+            )
         incidents.append(
             ActorIncident(
                 session=session,
@@ -291,19 +313,18 @@ def run_live(
 ) -> Union[SupervisedRun, Checkpoint]:
     """Play ``trace`` through the live actor runtime.
 
-    ``fleet`` is a :class:`~repro.serving.fleet.FleetSimulator` or
-    :class:`~repro.serving.autoscale.AutoscalingFleetSimulator`;
-    ``faults`` and ``priorities`` configure its controller exactly as the
-    batch ``run`` does, so the returned :class:`SupervisedRun`'s
-    ``result`` matches the batch result field for field.  ``pace`` throttles
-    ingestion against the wall clock (``10.0`` = tenfold-accelerated
-    simulated time; ``None`` = flat out, in ``batch_size`` chunks); it
-    never changes the result.  ``pause_after`` stops the stream after
-    that many canonical-order arrivals and returns a :class:`Checkpoint`
-    instead.
+    ``fleet`` is a :class:`~repro.serving.fleet.FleetSimulator`, static
+    or autoscaled; ``faults`` and ``priorities`` configure its controller
+    exactly as the batch ``run`` does, so the returned
+    :class:`SupervisedRun`'s ``result`` matches the batch result field
+    for field.  ``pace`` throttles ingestion against the wall clock
+    (``10.0`` = tenfold-accelerated simulated time; ``None`` = flat out,
+    in ``batch_size`` chunks); it never changes the result.
+    ``pause_after`` stops the stream after that many canonical-order
+    arrivals and returns a :class:`Checkpoint` instead.
 
     The supervisor keeps heartbeats, job deadlines, retry/re-dispatch/
-    quarantine recovery and an auto-checkpoint ring, tuned by
+    quarantine recovery and an auto-checkpoint ring of cursors, tuned by
     ``supervision`` (see :mod:`repro.serving.runtime.supervision`);
     ``chaos`` optionally injects a
     :class:`~repro.serving.runtime.chaos.ChaosSchedule` of runtime faults
@@ -488,7 +509,7 @@ def requests_from_lines(lines: Iterable[str]) -> List[ServingRequest]:
     """Parse JSON request lines (stdin, a socket) into a trace.
 
     Each non-blank line is one
-    :func:`~repro.serving.dispatch.request_to_state` document; blank
+    :func:`~repro.serving.trace.request_to_state` document; blank
     lines are skipped, so the format is newline-delimited JSON as a
     ``nc``/``tail -f`` pipe would deliver it.  A malformed line raises
     :class:`TraceIngestError` naming the 1-based line number and (when

@@ -2,7 +2,7 @@
 
 :class:`SupervisorActor` is the control plane's one supervisor.  It
 owns the stepwise dispatch controller (the same object the batch path
-drives, see :mod:`repro.serving.dispatch`), streams arrivals into it,
+drives, see :mod:`repro.serving.controllers`), streams arrivals into it,
 fans the closing engine runs out to the chip actors, and survives the
 faults :mod:`repro.serving.runtime.chaos` injects (and the real-world
 failures they model):
@@ -14,7 +14,7 @@ failures they model):
   in canonical order — the property that makes every recovery below
   result-invisible;
 * **per-job deadlines and heartbeats** — each dispatched
-  :class:`~repro.serving.dispatch.ShardJob` gets a deadline, refreshed
+  :class:`~repro.serving.controllers.ShardJob` gets a deadline, refreshed
   by the executing chip actor's
   :class:`~repro.serving.runtime.messages.Heartbeat`; a missed deadline
   means crashed/hung/lost work and triggers re-dispatch;
@@ -27,13 +27,13 @@ failures they model):
   quarantined the supervisor runs jobs inline, so the run still
   terminates;
 * **an auto-checkpoint ring** — every ``checkpoint_every`` arrivals the
-  supervisor snapshots a
-  :class:`~repro.serving.runtime.checkpoint.Checkpoint` at its cursor
-  into a ring that keeps only the newest (the pause/resume format,
-  byte-for-byte: pins, never controller state, so a snapshot costs the
-  same at any cursor); when the supervisor itself crashes, the run loop
-  (:func:`repro.serving.runtime.service.run_live`) rebuilds a fresh
-  session from it, replaying the arrivals before its cursor;
+  supervisor records its cursor into a ring that keeps only the newest
+  (a checkpoint holds nothing else that changes as the run advances);
+  when the supervisor itself crashes, the run loop
+  (:func:`repro.serving.runtime.service.run_live`) builds a
+  :class:`~repro.serving.runtime.checkpoint.Checkpoint` at that cursor
+  and rebuilds a fresh session from it, replaying the arrivals before
+  the cursor;
 * **an incident timeline** — every detection and recovery appends an
   :class:`ActorIncident`; the timeline reaches the scenario report's
   conditional ``incidents`` block, but never the result itself, because
@@ -73,7 +73,6 @@ from .actors import (
     ChipActor,
     IngestionActor,
 )
-from .checkpoint import Checkpoint, CheckpointPins
 from .messages import (
     ActorCrashed,
     ArrivalBatch,
@@ -205,15 +204,15 @@ class SupervisorActor(Actor):
     every arrival before it is applied, it either flushes trailing fault
     events, fans the closing engine runs out to the chip actors and
     resolves :attr:`outcome` with the run's result
-    (:class:`StreamEnded`), or resolves it with a :class:`Checkpoint` of
-    the run at that cursor (:class:`PauseStream`).  Controller
-    errors, real ingestion failures and exhausted retry budgets resolve
-    the outcome exceptionally — the run fails with the original error
-    rather than hanging.
+    (:class:`StreamEnded`), or resolves it with the
+    :class:`PauseStream` itself, whose cursor the caller checkpoints.
+    Controller errors, real ingestion failures and exhausted retry
+    budgets resolve the outcome exceptionally — the run fails with the
+    original error rather than hanging.
 
     Construction wires in everything that must *outlive* one supervisor
-    session: the shared incident list, the auto-checkpoint ring and the
-    trace digest checkpoints pin.  ``arrivals`` is the canonical-order
+    session: the shared incident list and the auto-checkpoint ring of
+    cursors.  ``arrivals`` is the canonical-order
     arrival sequence the supervisor streams (and re-streams on stalls)
     through its own :class:`IngestionActor`; ``start_at`` is the cursor
     the session's controller was restored to and ``pause_after`` the
@@ -228,8 +227,7 @@ class SupervisorActor(Actor):
         arrivals: Sequence[Tuple[int, ServingRequest]],
         config: SupervisionConfig,
         incidents: List[ActorIncident],
-        ring: "Deque[Checkpoint]",
-        digest: str,
+        ring: "Deque[int]",
         start_at: int = 0,
         pause_after: Optional[int] = None,
         session: int = 1,
@@ -239,14 +237,13 @@ class SupervisorActor(Actor):
         super().__init__("supervisor")
         self.controller = controller
         self.chips = [ChipActor(chip_id, self) for chip_id in range(n_chips)]
-        #: Resolves to the run's result, or a :class:`Checkpoint` on pause.
+        #: Resolves to the run's result, or the :class:`PauseStream` on pause.
         self.outcome: "asyncio.Future[Any]" = (
             asyncio.get_running_loop().create_future()
         )
         self.config = config
         self.incidents = incidents
         self.ring = ring
-        self.digest = digest
         self.session = session
         self._arrivals = arrivals
         self._batch_size = batch_size
@@ -324,15 +321,6 @@ class SupervisorActor(Actor):
         if not self.outcome.done():
             self.outcome.set_exception(error)
 
-    def _snapshot(self) -> Checkpoint:
-        """A :class:`Checkpoint` of the run at the current cursor."""
-        return Checkpoint(
-            kind=self.controller.kind,
-            cursor=self._expected,
-            controller=CheckpointPins.of(self.controller),
-            trace_sha256=self.digest,
-        )
-
     # -- message handling ---------------------------------------------
 
     async def on_message(self, message: Any) -> None:
@@ -402,7 +390,7 @@ class SupervisorActor(Actor):
             )
             self._last_progress += gap_s / self._pace
         if self._expected >= self._next_ckpt:
-            self.ring.append(self._snapshot())
+            self.ring.append(self._expected)
             while self._next_ckpt <= self._expected:
                 self._next_ckpt += self.config.checkpoint_every
 
@@ -419,7 +407,7 @@ class SupervisorActor(Actor):
             return
         self._finishing = True
         if pausing:
-            self.outcome.set_result(self._snapshot())
+            self.outcome.set_result(end)
             return
         self.controller.finish_events()
         jobs = self.controller.final_jobs()

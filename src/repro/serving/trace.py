@@ -17,22 +17,32 @@ shape fields are exact integers, so a round trip through
 directly, and :func:`repro.scenarios.compile.compile_scenario_chunks`
 stream-emits it in bounded chunks so multi-million-request scenario
 traces never materialise per-request objects at all.
+
+The module also holds the one-request JSON line codec
+(:func:`request_to_state` / :func:`request_from_state`): the live
+runtime ingests trace lines through it, and checkpoints digest a trace
+through its bytes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..codec import Spec, SpecError
 from ..models.mllm import InferenceRequest
 from .queue import ServingRequest
 
 __all__ = [
     "TRACE_DTYPE",
+    "RequestState",
     "array_to_trace",
     "concat_trace_arrays",
     "empty_trace_array",
+    "request_from_state",
+    "request_to_state",
     "trace_to_array",
     "validate_trace_array",
 ]
@@ -149,3 +159,70 @@ def concat_trace_arrays(chunks: Iterable[np.ndarray]) -> np.ndarray:
     if not parts:
         return empty_trace_array(0)
     return np.concatenate(parts)
+
+
+def request_to_state(request: ServingRequest) -> Dict[str, Any]:
+    """The ``request`` as plain JSON data (exact float repr)."""
+    return {
+        "request_id": request.request_id,
+        "arrival_s": request.arrival_s,
+        "images": request.request.images,
+        "prompt_text_tokens": request.request.prompt_text_tokens,
+        "output_tokens": request.request.output_tokens,
+    }
+
+
+@dataclass(frozen=True)
+class RequestState(Spec):
+    """The fields of a :func:`request_to_state` document, as the codec reads them.
+
+    :func:`request_from_state` decodes through it, so a trace line
+    coerces like a spec file: integer fields take integers or integral
+    floats, ``arrival_s`` any number, never a boolean or a string, and
+    an unknown key is rejected.
+    """
+
+    request_id: int
+    arrival_s: float
+    images: int
+    prompt_text_tokens: int
+    output_tokens: int
+
+
+def _field_error(message: str, field: Optional[str]) -> ValueError:
+    """A ``ValueError`` naming the offending request-state ``field``."""
+    error = ValueError(message)
+    error.field = field  # type: ignore[attr-defined]
+    return error
+
+
+def request_from_state(data: Mapping[str, Any]) -> ServingRequest:
+    """Rebuild a :class:`ServingRequest` from :func:`request_to_state` ``data``.
+
+    Validates field by field: a missing, mistyped, unknown, non-finite
+    or out-of-range field raises a ``ValueError`` *naming that field*
+    (carried on the exception as a ``field`` attribute; ``None`` only
+    for the cross-field "image or prompt" rule), so streaming ingestion
+    (:func:`repro.serving.runtime.service.requests_from_lines`) can
+    report exactly what was wrong with a malformed trace line.
+    """
+    try:
+        state = RequestState.from_dict(data)
+    except SpecError as error:
+        raise _field_error(
+            f"request state field {error}", error.path or None
+        ) from None
+    try:
+        return ServingRequest(
+            request_id=state.request_id,
+            arrival_s=state.arrival_s,
+            request=InferenceRequest(
+                images=state.images,
+                prompt_text_tokens=state.prompt_text_tokens,
+                output_tokens=state.output_tokens,
+            ),
+        )
+    except ValueError as error:
+        # The range checks open with their field ("images must be >= 0").
+        field = next((name for name in data if str(error).startswith(name)), None)
+        raise _field_error(f"request state: {error}", field) from None

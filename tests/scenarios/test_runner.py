@@ -18,7 +18,6 @@ from repro.scenarios import (
     run_scenario,
 )
 from repro.scenarios.__main__ import main as cli_main
-from repro.serving.autoscale import AutoscalingFleetSimulator
 from repro.serving.fleet import FleetSimulator
 
 FAST = ScenarioSpec(
@@ -62,6 +61,7 @@ class TestBuildFleet:
     def test_static_spec_builds_static_fleet(self):
         fleet = build_fleet(FAST)
         assert type(fleet) is FleetSimulator
+        assert fleet.autoscaler is None
         assert fleet.n_chips == 1
 
     def test_autoscaled_spec_builds_autoscaling_fleet(self):
@@ -73,9 +73,10 @@ class TestBuildFleet:
             slo=SLOSpec(ttft_p99_s=1.0),
         )
         fleet = build_fleet(spec)
-        assert isinstance(fleet, AutoscalingFleetSimulator)
+        assert type(fleet) is FleetSimulator
         assert fleet.autoscaler.target_p99_ttft_s == 1.0
         assert fleet.n_chips == 3  # full max_chips fleet instantiated
+        assert fleet.policy == "least_loaded"
 
     def test_autoscaler_without_ttft_slo_is_rejected(self):
         spec = ScenarioSpec(

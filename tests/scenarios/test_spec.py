@@ -129,6 +129,12 @@ class TestSerialization:
         assert json.loads(text) == REFERENCE.to_dict()
         assert ": " not in text and "\n" not in text
 
+    def test_provisioned_chips_is_not_serialized(self):
+        static = FleetSpec(n_chips=3)
+        autoscaled = FleetSpec(n_chips=3, autoscaler=AutoscalerSpec(max_chips=5))
+        assert (static.provisioned_chips, autoscaled.provisioned_chips) == (3, 5)
+        assert "provisioned_chips" not in autoscaled.to_dict()
+
 
 class TestSeedPlumbing:
     """Seeds derive from the spec hash — stable across processes."""

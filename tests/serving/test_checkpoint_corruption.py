@@ -22,7 +22,6 @@ from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import run_scenario
 from repro.serving import (
     AutoscalerConfig,
-    AutoscalingFleetSimulator,
     FleetSimulator,
     PoissonArrivals,
     RequestSampler,
@@ -72,7 +71,7 @@ def _static_fleet(n_chips, policy="least_loaded"):
 
 
 def _autoscaled_fleet(n_chips):
-    return AutoscalingFleetSimulator(
+    return FleetSimulator(
         get_mllm("sphinx-tiny"),
         autoscaler=AutoscalerConfig(target_p99_ttft_s=1.0, max_chips=n_chips),
     )

@@ -9,7 +9,10 @@ same pins: a static faulted run paused after a closed era
 (``chat-chipfail`` at 120), an autoscaled run (``edge-kiosk-overload``
 at 100) and a round-robin run (``trace-spike`` at 40).  Each must load,
 resume to the uninterrupted report, and ignore every key of its
-``controller`` object but the pins.
+``controller`` object but the pins.  The fixtures under
+``tests/golden/checkpoints/v3`` pin the version-3 bytes, one per fleet
+kind, at the cursors of the first two: this build must write them
+byte for byte, and each must resume to the uninterrupted report.
 """
 
 import functools
@@ -23,19 +26,17 @@ from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import run_scenario
 from repro.serving import (
     AutoscalerConfig,
-    AutoscalingFleetSimulator,
     FleetSimulator,
     PoissonArrivals,
     RequestSampler,
     build_trace,
 )
-from repro.serving.dispatch import sorted_order
-from repro.serving.faults import (
-    FaultAutoscaleController,
-    FaultEvent,
-    FaultFleetController,
-    FaultSchedule,
+from repro.serving.controllers import (
+    AutoscaleController,
+    StaticController,
+    sorted_order,
 )
+from repro.serving.faults import FaultEvent, FaultSchedule
 from repro.serving.runtime import (
     CHECKPOINT_VERSION,
     Checkpoint,
@@ -47,6 +48,7 @@ from repro.serving.runtime import (
 )
 
 V2_DIR = Path(__file__).resolve().parents[1] / "golden" / "checkpoints" / "v2"
+V3_DIR = V2_DIR.parent / "v3"
 
 #: Fixture file → the scenario it paused.
 V2_FIXTURES = {
@@ -55,6 +57,11 @@ V2_FIXTURES = {
     "trace-spike-40.json": "trace-spike",
 }
 STATIC_FIXTURES = ("chat-chipfail-120.json", "trace-spike-40.json")
+#: Version-3 fixture file → the scenario it paused, one per fleet kind.
+V3_FIXTURES = {
+    "chat-chipfail-120.json": "chat-chipfail",
+    "edge-kiosk-overload-100.json": "edge-kiosk-overload",
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -131,6 +138,28 @@ class TestVersion2Fixtures:
             Checkpoint.from_dict(data)
 
 
+class TestVersion3Fixtures:
+    def test_one_fixture_per_fleet_kind(self):
+        assert sorted(path.name for path in V3_DIR.glob("*.json")) == sorted(
+            V3_FIXTURES
+        )
+        data = [json.loads((V3_DIR / file).read_text()) for file in V3_FIXTURES]
+        assert {entry["version"] for entry in data} == {3}
+        assert {entry["kind"] for entry in data} == {"fault_fleet", "fault_autoscale"}
+
+    @pytest.mark.parametrize("file", sorted(V3_FIXTURES))
+    def test_this_build_writes_the_same_bytes(self, file, tmp_path):
+        cursor = json.loads((V3_DIR / file).read_text())["cursor"]
+        paused = run_scenario_live(get_scenario(V3_FIXTURES[file]), pause_after=cursor)
+        written = paused.save(tmp_path / file)
+        assert written.read_bytes() == (V3_DIR / file).read_bytes()
+
+    @pytest.mark.parametrize("file", sorted(V3_FIXTURES))
+    def test_resumes_to_the_uninterrupted_report(self, file):
+        report = resume_scenario(Checkpoint.load(V3_DIR / file))
+        assert report.to_json() == batch_json(V3_FIXTURES[file])
+
+
 class TestVersion3:
     @pytest.mark.parametrize("name", ["chat-chipfail", "edge-kiosk-overload"])
     def test_length_does_not_depend_on_the_cursor(self, name):
@@ -169,7 +198,7 @@ def _static(n_chips=2, policy="least_loaded"):
 
 
 def _autoscaled():
-    return AutoscalingFleetSimulator(
+    return FleetSimulator(
         get_mllm("sphinx-tiny"),
         autoscaler=AutoscalerConfig(target_p99_ttft_s=1.0, max_chips=2),
     )
@@ -197,7 +226,7 @@ class TestGuardsRunBeforeReplay:
         data = paused.to_dict()
         data["cursor"] = cursor
         replayed = []
-        for cls in (FaultFleetController, FaultAutoscaleController):
+        for cls in (StaticController, AutoscaleController):
             monkeypatch.setattr(
                 cls, "on_arrival", lambda self, *args: replayed.append(args)
             )
@@ -210,13 +239,13 @@ class TestGuardsRunBeforeReplay:
         fleet = _static()
         paused = run_live(fleet, trace, pause_after=20)
         calls = []
-        original = FaultFleetController.on_arrival
+        original = StaticController.on_arrival
 
         def counting(self, index, request):
             calls.append(index)
             return original(self, index, request)
 
-        monkeypatch.setattr(FaultFleetController, "on_arrival", counting)
+        monkeypatch.setattr(StaticController, "on_arrival", counting)
         resumed = resume_live(fleet, trace, paused)
         # The replayed prefix, then the live tail: each arrival once.
         assert calls == sorted_order(trace)

@@ -34,7 +34,6 @@ from repro.scenarios import (
 )
 from repro.serving import (
     AutoscalerConfig,
-    AutoscalingFleetSimulator,
     BatchDecodeCostModel,
     FleetSimulator,
     PoissonArrivals,
@@ -150,7 +149,7 @@ def _fleet(kind, size, simulator=None):
     autoscaler = AutoscalerConfig(
         target_p99_ttft_s=0.05, min_chips=1, max_chips=size, min_observations=4
     )
-    return AutoscalingFleetSimulator(
+    return FleetSimulator(
         MODEL, autoscaler=autoscaler, simulator_factory=factory
     )
 

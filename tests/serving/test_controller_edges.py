@@ -14,7 +14,6 @@ from repro.models.mllm import get_mllm
 from repro.serving import (
     AutoscaleResult,
     AutoscalerConfig,
-    AutoscalingFleetSimulator,
     FleetSimulator,
     PoissonArrivals,
     RequestSampler,
@@ -98,21 +97,21 @@ class TestAutoscaleResultProperties:
 
 class TestAutoscaleRunGuards:
     def test_invalid_runtime_rejected(self, model):
-        fleet = AutoscalingFleetSimulator(
+        fleet = FleetSimulator(
             model, autoscaler=AutoscalerConfig(target_p99_ttft_s=1.0)
         )
         with pytest.raises(ValueError, match="runtime"):
             fleet.run(_trace(3), runtime="warp")
 
     def test_empty_trace_rejected(self, model):
-        fleet = AutoscalingFleetSimulator(
+        fleet = FleetSimulator(
             model, autoscaler=AutoscalerConfig(target_p99_ttft_s=1.0)
         )
         with pytest.raises(ValueError, match="empty"):
             fleet.run([])
 
     def test_fault_path_rejects_empty_trace(self, model):
-        fleet = AutoscalingFleetSimulator(
+        fleet = FleetSimulator(
             model, autoscaler=AutoscalerConfig(target_p99_ttft_s=1.0)
         )
         with pytest.raises(ValueError, match="empty"):
@@ -134,7 +133,7 @@ class TestFaultAutoscaleBranches:
 
     def test_scale_down_after_the_burst(self, model):
         trace = _burst_then_idle_trace()
-        fleet = AutoscalingFleetSimulator(model, autoscaler=self.CONFIG)
+        fleet = FleetSimulator(model, autoscaler=self.CONFIG)
         batch = fleet.run(trace, faults=FaultSchedule())
         downs = sum(
             1
@@ -176,7 +175,7 @@ class TestFaultAutoscaleBranches:
             min_observations=2,
             cooldown_s=0.1,
         )
-        fleet = AutoscalingFleetSimulator(model, autoscaler=config)
+        fleet = FleetSimulator(model, autoscaler=config)
         batch = fleet.run(trace, faults=schedule)
         assert len(batch.records) == len(trace)
         live = fleet.run(trace, faults=schedule, runtime="live")
@@ -205,7 +204,7 @@ class TestFaultAutoscaleBranches:
             min_observations=2,
             cooldown_s=0.1,
         )
-        fleet = AutoscalingFleetSimulator(model, autoscaler=config)
+        fleet = FleetSimulator(model, autoscaler=config)
         batch = fleet.run(trace, faults=schedule)
         checkpoint = run_live(
             fleet, trace, faults=schedule, pause_after=15
@@ -233,7 +232,7 @@ class TestFaultAutoscaleBranches:
         config = AutoscalerConfig(
             target_p99_ttft_s=0.5, min_chips=1, max_chips=1
         )
-        fleet = AutoscalingFleetSimulator(model, autoscaler=config)
+        fleet = FleetSimulator(model, autoscaler=config)
         batch = fleet.run(trace, faults=schedule)
         assert len(batch.records) == len(trace)
         live = fleet.run(trace, faults=schedule, runtime="live")
@@ -249,7 +248,7 @@ class TestFaultAutoscaleBranches:
                 FaultEvent(time_s=0.4, kind="chip_down", chip_id=0),
             )
         )
-        fleet = AutoscalingFleetSimulator(model, autoscaler=self.CONFIG)
+        fleet = FleetSimulator(model, autoscaler=self.CONFIG)
         batch = fleet.run(trace, faults=schedule)
         assert len(batch.records) == len(trace)
         live = fleet.run(trace, faults=schedule, runtime="live")
@@ -265,7 +264,7 @@ class TestFaultAutoscaleBranches:
         config = AutoscalerConfig(
             target_p99_ttft_s=0.5, min_chips=1, max_chips=1
         )
-        fleet = AutoscalingFleetSimulator(model, autoscaler=config)
+        fleet = FleetSimulator(model, autoscaler=config)
         with pytest.raises(ValueError, match="never dispatched"):
             fleet.run(trace, faults=schedule)
         with pytest.raises(ValueError, match="never dispatched"):

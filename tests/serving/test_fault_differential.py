@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from repro.models.mllm import InferenceRequest, get_mllm
 from repro.serving import (
     AutoscalerConfig,
-    AutoscalingFleetSimulator,
     BurstyArrivals,
     ContinuousBatchingSimulator,
     FleetSimulator,
@@ -35,7 +34,7 @@ from repro.serving import (
     ServingRequest,
     build_trace,
 )
-from repro.serving.dispatch import sorted_order
+from repro.serving.controllers import sorted_order
 from repro.serving.faults import FaultEvent, FaultSchedule
 from repro.serving.queue import ENGINES
 
@@ -235,7 +234,7 @@ class TestUniformPriorities:
         engine = random.Random(seed).choice(ENGINES)
 
         def run(**kwargs):
-            fleet = AutoscalingFleetSimulator(
+            fleet = FleetSimulator(
                 model, autoscaler=_config(), max_batch_size=8, engine=engine
             )
             return fleet.run(trace, **kwargs)
@@ -274,7 +273,7 @@ class TestEngineEquivalenceUnderFaults:
         trace = _bursty_trace(seed, n=48)
         schedule = _schedule(seed, n_chips=3, span=trace[-1].arrival_s)
         results = {
-            engine: AutoscalingFleetSimulator(
+            engine: FleetSimulator(
                 model, autoscaler=_config(), max_batch_size=8, engine=engine
             ).run(trace, faults=schedule)
             for engine in ENGINES

@@ -14,8 +14,8 @@ import pytest
 from repro.models.mllm import get_mllm
 from repro.serving import (
     AutoscalerConfig,
-    AutoscalingFleetSimulator,
     BurstyArrivals,
+    FleetSimulator,
     RequestSampler,
     build_trace,
 )
@@ -39,7 +39,7 @@ def test_autoscaler_reconverges_after_mid_trace_chip_failure():
     down = FaultEvent(time_s=round(0.4 * span, 6), kind="chip_down", chip_id=0)
     up = FaultEvent(time_s=round(0.5 * span, 6), kind="chip_up", chip_id=0)
     schedule = FaultSchedule(events=(down, up))
-    fleet = AutoscalingFleetSimulator(
+    fleet = FleetSimulator(
         get_mllm("sphinx-tiny"),
         autoscaler=AutoscalerConfig(
             target_p99_ttft_s=TARGET_P99_TTFT_S,

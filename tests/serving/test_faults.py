@@ -29,14 +29,13 @@ from repro.serving import (
     queue,
 )
 from repro.serving.metrics import percentile
+from repro.serving.controllers import _degraded_chip, normalize_priorities
 from repro.serving.faults import (
     RECOVERY_TOLERANCE,
     RECOVERY_WINDOW,
     FaultEvent,
     FaultSchedule,
-    _degraded_chip,
     fault_recovery,
-    normalize_priorities,
 )
 from repro.serving.runtime import Checkpoint, resume_live, run_live
 
@@ -464,13 +463,13 @@ class TestAutoscaleUnderFaults:
         )
 
     def test_scaling_continues_through_the_outage(self, model):
-        from repro.serving import AutoscalingFleetSimulator, BurstyArrivals
+        from repro.serving import BurstyArrivals
 
         trace = build_trace(
             BurstyArrivals(6.0, burst_multiplier=6.0, seed=13).generate(150),
             RequestSampler(seed=13).sample(150),
         )
-        fleet = AutoscalingFleetSimulator(
+        fleet = FleetSimulator(
             model, autoscaler=self._config(), max_batch_size=8
         )
         result = fleet.run(trace, faults=self._schedule(trace[-1].arrival_s))
@@ -478,13 +477,13 @@ class TestAutoscaleUnderFaults:
         assert len(result.records) + len(result.rejected_ids) == len(trace)
 
     def test_reject_admission_sheds_load_during_the_outage(self, model):
-        from repro.serving import AutoscalingFleetSimulator, BurstyArrivals
+        from repro.serving import BurstyArrivals
 
         trace = build_trace(
             BurstyArrivals(8.0, burst_multiplier=6.0, seed=13).generate(150),
             RequestSampler(seed=13).sample(150),
         )
-        fleet = AutoscalingFleetSimulator(
+        fleet = FleetSimulator(
             model,
             autoscaler=self._config(
                 max_chips=2, max_queue_depth=2, admission="reject"

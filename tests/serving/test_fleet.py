@@ -121,13 +121,17 @@ class TestEstimateMemo:
         memoized = FleetSimulator(model, n_chips=3, policy="least_loaded")
         uncached = FleetSimulator(model, n_chips=3, policy="least_loaded")
 
-        def recompute(chip, request):
-            prefill = chip.cc_latency_s(request)
-            context = uncached.model.prompt_tokens(request)
-            per_token = chip.cost_model.step_latency_s([context])
-            return prefill + per_token * request.output_tokens
+        def recompute(chip):
+            def dispatch_terms(request):
+                prefill = chip.cc_latency_s(request)
+                context = uncached.model.prompt_tokens(request)
+                per_token = chip.cost_model.step_latency_s([context])
+                return prefill + per_token * request.output_tokens, prefill, per_token
 
-        uncached._estimate_cost_s = recompute
+            return dispatch_terms
+
+        for chip in uncached.chips:
+            chip.costs.dispatch_terms = recompute(chip)
         assert memoized.assign(trace) == uncached.assign(trace)
         # The memo actually engaged, and only with shape keys in each
         # chip's memo — the heap probes one chip per request, so at most
@@ -146,7 +150,7 @@ class TestEstimateMemo:
         fleet.assign(trace)
         chip = fleet.chips[0]
         for request in {r.request for r in trace}:
-            cached = fleet._estimate_cost_s(chip, request)
+            cached = chip.costs.dispatch_terms(request)[0]
             fresh = (
                 chip.cc_latency_s(request)
                 + chip.cost_model.step_latency_s(

@@ -157,9 +157,9 @@ class TestHeapDispatch:
         for index in order:
             request = trace[index]
             chip_id = min(range(reference_fleet.n_chips), key=lambda i: horizon[i])
-            cost = reference_fleet._estimate_cost_s(
-                reference_fleet.chips[chip_id], request.request
-            )
+            cost = reference_fleet.chips[chip_id].costs.dispatch_terms(
+                request.request
+            )[0]
             horizon[chip_id] = max(horizon[chip_id], request.arrival_s) + cost
             expected[index] = chip_id
         assert assignments == expected

@@ -22,14 +22,10 @@ from repro.serving import (
     RequestSampler,
     build_trace,
 )
-from repro.serving.dispatch import (
-    make_controller,
-    request_from_state,
-    request_to_state,
-    sorted_order,
-)
+from repro.serving.controllers import controller_for, sorted_order
 from repro.serving.faults import FaultEvent, FaultSchedule
 from repro.serving.metrics import RequestRecord
+from repro.serving.trace import request_from_state, request_to_state
 from repro.serving.runtime import (
     ArrivalBatch,
     IngestionActor,
@@ -41,7 +37,6 @@ from repro.serving.runtime import (
     requests_from_lines,
     resume_live,
     run_live,
-    trace_digest,
 )
 from repro.serving.runtime.actors import Actor
 
@@ -224,7 +219,7 @@ class TestSupervisor:
         arrivals = [(index, trace[index]) for index in sorted_order(trace)]
 
         async def session():
-            controller = make_controller(
+            controller = controller_for(
                 FleetSimulator(model, n_chips=2), trace
             )
             supervisor = SupervisorActor(
@@ -234,7 +229,6 @@ class TestSupervisor:
                 config=SupervisionConfig(),
                 incidents=[],
                 ring=deque(maxlen=1),
-                digest=trace_digest(trace),
                 batch_size=4,
             )
             supervisor.start()

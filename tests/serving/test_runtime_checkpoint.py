@@ -29,7 +29,6 @@ from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import run_scenario
 from repro.serving import (
     AutoscalerConfig,
-    AutoscalingFleetSimulator,
     FleetSimulator,
     PoissonArrivals,
     RequestSampler,
@@ -237,7 +236,7 @@ class TestFleetLevelGuards:
         checkpoint = run_live(
             FleetSimulator(model, n_chips=2), trace, pause_after=5
         )
-        autoscaled = AutoscalingFleetSimulator(
+        autoscaled = FleetSimulator(
             model, autoscaler=AutoscalerConfig(target_p99_ttft_s=1.0)
         )
         with pytest.raises(CheckpointError, match="controller"):

@@ -20,7 +20,6 @@ from repro.scenarios.registry import available_scenarios, get_scenario
 from repro.scenarios.runner import run_scenario
 from repro.serving import (
     AutoscalerConfig,
-    AutoscalingFleetSimulator,
     FleetSimulator,
     PoissonArrivals,
     RequestSampler,
@@ -84,7 +83,7 @@ class TestFleetLevel:
     @pytest.mark.parametrize("admission", ["queue", "reject"])
     def test_autoscale(self, model, admission):
         trace = _trace(13, n=60)
-        fleet = AutoscalingFleetSimulator(
+        fleet = FleetSimulator(
             model,
             autoscaler=AutoscalerConfig(
                 target_p99_ttft_s=0.4,
@@ -147,7 +146,7 @@ class TestFleetLevel:
         priorities = [
             2.0 if index % 3 == 0 else 1.0 for index in range(len(trace))
         ]
-        fleet = AutoscalingFleetSimulator(
+        fleet = FleetSimulator(
             model,
             autoscaler=AutoscalerConfig(
                 target_p99_ttft_s=0.4,
@@ -167,7 +166,7 @@ class TestFleetLevel:
     def test_priorities_only_autoscale(self, model):
         trace = _trace(23, n=50)
         priorities = [1.0 + (index % 2) for index in range(len(trace))]
-        fleet = AutoscalingFleetSimulator(
+        fleet = FleetSimulator(
             model,
             autoscaler=AutoscalerConfig(
                 target_p99_ttft_s=0.4,

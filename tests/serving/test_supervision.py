@@ -6,9 +6,10 @@ undisturbed-run identity (zero incidents, one session, batch-equal
 result), quarantine-then-inline degradation, supervisor-crash ring
 restore, stall-driven ingestion restart, paced streams that are quiet
 but not stalled, pauses that wait for delayed batches and survive lost
-messages and supervisor crashes, bounded ``Actor.stop``, and the
-conservation property — every request recorded exactly once under
-*any* generated chaos schedule.
+messages and supervisor crashes, bounded ``Actor.stop``, a trace
+digest computed only for a checkpoint, and the conservation property —
+every request recorded exactly once under *any* generated chaos
+schedule.
 """
 
 import asyncio
@@ -31,8 +32,8 @@ from repro.serving.runtime import (
     Checkpoint,
     resume_live,
     run_live,
-    trace_digest,
 )
+from repro.serving.runtime import service
 from repro.serving.runtime.actors import Actor
 from repro.serving.runtime.chaos import (
     ChaosSchedule,
@@ -344,9 +345,9 @@ class TestCleanFailure:
         fleet = FleetSimulator(model, n_chips=1)
 
         async def session():
-            from repro.serving.dispatch import make_controller, sorted_order
+            from repro.serving.controllers import controller_for, sorted_order
 
-            controller = make_controller(fleet, trace)
+            controller = controller_for(fleet, trace)
             supervisor = SupervisorActor(
                 controller,
                 1,
@@ -354,7 +355,6 @@ class TestCleanFailure:
                 config=FAST,
                 incidents=[],
                 ring=deque(maxlen=1),
-                digest=trace_digest(trace),
             )
             supervisor.start()
             supervisor.post(
@@ -434,6 +434,60 @@ class TestPause:
         fleet = FleetSimulator(model, n_chips=2)
         chaos = ChaosSchedule(events=(crash_actor("supervisor", 2),))
         self._pause_and_resume(fleet, trace, 8, chaos)
+
+
+class TestTraceDigest:
+    """The run loop hashes the trace only to check, write or restore a checkpoint."""
+
+    @pytest.fixture
+    def digests(self, monkeypatch):
+        calls = []
+        original = service.trace_digest
+
+        def counting(trace):
+            calls.append(len(trace))
+            return original(trace)
+
+        monkeypatch.setattr(service, "trace_digest", counting)
+        return calls
+
+    def test_undisturbed_run_computes_none(self, model, digests):
+        trace = _trace(103)
+        fleet = FleetSimulator(model, n_chips=2)
+        run = _run(fleet, trace, None)
+        assert run.result == fleet.run(trace)
+        assert run.n_sessions == 1
+        assert digests == []
+
+    def test_pause_computes_one(self, model, digests):
+        paused = _run(
+            FleetSimulator(model, n_chips=2), _trace(103), None, pause_after=8
+        )
+        assert isinstance(paused, Checkpoint)
+        assert digests == [12]
+
+    def test_resume_computes_one(self, model, digests):
+        trace = _trace(103)
+        fleet = FleetSimulator(model, n_chips=2)
+        paused = _run(fleet, trace, None, pause_after=8)
+        digests.clear()
+        resumed = resume_live(fleet, trace, paused, supervision=FAST, batch_size=4)
+        assert resumed.result == fleet.run(trace)
+        assert digests == [12]
+
+    def test_supervisor_restart_computes_one(self, model, digests):
+        # checkpoint_every=4 and batches of 4: the ring holds a cursor
+        # past 0 when the supervisor dies on its fourth message.
+        trace = _trace(103)
+        fleet = FleetSimulator(model, n_chips=2)
+        run = _run(
+            fleet, trace, ChaosSchedule(events=(crash_actor("supervisor", 3),))
+        )
+        assert run.result == fleet.run(trace)
+        assert run.n_sessions == 2
+        [restart] = [i for i in run.incidents if i.kind == "supervisor_restart"]
+        assert not restart.detail.endswith("from cursor 0")
+        assert digests == [12]
 
 
 class _Stuck(Actor):

@@ -36,7 +36,6 @@ from repro.scenarios.__main__ import _build_parser as scenarios_parser
 from repro.scenarios.runner import build_fleet, run_scenario
 from repro.serving import (
     AutoscalerConfig,
-    AutoscalingFleetSimulator,
     BurstyArrivals,
     ContinuousBatchingSimulator,
     ENGINES,
@@ -160,7 +159,6 @@ class TestEngineSelection:
         for entry in (
             ContinuousBatchingSimulator,
             FleetSimulator,
-            AutoscalingFleetSimulator,
             build_fleet,
             run_scenario,
             run_scenario_live,
@@ -420,7 +418,7 @@ class TestAutoscalerEquivalence:
         )
         results = []
         for engine in ("wave", "step"):
-            fleet = AutoscalingFleetSimulator(
+            fleet = FleetSimulator(
                 MODEL, autoscaler=config, engine=engine
             )
             results.append(fleet.run(trace))
