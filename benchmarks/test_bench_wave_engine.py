@@ -9,11 +9,11 @@ oracle on a 20,000-request equivalence sample of the same trace (small
 enough for the oracle's one-iteration-per-step loop to finish in a few
 seconds).
 
-The trace is compiled straight to the columnar ``TRACE_DTYPE`` form via
-``compile_scenario_chunks``: one million requests stream through in
-100k-row chunks and no per-request ``ServingRequest`` objects are ever
-materialised on the benchmark path (the equivalence sample rebuilds
-objects for the oracle only, since it consumes object traces).
+The trace is compiled by ``compile_scenario``, the path every scenario
+run takes: one ``ServingRequest`` per request, sharing one
+``InferenceRequest`` per shape.  The compile is timed on its own and
+reported as ``compile_seconds``; the equivalence sample is the trace's
+first requests.
 
 An untimed warm-up run fills the engine-independent cost memos first:
 caches only move work, so the timed number measures the decode loop,
@@ -28,14 +28,12 @@ import time
 from dataclasses import replace
 
 from repro.models.mllm import get_mllm
-from repro.scenarios import compile_scenario_chunks, get_scenario
+from repro.scenarios import compile_scenario, get_scenario
 from repro.serving import ContinuousBatchingSimulator
-from repro.serving.trace import array_to_trace, concat_trace_arrays
 
 N_REQUESTS = 1_000_000
 TIME_BUDGET_S = 10.0
 SAMPLE_REQUESTS = 20_000
-CHUNK_SIZE = 100_000
 RATE_RPS = 400.0
 PERIOD_S = 86_400.0
 MAX_BATCH_SIZE = 64
@@ -52,10 +50,9 @@ def bench_spec():
     )
 
 
-def bench_array():
-    """Stream-compile the 1M-request trace straight to columnar form."""
-    chunks = compile_scenario_chunks(bench_spec(), chunk_size=CHUNK_SIZE)
-    return concat_trace_arrays([chunk.array for chunk in chunks])
+def bench_trace():
+    """The 1M-request ``ServingRequest`` trace of :func:`bench_spec`."""
+    return compile_scenario(bench_spec()).trace
 
 
 def _chip(engine, donor=None):
@@ -72,38 +69,40 @@ def _chip(engine, donor=None):
 
 
 def _measure():
-    """(wave result, wave seconds, sample identity, sample seconds)."""
-    array = bench_array()
+    """(wave result, wave s, sample identity, sample s, compile s)."""
+    start = time.perf_counter()
+    trace = bench_trace()
+    compile_seconds = time.perf_counter() - start
 
     # Untimed warm-up fills the engine-independent cost memos once; the
     # timed run then measures the decode loop alone.
     warm = _chip("wave")
-    warm.run(array)
+    warm.run(trace)
 
     timed = _chip("wave", donor=warm)
     start = time.perf_counter()
-    wave = timed.run(array)
+    wave = timed.run(trace)
     wave_seconds = time.perf_counter() - start
 
-    # Equivalence sample: the step oracle (object trace) vs wave
-    # (columnar) on the first requests, from identical caches.
-    sample = array[:SAMPLE_REQUESTS]
+    # Equivalence sample: the step oracle vs wave on the first requests,
+    # from identical caches.
+    sample = trace[:SAMPLE_REQUESTS]
     wave_sample = _chip("wave", donor=warm).run(sample)
     step_chip = _chip("step", donor=warm)
     start = time.perf_counter()
-    step_sample = step_chip.run(array_to_trace(sample))
+    step_sample = step_chip.run(sample)
     sample_seconds = time.perf_counter() - start
     identical = (
         step_sample.records == wave_sample.records
         and step_sample.peak_batch_size == wave_sample.peak_batch_size
         and step_sample.decode_steps == wave_sample.decode_steps
     )
-    return wave, wave_seconds, identical, sample_seconds
+    return wave, wave_seconds, identical, sample_seconds, compile_seconds
 
 
 def run_wave_1m() -> dict:
     """Time the 1M-request wave run and report the identity verdict."""
-    wave, wave_seconds, identical, sample_seconds = _measure()
+    wave, wave_seconds, identical, sample_seconds, compile_seconds = _measure()
     return {
         "requests": N_REQUESTS,
         "decode_steps": wave.decode_steps,
@@ -113,11 +112,12 @@ def run_wave_1m() -> dict:
         "identical_records": identical,
         "sample_requests": SAMPLE_REQUESTS,
         "step_sample_seconds": sample_seconds,
+        "compile_seconds": compile_seconds,
     }
 
 
 def test_bench_wave_engine_1m_under_10s():
-    wave, wave_seconds, identical, _ = _measure()
+    wave, wave_seconds, identical, _, _ = _measure()
 
     # Identity first: the speed is worthless if a single record moved.
     assert identical

@@ -12,8 +12,9 @@ and plan reports with their blocks — is a frozen dataclass that inherits
 * :meth:`Spec.from_dict` coerces each JSON value to its field's type
   hint, leaves every absent field at its dataclass default, and raises
   :class:`SpecError` naming the JSON path of the bad value — a missing
-  required key, a value of the wrong type or tuple arity, an unknown key,
-  or a check the dataclass's ``__post_init__`` refused;
+  required key, a value of the wrong type or tuple arity, a NaN or
+  infinite number, an unknown key, or a check the dataclass's
+  ``__post_init__`` refused;
 * :meth:`Spec.to_json` / :meth:`Spec.from_json` are the same data as
   indented, key-sorted text with a trailing newline (the golden-report
   form); :meth:`Spec.canonical_json` is its minified form.
@@ -44,6 +45,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import typing
 from types import MappingProxyType
 from typing import (
@@ -154,9 +156,13 @@ def _decode_float(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _mismatch(path, "a number", value)
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise SpecError(path, "number is too large for a float") from None
+    # JSON text may spell NaN and Infinity; no field takes them.
+    if not math.isfinite(number):
+        raise SpecError(path, f"expected a finite number, got {number!r}")
+    return number
 
 
 def _identity(value: Any) -> Any:

@@ -37,7 +37,7 @@ import numpy as np
 from .. import costs
 from ..arch.area_power import AreaPowerModel
 from ..arch.chip import ChipConfig
-from ..models.mllm import InferenceRequest, MLLMConfig, PhaseKey
+from ..models.mllm import InferenceRequest, MLLMConfig
 from ..models.ops import Op, OpKind, Phase, Workload
 from .config import SystemConfig
 from .metrics import PhaseResult, WorkloadResult
@@ -774,11 +774,14 @@ def batch_price_request_mix(
     them one scalar simulation at a time would redo the same cost algebra
     per shape; instead this stacks every *distinct phase* of the mix into a
     single :class:`OpTable` and evaluates the lot against one single-point
-    grid.  Phases are keyed by :meth:`~repro.models.mllm.MLLMConfig.phase_keys`
-    (image count for the vision encoder and projector, prompt tokens for
-    the prefill, mean decode context and output tokens for the decode), so
-    shapes that share an input share its phase, and each shape's price
-    folds its phases' latencies in workload order.  ``result[shape].latency_s``
+    grid.  Phases are stacked once per ``(name, input)`` of
+    :meth:`~repro.models.mllm.MLLMConfig.phase_keys` (image count for the
+    vision encoder and projector, prompt tokens for the prefill, mean
+    decode context for the decode) with repeat 1, so shapes that share an
+    input share its phase whatever their output length.  Each shape then
+    applies its own repeat with the operations of
+    :meth:`BatchCostEngine._reduce_phase`, in its order, and folds its
+    phases' latencies in workload order.  ``result[shape].latency_s``
     is bit-identical to
     ``PerformanceSimulator(system).run_request(model, shape)``'s
     ``total_latency_s`` (regression-tested in ``tests/core/test_batch.py``).
@@ -786,29 +789,32 @@ def batch_price_request_mix(
     shapes = list(dict.fromkeys(requests))
     if not shapes:
         raise ValueError("requests must not be empty")
-    index_of: Dict[PhaseKey, int] = {}
+    index_of: Dict[Tuple[str, int], int] = {}
     phases: List[Tuple[str, Sequence[Op], int]] = []
-    shape_phases: List[List[int]] = []
+    shape_phases: List[List[Tuple[int, int]]] = []
     for shape in shapes:
         indices = []
-        for key in model.phase_keys(shape):
-            if key not in index_of:
-                index_of[key] = len(phases)
-                name, value, repeat = key
-                phases.append((name, model.phase_ops(name, value), repeat))
-            indices.append(index_of[key])
+        for name, value, repeat in model.phase_keys(shape):
+            index = index_of.get((name, value))
+            if index is None:
+                index = index_of[name, value] = len(phases)
+                phases.append((name, model.phase_ops(name, value), 1))
+            indices.append((index, repeat))
         shape_phases.append(indices)
     table = OpTable("request_mix", phases)
     grid = DesignGrid.from_systems([system], bandwidth_fraction=bandwidth_fraction)
     result = BatchCostEngine(grid).evaluate(table)
-    latency = [float(arrays.latency_s[0]) for arrays in result.phases]
+    frequency_hz = float(grid.frequency_hz[0])
+    cycles = [float(arrays.cycles[0]) for arrays in result.phases]
     dram_bytes = [int(arrays.dram_bytes[0]) for arrays in result.phases]
     flops = [arrays.flops for arrays in result.phases]
     return {
         shape: RequestPrice(
-            latency_s=sum(latency[index] for index in indices),
-            dram_bytes=sum(dram_bytes[index] for index in indices),
-            flops=sum(flops[index] for index in indices),
+            latency_s=sum(
+                cycles[index] * repeat / frequency_hz for index, repeat in indices
+            ),
+            dram_bytes=sum(dram_bytes[index] * repeat for index, repeat in indices),
+            flops=sum(flops[index] * repeat for index, repeat in indices),
         )
         for shape, indices in zip(shapes, shape_phases)
     }

@@ -17,12 +17,10 @@ Run the catalogue from the command line::
 
 from .compile import (
     CompiledScenario,
-    TraceChunk,
     build_arrival_process,
     compile_chaos_schedule,
     compile_fault_schedule,
     compile_scenario,
-    compile_scenario_chunks,
     component_sampler,
 )
 from .registry import (
@@ -79,7 +77,6 @@ __all__ = [
     "SLOSpec",
     "TEXT_CHAT",
     "TenantSummary",
-    "TraceChunk",
     "VIDEO_FRAMES",
     "WorkloadComponent",
     "attained_slo",
@@ -90,7 +87,6 @@ __all__ = [
     "compile_chaos_schedule",
     "compile_fault_schedule",
     "compile_scenario",
-    "compile_scenario_chunks",
     "component_sampler",
     "format_scenario_report",
     "get_scenario",

@@ -7,26 +7,20 @@ bit-identical :class:`~repro.serving.queue.ServingRequest` trace in every
 process.  The compiled trace remembers which mix component produced each
 request, which the reports use for per-component accounting.
 
-Two compilation forms share one deterministic core, the draw loop
-:func:`_draws`: the classic :func:`compile_scenario` materialises
-per-request objects (one :class:`~repro.models.mllm.InferenceRequest` per
-distinct shape), while :func:`compile_scenario_chunks` stream-emits the
-columnar :data:`~repro.serving.trace.TRACE_DTYPE` form in bounded chunks.
-Every random stream is a persistent generator, and each component's
-shape stream is drawn only for the slots that component fills, so the
-chunked columns are byte-stable across chunk sizes and convert to the
-``==``-identical object trace.  Million-request wave
-traces never pay for per-request Python objects on the way in.
+One draw loop, :func:`_draws`, yields every slot's component, arrival
+and shape from persistent generators, and each component's shape stream
+is drawn only for the slots that component fills.
+:func:`compile_scenario` builds the trace from it, with one
+:class:`~repro.models.mllm.InferenceRequest` per distinct shape shared
+by every request of that shape.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Tuple, Union
-
-import numpy as np
 
 from ..models.mllm import InferenceRequest
 from ..serving.arrival import (
@@ -40,7 +34,6 @@ from ..serving.faults import FaultEvent, FaultSchedule
 from ..serving.queue import ServingRequest
 from ..serving.runtime.actors import DEFAULT_BATCH_SIZE
 from ..serving.runtime.chaos import ChaosSchedule, generate_chaos_schedule
-from ..serving.trace import TRACE_DTYPE
 from .spec import ArrivalSpec, ScenarioSpec, WorkloadComponent
 
 ArrivalProcess = Union[
@@ -238,7 +231,7 @@ def compile_chaos_schedule(
 def _draws(spec: ScenarioSpec) -> Iterator[Tuple[str, float, Tuple[int, int, int]]]:
     """Every slot's ``(component name, arrival_s, shape)``, in trace order.
 
-    The one draw loop of both compilation forms.  The arrival process,
+    The draw loop of :func:`compile_scenario`.  The arrival process,
     the mix-selection stream and each component's shape stream
     (:meth:`~repro.serving.arrival.RequestSampler.iter_shapes`) are
     persistent generators seeded from the spec hash.  A slot draws its
@@ -278,8 +271,7 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
     selection stream picks the component of every slot and each component
     contributes the next shape of its own seeded stream (see
     :func:`_draws`).  Requests of one shape share one
-    :class:`~repro.models.mllm.InferenceRequest`, as in
-    :func:`~repro.serving.trace.array_to_trace`.  Specs with a ``faults``
+    :class:`~repro.models.mllm.InferenceRequest`.  Specs with a ``faults``
     block additionally compile their concrete
     :class:`~repro.serving.faults.FaultSchedule` against the trace's
     arrival span.
@@ -308,56 +300,3 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
         faults=faults,
         chaos=chaos,
     )
-
-
-@dataclass(frozen=True)
-class TraceChunk:
-    """One bounded slice of a streaming columnar compilation."""
-
-    #: Columnar requests (:data:`~repro.serving.trace.TRACE_DTYPE` rows).
-    array: np.ndarray
-    #: Mix-component name of every row, in row order.
-    components: Tuple[str, ...]
-
-
-def compile_scenario_chunks(
-    spec: ScenarioSpec, *, chunk_size: int = 65536
-) -> Iterator[TraceChunk]:
-    """Stream-compile ``spec`` to columnar :class:`TraceChunk` slices.
-
-    The streaming twin of :func:`compile_scenario`, over the same draw
-    loop (:func:`_draws`), so the concatenated chunks are byte-stable for
-    every ``chunk_size`` and convert (``array_to_trace``) to the
-    ``==``-identical object trace.  Peak memory is one ``chunk_size``
-    chunk, never the whole trace — a week-long multi-million-request
-    scenario compiles without materialising a single
-    :class:`~repro.serving.queue.ServingRequest`.  Fault schedules need
-    the full arrival span and are not part of the streamed columns; use
-    :func:`compile_fault_schedule` once the span is known.
-    """
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    n = spec.n_requests
-    draws = _draws(spec)
-    emitted = 0
-    while emitted < n:
-        count = min(chunk_size, n - emitted)
-        chosen: List[str] = []
-        arrival_col: List[float] = []
-        images_col: List[int] = []
-        prompt_col: List[int] = []
-        output_col: List[int] = []
-        for name, arrival_s, (images, prompt, output) in islice(draws, count):
-            chosen.append(name)
-            arrival_col.append(arrival_s)
-            images_col.append(images)
-            prompt_col.append(prompt)
-            output_col.append(output)
-        array = np.empty(count, dtype=TRACE_DTYPE)
-        array["request_id"] = range(emitted, emitted + count)
-        array["arrival_s"] = arrival_col
-        array["images"] = images_col
-        array["prompt_text_tokens"] = prompt_col
-        array["output_tokens"] = output_col
-        emitted += count
-        yield TraceChunk(array=array, components=tuple(chosen))

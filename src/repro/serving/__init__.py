@@ -46,14 +46,6 @@ from .metrics import (
     summarize,
 )
 from .engine import run_wave
-from .trace import (
-    TRACE_DTYPE,
-    array_to_trace,
-    concat_trace_arrays,
-    empty_trace_array,
-    trace_to_array,
-    validate_trace_array,
-)
 from .queue import (
     ENGINES,
     BatchDecodeCostModel,
@@ -101,10 +93,4 @@ __all__ = [
     "Checkpoint",
     "resume_live",
     "run_live",
-    "TRACE_DTYPE",
-    "array_to_trace",
-    "concat_trace_arrays",
-    "empty_trace_array",
-    "trace_to_array",
-    "validate_trace_array",
 ]

@@ -20,9 +20,9 @@ with the same parameters produce bit-identical timestamp sequences, which
 the test suite relies on and which makes serving experiments reproducible.
 Every process also exposes ``iter_times()``, a *streaming* view with the
 exact RNG call order of ``generate``: ``generate(n)`` equals the first
-``n`` elements of ``iter_times()`` however the stream is chunked, which
-is what lets the scenario compiler stream-emit columnar traces without
-materialising the whole timestamp list.
+``n`` elements of ``iter_times()``, which is what lets the scenario
+compiler draw one arrival per request slot without materialising the
+whole timestamp list.
 
 :class:`RequestSampler` pairs the arrival times with request *shapes*
 (image count, prompt length, output length), again deterministically.
@@ -237,11 +237,11 @@ class RequestSampler:
     def iter_shapes(self) -> Iterator[Tuple[int, int, int]]:
         """Stream ``(images, prompt_text_tokens, output_tokens)`` triples.
 
-        The columnar twin of :meth:`sample`, with the identical RNG call
+        The streaming view of :meth:`sample`, with the identical RNG call
         order per request, so the first ``n`` triples match ``sample(n)``
-        field for field however the stream is chunked — the scenario
-        compiler's streaming path fills trace columns from this without
-        building :class:`~repro.models.mllm.InferenceRequest` objects.
+        field for field.  The scenario compiler draws each slot's shape
+        from it and builds one
+        :class:`~repro.models.mllm.InferenceRequest` per distinct triple.
         """
         rng = random.Random(self.seed)
         lo, hi = self.prompt_token_range

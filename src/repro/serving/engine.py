@@ -35,11 +35,11 @@ O(changed streams), not O(batch).  With a free slot and a prefill in
 flight, a run stops at the first boundary at or past that prefill's
 completion; long searches for this admission cutoff take one
 ``np.add.accumulate`` + ``np.searchsorted`` array pass per prefill wave
-instead of a step-by-step walk.  Traces arrive as ``ServingRequest``
-sequences or columnar :data:`repro.serving.trace.TRACE_DTYPE` arrays,
-normalised into the same columns; the columnar form needs no
-per-request objects on the way in.  ``docs/performance.md`` (layer 4)
-has the full derivation.
+instead of a step-by-step walk.  A trace is a ``ServingRequest``
+sequence; :func:`_wave_columns` turns it into dispatch-ordered columns
+once, and every record reuses its request's own
+:class:`~repro.models.mllm.InferenceRequest`.  ``docs/performance.md``
+(layer 4) has the full derivation.
 """
 
 from __future__ import annotations
@@ -51,11 +51,10 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..models.mllm import InferenceRequest
 from .metrics import RequestRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .queue import ContinuousBatchingSimulator, ServingResult
+    from .queue import ContinuousBatchingSimulator, ServingRequest, ServingResult
 
 #: Runs at least this long reconstruct their boundary timestamps through
 #: ``np.add.accumulate`` instead of a Python fold; below it the array-call
@@ -101,42 +100,44 @@ def prefill_windows(
 #: Both paths stop at the identical boundary.
 SEARCH_CUTOFF_MIN = 32
 
+#: Relative margin of :func:`run_wave`'s admission screen: a run of ``k``
+#: steps of ``dt`` from ``now`` skips the cutoff search only when
+#: ``(now + dt * k) * (1 + ADMISSION_SCREEN_MARGIN)`` is still short of
+#: the waiting prefill's completion.
+ADMISSION_SCREEN_MARGIN = 1e-8
 
-def _wave_columns(chip: "ContinuousBatchingSimulator", trace) -> tuple:
+#: Longest output, in tokens, :func:`run_wave` accepts.  No run outlasts
+#: the longest output, and a left fold of ``k`` positive terms errs by at
+#: most ``γ_k = k·u / (1 − k·u)`` relative (``u = 2**-53``); the screen's
+#: own three roundings and its rounded ``1 + margin`` cost four more
+#: ``(1 − u)`` factors.  So the screen never skips a needed cutoff search
+#: while ``1 + γ_k <= (1 + ADMISSION_SCREEN_MARGIN) · (1 − u)**4`` for
+#: ``k = MAX_RUN_STEPS``, which holds up to ``k`` ≈ 9×10^7.
+MAX_RUN_STEPS = 2**26
+
+
+class RunLengthError(ValueError):
+    """A trace whose longest output exceeds :data:`MAX_RUN_STEPS`."""
+
+
+def _wave_columns(
+    chip: "ContinuousBatchingSimulator", trace: Sequence["ServingRequest"]
+) -> tuple:
     """Dispatch-ordered trace columns for :func:`run_wave`.
 
-    Normalises either trace form (a ``ServingRequest`` sequence or a
-    columnar :data:`~repro.serving.trace.TRACE_DTYPE` array) into plain
-    Python column lists sorted by ``(arrival_s, request_id)`` — the exact
-    dispatch order the per-step oracle uses — plus per-request CC-stage
-    latencies and initial contexts gathered through the chip's
+    Sorts the ``ServingRequest`` trace by ``(arrival_s, request_id)`` —
+    the exact dispatch order the per-step oracle uses — into plain
+    Python column lists, plus per-request CC-stage latencies and initial
+    contexts gathered through the chip's
     :class:`~repro.serving.queue.ChipCosts` memo.
-    Returns ``(ids, arrivals, images, prompts, outputs, latencies,
-    contexts, requests)`` where ``requests`` is the per-request
-    ``InferenceRequest`` list for object traces and ``None`` for columnar
-    traces (the engine materialises shared instances lazily at record
-    time).
+    Returns ``(ids, arrivals, outputs, latencies, contexts, requests)``,
+    where ``requests`` holds each request's ``InferenceRequest``.
     """
-    if isinstance(trace, np.ndarray):
-        from .trace import validate_trace_array
-
-        validate_trace_array(trace)
-        order = np.lexsort((trace["request_id"], trace["arrival_s"]))
-        rows = trace[order]
-        ids = rows["request_id"].tolist()
-        arrivals = rows["arrival_s"].tolist()
-        images = rows["images"].tolist()
-        prompts = rows["prompt_text_tokens"].tolist()
-        outputs = rows["output_tokens"].tolist()
-        requests = None
-    else:
-        pending = sorted(trace, key=lambda r: (r.arrival_s, r.request_id))
-        ids = [item.request_id for item in pending]
-        arrivals = [item.arrival_s for item in pending]
-        requests = [item.request for item in pending]
-        images = [request.images for request in requests]
-        prompts = [request.prompt_text_tokens for request in requests]
-        outputs = [request.output_tokens for request in requests]
+    pending = sorted(trace, key=lambda r: (r.arrival_s, r.request_id))
+    ids = [item.request_id for item in pending]
+    arrivals = [item.arrival_s for item in pending]
+    requests = [item.request for item in pending]
+    outputs = [request.output_tokens for request in requests]
 
     # CC latencies and prompt-token counts are pure functions of the
     # (images, prompt tokens) shape, memoized in the chip's ChipCosts
@@ -145,25 +146,24 @@ def _wave_columns(chip: "ContinuousBatchingSimulator", trace) -> tuple:
     shape = chip.costs.shape
     latencies: List[float] = []
     contexts: List[int] = []
-    for image_count, prompt_count in zip(images, prompts):
-        entry = shapes_get((image_count, prompt_count))
+    for request in requests:
+        key = (request.images, request.prompt_text_tokens)
+        entry = shapes_get(key)
         if entry is None:
-            entry = shape(image_count, prompt_count)
+            entry = shape(*key)
         latencies.append(entry[0])
         contexts.append(entry[1])
-    return ids, arrivals, images, prompts, outputs, latencies, contexts, requests
+    return ids, arrivals, outputs, latencies, contexts, requests
 
 
 def run_wave(
-    chip: "ContinuousBatchingSimulator", trace
+    chip: "ContinuousBatchingSimulator", trace: Sequence["ServingRequest"]
 ) -> "ServingResult":
-    """Simulate ``trace`` on ``chip`` with the wave-vectorized engine.
+    """Simulate the ``ServingRequest`` ``trace`` on ``chip`` with the wave engine.
 
-    Accepts either trace form — a ``ServingRequest`` sequence or a
-    columnar :data:`repro.serving.trace.TRACE_DTYPE` array — and returns
-    the same :class:`~repro.serving.queue.ServingResult` — records, peak
-    batch size and decode-step count — as the per-step oracle
-    :meth:`~repro.serving.queue.ContinuousBatchingSimulator.run_step`,
+    Returns the same :class:`~repro.serving.queue.ServingResult` —
+    records, peak batch size and decode-step count — as the per-step
+    oracle :meth:`~repro.serving.queue.ContinuousBatchingSimulator.run_step`,
     bit for bit, in one run per constant composition instead of one
     Python iteration per decode step (see the module docstring).
     """
@@ -171,16 +171,17 @@ def run_wave(
 
     if len(trace) == 0:
         raise ValueError("trace must not be empty")
-    (
-        ids,
-        arrivals,
-        images,
-        prompts,
-        outputs,
-        latencies,
-        contexts0,
-        requests,
-    ) = _wave_columns(chip, trace)
+    ids, arrivals, outputs, latencies, contexts0, requests = _wave_columns(
+        chip, trace
+    )
+    longest = max(outputs)
+    if longest > MAX_RUN_STEPS:
+        raise RunLengthError(
+            f"output_tokens {longest} exceeds the wave engine's "
+            f"MAX_RUN_STEPS ({MAX_RUN_STEPS}), the longest run its "
+            "admission screen is sound for"
+        )
+    screen = 1.0 + ADMISSION_SCREEN_MARGIN
     n = len(ids)
     cost_model = chip.cost_model
     step_latency_for_sums = cost_model.step_latency_for_sums
@@ -217,7 +218,6 @@ def run_wave(
     finish_at_append = finish_at.append
     first_token_append = first_token.append
 
-    request_memo: dict = {}
     records: List[RequestRecord] = []
     records_append = records.append
     steps = 0  # global decode-step count (the absolute clock)
@@ -283,14 +283,15 @@ def run_wave(
             # Longest run with this composition: up to the earliest finish
             # or bucket crossing (both strictly ahead of the count) ...
             k = (next_cross if next_cross < min_finish else min_finish) - steps
-            if capacity and (now + dt * k) * (1.0 + 1e-8) >= admit_t:
+            if capacity and (now + dt * k) * screen >= admit_t:
                 # ... but with a free slot and a prefill in flight, the
                 # run must stop at the first boundary of the left-fold
                 # sequence at or past the next prefill completion.  The
                 # screen brackets the folded endpoint within relative
-                # 1e-8, orders of magnitude above the fold's worst-case
-                # accumulation error, so it can only ever *keep* a cutoff
-                # search, never skip a needed one (the search stays exact).
+                # ADMISSION_SCREEN_MARGIN, above the fold's worst-case
+                # error for any k <= MAX_RUN_STEPS (checked on entry), so
+                # it can only ever *keep* a cutoff search, never skip a
+                # needed one (the search stays exact).
                 if k < SEARCH_CUTOFF_MIN:
                     first_boundary = now + dt
                     boundary = first_boundary
@@ -359,22 +360,10 @@ def run_wave(
                 while steps in finish_at:
                     position = finish_at.index(steps)
                     index = act[position]
-                    if requests is not None:
-                        request = requests[index]
-                    else:
-                        shape = (images[index], prompts[index], outputs[index])
-                        request = request_memo.get(shape)
-                        if request is None:
-                            request = InferenceRequest(
-                                images=shape[0],
-                                prompt_text_tokens=shape[1],
-                                output_tokens=shape[2],
-                            )
-                            request_memo[shape] = request
                     records_append(
                         RequestRecord(
                             request_id=ids[index],
-                            request=request,
+                            request=requests[index],
                             arrival_s=arrivals[index],
                             prefill_start_s=prefill_start[index],
                             prefill_end_s=prefill_end[index],

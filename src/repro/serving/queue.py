@@ -441,13 +441,11 @@ class ServingResult:
 
 #: Decode-loop implementations of :class:`ContinuousBatchingSimulator`:
 #: ``"wave"`` (the default) advances whole constant-composition runs of
-#: decode steps in one shot, batches the admission-cutoff walk into one
-#: array pass per prefill wave and consumes columnar
-#: :data:`repro.serving.trace.TRACE_DTYPE` traces directly
-#: (:mod:`repro.serving.engine`); ``"step"`` executes the original
-#: one-iteration-per-step event loop.  Both produce bit-identical results;
-#: ``"step"`` is retained as the exact oracle the wave engine is tested
-#: against.
+#: decode steps in one shot and batches the admission-cutoff walk into
+#: one array pass per prefill wave (:mod:`repro.serving.engine`);
+#: ``"step"`` executes the original one-iteration-per-step event loop.
+#: Both produce bit-identical results; ``"step"`` is retained as the
+#: exact oracle the wave engine is tested against.
 ENGINES: Tuple[str, ...] = ("step", "wave")
 
 
@@ -539,19 +537,12 @@ class ContinuousBatchingSimulator:
         Dispatches to the configured :data:`ENGINES` member: the default
         wave engine (:func:`repro.serving.engine.run_wave`) or the
         per-step oracle loop (:meth:`run_step`).  Both return the same
-        :class:`ServingResult` bit for bit.  ``trace`` may also be a
-        columnar :data:`repro.serving.trace.TRACE_DTYPE` array; the wave
-        engine consumes it directly, the oracle materialises the object
-        trace first (same records either way).
+        :class:`ServingResult` bit for bit.
         """
         if self.engine == "wave":
             from .engine import run_wave
 
             return run_wave(self, trace)
-        if not isinstance(trace, (list, tuple)) and hasattr(trace, "dtype"):
-            from .trace import array_to_trace
-
-            trace = array_to_trace(trace)
         return self.run_step(trace)
 
     def run_step(self, trace: Sequence[ServingRequest]) -> ServingResult:

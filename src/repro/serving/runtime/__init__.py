@@ -67,7 +67,6 @@ from .messages import (
 from .service import (
     SupervisedRun,
     TraceIngestError,
-    requests_from_chunks,
     requests_from_lines,
     resume_live,
     resume_scenario,
@@ -120,7 +119,6 @@ __all__ = [
     "drop_message",
     "generate_chaos_schedule",
     "hang_actor",
-    "requests_from_chunks",
     "requests_from_lines",
     "resume_live",
     "resume_scenario",

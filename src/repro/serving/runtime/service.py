@@ -28,12 +28,12 @@ couplings: checkpoints taken there embed the scenario spec and engine,
 so a resume rebuilds fleet and trace from the spec alone (the spec-hash
 -seeds-everything contract makes the recompiled trace exact).
 
-:func:`requests_from_lines` and :func:`requests_from_chunks` adapt the
-two streaming ingestion formats — JSON request lines (stdin, a socket)
-and columnar :class:`~repro.scenarios.compile.TraceChunk` slices — to
-the object traces the runtime consumes; a malformed line raises a
-structured :class:`TraceIngestError` naming the line and field instead
-of surfacing a raw parser traceback.
+:func:`requests_from_lines` adapts the streaming ingestion format —
+JSON request lines (stdin, a socket), one
+:func:`~repro.serving.trace.request_to_state` document per line — to
+the ``ServingRequest`` trace the runtime consumes; a malformed line
+raises a structured :class:`TraceIngestError` naming the line and field
+instead of surfacing a raw parser traceback.
 """
 
 from __future__ import annotations
@@ -548,27 +548,9 @@ def requests_from_lines(lines: Iterable[str]) -> List[ServingRequest]:
     return trace
 
 
-def requests_from_chunks(chunks: Iterable[Any]) -> List[ServingRequest]:
-    """Flatten columnar trace chunks into an object trace.
-
-    Accepts :class:`~repro.scenarios.compile.TraceChunk` values or raw
-    :data:`~repro.serving.trace.TRACE_DTYPE` arrays, in stream order —
-    the adapter between ``compile_scenario_chunks`` streaming and the
-    live runtime's object-trace ingestion.
-    """
-    from ..trace import array_to_trace
-
-    trace: List[ServingRequest] = []
-    for chunk in chunks:
-        array = getattr(chunk, "array", chunk)
-        trace.extend(array_to_trace(array))
-    return trace
-
-
 __all__ = [
     "SupervisedRun",
     "TraceIngestError",
-    "requests_from_chunks",
     "requests_from_lines",
     "resume_live",
     "resume_scenario",

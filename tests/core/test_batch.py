@@ -162,6 +162,24 @@ def priced_phases(model, shapes, monkeypatch):
     return stacked
 
 
+#: Request shapes that share phases in every way the pricer keys them.
+SHARED_PHASE_SHAPES = [
+    # The same CC inputs with different outputs.
+    InferenceRequest(images=1, prompt_text_tokens=32, output_tokens=8),
+    InferenceRequest(images=1, prompt_text_tokens=32, output_tokens=17),
+    # The same images with different prompts.
+    InferenceRequest(images=2, prompt_text_tokens=10, output_tokens=5),
+    InferenceRequest(images=2, prompt_text_tokens=50, output_tokens=5),
+    # One decode context (p + 1) at two repeats.
+    InferenceRequest(images=0, prompt_text_tokens=40, output_tokens=3),
+    InferenceRequest(images=0, prompt_text_tokens=41, output_tokens=1),
+    # One decode context and repeat from two prompts: 39.5 and
+    # 40.5 both round to 40.
+    InferenceRequest(images=0, prompt_text_tokens=39, output_tokens=2),
+    InferenceRequest(images=0, prompt_text_tokens=40, output_tokens=2),
+]
+
+
 class TestScenarioMixEquivalence:
     """Scenario-generated workload shapes price batch == scalar.
 
@@ -217,23 +235,17 @@ class TestScenarioMixEquivalence:
         self.assert_prices_match_scalar(shapes, scaled_system(2, cc, mc))
 
     def test_shapes_sharing_a_phase_match_scalar(self):
-        shapes = [
-            # The same CC inputs with different outputs.
-            InferenceRequest(images=1, prompt_text_tokens=32, output_tokens=8),
-            InferenceRequest(images=1, prompt_text_tokens=32, output_tokens=17),
-            # The same images with different prompts.
-            InferenceRequest(images=2, prompt_text_tokens=10, output_tokens=5),
-            InferenceRequest(images=2, prompt_text_tokens=50, output_tokens=5),
-            # One decode context (p + 1) at two repeats.
-            InferenceRequest(images=0, prompt_text_tokens=40, output_tokens=3),
-            InferenceRequest(images=0, prompt_text_tokens=41, output_tokens=1),
-            # One decode context and repeat from two prompts: 39.5 and
-            # 40.5 both round to 40.
-            InferenceRequest(images=0, prompt_text_tokens=39, output_tokens=2),
-            InferenceRequest(images=0, prompt_text_tokens=40, output_tokens=2),
-        ]
         for system in (default_system(), scaled_system(2, 1, 2)):
-            self.assert_prices_match_scalar(shapes, system)
+            self.assert_prices_match_scalar(SHARED_PHASE_SHAPES, system)
+
+    def test_one_decode_phase_per_context(self, monkeypatch):
+        # A decode phase's repeat (its output tokens) is applied after the
+        # fold, so shapes of one decode context share one stacked phase.
+        model = get_mllm("sphinx-tiny")
+        stacked = priced_phases(model, SHARED_PHASE_SHAPES, monkeypatch)
+        repeats = [repeat for name, _, repeat in stacked if name == "llm_decode"]
+        contexts = {model.phase_keys(shape)[-1][1] for shape in SHARED_PHASE_SHAPES}
+        assert repeats == [1] * len(contexts)
 
     def test_each_distinct_phase_is_stacked_once(self, monkeypatch):
         from repro.scenarios import compile_scenario, get_scenario
@@ -268,7 +280,8 @@ class TestPhaseList:
     def assert_workload_is_the_priced_list(self, model, shape, monkeypatch):
         workload = model.build_workload(shape)
         priced = priced_phases(model, [shape], monkeypatch)
-        assert [(p.name, p.repeat) for p in workload.phases] == [
+        # Pricing stacks each phase once and applies its repeat after.
+        assert [(p.name, 1) for p in workload.phases] == [
             (name.rsplit("/", 1)[-1], repeat) for name, _, repeat in priced
         ]
         for phase, (_, ops, _) in zip(workload.phases, priced):

@@ -15,7 +15,7 @@ from repro.scenarios import (
     compile_scenario,
     get_scenario,
 )
-from repro.scenarios.compile import component_sampler, compile_scenario_chunks
+from repro.scenarios.compile import component_sampler
 from repro.serving import build_trace
 from repro.serving.arrival import (
     BurstyArrivals,
@@ -109,12 +109,6 @@ THREE = ScenarioSpec(
 )
 
 
-def _chunk_components(spec):
-    """The component of every row of the streamed columnar form."""
-    chunks = compile_scenario_chunks(spec, chunk_size=64)
-    return sum((chunk.components for chunk in chunks), ())
-
-
 def _eager_reference(spec):
     """The trace the spec's streams define, drawn eagerly per component.
 
@@ -142,11 +136,17 @@ def _eager_reference(spec):
     return build_trace(times, [next(streams[name]) for name in chosen]), chosen
 
 
+def _assert_equals_the_eager_reference(spec):
+    trace, chosen = _eager_reference(spec)
+    compiled = compile_scenario(spec)
+    assert compiled.trace == tuple(trace)
+    assert compiled.components == tuple(chosen)
+
+
 class TestLazyDraws:
     """Each component draws only the shapes of the slots it fills."""
 
-    @pytest.mark.parametrize("form", ["objects", "chunks"])
-    def test_each_component_draws_exactly_its_count(self, monkeypatch, form):
+    def test_each_component_draws_exactly_its_count(self, monkeypatch):
         draws = Counter()
         original = RequestSampler.iter_shapes
 
@@ -156,10 +156,7 @@ class TestLazyDraws:
                 yield shape
 
         monkeypatch.setattr(RequestSampler, "iter_shapes", counting)
-        if form == "objects":
-            components = compile_scenario(THREE).components
-        else:
-            components = _chunk_components(THREE)
+        components = compile_scenario(THREE).components
         counts = Counter(components)
         assert sum(counts.values()) == THREE.n_requests
         assert all(counts[c.name] > 0 for c in THREE.mix)
@@ -176,12 +173,13 @@ class TestLazyDraws:
 
     @pytest.mark.parametrize("salt", [0, 1, 7919])
     def test_trace_equals_the_eager_reference(self, salt):
-        spec = replace(THREE, seed_salt=salt)
-        trace, chosen = _eager_reference(spec)
-        compiled = compile_scenario(spec)
-        assert compiled.trace == tuple(trace)
-        assert compiled.components == tuple(chosen)
-        assert _chunk_components(spec) == tuple(chosen)
+        _assert_equals_the_eager_reference(replace(THREE, seed_salt=salt))
+
+    @pytest.mark.parametrize("name", available_scenarios())
+    def test_registered_scenario_equals_the_eager_reference(self, name):
+        # The registry spans every arrival kind (trace replays included)
+        # and single- and multi-component mixes.
+        _assert_equals_the_eager_reference(get_scenario(name))
 
 
 class TestArrivalWiring:
@@ -207,9 +205,3 @@ class TestArrivalWiring:
         )
         compiled = compile_scenario(spec)
         assert tuple(r.arrival_s for r in compiled.trace) == times
-
-    def test_registered_scenarios_all_compile(self):
-        for name in available_scenarios():
-            spec = get_scenario(name)
-            compiled = compile_scenario(spec)
-            assert len(compiled.trace) == spec.n_requests

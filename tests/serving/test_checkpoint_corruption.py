@@ -113,6 +113,15 @@ def _mutate_scenario(field, value):
     return corrupt
 
 
+def _mutate_arrival(field, value):
+    def corrupt(text):
+        data = json.loads(text)
+        data["scenario"]["arrival"][field] = value
+        return json.dumps(data)
+
+    return corrupt
+
+
 def _drop(field):
     def corrupt(text):
         data = json.loads(text)
@@ -150,6 +159,11 @@ CORRUPTIONS = [
         _mutate_scenario("n_requests", "many"),
         r"scenario\.n_requests: ",
         id="mistyped-scenario-field",
+    ),
+    pytest.param(
+        _mutate_arrival("rate_rps", float("nan")),
+        r"scenario\.arrival\.rate_rps: expected a finite number, got nan",
+        id="non-finite-scenario-field",
     ),
     pytest.param(
         _mutate("engine", "macro"), "field 'engine' must be one of", id="retired-engine"

@@ -2,7 +2,7 @@
 
 The differential and checkpoint suites prove the headline equivalences;
 this file pins the mechanics underneath them: ingestion batching and
-validation, the line/chunk trace sources, supervisor arrival accounting
+validation, the JSON-line trace source, supervisor arrival accounting
 and error propagation, and the ``runtime=`` plumbing on the fleet entry
 points.
 """
@@ -12,14 +12,15 @@ import json
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.models.mllm import get_mllm
-from repro.scenarios.compile import compile_scenario, compile_scenario_chunks
-from repro.scenarios.registry import get_scenario
+from repro.models.mllm import InferenceRequest, get_mllm
 from repro.serving import (
     FleetSimulator,
     PoissonArrivals,
     RequestSampler,
+    ServingRequest,
     build_trace,
 )
 from repro.serving.controllers import controller_for, sorted_order
@@ -33,7 +34,6 @@ from repro.serving.runtime import (
     SupervisionConfig,
     SupervisorActor,
     TraceIngestError,
-    requests_from_chunks,
     requests_from_lines,
     resume_live,
     run_live,
@@ -123,11 +123,36 @@ class TestSources:
         for request in _trace(5, n=4):
             assert request_from_state(request_to_state(request)) == request
 
-    def test_requests_from_chunks_matches_compile(self):
-        spec = get_scenario("chat-poisson")
-        compiled = compile_scenario(spec)
-        chunks = compile_scenario_chunks(spec, chunk_size=32)
-        assert requests_from_chunks(chunks) == list(compiled.trace)
+    @given(
+        fields=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2**63),
+                st.floats(min_value=0.0, max_value=1e9),
+                st.integers(min_value=0, max_value=64),
+                st.integers(min_value=0, max_value=100_000),
+                st.integers(min_value=1, max_value=100_000),
+            ).filter(lambda f: f[2] or f[3]),  # an image or a prompt token
+            max_size=20,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_lines_round_trip_any_request(self, fields):
+        # Beyond sampled traces: image-only shapes, huge ids and any
+        # arrival double (subnormals included) come back exactly.
+        trace = [
+            ServingRequest(
+                request_id=request_id,
+                arrival_s=arrival_s,
+                request=InferenceRequest(
+                    images=images,
+                    prompt_text_tokens=prompt,
+                    output_tokens=output,
+                ),
+            )
+            for request_id, arrival_s, images, prompt, output in fields
+        ]
+        lines = [json.dumps(request_to_state(r)) for r in trace]
+        assert requests_from_lines(lines) == trace
 
     def test_bad_json_names_the_line(self, model):
         lines = [json.dumps(request_to_state(r)) for r in _trace(5, n=3)]

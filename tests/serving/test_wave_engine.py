@@ -1,20 +1,22 @@
 """Wave engine: bit-identity against the per-step oracle.
 
-The wave engine compresses constant-composition runs of decode steps,
-batches the admission-cutoff walk into one array pass and consumes
-columnar traces, but its contract is exact ``==`` equivalence with the
-per-step oracle.  Every test here asserts equality of ``RequestRecord``
-tuples and peak-batch/decode-step counters between ``wave`` and
-``step`` — on randomized composition-churning traces over batch sizes,
+The wave engine compresses constant-composition runs of decode steps
+and batches the admission-cutoff walk into one array pass, but its
+contract is exact ``==`` equivalence with the per-step oracle.  Every
+test here asserts equality of ``RequestRecord`` tuples and
+peak-batch/decode-step counters between ``wave`` and ``step`` — on
+randomized composition-churning traces over batch sizes,
 bucket widths and fleet sizes, and on deterministic edge traces that pin
 each fold and cutoff path — plus scale-event equality when the
 autoscaler drives fleets under ``engine="wave"``.  The CC-pipeline
 recurrence both the wave engine and the fault era split share
 (:func:`~repro.serving.engine.prefill_windows`) is pinned against the
-oracle's prefill windows directly.
+oracle's prefill windows directly, and the admission screen's run-length
+bound (:data:`~repro.serving.engine.MAX_RUN_STEPS`) in exact rationals.
 """
 
 import inspect
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.batch import context_bucket_for
 from repro.core.simulator import PerformanceSimulator
-from repro.models.mllm import get_mllm
+from repro.models.mllm import InferenceRequest, get_mllm
 from repro.planner.__main__ import _build_parser as planner_parser
 from repro.planner.evaluate import (
     candidate_fleet,
@@ -42,10 +44,15 @@ from repro.serving import (
     FleetSimulator,
     PoissonArrivals,
     RequestSampler,
+    ServingRequest,
     build_trace,
-    trace_to_array,
 )
-from repro.serving.engine import prefill_windows
+from repro.serving.engine import (
+    ADMISSION_SCREEN_MARGIN,
+    MAX_RUN_STEPS,
+    RunLengthError,
+    prefill_windows,
+)
 from repro.serving.runtime.service import run_scenario_live
 
 MODEL = get_mllm("sphinx-tiny")
@@ -223,37 +230,6 @@ class TestPropertyEquivalence:
             )
         )
 
-    @given(
-        n=st.integers(min_value=1, max_value=60),
-        seed=st.integers(min_value=0, max_value=2**16),
-        rate=st.floats(min_value=0.2, max_value=20.0),
-        max_batch=st.integers(min_value=1, max_value=8),
-        bucket=st.sampled_from((1, 16, 64)),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_columnar_trace_equals_object_trace(
-        self, n, seed, rate, max_batch, bucket
-    ):
-        # The wave engine accepts the TRACE_DTYPE array directly; the
-        # records must match an object-trace wave run and the oracle.
-        trace = make_trace(n, seed=seed, rate=rate)
-        array = trace_to_array(trace)
-        from_objects = _chip(
-            "wave", max_batch_size=max_batch, context_bucket=bucket
-        )
-        objects_result = from_objects.run(trace)
-        _harvest(from_objects)
-        from_array = _chip(
-            "wave", max_batch_size=max_batch, context_bucket=bucket
-        )
-        array_result = from_array.run(array)
-        oracle = _chip(
-            "step", max_batch_size=max_batch, context_bucket=bucket
-        )
-        step_result = oracle.run(trace)
-        assert_identical(array_result, objects_result)
-        assert_identical(array_result, step_result)
-
 
 #: Deterministic edge traces: (trace factory, chip kwargs).
 EDGE_TRACES = [
@@ -309,27 +285,38 @@ class TestDeterministicEdges:
         assert_identical(*run_both(make(), **chip_kwargs))
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_columnar_trace_on_every_engine(self, engine):
-        # Wave consumes the array directly; step materialises the object
-        # trace first.  Either way the records match the object-trace run.
+    def test_records_reuse_the_trace_requests(self, engine):
+        # A record holds its request's own InferenceRequest, never a copy.
         trace = make_trace(40, seed=7, rate=10.0)
-        results = []
-        for form in (trace_to_array(trace), trace):
-            chip = _chip(engine)
-            results.append(chip.run(form))
-            _harvest(chip)
-        assert_identical(*results)
+        chip = _chip(engine)
+        result = chip.run(trace)
+        _harvest(chip)
+        requests = {item.request_id: item.request for item in trace}
+        assert all(r.request is requests[r.request_id] for r in result.records)
 
     def test_empty_trace_rejected(self):
-        import numpy as np
-
-        from repro.serving.trace import TRACE_DTYPE
-
         chip = _chip("wave")
         with pytest.raises(ValueError, match="empty"):
             chip.run([])
-        with pytest.raises(ValueError, match="empty"):
-            chip.run(np.empty(0, dtype=TRACE_DTYPE))
+
+
+class TestAdmissionScreenBound:
+    def test_bound_keeps_the_screen_sound(self):
+        # In exact rationals: a left fold of k positive terms errs by at
+        # most gamma_k relative, and the screen's three roundings and its
+        # rounded 1 + margin cost four more (1 - u) factors.
+        u = Fraction(1, 2**53)
+        gamma = MAX_RUN_STEPS * u / (1 - MAX_RUN_STEPS * u)
+        margin = Fraction(ADMISSION_SCREEN_MARGIN)
+        assert 1 + gamma <= (1 + margin) * (1 - u) ** 4
+
+    def test_output_past_the_bound_is_rejected(self):
+        request = InferenceRequest(
+            images=0, prompt_text_tokens=8, output_tokens=MAX_RUN_STEPS + 1
+        )
+        trace = [ServingRequest(request_id=0, arrival_s=0.0, request=request)]
+        with pytest.raises(RunLengthError, match="MAX_RUN_STEPS"):
+            _chip("wave").run(trace)
 
 
 class TestPrefillWindows:

@@ -1,4 +1,4 @@
-"""Slow smoke: the wave engine digests a million-request columnar trace.
+"""Slow smoke: the wave engine digests a million-request scenario trace.
 
 Marked ``slow`` (excluded from the default run by ``pytest.ini``); CI
 invokes it explicitly with ``pytest -m slow``.  The equivalence story
@@ -31,8 +31,8 @@ def _bench_module():
 @pytest.mark.slow
 def test_wave_engine_million_request_smoke():
     bench = _bench_module()
-    array = bench.bench_array()
-    result = bench._chip("wave").run(array)
+    trace = bench.bench_trace()
+    result = bench._chip("wave").run(trace)
 
     assert len(result.records) == bench.N_REQUESTS
     assert [r.request_id for r in result.records] == list(

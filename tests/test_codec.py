@@ -466,6 +466,42 @@ class TestSpecError:
         assert type(design.n_groups) is int and type(design.dram_gbps) is float
 
 
+#: Every float field of ArrivalSpec, on an arrival of a kind it applies to.
+ARRIVAL_FLOATS = [
+    ("poisson", "rate_rps"),
+    ("bursty", "burst_multiplier"),
+    ("bursty", "mean_calm_arrivals"),
+    ("bursty", "mean_burst_arrivals"),
+    ("diurnal", "period_s"),
+]
+
+
+class TestNonFiniteNumbers:
+    """JSON text may spell NaN and Infinity; a spec file names the field."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=repr)
+    @pytest.mark.parametrize(
+        "kind, field", ARRIVAL_FLOATS, ids=[field for _, field in ARRIVAL_FLOATS]
+    )
+    def test_arrival_fields(self, kind, field, value):
+        text = json.dumps({"name": "x", "arrival": {"kind": kind, field: value}})
+        with pytest.raises(SpecError) as excinfo:
+            ScenarioSpec.from_json(text)
+        assert str(excinfo.value) == (
+            f"arrival.{field}: expected a finite number, got {value!r}"
+        )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=repr)
+    def test_trace_times_name_the_element(self, value):
+        arrival = {"kind": "trace", "times": [0.0, 1.0, 2.0, value]}
+        text = json.dumps({"name": "x", "arrival": arrival})
+        with pytest.raises(SpecError) as excinfo:
+            ScenarioSpec.from_json(text)
+        assert str(excinfo.value) == (
+            f"arrival.times[3]: expected a finite number, got {value!r}"
+        )
+
+
 # ----------------------------------------------------------------------
 # Defaults come from the dataclass, and == specs hash equal
 # ----------------------------------------------------------------------
