@@ -63,7 +63,7 @@ def _chip(engine, donor=None):
         engine=engine,
     )
     if donor is not None:
-        chip.seed_cc_latencies(donor.cc_latencies())
+        chip.costs.seed_cc_latencies(donor.costs.cc_latencies())
         chip.cost_model.seed_bucket_costs(donor.cost_model.bucket_costs())
     return chip
 

@@ -918,7 +918,8 @@ class ServiceTimeBoundsPricer:
     broadcast work over one shared per-bucket reduction: :meth:`bounds`
     floors every shape's service times (the planner's bound pass), and
     :meth:`seeds` returns the memos fleet precompute and the planner's
-    warm caches install in their chips.
+    per-design simulators install in their
+    :class:`~repro.serving.queue.ChipCosts`.
 
     ``batch_service_time_bounds(model, shapes, systems)`` is equivalent to
     ``ServiceTimeBoundsPricer(model, shapes).bounds(systems)`` and the
@@ -1060,7 +1061,7 @@ class ServiceTimeBoundsPricer:
         """Every system's ``(cc_latencies, bucket_costs)``, in input order.
 
         Both take the forms
-        :meth:`~repro.serving.queue.ContinuousBatchingSimulator.seed_cc_latencies`
+        :meth:`~repro.serving.queue.ChipCosts.seed_cc_latencies`
         and :meth:`~repro.serving.queue.BatchDecodeCostModel.seed_bucket_costs`
         accept, keyed by :attr:`cc_shapes` and :attr:`buckets`.  Each value
         is the float the scalar serving cost model computes, so seeded chips

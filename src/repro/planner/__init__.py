@@ -23,8 +23,6 @@ walkthrough.
 from .bnb import BnbResult, Subgrid, bnb_prune_designs, initial_subgrids
 from .evaluate import (
     CandidateOutcome,
-    DesignWarmCache,
-    axis_delta,
     candidate_fleet,
     evaluate_candidate,
     simulate_candidate,
@@ -53,7 +51,6 @@ __all__ = [
     "CandidateOutcome",
     "ChipDesign",
     "DesignBounds",
-    "DesignWarmCache",
     "FleetOption",
     "GOLDEN_PLAN_SCENARIOS",
     "PlanEntry",
@@ -62,7 +59,6 @@ __all__ = [
     "PlannerConfig",
     "SEARCH_MODES",
     "Subgrid",
-    "axis_delta",
     "bnb_prune_designs",
     "build_chip_grid",
     "candidate_fleet",

@@ -3,7 +3,10 @@
 Candidates that survive analytic pruning are replayed through the real
 event-driven serving engines — a
 :class:`~repro.serving.fleet.FleetSimulator`, static or autoscaled — on
-the scenario's compiled trace, on fresh per-design chips.  The module-level
+the scenario's compiled trace.  Every chip of a candidate's fleet runs on
+one performance simulator of the candidate's chip design, and a serial
+planning run hands each design's one simulator to all of its
+candidates (:func:`repro.planner.plan.plan_scenario`).  The module-level
 :func:`simulate_candidate` worker takes only picklable data (the spec's
 JSON, dicts for design/option, the resolved SLO targets), so the same code
 runs serially or fanned out through
@@ -13,17 +16,7 @@ runs serially or fanned out through
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import (
-    AbstractSet,
-    Any,
-    Dict,
-    List,
-    Mapping,
-    MutableMapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 from ..codec import Spec
 from ..core.simulator import PerformanceSimulator
@@ -33,98 +26,8 @@ from ..scenarios.report import attained_slo
 from ..scenarios.spec import AutoscalerSpec, ScenarioSpec
 from ..serving.autoscale import AutoscalerConfig
 from ..serving.fleet import FleetSimulator
-from ..serving.queue import ChipCosts, ServingRequest
+from ..serving.queue import ServingRequest
 from .space import ChipDesign, FleetOption
-
-
-@dataclass
-class DesignWarmCache:
-    """A chip design's performance simulator, shared by all its candidates.
-
-    Every candidate built on the same chip design replays the same trace
-    against the same cost model, so the expensive memoizations — the
-    simulator's op cache and the serving-cost memo
-    (:class:`~repro.serving.queue.ChipCosts`) its chips fill — are design
-    properties, not candidate properties.  Every fleet of the design is
-    built on this one simulator (``candidate_fleet(simulator=...)``), so
-    its chips read and fill one memo by reference, with nothing to copy
-    in or out.  A pruned plan seeds the memo from its bound pass's
-    :meth:`~repro.core.batch.ServiceTimeBoundsPricer.seeds`, so no fleet
-    of the design prices a cost.  Every memoized value is a deterministic
-    function of the design, so warmed runs are bit-identical to cold
-    ones (regression-tested).
-    """
-
-    simulator: PerformanceSimulator
-
-    def costs(self, spec: ScenarioSpec) -> ChipCosts:
-        """The memo every chip of ``spec``'s candidate fleets reads."""
-        return ChipCosts.of(
-            self.simulator,
-            get_mllm(spec.fleet.model),
-            cc_bandwidth_fraction=spec.fleet.cc_bandwidth_fraction,
-            context_bucket=spec.fleet.context_bucket,
-        )
-
-    def delta_seed_from(
-        self, neighbor: "DesignWarmCache", changed: AbstractSet[str]
-    ) -> None:
-        """Transfer axis-invariant memos from a neighboring design's cache.
-
-        ``changed`` names the chip axes (see :meth:`ChipDesign.axes`) on
-        which this cache's design differs from ``neighbor``'s.  Each of
-        the neighbor's serving-cost memos donates to this design's memo
-        of the same serving knobs, and only memos provably untouched by
-        every changed axis transfer:
-
-        * a ``keep_fraction``-only delta transfers CC-stage latencies —
-          prefill/prompt ops are compiled non-prunable, so the CC pipeline
-          is identical across pruning thresholds;
-        * a ``dram_gbps``-only delta transfers decode stream pairs —
-          they are (per-stream bytes, compute cycles) over shared weight
-          bytes, byte/cycle-level quantities with no bandwidth term
-          (memory time is applied per step from the chip's own DRAM tier).
-
-        The op cache, the DRAM-cycle memo and the dispatch terms depend
-        on a changed axis and never transfer.  Transferred values are
-        float-identical to what a cold run would recompute (asserted in
-        the property suite), so delta-warmed simulation stays
-        bit-identical to cold simulation.
-        """
-        if changed == {"keep_fraction"}:
-            for donor, costs in self._matched(neighbor):
-                costs.seed_cc_latencies(donor.cc_latencies())
-        elif changed == {"dram_gbps"}:
-            for donor, costs in self._matched(neighbor):
-                costs.decode.seed_bucket_costs(donor.decode.bucket_costs())
-
-    def _matched(
-        self, neighbor: "DesignWarmCache"
-    ) -> List[Tuple[ChipCosts, ChipCosts]]:
-        """``(neighbor memo, this design's memo)`` pairs of equal serving knobs."""
-        return [
-            (
-                donor,
-                ChipCosts.of(
-                    self.simulator,
-                    donor.model,
-                    cc_bandwidth_fraction=donor.cc_bandwidth_fraction,
-                    context_bucket=donor.decode.context_bucket,
-                ),
-            )
-            for donor in ChipCosts.on(neighbor.simulator)
-        ]
-
-
-def axis_delta(a: ChipDesign, b: ChipDesign) -> frozenset:
-    """The set of chip-axis names on which designs ``a`` and ``b`` differ.
-
-    Unset optional axes compare at their effective defaults (see
-    :meth:`ChipDesign.axes`), so a design stating the default explicitly
-    has no delta against one leaving the axis unset.
-    """
-    axes_a, axes_b = a.axes(), b.axes()
-    return frozenset(name for name in axes_a if axes_a[name] != axes_b[name])
 
 
 @dataclass(frozen=True)
@@ -167,22 +70,17 @@ def candidate_fleet(
     and the autoscaler block vary with the candidate.  Autoscaled options reuse
     the scenario's controller tuning when the spec carries an autoscaler
     block, always with queue admission (plans serve the whole trace), and
-    require a ``ttft_target`` for the controller's set point.  ``simulator``
-    optionally shares one (memoized, design-matched) performance simulator
-    across all chips instead of building one per chip, and with it one
-    serving-cost memo (:class:`~repro.serving.queue.ChipCosts`);
+    require a ``ttft_target`` for the controller's set point.  Every chip
+    runs on one performance simulator, and so reads one serving-cost memo
+    (:class:`~repro.serving.queue.ChipCosts`): ``simulator`` when given (it
+    must carry ``design``'s system; a planning run shares one per design
+    across that design's fleets), else a fresh one on ``design.system()``.
     ``engine`` selects the chips' decode-loop implementation (wave by
     default — survivors replay through the run-compressing wave engine,
     records unchanged).
     """
-    # A shared simulator already carries the design's system.
-    system = design.system() if simulator is None else None
-
-    def factory() -> PerformanceSimulator:
-        if simulator is not None:
-            return simulator
-        return PerformanceSimulator(system)
-
+    if simulator is None:
+        simulator = PerformanceSimulator(design.system())
     sizing: Dict[str, Any] = {"n_chips": option.n_chips, "policy": option.policy}
     if option.autoscaled:
         if ttft_target is None:
@@ -202,7 +100,7 @@ def candidate_fleet(
     return FleetSimulator(
         model,
         **sizing,
-        simulator_factory=factory,
+        simulator=simulator,
         max_batch_size=spec.fleet.max_batch_size,
         cc_bandwidth_fraction=spec.fleet.cc_bandwidth_fraction,
         context_bucket=spec.fleet.context_bucket,
@@ -217,29 +115,22 @@ def evaluate_candidate(
     option: FleetOption,
     targets: Mapping[str, float],
     *,
-    warm: Optional[MutableMapping[str, DesignWarmCache]] = None,
+    simulator: Optional[PerformanceSimulator] = None,
     engine: str = "wave",
 ) -> CandidateOutcome:
     """Exactly simulate one (``design``, ``option``) candidate.
 
     ``spec`` supplies the serving knobs, ``trace`` the pre-compiled
     traffic and ``targets`` the resolved SLO objectives (the autoscaled
-    path needs the TTFT target as its set point).
-    ``warm`` optionally carries per-design simulators (keyed by design
-    name) across candidates of one planning run: the candidate's chips
-    share its serving-cost memo with every other fleet of the design.
-    Warmed evaluations are bit-identical to cold ones because every
-    cached value is a deterministic function of the design, and the memo
-    feeds both decode engines, so the default wave ``engine`` replays
-    warm exactly like the per-step oracle would.
+    path needs the TTFT target as its set point).  ``simulator``
+    optionally carries the design's performance simulator across the
+    candidates of one planning run (see :func:`candidate_fleet`): the
+    candidate's chips then share its serving-cost memo with every other
+    fleet of the design.  Shared evaluations are bit-identical to cold
+    ones because every memoized value is a deterministic function of the
+    design, and the memo feeds both decode engines, so the default wave
+    ``engine`` replays warm exactly like the per-step oracle would.
     """
-    simulator = None
-    if warm is not None:
-        cache = warm.get(design.name)
-        if cache is None:
-            cache = DesignWarmCache(simulator=PerformanceSimulator(design.system()))
-            warm[design.name] = cache
-        simulator = cache.simulator
     fleet = candidate_fleet(
         get_mllm(spec.fleet.model),
         spec,
@@ -341,6 +232,5 @@ def simulate_candidate(
         ChipDesign.from_dict(design),
         FleetOption.from_dict(option),
         targets,
-        warm={},
         engine=engine,
     )

@@ -10,7 +10,10 @@ PlannerConfig` (chip designs × fleet options), it
    array pass (:mod:`repro.planner.prune`) and drops designs that provably
    miss an objective, together with all their fleet options;
 3. exactly simulates every surviving candidate through the event-driven
-   serving engines, serially or through the multiprocessing sweep runner;
+   serving engines: serially, on one performance simulator per chip
+   design, or through the process pool
+   (:func:`~repro.experiments.parallel.parallel_map`), one fresh
+   simulator per candidate;
 4. returns the Pareto frontier over (SLO attainment, chip count, fleet
    area, fleet power) plus the cheapest fully-SLO-meeting plan, wrapped in
    a deterministic, canonically-JSON :class:`~repro.planner.report.
@@ -24,14 +27,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.batch import ServiceTimeBoundsPricer
 from ..core.simulator import PerformanceSimulator
+from ..models.mllm import get_mllm
 from ..scenarios.compile import compile_scenario
 from ..scenarios.spec import ScenarioSpec, SLOSpec
-from ..serving.queue import ServingRequest
+from ..serving.queue import ChipCosts, ServingRequest
 from .bnb import bnb_prune_designs
 from .evaluate import (
     CandidateOutcome,
-    DesignWarmCache,
-    axis_delta,
     candidate_survives_chip_loss,
     evaluate_candidate,
     simulate_candidate,
@@ -45,10 +47,6 @@ from .store import PlanStore, candidate_key
 #: Search modes :func:`plan_scenario` accepts: ``"flat"`` bounds every
 #: design individually (the oracle), ``"bnb"`` branch-and-bounds subgrids.
 SEARCH_MODES: Tuple[str, ...] = ("flat", "bnb")
-
-#: Axis deltas the warm cache can transfer memos across (see
-#: :meth:`~repro.planner.evaluate.DesignWarmCache.delta_seed_from`).
-_TRANSFERABLE_DELTAS = (frozenset({"keep_fraction"}), frozenset({"dram_gbps"}))
 
 #: Scenarios with committed golden plan reports under
 #: ``tests/golden/planner/`` (kept small: planning simulates dozens of
@@ -122,52 +120,51 @@ def _serial_outcomes(
     engine: str,
     pricer: Optional[ServiceTimeBoundsPricer],
 ) -> List[CandidateOutcome]:
-    """Simulate candidates serially with warm + delta-warm cost caches.
+    """Simulate candidates serially, one performance simulator per design.
 
     Candidates sharing a chip design share one performance simulator and
     with it one serving-cost memo (the memoized values are design
     properties).  The bound pass's ``pricer`` seeds every design's memo
-    from one ``seeds`` call, and a seeded design's cache is released after
-    its last candidate, so memos do not pile up across the space; without
-    a pricer (brute force) a *fresh* design's cache is delta-seeded from
-    every already-simulated design it differs from on a single
-    transferable axis: a ``keep_fraction`` neighbor donates its CC-stage
-    latencies, a ``dram_gbps`` neighbor its decode stream pairs.  All
-    seeded memos are float-identical to what a cold run would recompute,
-    so warmed runs are bit-identical to cold ones (property-tested) —
-    just faster.
+    from one ``seeds`` call; without one (brute force), each design's
+    first fleet prices the trace's costs in its own precompute grid pass.
+    A design's simulator is released after its last candidate, so memos
+    do not pile up across the space.  Every memoized value is a
+    deterministic function of the design, so shared runs are
+    bit-identical to cold ones (regression-tested) — just faster.
     """
-    warm: Dict[str, DesignWarmCache] = {}
-    last: Dict[str, int] = {}
+    simulators: Dict[str, PerformanceSimulator] = {}
     if pricer is not None:
         designs = {design.name: design for design, _ in candidates}
         systems = [design.system() for design in designs.values()]
+        model = get_mllm(spec.fleet.model)
         for name, system, seeds in zip(designs, systems, pricer.seeds(systems)):
-            warm[name] = DesignWarmCache(PerformanceSimulator(system))
-            warm[name].costs(spec).seed(*seeds)
-        last = {design.name: at for at, (design, _) in enumerate(candidates)}
-    seen: Dict[str, ChipDesign] = {}
+            simulators[name] = PerformanceSimulator(system)
+            ChipCosts.of(
+                simulators[name],
+                model,
+                cc_bandwidth_fraction=spec.fleet.cc_bandwidth_fraction,
+                context_bucket=spec.fleet.context_bucket,
+            ).seed(*seeds)
+    last = {design.name: at for at, (design, _) in enumerate(candidates)}
     outcomes: List[CandidateOutcome] = []
     for at, (design, option) in enumerate(candidates):
-        if design.name not in warm:
-            cache = DesignWarmCache(
-                simulator=PerformanceSimulator(design.system())
-            )
-            for other in seen.values():
-                changed = axis_delta(design, other)
-                if changed in _TRANSFERABLE_DELTAS:
-                    cache.delta_seed_from(warm[other.name], changed)
-            warm[design.name] = cache
-            seen[design.name] = design
+        if design.name not in simulators:
+            simulators[design.name] = PerformanceSimulator(design.system())
         outcomes.append(
             evaluate_candidate(
-                spec, trace, design, option, targets, warm=warm, engine=engine
+                spec,
+                trace,
+                design,
+                option,
+                targets,
+                simulator=simulators[design.name],
+                engine=engine,
             )
         )
-        if last.get(design.name) == at:
+        if last[design.name] == at:
             # A memo and its simulator reference each other: emptying the
             # memo dict frees both now instead of at a later collection.
-            warm.pop(design.name).simulator.derived.clear()
+            simulators.pop(design.name).derived.clear()
     return outcomes
 
 

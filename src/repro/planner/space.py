@@ -83,7 +83,7 @@ class ChipDesign(Spec):
 
         The DRAM and pruning suffixes appear only when the axis is set, so
         geometry-only designs keep their historical names (which key the
-        planner's warm caches and the golden reports).
+        planner's per-design simulators and the golden reports).
         """
         label = f"{self.n_groups}x{self.cc_per_group}cc{self.mc_per_group}mc"
         if self.dram_gbps is not None:
@@ -95,9 +95,10 @@ class ChipDesign(Spec):
     def axes(self) -> Dict[str, Any]:
         """The design's value along every candidate axis, by axis name.
 
-        The branch-and-bound search and the delta-warm cache both diff
-        designs axis-by-axis; this is the single definition of what "an
-        axis" is.  Unset optional axes resolve to their effective default
+        The single definition of what "an axis" is; the branch-and-bound
+        search diffs designs axis by axis through
+        :func:`~repro.planner.bnb.axis_tuple`, its allocation-light
+        equivalent.  Unset optional axes resolve to their effective default
         (the base DRAM tier, keep fraction 1.0) so designs that state the
         default explicitly compare equal along the axis.
         """

@@ -125,6 +125,15 @@ class ArrivalSpec(Spec):
                 raise ValueError("times only apply to trace arrivals")
             if self.kind == "diurnal" and self.period_s <= 0:
                 raise ValueError("period_s must be positive")
+            if self.kind == "bursty":
+                # BurstyArrivals' own bounds, checked where a spec names them.
+                for name in (
+                    "burst_multiplier",
+                    "mean_calm_arrivals",
+                    "mean_burst_arrivals",
+                ):
+                    if getattr(self, name) < 1:
+                        raise ValueError(f"{name} must be >= 1")
         # Fields that do not apply to the chosen kind must stay at their
         # defaults: `to_dict` omits them, so any other value would be
         # silently lost on a serialization round trip.

@@ -60,7 +60,7 @@ A degraded era runs on a fresh chip, on a simulator of its own whose
 system carries the scaled DRAM tier, so it holds its own serving-cost
 memo; its decode bucket-cost triples seed from the healthy chip
 (they are bandwidth-free byte/cycle quantities, see
-:meth:`~repro.planner.evaluate.DesignWarmCache.delta_seed_from`), while
+:meth:`~repro.serving.queue.BatchDecodeCostModel.bucket_costs`), while
 CC-stage and decode-step latencies recompute against the degraded
 bandwidth.  Because era splits use the engine-independent
 ``prefill_windows`` recurrence and era replays go through
@@ -263,7 +263,7 @@ def _degraded_chip(
     chip.cost_model.seed_bucket_costs(base.cost_model.bucket_costs())
     shapes = [
         InferenceRequest(images=images, prompt_text_tokens=prompt, output_tokens=1)
-        for images, prompt in base.cc_latencies()
+        for images, prompt in base.costs.shapes
     ]
     if shapes:
         pricer = ServiceTimeBoundsPricer(
@@ -273,7 +273,7 @@ def _degraded_chip(
             context_bucket=base.cost_model.context_bucket,
         )
         [(cc_latencies, _)] = pricer.seeds([degraded])
-        chip.seed_cc_latencies(cc_latencies)
+        chip.costs.seed_cc_latencies(cc_latencies)
     return chip
 
 
@@ -529,8 +529,7 @@ class _EraController:
         self.trace = trace
         self.schedule = schedule
         self.weights = normalize_priorities(priorities, len(trace))
-        if fleet.precompute:
-            fleet.precompute_service_times(trace)
+        fleet.precompute_service_times(trace)
         self.ledger = _FaultLedger(fleet, trace, schedule)
         self.event_pos = 0
         self.horizons = [0.0] * fleet.n_chips

@@ -4,6 +4,10 @@ A deployment serving heavy traffic runs a fleet of EdgeMM chips behind a
 dispatcher.  :class:`FleetSimulator` partitions an open-loop trace across
 single-chip :class:`~repro.serving.queue.ContinuousBatchingSimulator`
 instances and merges the per-chip records into one fleet-wide report.
+The chips are identical, so they run on one
+:class:`~repro.core.simulator.PerformanceSimulator` and price every
+serving cost once, in its one :class:`~repro.serving.queue.ChipCosts`
+memo.
 
 A static fleet runs ``n_chips`` chips under one of two dispatch policies:
 
@@ -28,26 +32,13 @@ is empty unless the caller passes one (see :mod:`repro.serving.faults`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from ..core.batch import ServiceTimeBoundsPricer
 from ..core.simulator import PerformanceSimulator
 from ..models.mllm import MLLMConfig
 from .metrics import RequestRecord, ServingReport, summarize
-from .queue import (
-    ChipCosts,
-    ContinuousBatchingSimulator,
-    ServingRequest,
-    ServingResult,
-)
+from .queue import ContinuousBatchingSimulator, ServingRequest, ServingResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .autoscale import AutoscaleResult, AutoscalerConfig
@@ -103,8 +94,10 @@ class FleetSimulator:
     ``autoscaler``, the fleet runs ``autoscaler.max_chips`` chips under
     least-loaded placement, of which the controller keeps an active
     prefix; ``n_chips`` or ``policy`` passed alongside it raise
-    ``ValueError``.  All chips are built up front, so service-time
-    precomputation seeds every chip once.  ``engine`` selects every
+    ``ValueError``.  Every chip runs on the fleet's one ``simulator``
+    (default ``PerformanceSimulator()``, the default EdgeMM system) and
+    so reads one :class:`~repro.serving.queue.ChipCosts` memo, which
+    service-time precomputation seeds once.  ``engine`` selects every
     chip's decode-loop implementation (see
     :data:`repro.serving.queue.ENGINES`).
     """
@@ -116,11 +109,10 @@ class FleetSimulator:
         n_chips: Optional[int] = None,
         policy: Optional[str] = None,
         autoscaler: Optional["AutoscalerConfig"] = None,
-        simulator_factory: Optional[Callable[[], PerformanceSimulator]] = None,
+        simulator: Optional[PerformanceSimulator] = None,
         max_batch_size: int = 8,
         cc_bandwidth_fraction: float = 0.5,
         context_bucket: int = 32,
-        precompute: bool = True,
         engine: str = "wave",
     ) -> None:
         if autoscaler is not None:
@@ -141,13 +133,14 @@ class FleetSimulator:
         self.n_chips = n_chips
         self.policy = policy
         self.autoscaler = autoscaler
-        self.precompute = precompute
         self.cc_bandwidth_fraction = cc_bandwidth_fraction
         self.engine = engine
-        factory = simulator_factory or PerformanceSimulator
+        self.simulator = (
+            simulator if simulator is not None else PerformanceSimulator()
+        )
         self.chips: List[ContinuousBatchingSimulator] = [
             ContinuousBatchingSimulator(
-                factory(),
+                self.simulator,
                 model,
                 max_batch_size=max_batch_size,
                 cc_bandwidth_fraction=cc_bandwidth_fraction,
@@ -162,45 +155,30 @@ class FleetSimulator:
     # Service-time precomputation (batch engine)
     # ------------------------------------------------------------------
     def precompute_service_times(self, trace: Sequence[ServingRequest]) -> None:
-        """Seed the chips' cost memos with the trace's costs in one grid pass.
+        """Seed the fleet's cost memo with the trace's costs in one grid pass.
 
-        Chips on one simulator share its :class:`~repro.serving.queue.ChipCosts`
-        memo.  Every memo lacking the CC-stage latency of a request shape
-        or the stream pair of a decode bucket the trace reaches
-        (:meth:`~repro.serving.queue.ChipCosts.lacks`) is priced by one
-        :meth:`~repro.core.batch.ServiceTimeBoundsPricer.seeds` call, one
-        column per distinct system, instead of deriving them lazily
-        through the scalar simulator.  Seeded values are the floats the
-        scalar path computes, so traces replay unchanged; a fleet whose
-        memos hold every cost already (e.g. a planner design's later
-        fleets) builds no pricer.
+        Every chip reads the one :class:`~repro.serving.queue.ChipCosts`
+        memo of the fleet's simulator.  When it lacks the CC-stage latency
+        of a request shape or the stream pair of a decode bucket the
+        trace reaches (:meth:`~repro.serving.queue.ChipCosts.lacks`), one
+        :meth:`~repro.core.batch.ServiceTimeBoundsPricer.seeds` call
+        prices the trace's costs instead of deriving them lazily through
+        the scalar simulator.  Seeded values are the floats the scalar
+        path computes, so traces replay unchanged; a fleet whose memo
+        holds every cost already (e.g. a planner design's later fleets)
+        builds no pricer.
         """
-        if not len(trace):
-            return
-        memos = {id(chip.costs): chip.costs for chip in self.chips}.values()
-        # Lacking memos grouped by system equality: one pricer column each.
-        groups: List[List[ChipCosts]] = []
-        for costs in memos:
-            if not costs.lacks(trace):
-                continue
-            for group in groups:
-                if costs.simulator.system == group[0].simulator.system:
-                    group.append(costs)
-                    break
-            else:
-                groups.append([costs])
-        if not groups:
+        costs = self.chips[0].costs
+        if not costs.lacks(trace):
             return
         pricer = ServiceTimeBoundsPricer(
             self.model,
             [request.request for request in trace],
             cc_bandwidth_fraction=self.cc_bandwidth_fraction,
-            context_bucket=self.chips[0].cost_model.context_bucket,
+            context_bucket=costs.decode.context_bucket,
         )
-        seeds = pricer.seeds([group[0].simulator.system for group in groups])
-        for group, (cc_latencies, bucket_costs) in zip(groups, seeds):
-            for costs in group:
-                costs.seed(cc_latencies, bucket_costs)
+        [seeds] = pricer.seeds([self.simulator.system])
+        costs.seed(*seeds)
 
     # ------------------------------------------------------------------
     # Dispatch

@@ -136,11 +136,11 @@ class BatchDecodeCostModel:
     def bucket_costs(self) -> Dict[int, Tuple[int, int, float]]:
         """Snapshot of the memoized per-bucket cost triples.
 
-        The donor side of :meth:`seed_bucket_costs`: a memo whose triples
-        carry over to another design (a degraded fault era, the planner's
-        DRAM-only delta transfer) copies them instead of re-deriving them
-        through workload lowering.  Each triple is rebuilt exactly from
-        its bucket's stream pair.
+        The donor side of :meth:`seed_bucket_costs`: the triples carry no
+        DRAM bandwidth term, so a degraded fault era's memo copies them
+        from its healthy chip instead of re-deriving them through
+        workload lowering.  Each triple is rebuilt exactly from its
+        bucket's stream pair.
         """
         scale = -COMPUTE_SCALE_BITS
         return {
@@ -497,23 +497,6 @@ class ContinuousBatchingSimulator:
             context_bucket=context_bucket,
         )
         self.cost_model = self.costs.decode
-
-    @property
-    def cc_pool(self) -> str:
-        """The pool the CC-stage runs on ('mc' only on MC-only chips)."""
-        return self.costs.cc_pool
-
-    def seed_cc_latencies(self, latencies: Dict[Tuple[int, int], float]) -> None:
-        """Install precomputed CC-stage latencies keyed by request shape."""
-        self.costs.seed_cc_latencies(latencies)
-
-    def cc_latencies(self) -> Dict[Tuple[int, int], float]:
-        """Snapshot of the memoized CC-stage latencies (fleet warm-up)."""
-        return self.costs.cc_latencies()
-
-    def has_cc_latency(self, shape: Tuple[int, int]) -> bool:
-        """True when the shape's CC-stage latency is already memoized."""
-        return shape in self.costs.shapes
 
     # ------------------------------------------------------------------
     # Stage cost models

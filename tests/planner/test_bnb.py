@@ -1,6 +1,6 @@
 """Branch-and-bound search equivalence and subgrid-bound soundness.
 
-Three contracts, property-tested on randomized small spaces:
+Two contracts, property-tested on randomized small spaces:
 
 * **bnb == flat == brute force** — branch-and-bound planning returns the
   byte-identical :class:`PlanReport` as flat search modulo the search/
@@ -9,10 +9,7 @@ Three contracts, property-tested on randomized small spaces:
   simulation on the best plan and on every frontier entry;
 * **corner-bound soundness** — a subgrid corner's per-request analytic
   floors are pointwise lower bounds on every member design's floors, the
-  monotonicity fact the whole-subtree prune rests on;
-* **delta-warm == cold** — a warm cache delta-seeded from a one-axis
-  neighbor yields float-identical simulation outcomes (and float-identical
-  harvested memos) to a cold run.
+  monotonicity fact the whole-subtree prune rests on.
 """
 
 from __future__ import annotations
@@ -26,10 +23,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.simulator import PerformanceSimulator
 from repro.planner import (
     ChipDesign,
-    DesignWarmCache,
     PlanEntry,
     PlannerConfig,
-    axis_delta,
     bnb_prune_designs,
     evaluate_candidate,
     initial_subgrids,
@@ -155,20 +150,28 @@ def test_bnb_equals_flat_equals_brute_force(space):
             assert verdict.design.name in priced
 
     # Brute force agrees on the best plan.
-    warm: dict = {}
+    simulators = {
+        design.name: PerformanceSimulator(design.system())
+        for design in config.chip_grid
+    }
     brute_entries = [
         PlanEntry.from_outcome(
             evaluate_candidate(
-                spec, compiled.trace, design, option, targets, warm=warm
+                spec,
+                compiled.trace,
+                design,
+                option,
+                targets,
+                simulator=simulators[design.name],
             ),
             targets,
         )
         for design in config.chip_grid
         for option in options
     ]
-    # Each bnb frontier entry (simulated from pricer-seeded warm caches)
-    # equals the brute-force entry of its candidate (priced by each
-    # design's first fleet).
+    # Each bnb frontier entry (simulated on pricer-seeded per-design
+    # simulators) equals the brute-force entry of its candidate (priced
+    # by each design's first fleet).
     brute_by_candidate = {
         (entry.design.name, entry.fleet.label): entry for entry in brute_entries
     }
@@ -284,87 +287,3 @@ def test_corner_key_is_shared_between_parent_and_best_child():
     (box,) = initial_subgrids(designs, axes_of)
     children = box.split(axes_of)
     assert box.corner_key() in {child.corner_key() for child in children}
-
-
-def test_axis_delta_names_differing_axes():
-    a = ChipDesign(1, 1, 1, keep_fraction=0.5)
-    b = ChipDesign(1, 1, 1)
-    c = ChipDesign(1, 1, 1, dram_gbps=204.8)
-    assert axis_delta(a, b) == frozenset({"keep_fraction"})
-    assert axis_delta(b, c) == frozenset({"dram_gbps"})
-    assert axis_delta(a, c) == frozenset({"keep_fraction", "dram_gbps"})
-    assert axis_delta(a, a) == frozenset()
-    # keep_fraction=1.0 is the same axis value as "pruning off".
-    assert axis_delta(ChipDesign(1, 1, 1, keep_fraction=1.0), b) == frozenset()
-
-
-def warm_memo(cache, spec, memo):
-    """A warm cache's transferable memo ``memo`` under ``spec``'s serving knobs."""
-    costs = cache.costs(spec)
-    if memo == "cc_latencies":
-        return costs.cc_latencies()
-    return costs.decode.bucket_costs()
-
-
-@pytest.mark.parametrize(
-    "neighbor, memo",
-    [
-        (ChipDesign(1, 1, 1, keep_fraction=0.5), "cc_latencies"),
-        (ChipDesign(1, 1, 1, dram_gbps=204.8), "bucket_costs"),
-    ],
-)
-def test_delta_warm_equals_cold(neighbor, memo):
-    """Delta-seeded simulation is float-identical to cold simulation."""
-    spec = small_scenario(4.0, 0.8, 3.0, 1)
-    compiled = compile_scenario(spec)
-    base = ChipDesign(1, 1, 1)
-    targets = spec.slo.targets()
-    option = PlannerConfig(chip_grid=(base,), max_chips=1).fleet_options(
-        with_autoscaled=False
-    )[0]
-
-    # Simulate the neighbor, filling its memos.
-    warm: dict = {}
-    evaluate_candidate(spec, compiled.trace, neighbor, option, targets, warm=warm)
-    neighbor_cache = warm[neighbor.name]
-    assert warm_memo(neighbor_cache, spec, memo)  # the donated memo is non-empty
-
-    # Cold baseline for the base design.
-    cold_warm: dict = {}
-    cold = evaluate_candidate(
-        spec, compiled.trace, base, option, targets, warm=cold_warm
-    )
-    cold_cache = cold_warm[base.name]
-
-    # Delta-warmed run: seed from the one-axis neighbor, then simulate.
-    delta_cache = DesignWarmCache(simulator=PerformanceSimulator(base.system()))
-    delta_cache.delta_seed_from(neighbor_cache, axis_delta(base, neighbor))
-    donated = warm_memo(delta_cache, spec, memo)
-    assert donated  # the transferable memo actually transferred
-    warmed = evaluate_candidate(
-        spec,
-        compiled.trace,
-        base,
-        option,
-        targets,
-        warm={base.name: delta_cache},
-    )
-
-    assert warmed == cold
-    # Every donated value is float-identical to what cold recomputed.
-    cold_memo = warm_memo(cold_cache, spec, memo)
-    for key, value in donated.items():
-        if key in cold_memo:
-            assert cold_memo[key] == value
-
-
-def test_delta_warm_ignores_untransferable_deltas():
-    neighbor = ChipDesign(2, 1, 1, keep_fraction=0.5)  # groups AND keep differ
-    base = ChipDesign(1, 1, 1)
-    spec = small_scenario(4.0, 0.8, 3.0, 1)
-    donor = DesignWarmCache(simulator=PerformanceSimulator(neighbor.system()))
-    donor.costs(spec).seed({(0, 8): 1.0}, {32: (1, 2, 3.0)})
-    cache = DesignWarmCache(simulator=PerformanceSimulator(base.system()))
-    cache.delta_seed_from(donor, axis_delta(base, neighbor))
-    assert not warm_memo(cache, spec, "cc_latencies")
-    assert not warm_memo(cache, spec, "bucket_costs")

@@ -107,7 +107,7 @@ def test_bounds_floor_every_exactly_simulated_record(n_chips):
         model,
         n_chips=n_chips,
         policy="least_loaded",
-        simulator_factory=lambda: PerformanceSimulator(system),
+        simulator=PerformanceSimulator(system),
         cc_bandwidth_fraction=0.5,
         context_bucket=32,
     )

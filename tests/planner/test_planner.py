@@ -111,11 +111,19 @@ def test_pruning_is_sound_and_best_matches_brute_force(space):
     options = config.fleet_options(with_autoscaled="ttft_p99_s" in targets)
 
     # Brute force: exactly simulate EVERY candidate of the space.
-    warm: dict = {}
+    simulators = {
+        design.name: PerformanceSimulator(design.system())
+        for design in config.chip_grid
+    }
     brute_entries = [
         PlanEntry.from_outcome(
             evaluate_candidate(
-                spec, compiled.trace, design, option, targets, warm=warm
+                spec,
+                compiled.trace,
+                design,
+                option,
+                targets,
+                simulator=simulators[design.name],
             ),
             targets,
         )
@@ -272,13 +280,15 @@ def test_planner_prices_no_decode_bucket_through_the_scalar_path(monkeypatch):
     fleet = FleetSimulator(
         get_mllm(spec.fleet.model),
         n_chips=2,
-        simulator_factory=lambda: PerformanceSimulator(design.system()),
-        precompute=False,
+        simulator=PerformanceSimulator(design.system()),
     )
-    fleet.run(list(compiled.trace))
+    with monkeypatch.context() as patch:
+        # The lazy reference: every cost priced by the scalar path.
+        patch.setattr(FleetSimulator, "precompute_service_times", lambda *args: None)
+        fleet.run(list(compiled.trace))
     cc_latencies, bucket_costs = {}, {}
     for chip in fleet.chips:
-        cc_latencies.update(chip.cc_latencies())
+        cc_latencies.update(chip.costs.cc_latencies())
         bucket_costs.update(chip.cost_model.bucket_costs())
     pricer = trace_pricer(compiled)
     assert pricer.seeds([design.system()]) == [(cc_latencies, bucket_costs)]

@@ -34,7 +34,7 @@ class TestChipDesignAxes:
         assert design.keep_fraction is None
 
     def test_name_is_axis_free_when_axes_unset(self):
-        # Historical names key warm caches and golden reports.
+        # Historical names key per-design simulators and golden reports.
         assert ChipDesign(4, 2, 2).name == "4x2cc2mc"
         assert ChipDesign(8, 2, 2, dram_gbps=204.8).name == "8x2cc2mc-d204.8"
         assert (

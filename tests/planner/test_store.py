@@ -70,7 +70,7 @@ def one_outcome(spec):
     option = FleetOption(n_chips=1)
     compiled = compile_scenario(spec)
     outcome = evaluate_candidate(
-        spec, compiled.trace, design, option, spec.slo.targets(), warm={}
+        spec, compiled.trace, design, option, spec.slo.targets()
     )
     return design, option, outcome
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.codec import SpecError
 from repro.scenarios import (
     ArrivalSpec,
     AutoscalerSpec,
@@ -75,6 +76,24 @@ class TestValidation:
             ArrivalSpec(kind="trace", times=(1.0, 0.5))
         with pytest.raises(ValueError, match="only apply to trace"):
             ArrivalSpec(kind="poisson", times=(0.0,))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("burst_multiplier", -1),
+            ("mean_calm_arrivals", 0),
+            ("mean_burst_arrivals", -5),
+        ],
+        ids=["burst_multiplier", "mean_calm_arrivals", "mean_burst_arrivals"],
+    )
+    def test_spec_file_names_a_bursty_field_below_one(self, field, value):
+        # BurstyArrivals refuses these too, but only at compile time and
+        # without a spec path; decoding the spec must refuse them first.
+        text = json.dumps({"name": "x", "arrival": {"kind": "bursty", field: value}})
+        with pytest.raises(SpecError) as excinfo:
+            ScenarioSpec.from_json(text)
+        assert excinfo.value.path == "arrival"
+        assert str(excinfo.value) == f"arrival: {field} must be >= 1"
 
     def test_rejects_fields_the_kind_would_lose_on_serialization(self):
         # `to_dict` omits fields irrelevant to the kind, so non-default

@@ -141,17 +141,26 @@ def trace():
 
 
 def _fleet(kind, size, simulator=None):
-    factory = None if simulator is None else (lambda: simulator)
     if kind == "least_loaded":
         return FleetSimulator(
-            MODEL, n_chips=size, policy="least_loaded", simulator_factory=factory
+            MODEL, n_chips=size, policy="least_loaded", simulator=simulator
         )
     autoscaler = AutoscalerConfig(
         target_p99_ttft_s=0.05, min_chips=1, max_chips=size, min_observations=4
     )
-    return FleetSimulator(
-        MODEL, autoscaler=autoscaler, simulator_factory=factory
-    )
+    return FleetSimulator(MODEL, autoscaler=autoscaler, simulator=simulator)
+
+
+@pytest.mark.parametrize("kind", ["least_loaded", "autoscaled"])
+def test_every_chip_of_a_fleet_shares_its_simulator_and_memo(kind):
+    for simulator in (None, PerformanceSimulator()):
+        fleet = _fleet(kind, 3, simulator)
+        if simulator is not None:
+            assert fleet.simulator is simulator
+        assert len(fleet.chips) == 3
+        assert all(chip.simulator is fleet.simulator for chip in fleet.chips)
+        assert len({id(chip.costs) for chip in fleet.chips}) == 1
+        assert ChipCosts.on(fleet.simulator) == [fleet.chips[0].costs]
 
 
 def _refuse(*args, **kwargs):

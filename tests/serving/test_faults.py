@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.batch import context_bucket_for
 from repro.core.config import default_system, homo_mc_system
 from repro.core.simulator import PerformanceSimulator
 from repro.models.mllm import get_mllm
@@ -147,8 +148,43 @@ class TestDegradedChip:
         degraded_bw = degraded.simulator.system.chip.dram.peak_bandwidth_bytes_per_s
         assert degraded_bw == pytest.approx(healthy_bw * 0.5)
         # Decode bucket-cost triples carry no bandwidth term: they seed
-        # verbatim from the healthy chip (the delta-warm idiom).
+        # verbatim from the healthy chip.
         assert degraded.cost_model.bucket_costs() == base.cost_model.bucket_costs()
+
+    @pytest.mark.parametrize(
+        "system", [default_system(), PRUNED_SYSTEM], ids=["default", "pruned"]
+    )
+    def test_copied_bucket_costs_equal_lazy_ones_at_the_degraded_tier(
+        self, model, system
+    ):
+        # Decode bucket triples carry no DRAM term, so the triples the
+        # degraded chip copies are what its own tier prices lazily.
+        n = 30
+        long_trace = build_trace(
+            PoissonArrivals(6.0, seed=7).generate(n),
+            RequestSampler(
+                seed=7,
+                output_token_choices=(40, 90, 160),
+                output_token_weights=(0.4, 0.4, 0.2),
+            ).sample(n),
+        )
+        fleet = FleetSimulator(model, n_chips=1, simulator=PerformanceSimulator(system))
+        fleet.precompute_service_times(long_trace)
+        degraded = _degraded_chip(fleet.chips[0], 0.5)
+        lazy = ContinuousBatchingSimulator(
+            PerformanceSimulator(degraded.simulator.system), model
+        )
+        copied = degraded.cost_model.bucket_costs()
+        buckets = set()
+        for item in long_trace:
+            prompt = model.prompt_tokens(item.request)
+            buckets.update(
+                context_bucket_for(context, 32)
+                for context in range(prompt, prompt + item.request.output_tokens)
+            )
+        assert len(buckets) > 3
+        for bucket in sorted(buckets):
+            assert copied[bucket] == lazy.cost_model._cost(bucket), bucket
 
     def test_factor_one_is_the_chip_itself(self, model):
         base = FleetSimulator(model, n_chips=1).chips[0]
@@ -160,9 +196,7 @@ class TestDegradedChip:
         ids=["default", "homo_mc", "pruned"],
     )
     def test_seeded_cc_latencies_equal_lazy_ones(self, model, trace, system):
-        fleet = FleetSimulator(
-            model, n_chips=1, simulator_factory=lambda: PerformanceSimulator(system)
-        )
+        fleet = FleetSimulator(model, n_chips=1, simulator=PerformanceSimulator(system))
         fleet.precompute_service_times(trace)
         base = fleet.chips[0]
         degraded = _degraded_chip(base, 0.5)
@@ -171,12 +205,12 @@ class TestDegradedChip:
             model,
             cc_bandwidth_fraction=base.cc_bandwidth_fraction,
         )
-        seeded = degraded.cc_latencies()
-        assert seeded.keys() == base.cc_latencies().keys()
+        seeded = degraded.costs.cc_latencies()
+        assert seeded.keys() == base.costs.cc_latencies().keys()
         for request in trace:
             shape = (request.request.images, request.request.prompt_text_tokens)
             assert seeded[shape] == lazy.cc_latency_s(request.request)
-            assert seeded[shape] != base.cc_latencies()[shape]
+            assert seeded[shape] != base.costs.cc_latencies()[shape]
 
     def test_degraded_eras_price_no_cc_stage_lazily(self, model, trace, monkeypatch):
         # Healthy chips seed from fleet precompute and degraded ones from

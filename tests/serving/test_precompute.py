@@ -6,7 +6,7 @@ identical trace output, bit for bit, to the unoptimised path.
 
 import pytest
 
-from repro.core.batch import context_bucket_for
+from repro.core.batch import ServiceTimeBoundsPricer, context_bucket_for
 from repro.core.config import default_system, homo_mc_system
 from repro.core.simulator import PerformanceSimulator
 from repro.models.mllm import available_mllms, get_mllm
@@ -19,6 +19,7 @@ from repro.serving import (
     RequestSampler,
     build_trace,
 )
+from repro.serving.queue import ChipCosts
 
 N_REQUESTS = 40
 #: Output lengths whose decode crosses several 32-token context buckets.
@@ -53,14 +54,19 @@ def decode_buckets(model, request, width=32):
 
 
 class TestFleetPrecompute:
-    def test_precomputed_traces_identical_both_policies(self):
+    def test_precomputed_traces_identical_both_policies(self, monkeypatch):
         model = get_mllm("sphinx-tiny")
         trace = make_trace()
         for policy in ("round_robin", "least_loaded"):
-            warm = FleetSimulator(model, n_chips=3, policy=policy, precompute=True)
-            cold = FleetSimulator(model, n_chips=3, policy=policy, precompute=False)
+            warm = FleetSimulator(model, n_chips=3, policy=policy)
+            cold = FleetSimulator(model, n_chips=3, policy=policy)
             warm_result = warm.run(trace)
-            cold_result = cold.run(trace)
+            with monkeypatch.context() as patch:
+                # The lazy reference: every cost priced by the scalar path.
+                patch.setattr(
+                    FleetSimulator, "precompute_service_times", lambda *args: None
+                )
+                cold_result = cold.run(trace)
             assert warm_result.assignments == cold_result.assignments
             assert warm_result.records == cold_result.records
 
@@ -72,12 +78,12 @@ class TestFleetPrecompute:
             model,
             n_chips=3,
             policy="round_robin",
-            simulator_factory=lambda: PerformanceSimulator(system),
+            simulator=PerformanceSimulator(system),
         )
         fleet.precompute_service_times(trace)
         for chip in fleet.chips:
             for r in trace:
-                assert chip.has_cc_latency((r.request.images, r.request.prompt_text_tokens))
+                assert (r.request.images, r.request.prompt_text_tokens) in chip.costs.shapes
                 for bucket in decode_buckets(model, r.request):
                     assert chip.cost_model.has_bucket_cost(bucket), bucket
 
@@ -98,7 +104,7 @@ class TestFleetPrecompute:
             model,
             n_chips=2,
             policy="least_loaded",
-            simulator_factory=lambda: PerformanceSimulator(system),
+            simulator=PerformanceSimulator(system),
         )
         fleet.precompute_service_times(trace)
         seeded = fleet.chips[0]
@@ -108,7 +114,7 @@ class TestFleetPrecompute:
             max_batch_size=seeded.max_batch_size,
             cc_bandwidth_fraction=seeded.cc_bandwidth_fraction,
         )
-        cc_latencies = seeded.cc_latencies()
+        cc_latencies = seeded.costs.cc_latencies()
         bucket_costs = seeded.cost_model.bucket_costs()
         for request in trace:
             shape = (request.request.images, request.request.prompt_text_tokens)
@@ -126,11 +132,36 @@ class TestFleetPrecompute:
         fleet = FleetSimulator(model, n_chips=2, policy="least_loaded")
         fleet.assign(trace)
         assert any(
-            fleet.chips[0].has_cc_latency(
-                (r.request.images, r.request.prompt_text_tokens)
-            )
+            (r.request.images, r.request.prompt_text_tokens)
+            in fleet.chips[0].costs.shapes
             for r in trace
         )
+
+    @pytest.mark.parametrize("n_chips", [1, 3, 8])
+    def test_a_fresh_fleet_walks_the_trace_once_and_builds_one_pricer(
+        self, n_chips, monkeypatch
+    ):
+        # Every chip reads the fleet's one memo: one lacks walk, one pricer.
+        lacks_calls, pricers = [], []
+        lacks = ChipCosts.lacks
+        init = ServiceTimeBoundsPricer.__init__
+
+        def counted_lacks(self, trace):
+            lacks_calls.append(self)
+            return lacks(self, trace)
+
+        def counted_init(self, *args, **kwargs):
+            pricers.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ChipCosts, "lacks", counted_lacks)
+        monkeypatch.setattr(ServiceTimeBoundsPricer, "__init__", counted_init)
+        fleet = FleetSimulator(
+            get_mllm("sphinx-tiny"), n_chips=n_chips, policy="least_loaded"
+        )
+        fleet.precompute_service_times(make_trace())
+        assert len(lacks_calls) == 1
+        assert len(pricers) == 1
 
     def test_empty_trace_precompute_is_a_noop(self):
         model = get_mllm("sphinx-tiny")
@@ -146,9 +177,7 @@ class TestHeapDispatch:
         assignments = fleet.assign(trace)
 
         # Reference: the original O(chips) scan per request.
-        reference_fleet = FleetSimulator(
-            model, n_chips=4, policy="least_loaded", precompute=False
-        )
+        reference_fleet = FleetSimulator(model, n_chips=4, policy="least_loaded")
         order = sorted(
             range(len(trace)), key=lambda i: (trace[i].arrival_s, trace[i].request_id)
         )

@@ -176,8 +176,8 @@ class TestCCLatencyError:
     def test_seeding_refuses(self, model, latency):
         chip = ContinuousBatchingSimulator(model=model)
         with pytest.raises(CCLatencyError, match=r"shape \(1, 32\)"):
-            chip.seed_cc_latencies({(1, 32): latency})
-        assert not chip.has_cc_latency((1, 32))
+            chip.costs.seed_cc_latencies({(1, 32): latency})
+        assert (1, 32) not in chip.costs.shapes
 
     @pytest.mark.parametrize("latency", REFUSED)
     def test_lazy_pricing_refuses(self, model, latency, monkeypatch):
@@ -190,7 +190,7 @@ class TestCCLatencyError:
 
     def test_smallest_positive_latency_is_accepted(self, model):
         chip = ContinuousBatchingSimulator(model=model)
-        chip.seed_cc_latencies({(1, 32): 5e-324})
+        chip.costs.seed_cc_latencies({(1, 32): 5e-324})
         request = InferenceRequest(images=1, prompt_text_tokens=32)
         assert chip.cc_latency_s(request) == 5e-324
 

@@ -81,13 +81,13 @@ def _chip(engine, *, max_batch_size=8, context_bucket=32, design=None):
         context_bucket=context_bucket,
         engine=engine,
     )
-    chip.seed_cc_latencies(_DONORS[design]["cc"])
+    chip.costs.seed_cc_latencies(_DONORS[design]["cc"])
     chip.cost_model.seed_bucket_costs(_DONORS[design]["buckets"])
     return chip
 
 
 def _harvest(chip, design=None):
-    _DONORS[design]["cc"].update(chip.cc_latencies())
+    _DONORS[design]["cc"].update(chip.costs.cc_latencies())
     _DONORS[design]["buckets"].update(chip.cost_model.bucket_costs())
 
 

@@ -73,6 +73,10 @@ positive = st.floats(
 non_negative = st.floats(
     min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
 )
+#: A burst multiplier or a mean state length (``ArrivalSpec`` needs >= 1).
+at_least_one = st.floats(
+    min_value=1.0, max_value=1e4, allow_nan=False, allow_infinity=False
+)
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 
 
@@ -102,9 +106,9 @@ arrivals = st.one_of(
         ArrivalSpec,
         kind=st.just("bursty"),
         rate_rps=positive,
-        burst_multiplier=positive,
-        mean_calm_arrivals=positive,
-        mean_burst_arrivals=positive,
+        burst_multiplier=at_least_one,
+        mean_calm_arrivals=at_least_one,
+        mean_burst_arrivals=at_least_one,
     ),
     st.builds(ArrivalSpec, kind=st.just("diurnal"), rate_rps=positive, period_s=positive),
     st.lists(non_negative, min_size=1, max_size=12).map(
