@@ -61,9 +61,10 @@ from .space import BASE_DRAM_GBPS, ChipDesign
 #: A corner's cache identity: (mix, n_groups, dram GB/s, keep fraction).
 CornerKey = Tuple[Tuple[int, int], int, float, float]
 
-#: A design's axis values as a positional tuple — the same values as
-#: :meth:`ChipDesign.axes` but allocation-light, since the search touches
-#: every design of a 10^5-point grid once while boxing it.
+#: A design's value along every candidate axis (mix, groups, DRAM GB/s,
+#: keep fraction), built by :func:`axis_tuple` — a tuple, allocation-light,
+#: since the search touches every design of a 10^5-point grid once while
+#: boxing it.
 AxisTuple = Tuple[Tuple[int, int], int, float, float]
 
 #: Position of each splittable axis inside an :data:`AxisTuple`.
@@ -73,8 +74,9 @@ _AXIS_SLOT = {"n_groups": 1, "dram_gbps": 2, "keep_fraction": 3}
 def axis_tuple(design: ChipDesign) -> AxisTuple:
     """``design``'s (mix, groups, dram, keep) values (defaults resolved).
 
-    Equivalent to :meth:`ChipDesign.axes` but built from the attributes
-    directly — no per-design dict.
+    Unset optional axes resolve to their effective default (the base DRAM
+    tier, keep fraction 1.0), so designs that state the default
+    explicitly compare equal along the axis.
     """
     return (
         (design.cc_per_group, design.mc_per_group),

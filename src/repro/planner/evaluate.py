@@ -142,19 +142,13 @@ def evaluate_candidate(
     )
     result = fleet.run(list(trace))
     report = result.report
-    if option.autoscaled:
-        chips = result.peak_chips
-        events = len(result.events)
-    else:
-        chips = option.n_chips
-        events = 0
     return CandidateOutcome(
         design=design,
         option=option,
         n_completed=report.n_requests,
         makespan_s=report.makespan_s,
-        chips_provisioned=chips,
-        n_scale_events=events,
+        chips_provisioned=result.peak_chips,
+        n_scale_events=len(result.events),
         **attained_slo(report),
     )
 

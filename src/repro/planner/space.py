@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..codec import Spec, when_set
 from ..core.config import SystemConfig, default_system, scaled_system
@@ -91,27 +91,6 @@ class ChipDesign(Spec):
         if self.keep_fraction is not None:
             label += f"-k{self.keep_fraction:g}"
         return label
-
-    def axes(self) -> Dict[str, Any]:
-        """The design's value along every candidate axis, by axis name.
-
-        The single definition of what "an axis" is; the branch-and-bound
-        search diffs designs axis by axis through
-        :func:`~repro.planner.bnb.axis_tuple`, its allocation-light
-        equivalent.  Unset optional axes resolve to their effective default
-        (the base DRAM tier, keep fraction 1.0) so designs that state the
-        default explicitly compare equal along the axis.
-        """
-        return {
-            "mix": (self.cc_per_group, self.mc_per_group),
-            "n_groups": self.n_groups,
-            "dram_gbps": (
-                self.dram_gbps if self.dram_gbps is not None else BASE_DRAM_GBPS
-            ),
-            "keep_fraction": (
-                self.keep_fraction if self.keep_fraction is not None else 1.0
-            ),
-        }
 
     def system(self) -> SystemConfig:
         """Lower the design point to a full :class:`SystemConfig`."""

@@ -18,8 +18,9 @@ from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..codec import Spec, when_set
-from ..serving.autoscale import AutoscaleResult, ScalingEvent
+from ..serving.autoscale import ScalingEvent
 from ..serving.faults import FaultEvent, FaultRecovery
+from ..serving.fleet import FleetResult
 from ..serving.metrics import (
     PercentileStats,
     RequestRecord,
@@ -58,8 +59,8 @@ class AutoscaleSummary(Spec):
     events: Tuple[ScalingEvent, ...]
 
     @classmethod
-    def from_result(cls, result: AutoscaleResult) -> "AutoscaleSummary":
-        """Summarize the controller activity of an autoscale ``result``."""
+    def from_result(cls, result: FleetResult) -> "AutoscaleSummary":
+        """Summarize the controller activity of an autoscaled run's ``result``."""
         return cls(
             peak_chips=result.peak_chips,
             final_chips=result.final_chips,
@@ -98,7 +99,7 @@ def tenant_summaries(
     tenants: Sequence[str],
     priorities: Mapping[str, float],
     slo_targets: Mapping[str, float],
-    rejected_ids: Sequence[int] = (),
+    rejected_ids: Sequence[int],
 ) -> Tuple[TenantSummary, ...]:
     """Per-tenant attainment, tenant-name-sorted.
 

@@ -16,9 +16,9 @@ from typing import Optional
 from ..core.batch import batch_price_request_mix
 from ..core.config import SystemConfig, default_system
 from ..models.mllm import get_mllm
-from ..serving.autoscale import AutoscaleResult, AutoscalerConfig
+from ..serving.autoscale import AutoscalerConfig
 from ..serving.faults import fault_recovery
-from ..serving.fleet import FleetSimulator
+from ..serving.fleet import FleetResult, FleetSimulator
 from .compile import CompiledScenario, compile_scenario
 from .report import (
     AutoscaleSummary,
@@ -153,22 +153,27 @@ def run_scenario(
 
 
 def scenario_report(
-    spec: ScenarioSpec, compiled: CompiledScenario, result, *, incidents=None
+    spec: ScenarioSpec,
+    compiled: CompiledScenario,
+    result: FleetResult,
+    *,
+    incidents=None,
 ) -> ScenarioReport:
     """Fold a fleet ``result`` into ``spec``'s canonical report.
 
     Pure assembly over the ``spec``, its ``compiled`` trace and the run
     ``result`` — both execution planes (and checkpoint resumes) call it
-    with their result object, so report formatting lives in exactly one
-    place.  ``incidents`` (live runs only) attaches the recovery
-    timeline as the conditional ``incidents`` block; an empty sequence
-    attaches nothing, so undisturbed live runs emit the exact batch
-    report.
+    with their :class:`~repro.serving.fleet.FleetResult`, so report
+    formatting lives in exactly one place.  The ``autoscale`` block is
+    emitted for a spec with an autoscaler.  ``incidents`` (live runs
+    only) attaches the recovery timeline as the conditional
+    ``incidents`` block; an empty sequence attaches nothing, so
+    undisturbed live runs emit the exact batch report.
     """
     report = result.report
     autoscale = (
         AutoscaleSummary.from_result(result)
-        if isinstance(result, AutoscaleResult)
+        if spec.fleet.autoscaler is not None
         else None
     )
     tenants = None
@@ -181,7 +186,7 @@ def scenario_report(
                 for component in spec.mix
             },
             spec.slo.targets(),
-            rejected_ids=getattr(result, "rejected_ids", ()),
+            rejected_ids=result.rejected_ids,
         )
     faults = None
     if compiled.faults is not None:

@@ -29,6 +29,8 @@ from dataclasses import dataclass, fields, replace
 from typing import Dict, Optional, Tuple
 
 from ..codec import Spec, applies, for_kinds, when_set
+from ..models.mllm import available_mllms
+from ..serving.fleet import POLICIES
 
 ARRIVAL_KINDS: Tuple[str, ...] = ("poisson", "bursty", "diurnal", "trace")
 ADMISSION_POLICIES: Tuple[str, ...] = ("queue", "reject")
@@ -194,7 +196,14 @@ class AutoscalerSpec(Spec):
 
 @dataclass(frozen=True)
 class FleetSpec(Spec):
-    """Fleet topology: the model served and the chips serving it."""
+    """Fleet topology: the model served and the chips serving it.
+
+    ``model`` must name a registered MLLM (any case), ``policy`` one of
+    :data:`~repro.serving.fleet.POLICIES`, and ``cc_bandwidth_fraction``
+    the CC stage's share of DRAM bandwidth, strictly inside (0, 1); the
+    fleet and its chips would refuse the same values, but only when the
+    scenario runs and without a spec path.
+    """
 
     model: str = "sphinx-tiny"
     n_chips: int = 1
@@ -205,10 +214,23 @@ class FleetSpec(Spec):
     autoscaler: Optional[AutoscalerSpec] = when_set(None)
 
     def __post_init__(self) -> None:
+        if self.model.lower() not in available_mllms():
+            raise ValueError(
+                f"model must be a registered MLLM "
+                f"({', '.join(available_mllms())}), got {self.model!r}"
+            )
         if self.n_chips < 1:
             raise ValueError("n_chips must be >= 1")
+        if self.policy not in POLICIES:
+            raise ValueError(
+                f"policy must be one of {POLICIES}, got {self.policy!r}"
+            )
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
+        if self.context_bucket < 1:
+            raise ValueError("context_bucket must be >= 1")
+        if not 0.0 < self.cc_bandwidth_fraction < 1.0:
+            raise ValueError("cc_bandwidth_fraction must be in (0, 1)")
 
     @property
     def provisioned_chips(self) -> int:

@@ -25,7 +25,7 @@ from .arrival import (
     RequestSampler,
     TraceArrivals,
 )
-from .autoscale import AutoscaleResult, AutoscalerConfig, ScalingEvent
+from .autoscale import AutoscalerConfig, ScalingEvent
 from .controllers import normalize_priorities
 from .faults import (
     DRAIN_POLICIES,
@@ -63,7 +63,6 @@ __all__ = [
     "PoissonArrivals",
     "RequestSampler",
     "TraceArrivals",
-    "AutoscaleResult",
     "AutoscalerConfig",
     "ScalingEvent",
     "DRAIN_POLICIES",

@@ -29,24 +29,22 @@ event-driven engine.  The loop itself is
 :class:`~repro.serving.controllers.AutoscaleController`, the fleet's one
 controller, which :meth:`~repro.serving.fleet.FleetSimulator.run` drives
 with or without a fault schedule.  This module holds its tuning
-(:class:`AutoscalerConfig`) and its outcome (:class:`AutoscaleResult`).
-Everything is deterministic: the same trace and configuration reproduce
-bit-identical records, decisions and reports.
+(:class:`AutoscalerConfig`) and its decision record
+(:class:`ScalingEvent`); the run returns the one
+:class:`~repro.serving.fleet.FleetResult` of every fleet kind, whose
+``events``, ``rejected_ids`` and ``final_chips`` carry the controller's
+activity.  Everything is deterministic: the same trace and configuration
+reproduce bit-identical records, decisions and reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Tuple
+from typing import Any, Tuple
 
 from ..codec import Spec
 from ..models.mllm import MLLMConfig
 from .fleet import FleetSimulator
-from .metrics import RequestRecord, ServingReport, empty_report, summarize
-from .queue import ServingResult
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .faults import FaultEvent
 
 ADMISSION_POLICIES: Tuple[str, ...] = ("queue", "reject")
 
@@ -115,75 +113,6 @@ class ScalingEvent(Spec):
     def direction(self) -> str:
         """``"up"`` when the fleet grew, ``"down"`` when it drained."""
         return "up" if self.n_chips_after > self.n_chips_before else "down"
-
-
-@dataclass(frozen=True)
-class AutoscaleResult:
-    """Outcome of an autoscaled fleet simulation.
-
-    ``assignments`` uses ``-1`` for rejected requests; ``records`` covers
-    admitted requests only (their ``arrival_s`` is the *true* arrival even
-    when admission control delayed dispatch).  ``per_chip`` is the raw
-    chip-level view: its records carry the *synthetic* canonical-rank
-    ids and admission-delayed arrivals the chips actually simulated.
-    ``fault_events``, ``redispatched_ids`` and ``aborted_ids`` account for
-    a fault schedule as on :class:`~repro.serving.fleet.FleetResult`.
-    """
-
-    records: Tuple[RequestRecord, ...]
-    per_chip: Tuple[ServingResult, ...]
-    assignments: Tuple[int, ...]
-    rejected_ids: Tuple[int, ...]
-    events: Tuple[ScalingEvent, ...]
-    final_chips: int
-    fault_events: Tuple["FaultEvent", ...] = ()
-    redispatched_ids: Tuple[int, ...] = ()
-    aborted_ids: Tuple[int, ...] = ()
-
-    @property
-    def report(self) -> ServingReport:
-        """Report over admitted requests (all-zero if all were rejected)."""
-        if not self.records:
-            return empty_report()
-        return summarize(self.records)
-
-    @property
-    def peak_chips(self) -> int:
-        """Largest active fleet size the controller ever reached."""
-        peak = max((event.n_chips_after for event in self.events), default=0)
-        return max(peak, self.final_chips)
-
-    @property
-    def n_rejected(self) -> int:
-        """Number of arrivals admission control rejected outright."""
-        return len(self.rejected_ids)
-
-    @property
-    def rejection_rate(self) -> float:
-        """Rejected fraction of all arrivals (0.0 on an empty trace)."""
-        total = len(self.records) + self.n_rejected
-        if total == 0:
-            return 0.0
-        return self.n_rejected / total
-
-    @property
-    def n_scale_ups(self) -> int:
-        """Number of grow decisions the controller took."""
-        return sum(1 for event in self.events if event.direction == "up")
-
-    @property
-    def n_scale_downs(self) -> int:
-        """Number of drain decisions the controller took."""
-        return sum(1 for event in self.events if event.direction == "down")
-
-    @property
-    def requests_per_chip(self) -> Tuple[int, ...]:
-        """Admitted-request count per chip, indexed by chip id."""
-        counts = [0] * len(self.per_chip)
-        for chip_id in self.assignments:
-            if chip_id >= 0:
-                counts[chip_id] += 1
-        return tuple(counts)
 
 
 def AutoscalingFleetSimulator(

@@ -9,7 +9,8 @@ earlier arrivals.  :func:`controller_for` builds the one controller a
 :class:`AutoscaleController` for one given an
 :class:`~repro.serving.autoscale.AutoscalerConfig`.  A run without
 faults plays the empty :class:`~repro.serving.faults.FaultSchedule`, a
-timeline with no events.  Both controllers share one stepwise protocol:
+timeline with no events.  Both controllers derive from one base, which
+holds the dispatch and era bookkeeping, and share one stepwise protocol:
 
 * ``on_arrival`` — feed one arrival (in ``(arrival_s, request_id)``
   order, see :func:`sorted_order`) and take its dispatch, admission and
@@ -19,7 +20,9 @@ timeline with no events.  Both controllers share one stepwise protocol:
 * ``final_jobs`` — the per-chip engine runs still owed, as
   :class:`ShardJob` values the caller executes (inline for the batch
   path, per-chip actors for the live runtime);
-* ``collect`` — fold the executed jobs into the fleet's result object.
+* ``collect`` — fold the executed jobs into the run's
+  :class:`~repro.serving.fleet.FleetResult`, the one result of both
+  fleet kinds (a static fleet's has no rejections or scaling events).
 
 :meth:`repro.serving.fleet.FleetSimulator.run` drives the controller in a
 plain loop over the sorted trace, and the live actor runtime drives the
@@ -80,21 +83,12 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import (
-    Any,
-    Deque,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.batch import ServiceTimeBoundsPricer
 from ..core.simulator import PerformanceSimulator
 from ..models.mllm import InferenceRequest
-from .autoscale import AutoscaleResult, ScalingEvent
+from .autoscale import ScalingEvent
 from .engine import prefill_windows
 from .faults import FaultEvent, FaultSchedule
 from .fleet import FleetResult, FleetSimulator
@@ -163,15 +157,12 @@ def normalize_priorities(
 # Era bookkeeping
 # ----------------------------------------------------------------------
 class _ChipState:
-    """One chip's era state: liveness, current era, closed eras."""
+    """One chip's eras: the open one (chip, floor, shard) and the closed ones."""
 
     def __init__(self, base: ContinuousBatchingSimulator) -> None:
         self.base = base
         self.sim = base
         self.chip_id = base.chip_id
-        self.era = 0
-        self.factor = 1.0
-        self.alive = True
         self.floor = 0.0
         #: The open era's shard: requests under their synthetic ids and
         #: effective (dispatch) arrivals.
@@ -277,183 +268,6 @@ def _degraded_chip(
     return chip
 
 
-class _FaultLedger:
-    """Dispatch and era bookkeeping shared by both era controllers.
-
-    A first dispatch runs under its canonical arrival rank as synthetic
-    id (``order`` maps ranks back to trace positions); a re-dispatch
-    allocates a fresh id past the trace length (``origin`` maps it back),
-    so a request displaced twice stays unambiguous.
-    """
-
-    def __init__(
-        self,
-        fleet: FleetSimulator,
-        trace: Sequence[ServingRequest],
-        schedule: FaultSchedule,
-    ) -> None:
-        self.fleet = fleet
-        self.trace = trace
-        self.policy = schedule.drain_policy
-        self.states = [_ChipState(chip) for chip in fleet.chips]
-        #: Chip ids currently admitting work, in id order.
-        self.alive: List[int] = list(range(fleet.n_chips))
-        #: Trace position of every arrival seen, by canonical rank.
-        self.order: List[int] = []
-        self.next_sid = len(trace)
-        self.origin: Dict[int, int] = {}
-        self.redispatched: List[int] = []
-        self.aborted: List[int] = []
-        self.assignments = [-1] * len(trace)
-
-    def index_of(self, sid: int) -> int:
-        """The trace position a synthetic record id maps back to."""
-        if sid < len(self.trace):
-            return self.order[sid]
-        return self.origin[sid]
-
-    def new_sid(self, index: int) -> int:
-        """A fresh synthetic id re-dispatching trace position ``index``."""
-        sid = self.next_sid
-        self.next_sid += 1
-        self.origin[sid] = index
-        return sid
-
-    def place(self, chip_id: int, index: int, eff: float, sid: int) -> None:
-        """Dispatch trace position ``index`` onto ``chip_id`` at ``eff``.
-
-        The chip runs it under synthetic id ``sid``; the trace's own
-        request object is reused when it already carries that id and
-        arrival.
-        """
-        source = self.trace[index]
-        if sid != source.request_id or eff != source.arrival_s:
-            source = ServingRequest(
-                request_id=sid, arrival_s=eff, request=source.request
-            )
-        self.states[chip_id].entries.append(source)
-        self.assignments[index] = chip_id
-
-    def _displaced(
-        self, items: List[ServingRequest]
-    ) -> List[Tuple[int, float]]:
-        return [
-            (self.index_of(item.request_id), item.arrival_s) for item in items
-        ]
-
-    def apply_event(self, event: FaultEvent) -> List[Tuple[int, float]]:
-        """Apply one fault event; returns displaced ``(index, eff)`` pairs."""
-        state = self.states[event.chip_id]
-        if event.kind == "chip_down":
-            suffix, aborted, drain_end = _split_era(
-                state, event.time_s, self.policy
-            )
-            state.alive = False
-            self.alive.remove(event.chip_id)
-            state.era += 1
-            state.floor = drain_end
-            unstarted = self._displaced(suffix)
-            killed = self._displaced(aborted)
-            self.redispatched.extend(index for index, _ in unstarted)
-            self.aborted.extend(index for index, _ in killed)
-            return unstarted + killed
-        if event.kind == "chip_up":
-            state.alive = True
-            insort(self.alive, event.chip_id)
-            state.era += 1
-            state.floor = max(event.time_s, state.floor)
-            return []
-        # dram_degrade: degradation is not failure — in-flight work
-        # always drains at the pre-degrade speed, and the unstarted
-        # suffix stays on the chip, carried into the degraded era.
-        suffix, _, drain_end = _split_era(state, event.time_s, "drain")
-        state.era += 1
-        state.factor = event.factor
-        state.floor = max(event.time_s, drain_end)
-        state.sim = _degraded_chip(state.base, event.factor)
-        state.entries = [
-            item
-            if item.arrival_s >= state.floor
-            else replace(item, arrival_s=state.floor)
-            for item in suffix
-        ]
-        return []
-
-    def final_jobs(self) -> List[ShardJob]:
-        """The engine run closing each open era that holds requests.
-
-        Jobs carry the era sim — the degraded replacement chip when the
-        era is degraded — so either executor (inline or a chip actor)
-        runs the same simulator.
-        """
-        return [
-            ShardJob(
-                chip_id=state.chip_id, sim=state.sim, shard=tuple(state.entries)
-            )
-            for state in self.states
-            if state.entries
-        ]
-
-    def install_final(self, results: Mapping[int, ServingResult]) -> None:
-        """Append executed :meth:`final_jobs` results as closing eras."""
-        for state in self.states:
-            result = results.get(state.chip_id)
-            if result is not None:
-                state.closed.append(result)
-                state.entries = []
-
-    def collect(
-        self,
-    ) -> Tuple[Tuple[RequestRecord, ...], Tuple[ServingResult, ...]]:
-        """Merge closed eras into per-chip results and restored records.
-
-        ``per_chip`` keeps the synthetic ids, sorted by id.  The merged
-        records carry true ids and arrivals, ordered by request id, then
-        chip, then completion — the order a bare run of each chip's
-        requests emits, so duplicate caller ids keep it too.
-        """
-        trace = self.trace
-        n = len(trace)
-        order = self.order
-        origin = self.origin
-        by_id = attrgetter("request_id")
-        per_chip: List[ServingResult] = []
-        records: List[RequestRecord] = []
-        for state in self.states:
-            merged = [
-                record for result in state.closed for record in result.records
-            ]
-            merged.sort(key=by_id)
-            per_chip.append(
-                ServingResult(
-                    records=tuple(merged),
-                    peak_batch_size=max(
-                        (result.peak_batch_size for result in state.closed),
-                        default=0,
-                    ),
-                    decode_steps=sum(
-                        result.decode_steps for result in state.closed
-                    ),
-                )
-            )
-            merged.sort(key=attrgetter("finish_s"))
-            for record in merged:
-                sid = record.request_id
-                source = trace[order[sid] if sid < n else origin[sid]]
-                if (
-                    sid != source.request_id
-                    or record.arrival_s != source.arrival_s
-                ):
-                    record = replace(
-                        record,
-                        request_id=source.request_id,
-                        arrival_s=source.arrival_s,
-                    )
-                records.append(record)
-        records.sort(key=by_id)
-        return tuple(records), tuple(per_chip)
-
-
 def _validate_targets(schedule: FaultSchedule, n_chips: int) -> None:
     """Reject schedules targeting chips the fleet does not have."""
     for event in schedule.events:
@@ -498,12 +312,17 @@ def _least_loaded(horizons: List[float], targets: Sequence[int]) -> int:
 # The era controllers
 # ----------------------------------------------------------------------
 class _EraController:
-    """What both era controllers share.
+    """What both era controllers share: the dispatch and era bookkeeping.
 
-    The event cursor, the per-chip horizons, the parked arrivals (every
-    chip down) and the era ledger, plus the stepwise protocol around
-    them: :meth:`finish_events` and :meth:`final_jobs`.  Subclasses
-    place requests (:meth:`_place`) and fold results.
+    Per-chip era states and horizons, the alive chips, the event cursor,
+    the parked arrivals (every chip down) and the run's accounting, plus
+    the stepwise protocol around them: :meth:`finish_events`,
+    :meth:`final_jobs` and :meth:`collect`.  Subclasses pick each
+    request's chip (:meth:`_place`) and take the per-arrival decision
+    (``on_arrival``).  A first dispatch runs under its canonical arrival
+    rank as synthetic id (``order`` maps ranks back to trace positions);
+    a re-dispatch allocates a fresh id past the trace length (``origin``
+    maps it back), so a request displaced twice stays unambiguous.
     A controller needs the full ``trace`` up front: priority
     normalization is global and era re-dispatch reaches requests by
     trace position.  ``schedule`` defaults to the empty
@@ -530,7 +349,23 @@ class _EraController:
         self.schedule = schedule
         self.weights = normalize_priorities(priorities, len(trace))
         fleet.precompute_service_times(trace)
-        self.ledger = _FaultLedger(fleet, trace, schedule)
+        self.states = [_ChipState(chip) for chip in fleet.chips]
+        #: Chip ids currently admitting work, in id order.
+        self.alive: List[int] = list(range(fleet.n_chips))
+        #: Chips receiving new requests: all of a static fleet's, the
+        #: autoscaler's active prefix of an autoscaled one.
+        self.n_active = fleet.n_chips
+        #: Trace position of every arrival seen, by canonical rank.
+        self.order: List[int] = []
+        self.next_sid = len(trace)
+        self.origin: Dict[int, int] = {}
+        self.assignments = [-1] * len(trace)
+        #: Trace positions a ``chip_down`` displaced unstarted or killed,
+        #: and that admission control rejected.
+        self.redispatched: List[int] = []
+        self.aborted: List[int] = []
+        self.rejected: List[int] = []
+        self.scale_events: List[ScalingEvent] = []
         self.event_pos = 0
         self.horizons = [0.0] * fleet.n_chips
         #: ``(index, eff, sid)`` of requests waiting for a chip to return.
@@ -539,15 +374,30 @@ class _EraController:
     @property
     def n_seen(self) -> int:
         """Arrivals processed so far (the checkpoint cursor)."""
-        return len(self.ledger.order)
+        return len(self.order)
 
     def _place(self, index: int, eff: float, sid: int) -> int:
         """Dispatch one request onto a target; returns its chip id."""
         raise NotImplementedError
 
+    def _enqueue(self, chip_id: int, index: int, eff: float, sid: int) -> None:
+        """Append trace position ``index`` to ``chip_id``'s open era at ``eff``.
+
+        The chip runs it under synthetic id ``sid``; the trace's own
+        request object is reused when it already carries that id and
+        arrival.
+        """
+        source = self.trace[index]
+        if sid != source.request_id or eff != source.arrival_s:
+            source = ServingRequest(
+                request_id=sid, arrival_s=eff, request=source.request
+            )
+        self.states[chip_id].entries.append(source)
+        self.assignments[index] = chip_id
+
     def _arrive(self, index: int, now: float) -> int:
         """Rank one arrival and apply the fault events due by ``now``."""
-        order = self.ledger.order
+        order = self.order
         order.append(index)
         # Most arrivals have no event due: test before calling.
         events = self.schedule.events
@@ -565,18 +415,65 @@ class _EraController:
             self._apply(events[self.event_pos])
             self.event_pos += 1
 
+    def _index_of(self, sid: int) -> int:
+        """The trace position a synthetic id maps back to."""
+        return self.order[sid] if sid < len(self.trace) else self.origin[sid]
+
+    def _displaced(
+        self, items: List[ServingRequest]
+    ) -> List[Tuple[int, float]]:
+        """The ``(trace position, eff)`` pairs of era entries leaving a chip."""
+        return [
+            (self._index_of(item.request_id), item.arrival_s) for item in items
+        ]
+
     def _apply(self, event: FaultEvent) -> None:
-        displaced = self.ledger.apply_event(event)
-        if event.kind == "chip_up":
-            self.horizons[event.chip_id] = (
-                self.ledger.states[event.chip_id].floor
+        """Apply one fault event and re-dispatch the work it displaced.
+
+        ``chip_down`` closes the chip's era and re-dispatches its
+        unstarted (and, under ``"abort"``, killed) requests at the event
+        time, highest priority first, or parks them while no chip is
+        alive.  ``chip_up`` reopens the chip no earlier than its drain
+        end and places the parked requests.  ``dram_degrade`` is not
+        failure: in-flight work always drains at the pre-degrade speed,
+        and the unstarted suffix stays on the chip, carried into the
+        degraded era.
+        """
+        state = self.states[event.chip_id]
+        displaced: List[Tuple[int, float]] = []
+        if event.kind == "chip_down":
+            suffix, aborted, drain_end = _split_era(
+                state, event.time_s, self.schedule.drain_policy
             )
+            self.alive.remove(event.chip_id)
+            state.floor = drain_end
+            unstarted = self._displaced(suffix)
+            killed = self._displaced(aborted)
+            self.redispatched.extend(index for index, _ in unstarted)
+            self.aborted.extend(index for index, _ in killed)
+            displaced = unstarted + killed
+        elif event.kind == "chip_up":
+            insort(self.alive, event.chip_id)
+            state.floor = max(event.time_s, state.floor)
+            self.horizons[event.chip_id] = state.floor
             flush, self.parked = self.parked, []
             for index, eff, sid in flush:
                 self._place(index, max(eff, event.time_s), sid)
+        else:
+            suffix, _, drain_end = _split_era(state, event.time_s, "drain")
+            state.floor = max(event.time_s, drain_end)
+            state.sim = _degraded_chip(state.base, event.factor)
+            state.entries = [
+                item
+                if item.arrival_s >= state.floor
+                else replace(item, arrival_s=state.floor)
+                for item in suffix
+            ]
         for index, eff in _pool_order(displaced, self.trace, self.weights):
-            sid = self.ledger.new_sid(index)
-            if self.ledger.alive:
+            sid = self.next_sid
+            self.next_sid += 1
+            self.origin[sid] = index
+            if self.alive:
                 self._place(index, max(eff, event.time_s), sid)
             else:
                 self.parked.append((index, eff, sid))
@@ -591,27 +488,85 @@ class _EraController:
             )
 
     def final_jobs(self) -> List[ShardJob]:
-        """The engine runs closing every open era."""
-        return self.ledger.final_jobs()
+        """The engine run closing each open era that holds requests.
 
-    def _collected(
-        self, results: Mapping[int, ServingResult]
-    ) -> Dict[str, Any]:
-        """Install the closing eras; the result fields both fleet kinds share."""
-        ledger = self.ledger
-        ledger.install_final(results)
-        records, per_chip = ledger.collect()
+        Jobs carry the era sim — the degraded replacement chip when the
+        era is degraded — so either executor (inline or a chip actor)
+        runs the same simulator.
+        """
+        return [
+            ShardJob(
+                chip_id=state.chip_id, sim=state.sim, shard=tuple(state.entries)
+            )
+            for state in self.states
+            if state.entries
+        ]
+
+    def collect(self, results: Mapping[int, ServingResult]) -> FleetResult:
+        """Fold the executed :meth:`final_jobs` into a :class:`FleetResult`.
+
+        ``results`` maps chip ids to their closing eras' results.
+        ``per_chip`` keeps the synthetic ids, sorted by id.  The merged
+        records carry true ids and arrivals, ordered by request id, then
+        chip, then completion — the order a bare run of each chip's
+        requests emits, so duplicate caller ids keep it too.
+        """
         trace = self.trace
-        return {
-            "records": records,
-            "per_chip": per_chip,
-            "assignments": tuple(ledger.assignments),
-            "fault_events": self.schedule.events,
-            "redispatched_ids": tuple(
-                trace[i].request_id for i in ledger.redispatched
+        n = len(trace)
+        order = self.order
+        origin = self.origin
+        by_id = attrgetter("request_id")
+        per_chip: List[ServingResult] = []
+        records: List[RequestRecord] = []
+        for state in self.states:
+            closing = results.get(state.chip_id)
+            if closing is not None:
+                state.closed.append(closing)
+                state.entries = []
+            merged = [
+                record for result in state.closed for record in result.records
+            ]
+            merged.sort(key=by_id)
+            per_chip.append(
+                ServingResult(
+                    records=tuple(merged),
+                    peak_batch_size=max(
+                        (result.peak_batch_size for result in state.closed),
+                        default=0,
+                    ),
+                    decode_steps=sum(
+                        result.decode_steps for result in state.closed
+                    ),
+                )
+            )
+            merged.sort(key=attrgetter("finish_s"))
+            for record in merged:
+                sid = record.request_id
+                source = trace[order[sid] if sid < n else origin[sid]]
+                if (
+                    sid != source.request_id
+                    or record.arrival_s != source.arrival_s
+                ):
+                    record = replace(
+                        record,
+                        request_id=source.request_id,
+                        arrival_s=source.arrival_s,
+                    )
+                records.append(record)
+        records.sort(key=by_id)
+        return FleetResult(
+            records=tuple(records),
+            per_chip=tuple(per_chip),
+            assignments=tuple(self.assignments),
+            final_chips=self.n_active,
+            fault_events=self.schedule.events,
+            redispatched_ids=tuple(
+                trace[i].request_id for i in self.redispatched
             ),
-            "aborted_ids": tuple(trace[i].request_id for i in ledger.aborted),
-        }
+            aborted_ids=tuple(trace[i].request_id for i in self.aborted),
+            rejected_ids=tuple(trace[i].request_id for i in self.rejected),
+            events=tuple(self.scale_events),
+        )
 
 
 class StaticController(_EraController):
@@ -642,15 +597,14 @@ class StaticController(_EraController):
         # Runs once per arrival, so the two ``max`` folds are spelled as
         # conditionals (same floats: ``max`` keeps its first argument on
         # ties).
-        ledger = self.ledger
-        targets = ledger.alive
+        targets = self.alive
         horizons = self.horizons
         if self.round_robin:
             chip_id = targets[self.rr_position % len(targets)]
             self.rr_position += 1
         else:
             chip_id = _least_loaded(horizons, targets)
-        state = ledger.states[chip_id]
+        state = self.states[chip_id]
         if state.floor > eff:
             eff = state.floor
         if not self.round_robin:
@@ -660,7 +614,7 @@ class StaticController(_EraController):
             horizons[chip_id] = (eff if eff > horizon else horizon) + (
                 state.sim.costs.dispatch_terms(self.trace[index].request)[0]
             )
-        ledger.place(chip_id, index, eff, sid)
+        self._enqueue(chip_id, index, eff, sid)
         return chip_id
 
     def on_arrival(self, index: int, request: ServingRequest) -> int:
@@ -671,21 +625,17 @@ class StaticController(_EraController):
         """
         now = request.arrival_s
         rank = self._arrive(index, now)
-        if not self.ledger.alive:
+        if not self.alive:
             self.parked.append((index, now, rank))
             return -1
         return self._place(index, now, rank)
-
-    def collect(self, results: Mapping[int, ServingResult]) -> FleetResult:
-        """Fold the executed closing eras into a :class:`FleetResult`."""
-        return FleetResult(**self._collected(results))
 
 
 class AutoscaleController(_EraController):
     """The era controller of an autoscaled fleet: one arrival at a time.
 
     The SLO-aware control loop — the admission heap, the rolling TTFT
-    window, the cooldown clock and the scaling ledger — restricted to
+    window, the cooldown clock and the scaling decisions — restricted to
     the alive prefix of the fleet.  Per-request admission depth scales
     with the request's priority weight (``max(1, int(depth * weight))``,
     exactly the unweighted limit at uniform priorities), and fault
@@ -709,18 +659,15 @@ class AutoscaleController(_EraController):
         self.config = fleet.autoscaler
         self.inflight: List[float] = []
         self.ttft_window: Deque[float] = deque(maxlen=self.config.window)
-        self.scale_events: List[ScalingEvent] = []
-        self.rejected: List[int] = []
         self.n_active = self.config.min_chips
         self.last_scale = float("-inf")
 
     def _targets(self) -> Sequence[int]:
-        return self.ledger.alive[: self.n_active]
+        return self.alive[: self.n_active]
 
     def _place(self, index: int, eff: float, sid: int) -> int:
-        ledger = self.ledger
         chip_id = _least_loaded(self.horizons, self._targets())
-        state = ledger.states[chip_id]
+        state = self.states[chip_id]
         eff = max(eff, state.floor)
         source = self.trace[index]
         cost, prefill, first_step = state.sim.costs.dispatch_terms(
@@ -732,7 +679,7 @@ class AutoscaleController(_EraController):
         )
         self.horizons[chip_id] = start + cost
         heapq.heappush(self.inflight, self.horizons[chip_id])
-        ledger.place(chip_id, index, eff, sid)
+        self._enqueue(chip_id, index, eff, sid)
         return chip_id
 
     def on_arrival(self, index: int, request: ServingRequest) -> int:
@@ -795,17 +742,6 @@ class AutoscaleController(_EraController):
         )
         self.n_active += step
         self.last_scale = now
-
-    def collect(self, results: Mapping[int, ServingResult]) -> AutoscaleResult:
-        """Fold the executed closing eras into an :class:`AutoscaleResult`."""
-        return AutoscaleResult(
-            **self._collected(results),
-            rejected_ids=tuple(
-                self.trace[i].request_id for i in self.rejected
-            ),
-            events=tuple(self.scale_events),
-            final_chips=self.n_active,
-        )
 
 
 def controller_for(

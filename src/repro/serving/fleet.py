@@ -26,22 +26,25 @@ receives requests (see :mod:`repro.serving.autoscale`).
 
 Every run drives the fleet's one era controller
 (:func:`~repro.serving.controllers.controller_for`), whose fault schedule
-is empty unless the caller passes one (see :mod:`repro.serving.faults`).
+is empty unless the caller passes one (see :mod:`repro.serving.faults`),
+and returns one :class:`FleetResult`, whatever the fleet kind and the
+runtime: a static fleet's reports no rejections and no scaling events,
+and its ``n_chips`` as its final and peak size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..core.batch import ServiceTimeBoundsPricer
 from ..core.simulator import PerformanceSimulator
 from ..models.mllm import MLLMConfig
-from .metrics import RequestRecord, ServingReport, summarize
+from .metrics import RequestRecord, ServingReport, empty_report, summarize
 from .queue import ContinuousBatchingSimulator, ServingRequest, ServingResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .autoscale import AutoscaleResult, AutoscalerConfig
+    from .autoscale import AutoscalerConfig, ScalingEvent
     from .faults import FaultEvent
 
 POLICIES: Tuple[str, ...] = ("round_robin", "least_loaded")
@@ -55,34 +58,76 @@ RUNTIMES: Tuple[str, ...] = ("batch", "live")
 
 @dataclass(frozen=True)
 class FleetResult:
-    """Outcome of a fleet simulation: merged records plus per-chip results.
+    """Outcome of a fleet simulation, static or autoscaled.
 
-    ``records`` carry the caller's request ids and arrivals; ``per_chip``
-    is the raw chip-level view, whose records carry the synthetic ids
-    the chips simulated (see :mod:`repro.serving.controllers`).
-    ``fault_events`` is the applied schedule; ``redispatched_ids`` and
-    ``aborted_ids`` account for the requests its ``chip_down`` events
-    displaced (all three are empty on a fault-free run).
+    ``records`` cover the admitted requests and carry the caller's
+    request ids and *true* arrivals, even when admission control delayed
+    dispatch; ``per_chip`` is the raw chip-level view, whose records
+    carry the synthetic ids and admission-delayed arrivals the chips
+    simulated (see :mod:`repro.serving.controllers`).  ``assignments``
+    holds each request's chip by trace position, ``-1`` for a rejected
+    one.  ``final_chips`` is the active fleet size at the end of the run
+    (a static fleet's ``n_chips``), ``events`` the autoscaler's scaling
+    decisions and ``rejected_ids`` the arrivals its admission control
+    dropped (both empty on a static fleet).  ``fault_events`` is the
+    applied schedule; ``redispatched_ids`` and ``aborted_ids`` account
+    for the requests its ``chip_down`` events displaced (all three are
+    empty on a fault-free run).
     """
 
     records: Tuple[RequestRecord, ...]
     per_chip: Tuple[ServingResult, ...]
     assignments: Tuple[int, ...]
+    final_chips: int
     fault_events: Tuple["FaultEvent", ...] = ()
     redispatched_ids: Tuple[int, ...] = ()
     aborted_ids: Tuple[int, ...] = ()
+    rejected_ids: Tuple[int, ...] = ()
+    events: Tuple["ScalingEvent", ...] = ()
 
     @property
     def report(self) -> ServingReport:
-        """Aggregate statistics over the merged fleet-wide records."""
+        """Report over admitted requests (all-zero if none was admitted)."""
+        if not self.records:
+            return empty_report()
         return summarize(self.records)
 
     @property
+    def peak_chips(self) -> int:
+        """Largest active fleet size the run ever reached."""
+        peak = max((event.n_chips_after for event in self.events), default=0)
+        return max(peak, self.final_chips)
+
+    @property
+    def n_rejected(self) -> int:
+        """Number of arrivals admission control rejected outright."""
+        return len(self.rejected_ids)
+
+    @property
+    def rejection_rate(self) -> float:
+        """Rejected fraction of all arrivals (0.0 on an empty trace)."""
+        total = len(self.records) + self.n_rejected
+        if total == 0:
+            return 0.0
+        return self.n_rejected / total
+
+    @property
+    def n_scale_ups(self) -> int:
+        """Number of grow decisions the autoscaler took."""
+        return sum(1 for event in self.events if event.direction == "up")
+
+    @property
+    def n_scale_downs(self) -> int:
+        """Number of drain decisions the autoscaler took."""
+        return sum(1 for event in self.events if event.direction == "down")
+
+    @property
     def requests_per_chip(self) -> Tuple[int, ...]:
-        """Dispatched-request count per chip, indexed by chip id."""
+        """Admitted-request count per chip, indexed by chip id."""
         counts = [0] * len(self.per_chip)
         for chip_id in self.assignments:
-            counts[chip_id] += 1
+            if chip_id >= 0:
+                counts[chip_id] += 1
         return tuple(counts)
 
 
@@ -194,17 +239,6 @@ class FleetSimulator:
             on_arrival(index, trace[index])
         return controller
 
-    def assign(self, trace: Sequence[ServingRequest]) -> List[int]:
-        """Chip index for every request of the trace, in trace order.
-
-        Drives the fleet's controller exactly as :meth:`run` does, without
-        simulating the chips; ``-1`` marks a request an autoscaled fleet's
-        admission control rejected.  Assignments are positional, so traces
-        carrying duplicate (caller-supplied) request ids still dispatch
-        every request.
-        """
-        return list(self._dispatched(trace).ledger.assignments)
-
     # ------------------------------------------------------------------
     # Simulation
     # ------------------------------------------------------------------
@@ -215,16 +249,14 @@ class FleetSimulator:
         faults=None,
         priorities: Optional[Sequence[float]] = None,
         runtime: str = "batch",
-    ) -> Union[FleetResult, "AutoscaleResult"]:
+    ) -> FleetResult:
         """Dispatch the trace, simulate every chip and merge the records.
 
         The one run loop of every fleet kind: it feeds the fleet's
         controller (:func:`~repro.serving.controllers.controller_for`) every
         arrival in canonical order, applies the trailing fault events,
         runs the closing engine jobs inline (``job.run()``) and collects
-        the :class:`FleetResult` — an
-        :class:`~repro.serving.autoscale.AutoscaleResult` on an autoscaled
-        fleet.  ``faults`` is an optional
+        the :class:`FleetResult`.  ``faults`` is an optional
         :class:`~repro.serving.faults.FaultSchedule` (``None`` plays the
         empty one); ``priorities`` carries one positive weight per request,
         ordering post-fault re-dispatch and weighting an autoscaled fleet's

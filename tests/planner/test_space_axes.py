@@ -7,7 +7,8 @@ designs that leave the new axes unset must serialize, hash and name
 byte-identically to the pre-axis format (golden plan reports and plan
 hashes must not move).  These tests pin that constraint plus the axis
 helpers (:func:`build_chip_grid`, :func:`parse_mixes`,
-:meth:`PlannerConfig.from_axes`) and the CLI flags that expose them.
+:meth:`PlannerConfig.from_axes`, :func:`~repro.planner.bnb.axis_tuple`)
+and the CLI flags that expose them.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.planner import (
     parse_mixes,
 )
 from repro.planner.__main__ import main
+from repro.planner.bnb import axis_tuple
 from repro.planner.space import BASE_DRAM_GBPS, DEFAULT_CHIP_MIXES, DEFAULT_GROUP_COUNTS
 
 
@@ -71,11 +73,7 @@ class TestChipDesignAxes:
         assert ChipDesign.from_dict(json.loads(json.dumps(design.to_dict()))) == design
 
     def test_axes_resolve_defaults(self):
-        axes = ChipDesign(2, 1, 1).axes()
-        assert axes["mix"] == (1, 1)
-        assert axes["n_groups"] == 2
-        assert axes["dram_gbps"] == BASE_DRAM_GBPS
-        assert axes["keep_fraction"] == 1.0
+        assert axis_tuple(ChipDesign(2, 1, 1)) == ((1, 1), 2, BASE_DRAM_GBPS, 1.0)
 
     def test_axis_validation(self):
         with pytest.raises(ValueError, match="dram_gbps"):

@@ -95,6 +95,43 @@ class TestValidation:
         assert excinfo.value.path == "arrival"
         assert str(excinfo.value) == f"arrival: {field} must be >= 1"
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            (
+                "policy",
+                "bogus",
+                "policy must be one of ('round_robin', 'least_loaded'), "
+                "got 'bogus'",
+            ),
+            ("context_bucket", 0, "context_bucket must be >= 1"),
+            ("cc_bandwidth_fraction", 0.0, "cc_bandwidth_fraction must be in (0, 1)"),
+            ("cc_bandwidth_fraction", 1.5, "cc_bandwidth_fraction must be in (0, 1)"),
+            (
+                "model",
+                "nope",
+                "model must be a registered MLLM (deepseek-vl, karmavlm, "
+                "llava-7b, mobilevlm, sphinx-tiny, tinygpt-v), got 'nope'",
+            ),
+        ],
+        ids=[
+            "policy",
+            "context_bucket",
+            "cc_bandwidth_fraction-0",
+            "cc_bandwidth_fraction-1.5",
+            "model",
+        ],
+    )
+    def test_spec_file_names_a_bad_fleet_field(self, field, value, message):
+        # The fleet and its chips refuse these too, but only when the
+        # scenario runs, without a spec path (or, for the model, as a raw
+        # KeyError); decoding the spec must refuse them first.
+        text = json.dumps({"name": "x", "fleet": {field: value}})
+        with pytest.raises(SpecError) as excinfo:
+            ScenarioSpec.from_json(text)
+        assert excinfo.value.path == "fleet"
+        assert str(excinfo.value) == f"fleet: {message}"
+
     def test_rejects_fields_the_kind_would_lose_on_serialization(self):
         # `to_dict` omits fields irrelevant to the kind, so non-default
         # values there would silently vanish on a round trip — rejected.

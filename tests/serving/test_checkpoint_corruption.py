@@ -122,6 +122,15 @@ def _mutate_arrival(field, value):
     return corrupt
 
 
+def _mutate_fleet(field, value):
+    def corrupt(text):
+        data = json.loads(text)
+        data["scenario"]["fleet"][field] = value
+        return json.dumps(data)
+
+    return corrupt
+
+
 def _drop(field):
     def corrupt(text):
         data = json.loads(text)
@@ -164,6 +173,11 @@ CORRUPTIONS = [
         _mutate_arrival("rate_rps", float("nan")),
         r"scenario\.arrival\.rate_rps: expected a finite number, got nan",
         id="non-finite-scenario-field",
+    ),
+    pytest.param(
+        _mutate_fleet("policy", "bogus"),
+        r"scenario\.fleet: policy",
+        id="unknown-fleet-policy",
     ),
     pytest.param(
         _mutate("engine", "macro"), "field 'engine' must be one of", id="retired-engine"

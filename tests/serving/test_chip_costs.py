@@ -208,7 +208,7 @@ def test_a_degraded_era_holds_its_own_memo(trace):
     shared.run(trace)  # warm the shared memo first
     controller = shared._dispatched(trace, faults=schedule)
     controller.finish_events()
-    state = controller.ledger.states[0]
+    state = controller.states[0]
     assert state.sim is not state.base
     assert state.sim.costs is not state.base.costs
     assert ChipCosts.on(state.sim.simulator) == [state.sim.costs]

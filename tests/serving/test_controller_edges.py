@@ -1,9 +1,9 @@
 """Edge-branch tests for the two era controllers.
 
 Targeted at the branches the broad differential/property suites rarely
-reach: autoscaler-config validation, the `AutoscaleResult` helper
-properties, autoscaled scale-downs, parked arrivals surviving an outage
-(and a checkpoint taken mid-outage), and the guard rails on
+reach: autoscaler-config validation, the `FleetResult` helper properties
+of an autoscaled run, autoscaled scale-downs, parked arrivals surviving
+an outage (and a checkpoint taken mid-outage), and the guard rails on
 `fleet.run`.  Together with the main suites these keep `repro.serving`
 above the CI coverage floor.
 """
@@ -12,8 +12,8 @@ import pytest
 
 from repro.models.mllm import get_mllm
 from repro.serving import (
-    AutoscaleResult,
     AutoscalerConfig,
+    FleetResult,
     FleetSimulator,
     PoissonArrivals,
     RequestSampler,
@@ -66,9 +66,9 @@ class TestAutoscalerConfigValidation:
             AutoscalerConfig(**kwargs)
 
 
-class TestAutoscaleResultProperties:
+class TestFleetResultProperties:
     def test_all_rejected_run_reports_zeroes(self):
-        result = AutoscaleResult(
+        result = FleetResult(
             records=(),
             per_chip=(),
             assignments=(-1, -1),
@@ -83,7 +83,7 @@ class TestAutoscaleResultProperties:
         assert result.requests_per_chip == ()
 
     def test_per_chip_request_counts(self, model):
-        result = AutoscaleResult(
+        result = FleetResult(
             records=(),
             per_chip=(object(), object()),
             assignments=(0, 1, 1, -1),

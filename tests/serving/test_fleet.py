@@ -1,10 +1,15 @@
-"""Fleet-simulation tests: dispatch policies and merged reporting."""
+"""Fleet-simulation tests: dispatch policies, merged reporting, one result type."""
 
 import pytest
 
 from repro.models.mllm import get_mllm
 from repro.serving import (
+    RUNTIMES,
+    AutoscalerConfig,
     ContinuousBatchingSimulator,
+    FaultEvent,
+    FaultSchedule,
+    FleetResult,
     FleetSimulator,
     PoissonArrivals,
     RequestSampler,
@@ -33,13 +38,13 @@ def trace(model):
 class TestDispatch:
     def test_round_robin_cycles_chips(self, model, trace):
         fleet = FleetSimulator(model, n_chips=3, policy="round_robin")
-        assignments = fleet.assign(trace)
-        expected = [index % 3 for index in range(len(trace))]
+        assignments = fleet.run(trace).assignments
+        expected = tuple(index % 3 for index in range(len(trace)))
         assert assignments == expected
 
     def test_least_loaded_uses_every_chip(self, model, trace):
         fleet = FleetSimulator(model, n_chips=4, policy="least_loaded")
-        assignments = fleet.assign(trace)
+        assignments = fleet.run(trace).assignments
         assert set(assignments) == {0, 1, 2, 3}
 
     def test_duplicate_request_ids_still_dispatch_everywhere(self, model, trace):
@@ -48,7 +53,7 @@ class TestDispatch:
             for r in trace[:4]
         ]
         fleet = FleetSimulator(model, n_chips=2, policy="round_robin")
-        assignments = fleet.assign(duplicated)
+        assignments = fleet.run(duplicated).assignments
         assert sorted(assignments) == [0, 0, 1, 1]
 
     def test_rejects_unknown_policy(self, model):
@@ -132,7 +137,7 @@ class TestEstimateMemo:
 
         for chip in uncached.chips:
             chip.costs.dispatch_terms = recompute(chip)
-        assert memoized.assign(trace) == uncached.assign(trace)
+        assert memoized.run(trace).assignments == uncached.run(trace).assignments
         # The memo actually engaged, and only with shape keys in each
         # chip's memo — the heap probes one chip per request, so at most
         # chips x shapes.
@@ -147,7 +152,7 @@ class TestEstimateMemo:
 
     def test_cached_estimate_equals_fresh_computation(self, model, trace):
         fleet = FleetSimulator(model, n_chips=2, policy="least_loaded")
-        fleet.assign(trace)
+        fleet.run(trace)
         chip = fleet.chips[0]
         for request in {r.request for r in trace}:
             cached = chip.costs.dispatch_terms(request)[0]
@@ -159,3 +164,41 @@ class TestEstimateMemo:
                 * request.output_tokens
             )
             assert cached == fresh
+
+
+class TestOneResult:
+    @pytest.mark.parametrize(
+        "policy, fault",
+        [("round_robin", False), ("least_loaded", False), ("least_loaded", True)],
+        ids=["round_robin", "least_loaded", "faulted"],
+    )
+    def test_a_static_fleet_reports_no_autoscaler_activity(
+        self, model, trace, policy, fault
+    ):
+        schedule = None
+        if fault:
+            span = max(request.arrival_s for request in trace)
+            schedule = FaultSchedule(
+                events=(FaultEvent(time_s=0.25 * span, kind="chip_down", chip_id=0),)
+            )
+        result = FleetSimulator(model, n_chips=3, policy=policy).run(
+            trace, faults=schedule
+        )
+        assert result.fault_events == (schedule.events if fault else ())
+        assert result.events == ()
+        assert result.rejected_ids == ()
+        assert result.final_chips == result.peak_chips == 3
+        assert result.rejection_rate == 0.0
+
+    @pytest.mark.parametrize("runtime", RUNTIMES)
+    @pytest.mark.parametrize("kind", ["static", "autoscaled"])
+    def test_every_fleet_kind_returns_a_fleet_result(
+        self, model, trace, kind, runtime
+    ):
+        sizing = (
+            {"n_chips": 2}
+            if kind == "static"
+            else {"autoscaler": AutoscalerConfig(target_p99_ttft_s=1.0, max_chips=3)}
+        )
+        result = FleetSimulator(model, **sizing).run(trace, runtime=runtime)
+        assert type(result) is FleetResult

@@ -19,6 +19,7 @@ from repro.serving import (
     RequestSampler,
     build_trace,
 )
+from repro.serving import queue
 from repro.serving.queue import ChipCosts
 
 N_REQUESTS = 40
@@ -126,16 +127,21 @@ class TestFleetPrecompute:
                 lazy.cost_model.step_latency_s([context])
             )
 
-    def test_assign_alone_still_precomputes_for_least_loaded(self):
-        model = get_mllm("sphinx-tiny")
-        trace = make_trace()
-        fleet = FleetSimulator(model, n_chips=2, policy="least_loaded")
-        fleet.assign(trace)
-        assert any(
-            (r.request.images, r.request.prompt_text_tokens)
-            in fleet.chips[0].costs.shapes
-            for r in trace
-        )
+    @pytest.mark.parametrize("policy", ["round_robin", "least_loaded"])
+    def test_a_run_prices_nothing_through_the_scalar_path(
+        self, policy, monkeypatch
+    ):
+        # Every run precomputes before its first dispatch: neither the
+        # least-loaded estimates nor the engine derive a CC-stage latency
+        # or a decode bucket lazily.
+        def scalar(*args, **kwargs):
+            raise AssertionError("priced through the scalar path")
+
+        monkeypatch.setattr(queue, "cc_stage_latency", scalar)
+        monkeypatch.setattr(BatchDecodeCostModel, "_cost", scalar)
+        fleet = FleetSimulator(get_mllm("sphinx-tiny"), n_chips=2, policy=policy)
+        result = fleet.run(make_trace(outputs=LONG_OUTPUTS))
+        assert len(result.records) == N_REQUESTS
 
     @pytest.mark.parametrize("n_chips", [1, 3, 8])
     def test_a_fresh_fleet_walks_the_trace_once_and_builds_one_pricer(
@@ -174,7 +180,7 @@ class TestHeapDispatch:
         model = get_mllm("sphinx-tiny")
         trace = make_trace(seed=11, n=60)
         fleet = FleetSimulator(model, n_chips=4, policy="least_loaded")
-        assignments = fleet.assign(trace)
+        assignments = list(fleet.run(trace).assignments)
 
         # Reference: the original O(chips) scan per request.
         reference_fleet = FleetSimulator(model, n_chips=4, policy="least_loaded")

@@ -78,6 +78,10 @@ at_least_one = st.floats(
     min_value=1.0, max_value=1e4, allow_nan=False, allow_infinity=False
 )
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+#: A CC bandwidth share (``FleetSpec`` needs it strictly inside (0, 1)).
+open_unit = st.floats(
+    min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True
+)
 
 
 @st.composite
@@ -141,7 +145,7 @@ fleets = st.builds(
     policy=st.sampled_from(POLICIES),
     max_batch_size=st.integers(1, 32),
     context_bucket=st.integers(1, 4096),
-    cc_bandwidth_fraction=unit,
+    cc_bandwidth_fraction=open_unit,
     autoscaler=st.none() | autoscalers(),
 )
 slos = st.builds(
