@@ -160,6 +160,7 @@ def candidate_survives_chip_loss(
     option: FleetOption,
     targets: Mapping[str, float],
     *,
+    simulator: Optional[PerformanceSimulator] = None,
     engine: str = "wave",
 ) -> bool:
     """Whether a candidate still meets every objective after losing a chip.
@@ -171,8 +172,11 @@ def candidate_survives_chip_loss(
     the degraded run still completes every request and meets every
     objective in ``targets``.  The probe
     is deterministic — same spec, design and option always return the
-    same verdict.  Single-chip fleets cannot survive by construction and
-    return ``False`` without simulation.
+    same verdict.  The fleet runs on ``simulator`` when given (it must
+    carry ``design``'s system; a plan shares one per design across that
+    design's probes), else on a fresh one, as in :func:`candidate_fleet`.
+    Single-chip fleets cannot survive by construction and return
+    ``False`` without simulation.
     """
     if option.n_chips < 2:
         return False
@@ -181,7 +185,13 @@ def candidate_survives_chip_loss(
 
     model = get_mllm(spec.fleet.model)
     fleet = candidate_fleet(
-        model, spec, design, option, targets.get("ttft_p99_s"), engine=engine
+        model,
+        spec,
+        design,
+        option,
+        targets.get("ttft_p99_s"),
+        simulator=simulator,
+        engine=engine,
     )
     span = max(request.arrival_s for request in trace)
     schedule = FaultSchedule(

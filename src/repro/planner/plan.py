@@ -23,14 +23,14 @@ PlannerConfig` (chip designs × fleet options), it
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..core.batch import ServiceTimeBoundsPricer
 from ..core.simulator import PerformanceSimulator
 from ..models.mllm import get_mllm
 from ..scenarios.compile import compile_scenario
 from ..scenarios.spec import ScenarioSpec, SLOSpec
-from ..serving.queue import ChipCosts, ServingRequest
+from ..serving.queue import ChipCosts
 from .bnb import bnb_prune_designs
 from .evaluate import (
     CandidateOutcome,
@@ -43,6 +43,8 @@ from .prune import DesignBounds, prune_designs, trace_pricer
 from .report import PlanEntry, PlanReport, plan_hash
 from .space import ChipDesign, FleetOption, PlannerConfig
 from .store import PlanStore, candidate_key
+
+T = TypeVar("T")
 
 #: Search modes :func:`plan_scenario` accepts: ``"flat"`` bounds every
 #: design individually (the oracle), ``"bnb"`` branch-and-bounds subgrids.
@@ -112,15 +114,13 @@ def _best_entry(
     )
 
 
-def _serial_outcomes(
+def _by_design(
     spec: ScenarioSpec,
-    trace: Sequence[ServingRequest],
     candidates: Sequence[Tuple[ChipDesign, FleetOption]],
-    targets: Dict[str, float],
-    engine: str,
     pricer: Optional[ServiceTimeBoundsPricer],
-) -> List[CandidateOutcome]:
-    """Simulate candidates serially, one performance simulator per design.
+    run: Callable[[ChipDesign, FleetOption, PerformanceSimulator], T],
+) -> List[T]:
+    """``run`` each candidate serially, on one performance simulator per design.
 
     Candidates sharing a chip design share one performance simulator and
     with it one serving-cost memo (the memoized values are design
@@ -130,7 +130,8 @@ def _serial_outcomes(
     A design's simulator is released after its last candidate, so memos
     do not pile up across the space.  Every memoized value is a
     deterministic function of the design, so shared runs are
-    bit-identical to cold ones (regression-tested) — just faster.
+    bit-identical to cold ones (regression-tested) — just faster.  The
+    serial candidate simulations and the chip-loss probes both run here.
     """
     simulators: Dict[str, PerformanceSimulator] = {}
     if pricer is not None:
@@ -146,26 +147,16 @@ def _serial_outcomes(
                 context_bucket=spec.fleet.context_bucket,
             ).seed(*seeds)
     last = {design.name: at for at, (design, _) in enumerate(candidates)}
-    outcomes: List[CandidateOutcome] = []
+    results: List[T] = []
     for at, (design, option) in enumerate(candidates):
         if design.name not in simulators:
             simulators[design.name] = PerformanceSimulator(design.system())
-        outcomes.append(
-            evaluate_candidate(
-                spec,
-                trace,
-                design,
-                option,
-                targets,
-                simulator=simulators[design.name],
-                engine=engine,
-            )
-        )
+        results.append(run(design, option, simulators[design.name]))
         if last[design.name] == at:
             # A memo and its simulator reference each other: emptying the
             # memo dict frees both now instead of at a later collection.
             simulators.pop(design.name).derived.clear()
-    return outcomes
+    return results
 
 
 def plan_scenario(
@@ -206,8 +197,9 @@ def plan_scenario(
     candidate (one chip permanently lost a quarter into the trace, see
     :func:`~repro.planner.evaluate.candidate_survives_chip_loss`) and
     restricts the best plan to candidates that survive; entries then
-    carry their ``survives_chip_loss`` verdict.  Default off — the
-    fault-free search and its goldens are unchanged.
+    carry their ``survives_chip_loss`` verdict.  The probes run in this
+    process, on one simulator per design like the serial simulations.
+    Default off — the fault-free search and its goldens are unchanged.
     """
     if search not in SEARCH_MODES:
         raise ValueError(f"unknown search mode {search!r}; expected {SEARCH_MODES}")
@@ -293,13 +285,19 @@ def plan_scenario(
             processes=processes,
         )
     else:
-        fresh = _serial_outcomes(
+        fresh = _by_design(
             spec,
-            compiled.trace,
             [candidate for _, candidate in to_simulate],
-            targets,
-            engine,
             pricer,
+            lambda design, option, simulator: evaluate_candidate(
+                spec,
+                compiled.trace,
+                design,
+                option,
+                targets,
+                simulator=simulator,
+                engine=engine,
+            ),
         )
 
     by_index = dict(stored)
@@ -313,17 +311,23 @@ def plan_scenario(
     if require_chip_loss:
         # Probe only SLO-meeting entries: the survival requirement can
         # only demote plans that would otherwise qualify as best.
-        entries = [
-            replace(
-                entry,
-                survives_chip_loss=candidate_survives_chip_loss(
-                    spec, compiled.trace, design, option, targets, engine=engine
-                ),
-            )
-            if entry.slo_met
-            else entry
-            for entry, (design, option) in zip(entries, candidates)
-        ]
+        meeting = [at for at, entry in enumerate(entries) if entry.slo_met]
+        verdicts = _by_design(
+            spec,
+            [candidates[at] for at in meeting],
+            pricer,
+            lambda design, option, simulator: candidate_survives_chip_loss(
+                spec,
+                compiled.trace,
+                design,
+                option,
+                targets,
+                simulator=simulator,
+                engine=engine,
+            ),
+        )
+        for at, survives in zip(meeting, verdicts):
+            entries[at] = replace(entries[at], survives_chip_loss=survives)
     frontier = tuple(pareto_frontier(entries, PlanEntry.objectives))
     best = _best_entry(entries, require_chip_loss=require_chip_loss)
     return PlanReport(

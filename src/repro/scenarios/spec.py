@@ -30,10 +30,11 @@ from typing import Dict, Optional, Tuple
 
 from ..codec import Spec, applies, for_kinds, when_set
 from ..models.mllm import available_mllms
+# ADMISSION_POLICIES is re-exported beside the spec's other value sets.
+from ..serving.autoscale import ADMISSION_POLICIES, check_tuning
 from ..serving.fleet import POLICIES
 
 ARRIVAL_KINDS: Tuple[str, ...] = ("poisson", "bursty", "diurnal", "trace")
-ADMISSION_POLICIES: Tuple[str, ...] = ("queue", "reject")
 DRAIN_POLICIES: Tuple[str, ...] = ("drain", "abort")
 
 
@@ -159,7 +160,8 @@ class AutoscalerSpec(Spec):
     The controller's TTFT target comes from the owning scenario's
     :class:`SLOSpec`; this spec carries the fleet bounds and the control-
     loop tuning.  See :class:`repro.serving.autoscale.AutoscalerConfig`
-    for the runtime semantics of each field.
+    for the runtime semantics of each field; both refuse out-of-range
+    values through one :func:`~repro.serving.autoscale.check_tuning`.
     """
 
     min_chips: int = 1
@@ -173,25 +175,7 @@ class AutoscalerSpec(Spec):
     admission: str = "queue"
 
     def __post_init__(self) -> None:
-        if self.min_chips < 1:
-            raise ValueError("min_chips must be >= 1")
-        if self.max_chips < self.min_chips:
-            raise ValueError("max_chips must be >= min_chips")
-        if self.window < 1 or self.min_observations < 1:
-            raise ValueError("window and min_observations must be >= 1")
-        if self.cooldown_s < 0:
-            raise ValueError("cooldown_s must be >= 0")
-        if self.scale_up_ratio <= 0 or self.scale_down_ratio < 0:
-            raise ValueError("scaling ratios must be positive")
-        if self.scale_down_ratio >= self.scale_up_ratio:
-            raise ValueError("scale_down_ratio must be below scale_up_ratio")
-        if self.max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be >= 1")
-        if self.admission not in ADMISSION_POLICIES:
-            raise ValueError(
-                f"admission must be one of {ADMISSION_POLICIES}, "
-                f"got {self.admission!r}"
-            )
+        check_tuning(self)
 
 
 @dataclass(frozen=True)

@@ -77,27 +77,37 @@ class AutoscalerConfig:
     def __post_init__(self) -> None:
         if self.target_p99_ttft_s <= 0:
             raise ValueError("target_p99_ttft_s must be positive")
-        if self.min_chips < 1:
-            raise ValueError("min_chips must be >= 1")
-        if self.max_chips < self.min_chips:
-            raise ValueError("max_chips must be >= min_chips")
-        if self.window < 1 or self.min_observations < 1:
-            raise ValueError("window and min_observations must be >= 1")
-        if self.cooldown_s < 0:
-            raise ValueError("cooldown_s must be >= 0")
-        if self.scale_up_ratio <= 0:
-            raise ValueError("scale_up_ratio must be positive")
-        if not 0 <= self.scale_down_ratio < self.scale_up_ratio:
-            raise ValueError(
-                "scale_down_ratio must be in [0, scale_up_ratio)"
-            )
-        if self.max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be >= 1")
-        if self.admission not in ADMISSION_POLICIES:
-            raise ValueError(
-                f"admission must be one of {ADMISSION_POLICIES}, "
-                f"got {self.admission!r}"
-            )
+        check_tuning(self)
+
+
+def check_tuning(tuning: Any) -> None:
+    """Raise ``ValueError`` naming the first out-of-range knob of ``tuning``.
+
+    ``tuning`` is an :class:`AutoscalerConfig` or a scenario's
+    :class:`~repro.scenarios.spec.AutoscalerSpec` (anything with their
+    shared fields: chip bounds, window, cooldown, scaling ratios, queue
+    depth and admission policy).  Both run this one check as they are
+    built, so a spec file and a config refuse a value with one message.
+    """
+    if tuning.min_chips < 1:
+        raise ValueError("min_chips must be >= 1")
+    if tuning.max_chips < tuning.min_chips:
+        raise ValueError("max_chips must be >= min_chips")
+    if tuning.window < 1 or tuning.min_observations < 1:
+        raise ValueError("window and min_observations must be >= 1")
+    if tuning.cooldown_s < 0:
+        raise ValueError("cooldown_s must be >= 0")
+    if tuning.scale_up_ratio <= 0:
+        raise ValueError("scale_up_ratio must be positive")
+    if not 0 <= tuning.scale_down_ratio < tuning.scale_up_ratio:
+        raise ValueError("scale_down_ratio must be in [0, scale_up_ratio)")
+    if tuning.max_queue_depth < 1:
+        raise ValueError("max_queue_depth must be >= 1")
+    if tuning.admission not in ADMISSION_POLICIES:
+        raise ValueError(
+            f"admission must be one of {ADMISSION_POLICIES}, "
+            f"got {tuning.admission!r}"
+        )
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Wave decode engine: compress composition runs, vectorise the cutoff.
+"""Wave decode engine: compress composition runs, fold each in closed form.
 
 The per-step event loop of :meth:`~repro.serving.queue.
 ContinuousBatchingSimulator.run_step` pays one Python iteration — a batch
@@ -19,53 +19,38 @@ structural invariants of the continuous-batching discipline:
    steps collapse into one run.
 
 Bit-identity with the per-step loop is a hard guarantee, not an
-approximation.  Boundary timestamps are rebuilt by the loop's own left
-fold (``t_{i} = t_{i-1} + dt``) — in Python, ``itertools.accumulate`` or
-``np.add.accumulate``, which is defined element by element, unlike
-``np.sum``'s pairwise reduction — and every ``dt`` is the oracle's float,
-since the step cost is order-free and the engine keeps its integer sums
-exact.  The one modelling assumption beyond the per-step loop: CC-stage
-latencies are strictly positive, so two prefills never complete at the
-same instant.
+approximation.  The loop builds boundary timestamps by the left fold
+``t_i = t_{i-1} + dt``; :func:`fold_run` returns exactly that fold's
+first and stopping boundaries in O(1), from the rounding grid of
+``now``'s binade, and walks the fold wherever its closed form does not
+apply.  Every ``dt`` is the oracle's float, since the step cost is
+order-free and the engine keeps its integer sums exact.  The one
+modelling assumption beyond the per-step loop: CC-stage latencies are
+strictly positive, so two prefills never complete at the same instant.
 ``tests/serving/test_wave_engine.py`` asserts ``==`` equality of every
-record field and counter across randomized traces.
+record field and counter across randomized traces, and of
+:func:`fold_run` against the walk.
 
 Per-stream bookkeeping is kept in *absolute step counts*, so a run costs
 O(changed streams), not O(batch).  With a free slot and a prefill in
 flight, a run stops at the first boundary at or past that prefill's
-completion; long searches for this admission cutoff take one
-``np.add.accumulate`` + ``np.searchsorted`` array pass per prefill wave
-instead of a step-by-step walk.  A trace is a ``ServingRequest``
-sequence; :func:`_wave_columns` turns it into dispatch-ordered columns
-once, and every record reuses its request's own
+completion, which :func:`fold_run` finds in the same O(1) pass.  A trace
+is a ``ServingRequest`` sequence; :func:`_wave_columns` turns it into
+dispatch-ordered columns once, and every record reuses its request's own
 :class:`~repro.models.mllm.InferenceRequest`.  ``docs/performance.md``
 (layer 4) has the full derivation.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import accumulate, repeat
+from math import ceil, fmod, ulp
 from operator import attrgetter
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .metrics import RequestRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .queue import ContinuousBatchingSimulator, ServingRequest, ServingResult
-
-#: Runs at least this long reconstruct their boundary timestamps through
-#: ``np.add.accumulate`` instead of a Python fold; below it the array-call
-#: overhead exceeds the fold itself.  Either path is the same left fold.
-NUMPY_FOLD_MIN = 48
-
-#: Runs at least this long (but below :data:`NUMPY_FOLD_MIN`) fold through
-#: ``itertools.accumulate`` — the same element-by-element left fold, run
-#: in C; shorter runs stay in a plain Python loop, whose per-call setup
-#: is cheaper.  All three paths produce identical floats.
-ACCUMULATE_FOLD_MIN = 12
 
 
 def prefill_windows(
@@ -94,30 +79,55 @@ def prefill_windows(
     return starts, ends
 
 
-#: Admission walks at least this long run through the vectorised
-#: fold-and-search cutoff (:func:`run_wave`); shorter walks stay in the
-#: scalar loop, whose per-step cost undercuts the array-call overhead.
-#: Both paths stop at the identical boundary.
-SEARCH_CUTOFF_MIN = 32
+def fold_run(
+    now: float, dt: float, k: int, limit: float
+) -> Tuple[float, float, int]:
+    """First boundary, stopping boundary and length of one run, in O(1).
 
-#: Relative margin of :func:`run_wave`'s admission screen: a run of ``k``
-#: steps of ``dt`` from ``now`` skips the cutoff search only when
-#: ``(now + dt * k) * (1 + ADMISSION_SCREEN_MARGIN)`` is still short of
-#: the waiting prefill's completion.
-ADMISSION_SCREEN_MARGIN = 1e-8
+    The run's exact result is the left fold ``t = now; t += dt`` that
+    stops after ``k`` steps (``k >= 1``) or at the first boundary
+    ``>= limit``, whichever comes first; pass ``limit = inf`` for a run
+    nothing cuts short.  Returns ``(t_1, t_steps, steps)`` — the floats
+    and count that fold gives.
 
-#: Longest output, in tokens, :func:`run_wave` accepts.  No run outlasts
-#: the longest output, and a left fold of ``k`` positive terms errs by at
-#: most ``γ_k = k·u / (1 − k·u)`` relative (``u = 2**-53``); the screen's
-#: own three roundings and its rounded ``1 + margin`` cost four more
-#: ``(1 − u)`` factors.  So the screen never skips a needed cutoff search
-#: while ``1 + γ_k <= (1 + ADMISSION_SCREEN_MARGIN) · (1 − u)**4`` for
-#: ``k = MAX_RUN_STEPS``, which holds up to ``k`` ≈ 9×10^7.
-MAX_RUN_STEPS = 2**26
-
-
-class RunLengthError(ValueError):
-    """A trace whose longest output exceeds :data:`MAX_RUN_STEPS`."""
+    When ``now > 0``, every float in ``[now, top)``, with
+    ``u = ulp(now)`` and ``top = 2**53 * u`` (the next power of two above
+    a normal ``now``), is a multiple of ``u``.  So while ``t + dt`` stays
+    below ``top`` it rounds to ``t + δ``, where ``r = fmod(dt, u)`` and
+    ``δ = dt - r``, plus ``u`` when ``r > u/2`` — unless ``r == u/2``,
+    whose tie rounds to even and so depends on ``t``.  Without a tie,
+    and while ``now + (k-1)·δ + dt < top``, every boundary is the exact
+    ``t_i = now + i·δ``, and the cutoff is ``ceil((limit - now) / δ)``,
+    checked by exact ``t_i`` comparisons.  A tie, a run that reaches
+    ``top`` and ``now <= 0`` walk the fold.
+    """
+    if now > 0.0:
+        u = ulp(now)
+        r = fmod(dt, u)
+        if r + r != u:
+            delta = dt - r + u if r + r > u else dt - r
+            if now + (k - 1) * delta + dt < u * 2.0**53:
+                first = now + delta
+                if k == 1 or first >= limit:
+                    return first, first, 1
+                if now + (k - 1) * delta < limit:
+                    return first, now + k * delta, k
+                # t_1 < limit <= t_{k-1}, so delta > 0 and 1 < steps < k.
+                # The quotient of two multiples of u below 2**53 * u is
+                # already the exact ceiling; the exact t_i comparisons
+                # make the cutoff independent of that argument.
+                steps = ceil((limit - now) / delta)
+                while now + (steps - 1) * delta >= limit:
+                    steps -= 1
+                while now + steps * delta < limit:
+                    steps += 1
+                return first, now + steps * delta, steps
+    first = boundary = now + dt
+    steps = 1
+    while steps < k and boundary < limit:
+        boundary += dt
+        steps += 1
+    return first, boundary, steps
 
 
 def _wave_columns(
@@ -174,26 +184,19 @@ def run_wave(
     ids, arrivals, outputs, latencies, contexts0, requests = _wave_columns(
         chip, trace
     )
-    longest = max(outputs)
-    if longest > MAX_RUN_STEPS:
-        raise RunLengthError(
-            f"output_tokens {longest} exceeds the wave engine's "
-            f"MAX_RUN_STEPS ({MAX_RUN_STEPS}), the longest run its "
-            "admission screen is sound for"
-        )
-    screen = 1.0 + ADMISSION_SCREEN_MARGIN
     n = len(ids)
     cost_model = chip.cost_model
     step_latency_for_sums = cost_model.step_latency_for_sums
     # Bucket -> stream-pair memo probed inline: a method call at every
     # admit, finish and crossing costs measurably more.  Misses fall
-    # through to the cost model, which builds and checks the pair.
+    # through to the cost model, which builds, checks and memoizes the
+    # pair, so an active stream's current bucket is always a hit.
     stream_cost = cost_model.stream_cost
     stream_cost_get = cost_model._stream_cost.get
-    # Inlined context_bucket_for: quantization runs a few times per
-    # request, and the three-deep call chain through the cost model costs
-    # more than the arithmetic.  ``test_wave_engine`` pins the inlined
-    # form against the canonical helper so the definitions cannot drift.
+    # Inlined context_bucket_for: quantization runs once per request, and
+    # the three-deep call chain through the cost model costs more than
+    # the arithmetic.  ``test_wave_engine`` pins the inlined form against
+    # the canonical helper so the definitions cannot drift.
     width = cost_model.context_bucket
     max_batch = chip.max_batch_size
     chip_id = chip.chip_id
@@ -204,16 +207,16 @@ def run_wave(
     # Stage 2: run-compressed decode over the columns.  Streams enter the
     # ready queue in CC completion order == dispatch order, so a single
     # cursor replaces the queue.  Active-stream state lives in parallel
-    # lists, in admission order.
+    # lists, in admission order.  A stream's context at a crossing is
+    # always its bucket + 1, so a crossing raises the bucket by ``width``
+    # and the next one lands ``width`` steps later.
     act: List[int] = []  # index into the dispatch-ordered columns
-    ctx_offset: List[int] = []  # context - global step count, constant per run
-    pairs: List[Tuple[int, int]] = []  # current bucket's stream pair
+    buckets: List[int] = []  # current context bucket
     cross_at: List[int] = []  # absolute step count of the next bucket change
     finish_at: List[int] = []  # absolute step count of the last token
     first_token: List[Optional[float]] = []
     act_append = act.append
-    ctx_offset_append = ctx_offset.append
-    pairs_append = pairs.append
+    buckets_append = buckets.append
     cross_at_append = cross_at.append
     finish_at_append = finish_at.append
     first_token_append = first_token.append
@@ -255,8 +258,7 @@ def run_wave(
             stream_bytes += pair[0]
             compute += pair[1]
             act_append(cursor)
-            ctx_offset_append(context - steps)
-            pairs_append(pair)
+            buckets_append(bucket)
             cross_at_append(cross)
             finish_at_append(finish)
             first_token_append(None)
@@ -269,79 +271,27 @@ def run_wave(
         batch = len(act)
         if fresh and batch > peak:
             peak = batch
-        # Hoisted out of the chain below: neither the batch nor the
-        # admission deadline can change across a crossing-only boundary.
-        capacity = batch < max_batch and cursor < n
-        admit_t = prefill_end[cursor] if capacity else 0.0
+        # With a free slot and a prefill in flight, a run stops at the
+        # first boundary at or past that prefill's completion.  Hoisted
+        # out of the chain below: neither the batch nor the deadline can
+        # change across a crossing-only boundary.
+        limit = prefill_end[cursor] if batch < max_batch and cursor < n else inf
 
         # A *chain* of composition runs: bucket crossings change the step
-        # latency but provably admit nobody (the cutoff below stops the
-        # chain at any boundary that could), so the chain only ends at a
-        # finish or at an admission boundary.
+        # latency but provably admit nobody (the cutoff stops the chain at
+        # any boundary that could), so the chain only ends at a finish or
+        # at an admission boundary.
         while True:
             dt = step_latency_for_sums(stream_bytes, compute)
             # Longest run with this composition: up to the earliest finish
-            # or bucket crossing (both strictly ahead of the count) ...
-            k = (next_cross if next_cross < min_finish else min_finish) - steps
-            if capacity and (now + dt * k) * screen >= admit_t:
-                # ... but with a free slot and a prefill in flight, the
-                # run must stop at the first boundary of the left-fold
-                # sequence at or past the next prefill completion.  The
-                # screen brackets the folded endpoint within relative
-                # ADMISSION_SCREEN_MARGIN, above the fold's worst-case
-                # error for any k <= MAX_RUN_STEPS (checked on entry), so
-                # it can only ever *keep* a cutoff search, never skip a
-                # needed one (the search stays exact).
-                if k < SEARCH_CUTOFF_MIN:
-                    first_boundary = now + dt
-                    boundary = first_boundary
-                    run = 1
-                    while run < k and boundary < admit_t:
-                        boundary += dt
-                        run += 1
-                    k = run
-                else:
-                    # One array pass per prefill wave: rebuild the exact
-                    # fold, then binary-search the cutoff.  searchsorted
-                    # returns how many boundaries fall short of admit_t,
-                    # so the walk's stopping index is one past that,
-                    # clamped to the run length — the identical boundary
-                    # the scalar walk stops at, k array ops sooner.
-                    fold = np.empty(k + 1)
-                    fold.fill(dt)
-                    fold[0] = now
-                    folded = np.add.accumulate(fold)
-                    run = int(
-                        folded[1:].searchsorted(admit_t, "left")
-                    ) + 1
-                    if run > k:
-                        run = k
-                    first_boundary = float(folded[1])
-                    boundary = float(folded[run])
-                    k = run
-            elif k >= NUMPY_FOLD_MIN:
-                # Long uninterrupted run: the same left fold, vectorised.
-                fold = np.empty(k + 1)
-                fold.fill(dt)
-                fold[0] = now
-                folded = np.add.accumulate(fold)
-                first_boundary = float(folded[1])
-                boundary = float(folded[k])
-            elif k >= ACCUMULATE_FOLD_MIN:
-                # Medium run: the left fold consumed in C, keeping the
-                # last element only (a maxlen-1 deque drains it in C).
-                first_boundary = now + dt
-                boundary = deque(
-                    accumulate(repeat(dt, k - 1), initial=first_boundary),
-                    maxlen=1,
-                )[0]
-            else:
-                first_boundary = now + dt
-                boundary = first_boundary
-                for _ in range(k - 1):
-                    boundary += dt
-            steps += k
-            now = boundary
+            # or bucket crossing (both strictly ahead of the count).
+            first_boundary, now, run = fold_run(
+                now,
+                dt,
+                (next_cross if next_cross < min_finish else min_finish) - steps,
+                limit,
+            )
+            steps += run
 
             # Streams admitted at the chain's start see their first token
             # at the end of its first step.  They sit at the tail of
@@ -362,21 +312,20 @@ def run_wave(
                     index = act[position]
                     records_append(
                         RequestRecord(
-                            request_id=ids[index],
-                            request=requests[index],
-                            arrival_s=arrivals[index],
-                            prefill_start_s=prefill_start[index],
-                            prefill_end_s=prefill_end[index],
-                            first_token_s=first_token[position],
-                            finish_s=boundary,
-                            chip_id=chip_id,
+                            ids[index],
+                            requests[index],
+                            arrivals[index],
+                            prefill_start[index],
+                            prefill_end[index],
+                            first_token[position],
+                            now,
+                            chip_id,
                         )
                     )
-                    pair = pairs.pop(position)
+                    pair = stream_cost_get(buckets.pop(position))
                     stream_bytes -= pair[0]
                     compute -= pair[1]
                     del act[position]
-                    del ctx_offset[position]
                     removed = cross_at[position]
                     del cross_at[position]
                     del finish_at[position]
@@ -388,19 +337,19 @@ def run_wave(
                 # A crosser may also have been a finisher, removed above.
                 while steps in cross_at:
                     position = cross_at.index(steps)
-                    context = ctx_offset[position] + steps
-                    bucket = ((max(context, 1) + width - 1) // width) * width
-                    old = pairs[position]
+                    bucket = buckets[position]
+                    old = stream_cost_get(bucket)
+                    bucket += width
                     pair = stream_cost_get(bucket) or stream_cost(bucket)
                     stream_bytes += pair[0] - old[0]
                     compute += pair[1] - old[1]
-                    pairs[position] = pair
-                    cross_at[position] = steps + bucket - context + 1
+                    buckets[position] = bucket
+                    cross_at[position] = steps + width
                 next_cross = min(cross_at)
-            if finished:
-                break  # a slot may have opened: re-run admission
-            if capacity and boundary >= admit_t:
-                break  # the waiting prefill is admissible at ``boundary``
+            if finished or now >= limit:
+                # A slot may have opened, or the waiting prefill is
+                # admissible at ``now``: re-run admission.
+                break
 
     records.sort(key=attrgetter("request_id"))
     return ServingResult(

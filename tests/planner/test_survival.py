@@ -11,10 +11,14 @@ rendering), and the headline behaviour: requiring survival never picks a
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.batch import ServiceTimeBoundsPricer
 from repro.planner import PlannerConfig, plan_scenario
 from repro.planner.evaluate import candidate_survives_chip_loss
+from repro.planner.plan import SEARCH_MODES
 from repro.planner.report import PlanReport, format_plan_report
 from repro.planner.space import ChipDesign
 from repro.scenarios import (
@@ -50,6 +54,10 @@ CONFIG = PlannerConfig(
     max_chips=2,
     include_autoscaled=False,
 )
+
+
+#: Two multi-chip options per design, so a design has several probes.
+WIDER = replace(CONFIG, max_chips=3)
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +125,35 @@ class TestRequireChipLoss:
         assert "survive one chip loss" in text
         assert "[survives chip loss]" in text or "[dies with a chip]" in text
         assert "survive one chip loss" not in format_plan_report(plain)
+
+
+class TestProbeSimulators:
+    """Every chip-loss probe of one design runs on one simulator."""
+
+    @pytest.fixture
+    def pricers(self, monkeypatch):
+        built = []
+        init = ServiceTimeBoundsPricer.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ServiceTimeBoundsPricer, "__init__", counted)
+        return built
+
+    @pytest.mark.parametrize("search", SEARCH_MODES)
+    def test_pruned_probes_price_nothing(self, pricers, search):
+        # The bound pass's pricer seeds each probed design's memo, so the
+        # plan builds that one pricer and no probe fleet builds another.
+        plan_scenario(SPEC, WIDER, search=search, require_chip_loss=True)
+        assert len(pricers) == 1
+
+    def test_brute_force_probes_price_each_design_once(self, pricers):
+        # Without a bound pass, a design's first probe fleet prices it and
+        # its later probes read that memo.
+        plan_scenario(SPEC, WIDER, prune=False)
+        unprobed = len(pricers)
+        pricers.clear()
+        plan_scenario(SPEC, WIDER, prune=False, require_chip_loss=True)
+        assert len(pricers) - unprobed == len(WIDER.chip_grid)

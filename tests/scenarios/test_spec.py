@@ -25,6 +25,7 @@ from repro.scenarios import (
     available_scenarios,
     get_scenario,
 )
+from repro.serving.autoscale import AutoscalerConfig
 
 REFERENCE = ScenarioSpec(
     name="reference",
@@ -131,6 +132,21 @@ class TestValidation:
             ScenarioSpec.from_json(text)
         assert excinfo.value.path == "fleet"
         assert str(excinfo.value) == f"fleet: {message}"
+
+    def test_spec_file_and_config_refuse_a_tuning_value_alike(self):
+        # AutoscalerSpec and AutoscalerConfig run one check, so a bad
+        # knob reads the same from a spec file and from a config.
+        text = json.dumps(
+            {"name": "x", "fleet": {"autoscaler": {"scale_down_ratio": -0.1}}}
+        )
+        with pytest.raises(SpecError) as from_file:
+            ScenarioSpec.from_json(text)
+        with pytest.raises(ValueError) as from_config:
+            AutoscalerConfig(target_p99_ttft_s=1.0, scale_down_ratio=-0.1)
+        message = "scale_down_ratio must be in [0, scale_up_ratio)"
+        assert from_file.value.path == "fleet.autoscaler"
+        assert str(from_file.value) == f"fleet.autoscaler: {message}"
+        assert str(from_config.value) == message
 
     def test_rejects_fields_the_kind_would_lose_on_serialization(self):
         # `to_dict` omits fields irrelevant to the kind, so non-default

@@ -125,30 +125,30 @@ class TestEstimateMemo:
         # must dispatch exactly like the memoized fleet.
         memoized = FleetSimulator(model, n_chips=3, policy="least_loaded")
         uncached = FleetSimulator(model, n_chips=3, policy="least_loaded")
+        # Every chip of a fleet reads the fleet's one ChipCosts memo, so
+        # one override disables it for all three.
+        for fleet in (memoized, uncached):
+            assert all(chip.costs is fleet.chips[0].costs for chip in fleet.chips)
+        chip = uncached.chips[0]
 
-        def recompute(chip):
-            def dispatch_terms(request):
-                prefill = chip.cc_latency_s(request)
-                context = uncached.model.prompt_tokens(request)
-                per_token = chip.cost_model.step_latency_s([context])
-                return prefill + per_token * request.output_tokens, prefill, per_token
+        def dispatch_terms(request):
+            prefill = chip.cc_latency_s(request)
+            context = uncached.model.prompt_tokens(request)
+            per_token = chip.cost_model.step_latency_s([context])
+            return prefill + per_token * request.output_tokens, prefill, per_token
 
-            return dispatch_terms
-
-        for chip in uncached.chips:
-            chip.costs.dispatch_terms = recompute(chip)
+        chip.costs.dispatch_terms = dispatch_terms
         assert memoized.run(trace).assignments == uncached.run(trace).assignments
-        # The memo actually engaged, and only with shape keys in each
-        # chip's memo — the heap probes one chip per request, so at most
-        # chips x shapes.
+        # The memo actually engaged, and only with shape keys: one entry
+        # per request shape at most, however many chips read it.
         shapes = {
             (r.request.images, r.request.prompt_text_tokens,
              r.request.output_tokens)
             for r in trace
         }
-        memos = [chip.costs.dispatch for chip in memoized.chips]
-        assert 0 < sum(map(len, memos)) <= 3 * len(shapes)
-        assert all(key in shapes for memo in memos for key in memo)
+        memo = memoized.chips[0].costs.dispatch
+        assert 0 < len(memo) <= len(shapes)
+        assert all(key in shapes for key in memo)
 
     def test_cached_estimate_equals_fresh_computation(self, model, trace):
         fleet = FleetSimulator(model, n_chips=2, policy="least_loaded")

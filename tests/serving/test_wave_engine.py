@@ -1,25 +1,26 @@
 """Wave engine: bit-identity against the per-step oracle.
 
 The wave engine compresses constant-composition runs of decode steps
-and batches the admission-cutoff walk into one array pass, but its
-contract is exact ``==`` equivalence with the per-step oracle.  Every
-test here asserts equality of ``RequestRecord`` tuples and
-peak-batch/decode-step counters between ``wave`` and ``step`` — on
-randomized composition-churning traces over batch sizes,
-bucket widths and fleet sizes, and on deterministic edge traces that pin
-each fold and cutoff path — plus scale-event equality when the
-autoscaler drives fleets under ``engine="wave"``.  The CC-pipeline
-recurrence both the wave engine and the fault era split share
-(:func:`~repro.serving.engine.prefill_windows`) is pinned against the
-oracle's prefill windows directly, and the admission screen's run-length
-bound (:data:`~repro.serving.engine.MAX_RUN_STEPS`) in exact rationals.
+and folds each run in closed form, but its contract is exact ``==``
+equivalence with the per-step oracle.  Every test here asserts equality
+of ``RequestRecord`` tuples and peak-batch/decode-step counters between
+``wave`` and ``step`` — on randomized composition-churning traces over
+batch sizes, bucket widths and fleet sizes, and on deterministic edge
+traces whose runs are short, long, cut by admissions, cross a power of
+two or start binades apart — plus scale-event equality when the
+autoscaler drives fleets under ``engine="wave"``.  The closed-form fold
+(:func:`~repro.serving.engine.fold_run`) is pinned against the plain
+step-by-step walk, and the CC-pipeline recurrence both the wave engine
+and the fault era split share
+(:func:`~repro.serving.engine.prefill_windows`) against the oracle's
+prefill windows directly.
 """
 
 import inspect
-from fractions import Fraction
+from math import inf, nextafter, ulp
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.batch import context_bucket_for
@@ -44,15 +45,9 @@ from repro.serving import (
     FleetSimulator,
     PoissonArrivals,
     RequestSampler,
-    ServingRequest,
     build_trace,
 )
-from repro.serving.engine import (
-    ADMISSION_SCREEN_MARGIN,
-    MAX_RUN_STEPS,
-    RunLengthError,
-    prefill_windows,
-)
+from repro.serving.engine import fold_run, prefill_windows
 from repro.serving.runtime.service import run_scenario_live
 
 MODEL = get_mllm("sphinx-tiny")
@@ -144,6 +139,35 @@ def simultaneous_arrivals():
     times = [0.0] * 8 + [t for t in range(1, 9) for _ in (0, 1)]
     return build_trace(
         [float(t) for t in times], [r.request for r in base[: len(times)]]
+    )
+
+
+def power_of_two_crossing():
+    """Long decodes admitted just below 4 s: their runs cross 4 s and 8 s."""
+    times = [3.5 + 0.05 * i for i in range(8)]
+    return build_trace(
+        times,
+        [
+            InferenceRequest(
+                images=1, prompt_text_tokens=16, output_tokens=200 + 8 * i
+            )
+            for i in range(8)
+        ],
+    )
+
+
+def binade_jumps():
+    """Bursts of three whose idle gaps move the clock binades apart."""
+    starts = (0.01, 0.3, 3.0, 40.0, 700.0, 9000.0, 2.0**17 - 0.1)
+    outputs = (1, 16, 40)
+    return build_trace(
+        [start + 0.01 * i for start in starts for i in range(3)],
+        [
+            InferenceRequest(
+                images=0, prompt_text_tokens=8, output_tokens=outputs[i % 3]
+            )
+            for i in range(3 * len(starts))
+        ],
     )
 
 
@@ -254,28 +278,34 @@ EDGE_TRACES = [
         {},
         id="unsorted-trace-positions",
     ),
-    # Runs between ACCUMULATE_FOLD_MIN and NUMPY_FOLD_MIN steps fold
-    # through itertools.accumulate.
+    # A slow trickle of medium outputs: runs of roughly 12 to 47 steps.
     pytest.param(
         lambda: make_trace(12, seed=6, rate=0.2, output_choices=(24, 40)),
         {},
-        id="accumulate-fold",
+        id="medium-runs",
     ),
-    # Bucket width 256 with a slow trickle of arrivals produces runs
-    # longer than NUMPY_FOLD_MIN, covering the np.add.accumulate fold.
+    # Bucket width 256 with a slow trickle of arrivals produces runs of
+    # hundreds of steps.
     pytest.param(
         lambda: make_trace(8, seed=5, rate=0.05, output_choices=(200, 256)),
         {"context_bucket": 256},
-        id="numpy-fold",
+        id="long-runs",
     ),
-    # A slow trickle of long decodes: admissions land mid-run, with runs
-    # long past SEARCH_CUTOFF_MIN, so the vectorised cutoff (not the
-    # scalar walk) picks the admission boundary.
+    # A slow trickle of long decodes: admissions land mid-run, so the
+    # cutoff, not the composition, ends most runs.
     pytest.param(
         lambda: make_trace(10, seed=5, rate=0.05, output_choices=(200, 256)),
         {"context_bucket": 256},
-        id="searchsorted-cutoff",
+        id="mid-run-admissions",
     ),
+    # Runs from just below 4 s that end past it (one cut by an
+    # admission, one not) and a run that crosses 8 s: the fold leaves
+    # its binade's rounding grid mid-run.
+    pytest.param(
+        power_of_two_crossing, {"context_bucket": 256}, id="power-of-two-crossing"
+    ),
+    # Idle gaps restart decode binades apart, up to just below 2**17 s.
+    pytest.param(binade_jumps, {}, id="binade-jumps"),
 ]
 
 
@@ -300,23 +330,119 @@ class TestDeterministicEdges:
             chip.run([])
 
 
-class TestAdmissionScreenBound:
-    def test_bound_keeps_the_screen_sound(self):
-        # In exact rationals: a left fold of k positive terms errs by at
-        # most gamma_k relative, and the screen's three roundings and its
-        # rounded 1 + margin cost four more (1 - u) factors.
-        u = Fraction(1, 2**53)
-        gamma = MAX_RUN_STEPS * u / (1 - MAX_RUN_STEPS * u)
-        margin = Fraction(ADMISSION_SCREEN_MARGIN)
-        assert 1 + gamma <= (1 + margin) * (1 - u) ** 4
+def walk(now, dt, k, limit):
+    """The oracle's left fold, one step at a time."""
+    first = boundary = now + dt
+    steps = 1
+    while steps < k and boundary < limit:
+        boundary += dt
+        steps += 1
+    return first, boundary, steps
 
-    def test_output_past_the_bound_is_rejected(self):
-        request = InferenceRequest(
-            images=0, prompt_text_tokens=8, output_tokens=MAX_RUN_STEPS + 1
+
+#: Times just below a power of two, where a run soonest leaves its binade.
+BELOW_POWER_OF_TWO = st.builds(
+    lambda exponent, units: 2.0**exponent - units * ulp(2.0 ** (exponent - 1)),
+    st.integers(min_value=-20, max_value=40),
+    st.integers(min_value=1, max_value=2**12),
+)
+
+
+@st.composite
+def fold_cases(draw):
+    """``(now, dt, k, limit)`` around every branch of :func:`fold_run`.
+
+    Each kind is drawn by name, so the common closed-form cases (a
+    normal ``now``, a ``dt`` off the tie, a limit inside the run) are not
+    crowded out by the edge cases that walk.
+    """
+    now_kind = draw(
+        st.sampled_from(("zero", "subnormal", "below-2^n", "normal"))
+    )
+    if now_kind == "zero":
+        now = 0.0
+    elif now_kind == "subnormal":
+        now = draw(st.integers(min_value=1, max_value=2**52 - 1)) * 5e-324
+    elif now_kind == "below-2^n":
+        now = draw(BELOW_POWER_OF_TWO)
+    else:
+        now = draw(st.floats(min_value=1e-6, max_value=1e6))
+    u = ulp(now)
+    top = u * 2.0**53 if now > 0.0 else 1.0
+    dt_kind = draw(
+        st.sampled_from(("tie", "below-half-ulp", "past-top", "grid", "any"))
+    )
+    if dt_kind == "tie":
+        # The rounding of every step depends on the parity of ``t``.
+        dt = draw(st.integers(min_value=0, max_value=2**20)) * u + u / 2
+    elif dt_kind == "below-half-ulp":
+        # Every step rounds back to ``now``: delta is 0.
+        half = u / 2  # 0.0 when u is the smallest subnormal
+        dt = draw(st.floats(min_value=0.0, max_value=half, exclude_max=half > 0))
+    elif dt_kind == "past-top":
+        # The first step already leaves the binade.
+        dt = (top - now) * draw(st.floats(min_value=1.0, max_value=4.0))
+    elif dt_kind == "grid":
+        units = draw(st.integers(min_value=1, max_value=2**30))
+        part = draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+        dt = units * u + part * u
+    else:
+        # 1 to 10**-9 of ``now``: runs of up to ~10**9 steps fit the binade.
+        scale = now if now > 0.0 else 1.0
+        dt = scale * 10 ** -draw(st.floats(min_value=0.0, max_value=9.0))
+    k = draw(
+        st.one_of(
+            st.just(1),
+            st.integers(min_value=2, max_value=64),
+            st.integers(min_value=65, max_value=10**4),
+            st.integers(min_value=10**4 + 1, max_value=10**6),
         )
-        trace = [ServingRequest(request_id=0, arrival_s=0.0, request=request)]
-        with pytest.raises(RunLengthError, match="MAX_RUN_STEPS"):
-            _chip("wave").run(trace)
+    )
+    limit_kind = draw(
+        st.sampled_from(
+            ("inf", "inside", "on", "ulp-above", "ulp-below", "at-or-before")
+        )
+    )
+    if limit_kind == "inf":
+        return now, dt, k, inf
+    if limit_kind == "at-or-before":
+        return now, dt, k, now - draw(st.floats(min_value=0.0, max_value=1.0))
+    if limit_kind == "inside":
+        end = walk(now, dt, min(k, 10**4), inf)[1]
+        fraction = draw(
+            st.one_of(st.sampled_from((0.01, 0.5, 0.99)), st.floats(0.0, 1.0))
+        )
+        return now, dt, k, now + (end - now) * fraction
+    step = draw(st.integers(min_value=1, max_value=k))
+    boundary = walk(now, dt, step, inf)[1]
+    if limit_kind == "on":
+        return now, dt, k, boundary
+    toward = inf if limit_kind == "ulp-above" else -inf
+    return now, dt, k, nextafter(boundary, toward)
+
+
+class TestFoldRun:
+    @given(case=fold_cases())
+    @example(case=(1.0, 0.25, 4, inf))  # exact binary fractions
+    @example(case=(1.0, 3 * ulp(1.0) / 2, 64, inf))  # ties alternate
+    @example(case=(1.0, ulp(1.0) / 4, 10, 1.0))  # delta 0, limit at now
+    @example(case=(1.0, ulp(1.0) / 4, 10, 0.5))  # delta 0, limit below
+    @example(case=(1.0, 0.01, 90, 1.5))  # cut inside the binade
+    @example(case=(3.99, 0.021, 200, 4.5))  # crosses 4 s, then cut
+    @example(case=(5e-324, 5e-324, 10**6, inf))  # subnormal
+    @settings(max_examples=500, deadline=None)
+    def test_equals_the_walk(self, case):
+        assert fold_run(*case) == walk(*case)
+
+    def test_hand_worked_runs(self):
+        # Quarter steps from 1.0 are exact: the run ends after k steps
+        # with no limit, and at the first boundary at or past one.
+        assert fold_run(1.0, 0.25, 4, inf) == (1.25, 2.0, 4)
+        assert fold_run(1.0, 0.25, 4, 1.5) == (1.25, 1.5, 2)
+        assert fold_run(1.0, 0.25, 4, 1.6) == (1.25, 1.75, 3)
+        assert fold_run(1.0, 0.25, 4, 0.5) == (1.25, 1.25, 1)
+        # 0.1 is not a binary fraction: its steps round, as in the loop.
+        assert fold_run(1.0, 0.1, 3, inf) == (1.1, 1.1 + 0.1 + 0.1, 3)
 
 
 class TestPrefillWindows:
