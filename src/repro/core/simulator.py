@@ -17,21 +17,17 @@ sums over the operators of the phase.  GEMM-like operators are routed to
 CC-clusters and GEMV-like operators to MC-clusters when both are available
 ("auto" policy); homogeneous variants simply lack one of the pools.
 
-Two layers of memoization keep traffic-scale simulation fast:
-
-* per-op cycle results are cached by the cost-relevant signature
-  ``(kind, m, k, n, traffic bytes, flops, prunable, pool, bandwidth,
-  keep_fraction)`` — decoder layers share shapes, so a 22-layer decode
-  phase resolves to a handful of cache entries;
-* whole-request :class:`WorkloadResult` objects are cached by
-  ``(model, request)``, so a serving simulation replaying thousands of
-  identical requests pays for the first one only.
-
-Both caches belong to the simulator instance, and so does
-``derived``, where higher layers keep memos derived from its costs (the
-serving layer's per-design :class:`~repro.serving.queue.ChipCosts`);
-:meth:`clear_cache` resets all three (required after mutating
-``self.system`` or chip state in place).
+Per-op cycle results are memoized by the cost-relevant signature
+``(kind, m, k, n, traffic bytes, flops, prunable, pool, bandwidth,
+keep_fraction)`` — decoder layers share shapes, so a 22-layer decode
+phase resolves to a handful of cache entries.
+:meth:`PerformanceSimulator.run_request` builds the workload (whose
+lowering the model memoizes) and executes it through the op cache on
+every call.  The serving layer never calls it: it prices through the
+per-design :class:`~repro.serving.queue.ChipCosts` memo, which it keeps
+in the simulator's ``derived`` dict.  :meth:`clear_cache` resets the op
+cache and ``derived`` (required after mutating ``self.system`` or chip
+state in place).
 
 All cycle arithmetic routes through the shared array-aware kernels of
 :mod:`repro.costs` (via :class:`PoolCostParams`), the same kernels the
@@ -45,7 +41,7 @@ operations in plain Python floats, ``==`` the kernel's result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Tuple
 
 from .. import costs
@@ -209,17 +205,10 @@ class OpExecution:
 
 @dataclass(frozen=True)
 class CacheInfo:
-    """Hit/miss counters of the simulator's memoization layers."""
+    """Hit/miss counters of the simulator's op cache."""
 
     op_hits: int
     op_misses: int
-    request_hits: int
-    request_misses: int
-
-    @property
-    def op_hit_rate(self) -> float:
-        total = self.op_hits + self.op_misses
-        return self.op_hits / total if total else 0.0
 
 
 class PerformanceSimulator:
@@ -237,15 +226,12 @@ class PerformanceSimulator:
         self._refresh_cost_params()
         self.enable_cache = enable_cache
         self._op_cache: Dict[tuple, Tuple[float, float, int]] = {}
-        self._request_cache: Dict[tuple, WorkloadResult] = {}
         #: Memos other layers derive from this simulator's costs, keyed by
         #: their owner's choice of key; every holder of the simulator shares
         #: them, and :meth:`clear_cache` drops them.
         self.derived: Dict[Hashable, Any] = {}
         self._op_hits = 0
         self._op_misses = 0
-        self._request_hits = 0
-        self._request_misses = 0
 
     # ------------------------------------------------------------------
     # Memoization
@@ -272,20 +258,13 @@ class PerformanceSimulator:
     def clear_cache(self) -> None:
         """Drop all memoized results (call after mutating the system)."""
         self._op_cache.clear()
-        self._request_cache.clear()
         self.derived.clear()
         self._op_hits = self._op_misses = 0
-        self._request_hits = self._request_misses = 0
         self._refresh_cost_params()
 
     def cache_info(self) -> CacheInfo:
-        """Hit/miss counters for the op- and request-level caches."""
-        return CacheInfo(
-            op_hits=self._op_hits,
-            op_misses=self._op_misses,
-            request_hits=self._request_hits,
-            request_misses=self._request_misses,
-        )
+        """Hit/miss counters of the op cache."""
+        return CacheInfo(op_hits=self._op_hits, op_misses=self._op_misses)
 
     # ------------------------------------------------------------------
     # Pool selection
@@ -507,26 +486,9 @@ class PerformanceSimulator:
         )
 
     def run_request(self, model: MLLMConfig, request: InferenceRequest) -> WorkloadResult:
-        """Build the workload for an inference request and execute it.
-
-        Results are memoized by the ``(model, request)`` pair — both are
-        frozen, hashable dataclasses, so two models agreeing only on name
-        never alias.  Cache hits return a shallow copy, so mutating a
-        returned result's ``phases`` dict cannot poison later hits.
-        """
-        if not self.enable_cache:
-            workload = model.build_workload(request)
-            return self.execute_workload(workload, output_tokens=request.output_tokens)
-        key = (model, request)
-        cached = self._request_cache.get(key)
-        if cached is not None:
-            self._request_hits += 1
-            return replace(cached, phases=dict(cached.phases))
-        self._request_misses += 1
+        """Build the workload for an inference request and execute it."""
         workload = model.build_workload(request)
-        result = self.execute_workload(workload, output_tokens=request.output_tokens)
-        self._request_cache[key] = replace(result, phases=dict(result.phases))
-        return result
+        return self.execute_workload(workload, output_tokens=request.output_tokens)
 
     # ------------------------------------------------------------------
     # Energy

@@ -38,7 +38,6 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from ..scenarios.registry import get_scenario
-from ..serving.queue import ENGINES
 from .plan import GOLDEN_PLAN_SCENARIOS, SEARCH_MODES, plan_scenario, resolve_slo
 from .report import format_plan_report
 from .space import PlannerConfig, parse_mixes
@@ -133,11 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="simulate surviving candidates across N processes",
     )
     plan.add_argument(
-        "--engine", choices=ENGINES, default="wave",
-        help="decode-loop implementation survivors replay through "
-        "(reports are engine-independent; 'step' is the slow oracle)",
-    )
-    plan.add_argument(
         "--json", action="store_true", help="emit the canonical JSON report"
     )
 
@@ -217,7 +211,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             ),
             prune=not args.no_prune,
             processes=args.jobs,
-            engine=args.engine,
             search=args.search,
             store=None if args.store is None else PlanStore(Path(args.store)),
             require_chip_loss=args.require_chip_loss,

@@ -61,7 +61,6 @@ def candidate_fleet(
     ttft_target: Optional[float],
     *,
     simulator: Optional[PerformanceSimulator] = None,
-    engine: str = "wave",
 ):
     """Instantiate the serving fleet a (``design``, ``option``) candidate describes.
 
@@ -75,9 +74,7 @@ def candidate_fleet(
     (:class:`~repro.serving.queue.ChipCosts`): ``simulator`` when given (it
     must carry ``design``'s system; a planning run shares one per design
     across that design's fleets), else a fresh one on ``design.system()``.
-    ``engine`` selects the chips' decode-loop implementation (wave by
-    default — survivors replay through the run-compressing wave engine,
-    records unchanged).
+    The chips run the wave engine.
     """
     if simulator is None:
         simulator = PerformanceSimulator(design.system())
@@ -104,7 +101,6 @@ def candidate_fleet(
         max_batch_size=spec.fleet.max_batch_size,
         cc_bandwidth_fraction=spec.fleet.cc_bandwidth_fraction,
         context_bucket=spec.fleet.context_bucket,
-        engine=engine,
     )
 
 
@@ -116,7 +112,6 @@ def evaluate_candidate(
     targets: Mapping[str, float],
     *,
     simulator: Optional[PerformanceSimulator] = None,
-    engine: str = "wave",
 ) -> CandidateOutcome:
     """Exactly simulate one (``design``, ``option``) candidate.
 
@@ -128,8 +123,7 @@ def evaluate_candidate(
     candidate's chips then share its serving-cost memo with every other
     fleet of the design.  Shared evaluations are bit-identical to cold
     ones because every memoized value is a deterministic function of the
-    design, and the memo feeds both decode engines, so the default wave
-    ``engine`` replays warm exactly like the per-step oracle would.
+    design.
     """
     fleet = candidate_fleet(
         get_mllm(spec.fleet.model),
@@ -138,7 +132,6 @@ def evaluate_candidate(
         option,
         targets.get("ttft_p99_s"),
         simulator=simulator,
-        engine=engine,
     )
     result = fleet.run(list(trace))
     report = result.report
@@ -161,17 +154,15 @@ def candidate_survives_chip_loss(
     targets: Mapping[str, float],
     *,
     simulator: Optional[PerformanceSimulator] = None,
-    engine: str = "wave",
 ) -> bool:
     """Whether a candidate still meets every objective after losing a chip.
 
     The chaos probe of the planner: the candidate's fleet replays the
     trace with chip 0 permanently failed at a quarter of the arrival span
     (the fault-injection machinery of :mod:`repro.serving.faults`, drain
-    policy, no recovery, decode loop per ``engine``), and survival means
-    the degraded run still completes every request and meets every
-    objective in ``targets``.  The probe
-    is deterministic — same spec, design and option always return the
+    policy, no recovery), and survival means the degraded run still
+    completes every request and meets every objective in ``targets``.
+    The probe is deterministic — same spec, design and option always return the
     same verdict.  The fleet runs on ``simulator`` when given (it must
     carry ``design``'s system; a plan shares one per design across that
     design's probes), else on a fresh one, as in :func:`candidate_fleet`.
@@ -191,7 +182,6 @@ def candidate_survives_chip_loss(
         option,
         targets.get("ttft_p99_s"),
         simulator=simulator,
-        engine=engine,
     )
     span = max(request.arrival_s for request in trace)
     schedule = FaultSchedule(
@@ -215,15 +205,13 @@ def simulate_candidate(
     design: Dict[str, Any],
     option: Dict[str, Any],
     targets: Dict[str, float],
-    engine: str = "wave",
 ) -> CandidateOutcome:
     """Picklable worker: rebuild the candidate from data and simulate it.
 
     ``spec_json`` is the scenario spec's JSON form, ``design`` and
     ``option`` are :meth:`~repro.planner.space.ChipDesign.to_dict` /
-    :meth:`~repro.planner.space.FleetOption.to_dict` payloads, ``targets``
-    the resolved SLO objectives and ``engine`` the chips' decode-loop
-    implementation.  The trace recompiles inside
+    :meth:`~repro.planner.space.FleetOption.to_dict` payloads and
+    ``targets`` the resolved SLO objectives.  The trace recompiles inside
     the worker — scenario compilation is spec-hash-seeded, so every process
     derives the bit-identical trace and the parallel path returns exactly
     what the serial path would.
@@ -236,5 +224,4 @@ def simulate_candidate(
         ChipDesign.from_dict(design),
         FleetOption.from_dict(option),
         targets,
-        engine=engine,
     )

@@ -166,7 +166,6 @@ def plan_scenario(
     slo: Optional[SLOSpec] = None,
     prune: bool = True,
     processes: Optional[int] = None,
-    engine: str = "wave",
     search: str = "flat",
     store: Optional[PlanStore] = None,
     require_chip_loss: bool = False,
@@ -180,9 +179,8 @@ def plan_scenario(
     least 1) fans candidate simulations out through
     :func:`~repro.experiments.parallel.parallel_map` — results are
     identical to the serial path because every worker derives the
-    bit-identical trace from the spec hash; ``engine`` selects the
-    decode-loop implementation survivors replay through (reports are
-    engine-independent — the wave default just gets there faster).
+    bit-identical trace from the spec hash.  Survivors replay on the
+    wave engine (plans are engine-independent).
 
     ``search`` picks the pruning strategy: ``"flat"`` bounds every design
     individually, ``"bnb"`` branch-and-bounds nested subgrids and prices
@@ -278,7 +276,6 @@ def plan_scenario(
                     "design": design.to_dict(),
                     "option": option.to_dict(),
                     "targets": targets,
-                    "engine": engine,
                 }
                 for _, (design, option) in to_simulate
             ],
@@ -296,7 +293,6 @@ def plan_scenario(
                 option,
                 targets,
                 simulator=simulator,
-                engine=engine,
             ),
         )
 
@@ -323,7 +319,6 @@ def plan_scenario(
                 option,
                 targets,
                 simulator=simulator,
-                engine=engine,
             ),
         )
         for at, survives in zip(meeting, verdicts):

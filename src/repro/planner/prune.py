@@ -141,13 +141,12 @@ def prune_designs(
     targets: Mapping[str, float],
     *,
     pricer: Optional[ServiceTimeBoundsPricer] = None,
-    chunk_designs: int = BOUND_CHUNK_DESIGNS,
 ) -> List[DesignBounds]:
     """Bound every design of ``designs`` against ``compiled``'s trace and ``targets``.
 
     Returns one :class:`DesignBounds` per design, in input order; see
     :func:`design_verdict` for the per-design feasibility rule.  Designs
-    are priced in ``chunk_designs``-sized batches so the broadcast
+    are priced in :data:`BOUND_CHUNK_DESIGNS`-sized batches so the broadcast
     matrices stay bounded on 10^5-design grids; ``pricer`` optionally
     reuses an already-compiled :func:`trace_pricer` (the planner shares
     one across the whole run).
@@ -156,8 +155,8 @@ def prune_designs(
         pricer = trace_pricer(compiled)
     columns = pricer.trace_columns(compiled.trace)
     verdicts: List[DesignBounds] = []
-    for start in range(0, len(designs), max(chunk_designs, 1)):
-        chunk = designs[start : start + max(chunk_designs, 1)]
+    for start in range(0, len(designs), BOUND_CHUNK_DESIGNS):
+        chunk = designs[start : start + BOUND_CHUNK_DESIGNS]
         lb_ttft_p99, lb_latency_p95 = bound_percentiles(pricer, columns, chunk)
         verdicts.extend(
             design_verdict(design, lb_ttft_p99[row], lb_latency_p95[row], targets)

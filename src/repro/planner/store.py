@@ -8,9 +8,12 @@ the chip design and the fleet option (plus, for autoscaled fleets, the
 TTFT set point the controller targets) — so outcomes can be cached
 *content-addressed*: the key is a SHA-256 over the canonical JSON of
 exactly the inputs the simulation depends on, and a hit is byte-identical
-to a fresh run by construction.  The decode ``engine`` is deliberately
-excluded from the key: all engines replay the same schedule and produce
-identical records (the wave/step equivalence contract).
+to a fresh run by construction.  No decode engine enters the key: a
+plan always simulates on the wave engine, whose records are ``==`` the
+per-step oracle's (the wave/step equivalence contract).  The engine is
+chosen only on a chip, a fleet or
+:func:`~repro.scenarios.runner.build_fleet`
+(``build_fleet(spec, engine="step")`` plays a scenario on the oracle).
 
 On-disk layout (git-friendly, one object per file)::
 

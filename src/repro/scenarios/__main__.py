@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from ..serving.fleet import RUNTIMES
-from ..serving.queue import ENGINES
 from .registry import available_scenarios, get_scenario
 from .report import format_scenario_report
 from .runner import run_scenario
@@ -40,11 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--all", action="store_true", help="run every scenario")
     run.add_argument(
         "--json", action="store_true", help="emit the canonical JSON report"
-    )
-    run.add_argument(
-        "--engine", choices=ENGINES, default="wave",
-        help="decode-loop implementation (reports are engine-independent; "
-        "'step' is the slow per-step oracle)",
     )
     run.add_argument(
         "--runtime", choices=RUNTIMES, default="batch",
@@ -80,23 +74,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run(
     name: str,
     as_json: bool,
-    engine: str = "wave",
     runtime: str = "batch",
     chaos_seed: Optional[int] = None,
     max_retries: Optional[int] = None,
 ) -> None:
     spec = get_scenario(name)
     if chaos_seed is not None or max_retries is not None:
-        report = _run_chaos(spec, engine, chaos_seed, max_retries)
+        report = _run_chaos(spec, chaos_seed, max_retries)
     else:
-        report = run_scenario(spec, engine=engine, runtime=runtime)
+        report = run_scenario(spec, runtime=runtime)
     if as_json:
         sys.stdout.write(report.to_json())
     else:
         print(format_scenario_report(report))
 
 
-def _run_chaos(spec, engine: str, chaos_seed, max_retries):
+def _run_chaos(spec, chaos_seed, max_retries):
     from dataclasses import replace
 
     from ..serving.runtime.service import run_scenario_live
@@ -111,7 +104,6 @@ def _run_chaos(spec, engine: str, chaos_seed, max_retries):
         max_retries = spec.chaos.max_retries
     return run_scenario_live(
         spec,
-        engine=engine,
         chaos=compile_chaos_schedule(spec, seed=chaos_seed),
         supervision=SupervisionConfig(
             seed=spec.derive_seed("supervision"), max_retries=max_retries
@@ -140,7 +132,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             _run(
                 name,
                 args.json,
-                args.engine,
                 args.runtime,
                 args.chaos_seed,
                 args.max_retries,

@@ -14,7 +14,7 @@ from dataclasses import asdict
 from typing import Optional
 
 from ..core.batch import batch_price_request_mix
-from ..core.config import SystemConfig, default_system
+from ..core.config import default_system
 from ..models.mllm import get_mllm
 from ..serving.autoscale import AutoscalerConfig
 from ..serving.faults import fault_recovery
@@ -60,7 +60,10 @@ def build_fleet(spec: ScenarioSpec, *, engine: str = "wave") -> FleetSimulator:
     are not passed: the autoscaler sets the fleet's size and placement.
     ``engine`` selects the chips' decode-loop implementation
     (see :data:`repro.serving.queue.ENGINES`); reports are
-    engine-independent, the wave default just simulates faster.
+    engine-independent, the wave default just simulates faster.  This is
+    the one scenario-level place the engine is chosen: to run a scenario
+    on the step oracle, play ``build_fleet(spec, engine="step")`` and
+    fold its result with :func:`scenario_report`.
     """
     autoscaler = autoscaler_config(spec)
     sizing = (
@@ -80,21 +83,17 @@ def build_fleet(spec: ScenarioSpec, *, engine: str = "wave") -> FleetSimulator:
 
 
 def price_offered_load(
-    compiled: CompiledScenario,
-    makespan_s: float,
-    *,
-    system: Optional[SystemConfig] = None,
+    compiled: CompiledScenario, makespan_s: float
 ) -> PricingSummary:
     """Price ``compiled``'s offered load through the batched cost engine.
 
+    The load is priced on the paper's default EdgeMM system;
     ``makespan_s`` converts total batch-1 chip-seconds into the mean fleet
-    size the load demands; ``system`` overrides the chip configuration the
-    pricing runs on (default: the paper's default EdgeMM system).
+    size the load demands.
     """
     model = get_mllm(compiled.spec.fleet.model)
-    system = system or default_system()
     prices = batch_price_request_mix(
-        model, [request.request for request in compiled.trace], system
+        model, [request.request for request in compiled.trace], default_system()
     )
     chip_seconds = sum(prices[request.request].latency_s for request in compiled.trace)
     return PricingSummary(
@@ -115,13 +114,9 @@ def scenario_run_kwargs(compiled: CompiledScenario, fleet) -> dict:
     return {"faults": compiled.faults, "priorities": compiled.priorities}
 
 
-def run_scenario(
-    spec: ScenarioSpec, *, engine: str = "wave", runtime: str = "batch"
-) -> ScenarioReport:
-    """Compile and run one scenario ``spec`` end to end.
+def run_scenario(spec: ScenarioSpec, *, runtime: str = "batch") -> ScenarioReport:
+    """Compile and run one scenario ``spec`` end to end, on the wave engine.
 
-    ``engine`` forwards to :func:`build_fleet`; the report is identical
-    for every engine (regression-tested through the golden suite).
     ``runtime`` selects the execution plane (see
     :data:`repro.serving.fleet.RUNTIMES`): ``"live"`` streams the
     compiled trace through the asyncio actor runtime
@@ -141,9 +136,9 @@ def run_scenario(
     if runtime == "live":
         from ..serving.runtime.service import run_scenario_live
 
-        return run_scenario_live(spec, engine=engine)
+        return run_scenario_live(spec)
     compiled = compile_scenario(spec)
-    fleet = build_fleet(spec, engine=engine)
+    fleet = build_fleet(spec)
     result = fleet.run(
         list(compiled.trace),
         runtime=runtime,

@@ -131,8 +131,9 @@ class DiurnalArrivals:
     """Poisson arrivals whose rate follows an hour-of-day load curve.
 
     Each inter-arrival gap is exponential at ``rate_rps`` scaled by the
-    multiplier of the *current* hour slot (``multipliers`` spread evenly
-    over one ``period_s``-second day), the standard piecewise-constant
+    multiplier of the *current* hour slot (the
+    :data:`DIURNAL_HOURLY_MULTIPLIERS` spread evenly over one
+    ``period_s``-second day), the standard piecewise-constant
     approximation of a non-homogeneous Poisson process.  Shrinking
     ``period_s`` compresses the day, so regression-sized scenarios can
     replay a whole "week" of load churn in a few simulated minutes.
@@ -143,24 +144,20 @@ class DiurnalArrivals:
         rate_rps: float,
         *,
         period_s: float = 86400.0,
-        multipliers: Tuple[float, ...] = DIURNAL_HOURLY_MULTIPLIERS,
         seed: int = 0,
     ) -> None:
         if rate_rps <= 0:
             raise ValueError("rate_rps must be positive")
         if period_s <= 0:
             raise ValueError("period_s must be positive")
-        if not multipliers or any(m <= 0 for m in multipliers):
-            raise ValueError("multipliers must be a non-empty positive tuple")
         self.rate_rps = rate_rps
         self.period_s = period_s
-        self.multipliers = tuple(float(m) for m in multipliers)
         self.seed = seed
 
     def iter_times(self) -> Iterator[float]:
         """Stream the arrival timestamps (the unbounded ``generate``)."""
         rng = random.Random(self.seed)
-        multipliers = self.multipliers
+        multipliers = DIURNAL_HOURLY_MULTIPLIERS
         slot_s = self.period_s / len(multipliers)
         slots = len(multipliers)
         now = 0.0

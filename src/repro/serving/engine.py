@@ -66,7 +66,7 @@ def prefill_windows(
     the exact floats the per-step event loop produces, since ``max``
     selects an existing float and the addition is the single rounding the
     loop performs.  The wave engine's first stage and the fault path's
-    era split (:mod:`repro.serving.faults`) share this one recurrence.
+    era split (:mod:`repro.serving.controllers`) share this one recurrence.
     """
     starts: List[float] = []
     ends: List[float] = []

@@ -139,13 +139,13 @@ def fault_recovery(
     events: Sequence[FaultEvent],
     *,
     window: int = RECOVERY_WINDOW,
-    tolerance: float = RECOVERY_TOLERANCE,
 ) -> Tuple[FaultRecovery, ...]:
     """Recovery metrics of each disruptive event, from the records alone.
 
     A pure function of the per-request records (arrival-ordered TTFTs
     chunked into ``window``-sized tumbling windows; recovery means a
-    window's p99 is back within ``tolerance`` of the pre-event baseline),
+    window's p99 is back within :data:`RECOVERY_TOLERANCE` of the
+    pre-event baseline),
     so the metrics are engine-independent by construction and
     re-derivable by any consumer of the raw records.  ``chip_up`` events
     are restorative and skipped.
@@ -169,7 +169,7 @@ def fault_recovery(
             p99 = percentile(chunk, 99)
             if p99 - baseline > dent:
                 dent = p99 - baseline
-            if recover is None and p99 <= baseline * tolerance:
+            if recover is None and p99 <= baseline * RECOVERY_TOLERANCE:
                 last = arrivals[cut + start + len(chunk) - 1]
                 recover = last - event.time_s
         out.append(

@@ -179,7 +179,6 @@ class FleetSimulator:
         self.policy = policy
         self.autoscaler = autoscaler
         self.cc_bandwidth_fraction = cc_bandwidth_fraction
-        self.engine = engine
         self.simulator = (
             simulator if simulator is not None else PerformanceSimulator()
         )

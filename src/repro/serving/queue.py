@@ -441,11 +441,13 @@ class ServingResult:
 
 #: Decode-loop implementations of :class:`ContinuousBatchingSimulator`:
 #: ``"wave"`` (the default) advances whole constant-composition runs of
-#: decode steps in one shot and batches the admission-cutoff walk into
-#: one array pass per prefill wave (:mod:`repro.serving.engine`);
+#: decode steps in one shot, each folded with its admission cutoff in
+#: closed form by :func:`~repro.serving.engine.fold_run`;
 #: ``"step"`` executes the original one-iteration-per-step event loop.
 #: Both produce bit-identical results; ``"step"`` is retained as the
-#: exact oracle the wave engine is tested against.
+#: exact oracle the wave engine is tested against.  The engine is chosen
+#: on a chip, on a :class:`~repro.serving.fleet.FleetSimulator` and in
+#: :func:`~repro.scenarios.runner.build_fleet`, and nowhere above them.
 ENGINES: Tuple[str, ...] = ("step", "wave")
 
 

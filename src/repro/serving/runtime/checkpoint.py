@@ -22,7 +22,7 @@ replayed.
 Checkpoints serialize to JSON: floats round-trip exactly through
 ``repr``, ints and strings trivially, so ``load(save(checkpoint))``
 is the identity.  A checkpoint taken through the scenarios path embeds
-the full scenario spec and engine, making the file self-contained —
+the full scenario spec, making the file self-contained —
 :func:`repro.serving.runtime.service.resume_scenario` rebuilds the
 fleet and trace from the spec alone.  Version-2 files, whose
 ``controller`` object held the whole controller state, still load: only
@@ -40,7 +40,7 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Union
 from ...codec import Spec, SpecError, when_set
 from ..trace import request_to_state
 from ..faults import FaultSchedule
-from ..queue import ENGINES, ServingRequest
+from ..queue import ServingRequest
 
 #: Format marker written into every checkpoint file.  Version 3: a file
 #: pins the run's configuration and holds no controller state.
@@ -184,11 +184,7 @@ class Checkpoint:
     order; ``controller`` holds the :class:`CheckpointPins` of the
     configuration it ran under; ``trace_sha256`` pins the trace;
     ``scenario`` (optional) embeds the originating scenario spec's
-    ``to_dict`` data plus the engine so scenario checkpoints are
-    self-contained.  An ``engine`` outside
-    :data:`~repro.serving.queue.ENGINES` raises :class:`CheckpointError`
-    at construction, so no checkpoint that parses can fail later in
-    fleet construction.
+    ``to_dict`` data so scenario checkpoints are self-contained.
     """
 
     kind: str
@@ -196,14 +192,6 @@ class Checkpoint:
     controller: CheckpointPins
     trace_sha256: str
     scenario: Optional[Dict[str, Any]] = None
-    engine: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.engine is not None and self.engine not in ENGINES:
-            raise CheckpointError(
-                f"checkpoint field 'engine' must be one of {ENGINES}, "
-                f"got {self.engine!r}"
-            )
 
     def to_dict(self) -> Dict[str, Any]:
         """Serialize to plain JSON data (always the current version)."""
@@ -216,8 +204,6 @@ class Checkpoint:
         }
         if self.scenario is not None:
             data["scenario"] = self.scenario
-        if self.engine is not None:
-            data["engine"] = self.engine
         return data
 
     @classmethod
@@ -226,8 +212,9 @@ class Checkpoint:
 
         Raises :class:`CheckpointError` on any malformed payload —
         missing or mistyped fields or pins, an embedded scenario spec
-        that does not decode, an unknown engine, or an unsupported
-        format version.
+        that does not decode, or an unsupported format version.  Keys it
+        does not name, such as the ``engine`` older builds wrote, are
+        ignored.
         """
         if not isinstance(data, Mapping):
             raise CheckpointError(
@@ -250,14 +237,12 @@ class Checkpoint:
             scenario = data.get("scenario")
             if scenario is not None:
                 _check_scenario(scenario)
-            engine = data.get("engine")
             return cls(
                 kind=str(data["kind"]),
                 cursor=int(data["cursor"]),
                 controller=_pins(data["controller"], version),
                 trace_sha256=str(data["trace_sha256"]),
                 scenario=dict(scenario) if scenario is not None else None,
-                engine=str(engine) if engine is not None else None,
             )
         except KeyError as error:
             raise CheckpointError(

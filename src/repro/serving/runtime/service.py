@@ -24,9 +24,11 @@ checks, writes or restores a checkpoint, so an undisturbed run never
 does.
 
 :func:`run_scenario_live` / :func:`resume_scenario` are the scenario
-couplings: checkpoints taken there embed the scenario spec and engine,
-so a resume rebuilds fleet and trace from the spec alone (the spec-hash
--seeds-everything contract makes the recompiled trace exact).
+couplings: checkpoints taken there embed the scenario spec, so a
+resume rebuilds fleet and trace from the spec alone (the spec-hash
+-seeds-everything contract makes the recompiled trace exact).  Both run
+the scenario's fleet on the wave engine, as
+:func:`repro.scenarios.runner.run_scenario` does.
 
 :func:`requests_from_lines` adapts the streaming ingestion format —
 JSON request lines (stdin, a socket), one
@@ -394,7 +396,6 @@ def resume_live(
 
 def _play_scenario(
     spec,
-    engine: str,
     checkpoint: Optional[Checkpoint],
     *,
     chaos: Optional[ChaosSchedule] = None,
@@ -411,7 +412,7 @@ def _play_scenario(
     )
 
     compiled = compile_scenario(spec)
-    fleet = build_fleet(spec, engine=engine)
+    fleet = build_fleet(spec)
     if chaos is None and spec.chaos is not None:
         chaos = compile_chaos_schedule(spec)
     if supervision is None:
@@ -433,7 +434,7 @@ def _play_scenario(
         **scenario_run_kwargs(compiled, fleet),
     )
     if isinstance(outcome, Checkpoint):
-        return replace(outcome, scenario=spec.to_dict(), engine=engine)
+        return replace(outcome, scenario=spec.to_dict())
     return scenario_report(
         spec, compiled, outcome.result, incidents=outcome.incidents
     )
@@ -442,7 +443,6 @@ def _play_scenario(
 def run_scenario_live(
     spec,
     *,
-    engine: str = "wave",
     pace: Optional[float] = None,
     pause_after: Optional[int] = None,
     chaos: Optional[ChaosSchedule] = None,
@@ -460,13 +460,12 @@ def run_scenario_live(
     carries a ``chaos`` block (seeded from the spec hash), and the
     default ``supervision`` seed likewise derives from the spec hash, so
     retry backoff schedules are part of the scenario's identity.  With
-    ``pause_after`` the returned :class:`Checkpoint` embeds the spec and
-    engine, so :func:`resume_scenario` needs nothing else to finish the
-    run; ``pace`` and ``hang_unit_s`` act as in :func:`run_live`.
+    ``pause_after`` the returned :class:`Checkpoint` embeds the spec,
+    so :func:`resume_scenario` needs nothing else to finish the run;
+    ``pace`` and ``hang_unit_s`` act as in :func:`run_live`.
     """
     return _play_scenario(
         spec,
-        engine,
         None,
         chaos=chaos,
         supervision=supervision,
@@ -500,9 +499,7 @@ def resume_scenario(
             "resume_live against the original fleet and trace"
         )
     spec = ScenarioSpec.from_dict(checkpoint.scenario)
-    return _play_scenario(
-        spec, checkpoint.engine or "wave", checkpoint, pause_after=pause_after
-    )
+    return _play_scenario(spec, checkpoint, pause_after=pause_after)
 
 
 def requests_from_lines(lines: Iterable[str]) -> List[ServingRequest]:

@@ -19,6 +19,8 @@ REQUESTS = [
 
 
 class TestRequestCache:
+    """``run_request`` on simulators with and without the op cache."""
+
     @pytest.mark.parametrize("model_name", ["sphinx-tiny", "karmavlm"])
     def test_cached_and_uncached_results_identical(self, model_name):
         model = get_mllm(model_name)
@@ -37,8 +39,6 @@ class TestRequestCache:
         second = simulator.run_request(sphinx_tiny, request)
         info_after_second = simulator.cache_info()
         assert first == second
-        assert info_after_first.request_misses == 1
-        assert info_after_second.request_hits == info_after_first.request_hits + 1
         # No additional op-level work happened on the repeat.
         assert info_after_second.op_misses == info_after_first.op_misses
 
@@ -65,7 +65,6 @@ class TestRequestCache:
         simulator.clear_cache()
         info = simulator.cache_info()
         assert info.op_hits == info.op_misses == 0
-        assert info.request_hits == info.request_misses == 0
         # Results are identical after the reset too.
         assert simulator.run_request(sphinx_tiny, REQUESTS[0]) == (
             PerformanceSimulator(enable_cache=False).run_request(

@@ -11,7 +11,7 @@ with::
 
 and commit the diff with the change that caused it.  Each committed plan
 also decodes through :meth:`PlanReport.from_json` and re-encodes to the
-same bytes.
+same bytes, and ``python -m repro.planner plan <name> --json`` prints it.
 """
 
 import json
@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.planner import GOLDEN_PLAN_SCENARIOS, PlanReport, plan_scenario
+from repro.planner.__main__ import main
 from repro.scenarios import get_scenario
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden" / "planner"
@@ -64,3 +65,10 @@ def test_plan_report_is_byte_identical_to_golden(name):
 def test_golden_plan_round_trips_through_the_codec(name):
     golden = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
     assert PlanReport.from_json(golden).to_json() == golden
+
+
+@pytest.mark.parametrize("name", GOLDEN_PLAN_SCENARIOS)
+def test_cli_plan_json_is_byte_identical_to_golden(name, capsys):
+    golden = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+    assert main(["plan", name, "--json"]) == 0
+    assert capsys.readouterr().out == golden

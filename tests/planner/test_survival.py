@@ -29,7 +29,6 @@ from repro.scenarios import (
     WorkloadComponent,
 )
 from repro.scenarios.compile import compile_scenario
-from repro.serving.queue import ENGINES
 
 SPEC = ScenarioSpec(
     name="survival-prop",
@@ -75,19 +74,18 @@ class TestSurvivalProbe:
             SPEC, compiled.trace, design, option, SPEC.slo.targets()
         )
 
-    def test_probe_is_deterministic_and_engine_independent(self, compiled):
+    def test_probe_is_deterministic(self, compiled):
         design = CONFIG.chip_grid[0]
         option = next(
             o for o in CONFIG.fleet_options(with_autoscaled=False) if o.n_chips == 2
         )
         verdicts = {
             candidate_survives_chip_loss(
-                SPEC, compiled.trace, design, option, SPEC.slo.targets(),
-                engine=engine,
+                SPEC, compiled.trace, design, option, SPEC.slo.targets()
             )
-            for engine in ENGINES
+            for _ in range(2)
         }
-        assert len(verdicts) == 1  # all engines agree, run to run too
+        assert len(verdicts) == 1  # run to run
 
 
 class TestRequireChipLoss:

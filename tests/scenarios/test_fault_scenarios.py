@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.scenarios import ScenarioSpec, get_scenario, run_scenario
+from repro.scenarios import ScenarioSpec, get_scenario
 from repro.scenarios.compile import compile_fault_schedule
 from repro.scenarios.report import format_scenario_report
 from repro.scenarios.spec import FaultsSpec, WorkloadComponent
@@ -78,9 +78,9 @@ class TestChipFailAcceptance:
     """The committed 1-chip-loss trace pins dent and recovery time."""
 
     @pytest.fixture(scope="class")
-    def reports(self):
+    def reports(self, report_on):
         spec = get_scenario("chat-chipfail")
-        return {engine: run_scenario(spec, engine=engine) for engine in ENGINES}
+        return {engine: report_on(spec, engine) for engine in ENGINES}
 
     def test_identical_across_engines(self, reports):
         assert len({report.to_json() for report in reports.values()}) == 1
@@ -109,9 +109,9 @@ class TestChipFailAcceptance:
 
 class TestTenantTiers:
     @pytest.fixture(scope="class")
-    def reports(self):
+    def reports(self, report_on):
         spec = get_scenario("tenant-tiers")
-        return {engine: run_scenario(spec, engine=engine) for engine in ENGINES}
+        return {engine: report_on(spec, engine) for engine in ENGINES}
 
     @pytest.fixture(scope="class")
     def report(self, reports):

@@ -4,7 +4,9 @@ Every registered scenario has a committed reference report under
 ``tests/golden/``; running the scenario must reproduce it *byte*
 identically — the serving engine, the autoscaler, the batch-priced cost
 summary and the spec-hash seed derivation are all deterministic, so any
-diff is a behaviour change.  Regenerate deliberately with::
+diff is a behaviour change.  ``run_scenario`` runs the wave engine, and
+a fleet built on the per-step oracle (``build_fleet(spec,
+engine="step")``) must reproduce the same bytes.  Regenerate deliberately with::
 
     PYTHONPATH=src python -m repro.scenarios write-golden
 
@@ -50,6 +52,14 @@ def test_catalogue_is_large_enough_for_the_regression_net():
 def test_scenario_report_is_byte_identical_to_golden(name):
     golden = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
     assert run_scenario(get_scenario(name)).to_json() == golden
+
+
+@pytest.mark.parametrize("name", available_scenarios())
+def test_step_oracle_reproduces_the_golden_report(name, report_on):
+    # run_scenario plays the wave engine; the per-step oracle must land
+    # on the same bytes when the fleet is built on it.
+    golden = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+    assert report_on(get_scenario(name), "step").to_json() == golden
 
 
 @pytest.mark.parametrize("name", available_scenarios())

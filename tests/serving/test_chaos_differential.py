@@ -8,7 +8,8 @@ the conditional ``incidents`` block (whose content is timing-dependent
 by nature; ``without_incidents()`` is the comparison surface).
 
 Four legs: a pinned spec-derived schedule across **every** registered
-scenario on **every** engine; a hypothesis leg drawing random schedules
+scenario (on the wave engine: supervision never reads the decode
+engine); a hypothesis leg drawing random schedules
 on a per-controller-kind pool; a pause/resume leg whose chaos fires
 after the resume; and a subprocess leg proving a supervisor crash
 restored from a serialized ring checkpoint under a *different*
@@ -28,7 +29,6 @@ from hypothesis import strategies as st
 from repro.scenarios.registry import available_scenarios, get_scenario
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ChaosSpec
-from repro.serving.queue import ENGINES
 from repro.serving.runtime.chaos import generate_chaos_schedule
 from repro.serving.runtime import Checkpoint
 from repro.serving.runtime.service import resume_scenario, run_scenario_live
@@ -68,27 +68,26 @@ FAST = SupervisionConfig(
 _BATCH_CACHE = {}
 
 
-def batch_json(spec, engine="wave"):
-    key = (spec.spec_hash(), engine)
+def batch_json(spec):
+    key = spec.spec_hash()
     if key not in _BATCH_CACHE:
-        _BATCH_CACHE[key] = run_scenario(spec, engine=engine).to_json()
+        _BATCH_CACHE[key] = run_scenario(spec).to_json()
     return _BATCH_CACHE[key]
 
 
-def supervised(spec, engine="wave", chaos=None):
+def supervised(spec, chaos=None):
     return run_scenario_live(
-        spec, engine=engine, chaos=chaos, supervision=FAST, hang_unit_s=0.01
+        spec, chaos=chaos, supervision=FAST, hang_unit_s=0.01
     )
 
 
 class TestPinnedScheduleMatrix:
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("name", SCENARIOS)
-    def test_every_scenario_every_engine(self, name, engine):
+    def test_every_scenario(self, name):
         spec = replace(get_scenario(name), chaos=LIGHT)
-        report = supervised(spec, engine=engine)
+        report = supervised(spec)
         assert report.incidents is not None  # the schedule actually fired
-        assert report.without_incidents().to_json() == batch_json(spec, engine)
+        assert report.without_incidents().to_json() == batch_json(spec)
 
     @pytest.mark.parametrize("name", POOL)
     def test_heavy_schedule(self, name):

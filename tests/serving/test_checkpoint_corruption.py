@@ -4,12 +4,13 @@ A checkpoint is the one artifact that crosses process boundaries, so
 every failure mode — truncation, garbage bytes, a foreign JSON shape,
 an unsupported version (including a file in the retired version-1
 format), missing or mistyped fields, an embedded scenario spec that
-does not decode, a retired or unknown engine, a wrong trace digest,
-tampered pins, a fleet of another size — must surface as a single
+does not decode, a wrong trace digest, tampered pins, a fleet of
+another size — must surface as a single
 :class:`~repro.serving.runtime.checkpoint.CheckpointError` whose
 message names what was wrong, never a hang, a KeyError leak or a
 silently wrong resume.  ``Checkpoint.load`` additionally prefixes the
-offending path.
+offending path.  The ``engine`` key older builds wrote is no failure
+mode: nothing reads it, whatever engine it names.
 """
 
 import json
@@ -19,7 +20,8 @@ import pytest
 
 from repro.models.mllm import InferenceRequest, get_mllm
 from repro.scenarios.registry import get_scenario
-from repro.scenarios.runner import run_scenario
+from repro.scenarios import runner
+from repro.scenarios.runner import build_fleet, run_scenario
 from repro.serving import (
     AutoscalerConfig,
     FleetSimulator,
@@ -179,12 +181,6 @@ CORRUPTIONS = [
         r"scenario\.fleet: policy",
         id="unknown-fleet-policy",
     ),
-    pytest.param(
-        _mutate("engine", "macro"), "field 'engine' must be one of", id="retired-engine"
-    ),
-    pytest.param(
-        _mutate("engine", "wavee"), "field 'engine' must be one of", id="mistyped-engine"
-    ),
 ]
 
 
@@ -263,14 +259,26 @@ class TestResumeGuards:
 
     @pytest.mark.parametrize("engine", ["macro", "warp"])
     def test_unknown_engine_never_reaches_the_fleet(
-        self, checkpoint, engine, tmp_path
+        self, checkpoint, engine, tmp_path, monkeypatch
     ):
+        # Older builds refused an unknown engine named in the file; now
+        # the key is never read, so the resume builds its fleet on the
+        # wave engine and finishes the uninterrupted run.
         path = tmp_path / "engine.json"
         path.write_text(
             _mutate("engine", engine)(checkpoint.to_json()), encoding="utf-8"
         )
-        with pytest.raises(CheckpointError, match="'engine'"):
-            resume_scenario(Checkpoint.load(path))
+        fleets = []
+
+        def recording_build_fleet(spec, **kwargs):
+            fleets.append(build_fleet(spec, **kwargs))
+            return fleets[-1]
+
+        monkeypatch.setattr(runner, "build_fleet", recording_build_fleet)
+        report = resume_scenario(Checkpoint.load(path))
+        assert len(fleets) == 1
+        assert {chip.engine for chip in fleets[0].chips} == {"wave"}
+        assert report.to_json() == run_scenario(get_scenario("chat-poisson")).to_json()
 
     @pytest.mark.parametrize("n_chips", [2, 4])
     @pytest.mark.parametrize(

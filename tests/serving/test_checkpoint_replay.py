@@ -13,6 +13,11 @@ resume to the uninterrupted report, and ignore every key of its
 ``tests/golden/checkpoints/v3`` pin the version-3 bytes, one per fleet
 kind, at the cursors of the first two: this build must write them
 byte for byte, and each must resume to the uninterrupted report.
+Earlier version-2 and version-3 files also named the decode engine
+(``"engine": "wave"``, after ``cursor``); nothing reads that key any
+more, so such a file, whichever engine it names (the retired
+``"macro"`` and a mistyped name included), loads to the checkpoint the
+fixture holds and resumes on the wave engine to the same report.
 """
 
 import functools
@@ -125,6 +130,16 @@ class TestVersion2Fixtures:
         report = resume_scenario(Checkpoint.from_dict(data))
         assert report.to_json() == batch_json(V2_FIXTURES[file])
 
+    @pytest.mark.parametrize("file", sorted(V2_FIXTURES))
+    def test_the_engine_it_names_is_ignored(self, file):
+        data = json.loads((V2_DIR / file).read_text())
+        assert data["engine"] == "wave"
+        data["engine"] = "step"
+        loaded = Checkpoint.from_dict(data)
+        assert loaded == Checkpoint.load(V2_DIR / file)
+        report = resume_scenario(loaded)
+        assert report.to_json() == batch_json(V2_FIXTURES[file])
+
     def test_version_2_pins_are_still_checked(self):
         data = json.loads((V2_DIR / "chat-chipfail-120.json").read_text())
         data["controller"]["horizons"].append(0.0)
@@ -158,6 +173,23 @@ class TestVersion3Fixtures:
     def test_resumes_to_the_uninterrupted_report(self, file):
         report = resume_scenario(Checkpoint.load(V3_DIR / file))
         assert report.to_json() == batch_json(V3_FIXTURES[file])
+
+    @pytest.mark.parametrize("engine", ["wave", "step", "macro", "wavee"])
+    @pytest.mark.parametrize("file", sorted(V3_FIXTURES))
+    def test_an_engine_key_is_ignored(self, file, engine, tmp_path):
+        fixture = (V3_DIR / file).read_text(encoding="utf-8")
+        older = fixture.replace(
+            '\n  "kind": ', f'\n  "engine": "{engine}",\n  "kind": ', 1
+        )
+        assert older.count('"engine"') == 1
+        path = tmp_path / file
+        path.write_text(older, encoding="utf-8")
+        loaded = Checkpoint.load(path)
+        assert loaded.save(tmp_path / "again.json").read_text(
+            encoding="utf-8"
+        ) == fixture
+        report = resume_scenario(Checkpoint.load(V3_DIR / file))
+        assert resume_scenario(loaded).to_json() == report.to_json()
 
 
 class TestVersion3:

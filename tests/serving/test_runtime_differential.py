@@ -1,13 +1,17 @@
 """Differential suite: live actor runs ≡ batch runs, byte for byte.
 
 The headline equivalence proof of the live runtime: for **every**
-registered scenario and **every** engine (``step``/``wave``),
-``run_scenario(..., runtime="live")`` must reproduce the batch report —
-dataclass ``==`` and canonical JSON byte identity, covering records,
-scale events, fault eras and tenant budgets in one shot.  Below the
-scenario layer, fleet-level tests assert full result-object equality
-(records, per-chip results, assignments, events) for each controller
-kind, including the pacing knob, which may only ever change wall-clock.
+registered scenario, ``run_scenario(..., runtime="live")`` must
+reproduce the batch report — dataclass ``==`` and canonical JSON byte
+identity, covering records, scale events, fault eras and tenant budgets
+in one shot.  The control planes never read the decode engine (a job
+is ``sim.run(shard)``), so the scenarios run on the wave engine; the
+step oracle reproduces every golden report on its own
+(``tests/scenarios/test_golden_reports.py``), and a fleet-level test
+here runs both planes on each engine.  Below the scenario layer,
+fleet-level tests assert full result-object equality (records,
+per-chip results, assignments, events) for each controller kind,
+including the pacing knob, which may only ever change wall-clock.
 
 No tolerances anywhere: the live plane drives the exact stepwise
 controllers the batch plane drives, so it is bit-identical or broken.
@@ -36,20 +40,6 @@ def model():
     return get_mllm("sphinx-tiny")
 
 
-@pytest.fixture(scope="module")
-def batch_report():
-    """Memoized batch reports so the matrix prices each pair once."""
-    cache = {}
-
-    def get(name, engine):
-        key = (name, engine)
-        if key not in cache:
-            cache[key] = run_scenario(get_scenario(name), engine=engine)
-        return cache[key]
-
-    return get
-
-
 def _trace(seed, n=40):
     return build_trace(
         PoissonArrivals(6.0, seed=seed).generate(n),
@@ -62,13 +52,10 @@ def _trace(seed, n=40):
 
 
 class TestScenarioMatrix:
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("name", SCENARIOS)
-    def test_live_equals_batch(self, name, engine, batch_report):
-        batch = batch_report(name, engine)
-        live = run_scenario(
-            get_scenario(name), engine=engine, runtime="live"
-        )
+    def test_live_equals_batch(self, name):
+        batch = run_scenario(get_scenario(name))
+        live = run_scenario(get_scenario(name), runtime="live")
         assert live == batch
         assert live.to_json() == batch.to_json()
 

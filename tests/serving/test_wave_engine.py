@@ -17,6 +17,7 @@ prefill windows directly.
 """
 
 import inspect
+from dataclasses import fields
 from math import inf, nextafter, ulp
 
 import pytest
@@ -48,6 +49,7 @@ from repro.serving import (
     build_trace,
 )
 from repro.serving.engine import fold_run, prefill_windows
+from repro.serving.runtime import Checkpoint
 from repro.serving.runtime.service import run_scenario_live
 
 MODEL = get_mllm("sphinx-tiny")
@@ -187,10 +189,12 @@ class TestEngineSelection:
         assert FleetSimulator(MODEL, n_chips=1).chips[0].engine == "wave"
 
     def test_every_entry_point_defaults_to_wave(self):
+        # Only the chip, the fleet and build_fleet choose the engine;
+        # every layer above them always plays the wave default.
+        for entry in (ContinuousBatchingSimulator, FleetSimulator, build_fleet):
+            engine = inspect.signature(entry).parameters["engine"]
+            assert engine.default == "wave", entry.__name__
         for entry in (
-            ContinuousBatchingSimulator,
-            FleetSimulator,
-            build_fleet,
             run_scenario,
             run_scenario_live,
             candidate_fleet,
@@ -199,8 +203,10 @@ class TestEngineSelection:
             simulate_candidate,
             plan_scenario,
         ):
-            engine = inspect.signature(entry).parameters["engine"]
-            assert engine.default == "wave", entry.__name__
+            assert "engine" not in inspect.signature(entry).parameters, (
+                entry.__name__
+            )
+        assert "engine" not in {field.name for field in fields(Checkpoint)}
 
     @pytest.mark.parametrize(
         "parser, argv",
@@ -208,10 +214,10 @@ class TestEngineSelection:
          (planner_parser, ["plan", "chat-poisson"])],
         ids=["scenarios", "planner"],
     )
-    def test_cli_engine_default_and_choices(self, parser, argv):
-        assert parser().parse_args(argv).engine == "wave"
+    def test_clis_take_no_engine(self, parser, argv, capsys):
         with pytest.raises(SystemExit):
-            parser().parse_args(argv + ["--engine", "macro"])
+            parser().parse_args(argv + ["--engine", "step"])
+        assert "unrecognized arguments: --engine step" in capsys.readouterr().err
 
 
 class TestInlinedBucketArithmetic:
