@@ -15,9 +15,10 @@ run takes: one ``ServingRequest`` per request, sharing one
 reported as ``compile_seconds``; the equivalence sample is the trace's
 first requests.
 
-An untimed warm-up run fills the engine-independent cost memos first:
-caches only move work, so the timed number measures the decode loop,
-not cost-model evaluation.
+An untimed warm-up run fills the engine-independent serving-cost memo
+first, and every later chip runs on the warm-up chip's simulator, so it
+reads that memo itself: caches only move work, so the timed number
+measures the decode loop, not cost-model evaluation.
 
 Feeds ``BENCH_results.json`` (via ``benchmarks/run.py``) with the
 ``serving_wave_1M`` scenario, which records the wall-clock seconds of
@@ -56,16 +57,14 @@ def bench_trace():
 
 
 def _chip(engine, donor=None):
-    chip = ContinuousBatchingSimulator(
+    """A bench chip; on ``donor``'s simulator, it reads the donor's memo."""
+    return ContinuousBatchingSimulator(
+        None if donor is None else donor.simulator,
         model=get_mllm("sphinx-tiny"),
         max_batch_size=MAX_BATCH_SIZE,
         context_bucket=CONTEXT_BUCKET,
         engine=engine,
     )
-    if donor is not None:
-        chip.costs.seed_cc_latencies(donor.costs.cc_latencies())
-        chip.cost_model.seed_bucket_costs(donor.cost_model.bucket_costs())
-    return chip
 
 
 def _measure():
@@ -74,8 +73,8 @@ def _measure():
     trace = bench_trace()
     compile_seconds = time.perf_counter() - start
 
-    # Untimed warm-up fills the engine-independent cost memos once; the
-    # timed run then measures the decode loop alone.
+    # Untimed warm-up fills the shared serving-cost memo once; the timed
+    # run then measures the decode loop alone.
     warm = _chip("wave")
     warm.run(trace)
 
@@ -85,7 +84,7 @@ def _measure():
     wave_seconds = time.perf_counter() - start
 
     # Equivalence sample: the step oracle vs wave on the first requests,
-    # from identical caches.
+    # from the same memo.
     sample = trace[:SAMPLE_REQUESTS]
     wave_sample = _chip("wave", donor=warm).run(sample)
     step_chip = _chip("step", donor=warm)

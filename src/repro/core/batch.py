@@ -835,8 +835,8 @@ class ServiceTimeBounds:
       service start-to-first-phase time;
     * ``first_step_s`` — one single-stream decode step at the shape's
       initial context bucket, the exact
-      :meth:`~repro.serving.queue.BatchDecodeCostModel.step_latency_s` of a
-      batch of one;
+      :meth:`~repro.serving.queue.ChipCosts.step_latency_s` of a batch of
+      one;
     * ``min_ttft_s`` — ``prefill_s + first_step_s``: no fleet of this chip,
       under any dispatch policy, admission control or batch composition,
       can serve the shape's first token faster (queue wait is >= 0, decode
@@ -876,9 +876,9 @@ class ServiceTimeBounds:
 def context_bucket_for(context: int, context_bucket: int) -> int:
     """Quantize a ``context`` length up to a multiple of ``context_bucket``.
 
-    The single definition of decode-context quantization: the serving cost
-    model (:class:`repro.serving.queue.BatchDecodeCostModel`) and the
-    analytic service-time bounds both resolve buckets through this helper,
+    The single definition of decode-context quantization: the serving-cost
+    memo (:class:`repro.serving.queue.ChipCosts`) and the analytic
+    service-time bounds both resolve buckets through this helper,
     so the bounds can never drift from the buckets the exact simulator
     prices — which the planner's pruning soundness depends on.
     """
@@ -917,9 +917,10 @@ class ServiceTimeBoundsPricer:
     so it is compiled once and every evaluation runs only per-design
     broadcast work over one shared per-bucket reduction: :meth:`bounds`
     floors every shape's service times (the planner's bound pass), and
-    :meth:`seeds` returns the memos fleet precompute and the planner's
-    per-design simulators install in their
-    :class:`~repro.serving.queue.ChipCosts`.
+    :meth:`seeds` returns the costs a
+    :class:`~repro.serving.queue.ChipCosts` memo installs, through its
+    ``cover`` (fleet precompute, degraded fault eras) or the planner's
+    per-design seeding.
 
     ``batch_service_time_bounds(model, shapes, systems)`` is equivalent to
     ``ServiceTimeBoundsPricer(model, shapes).bounds(systems)`` and the
@@ -1041,7 +1042,7 @@ class ServiceTimeBoundsPricer:
                 ],
                 axis=1,
             )
-            # Decode-bucket sums mirror BatchDecodeCostModel._cost: per-op
+            # Decode-bucket sums mirror ChipCosts._cost: per-op
             # bytes and compute at bandwidth_fraction=1 on the decode pool.
             pool = "mc" if has_mc else "cc"
             grid = DesignGrid.from_systems(subset, bandwidth_fraction=1.0)
@@ -1060,12 +1061,10 @@ class ServiceTimeBoundsPricer:
     def seeds(self, systems: Sequence[SystemConfig]) -> List[Tuple[Dict, Dict]]:
         """Every system's ``(cc_latencies, bucket_costs)``, in input order.
 
-        Both take the forms
-        :meth:`~repro.serving.queue.ChipCosts.seed_cc_latencies`
-        and :meth:`~repro.serving.queue.BatchDecodeCostModel.seed_bucket_costs`
-        accept, keyed by :attr:`cc_shapes` and :attr:`buckets`.  Each value
-        is the float the scalar serving cost model computes, so seeded chips
-        replay bit-identically to chips that price lazily.
+        Each pair is what :meth:`~repro.serving.queue.ChipCosts.seed`
+        accepts, keyed by :attr:`cc_shapes` and :attr:`buckets`.  Each
+        value is the float the scalar serving cost model computes, so
+        seeded chips replay bit-identically to chips that price lazily.
         """
         seeds: List = [None] * len(systems)
         for start in range(0, len(systems), SEED_CHUNK_DESIGNS):

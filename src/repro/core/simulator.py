@@ -26,8 +26,9 @@ lowering the model memoizes) and executes it through the op cache on
 every call.  The serving layer never calls it: it prices through the
 per-design :class:`~repro.serving.queue.ChipCosts` memo, which it keeps
 in the simulator's ``derived`` dict.  :meth:`clear_cache` resets the op
-cache and ``derived`` (required after mutating ``self.system`` or chip
-state in place).
+cache and clears every ``derived`` memo in place, so every holder of one
+prices against the new system (required after mutating ``self.system``
+or chip state in place).
 
 All cycle arithmetic routes through the shared array-aware kernels of
 :mod:`repro.costs` (via :class:`PoolCostParams`), the same kernels the
@@ -228,7 +229,7 @@ class PerformanceSimulator:
         self._op_cache: Dict[tuple, Tuple[float, float, int]] = {}
         #: Memos other layers derive from this simulator's costs, keyed by
         #: their owner's choice of key; every holder of the simulator shares
-        #: them, and :meth:`clear_cache` drops them.
+        #: them, and :meth:`clear_cache` calls each one's ``clear()``.
         self.derived: Dict[Hashable, Any] = {}
         self._op_hits = 0
         self._op_misses = 0
@@ -256,11 +257,16 @@ class PerformanceSimulator:
         self._request_latency_cycles = self.chip.interconnect.request_latency_cycles()
 
     def clear_cache(self) -> None:
-        """Drop all memoized results (call after mutating the system)."""
+        """Drop all memoized results (call after mutating the system).
+
+        The ``derived`` memos are cleared in place, after the cost
+        parameters are rebuilt, because chips built earlier hold them.
+        """
         self._op_cache.clear()
-        self.derived.clear()
         self._op_hits = self._op_misses = 0
         self._refresh_cost_params()
+        for memo in self.derived.values():
+            memo.clear()
 
     def cache_info(self) -> CacheInfo:
         """Hit/miss counters of the op cache."""

@@ -48,7 +48,7 @@ from .metrics import (
 from .engine import run_wave
 from .queue import (
     ENGINES,
-    BatchDecodeCostModel,
+    ChipCosts,
     ContinuousBatchingSimulator,
     ServingRequest,
     ServingResult,
@@ -81,7 +81,7 @@ __all__ = [
     "format_report",
     "percentile",
     "summarize",
-    "BatchDecodeCostModel",
+    "ChipCosts",
     "ContinuousBatchingSimulator",
     "ENGINES",
     "ServingRequest",

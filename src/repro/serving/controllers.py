@@ -61,14 +61,12 @@ positions reaches the engine as its own request objects.
 
 A degraded era runs on a fresh chip, on a simulator of its own whose
 system carries the scaled DRAM tier, so it holds its own serving-cost
-memo; its decode bucket-cost triples seed from the healthy chip
-(they are bandwidth-free byte/cycle quantities, see
-:meth:`~repro.serving.queue.BatchDecodeCostModel.bucket_costs`), while
-CC-stage and decode-step latencies recompute against the degraded
-bandwidth.  Because era splits use the engine-independent
-``prefill_windows`` recurrence and era replays go through
-``chip.run()`` (bit-identical across the ``step`` and ``wave``
-engines), fault runs are engine-independent too.
+memo.  It fills through the same
+:meth:`~repro.serving.queue.ChipCosts.cover` grid pass as fleet
+precompute, priced against the degraded bandwidth.  Because era splits
+use the engine-independent ``prefill_windows`` recurrence and era
+replays go through ``chip.run()`` (bit-identical across the ``step``
+and ``wave`` engines), fault runs are engine-independent too.
 
 Under the ``"abort"`` policy a closed era's ``decode_steps`` /
 ``peak_batch_size`` counters reflect the replay that *discovered* the
@@ -85,9 +83,7 @@ from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.batch import ServiceTimeBoundsPricer
 from ..core.simulator import PerformanceSimulator
-from ..models.mllm import InferenceRequest
 from .autoscale import ScalingEvent
 from .engine import prefill_windows
 from .faults import FaultEvent, FaultSchedule
@@ -219,18 +215,19 @@ def _split_era(
 
 
 def _degraded_chip(
-    base: ContinuousBatchingSimulator, factor: float
+    base: ContinuousBatchingSimulator,
+    factor: float,
+    trace: Sequence[ServingRequest],
 ) -> ContinuousBatchingSimulator:
     """A fresh chip like ``base`` with its DRAM tier scaled by ``factor``.
 
     The factor is absolute against the chip's healthy baseline.  The chip
     runs on a simulator of its own, so its
-    :class:`~repro.serving.queue.ChipCosts` memo is its own too.  Decode
-    bucket-cost triples seed from the healthy chip — they carry no
-    bandwidth term.  The CC-stage latency of every shape the healthy chip
-    holds is priced against the degraded tier by one
-    :meth:`~repro.core.batch.ServiceTimeBoundsPricer.seeds` call, and
-    decode-step latencies recompute lazily.
+    :class:`~repro.serving.queue.ChipCosts` memo is its own too, and
+    :meth:`~repro.serving.queue.ChipCosts.cover` prices the CC stages and
+    decode buckets of ``trace`` (the whole run's, so every request the
+    era may serve) against the degraded tier in one grid pass, as fleet
+    precompute does for the healthy chips.
     """
     if factor == 1.0:
         return base
@@ -251,20 +248,7 @@ def _degraded_chip(
         chip_id=base.chip_id,
         engine=base.engine,
     )
-    chip.cost_model.seed_bucket_costs(base.cost_model.bucket_costs())
-    shapes = [
-        InferenceRequest(images=images, prompt_text_tokens=prompt, output_tokens=1)
-        for images, prompt in base.costs.shapes
-    ]
-    if shapes:
-        pricer = ServiceTimeBoundsPricer(
-            base.model,
-            shapes,
-            cc_bandwidth_fraction=base.cc_bandwidth_fraction,
-            context_bucket=base.cost_model.context_bucket,
-        )
-        [(cc_latencies, _)] = pricer.seeds([degraded])
-        chip.costs.seed_cc_latencies(cc_latencies)
+    chip.cost_model.cover(trace)
     return chip
 
 
@@ -462,7 +446,7 @@ class _EraController:
         else:
             suffix, _, drain_end = _split_era(state, event.time_s, "drain")
             state.floor = max(event.time_s, drain_end)
-            state.sim = _degraded_chip(state.base, event.factor)
+            state.sim = _degraded_chip(state.base, event.factor, self.trace)
             state.entries = [
                 item
                 if item.arrival_s >= state.floor
@@ -612,7 +596,7 @@ class StaticController(_EraController):
             # dispatch prices the request, against the current era's chip.
             horizon = horizons[chip_id]
             horizons[chip_id] = (eff if eff > horizon else horizon) + (
-                state.sim.costs.dispatch_terms(self.trace[index].request)[0]
+                state.sim.cost_model.dispatch_terms(self.trace[index].request)[0]
             )
         self._enqueue(chip_id, index, eff, sid)
         return chip_id
@@ -670,7 +654,7 @@ class AutoscaleController(_EraController):
         state = self.states[chip_id]
         eff = max(eff, state.floor)
         source = self.trace[index]
-        cost, prefill, first_step = state.sim.costs.dispatch_terms(
+        cost, prefill, first_step = state.sim.cost_model.dispatch_terms(
             source.request
         )
         start = max(self.horizons[chip_id], eff)

@@ -152,8 +152,8 @@ def _wave_columns(
     # CC latencies and prompt-token counts are pure functions of the
     # (images, prompt tokens) shape, memoized in the chip's ChipCosts
     # across runs: read each request's entry, pricing only unseen shapes.
-    shapes_get = chip.costs.shapes.get
-    shape = chip.costs.shape
+    shapes_get = chip.cost_model.shapes.get
+    shape = chip.cost_model.shape
     latencies: List[float] = []
     contexts: List[int] = []
     for request in requests:

@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from ..core.batch import ServiceTimeBoundsPricer
 from ..core.simulator import PerformanceSimulator
 from ..models.mllm import MLLMConfig
 from .metrics import RequestRecord, ServingReport, empty_report, summarize
@@ -142,7 +141,7 @@ class FleetSimulator:
     ``ValueError``.  Every chip runs on the fleet's one ``simulator``
     (default ``PerformanceSimulator()``, the default EdgeMM system) and
     so reads one :class:`~repro.serving.queue.ChipCosts` memo, which
-    service-time precomputation seeds once.  ``engine`` selects every
+    service-time precomputation fills.  ``engine`` selects every
     chip's decode-loop implementation (see
     :data:`repro.serving.queue.ENGINES`).
     """
@@ -178,7 +177,6 @@ class FleetSimulator:
         self.n_chips = n_chips
         self.policy = policy
         self.autoscaler = autoscaler
-        self.cc_bandwidth_fraction = cc_bandwidth_fraction
         self.simulator = (
             simulator if simulator is not None else PerformanceSimulator()
         )
@@ -199,30 +197,17 @@ class FleetSimulator:
     # Service-time precomputation (batch engine)
     # ------------------------------------------------------------------
     def precompute_service_times(self, trace: Sequence[ServingRequest]) -> None:
-        """Seed the fleet's cost memo with the trace's costs in one grid pass.
+        """Fill the fleet's cost memo with the trace's costs in one grid pass.
 
         Every chip reads the one :class:`~repro.serving.queue.ChipCosts`
-        memo of the fleet's simulator.  When it lacks the CC-stage latency
-        of a request shape or the stream pair of a decode bucket the
-        trace reaches (:meth:`~repro.serving.queue.ChipCosts.lacks`), one
-        :meth:`~repro.core.batch.ServiceTimeBoundsPricer.seeds` call
-        prices the trace's costs instead of deriving them lazily through
-        the scalar simulator.  Seeded values are the floats the scalar
-        path computes, so traces replay unchanged; a fleet whose memo
-        holds every cost already (e.g. a planner design's later fleets)
-        builds no pricer.
+        memo of the fleet's simulator, and
+        :meth:`~repro.serving.queue.ChipCosts.cover` prices what it lacks
+        of the trace through the batch engine.  Seeded values are the
+        floats the scalar path computes, so traces replay unchanged; a
+        fleet whose memo holds every cost already (e.g. a planner
+        design's later fleets) builds no pricer.
         """
-        costs = self.chips[0].costs
-        if not costs.lacks(trace):
-            return
-        pricer = ServiceTimeBoundsPricer(
-            self.model,
-            [request.request for request in trace],
-            cc_bandwidth_fraction=self.cc_bandwidth_fraction,
-            context_bucket=costs.decode.context_bucket,
-        )
-        [seeds] = pricer.seeds([self.simulator.system])
-        costs.seed(*seeds)
+        self.chips[0].cost_model.cover(trace)
 
     # ------------------------------------------------------------------
     # Dispatch

@@ -28,7 +28,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..core.batch import context_bucket_for, reachable_buckets
+from ..core.batch import (
+    ServiceTimeBoundsPricer,
+    context_bucket_for,
+    reachable_buckets,
+)
 from ..core.pipeline import cc_stage_latency
 from ..core.simulator import PerformanceSimulator
 from ..models.mllm import InferenceRequest, MLLMConfig
@@ -85,23 +89,44 @@ def _checked_cc_latency(shape: Tuple[int, int], latency: float) -> float:
     return latency
 
 
-class BatchDecodeCostModel:
-    """Latency of one decode step for a batch of streams.
+class ChipCosts:
+    """One chip design's serving-cost memo, shared by every chip built on it.
 
-    Weight traffic (and nothing else) is shared across the batch; per-stream
-    activation and KV-cache traffic and per-stream compute scale with the
-    batch size.  Contexts are quantized to ``context_bucket`` tokens so the
-    per-context cost triple ``(weight bytes, per-stream bytes, compute
-    cycles)`` is computed once per bucket and then reused for every stream
-    and every step that lands in the bucket.
+    Every serving cost of a request is a pure function of the chip's
+    :class:`~repro.core.simulator.PerformanceSimulator` and three serving
+    knobs — the model, the CC bandwidth split and the context bucket — so
+    :meth:`of` keeps one memo per knob set in the simulator's ``derived``
+    dict.  Chips, fleets, fault eras and dispatchers built on one
+    simulator read and fill that memo by reference: a capacity planner
+    that hands one simulator to all of a design's fleets prices each cost
+    once per design, not once per fleet.  The memo holds
+
+    * each CC shape's stage latency and prompt tokens (:meth:`shape`);
+    * each decode bucket's stream pair (:meth:`stream_cost`) and the
+      DRAM cycles of each decode step's traffic;
+    * each request shape's batch-1 dispatch estimate and its two TTFT
+      terms (:meth:`dispatch_terms`).
+
+    The CC stage gets ``cc_bandwidth_fraction`` of the DRAM bandwidth and
+    decode the remaining ``1 - cc_bandwidth_fraction``.  A decode step
+    shares its weight traffic (and nothing else) across the batch;
+    per-stream activation and KV-cache traffic and per-stream compute
+    scale with the batch size.  Contexts are quantized to
+    ``context_bucket`` tokens, so the per-context cost triple ``(weight
+    bytes, per-stream bytes, compute cycles)`` is priced once per bucket
+    and reused for every stream and every step that lands in it.
 
     The step latency is order-free: for the shared weight bytes ``W`` it
     is ``cycles_to_seconds(max(memory_cycles(W + Σ bytes), Σ compute))``,
     where ``Σ compute`` is the exact sum of the streams' compute cycles
     rounded once (``==`` ``math.fsum``), kept by callers as sums of
-    per-stream integer pairs (:meth:`stream_cost`).  Unpruned compute
-    cycles are integers, on which the former float left fold over the
-    batch was already exact, so unpruned results did not move.
+    per-stream integer pairs (:meth:`stream_cost`).
+
+    It memoizes terms, not new sums, so every caller adds exactly what it
+    added on its own.  :meth:`cover` fills it for a trace in one grid
+    pass; seeded values (:meth:`seed`) must be the floats the lazy path
+    computes, as the bulk pricer's are: entries derived from them are not
+    revisited.
     """
 
     def __init__(
@@ -109,53 +134,98 @@ class BatchDecodeCostModel:
         simulator: PerformanceSimulator,
         model: MLLMConfig,
         *,
-        mc_bandwidth_fraction: float = 0.5,
-        context_bucket: int = 32,
+        cc_bandwidth_fraction: float,
+        context_bucket: int,
     ) -> None:
-        if not 0.0 < mc_bandwidth_fraction <= 1.0:
-            raise ValueError("mc_bandwidth_fraction must be in (0, 1]")
+        # Keeps the decode share, 1 - cc_bandwidth_fraction, in (0, 1].
+        if not 0.0 < cc_bandwidth_fraction < 1.0:
+            raise ValueError("cc_bandwidth_fraction must be in (0, 1)")
         if context_bucket < 1:
             raise ValueError("context_bucket must be >= 1")
         self.simulator = simulator
         self.model = model
-        self.mc_bandwidth_fraction = mc_bandwidth_fraction
+        self.cc_bandwidth_fraction = cc_bandwidth_fraction
         self.context_bucket = context_bucket
-        self.pool = "mc" if simulator.has_mc else "cc"
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget every cost and re-derive both pools from the simulator.
+
+        :meth:`~repro.core.simulator.PerformanceSimulator.clear_cache`
+        calls it on every memo it holds, so chips built before a system
+        change price against the new system.
+        """
+        self.cc_pool = "cc" if self.simulator.has_cc else "mc"
+        self.pool = "mc" if self.simulator.has_mc else "cc"
+        #: (images, prompt text tokens) -> (CC-stage seconds, prompt tokens).
+        self.shapes: Dict[Tuple[int, int], Tuple[float, int]] = {}
+        #: (images, prompt text tokens, output tokens) -> (batch-1 estimate,
+        #: prefill seconds, first decode step seconds).
+        self.dispatch: Dict[Tuple[int, int, int], Tuple[float, float, float]] = {}
+        #: CC shape -> longest output whose costs :meth:`lacks` found
+        #: present (entries are dropped only by :meth:`clear`).
+        self._covered: Dict[Tuple[int, int], int] = {}
+        #: Decode bucket -> one stream's (bytes, compute) integer pair.
         self._stream_cost: Dict[int, Tuple[int, int]] = {}
         self._weight_bytes: Optional[int] = None
-        # Traffic bytes -> (memory cycles, their seconds).
+        #: Decode-step traffic bytes -> (memory cycles, their seconds).
         self._memory: Dict[int, Tuple[float, float]] = {}
 
-    def seed_bucket_costs(
-        self, bucket_costs: Dict[int, Tuple[int, int, float]]
-    ) -> None:
-        """Install precomputed per-bucket cost triples (fleet warm-up)."""
-        for bucket, cost in bucket_costs.items():
-            self._stream_cost[bucket] = self._stream_pair(bucket, cost)
-
-    def bucket_costs(self) -> Dict[int, Tuple[int, int, float]]:
-        """Snapshot of the memoized per-bucket cost triples.
-
-        The donor side of :meth:`seed_bucket_costs`: the triples carry no
-        DRAM bandwidth term, so a degraded fault era's memo copies them
-        from its healthy chip instead of re-deriving them through
-        workload lowering.  Each triple is rebuilt exactly from its
-        bucket's stream pair.
-        """
-        scale = -COMPUTE_SCALE_BITS
-        return {
-            bucket: (self._weight_bytes, stream_bytes, math.ldexp(compute, scale))
-            for bucket, (stream_bytes, compute) in self._stream_cost.items()
-        }
+    @classmethod
+    def of(
+        cls,
+        simulator: PerformanceSimulator,
+        model: MLLMConfig,
+        *,
+        cc_bandwidth_fraction: float,
+        context_bucket: int,
+    ) -> "ChipCosts":
+        """The simulator's memo for these serving knobs, made on first use."""
+        key = (cls, model, cc_bandwidth_fraction, context_bucket)
+        costs = simulator.derived.get(key)
+        if costs is None:
+            costs = cls(
+                simulator,
+                model,
+                cc_bandwidth_fraction=cc_bandwidth_fraction,
+                context_bucket=context_bucket,
+            )
+            simulator.derived[key] = costs
+        return costs
 
     def step_cache(self) -> Dict[Tuple[int, ...], float]:
         """Always ``{}``: no step memo exists (e2ebench still reads its size)."""
         return {}
 
-    def has_bucket_cost(self, bucket: int) -> bool:
-        """True when the bucket's cost triple is already memoized."""
-        return bucket in self._stream_cost
+    # ------------------------------------------------------------------
+    # The CC stage
+    # ------------------------------------------------------------------
+    def shape(self, images: int, prompt_text_tokens: int) -> Tuple[float, int]:
+        """``(CC-stage seconds, prompt tokens)`` of one CC shape.
 
+        The latency is :func:`~repro.core.pipeline.cc_stage_latency`'s
+        (the output length does not enter the CC stage).
+        """
+        key = (images, prompt_text_tokens)
+        entry = self.shapes.get(key)
+        if entry is None:
+            probe = InferenceRequest(
+                images=images, prompt_text_tokens=prompt_text_tokens, output_tokens=1
+            )
+            latency = cc_stage_latency(
+                self.simulator,
+                self.model,
+                probe,
+                pool=self.cc_pool,
+                bandwidth_fraction=self.cc_bandwidth_fraction,
+            )
+            entry = (_checked_cc_latency(key, latency), self.model.prompt_tokens(probe))
+            self.shapes[key] = entry
+        return entry
+
+    # ------------------------------------------------------------------
+    # Decode steps
+    # ------------------------------------------------------------------
     def _bucket(self, context: int) -> int:
         # Shared with the analytic service-time bounds: both sides MUST
         # quantize identically or the planner's pruning floors go unsound.
@@ -223,7 +293,7 @@ class BatchDecodeCostModel:
         memory = self._memory.get(traffic)
         if memory is None:
             cycles = self.simulator.memory_cycles(
-                traffic, self.pool, self.mc_bandwidth_fraction
+                traffic, self.pool, 1.0 - self.cc_bandwidth_fraction
             )
             memory = (cycles, self.simulator.chip.cycles_to_seconds(cycles))
             self._memory[traffic] = memory
@@ -232,130 +302,9 @@ class BatchDecodeCostModel:
             return memory[1]
         return self.simulator.chip.cycles_to_seconds(compute_cycles)
 
-
-class ChipCosts:
-    """One chip design's serving-cost memo, shared by every chip built on it.
-
-    Every serving cost of a request is a pure function of the chip's
-    :class:`~repro.core.simulator.PerformanceSimulator` and three serving
-    knobs — the model, the CC bandwidth split and the context bucket — so
-    :meth:`of` keeps one memo per knob set in the simulator's ``derived``
-    dict.  Chips, fleets, fault eras and dispatchers built on one
-    simulator read and fill that memo by reference: a capacity planner
-    that hands one simulator to all of a design's fleets prices each cost
-    once per design, not once per fleet.  The memo holds
-
-    * each CC shape's stage latency and prompt tokens (:meth:`shape`);
-    * the decode stream pairs and the DRAM-cycle memo: the one
-      :class:`BatchDecodeCostModel` of the knob set (:attr:`decode`);
-    * each request shape's batch-1 dispatch estimate and its two TTFT
-      terms (:meth:`dispatch_terms`).
-
-    It memoizes terms, not new sums, so every caller adds exactly what it
-    added on its own.  Seeded values (:meth:`seed`) must be the floats the
-    lazy path computes, as the bulk pricer's are: entries derived from
-    them are not revisited.
-    """
-
-    def __init__(
-        self,
-        simulator: PerformanceSimulator,
-        model: MLLMConfig,
-        *,
-        cc_bandwidth_fraction: float,
-        context_bucket: int,
-    ) -> None:
-        self.simulator = simulator
-        self.model = model
-        self.cc_bandwidth_fraction = cc_bandwidth_fraction
-        self.cc_pool = "cc" if simulator.has_cc else "mc"
-        self.decode = BatchDecodeCostModel(
-            simulator,
-            model,
-            mc_bandwidth_fraction=1.0 - cc_bandwidth_fraction,
-            context_bucket=context_bucket,
-        )
-        #: (images, prompt text tokens) -> (CC-stage seconds, prompt tokens).
-        self.shapes: Dict[Tuple[int, int], Tuple[float, int]] = {}
-        #: (images, prompt text tokens, output tokens) -> (batch-1 estimate,
-        #: prefill seconds, first decode step seconds).
-        self.dispatch: Dict[Tuple[int, int, int], Tuple[float, float, float]] = {}
-        #: CC shape -> longest output whose costs :meth:`lacks` found
-        #: present (memo entries are never dropped, so it stays true).
-        self._covered: Dict[Tuple[int, int], int] = {}
-
-    @classmethod
-    def of(
-        cls,
-        simulator: PerformanceSimulator,
-        model: MLLMConfig,
-        *,
-        cc_bandwidth_fraction: float,
-        context_bucket: int,
-    ) -> "ChipCosts":
-        """The simulator's memo for these serving knobs, made on first use."""
-        key = (cls, model, cc_bandwidth_fraction, context_bucket)
-        costs = simulator.derived.get(key)
-        if costs is None:
-            costs = cls(
-                simulator,
-                model,
-                cc_bandwidth_fraction=cc_bandwidth_fraction,
-                context_bucket=context_bucket,
-            )
-            simulator.derived[key] = costs
-        return costs
-
-    @classmethod
-    def on(cls, simulator: PerformanceSimulator) -> List["ChipCosts"]:
-        """Every memo the simulator holds, one per knob set, in creation order."""
-        return [memo for memo in simulator.derived.values() if isinstance(memo, cls)]
-
-    def shape(self, images: int, prompt_text_tokens: int) -> Tuple[float, int]:
-        """``(CC-stage seconds, prompt tokens)`` of one CC shape.
-
-        The latency is :func:`~repro.core.pipeline.cc_stage_latency`'s
-        (the output length does not enter the CC stage).
-        """
-        key = (images, prompt_text_tokens)
-        entry = self.shapes.get(key)
-        if entry is None:
-            probe = InferenceRequest(
-                images=images, prompt_text_tokens=prompt_text_tokens, output_tokens=1
-            )
-            latency = cc_stage_latency(
-                self.simulator,
-                self.model,
-                probe,
-                pool=self.cc_pool,
-                bandwidth_fraction=self.cc_bandwidth_fraction,
-            )
-            entry = (_checked_cc_latency(key, latency), self.model.prompt_tokens(probe))
-            self.shapes[key] = entry
-        return entry
-
-    def seed(
-        self,
-        cc_latencies: Dict[Tuple[int, int], float],
-        bucket_costs: Dict[int, Tuple[int, int, float]],
-    ) -> None:
-        """Install one :meth:`~repro.core.batch.ServiceTimeBoundsPricer.seeds` pair."""
-        self.seed_cc_latencies(cc_latencies)
-        self.decode.seed_bucket_costs(bucket_costs)
-
-    def seed_cc_latencies(self, latencies: Dict[Tuple[int, int], float]) -> None:
-        """Install precomputed CC-stage latencies keyed by CC shape."""
-        for (images, prompt_text_tokens), latency in latencies.items():
-            self.shapes[images, prompt_text_tokens] = (
-                _checked_cc_latency((images, prompt_text_tokens), latency),
-                # MLLMConfig.prompt_tokens, without a request object.
-                self.model.vision_tokens(images) + prompt_text_tokens,
-            )
-
-    def cc_latencies(self) -> Dict[Tuple[int, int], float]:
-        """Snapshot of the memoized CC-stage latencies."""
-        return {shape: entry[0] for shape, entry in self.shapes.items()}
-
+    # ------------------------------------------------------------------
+    # Dispatch estimates
+    # ------------------------------------------------------------------
     def dispatch_terms(self, request: InferenceRequest) -> Tuple[float, float, float]:
         """``(estimate, prefill, first_step)`` seconds of a batch-1 request.
 
@@ -367,7 +316,7 @@ class ChipCosts:
         terms = self.dispatch.get(key)
         if terms is None:
             prefill, context = self.shape(request.images, request.prompt_text_tokens)
-            first_step = self.decode.step_latency_s([context])
+            first_step = self.step_latency_s([context])
             terms = (
                 prefill + first_step * request.output_tokens,
                 prefill,
@@ -376,6 +325,9 @@ class ChipCosts:
             self.dispatch[key] = terms
         return terms
 
+    # ------------------------------------------------------------------
+    # Filling the memo in bulk
+    # ------------------------------------------------------------------
     def lacks(self, trace: Sequence[ServingRequest]) -> bool:
         """Whether some request of ``trace`` needs a cost the memo lacks.
 
@@ -392,8 +344,8 @@ class ChipCosts:
             shape = (request.images, request.prompt_text_tokens)
             if longest.get(shape, 0) < request.output_tokens:
                 longest[shape] = request.output_tokens
-        has_pair = self.decode.has_bucket_cost
-        width = self.decode.context_bucket
+        has_pair = self._stream_cost.__contains__
+        width = self.context_bucket
         covered = self._covered
         for shape, output_tokens in longest.items():
             if covered.get(shape, 0) >= output_tokens:
@@ -405,6 +357,42 @@ class ChipCosts:
                 return True
             covered[shape] = output_tokens
         return False
+
+    def seed(
+        self,
+        cc_latencies: Dict[Tuple[int, int], float],
+        bucket_costs: Dict[int, Tuple[int, int, float]],
+    ) -> None:
+        """Install one :meth:`~repro.core.batch.ServiceTimeBoundsPricer.seeds` pair."""
+        for (images, prompt_text_tokens), latency in cc_latencies.items():
+            self.shapes[images, prompt_text_tokens] = (
+                _checked_cc_latency((images, prompt_text_tokens), latency),
+                # MLLMConfig.prompt_tokens, without a request object.
+                self.model.vision_tokens(images) + prompt_text_tokens,
+            )
+        for bucket, cost in bucket_costs.items():
+            self._stream_cost[bucket] = self._stream_pair(bucket, cost)
+
+    def cover(self, trace: Sequence[ServingRequest]) -> None:
+        """Price every cost of ``trace`` the memo lacks in one grid pass.
+
+        When :meth:`lacks` finds a gap, one
+        :meth:`~repro.core.batch.ServiceTimeBoundsPricer.seeds` call on
+        the memo's own system prices the trace's CC shapes and reachable
+        decode buckets and :meth:`seed` installs them, so no run of the
+        trace prices a cost through the scalar simulator; a memo that
+        holds every cost builds no pricer.
+        """
+        if not self.lacks(trace):
+            return
+        pricer = ServiceTimeBoundsPricer(
+            self.model,
+            [item.request for item in trace],
+            cc_bandwidth_fraction=self.cc_bandwidth_fraction,
+            context_bucket=self.context_bucket,
+        )
+        [seeds] = pricer.seeds([self.simulator.system])
+        self.seed(*seeds)
 
 
 @dataclass
@@ -482,8 +470,6 @@ class ContinuousBatchingSimulator:
             raise ValueError("a serving simulator needs an MLLM model")
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if not 0.0 < cc_bandwidth_fraction < 1.0:
-            raise ValueError("cc_bandwidth_fraction must be in (0, 1)")
         if engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         self.simulator = simulator or PerformanceSimulator()
@@ -492,13 +478,13 @@ class ContinuousBatchingSimulator:
         self.cc_bandwidth_fraction = cc_bandwidth_fraction
         self.chip_id = chip_id
         self.engine = engine
-        self.costs = ChipCosts.of(
+        # ChipCosts checks the CC split and the bucket width.
+        self.cost_model = ChipCosts.of(
             self.simulator,
             model,
             cc_bandwidth_fraction=cc_bandwidth_fraction,
             context_bucket=context_bucket,
         )
-        self.cost_model = self.costs.decode
 
     # ------------------------------------------------------------------
     # Stage cost models
@@ -511,7 +497,7 @@ class ContinuousBatchingSimulator:
         shape in the chip's :class:`ChipCosts` (the output length does not
         affect this stage).
         """
-        return self.costs.shape(request.images, request.prompt_text_tokens)[0]
+        return self.cost_model.shape(request.images, request.prompt_text_tokens)[0]
 
     # ------------------------------------------------------------------
     # Event loop

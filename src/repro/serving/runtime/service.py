@@ -404,7 +404,7 @@ def _play_scenario(
 ):
     """Compile ``spec`` and run (or resume) it live; report or checkpoint."""
     # Imported lazily: scenarios builds on the serving package.
-    from ...scenarios.compile import compile_chaos_schedule, compile_scenario
+    from ...scenarios.compile import compile_scenario
     from ...scenarios.runner import (
         build_fleet,
         scenario_report,
@@ -413,8 +413,8 @@ def _play_scenario(
 
     compiled = compile_scenario(spec)
     fleet = build_fleet(spec)
-    if chaos is None and spec.chaos is not None:
-        chaos = compile_chaos_schedule(spec)
+    if chaos is None:
+        chaos = compiled.chaos
     if supervision is None:
         max_retries = (
             spec.chaos.max_retries

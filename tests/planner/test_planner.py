@@ -38,7 +38,7 @@ from repro.scenarios import (
     get_scenario,
 )
 from repro.scenarios.compile import compile_scenario
-from repro.serving import BatchDecodeCostModel, FleetSimulator
+from repro.serving import ChipCosts, FleetSimulator
 
 DESIGN_POOL = (
     ChipDesign(1, 1, 1),
@@ -241,8 +241,8 @@ def test_planner_prices_no_decode_bucket_through_the_scalar_path(monkeypatch):
 
     With the scalar bucket pricer patched to raise, both search modes
     still complete: every fleet starts with every reachable decode bucket
-    seeded.  The pricer's seeds are exactly what a cold, lazily-priced
-    fleet of the same design harvests.
+    seeded.  A fresh memo seeded from the pricer holds exactly what a
+    cold, lazily-priced fleet of the same design prices.
     """
     spec = replace(
         _small_scenario(4.0, 30.0, None, 0),
@@ -269,7 +269,7 @@ def test_planner_prices_no_decode_bucket_through_the_scalar_path(monkeypatch):
         raise AssertionError(f"bucket {bucket} priced through the scalar path")
 
     with monkeypatch.context() as patch:
-        patch.setattr(BatchDecodeCostModel, "_cost", refuse)
+        patch.setattr(ChipCosts, "_cost", refuse)
         reports = [plan_scenario(spec, config, search=s) for s in ("bnb", "flat")]
     assert all(report.n_simulated == report.n_candidates for report in reports)
     assert reports[0].frontier == reports[1].frontier
@@ -286,12 +286,19 @@ def test_planner_prices_no_decode_bucket_through_the_scalar_path(monkeypatch):
         # The lazy reference: every cost priced by the scalar path.
         patch.setattr(FleetSimulator, "precompute_service_times", lambda *args: None)
         fleet.run(list(compiled.trace))
-    cc_latencies, bucket_costs = {}, {}
-    for chip in fleet.chips:
-        cc_latencies.update(chip.costs.cc_latencies())
-        bucket_costs.update(chip.cost_model.bucket_costs())
+    lazy = fleet.chips[0].cost_model
+    seeded = ChipCosts(
+        PerformanceSimulator(design.system()),
+        lazy.model,
+        cc_bandwidth_fraction=lazy.cc_bandwidth_fraction,
+        context_bucket=lazy.context_bucket,
+    )
     pricer = trace_pricer(compiled)
-    assert pricer.seeds([design.system()]) == [(cc_latencies, bucket_costs)]
+    [seeds] = pricer.seeds([design.system()])
+    seeded.seed(*seeds)
+    assert seeded.shapes == lazy.shapes
+    assert seeded._stream_cost == lazy._stream_cost
+    assert seeded._weight_bytes == lazy._weight_bytes
     # Past one seeding pass, every design still gets its own memos.
     designs = list(config.chip_grid) * 3
     assert len(designs) > SEED_CHUNK_DESIGNS

@@ -10,20 +10,26 @@
   a repeat of the first fleet meets no new DRAM traffic sum; every
   fleet's records ``==`` a cold fleet's;
 * **degraded eras** hold a memo of their own;
-* **planning** builds one bulk pricer per plan.
+* **planning** builds one bulk pricer per plan;
+* **one memo** — a chip holds its design's memo once, as ``cost_model``,
+  and ``clear_cache`` clears it in place, so chips built before a system
+  change price against the new system.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.serving
 from repro import costs
 from repro.core.batch import ServiceTimeBoundsPricer
 from repro.core.simulator import PerformanceSimulator
-from repro.models.mllm import get_mllm
+from repro.models.mllm import InferenceRequest, get_mllm
 from repro.planner import PlannerConfig, plan_scenario
 from repro.scenarios import (
     ArrivalSpec,
@@ -34,7 +40,7 @@ from repro.scenarios import (
 )
 from repro.serving import (
     AutoscalerConfig,
-    BatchDecodeCostModel,
+    ContinuousBatchingSimulator,
     FleetSimulator,
     PoissonArrivals,
     RequestSampler,
@@ -159,8 +165,51 @@ def test_every_chip_of_a_fleet_shares_its_simulator_and_memo(kind):
             assert fleet.simulator is simulator
         assert len(fleet.chips) == 3
         assert all(chip.simulator is fleet.simulator for chip in fleet.chips)
-        assert len({id(chip.costs) for chip in fleet.chips}) == 1
-        assert ChipCosts.on(fleet.simulator) == [fleet.chips[0].costs]
+        assert len({id(chip.cost_model) for chip in fleet.chips}) == 1
+        assert list(fleet.simulator.derived.values()) == [fleet.chips[0].cost_model]
+
+
+def test_a_chip_holds_its_design_memo_once_as_cost_model():
+    fleet = FleetSimulator(
+        MODEL, n_chips=3, cc_bandwidth_fraction=0.25, context_bucket=16
+    )
+    memo = ChipCosts.of(
+        fleet.simulator, MODEL, cc_bandwidth_fraction=0.25, context_bucket=16
+    )
+    assert all(chip.cost_model is memo for chip in fleet.chips)
+    assert not any(hasattr(chip, "costs") for chip in fleet.chips)
+    for gone in (
+        "decode",
+        "on",
+        "seed_cc_latencies",
+        "cc_latencies",
+        "seed_bucket_costs",
+        "bucket_costs",
+        "has_bucket_cost",
+    ):
+        assert not hasattr(memo, gone), gone
+    assert not hasattr(repro.serving, "BatchDecodeCostModel")
+    assert repro.serving.ChipCosts is ChipCosts
+
+
+def test_clear_cache_reprices_the_chips_built_before_it():
+    simulator = PerformanceSimulator()
+    trace = build_trace(
+        [0.0, 0.1], [InferenceRequest(), InferenceRequest(output_tokens=10)]
+    )
+    old = ContinuousBatchingSimulator(simulator, MODEL)
+    before = old.run(trace).records
+    system = simulator.system
+    dram = replace(
+        system.chip.dram,
+        peak_bandwidth_bytes_per_s=system.chip.dram.peak_bandwidth_bytes_per_s / 4,
+    )
+    simulator.system = replace(system, chip=replace(system.chip, dram=dram))
+    simulator.clear_cache()
+    fresh = ContinuousBatchingSimulator(simulator, MODEL).run(trace).records
+    assert old.run(trace).records == fresh
+    assert fresh != before
+    assert list(simulator.derived.values()) == [old.cost_model]
 
 
 def _refuse(*args, **kwargs):
@@ -171,7 +220,7 @@ def _refuse(*args, **kwargs):
 def test_later_fleets_on_one_simulator_price_nothing(kind, trace, monkeypatch):
     simulator = PerformanceSimulator()
     first = _fleet(kind, 2, simulator).run(trace)
-    [memo] = ChipCosts.on(simulator)
+    [memo] = simulator.derived.values()
     assert memo.dispatch and memo.shapes
 
     memory_calls = []
@@ -183,7 +232,7 @@ def test_later_fleets_on_one_simulator_price_nothing(kind, trace, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr("repro.serving.queue.cc_stage_latency", _refuse)
-        patch.setattr(BatchDecodeCostModel, "_cost", _refuse)
+        patch.setattr(ChipCosts, "_cost", _refuse)
         patch.setattr(ServiceTimeBoundsPricer, "__init__", _refuse)
         patch.setattr(PerformanceSimulator, "memory_cycles", counted)
         repeat = _fleet(kind, 2, simulator).run(trace)
@@ -191,7 +240,7 @@ def test_later_fleets_on_one_simulator_price_nothing(kind, trace, monkeypatch):
         # Another size may meet new traffic sums, but no other new cost.
         other = _fleet(kind, 3, simulator).run(trace)
 
-    assert ChipCosts.on(simulator) == [memo]
+    assert list(simulator.derived.values()) == [memo]
     assert first.records == repeat.records == _fleet(kind, 2).run(trace).records
     assert other.records == _fleet(kind, 3).run(trace).records
 
@@ -210,11 +259,11 @@ def test_a_degraded_era_holds_its_own_memo(trace):
     controller.finish_events()
     state = controller.states[0]
     assert state.sim is not state.base
-    assert state.sim.costs is not state.base.costs
-    assert ChipCosts.on(state.sim.simulator) == [state.sim.costs]
+    assert state.sim.cost_model is not state.base.cost_model
+    assert list(state.sim.simulator.derived.values()) == [state.sim.cost_model]
     # Arrivals after the degrade were estimated against the era's memo.
-    assert state.sim.costs.dispatch
-    assert state.base.costs is shared.chips[1].costs
+    assert state.sim.cost_model.dispatch
+    assert state.base.cost_model is shared.chips[1].cost_model
 
     warm = shared.run(trace, faults=schedule)
     cold = _fleet("least_loaded", 2).run(trace, faults=schedule)

@@ -22,6 +22,7 @@ from repro.models.mllm import get_mllm
 from repro.planner.space import ChipDesign
 from repro.serving import (
     BurstyArrivals,
+    ChipCosts,
     ContinuousBatchingSimulator,
     FleetSimulator,
     PoissonArrivals,
@@ -141,24 +142,23 @@ class TestScheduleValidation:
 
 
 class TestDegradedChip:
-    def test_scales_dram_and_seeds_healthy_bucket_costs(self, model):
-        base = FleetSimulator(model, n_chips=1).chips[0]
-        degraded = _degraded_chip(base, 0.5)
+    def test_scales_dram_and_prices_the_healthy_stream_pairs(self, model, trace):
+        fleet = FleetSimulator(model, n_chips=1)
+        fleet.precompute_service_times(trace)
+        base = fleet.chips[0]
+        degraded = _degraded_chip(base, 0.5, trace)
         healthy_bw = base.simulator.system.chip.dram.peak_bandwidth_bytes_per_s
         degraded_bw = degraded.simulator.system.chip.dram.peak_bandwidth_bytes_per_s
         assert degraded_bw == pytest.approx(healthy_bw * 0.5)
-        # Decode bucket-cost triples carry no bandwidth term: they seed
-        # verbatim from the healthy chip.
-        assert degraded.cost_model.bucket_costs() == base.cost_model.bucket_costs()
+        # Decode stream pairs carry no bandwidth term: the degraded tier
+        # prices exactly the healthy chip's.
+        assert degraded.cost_model._stream_cost == base.cost_model._stream_cost
+        assert degraded.cost_model._weight_bytes == base.cost_model._weight_bytes
 
     @pytest.mark.parametrize(
         "system", [default_system(), PRUNED_SYSTEM], ids=["default", "pruned"]
     )
-    def test_copied_bucket_costs_equal_lazy_ones_at_the_degraded_tier(
-        self, model, system
-    ):
-        # Decode bucket triples carry no DRAM term, so the triples the
-        # degraded chip copies are what its own tier prices lazily.
+    def test_stream_pairs_equal_lazy_ones_at_the_degraded_tier(self, model, system):
         n = 30
         long_trace = build_trace(
             PoissonArrivals(6.0, seed=7).generate(n),
@@ -170,11 +170,10 @@ class TestDegradedChip:
         )
         fleet = FleetSimulator(model, n_chips=1, simulator=PerformanceSimulator(system))
         fleet.precompute_service_times(long_trace)
-        degraded = _degraded_chip(fleet.chips[0], 0.5)
+        degraded = _degraded_chip(fleet.chips[0], 0.5, long_trace).cost_model
         lazy = ContinuousBatchingSimulator(
             PerformanceSimulator(degraded.simulator.system), model
-        )
-        copied = degraded.cost_model.bucket_costs()
+        ).cost_model
         buckets = set()
         for item in long_trace:
             prompt = model.prompt_tokens(item.request)
@@ -184,11 +183,13 @@ class TestDegradedChip:
             )
         assert len(buckets) > 3
         for bucket in sorted(buckets):
-            assert copied[bucket] == lazy.cost_model._cost(bucket), bucket
+            # Read the covered pair directly: a missing one raises.
+            assert degraded._stream_cost[bucket] == lazy.stream_cost(bucket), bucket
+        assert degraded._weight_bytes == lazy._weight_bytes
 
-    def test_factor_one_is_the_chip_itself(self, model):
+    def test_factor_one_is_the_chip_itself(self, model, trace):
         base = FleetSimulator(model, n_chips=1).chips[0]
-        assert _degraded_chip(base, 1.0) is base
+        assert _degraded_chip(base, 1.0, trace) is base
 
     @pytest.mark.parametrize(
         "system",
@@ -199,23 +200,24 @@ class TestDegradedChip:
         fleet = FleetSimulator(model, n_chips=1, simulator=PerformanceSimulator(system))
         fleet.precompute_service_times(trace)
         base = fleet.chips[0]
-        degraded = _degraded_chip(base, 0.5)
+        degraded = _degraded_chip(base, 0.5, trace)
         lazy = ContinuousBatchingSimulator(
             PerformanceSimulator(degraded.simulator.system),
             model,
             cc_bandwidth_fraction=base.cc_bandwidth_fraction,
-        )
-        seeded = degraded.costs.cc_latencies()
-        assert seeded.keys() == base.costs.cc_latencies().keys()
+        ).cost_model
+        seeded = degraded.cost_model.shapes
+        healthy = base.cost_model.shapes
+        assert seeded.keys() == healthy.keys()
         for request in trace:
             shape = (request.request.images, request.request.prompt_text_tokens)
-            assert seeded[shape] == lazy.cc_latency_s(request.request)
-            assert seeded[shape] != base.costs.cc_latencies()[shape]
+            assert seeded[shape] == lazy.shape(*shape)
+            assert seeded[shape][0] != healthy[shape][0]
 
     def test_degraded_eras_price_no_cc_stage_lazily(self, model, trace, monkeypatch):
-        # Healthy chips seed from fleet precompute and degraded ones from
-        # their own grid pass, so a DRAM degrade, cut live or restored
-        # from a checkpoint, never reaches the scalar CC-stage pricer.
+        # Healthy chips and degraded ones cover the trace in a grid pass
+        # of their own, so a DRAM degrade, cut live or restored from a
+        # checkpoint, never reaches the scalar CC-stage or bucket pricer.
         horizon = trace[-1].arrival_s
         schedule = FaultSchedule(
             events=(
@@ -238,7 +240,11 @@ class TestDegradedChip:
         def scalar_cc_stage(*args, **kwargs):
             raise AssertionError("a CC-stage latency was priced lazily")
 
+        def scalar_bucket(self, bucket):
+            raise AssertionError(f"bucket {bucket} was priced lazily")
+
         monkeypatch.setattr(queue, "cc_stage_latency", scalar_cc_stage)
+        monkeypatch.setattr(ChipCosts, "_cost", scalar_bucket)
         assert fleet().run(list(trace), faults=schedule) == expected
         resumed = resume_live(fleet(), list(trace), paused, faults=schedule)
         assert resumed.result == expected

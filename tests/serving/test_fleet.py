@@ -128,7 +128,8 @@ class TestEstimateMemo:
         # Every chip of a fleet reads the fleet's one ChipCosts memo, so
         # one override disables it for all three.
         for fleet in (memoized, uncached):
-            assert all(chip.costs is fleet.chips[0].costs for chip in fleet.chips)
+            shared = fleet.chips[0].cost_model
+            assert all(chip.cost_model is shared for chip in fleet.chips)
         chip = uncached.chips[0]
 
         def dispatch_terms(request):
@@ -137,7 +138,7 @@ class TestEstimateMemo:
             per_token = chip.cost_model.step_latency_s([context])
             return prefill + per_token * request.output_tokens, prefill, per_token
 
-        chip.costs.dispatch_terms = dispatch_terms
+        chip.cost_model.dispatch_terms = dispatch_terms
         assert memoized.run(trace).assignments == uncached.run(trace).assignments
         # The memo actually engaged, and only with shape keys: one entry
         # per request shape at most, however many chips read it.
@@ -146,7 +147,7 @@ class TestEstimateMemo:
              r.request.output_tokens)
             for r in trace
         }
-        memo = memoized.chips[0].costs.dispatch
+        memo = memoized.chips[0].cost_model.dispatch
         assert 0 < len(memo) <= len(shapes)
         assert all(key in shapes for key in memo)
 
@@ -155,7 +156,7 @@ class TestEstimateMemo:
         fleet.run(trace)
         chip = fleet.chips[0]
         for request in {r.request for r in trace}:
-            cached = chip.costs.dispatch_terms(request)[0]
+            cached = chip.cost_model.dispatch_terms(request)[0]
             fresh = (
                 chip.cc_latency_s(request)
                 + chip.cost_model.step_latency_s(

@@ -12,7 +12,7 @@ from repro.core.simulator import PerformanceSimulator
 from repro.models.mllm import available_mllms, get_mllm
 from repro.planner.space import ChipDesign
 from repro.serving import (
-    BatchDecodeCostModel,
+    ChipCosts,
     ContinuousBatchingSimulator,
     FleetSimulator,
     PoissonArrivals,
@@ -20,7 +20,6 @@ from repro.serving import (
     build_trace,
 )
 from repro.serving import queue
-from repro.serving.queue import ChipCosts
 
 N_REQUESTS = 40
 #: Output lengths whose decode crosses several 32-token context buckets.
@@ -83,10 +82,11 @@ class TestFleetPrecompute:
         )
         fleet.precompute_service_times(trace)
         for chip in fleet.chips:
+            memo = chip.cost_model
             for r in trace:
-                assert (r.request.images, r.request.prompt_text_tokens) in chip.costs.shapes
+                assert (r.request.images, r.request.prompt_text_tokens) in memo.shapes
                 for bucket in decode_buckets(model, r.request):
-                    assert chip.cost_model.has_bucket_cost(bucket), bucket
+                    assert bucket in memo._stream_cost, bucket
 
     @pytest.mark.parametrize(
         "name, system",
@@ -108,24 +108,22 @@ class TestFleetPrecompute:
             simulator=PerformanceSimulator(system),
         )
         fleet.precompute_service_times(trace)
-        seeded = fleet.chips[0]
+        seeded = fleet.chips[0].cost_model
         lazy = ContinuousBatchingSimulator(
             PerformanceSimulator(system),
             model=model,
-            max_batch_size=seeded.max_batch_size,
-            cc_bandwidth_fraction=seeded.cc_bandwidth_fraction,
-        )
-        cc_latencies = seeded.costs.cc_latencies()
-        bucket_costs = seeded.cost_model.bucket_costs()
+            max_batch_size=fleet.chips[0].max_batch_size,
+            cc_bandwidth_fraction=fleet.chips[0].cc_bandwidth_fraction,
+        ).cost_model
         for request in trace:
             shape = (request.request.images, request.request.prompt_text_tokens)
-            assert cc_latencies[shape] == lazy.cc_latency_s(request.request)
+            # Read the seeded entries directly: a missing one raises.
+            assert seeded.shapes[shape] == lazy.shape(*shape)
             for bucket in decode_buckets(model, request.request):
-                assert bucket_costs[bucket] == lazy.cost_model._cost(bucket), bucket
+                assert seeded._stream_cost[bucket] == lazy.stream_cost(bucket), bucket
             context = model.prompt_tokens(request.request)
-            assert seeded.cost_model.step_latency_s([context]) == (
-                lazy.cost_model.step_latency_s([context])
-            )
+            assert seeded.step_latency_s([context]) == lazy.step_latency_s([context])
+        assert seeded._weight_bytes == lazy._weight_bytes
 
     @pytest.mark.parametrize("policy", ["round_robin", "least_loaded"])
     def test_a_run_prices_nothing_through_the_scalar_path(
@@ -138,7 +136,7 @@ class TestFleetPrecompute:
             raise AssertionError("priced through the scalar path")
 
         monkeypatch.setattr(queue, "cc_stage_latency", scalar)
-        monkeypatch.setattr(BatchDecodeCostModel, "_cost", scalar)
+        monkeypatch.setattr(ChipCosts, "_cost", scalar)
         fleet = FleetSimulator(get_mllm("sphinx-tiny"), n_chips=2, policy=policy)
         result = fleet.run(make_trace(outputs=LONG_OUTPUTS))
         assert len(result.records) == N_REQUESTS
@@ -192,7 +190,7 @@ class TestHeapDispatch:
         for index in order:
             request = trace[index]
             chip_id = min(range(reference_fleet.n_chips), key=lambda i: horizon[i])
-            cost = reference_fleet.chips[chip_id].costs.dispatch_terms(
+            cost = reference_fleet.chips[chip_id].cost_model.dispatch_terms(
                 request.request
             )[0]
             horizon[chip_id] = max(horizon[chip_id], request.arrival_s) + cost
@@ -200,20 +198,22 @@ class TestHeapDispatch:
         assert assignments == expected
 
 
+def _memo(model):
+    return ChipCosts(
+        PerformanceSimulator(), model, cc_bandwidth_fraction=0.5, context_bucket=32
+    )
+
+
 class TestStepLatency:
     def test_fresh_model_returns_identical_float(self):
         model = get_mllm("sphinx-tiny")
-        cost = BatchDecodeCostModel(PerformanceSimulator(), model)
+        cost = _memo(model)
         contexts = [64, 100, 500, 64]
         first = cost.step_latency_s(contexts)
         assert cost.step_latency_s(contexts) == first
-        fresh = BatchDecodeCostModel(PerformanceSimulator(), model)
-        assert fresh.step_latency_s(contexts) == first
+        assert _memo(model).step_latency_s(contexts) == first
 
     def test_contexts_in_the_same_buckets_share_a_latency(self):
-        model = get_mllm("sphinx-tiny")
-        cost = BatchDecodeCostModel(
-            PerformanceSimulator(), model, context_bucket=32
-        )
+        cost = _memo(get_mllm("sphinx-tiny"))
         # 65, 66, 70 and 95 all quantize to the 96-token bucket.
         assert cost.step_latency_s([65, 70]) == cost.step_latency_s([66, 95])

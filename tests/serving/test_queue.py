@@ -11,7 +11,7 @@ from repro.core.simulator import PerformanceSimulator
 from repro.models.mllm import InferenceRequest, get_mllm
 from repro.planner.space import ChipDesign
 from repro.serving import (
-    BatchDecodeCostModel,
+    ChipCosts,
     ContinuousBatchingSimulator,
     PoissonArrivals,
     RequestSampler,
@@ -87,9 +87,19 @@ class TestQueueInvariants:
         assert result.decode_steps >= total_tokens / 8
 
 
-class TestBatchDecodeCostModel:
+def decode_costs(model, simulator=None):
+    """A memo at the default serving knobs, on a simulator of its own."""
+    return ChipCosts(
+        simulator or PerformanceSimulator(),
+        model,
+        cc_bandwidth_fraction=0.5,
+        context_bucket=32,
+    )
+
+
+class TestDecodeCosts:
     def test_batch_step_cheaper_than_independent_streams(self, model):
-        cost = BatchDecodeCostModel(PerformanceSimulator(), model)
+        cost = decode_costs(model)
         single = cost.step_latency_s([512])
         batch = cost.step_latency_s([512] * 8)
         # Weight re-use: an 8-stream step is far cheaper than 8 single steps.
@@ -97,16 +107,27 @@ class TestBatchDecodeCostModel:
         assert batch >= single
 
     def test_longer_context_is_slower(self, model):
-        cost = BatchDecodeCostModel(PerformanceSimulator(), model)
+        cost = decode_costs(model)
         assert cost.step_latency_s([2048]) > cost.step_latency_s([64])
 
     def test_bucket_quantization_reuses_entries(self, model):
-        cost = BatchDecodeCostModel(
-            PerformanceSimulator(), model, context_bucket=32
-        )
+        cost = decode_costs(model)
         cost.step_latency_s([65, 70, 95])
         # 65, 70 and 95 all quantize to the 96-token bucket.
-        assert len(cost.bucket_costs()) == 1
+        assert cost._stream_cost.keys() == {96}
+
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            ({"cc_bandwidth_fraction": 0.0}, "cc_bandwidth_fraction"),
+            ({"cc_bandwidth_fraction": 1.0}, "cc_bandwidth_fraction"),
+            ({"context_bucket": 0}, "context_bucket"),
+        ],
+    )
+    def test_refuses_bad_knobs(self, model, knobs, message):
+        kwargs = {"cc_bandwidth_fraction": 0.5, "context_bucket": 32, **knobs}
+        with pytest.raises(ValueError, match=message):
+            ChipCosts(PerformanceSimulator(), model, **kwargs)
 
 
 #: A pruned, compute-bound design: every bucket's compute cycles carry a
@@ -129,12 +150,12 @@ class TestOrderFreeStepCost:
     @settings(max_examples=8, deadline=None)
     def test_every_permutation_returns_the_exact_sum(self, model, buckets):
         simulator = PerformanceSimulator(PRUNED_SYSTEM)
-        cost = BatchDecodeCostModel(simulator, model, context_bucket=32)
+        cost = decode_costs(model, simulator)
         triples = [cost._cost(bucket) for bucket in buckets]
         memory = simulator.memory_cycles(
             triples[0][0] + sum(triple[1] for triple in triples),
             cost.pool,
-            cost.mc_bandwidth_fraction,
+            1.0 - cost.cc_bandwidth_fraction,
         )
         compute = math.fsum(triple[2] for triple in triples)
         assert compute > memory  # the design is compute-bound here
@@ -144,27 +165,23 @@ class TestOrderFreeStepCost:
 
 
 class TestStepCostError:
-    def _cost(self, model):
-        return BatchDecodeCostModel(PerformanceSimulator(), model)
-
     @pytest.mark.parametrize(
         "compute", [math.nan, math.inf, -1.0, 2.0 ** -(COMPUTE_SCALE_BITS + 1)]
     )
     def test_unrepresentable_compute_raises(self, model, compute):
         with pytest.raises(StepCostError, match="bucket 64: compute_cycles"):
-            self._cost(model).seed_bucket_costs({64: (1000, 10, compute)})
+            decode_costs(model).seed({}, {64: (1000, 10, compute)})
 
     def test_compute_at_the_scale_resolution_is_accepted(self, model):
-        cost = self._cost(model)
-        triple = (1000, 10, 2.0 ** -COMPUTE_SCALE_BITS)
-        cost.seed_bucket_costs({64: triple})
-        assert cost.bucket_costs() == {64: triple}
+        cost = decode_costs(model)
+        cost.seed({}, {64: (1000, 10, 2.0 ** -COMPUTE_SCALE_BITS)})
+        assert (cost._weight_bytes, cost.stream_cost(64)) == (1000, (10, 1))
 
     def test_unequal_weight_bytes_raise(self, model):
-        cost = self._cost(model)
-        cost.seed_bucket_costs({32: (1000, 10, 5.0)})
+        cost = decode_costs(model)
+        cost.seed({}, {32: (1000, 10, 5.0)})
         with pytest.raises(StepCostError, match="bucket 64: weight_bytes"):
-            cost.seed_bucket_costs({64: (1001, 20, 5.0)})
+            cost.seed({}, {64: (1001, 20, 5.0)})
 
 
 class TestCCLatencyError:
@@ -176,8 +193,8 @@ class TestCCLatencyError:
     def test_seeding_refuses(self, model, latency):
         chip = ContinuousBatchingSimulator(model=model)
         with pytest.raises(CCLatencyError, match=r"shape \(1, 32\)"):
-            chip.costs.seed_cc_latencies({(1, 32): latency})
-        assert (1, 32) not in chip.costs.shapes
+            chip.cost_model.seed({(1, 32): latency}, {})
+        assert (1, 32) not in chip.cost_model.shapes
 
     @pytest.mark.parametrize("latency", REFUSED)
     def test_lazy_pricing_refuses(self, model, latency, monkeypatch):
@@ -190,7 +207,7 @@ class TestCCLatencyError:
 
     def test_smallest_positive_latency_is_accepted(self, model):
         chip = ContinuousBatchingSimulator(model=model)
-        chip.costs.seed_cc_latencies({(1, 32): 5e-324})
+        chip.cost_model.seed({(1, 32): 5e-324}, {})
         request = InferenceRequest(images=1, prompt_text_tokens=32)
         assert chip.cc_latency_s(request) == 5e-324
 

@@ -61,31 +61,24 @@ PRUNED = ChipDesign(
     n_groups=1, cc_per_group=1, mc_per_group=1, dram_gbps=204.8, keep_fraction=0.4
 )
 
-#: Shared cost-cache donors, one per chip design: every chip of a design
-#: prices the same model on the same system, and the CC-latency and
-#: bucket-cost memos are independent of batch size and bucket width, so
-#: chips seed from (and harvest back into) their design's pool.  Seeding
-#: moves work, never values, so both engines of a comparison get
-#: identical caches.
-_DONORS = {design: {"cc": {}, "buckets": {}} for design in (None, PRUNED)}
+#: One simulator per chip design: every chip of a design prices the same
+#: model on the same system, so chips of one bucket width read (and
+#: fill) one shared serving-cost memo.  Sharing moves work, never
+#: values, so both engines of a comparison read identical costs.
+_SIMULATORS = {
+    design: PerformanceSimulator(None if design is None else design.system())
+    for design in (None, PRUNED)
+}
 
 
 def _chip(engine, *, max_batch_size=8, context_bucket=32, design=None):
-    chip = ContinuousBatchingSimulator(
-        None if design is None else PerformanceSimulator(design.system()),
+    return ContinuousBatchingSimulator(
+        _SIMULATORS[design],
         model=MODEL,
         max_batch_size=max_batch_size,
         context_bucket=context_bucket,
         engine=engine,
     )
-    chip.costs.seed_cc_latencies(_DONORS[design]["cc"])
-    chip.cost_model.seed_bucket_costs(_DONORS[design]["buckets"])
-    return chip
-
-
-def _harvest(chip, design=None):
-    _DONORS[design]["cc"].update(chip.costs.cc_latencies())
-    _DONORS[design]["buckets"].update(chip.cost_model.bucket_costs())
 
 
 def run_both(trace, *, max_batch_size=8, context_bucket=32, design=None):
@@ -99,7 +92,6 @@ def run_both(trace, *, max_batch_size=8, context_bucket=32, design=None):
             design=design,
         )
         results.append(chip.run(trace))
-        _harvest(chip, design)
     return results
 
 
@@ -326,7 +318,6 @@ class TestDeterministicEdges:
         trace = make_trace(40, seed=7, rate=10.0)
         chip = _chip(engine)
         result = chip.run(trace)
-        _harvest(chip)
         requests = {item.request_id: item.request for item in trace}
         assert all(r.request is requests[r.request_id] for r in result.records)
 
@@ -486,7 +477,6 @@ class TestPrefillWindows:
         trace = make()
         chip = _chip("step")
         result = chip.run(trace)
-        _harvest(chip)
         pending = sorted(trace, key=lambda r: (r.arrival_s, r.request_id))
         starts, ends = prefill_windows(
             [item.arrival_s for item in pending],
