@@ -992,13 +992,6 @@ class ServiceTimeBoundsPricer:
         """Number of unique request shapes the pricer was compiled for."""
         return len(self.shapes)
 
-    def shape_column(self, shape: InferenceRequest) -> int:
-        """The bound-array column of ``shape`` (must have been compiled)."""
-        try:
-            return self._shape_column[shape]
-        except KeyError:
-            raise KeyError(f"shape {shape!r} was not compiled by this pricer")
-
     def trace_columns(self, trace: Sequence) -> np.ndarray:
         """Bound-array columns of a serving trace, one per request.
 

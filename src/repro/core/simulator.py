@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Tuple
 
 from .. import costs
-from ..arch.area_power import AreaPowerModel, TechnologyConfig
+from ..arch.area_power import AreaPowerModel
 from ..arch.chip import Chip, ChipConfig
 from ..models.mllm import InferenceRequest, MLLMConfig
 from ..models.ops import Op, OpKind, Phase, Workload
@@ -219,11 +219,9 @@ class PerformanceSimulator:
         self,
         system: Optional[SystemConfig] = None,
         *,
-        technology: Optional[TechnologyConfig] = None,
         enable_cache: bool = True,
     ) -> None:
         self.system = system or default_system()
-        self._technology_config = technology
         self._refresh_cost_params()
         self.enable_cache = enable_cache
         self._op_cache: Dict[tuple, Tuple[float, float, int]] = {}
@@ -246,7 +244,7 @@ class PerformanceSimulator:
         gets a coherent simulator, never a mix of old and new configs.
         """
         self.chip = Chip(self.system.chip)
-        self.area_power = AreaPowerModel(self.system.chip, self._technology_config)
+        self.area_power = AreaPowerModel(self.system.chip)
         self._technology = self.area_power.technology
         self._pool_params = {
             pool: PoolCostParams.from_chip_config(self.system.chip, pool)

@@ -16,7 +16,6 @@ scenario and the same config produce byte-identical reports.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -300,7 +299,3 @@ class PlannerConfig(Spec):
                 )
             )
         return tuple(options)
-
-    def config_hash(self) -> str:
-        """SHA-256 of the canonical JSON — the config's stable identity."""
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()

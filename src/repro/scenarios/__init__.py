@@ -8,6 +8,10 @@ compiles it to a trace, plays it through the serving layer, prices the
 offered load through the array-native batch engine and emits a
 :class:`~repro.scenarios.report.ScenarioReport` whose canonical JSON form
 is regression-locked by the golden-report suite.
+:func:`~repro.scenarios.runner.run_scenario_live` plays the same spec
+through the live actor runtime, byte-identically, and can pause it into
+a self-contained checkpoint that
+:func:`~repro.scenarios.runner.resume_scenario` finishes.
 
 Run the catalogue from the command line::
 
@@ -46,7 +50,14 @@ from .report import (
     slo_verdicts,
     tenant_summaries,
 )
-from .runner import autoscaler_config, build_fleet, price_offered_load, run_scenario
+from .runner import (
+    autoscaler_config,
+    build_fleet,
+    price_offered_load,
+    resume_scenario,
+    run_scenario,
+    run_scenario_live,
+)
 from .spec import (
     ArrivalSpec,
     AutoscalerSpec,
@@ -92,7 +103,9 @@ __all__ = [
     "get_scenario",
     "price_offered_load",
     "register_scenario",
+    "resume_scenario",
     "run_scenario",
+    "run_scenario_live",
     "slo_checks",
     "slo_verdicts",
     "tenant_summaries",

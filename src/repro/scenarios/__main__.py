@@ -16,13 +16,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
 from ..serving.fleet import RUNTIMES
+from ..serving.runtime import SupervisionConfig
+from .compile import compile_chaos_schedule
 from .registry import available_scenarios, get_scenario
 from .report import format_scenario_report
-from .runner import run_scenario
+from .runner import run_scenario, run_scenario_live
+from .spec import ChaosSpec
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,13 +94,6 @@ def _run(
 
 
 def _run_chaos(spec, chaos_seed, max_retries):
-    from dataclasses import replace
-
-    from ..serving.runtime.service import run_scenario_live
-    from ..serving.runtime.supervision import SupervisionConfig
-    from .compile import compile_chaos_schedule
-    from .spec import ChaosSpec
-
     if spec.chaos is None:
         # A bare --chaos-seed gets the default plan (one chip crash).
         spec = replace(spec, chaos=ChaosSpec())

@@ -1,17 +1,22 @@
 """Scenario execution: spec → trace → fleet simulation → report.
 
-:func:`run_scenario` is the one entry point: it compiles the spec
+:func:`run_scenario` is the entry point: it compiles the spec
 (:mod:`repro.scenarios.compile`), builds the
 :class:`~repro.serving.fleet.FleetSimulator` it describes — static, or
 SLO-aware autoscaled when the spec carries an
-:class:`~repro.scenarios.spec.AutoscalerSpec` — plays the trace, prices the offered load through the array-native batch engine and
-folds everything into a :class:`~repro.scenarios.report.ScenarioReport`.
+:class:`~repro.scenarios.spec.AutoscalerSpec` — plays the trace, prices
+the offered load through the array-native batch engine and folds
+everything into a :class:`~repro.scenarios.report.ScenarioReport`.
+:func:`run_scenario_live` is its live-runtime twin, which can also
+pause a run into a self-contained checkpoint and finish it;
+:func:`resume_scenario` finishes such a checkpoint from the spec it
+embeds.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
-from typing import Optional
+from dataclasses import asdict, replace
+from typing import Optional, Union
 
 from ..core.batch import batch_price_request_mix
 from ..core.config import default_system
@@ -19,6 +24,13 @@ from ..models.mllm import get_mllm
 from ..serving.autoscale import AutoscalerConfig
 from ..serving.faults import fault_recovery
 from ..serving.fleet import FleetResult, FleetSimulator
+from ..serving.runtime import (
+    DEFAULT_HANG_UNIT_S,
+    ChaosSchedule,
+    Checkpoint,
+    SupervisionConfig,
+    run_live,
+)
 from .compile import CompiledScenario, compile_scenario
 from .report import (
     AutoscaleSummary,
@@ -120,11 +132,10 @@ def run_scenario(spec: ScenarioSpec, *, runtime: str = "batch") -> ScenarioRepor
     ``runtime`` selects the execution plane (see
     :data:`repro.serving.fleet.RUNTIMES`): ``"live"`` streams the
     compiled trace through the asyncio actor runtime
-    (:func:`repro.serving.runtime.service.run_scenario_live`) and
-    produces the byte-identical report.  Specs carrying a ``faults``
-    block replay their fault schedule and their reports grow a
-    ``faults`` summary with per-disruption recovery metrics; specs
-    declaring tenants grow a per-tenant attainment block.
+    (:func:`run_scenario_live`) and produces the byte-identical report.
+    Specs carrying a ``faults`` block replay their fault schedule and
+    their reports grow a ``faults`` summary with per-disruption recovery
+    metrics; specs declaring tenants grow a per-tenant attainment block.
 
     A spec's ``chaos`` block is a plan for the live plane only: there it
     injects the spec's compiled chaos schedule, and the report is
@@ -134,8 +145,6 @@ def run_scenario(spec: ScenarioSpec, *, runtime: str = "batch") -> ScenarioRepor
     what is computed.
     """
     if runtime == "live":
-        from ..serving.runtime.service import run_scenario_live
-
         return run_scenario_live(spec)
     compiled = compile_scenario(spec)
     fleet = build_fleet(spec)
@@ -145,6 +154,92 @@ def run_scenario(spec: ScenarioSpec, *, runtime: str = "batch") -> ScenarioRepor
         **scenario_run_kwargs(compiled, fleet),
     )
     return scenario_report(spec, compiled, result)
+
+
+def run_scenario_live(
+    spec: ScenarioSpec,
+    *,
+    checkpoint: Optional[Checkpoint] = None,
+    pace: Optional[float] = None,
+    pause_after: Optional[int] = None,
+    chaos: Optional[ChaosSchedule] = None,
+    supervision: Optional[SupervisionConfig] = None,
+    hang_unit_s: float = DEFAULT_HANG_UNIT_S,
+) -> Union[ScenarioReport, Checkpoint]:
+    """Run one scenario spec through the live runtime, or finish a paused run.
+
+    The live twin of :func:`run_scenario`: same compilation, same fleet,
+    same report — byte-identical including the golden JSON, modulo the
+    conditional ``incidents`` block that records the recovery timeline
+    when anything went wrong.  ``chaos`` defaults to the spec's own
+    compiled :class:`~repro.serving.runtime.chaos.ChaosSchedule` when
+    the spec carries a ``chaos`` block (seeded from the spec hash), and
+    the default ``supervision`` seed likewise derives from the spec
+    hash, so retry backoff schedules are part of the scenario's
+    identity.  With ``pause_after`` the returned :class:`Checkpoint`
+    embeds the spec, so :func:`resume_scenario` needs nothing else to
+    finish the run; given a ``checkpoint`` of this spec, the run resumes
+    from its cursor.  ``pace``, ``hang_unit_s`` and the checkpoint
+    checks act as in :func:`~repro.serving.runtime.service.run_live`.
+    """
+    compiled = compile_scenario(spec)
+    fleet = build_fleet(spec)
+    if chaos is None:
+        chaos = compiled.chaos
+    if supervision is None:
+        max_retries = (
+            spec.chaos.max_retries
+            if spec.chaos is not None
+            else SupervisionConfig.max_retries
+        )
+        supervision = SupervisionConfig(
+            seed=spec.derive_seed("supervision"), max_retries=max_retries
+        )
+    outcome = run_live(
+        fleet,
+        list(compiled.trace),
+        checkpoint=checkpoint,
+        chaos=chaos,
+        supervision=supervision,
+        pace=pace,
+        pause_after=pause_after,
+        hang_unit_s=hang_unit_s,
+        **scenario_run_kwargs(compiled, fleet),
+    )
+    if isinstance(outcome, Checkpoint):
+        return replace(outcome, scenario=spec.to_dict())
+    return scenario_report(
+        spec, compiled, outcome.result, incidents=outcome.incidents
+    )
+
+
+def resume_scenario(
+    checkpoint: Checkpoint,
+    *,
+    pause_after: Optional[int] = None,
+) -> Union[ScenarioReport, Checkpoint]:
+    """Finish (or re-pause) the scenario run ``checkpoint`` froze.
+
+    Rebuilds the spec from the checkpoint's embedded ``scenario`` data
+    and resumes it through :func:`run_scenario_live`, which recompiles
+    the trace (deterministic: the spec hash seeds every stream) and runs
+    it under the spec's own chaos schedule and supervision; returns the
+    final :class:`~repro.scenarios.report.ScenarioReport`,
+    byte-identical to the uninterrupted run's (modulo the ``incidents``
+    block), or, given ``pause_after`` (an absolute arrival cursor past
+    the checkpoint's), a re-paused checkpoint.
+    """
+    if checkpoint.scenario is None:
+        raise ValueError(
+            "checkpoint embeds no scenario spec; resume it with "
+            "run_live(fleet, trace, checkpoint=...) against the original "
+            "fleet and trace"
+        )
+    return run_scenario_live(
+        ScenarioSpec.from_dict(checkpoint.scenario),
+        checkpoint=checkpoint,
+        pause_after=pause_after,
+    )
 
 
 def scenario_report(
@@ -222,7 +317,9 @@ __all__ = [
     "autoscaler_config",
     "build_fleet",
     "price_offered_load",
+    "resume_scenario",
     "run_scenario",
+    "run_scenario_live",
     "scenario_report",
     "scenario_run_kwargs",
     "format_scenario_report",

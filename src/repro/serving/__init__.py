@@ -54,7 +54,7 @@ from .queue import (
     ServingResult,
     build_trace,
 )
-from .runtime import Checkpoint, resume_live, run_live
+from .runtime import Checkpoint, run_live
 
 __all__ = [
     "BurstyArrivals",
@@ -90,6 +90,5 @@ __all__ = [
     "run_wave",
     "RUNTIMES",
     "Checkpoint",
-    "resume_live",
     "run_live",
 ]

@@ -328,15 +328,17 @@ class ChipCosts:
     # ------------------------------------------------------------------
     # Filling the memo in bulk
     # ------------------------------------------------------------------
-    def lacks(self, trace: Sequence[ServingRequest]) -> bool:
-        """Whether some request of ``trace`` needs a cost the memo lacks.
+    def lacks(self, trace: Sequence[ServingRequest]) -> List[InferenceRequest]:
+        """The probes :meth:`cover` must price for ``trace``; ``[]`` if none.
 
-        A CC shape without a latency or a reachable decode bucket
-        (:func:`~repro.core.batch.reachable_buckets`) without a stream
-        pair: the keys a :class:`~repro.core.batch.ServiceTimeBoundsPricer`
-        over the trace seeds.  A CC shape's buckets run contiguously from
-        its prompt's, so its longest output reaches all of them, and a
-        shape checked once for an output length is not checked again.
+        Folds ``trace`` to each CC shape's longest output.  A CC shape's
+        decode buckets (:func:`~repro.core.batch.reachable_buckets`) run
+        contiguously from its prompt's, so one request per shape at that
+        output reaches every CC shape and decode bucket the whole trace
+        does.  When some shape lacks its latency or a reachable bucket's
+        stream pair, returns one such probe per shape, in order of first
+        appearance; a shape checked once for an output length is not
+        checked again.
         """
         longest: Dict[Tuple[int, int], int] = {}
         for item in trace:
@@ -354,9 +356,16 @@ class ChipCosts:
             if entry is None or not all(
                 map(has_pair, reachable_buckets(entry[1], output_tokens, width))
             ):
-                return True
+                return [
+                    InferenceRequest(
+                        images=images,
+                        prompt_text_tokens=prompt_text_tokens,
+                        output_tokens=output_tokens,
+                    )
+                    for (images, prompt_text_tokens), output_tokens in longest.items()
+                ]
             covered[shape] = output_tokens
-        return False
+        return []
 
     def seed(
         self,
@@ -378,16 +387,17 @@ class ChipCosts:
 
         When :meth:`lacks` finds a gap, one
         :meth:`~repro.core.batch.ServiceTimeBoundsPricer.seeds` call on
-        the memo's own system prices the trace's CC shapes and reachable
-        decode buckets and :meth:`seed` installs them, so no run of the
-        trace prices a cost through the scalar simulator; a memo that
-        holds every cost builds no pricer.
+        the memo's own system prices its probes — the trace's CC shapes
+        and reachable decode buckets — and :meth:`seed` installs them, so
+        no run of the trace prices a cost through the scalar simulator; a
+        memo that holds every cost builds no pricer.
         """
-        if not self.lacks(trace):
+        probes = self.lacks(trace)
+        if not probes:
             return
         pricer = ServiceTimeBoundsPricer(
             self.model,
-            [item.request for item in trace],
+            probes,
             cc_bandwidth_fraction=self.cc_bandwidth_fraction,
             context_bucket=self.context_bucket,
         )

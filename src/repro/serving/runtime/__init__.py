@@ -20,9 +20,12 @@ incident timeline); :mod:`~repro.serving.runtime.checkpoint` the JSON
 pause/resume format (a cursor and the run's pins; a resume replays);
 :mod:`~repro.serving.runtime.chaos` the
 supervisor's adversary (seeded runtime-fault schedules injected at the
-mailbox boundary); and :mod:`~repro.serving.runtime.service` the
-synchronous entry points (:func:`run_live`, :func:`resume_live` and
-the scenario couplings).
+mailbox boundary); and :mod:`~repro.serving.runtime.service` the one
+synchronous entry point, :func:`run_live`, which also resumes a paused
+run given its checkpoint.  The scenario layer's live entries,
+:func:`~repro.scenarios.runner.run_scenario_live` and
+:func:`~repro.scenarios.runner.resume_scenario`, live beside
+:func:`~repro.scenarios.runner.run_scenario`.
 """
 
 from .actors import (
@@ -68,10 +71,7 @@ from .service import (
     SupervisedRun,
     TraceIngestError,
     requests_from_lines,
-    resume_live,
-    resume_scenario,
     run_live,
-    run_scenario_live,
 )
 from .supervision import (
     INCIDENT_KINDS,
@@ -120,9 +120,6 @@ __all__ = [
     "generate_chaos_schedule",
     "hang_actor",
     "requests_from_lines",
-    "resume_live",
-    "resume_scenario",
     "run_live",
-    "run_scenario_live",
     "trace_digest",
 ]

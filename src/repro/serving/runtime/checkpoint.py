@@ -5,12 +5,12 @@ records where the run paused — the ``cursor``, how many arrivals of the
 canonical ``(arrival_s, request_id)`` order the controller has consumed
 — and the configuration the run paused under, never the controller's
 state.  The era controllers are deterministic in canonical arrival
-order, so a resume builds a fresh controller and feeds it the first
-``cursor`` arrivals through ``on_arrival``
-(:func:`repro.serving.runtime.service.resume_live`); it then continues
-live from the cursor, byte-identically to an uninterrupted run (the
-hypothesis suite asserts this across process boundaries and hash
-seeds).  A file's size therefore does not grow with its cursor.
+order, so a resume (:func:`repro.serving.runtime.service.run_live`
+given the checkpoint) builds a fresh controller and feeds it the first
+``cursor`` arrivals through ``on_arrival``; it then continues live from
+the cursor, byte-identically to an uninterrupted run (the hypothesis
+suite asserts this across process boundaries and hash seeds).  A
+file's size therefore does not grow with its cursor.
 
 What a resume must match is pinned: the trace by its digest
 (:func:`trace_digest`), the controller by its ``kind``, and the fault
@@ -23,10 +23,10 @@ Checkpoints serialize to JSON: floats round-trip exactly through
 ``repr``, ints and strings trivially, so ``load(save(checkpoint))``
 is the identity.  A checkpoint taken through the scenarios path embeds
 the full scenario spec, making the file self-contained —
-:func:`repro.serving.runtime.service.resume_scenario` rebuilds the
-fleet and trace from the spec alone.  Version-2 files, whose
-``controller`` object held the whole controller state, still load: only
-its ``schedule``, ``policy`` and the length of its ``horizons`` are read.
+:func:`repro.scenarios.runner.resume_scenario` rebuilds the fleet and
+trace from the spec alone.  Version-2 files, whose ``controller``
+object held the whole controller state, still load: only its
+``schedule``, ``policy`` and the length of its ``horizons`` are read.
 """
 
 from __future__ import annotations
@@ -68,8 +68,9 @@ def trace_digest(trace: Sequence[ServingRequest]) -> str:
 
     Guards a resume against a different trace: a cursor only means
     something relative to the exact arrival sequence it counts, so
-    :func:`~repro.serving.runtime.service.resume_live` refuses a trace
-    whose digest mismatches the checkpoint's.
+    :func:`~repro.serving.runtime.service.run_live` refuses to resume
+    a checkpoint against a trace whose digest mismatches the
+    checkpoint's.
     """
     payload = json.dumps(
         [request_to_state(request) for request in trace],
@@ -286,10 +287,15 @@ class Checkpoint:
         """Read a checkpoint written by :meth:`save`.
 
         Raises :class:`CheckpointError` naming the file on any bad
-        content (see :meth:`from_json`).
+        content: text that is not UTF-8, or see :meth:`from_json`.
         """
         try:
             return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as error:
+            raise CheckpointError(
+                f"{path}: checkpoint is not UTF-8 text "
+                f"(truncated or corrupted?): {error}"
+            ) from None
         except CheckpointError as error:
             raise CheckpointError(f"{path}: {error}") from None
 

@@ -1,4 +1,4 @@
-"""Synchronous entry points of the live serving runtime.
+"""Synchronous entry point of the live serving runtime.
 
 :func:`run_live` plays a trace through the actor control plane —
 ingestion streaming arrivals, the supervisor driving the exact stepwise
@@ -11,24 +11,18 @@ timeline.  The supervisor self-heals: an optional
 :class:`~repro.serving.runtime.chaos.ChaosSchedule` of injected runtime
 faults changes the timeline, never the result.  ``pause_after`` turns
 the run into a :class:`~repro.serving.runtime.checkpoint.Checkpoint` at
-an arrival boundary; :func:`resume_live` picks such a checkpoint up —
-in the same process or a fresh one — and finishes the run
-byte-identically to an uninterrupted one: a checkpoint holds no
+an arrival boundary; a resume is the same call given that
+``checkpoint`` — in the same process or a fresh one — and finishes the
+run byte-identically to an uninterrupted one: a checkpoint holds no
 controller state, so a resume builds a fresh controller and replays the
-arrivals before its cursor.  Both share one run loop, which is also
-what survives *supervisor* crashes: each crash ends one asyncio
-session, and the next session replays up to the newest cursor of the
-supervisor's auto-checkpoint ring.  The loop hashes the trace
+arrivals before its cursor.  The same loop survives *supervisor*
+crashes: each crash ends one asyncio session, and the next session
+replays up to the newest cursor of the supervisor's auto-checkpoint
+ring.  The loop hashes the trace
 (:func:`~repro.serving.runtime.checkpoint.trace_digest`) only when it
 checks, writes or restores a checkpoint, so an undisturbed run never
-does.
-
-:func:`run_scenario_live` / :func:`resume_scenario` are the scenario
-couplings: checkpoints taken there embed the scenario spec, so a
-resume rebuilds fleet and trace from the spec alone (the spec-hash
--seeds-everything contract makes the recompiled trace exact).  Both run
-the scenario's fleet on the wave engine, as
-:func:`repro.scenarios.runner.run_scenario` does.
+does.  The scenario layer's live entry,
+:func:`repro.scenarios.runner.run_scenario_live`, builds on it.
 
 :func:`requests_from_lines` adapts the streaming ingestion format —
 JSON request lines (stdin, a socket), one
@@ -42,7 +36,7 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     Any,
     Deque,
@@ -161,7 +155,7 @@ def _restore(
     ``on_arrival`` rebuilds the state it paused in.  Another controller
     kind, fault schedule, fleet size or dispatch policy than the
     checkpoint pins raises :class:`CheckpointError` before any arrival
-    is replayed (:func:`_drive` has checked the cursor against the
+    is replayed (:func:`run_live` has checked the cursor against the
     trace).
     """
     if controller.kind != checkpoint.kind:
@@ -176,11 +170,11 @@ def _restore(
     return checkpoint.cursor
 
 
-def _drive(
+def run_live(
     fleet,
     trace: Sequence[ServingRequest],
-    checkpoint: Optional[Checkpoint],
     *,
+    checkpoint: Optional[Checkpoint] = None,
     faults=None,
     priorities: Optional[Sequence[float]] = None,
     chaos: Optional[ChaosSchedule] = None,
@@ -190,15 +184,48 @@ def _drive(
     pause_after: Optional[int] = None,
     hang_unit_s: float = DEFAULT_HANG_UNIT_S,
 ) -> Union[SupervisedRun, Checkpoint]:
-    """The one run loop behind :func:`run_live` and :func:`resume_live`.
+    """Play ``trace`` through the live actor runtime, or finish a paused run.
 
-    Each iteration is one supervisor session on a fresh controller,
-    brought to the cursor of ``checkpoint`` or, after a supervisor
-    crash, to the newest cursor of the auto-checkpoint ring, as a
-    :class:`Checkpoint` serialized and re-parsed (so every restart also
-    proves the checkpoint format round-trips) — up to ``max_sessions``
-    sessions.  The trace digest is computed at most once, and only to
-    check ``checkpoint``, to return a pause or to restart.
+    ``fleet`` is a :class:`~repro.serving.fleet.FleetSimulator`, static
+    or autoscaled; ``faults`` and ``priorities`` configure its controller
+    exactly as the batch ``run`` does, so the returned
+    :class:`SupervisedRun`'s ``result`` matches the batch result field
+    for field.  ``pace`` throttles ingestion against the wall clock
+    (``10.0`` = tenfold-accelerated simulated time; ``None`` = flat out,
+    in ``batch_size`` chunks); it never changes the result.
+    ``pause_after`` stops the stream after that many canonical-order
+    arrivals (an absolute cursor) and returns a :class:`Checkpoint`
+    instead; a paused run's checkpoint carries no incident timeline.
+
+    Given a ``checkpoint``, the run resumes from its cursor.  ``fleet``,
+    ``trace``, ``faults`` and ``priorities`` must then reconstruct the
+    paused run's configuration — the trace is verified against the
+    checkpoint's digest, the rebuilt controller's kind against its
+    ``kind``, and the fault schedule, fleet size and dispatch policy
+    against its pins; any mismatch, or a cursor outside the trace,
+    raises :class:`CheckpointError` before an arrival is replayed.  The
+    fresh controller replays the arrivals before the cursor and the tail
+    runs live, so the combined run is byte-identical to an uninterrupted
+    one (asserted by the hypothesis suite across process boundaries),
+    chaos or not.
+
+    The supervisor keeps heartbeats, job deadlines, retry/re-dispatch/
+    quarantine recovery and an auto-checkpoint ring of cursors, tuned by
+    ``supervision`` (see :mod:`repro.serving.runtime.supervision`);
+    ``chaos`` optionally injects a
+    :class:`~repro.serving.runtime.chaos.ChaosSchedule` of runtime faults
+    at the mailbox boundary, each hang lasting ``hang_unit_s`` per
+    shard.  Whatever chaos does, ``result`` is byte-identical; the
+    recovery story is the run's ``incidents``.
+
+    Each iteration of the run loop is one supervisor session on a fresh
+    controller, brought to the cursor of ``checkpoint`` or, after a
+    supervisor crash, to the newest cursor of the auto-checkpoint ring,
+    as a :class:`Checkpoint` serialized and re-parsed (so every restart
+    also proves the checkpoint format round-trips) — up to
+    ``max_sessions`` sessions.  The trace digest is computed at most
+    once, and only to check ``checkpoint``, to return a pause or to
+    restart.
     """
     trace = list(trace)
     if not trace:
@@ -300,208 +327,6 @@ def _drive(
     )
 
 
-def run_live(
-    fleet,
-    trace: Sequence[ServingRequest],
-    *,
-    faults=None,
-    priorities: Optional[Sequence[float]] = None,
-    chaos: Optional[ChaosSchedule] = None,
-    supervision: Optional[SupervisionConfig] = None,
-    pace: Optional[float] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    pause_after: Optional[int] = None,
-    hang_unit_s: float = DEFAULT_HANG_UNIT_S,
-) -> Union[SupervisedRun, Checkpoint]:
-    """Play ``trace`` through the live actor runtime.
-
-    ``fleet`` is a :class:`~repro.serving.fleet.FleetSimulator`, static
-    or autoscaled; ``faults`` and ``priorities`` configure its controller
-    exactly as the batch ``run`` does, so the returned
-    :class:`SupervisedRun`'s ``result`` matches the batch result field
-    for field.  ``pace`` throttles ingestion against the wall clock
-    (``10.0`` = tenfold-accelerated simulated time; ``None`` = flat out,
-    in ``batch_size`` chunks); it never changes the result.
-    ``pause_after`` stops the stream after that many canonical-order
-    arrivals and returns a :class:`Checkpoint` instead.
-
-    The supervisor keeps heartbeats, job deadlines, retry/re-dispatch/
-    quarantine recovery and an auto-checkpoint ring of cursors, tuned by
-    ``supervision`` (see :mod:`repro.serving.runtime.supervision`);
-    ``chaos`` optionally injects a
-    :class:`~repro.serving.runtime.chaos.ChaosSchedule` of runtime faults
-    at the mailbox boundary, each hang lasting ``hang_unit_s`` per
-    shard.  Whatever chaos does, ``result`` is byte-identical; the
-    recovery story is the run's ``incidents``.  A paused run's
-    checkpoint carries no incident timeline.
-    """
-    return _drive(
-        fleet,
-        trace,
-        None,
-        faults=faults,
-        priorities=priorities,
-        chaos=chaos,
-        supervision=supervision,
-        pace=pace,
-        batch_size=batch_size,
-        pause_after=pause_after,
-        hang_unit_s=hang_unit_s,
-    )
-
-
-def resume_live(
-    fleet,
-    trace: Sequence[ServingRequest],
-    checkpoint: Checkpoint,
-    *,
-    faults=None,
-    priorities: Optional[Sequence[float]] = None,
-    chaos: Optional[ChaosSchedule] = None,
-    supervision: Optional[SupervisionConfig] = None,
-    pace: Optional[float] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    pause_after: Optional[int] = None,
-    hang_unit_s: float = DEFAULT_HANG_UNIT_S,
-) -> Union[SupervisedRun, Checkpoint]:
-    """Resume a paused live run from ``checkpoint`` and finish it.
-
-    ``fleet``, ``trace``, ``faults`` and ``priorities`` must reconstruct
-    the original run's configuration — the trace is verified against the
-    checkpoint's digest, the rebuilt controller's kind against its
-    ``kind``, and the fault schedule, fleet size and dispatch policy
-    against its pins; any mismatch, or a cursor outside the trace,
-    raises :class:`CheckpointError`.  The rebuilt controller replays the
-    arrivals before the cursor, and the tail runs through the same
-    supervisor, so the combined run is byte-identical to an
-    uninterrupted one (asserted by the hypothesis suite across process
-    boundaries), chaos or not.  ``pause_after`` (an absolute arrival
-    cursor past the checkpoint's) pauses again; the remaining options
-    act as in :func:`run_live`.
-    """
-    return _drive(
-        fleet,
-        trace,
-        checkpoint,
-        faults=faults,
-        priorities=priorities,
-        chaos=chaos,
-        supervision=supervision,
-        pace=pace,
-        batch_size=batch_size,
-        pause_after=pause_after,
-        hang_unit_s=hang_unit_s,
-    )
-
-
-def _play_scenario(
-    spec,
-    checkpoint: Optional[Checkpoint],
-    *,
-    chaos: Optional[ChaosSchedule] = None,
-    supervision: Optional[SupervisionConfig] = None,
-    **live_kwargs: Any,
-):
-    """Compile ``spec`` and run (or resume) it live; report or checkpoint."""
-    # Imported lazily: scenarios builds on the serving package.
-    from ...scenarios.compile import compile_scenario
-    from ...scenarios.runner import (
-        build_fleet,
-        scenario_report,
-        scenario_run_kwargs,
-    )
-
-    compiled = compile_scenario(spec)
-    fleet = build_fleet(spec)
-    if chaos is None:
-        chaos = compiled.chaos
-    if supervision is None:
-        max_retries = (
-            spec.chaos.max_retries
-            if spec.chaos is not None
-            else SupervisionConfig.max_retries
-        )
-        supervision = SupervisionConfig(
-            seed=spec.derive_seed("supervision"), max_retries=max_retries
-        )
-    outcome = _drive(
-        fleet,
-        list(compiled.trace),
-        checkpoint,
-        chaos=chaos,
-        supervision=supervision,
-        **live_kwargs,
-        **scenario_run_kwargs(compiled, fleet),
-    )
-    if isinstance(outcome, Checkpoint):
-        return replace(outcome, scenario=spec.to_dict())
-    return scenario_report(
-        spec, compiled, outcome.result, incidents=outcome.incidents
-    )
-
-
-def run_scenario_live(
-    spec,
-    *,
-    pace: Optional[float] = None,
-    pause_after: Optional[int] = None,
-    chaos: Optional[ChaosSchedule] = None,
-    supervision: Optional[SupervisionConfig] = None,
-    hang_unit_s: float = DEFAULT_HANG_UNIT_S,
-) -> Union[Any, Checkpoint]:
-    """Run one scenario spec through the live runtime.
-
-    The live twin of :func:`repro.scenarios.runner.run_scenario`: same
-    compilation, same fleet, same report — byte-identical including the
-    golden JSON, modulo the conditional ``incidents`` block that records
-    the recovery timeline when anything went wrong.  ``chaos`` defaults
-    to the spec's own compiled
-    :class:`~repro.serving.runtime.chaos.ChaosSchedule` when the spec
-    carries a ``chaos`` block (seeded from the spec hash), and the
-    default ``supervision`` seed likewise derives from the spec hash, so
-    retry backoff schedules are part of the scenario's identity.  With
-    ``pause_after`` the returned :class:`Checkpoint` embeds the spec,
-    so :func:`resume_scenario` needs nothing else to finish the run;
-    ``pace`` and ``hang_unit_s`` act as in :func:`run_live`.
-    """
-    return _play_scenario(
-        spec,
-        None,
-        chaos=chaos,
-        supervision=supervision,
-        pace=pace,
-        pause_after=pause_after,
-        hang_unit_s=hang_unit_s,
-    )
-
-
-def resume_scenario(
-    checkpoint: Checkpoint,
-    *,
-    pause_after: Optional[int] = None,
-) -> Union[Any, Checkpoint]:
-    """Resume a scenario checkpoint and finish (or re-pause) the run.
-
-    Rebuilds the spec from the checkpoint's embedded ``scenario`` data,
-    recompiles the trace (deterministic: the spec hash seeds every
-    stream) and resumes it live under the spec's own chaos schedule and
-    supervision, as :func:`run_scenario_live` runs it; returns the final
-    :class:`~repro.scenarios.report.ScenarioReport`, byte-identical to
-    the uninterrupted run's (modulo the ``incidents`` block), or a
-    re-paused checkpoint.
-    """
-    # Imported lazily: scenarios builds on the serving package.
-    from ...scenarios.spec import ScenarioSpec
-
-    if checkpoint.scenario is None:
-        raise ValueError(
-            "checkpoint embeds no scenario spec; resume it with "
-            "resume_live against the original fleet and trace"
-        )
-    spec = ScenarioSpec.from_dict(checkpoint.scenario)
-    return _play_scenario(spec, checkpoint, pause_after=pause_after)
-
-
 def requests_from_lines(lines: Iterable[str]) -> List[ServingRequest]:
     """Parse JSON request lines (stdin, a socket) into a trace.
 
@@ -549,8 +374,5 @@ __all__ = [
     "SupervisedRun",
     "TraceIngestError",
     "requests_from_lines",
-    "resume_live",
-    "resume_scenario",
     "run_live",
-    "run_scenario_live",
 ]

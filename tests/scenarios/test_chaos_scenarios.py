@@ -14,13 +14,13 @@ from dataclasses import replace
 
 import pytest
 
+from repro.scenarios import run_scenario_live
 from repro.scenarios.__main__ import main
 from repro.scenarios.compile import compile_chaos_schedule, compile_scenario
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.report import IncidentSummary, format_scenario_report
 from repro.scenarios.runner import scenario_report
 from repro.scenarios.spec import ChaosSpec, ScenarioSpec
-from repro.serving.runtime.service import run_scenario_live
 from repro.serving.runtime.supervision import ActorIncident, SupervisionConfig
 
 FAST = SupervisionConfig(

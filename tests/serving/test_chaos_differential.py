@@ -26,12 +26,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.scenarios import resume_scenario, run_scenario_live
 from repro.scenarios.registry import available_scenarios, get_scenario
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ChaosSpec
 from repro.serving.runtime.chaos import generate_chaos_schedule
 from repro.serving.runtime import Checkpoint
-from repro.serving.runtime.service import resume_scenario, run_scenario_live
 from repro.serving.runtime.supervision import SupervisionConfig
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -164,9 +164,9 @@ class TestSubprocessRingRestore:
         script = (
             "import sys\n"
             "from dataclasses import replace\n"
+            "from repro.scenarios import run_scenario_live\n"
             "from repro.scenarios.registry import get_scenario\n"
             "from repro.scenarios.spec import ChaosSpec\n"
-            "from repro.serving.runtime.service import run_scenario_live\n"
             "from repro.serving.runtime.supervision import SupervisionConfig\n"
             "spec = replace(get_scenario('chat-poisson'),\n"
             "               chaos=ChaosSpec(n_crashes=1, n_supervisor_crashes=1))\n"

@@ -9,7 +9,7 @@ another size — must surface as a single
 :class:`~repro.serving.runtime.checkpoint.CheckpointError` whose
 message names what was wrong, never a hang, a KeyError leak or a
 silently wrong resume.  ``Checkpoint.load`` additionally prefixes the
-offending path.  The ``engine`` key older builds wrote is no failure
+offending path, also for bytes that are not UTF-8 text.  The ``engine`` key older builds wrote is no failure
 mode: nothing reads it, whatever engine it names.
 """
 
@@ -20,7 +20,7 @@ import pytest
 
 from repro.models.mllm import InferenceRequest, get_mllm
 from repro.scenarios.registry import get_scenario
-from repro.scenarios import runner
+from repro.scenarios import resume_scenario, run_scenario_live, runner
 from repro.scenarios.runner import build_fleet, run_scenario
 from repro.serving import (
     AutoscalerConfig,
@@ -32,10 +32,7 @@ from repro.serving import (
 from repro.serving.runtime import (
     Checkpoint,
     CheckpointError,
-    resume_live,
-    resume_scenario,
     run_live,
-    run_scenario_live,
 )
 
 #: A version-1 checkpoint, written by the retired plain static
@@ -198,6 +195,24 @@ class TestParseMatrix:
             Checkpoint.load(path)
         assert str(path) in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "encode",
+        [
+            pytest.param(
+                lambda text: b"\xff\xfe\x00" + text.encode("utf-8"), id="stray-bytes"
+            ),
+            pytest.param(lambda text: text.encode("utf-16"), id="utf-16"),
+        ],
+    )
+    def test_load_names_the_file_for_non_utf8_bytes(
+        self, checkpoint, encode, tmp_path
+    ):
+        path = tmp_path / "bad.json"
+        path.write_bytes(encode(checkpoint.to_json()))
+        with pytest.raises(CheckpointError, match="not UTF-8 text") as excinfo:
+            Checkpoint.load(path)
+        assert str(excinfo.value).startswith(f"{path}: ")
+
     def test_errors_are_value_errors(self, checkpoint):
         # One catchable family: callers may keep catching ValueError.
         with pytest.raises(ValueError):
@@ -220,7 +235,9 @@ class TestRetiredVersion:
         trace = _version_1_trace()
         fleet = FleetSimulator(get_mllm("sphinx-tiny"), n_chips=2)
         with pytest.raises(CheckpointError, match="version 1"):
-            resume_live(fleet, trace, Checkpoint.from_dict(VERSION_1_CHECKPOINT))
+            run_live(
+                fleet, trace, checkpoint=Checkpoint.from_dict(VERSION_1_CHECKPOINT)
+            )
 
 
 class TestResumeGuards:
@@ -294,7 +311,7 @@ class TestResumeGuards:
             CheckpointError,
             match=f"'n_chips' holds 3 chips, but this fleet has {n_chips}",
         ):
-            resume_live(fleet(n_chips), trace, paused)
+            run_live(fleet(n_chips), trace, checkpoint=paused)
 
     @pytest.mark.parametrize(
         "paused_on, resumed_on",
@@ -310,7 +327,7 @@ class TestResumeGuards:
             match=f"'policy' is '{paused_on}', but this fleet dispatches "
             f"'{resumed_on}'",
         ):
-            resume_live(_static_fleet(3, resumed_on), trace, paused)
+            run_live(_static_fleet(3, resumed_on), trace, checkpoint=paused)
 
     def test_state_without_a_policy_still_resumes(self):
         # Pins without a policy (version-2 files written before it was
@@ -318,7 +335,9 @@ class TestResumeGuards:
         trace = _chip_count_trace()
         data = run_live(_static_fleet(3), trace, pause_after=30).to_dict()
         del data["controller"]["policy"]
-        resumed = resume_live(_static_fleet(3), trace, Checkpoint.from_dict(data))
+        resumed = run_live(
+            _static_fleet(3), trace, checkpoint=Checkpoint.from_dict(data)
+        )
         assert resumed.result == _static_fleet(3).run(trace)
 
     def test_round_trip_still_resumes(self, checkpoint, tmp_path):

@@ -28,6 +28,7 @@ import pytest
 
 from repro.models.mllm import get_mllm
 from repro.scenarios.registry import get_scenario
+from repro.scenarios import resume_scenario, run_scenario_live
 from repro.scenarios.runner import run_scenario
 from repro.serving import (
     AutoscalerConfig,
@@ -46,10 +47,7 @@ from repro.serving.runtime import (
     CHECKPOINT_VERSION,
     Checkpoint,
     CheckpointError,
-    resume_live,
-    resume_scenario,
     run_live,
-    run_scenario_live,
 )
 
 V2_DIR = Path(__file__).resolve().parents[1] / "golden" / "checkpoints" / "v2"
@@ -263,7 +261,12 @@ class TestGuardsRunBeforeReplay:
                 cls, "on_arrival", lambda self, *args: replayed.append(args)
             )
         with pytest.raises(CheckpointError, match=match):
-            resume_live(fleet(), trace, Checkpoint.from_dict(data), faults=faults)
+            run_live(
+                fleet(),
+                trace,
+                checkpoint=Checkpoint.from_dict(data),
+                faults=faults,
+            )
         assert replayed == []
 
     def test_resume_replays_exactly_the_cursor(self, monkeypatch):
@@ -278,7 +281,7 @@ class TestGuardsRunBeforeReplay:
             return original(self, index, request)
 
         monkeypatch.setattr(StaticController, "on_arrival", counting)
-        resumed = resume_live(fleet, trace, paused)
+        resumed = run_live(fleet, trace, checkpoint=paused)
         # The replayed prefix, then the live tail: each arrival once.
         assert calls == sorted_order(trace)
         monkeypatch.undo()

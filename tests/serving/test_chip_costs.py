@@ -9,6 +9,8 @@
   fleet prices no CC stage, no decode bucket and builds no bulk pricer;
   a repeat of the first fleet meets no new DRAM traffic sum; every
   fleet's records ``==`` a cold fleet's;
+* **cover** hands the bulk pricer one probe per CC shape, at its
+  longest output, and installs exactly the lazy path's costs;
 * **degraded eras** hold a memo of their own;
 * **planning** builds one bulk pricer per plan;
 * **one memo** — a chip holds its design's memo once, as ``cost_model``,
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 
 import repro.serving
 from repro import costs
-from repro.core.batch import ServiceTimeBoundsPricer
+from repro.core.batch import ServiceTimeBoundsPricer, reachable_buckets
 from repro.core.simulator import PerformanceSimulator
 from repro.models.mllm import InferenceRequest, get_mllm
 from repro.planner import PlannerConfig, plan_scenario
@@ -243,6 +245,48 @@ def test_later_fleets_on_one_simulator_price_nothing(kind, trace, monkeypatch):
     assert list(simulator.derived.values()) == [memo]
     assert first.records == repeat.records == _fleet(kind, 2).run(trace).records
     assert other.records == _fleet(kind, 3).run(trace).records
+
+
+def test_cover_prices_one_probe_per_cc_shape(monkeypatch):
+    # Repeated CC shapes whose longest output is not their first: the
+    # pricer sees one request per shape, at that shape's longest output.
+    outputs = {(0, 20): (4, 40, 4, 12), (1, 8): (30, 3, 70), (2, 16): (5, 5)}
+    requests = [
+        InferenceRequest(images=images, prompt_text_tokens=tokens, output_tokens=out)
+        for (images, tokens), outs in outputs.items()
+        for out in outs
+    ]
+    trace = build_trace([0.1 * i for i in range(len(requests))], requests)
+    handed = []
+    init = ServiceTimeBoundsPricer.__init__
+
+    def recorded(self, model, shapes, **kwargs):
+        handed.append(list(shapes))
+        init(self, model, shapes, **kwargs)
+
+    monkeypatch.setattr(ServiceTimeBoundsPricer, "__init__", recorded)
+    knobs = {"cc_bandwidth_fraction": 0.5, "context_bucket": 32}
+    covered = ChipCosts(PerformanceSimulator(), MODEL, **knobs)
+    covered.cover(trace)
+    probes = [
+        InferenceRequest(
+            images=images, prompt_text_tokens=tokens, output_tokens=max(outs)
+        )
+        for (images, tokens), outs in outputs.items()
+    ]
+    assert handed == [probes]
+
+    lazy = ChipCosts(PerformanceSimulator(), MODEL, **knobs)
+    for item in trace:
+        request = item.request
+        _, prompt = lazy.shape(request.images, request.prompt_text_tokens)
+        for bucket in reachable_buckets(prompt, request.output_tokens, 32):
+            lazy.stream_cost(bucket)
+    assert covered.shapes == lazy.shapes
+    assert covered._stream_cost == lazy._stream_cost
+    assert covered._weight_bytes == lazy._weight_bytes
+    covered.cover(trace)  # a covered trace builds no second pricer
+    assert len(handed) == 1
 
 
 def test_a_degraded_era_holds_its_own_memo(trace):

@@ -20,7 +20,7 @@ from repro.serving import (
     build_trace,
 )
 from repro.serving.faults import FaultEvent, FaultSchedule
-from repro.serving.runtime import resume_live, run_live
+from repro.serving.runtime import run_live
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +210,7 @@ class TestFaultAutoscaleBranches:
             fleet, trace, faults=schedule, pause_after=15
         )
         assert checkpoint.kind == "fault_autoscale"
-        resumed = resume_live(fleet, trace, checkpoint, faults=schedule)
+        resumed = run_live(fleet, trace, checkpoint=checkpoint, faults=schedule)
         assert resumed.result == batch
 
     def test_trailing_chip_up_drains_parked_arrivals(self, model):
@@ -299,7 +299,7 @@ class TestFaultFleetParkedCheckpoint:
             fleet, trace, faults=schedule, pause_after=15
         )
         assert checkpoint.kind == "fault_fleet"
-        resumed = resume_live(fleet, trace, checkpoint, faults=schedule)
+        resumed = run_live(fleet, trace, checkpoint=checkpoint, faults=schedule)
         assert resumed.result == batch
 
     def test_trailing_events_apply_after_the_last_arrival(self, model):

@@ -39,7 +39,7 @@ from repro.serving.faults import (
     FaultSchedule,
     fault_recovery,
 )
-from repro.serving.runtime import Checkpoint, resume_live, run_live
+from repro.serving.runtime import Checkpoint, run_live
 
 N_REQUESTS = 60
 #: A pruned, compute-bound design (non-integer compute cycles).
@@ -246,7 +246,7 @@ class TestDegradedChip:
         monkeypatch.setattr(queue, "cc_stage_latency", scalar_cc_stage)
         monkeypatch.setattr(ChipCosts, "_cost", scalar_bucket)
         assert fleet().run(list(trace), faults=schedule) == expected
-        resumed = resume_live(fleet(), list(trace), paused, faults=schedule)
+        resumed = run_live(fleet(), list(trace), checkpoint=paused, faults=schedule)
         assert resumed.result == expected
 
     def test_degraded_era_job_carries_its_replacement_sim(self, model, trace):

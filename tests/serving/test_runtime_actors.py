@@ -35,7 +35,6 @@ from repro.serving.runtime import (
     SupervisorActor,
     TraceIngestError,
     requests_from_lines,
-    resume_live,
     run_live,
 )
 from repro.serving.runtime.actors import Actor
@@ -303,7 +302,7 @@ class TestRuntimePlumbing:
                 run_live(fleet, trace, pause_after=pause_after)
         checkpoint = run_live(fleet, trace, pause_after=3)
         with pytest.raises(ValueError, match="pause_after"):
-            resume_live(fleet, trace, checkpoint, pause_after=3)
+            run_live(fleet, trace, checkpoint=checkpoint, pause_after=3)
 
     def test_live_run_never_formats_its_records(self, model, monkeypatch):
         # asyncio.run on Python 3.11/3.12 formats repr(main_task), result

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.models.mllm import get_mllm
 from repro.scenarios.registry import get_scenario
+from repro.scenarios import resume_scenario, run_scenario_live
 from repro.scenarios.runner import run_scenario
 from repro.serving import (
     AutoscalerConfig,
@@ -38,10 +39,7 @@ from repro.serving.faults import FaultEvent, FaultSchedule
 from repro.serving.runtime import (
     Checkpoint,
     CheckpointError,
-    resume_live,
-    resume_scenario,
     run_live,
-    run_scenario_live,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -120,8 +118,8 @@ class TestScenarioProperties:
             checkpoint.save(path)
             script = (
                 "import sys\n"
-                "from repro.serving.runtime import Checkpoint, "
-                "resume_scenario\n"
+                "from repro.scenarios import resume_scenario\n"
+                "from repro.serving.runtime import Checkpoint\n"
                 f"report = resume_scenario(Checkpoint.load({str(path)!r}))\n"
                 "sys.stdout.write(report.to_json())\n"
             )
@@ -186,7 +184,7 @@ class TestFleetLevelGuards:
         batch = fleet.run(trace)
         checkpoint = run_live(fleet, trace, pause_after=12)
         assert isinstance(checkpoint, Checkpoint)
-        assert resume_live(fleet, trace, checkpoint).result == batch
+        assert run_live(fleet, trace, checkpoint=checkpoint).result == batch
 
     def test_fault_fleet_pause_mid_era(self, model):
         trace = self._trace(9, n=40)
@@ -207,8 +205,8 @@ class TestFleetLevelGuards:
             checkpoint = run_live(
                 fleet, trace, faults=schedule, pause_after=k
             )
-            resumed = resume_live(
-                fleet, trace, checkpoint, faults=schedule
+            resumed = run_live(
+                fleet, trace, checkpoint=checkpoint, faults=schedule
             )
             assert resumed.result == batch, f"divergence at boundary {k}"
 
@@ -218,7 +216,7 @@ class TestFleetLevelGuards:
         checkpoint = run_live(fleet, trace, pause_after=5)
         other = self._trace(8)
         with pytest.raises(ValueError, match="different trace"):
-            resume_live(fleet, other, checkpoint)
+            run_live(fleet, other, checkpoint=checkpoint)
 
     def test_schedule_mismatch_rejected(self, model):
         trace = self._trace(7)
@@ -228,7 +226,7 @@ class TestFleetLevelGuards:
             events=(FaultEvent(time_s=1.0, kind="chip_down", chip_id=0),)
         )
         with pytest.raises(CheckpointError, match="'schedule'"):
-            resume_live(fleet, trace, checkpoint, faults=outage)
+            run_live(fleet, trace, checkpoint=checkpoint, faults=outage)
 
     def test_static_checkpoint_rejected_by_an_autoscaled_fleet(self, model):
         trace = self._trace(7)
@@ -239,11 +237,11 @@ class TestFleetLevelGuards:
             model, autoscaler=AutoscalerConfig(target_p99_ttft_s=1.0)
         )
         with pytest.raises(CheckpointError, match="controller"):
-            resume_live(autoscaled, trace, checkpoint)
+            run_live(autoscaled, trace, checkpoint=checkpoint)
 
-    def test_scenarioless_checkpoint_needs_resume_live(self, model):
+    def test_scenarioless_checkpoint_needs_run_live(self, model):
         trace = self._trace(7)
         fleet = FleetSimulator(model, n_chips=2)
         checkpoint = run_live(fleet, trace, pause_after=5)
-        with pytest.raises(ValueError, match="scenario"):
+        with pytest.raises(ValueError, match="no scenario spec.*run_live"):
             resume_scenario(checkpoint)

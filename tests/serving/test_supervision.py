@@ -28,11 +28,7 @@ from repro.serving import (
 )
 from repro.models.mllm import InferenceRequest
 from repro.serving.queue import ServingRequest
-from repro.serving.runtime import (
-    Checkpoint,
-    resume_live,
-    run_live,
-)
+from repro.serving.runtime import Checkpoint, run_live
 from repro.serving.runtime import service
 from repro.serving.runtime.actors import Actor
 from repro.serving.runtime.chaos import (
@@ -401,10 +397,10 @@ class TestPause:
         assert checkpoint.cursor == pause_after
         undisturbed = _run(fleet, trace, None, pause_after=pause_after)
         assert checkpoint == undisturbed
-        resumed = resume_live(
+        resumed = run_live(
             fleet,
             trace,
-            Checkpoint.from_json(checkpoint.to_json()),
+            checkpoint=Checkpoint.from_json(checkpoint.to_json()),
             supervision=FAST,
             batch_size=4,
         )
@@ -471,7 +467,9 @@ class TestTraceDigest:
         fleet = FleetSimulator(model, n_chips=2)
         paused = _run(fleet, trace, None, pause_after=8)
         digests.clear()
-        resumed = resume_live(fleet, trace, paused, supervision=FAST, batch_size=4)
+        resumed = run_live(
+            fleet, trace, checkpoint=paused, supervision=FAST, batch_size=4
+        )
         assert resumed.result == fleet.run(trace)
         assert digests == [12]
 

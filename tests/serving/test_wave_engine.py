@@ -36,6 +36,7 @@ from repro.planner.evaluate import (
 )
 from repro.planner.plan import plan_scenario
 from repro.planner.space import ChipDesign
+from repro.scenarios import resume_scenario, run_scenario_live
 from repro.scenarios.__main__ import _build_parser as scenarios_parser
 from repro.scenarios.runner import build_fleet, run_scenario
 from repro.serving import (
@@ -49,8 +50,7 @@ from repro.serving import (
     build_trace,
 )
 from repro.serving.engine import fold_run, prefill_windows
-from repro.serving.runtime import Checkpoint
-from repro.serving.runtime.service import run_scenario_live
+from repro.serving.runtime import Checkpoint, run_live
 
 MODEL = get_mllm("sphinx-tiny")
 
@@ -189,6 +189,8 @@ class TestEngineSelection:
         for entry in (
             run_scenario,
             run_scenario_live,
+            resume_scenario,
+            run_live,
             candidate_fleet,
             evaluate_candidate,
             candidate_survives_chip_loss,
