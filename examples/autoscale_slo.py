@@ -1,16 +1,19 @@
 """SLO-aware autoscaling: the same bursty trace, static vs autoscaled.
 
 A one-chip fleet drowns under a bursty trace and blows its p99-TTFT SLO;
-the same ``FleetSimulator`` given an ``AutoscalerConfig`` starts from
-that single chip, watches rolling TTFT percentiles, grows up to four
-chips during the bursts and holds the objective.
+the same ``FleetSimulator`` given an ``AutoscalerSpec`` whose
+``target_p99_ttft_s`` is that SLO starts from that single chip, watches
+rolling TTFT percentiles, grows up to four chips during the bursts and
+holds the objective.  (A scenario spec's ``fleet.autoscaler`` block is
+the same class, left without a target: ``build_fleet`` fills it in from
+the spec's ``slo.ttft_p99_s``.)
 
 Run with:  PYTHONPATH=src python examples/autoscale_slo.py
 """
 
 from repro.models.mllm import get_mllm
 from repro.serving import (
-    AutoscalerConfig,
+    AutoscalerSpec,
     BurstyArrivals,
     FleetSimulator,
     RequestSampler,
@@ -35,7 +38,7 @@ def main() -> None:
 
     fleet = FleetSimulator(
         model,
-        autoscaler=AutoscalerConfig(
+        autoscaler=AutoscalerSpec(
             target_p99_ttft_s=TARGET_P99_TTFT_S,
             min_chips=1,
             max_chips=4,

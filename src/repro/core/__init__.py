@@ -1,7 +1,6 @@
 """EdgeMM core: system configuration, performance simulator and driver."""
 
 from .config import (
-    PrecisionConfig,
     PruningRuntimeConfig,
     SystemConfig,
     default_system,
@@ -24,7 +23,6 @@ from .pipeline import PipelineModel, PipelinePoint
 from .edgemm import EdgeMM, PruningCalibration
 
 __all__ = [
-    "PrecisionConfig",
     "PruningRuntimeConfig",
     "SystemConfig",
     "default_system",

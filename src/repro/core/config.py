@@ -1,8 +1,9 @@
 """Top-level EdgeMM system configuration.
 
-Bundles the chip architecture parameters with the system-level knobs the
-evaluations sweep: numeric precision, the DRAM bandwidth split between CC-
-and MC-clusters, and the pruning/bandwidth-management features.
+Bundles the chip architecture parameters with the runtime pruning
+settings the evaluations sweep.  The DRAM bandwidth split between CC- and
+MC-clusters is not a system knob: the pipeline and serving models take it
+per call (``cc_bandwidth_fraction``).
 """
 
 from __future__ import annotations
@@ -11,32 +12,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..arch.chip import ChipConfig, GroupConfig, homo_cc_chip_config, homo_mc_chip_config
-
-
-@dataclass(frozen=True)
-class PrecisionConfig:
-    """Operand precisions used by the performance and traffic models."""
-
-    weight_bits: int = 8
-    activation_bits: int = 16
-    accumulator_bits: int = 32
-
-    def __post_init__(self) -> None:
-        for label, bits in (
-            ("weight_bits", self.weight_bits),
-            ("activation_bits", self.activation_bits),
-            ("accumulator_bits", self.accumulator_bits),
-        ):
-            if bits <= 0 or bits % 8:
-                raise ValueError(f"{label} must be a positive multiple of 8")
-
-    @property
-    def weight_bytes(self) -> float:
-        return self.weight_bits / 8.0
-
-    @property
-    def activation_bytes(self) -> float:
-        return self.activation_bits / 8.0
 
 
 @dataclass(frozen=True)
@@ -62,17 +37,8 @@ class SystemConfig:
     """Complete EdgeMM system configuration."""
 
     chip: ChipConfig = field(default_factory=ChipConfig)
-    precision: PrecisionConfig = field(default_factory=PrecisionConfig)
     pruning: PruningRuntimeConfig = field(default_factory=PruningRuntimeConfig)
-    #: Fraction of DRAM bandwidth granted to CC-clusters when both cluster
-    #: types are active concurrently (the pipeline case); the remainder goes
-    #: to MC-clusters.  0.5 is the "default equal bandwidth sharing".
-    cc_bandwidth_fraction: float = 0.5
     name: str = "edgemm"
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.cc_bandwidth_fraction <= 1.0:
-            raise ValueError("cc_bandwidth_fraction must be in [0, 1]")
 
     def with_pruning(self, average_keep_fraction: float) -> "SystemConfig":
         """A copy with activation-aware pruning enabled."""
@@ -83,10 +49,6 @@ class SystemConfig:
             ),
             name=f"{self.name}+pruning",
         )
-
-    def with_bandwidth_fraction(self, cc_fraction: float) -> "SystemConfig":
-        """A copy with a different CC/MC bandwidth split."""
-        return replace(self, cc_bandwidth_fraction=cc_fraction)
 
 
 def default_system() -> SystemConfig:
@@ -129,8 +91,6 @@ def scaled_system(
     )
     return SystemConfig(
         chip=chip,
-        precision=base.precision,
         pruning=base.pruning,
-        cc_bandwidth_fraction=base.cc_bandwidth_fraction,
         name=chip.name,
     )

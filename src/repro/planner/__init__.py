@@ -23,7 +23,6 @@ walkthrough.
 from .bnb import BnbResult, Subgrid, bnb_prune_designs, initial_subgrids
 from .evaluate import (
     CandidateOutcome,
-    candidate_fleet,
     evaluate_candidate,
     simulate_candidate,
 )
@@ -41,7 +40,6 @@ from .space import (
     FleetOption,
     PlannerConfig,
     build_chip_grid,
-    default_chip_grid,
     parse_mixes,
 )
 from .store import PlanStore, candidate_key
@@ -61,10 +59,8 @@ __all__ = [
     "Subgrid",
     "bnb_prune_designs",
     "build_chip_grid",
-    "candidate_fleet",
     "candidate_key",
     "chip_cost",
-    "default_chip_grid",
     "dominates",
     "evaluate_candidate",
     "format_plan_report",

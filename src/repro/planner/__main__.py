@@ -40,7 +40,12 @@ from typing import List, Optional, Tuple
 from ..scenarios.registry import get_scenario
 from .plan import GOLDEN_PLAN_SCENARIOS, SEARCH_MODES, plan_scenario, resolve_slo
 from .report import format_plan_report
-from .space import PlannerConfig, parse_mixes
+from .space import (
+    DEFAULT_CHIP_MIXES,
+    DEFAULT_GROUP_COUNTS,
+    PlannerConfig,
+    parse_mixes,
+)
 from .store import PlanStore
 
 
@@ -174,16 +179,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "plan":
         if args.jobs is not None and args.jobs < 1:
             parser.error("--jobs must be >= 1")
-        spec = get_scenario(args.scenario)
-        axis_flags = (args.groups, args.mixes, args.dram_gbps, args.keep_fractions)
-        policies = (
-            tuple(p.strip() for p in args.policies.split(",") if p.strip())
-            if args.policies is not None
-            else ("least_loaded",)
-        )
-        if any(flag is not None for flag in axis_flags) or args.policies:
-            from .space import DEFAULT_CHIP_MIXES, DEFAULT_GROUP_COUNTS
-
+        try:
+            spec = get_scenario(args.scenario)
             config = PlannerConfig.from_axes(
                 groups=args.groups or DEFAULT_GROUP_COUNTS,
                 mixes=args.mixes or DEFAULT_CHIP_MIXES,
@@ -191,24 +188,27 @@ def main(argv: Optional[List[str]] = None) -> int:
                 keep_fractions=args.keep_fractions or (None,),
                 min_chips=args.min_chips,
                 max_chips=args.max_chips,
-                policies=policies,
+                policies=(
+                    tuple(p.strip() for p in args.policies.split(",") if p.strip())
+                    if args.policies
+                    else ("least_loaded",)
+                ),
                 include_autoscaled=not args.static_only,
             )
-        else:
-            config = PlannerConfig(
-                min_chips=args.min_chips,
-                max_chips=args.max_chips,
-                include_autoscaled=not args.static_only,
-            )
-        report = plan_scenario(
-            spec,
-            config,
-            slo=resolve_slo(
+            slo = resolve_slo(
                 spec,
                 ttft_p99_s=args.slo_p99_ttft,
                 latency_p95_s=args.slo_p95_latency,
                 queue_wait_p99_s=args.slo_p99_queue_wait,
-            ),
+            )
+        except (KeyError, ValueError) as error:
+            # An unknown scenario or an out-of-range value is a usage
+            # error, not exit 1 (which reads as "no feasible plan").
+            parser.error(error.args[0])
+        report = plan_scenario(
+            spec,
+            config,
+            slo=slo,
             prune=not args.no_prune,
             processes=args.jobs,
             search=args.search,

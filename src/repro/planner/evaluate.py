@@ -3,7 +3,10 @@
 Candidates that survive analytic pruning are replayed through the real
 event-driven serving engines — a
 :class:`~repro.serving.fleet.FleetSimulator`, static or autoscaled — on
-the scenario's compiled trace.  Every chip of a candidate's fleet runs on
+the scenario's compiled trace.  A candidate's fleet is the scenario's
+own, resized by :meth:`~repro.planner.space.FleetOption.fleet_spec` and
+built by :func:`~repro.scenarios.runner.build_fleet`, the one builder
+scenario runs use too.  Every chip of a candidate's fleet runs on
 one performance simulator of the candidate's chip design, and a serial
 planning run hands each design's one simulator to all of its
 candidates (:func:`repro.planner.plan.plan_scenario`).  The module-level
@@ -15,17 +18,15 @@ runs serially or fanned out through
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Mapping, Optional, Sequence
 
 from ..codec import Spec
 from ..core.simulator import PerformanceSimulator
-from ..models.mllm import MLLMConfig, get_mllm
 from ..scenarios.compile import compile_scenario
 from ..scenarios.report import attained_slo
-from ..scenarios.spec import AutoscalerSpec, ScenarioSpec
-from ..serving.autoscale import AutoscalerConfig
-from ..serving.fleet import FleetSimulator
+from ..scenarios.runner import build_fleet
+from ..scenarios.spec import ScenarioSpec, SLOSpec
 from ..serving.queue import ServingRequest
 from .space import ChipDesign, FleetOption
 
@@ -53,54 +54,23 @@ class CandidateOutcome(Spec):
     n_scale_events: int = 0
 
 
-def candidate_fleet(
-    model: MLLMConfig,
-    spec: ScenarioSpec,
-    design: ChipDesign,
-    option: FleetOption,
-    ttft_target: Optional[float],
-    *,
-    simulator: Optional[PerformanceSimulator] = None,
-):
-    """Instantiate the serving fleet a (``design``, ``option``) candidate describes.
+def _candidate_spec(
+    spec: ScenarioSpec, option: FleetOption, targets: Mapping[str, float]
+) -> ScenarioSpec:
+    """``spec`` serving its traffic on ``option``'s fleet, judged by ``targets``.
 
-    ``spec`` contributes the serving knobs (``model``, batch size,
-    bandwidth split, context bucket); only the chips, the fleet size/policy
-    and the autoscaler block vary with the candidate.  Autoscaled options reuse
-    the scenario's controller tuning when the spec carries an autoscaler
-    block, always with queue admission (plans serve the whole trace), and
-    require a ``ttft_target`` for the controller's set point.  Every chip
-    runs on one performance simulator, and so reads one serving-cost memo
-    (:class:`~repro.serving.queue.ChipCosts`): ``simulator`` when given (it
-    must carry ``design``'s system; a planning run shares one per design
-    across that design's fleets), else a fresh one on ``design.system()``.
-    The chips run the wave engine.
+    The fleet is :meth:`FleetOption.fleet_spec` of the scenario's, and
+    ``targets`` (the resolved SLO objectives) become the spec's SLOs, so
+    an autoscaled candidate's controller steers toward the resolved TTFT
+    target.  The fault plan is dropped: the planner plans the fault-free
+    run, and a spec checks its fault plan against the fleet's chip count,
+    which a 1-chip candidate may not meet.
     """
-    if simulator is None:
-        simulator = PerformanceSimulator(design.system())
-    sizing: Dict[str, Any] = {"n_chips": option.n_chips, "policy": option.policy}
-    if option.autoscaled:
-        if ttft_target is None:
-            raise ValueError(
-                "an autoscaled candidate needs a ttft_p99_s objective for the "
-                "controller to target"
-            )
-        # Built like ``autoscaler_config``, so a new knob reaches both.
-        tuning = replace(
-            spec.fleet.autoscaler or AutoscalerSpec(),
-            min_chips=option.min_chips,
-            max_chips=option.n_chips,
-            admission="queue",
-        )
-        config = AutoscalerConfig(target_p99_ttft_s=ttft_target, **asdict(tuning))
-        sizing = {"autoscaler": config}
-    return FleetSimulator(
-        model,
-        **sizing,
-        simulator=simulator,
-        max_batch_size=spec.fleet.max_batch_size,
-        cc_bandwidth_fraction=spec.fleet.cc_bandwidth_fraction,
-        context_bucket=spec.fleet.context_bucket,
+    return replace(
+        spec,
+        fleet=option.fleet_spec(spec.fleet),
+        slo=SLOSpec(**targets),
+        faults=None,
     )
 
 
@@ -117,21 +87,17 @@ def evaluate_candidate(
 
     ``spec`` supplies the serving knobs, ``trace`` the pre-compiled
     traffic and ``targets`` the resolved SLO objectives (the autoscaled
-    path needs the TTFT target as its set point).  ``simulator``
-    optionally carries the design's performance simulator across the
-    candidates of one planning run (see :func:`candidate_fleet`): the
-    candidate's chips then share its serving-cost memo with every other
-    fleet of the design.  Shared evaluations are bit-identical to cold
-    ones because every memoized value is a deterministic function of the
-    design.
+    path needs the TTFT target as its set point).  The candidate's fleet
+    runs on ``simulator`` when given: it must carry ``design``'s system,
+    and a planning run shares one per design, so the candidate's chips
+    share its serving-cost memo with every other fleet of the design.
+    Without it the fleet runs on a fresh simulator of ``design.system()``.
+    Shared evaluations are bit-identical to cold ones because every
+    memoized value is a deterministic function of the design.
     """
-    fleet = candidate_fleet(
-        get_mllm(spec.fleet.model),
-        spec,
-        design,
-        option,
-        targets.get("ttft_p99_s"),
-        simulator=simulator,
+    fleet = build_fleet(
+        _candidate_spec(spec, option, targets),
+        simulator=simulator or PerformanceSimulator(design.system()),
     )
     result = fleet.run(list(trace))
     report = result.report
@@ -165,7 +131,7 @@ def candidate_survives_chip_loss(
     The probe is deterministic — same spec, design and option always return the
     same verdict.  The fleet runs on ``simulator`` when given (it must
     carry ``design``'s system; a plan shares one per design across that
-    design's probes), else on a fresh one, as in :func:`candidate_fleet`.
+    design's probes), else on a fresh one, as in :func:`evaluate_candidate`.
     Single-chip fleets cannot survive by construction and return
     ``False`` without simulation.
     """
@@ -174,14 +140,9 @@ def candidate_survives_chip_loss(
     # Imported lazily: the serving fault layer is optional for planning.
     from ..serving.faults import FaultEvent, FaultSchedule
 
-    model = get_mllm(spec.fleet.model)
-    fleet = candidate_fleet(
-        model,
-        spec,
-        design,
-        option,
-        targets.get("ttft_p99_s"),
-        simulator=simulator,
+    fleet = build_fleet(
+        _candidate_spec(spec, option, targets),
+        simulator=simulator or PerformanceSimulator(design.system()),
     )
     span = max(request.arrival_s for request in trace)
     schedule = FaultSchedule(

@@ -21,6 +21,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..codec import Spec, when_set
 from ..core.config import SystemConfig, default_system, scaled_system
+from ..scenarios.spec import FleetSpec
+from ..serving.autoscale import AutoscalerSpec
 from ..serving.fleet import POLICIES
 
 #: The default design family swept by ``python -m repro.planner plan``:
@@ -145,14 +147,26 @@ class FleetOption(Spec):
             return f"auto{self.min_chips}-{self.n_chips}"
         return f"static{self.n_chips}/{self.policy}"
 
+    def fleet_spec(self, base: FleetSpec) -> FleetSpec:
+        """The scenario's fleet ``base``, resized to this option.
 
-def default_chip_grid() -> Tuple[ChipDesign, ...]:
-    """The default design family: group counts × CC:MC mixes."""
-    return tuple(
-        ChipDesign(n_groups=n_groups, cc_per_group=cc, mc_per_group=mc)
-        for n_groups in DEFAULT_GROUP_COUNTS
-        for cc, mc in DEFAULT_CHIP_MIXES
-    )
+        ``base`` keeps its serving knobs (model, batch size, bandwidth
+        split, context bucket).  A static option takes its chips and
+        policy, with no autoscaler; an autoscaled one takes ``base``'s
+        controller tuning (the defaults if it has none) with this
+        option's chip bounds and queue admission.
+        """
+        if not self.autoscaled:
+            return replace(
+                base, n_chips=self.n_chips, policy=self.policy, autoscaler=None
+            )
+        tuning = replace(
+            base.autoscaler or AutoscalerSpec(),
+            min_chips=self.min_chips,
+            max_chips=self.n_chips,
+            admission="queue",
+        )
+        return replace(base, autoscaler=tuning)
 
 
 def build_chip_grid(
@@ -169,11 +183,11 @@ def build_chip_grid(
     dram, keep) — outermost first — which matches the nesting the
     branch-and-bound search splits on.  ``None`` entries in the optional
     axes mean "the base tier" / "pruning off" and serialize axis-free;
-    the defaults reproduce
-    :func:`default_chip_grid` exactly.  With explicit values on every
-    axis, a 10^5-candidate space is one call (``8 groups × 7 mixes × 16
-    DRAM tiers × 16 keep fractions`` is already 14k designs before fleet
-    options multiply in).
+    the defaults give the default design family (group counts × CC:MC
+    mixes).  With explicit values on every axis, a 10^5-candidate space
+    is one call (``8 groups × 7 mixes × 16 DRAM tiers × 16 keep
+    fractions`` is already 14k designs before fleet options multiply
+    in).
     """
     return tuple(
         ChipDesign(
@@ -213,7 +227,8 @@ def parse_mixes(text: str) -> Tuple[Tuple[int, int], ...]:
 class PlannerConfig(Spec):
     """The candidate space of one planning run (pure data).
 
-    ``chip_grid`` lists the design points considered; fleet sizes span
+    ``chip_grid`` lists the design points considered (empty means the
+    default family, :func:`build_chip_grid`'s defaults); fleet sizes span
     ``min_chips`` to ``max_chips`` under each policy of ``policies``, and
     ``include_autoscaled`` adds one autoscaled option per design (capped at
     ``max_chips``) whenever the scenario states a TTFT objective for the
@@ -228,7 +243,7 @@ class PlannerConfig(Spec):
 
     def __post_init__(self) -> None:
         if not self.chip_grid:
-            object.__setattr__(self, "chip_grid", default_chip_grid())
+            object.__setattr__(self, "chip_grid", build_chip_grid())
         names = [design.name for design in self.chip_grid]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate chip designs in grid: {names}")

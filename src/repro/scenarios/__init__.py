@@ -51,7 +51,6 @@ from .report import (
     tenant_summaries,
 )
 from .runner import (
-    autoscaler_config,
     build_fleet,
     price_offered_load,
     resume_scenario,
@@ -91,7 +90,6 @@ __all__ = [
     "VIDEO_FRAMES",
     "WorkloadComponent",
     "attained_slo",
-    "autoscaler_config",
     "available_scenarios",
     "build_arrival_process",
     "build_fleet",

@@ -4,7 +4,7 @@
 (:mod:`repro.scenarios.compile`), builds the
 :class:`~repro.serving.fleet.FleetSimulator` it describes — static, or
 SLO-aware autoscaled when the spec carries an
-:class:`~repro.scenarios.spec.AutoscalerSpec` — plays the trace, prices
+:class:`~repro.serving.autoscale.AutoscalerSpec` — plays the trace, prices
 the offered load through the array-native batch engine and folds
 everything into a :class:`~repro.scenarios.report.ScenarioReport`.
 :func:`run_scenario_live` is its live-runtime twin, which can also
@@ -15,13 +15,13 @@ embeds.
 
 from __future__ import annotations
 
-from dataclasses import asdict, replace
-from typing import Optional, Union
+from dataclasses import replace
+from typing import Any, Dict, Optional, Union
 
 from ..core.batch import batch_price_request_mix
 from ..core.config import default_system
+from ..core.simulator import PerformanceSimulator
 from ..models.mllm import get_mllm
-from ..serving.autoscale import AutoscalerConfig
 from ..serving.faults import fault_recovery
 from ..serving.fleet import FleetResult, FleetSimulator
 from ..serving.runtime import (
@@ -42,54 +42,53 @@ from .report import (
     slo_checks,
     tenant_summaries,
 )
-from .spec import AutoscalerSpec, ScenarioSpec
+from .spec import ScenarioSpec
 
 
-def autoscaler_config(spec: ScenarioSpec) -> Optional[AutoscalerConfig]:
-    """The runtime controller config a spec's autoscaler block describes.
-
-    The controller's TTFT target is the scenario's stated SLO; a spec that
-    asks for autoscaling without a ``ttft_p99_s`` objective is rejected —
-    the controller would have nothing to steer toward.
-    """
-    block = spec.fleet.autoscaler
-    if block is None:
-        return None
-    if spec.slo.ttft_p99_s is None:
-        raise ValueError(
-            f"scenario {spec.name!r} enables autoscaling but states no "
-            "ttft_p99_s SLO for the controller to target"
-        )
-    # AutoscalerSpec's fields are AutoscalerConfig's, minus the target —
-    # a new knob added to both dataclasses flows through automatically.
-    return AutoscalerConfig(target_p99_ttft_s=spec.slo.ttft_p99_s, **asdict(block))
-
-
-def build_fleet(spec: ScenarioSpec, *, engine: str = "wave") -> FleetSimulator:
+def build_fleet(
+    spec: ScenarioSpec,
+    *,
+    engine: str = "wave",
+    simulator: Optional[PerformanceSimulator] = None,
+) -> FleetSimulator:
     """Instantiate the fleet ``spec``'s :class:`FleetSpec` describes.
 
-    With an autoscaler block the fleet spec's ``n_chips`` and ``policy``
-    are not passed: the autoscaler sets the fleet's size and placement.
-    ``engine`` selects the chips' decode-loop implementation
-    (see :data:`repro.serving.queue.ENGINES`); reports are
-    engine-independent, the wave default just simulates faster.  This is
-    the one scenario-level place the engine is chosen: to run a scenario
-    on the step oracle, play ``build_fleet(spec, engine="step")`` and
-    fold its result with :func:`scenario_report`.
+    The one place a fleet spec becomes a fleet: scenario runs, the live
+    plane and the planner's candidates all build here.  With an
+    autoscaler block the fleet spec's ``n_chips`` and ``policy`` are not
+    passed: the autoscaler sets the fleet's size and placement, and its
+    target is the scenario's ``slo.ttft_p99_s`` — a spec that asks for
+    autoscaling without that objective is rejected, since the controller
+    would have nothing to steer toward.  Every chip runs on
+    ``simulator`` when given (the planner shares one per chip design),
+    else on a fresh default-system one.  ``engine`` selects the chips'
+    decode-loop implementation (see :data:`repro.serving.queue.ENGINES`);
+    reports are engine-independent, the wave default just simulates
+    faster.  This is the one scenario-level place the engine is chosen:
+    to run a scenario on the step oracle, play
+    ``build_fleet(spec, engine="step")`` and fold its result with
+    :func:`scenario_report`.
     """
-    autoscaler = autoscaler_config(spec)
-    sizing = (
-        {"n_chips": spec.fleet.n_chips, "policy": spec.fleet.policy}
-        if autoscaler is None
-        else {}
-    )
+    fleet = spec.fleet
+    sizing: Dict[str, Any] = {"n_chips": fleet.n_chips, "policy": fleet.policy}
+    if fleet.autoscaler is not None:
+        if spec.slo.ttft_p99_s is None:
+            raise ValueError(
+                f"scenario {spec.name!r} enables autoscaling but states no "
+                "ttft_p99_s SLO for the controller to target"
+            )
+        sizing = {
+            "autoscaler": replace(
+                fleet.autoscaler, target_p99_ttft_s=spec.slo.ttft_p99_s
+            )
+        }
     return FleetSimulator(
-        get_mllm(spec.fleet.model),
-        autoscaler=autoscaler,
+        get_mllm(fleet.model),
         **sizing,
-        max_batch_size=spec.fleet.max_batch_size,
-        cc_bandwidth_fraction=spec.fleet.cc_bandwidth_fraction,
-        context_bucket=spec.fleet.context_bucket,
+        simulator=simulator,
+        max_batch_size=fleet.max_batch_size,
+        cc_bandwidth_fraction=fleet.cc_bandwidth_fraction,
+        context_bucket=fleet.context_bucket,
         engine=engine,
     )
 
@@ -314,7 +313,6 @@ def scenario_report(
 
 
 __all__ = [
-    "autoscaler_config",
     "build_fleet",
     "price_offered_load",
     "resume_scenario",

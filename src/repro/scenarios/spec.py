@@ -6,8 +6,9 @@ text chat, multi-image prompts, video-frame streaming, long-context
 summarization, or anything else expressible as a request-shape
 distribution), the *arrival pattern* (:class:`ArrivalSpec`), the *fleet
 topology* with optional SLO-aware autoscaling (:class:`FleetSpec` /
-:class:`AutoscalerSpec`) and the *service-level objectives* the run is
-judged against (:class:`SLOSpec`).
+:class:`~repro.serving.autoscale.AutoscalerSpec`, the fleet's own
+controller config) and the *service-level objectives* the run is judged
+against (:class:`SLOSpec`).
 
 Specs serialize losslessly to JSON through the one field-driven codec of
 :mod:`repro.codec` (``to_dict`` / ``from_dict`` and ``to_json`` /
@@ -30,8 +31,9 @@ from typing import Dict, Optional, Tuple
 
 from ..codec import Spec, applies, for_kinds, when_set
 from ..models.mllm import available_mllms
-# ADMISSION_POLICIES is re-exported beside the spec's other value sets.
-from ..serving.autoscale import ADMISSION_POLICIES, check_tuning
+# ADMISSION_POLICIES is re-exported beside the spec's other value sets,
+# and AutoscalerSpec is the fleet's own config, a spec's autoscaler block.
+from ..serving.autoscale import ADMISSION_POLICIES, AutoscalerSpec
 from ..serving.fleet import POLICIES
 
 ARRIVAL_KINDS: Tuple[str, ...] = ("poisson", "bursty", "diurnal", "trace")
@@ -154,31 +156,6 @@ class ArrivalSpec(Spec):
 
 
 @dataclass(frozen=True)
-class AutoscalerSpec(Spec):
-    """Knobs of the SLO-aware fleet autoscaler (pure data).
-
-    The controller's TTFT target comes from the owning scenario's
-    :class:`SLOSpec`; this spec carries the fleet bounds and the control-
-    loop tuning.  See :class:`repro.serving.autoscale.AutoscalerConfig`
-    for the runtime semantics of each field; both refuse out-of-range
-    values through one :func:`~repro.serving.autoscale.check_tuning`.
-    """
-
-    min_chips: int = 1
-    max_chips: int = 4
-    window: int = 64
-    min_observations: int = 16
-    cooldown_s: float = 1.0
-    scale_up_ratio: float = 1.0
-    scale_down_ratio: float = 0.4
-    max_queue_depth: int = 64
-    admission: str = "queue"
-
-    def __post_init__(self) -> None:
-        check_tuning(self)
-
-
-@dataclass(frozen=True)
 class FleetSpec(Spec):
     """Fleet topology: the model served and the chips serving it.
 
@@ -186,7 +163,10 @@ class FleetSpec(Spec):
     :data:`~repro.serving.fleet.POLICIES`, and ``cc_bandwidth_fraction``
     the CC stage's share of DRAM bandwidth, strictly inside (0, 1); the
     fleet and its chips would refuse the same values, but only when the
-    scenario runs and without a spec path.
+    scenario runs and without a spec path.  The ``autoscaler`` block
+    (:class:`~repro.serving.autoscale.AutoscalerSpec`) leaves its
+    ``target_p99_ttft_s`` unset: the controller steers toward the
+    scenario's ``slo.ttft_p99_s``.
     """
 
     model: str = "sphinx-tiny"
@@ -215,6 +195,14 @@ class FleetSpec(Spec):
             raise ValueError("context_bucket must be >= 1")
         if not 0.0 < self.cc_bandwidth_fraction < 1.0:
             raise ValueError("cc_bandwidth_fraction must be in (0, 1)")
+        if (
+            self.autoscaler is not None
+            and self.autoscaler.target_p99_ttft_s is not None
+        ):
+            raise ValueError(
+                "autoscaler.target_p99_ttft_s cannot be set in a spec: the "
+                "controller steers toward the scenario's slo.ttft_p99_s"
+            )
 
     @property
     def provisioned_chips(self) -> int:

@@ -5,7 +5,7 @@ deployment study: open-loop arrival processes drive a continuous-batching
 queue on one chip (:mod:`repro.serving.queue`) or a load-balanced fleet of
 chips (:class:`~repro.serving.fleet.FleetSimulator`) — optionally
 autoscaled against an SLO with admission control, given an
-:class:`~repro.serving.autoscale.AutoscalerConfig` — and per-request
+:class:`~repro.serving.autoscale.AutoscalerSpec` — and per-request
 timestamp records fold into latency/TTFT percentiles and aggregate
 throughput (:mod:`repro.serving.metrics`).  Every fleet run is driven by
 the era controller of its fleet kind (:mod:`repro.serving.controllers`),
@@ -25,7 +25,7 @@ from .arrival import (
     RequestSampler,
     TraceArrivals,
 )
-from .autoscale import AutoscalerConfig, ScalingEvent
+from .autoscale import AutoscalerSpec, ScalingEvent
 from .controllers import normalize_priorities
 from .faults import (
     DRAIN_POLICIES,
@@ -63,7 +63,7 @@ __all__ = [
     "PoissonArrivals",
     "RequestSampler",
     "TraceArrivals",
-    "AutoscalerConfig",
+    "AutoscalerSpec",
     "ScalingEvent",
     "DRAIN_POLICIES",
     "FAULT_KINDS",

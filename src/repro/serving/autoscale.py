@@ -1,6 +1,6 @@
 """SLO-aware fleet autoscaling and admission control.
 
-``FleetSimulator(model, autoscaler=AutoscalerConfig(...))`` runs a
+``FleetSimulator(model, autoscaler=AutoscalerSpec(...))`` runs a
 :class:`~repro.serving.fleet.FleetSimulator` under a dispatcher-side
 control loop, the way a real serving front-end scales a chip fleet.  The
 full ``max_chips`` fleet is built up front, but only an *active* prefix
@@ -29,7 +29,8 @@ event-driven engine.  The loop itself is
 :class:`~repro.serving.controllers.AutoscaleController`, the fleet's one
 controller, which :meth:`~repro.serving.fleet.FleetSimulator.run` drives
 with or without a fault schedule.  This module holds its tuning
-(:class:`AutoscalerConfig`) and its decision record
+(:class:`AutoscalerSpec`, which is also a scenario's ``fleet.autoscaler``
+block) and its decision record
 (:class:`ScalingEvent`); the run returns the one
 :class:`~repro.serving.fleet.FleetResult` of every fleet kind, whose
 ``events``, ``rejected_ids`` and ``final_chips`` carry the controller's
@@ -40,9 +41,9 @@ reproduce bit-identical records, decisions and reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Tuple
+from typing import Any, Optional, Tuple
 
-from ..codec import Spec
+from ..codec import Spec, when_set
 from ..models.mllm import MLLMConfig
 from .fleet import FleetSimulator
 
@@ -50,8 +51,8 @@ ADMISSION_POLICIES: Tuple[str, ...] = ("queue", "reject")
 
 
 @dataclass(frozen=True)
-class AutoscalerConfig:
-    """Tuning of the SLO-aware fleet controller.
+class AutoscalerSpec(Spec):
+    """Tuning of the SLO-aware fleet controller (pure data).
 
     ``target_p99_ttft_s`` is the objective the controller steers toward;
     scaling triggers when the rolling p99 of TTFT estimates crosses
@@ -59,9 +60,16 @@ class AutoscalerConfig:
     (down).  ``max_queue_depth`` bounds the estimated in-flight requests
     *per active chip* before admission control engages with the
     ``admission`` policy ("queue" delays dispatch, "reject" drops).
+
+    One class serves both the spec file and the fleet.  A scenario's
+    ``fleet.autoscaler`` block leaves the target unset (it is written
+    only when set, so a spec's serialized form and hash never carry it):
+    :func:`~repro.scenarios.runner.build_fleet` fills it in from the
+    scenario's ``slo.ttft_p99_s``.  A
+    :class:`~repro.serving.fleet.FleetSimulator` refuses a spec whose
+    target is unset.
     """
 
-    target_p99_ttft_s: float
     min_chips: int = 1
     max_chips: int = 4
     #: Number of recent TTFT estimates the rolling percentile covers.
@@ -73,41 +81,30 @@ class AutoscalerConfig:
     scale_down_ratio: float = 0.4
     max_queue_depth: int = 64
     admission: str = "queue"
+    target_p99_ttft_s: Optional[float] = when_set(None)
 
     def __post_init__(self) -> None:
-        if self.target_p99_ttft_s <= 0:
+        if self.target_p99_ttft_s is not None and self.target_p99_ttft_s <= 0:
             raise ValueError("target_p99_ttft_s must be positive")
-        check_tuning(self)
-
-
-def check_tuning(tuning: Any) -> None:
-    """Raise ``ValueError`` naming the first out-of-range knob of ``tuning``.
-
-    ``tuning`` is an :class:`AutoscalerConfig` or a scenario's
-    :class:`~repro.scenarios.spec.AutoscalerSpec` (anything with their
-    shared fields: chip bounds, window, cooldown, scaling ratios, queue
-    depth and admission policy).  Both run this one check as they are
-    built, so a spec file and a config refuse a value with one message.
-    """
-    if tuning.min_chips < 1:
-        raise ValueError("min_chips must be >= 1")
-    if tuning.max_chips < tuning.min_chips:
-        raise ValueError("max_chips must be >= min_chips")
-    if tuning.window < 1 or tuning.min_observations < 1:
-        raise ValueError("window and min_observations must be >= 1")
-    if tuning.cooldown_s < 0:
-        raise ValueError("cooldown_s must be >= 0")
-    if tuning.scale_up_ratio <= 0:
-        raise ValueError("scale_up_ratio must be positive")
-    if not 0 <= tuning.scale_down_ratio < tuning.scale_up_ratio:
-        raise ValueError("scale_down_ratio must be in [0, scale_up_ratio)")
-    if tuning.max_queue_depth < 1:
-        raise ValueError("max_queue_depth must be >= 1")
-    if tuning.admission not in ADMISSION_POLICIES:
-        raise ValueError(
-            f"admission must be one of {ADMISSION_POLICIES}, "
-            f"got {tuning.admission!r}"
-        )
+        if self.min_chips < 1:
+            raise ValueError("min_chips must be >= 1")
+        if self.max_chips < self.min_chips:
+            raise ValueError("max_chips must be >= min_chips")
+        if self.window < 1 or self.min_observations < 1:
+            raise ValueError("window and min_observations must be >= 1")
+        if self.cooldown_s < 0:
+            raise ValueError("cooldown_s must be >= 0")
+        if self.scale_up_ratio <= 0:
+            raise ValueError("scale_up_ratio must be positive")
+        if not 0 <= self.scale_down_ratio < self.scale_up_ratio:
+            raise ValueError("scale_down_ratio must be in [0, scale_up_ratio)")
+        if self.max_queue_depth < 1:
+            raise ValueError("max_queue_depth must be >= 1")
+        if self.admission not in ADMISSION_POLICIES:
+            raise ValueError(
+                f"admission must be one of {ADMISSION_POLICIES}, "
+                f"got {self.admission!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -126,7 +123,7 @@ class ScalingEvent(Spec):
 
 
 def AutoscalingFleetSimulator(
-    model: MLLMConfig, *, autoscaler: AutoscalerConfig, **kwargs: Any
+    model: MLLMConfig, *, autoscaler: AutoscalerSpec, **kwargs: Any
 ) -> FleetSimulator:
     """``FleetSimulator(model, autoscaler=autoscaler, **kwargs)``, by its old name.
 

@@ -7,7 +7,7 @@ earlier arrivals.  :func:`controller_for` builds the one controller a
 :class:`~repro.serving.fleet.FleetSimulator` runs:
 :class:`StaticController` for a static fleet,
 :class:`AutoscaleController` for one given an
-:class:`~repro.serving.autoscale.AutoscalerConfig`.  A run without
+:class:`~repro.serving.autoscale.AutoscalerSpec`.  A run without
 faults plays the empty :class:`~repro.serving.faults.FaultSchedule`, a
 timeline with no events.  Both controllers derive from one base, which
 holds the dispatch and era bookkeeping, and share one stepwise protocol:

@@ -18,7 +18,7 @@ A static fleet runs ``n_chips`` chips under one of two dispatch policies:
   This is a dispatcher-side estimate, as a real front-end would compute —
   the dispatcher does not look inside the chips' queues.
 
-Given an :class:`~repro.serving.autoscale.AutoscalerConfig`
+Given an :class:`~repro.serving.autoscale.AutoscalerSpec` with a target
 (``FleetSimulator(model, autoscaler=...)``), the fleet provisions
 ``autoscaler.max_chips`` chips under least-loaded placement and an
 SLO-aware control loop grows and shrinks the prefix of them that
@@ -43,7 +43,7 @@ from .metrics import RequestRecord, ServingReport, empty_report, summarize
 from .queue import ContinuousBatchingSimulator, ServingRequest, ServingResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .autoscale import AutoscalerConfig, ScalingEvent
+    from .autoscale import AutoscalerSpec, ScalingEvent
     from .faults import FaultEvent
 
 POLICIES: Tuple[str, ...] = ("round_robin", "least_loaded")
@@ -137,9 +137,10 @@ class FleetSimulator:
     (default ``"round_robin"``, see :data:`POLICIES`).  Given an
     ``autoscaler``, the fleet runs ``autoscaler.max_chips`` chips under
     least-loaded placement, of which the controller keeps an active
-    prefix; ``n_chips`` or ``policy`` passed alongside it raise
-    ``ValueError``.  Every chip runs on the fleet's one ``simulator``
-    (default ``PerformanceSimulator()``, the default EdgeMM system) and
+    prefix; an autoscaler without a ``target_p99_ttft_s``, or ``n_chips``
+    or ``policy`` passed alongside it, raise ``ValueError``.  Every chip
+    runs on the fleet's one ``simulator`` (default
+    ``PerformanceSimulator()``, the default EdgeMM system) and
     so reads one :class:`~repro.serving.queue.ChipCosts` memo, which
     service-time precomputation fills.  ``engine`` selects every
     chip's decode-loop implementation (see
@@ -152,7 +153,7 @@ class FleetSimulator:
         *,
         n_chips: Optional[int] = None,
         policy: Optional[str] = None,
-        autoscaler: Optional["AutoscalerConfig"] = None,
+        autoscaler: Optional["AutoscalerSpec"] = None,
         simulator: Optional[PerformanceSimulator] = None,
         max_batch_size: int = 8,
         cc_bandwidth_fraction: float = 0.5,
@@ -160,6 +161,11 @@ class FleetSimulator:
         engine: str = "wave",
     ) -> None:
         if autoscaler is not None:
+            if autoscaler.target_p99_ttft_s is None:
+                raise ValueError(
+                    "an autoscaled fleet needs autoscaler.target_p99_ttft_s, "
+                    "the p99 TTFT its controller steers toward"
+                )
             for name, value in (("n_chips", n_chips), ("policy", policy)):
                 if value is not None:
                     raise ValueError(

@@ -145,6 +145,26 @@ class CheckpointPins(Spec):
             )
 
 
+def _integer(value: Any, name: str) -> int:
+    """``value``, the file's field ``name``, by the integer rule of spec files.
+
+    An integer-valued JSON number reads as that integer; a fraction, a
+    string or a boolean raises :class:`CheckpointError` naming the field.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise CheckpointError(f"checkpoint {name} must be an integer, got {value!r}")
+
+
+def _string(value: Any, name: str) -> str:
+    """``value``, the file's field ``name``, refused unless a JSON string."""
+    if isinstance(value, str):
+        return value
+    raise CheckpointError(f"checkpoint {name} must be a string, got {value!r}")
+
+
 def _pins(controller: Any, version: int) -> CheckpointPins:
     """Decode a file's ``controller`` object into its :class:`CheckpointPins`."""
     if not isinstance(controller, Mapping):
@@ -213,7 +233,10 @@ class Checkpoint:
 
         Raises :class:`CheckpointError` on any malformed payload —
         missing or mistyped fields or pins, an embedded scenario spec
-        that does not decode, or an unsupported format version.  Keys it
+        that does not decode, or an unsupported format version.
+        ``version`` and ``cursor`` read like a spec file's integers (an
+        integer-valued JSON number, never a string or a boolean), and
+        ``kind`` and ``trace_sha256`` must be JSON strings.  Keys it
         does not name, such as the ``engine`` older builds wrote, are
         ignored.
         """
@@ -222,13 +245,7 @@ class Checkpoint:
                 "checkpoint payload must be a JSON object, "
                 f"got {type(data).__name__}"
             )
-        try:
-            version = int(data.get("version", CHECKPOINT_VERSION))
-        except (TypeError, ValueError):
-            raise CheckpointError(
-                f"checkpoint version must be an integer, "
-                f"got {data.get('version')!r}"
-            ) from None
+        version = _integer(data.get("version", CHECKPOINT_VERSION), "version")
         if version not in READABLE_VERSIONS:
             raise CheckpointError(
                 f"unsupported checkpoint version {version} "
@@ -239,21 +256,15 @@ class Checkpoint:
             if scenario is not None:
                 _check_scenario(scenario)
             return cls(
-                kind=str(data["kind"]),
-                cursor=int(data["cursor"]),
+                kind=_string(data["kind"], "kind"),
+                cursor=_integer(data["cursor"], "cursor"),
                 controller=_pins(data["controller"], version),
-                trace_sha256=str(data["trace_sha256"]),
+                trace_sha256=_string(data["trace_sha256"], "trace_sha256"),
                 scenario=dict(scenario) if scenario is not None else None,
             )
         except KeyError as error:
             raise CheckpointError(
                 f"checkpoint is missing required field {error.args[0]!r}"
-            ) from None
-        except CheckpointError:
-            raise
-        except (TypeError, ValueError) as error:
-            raise CheckpointError(
-                f"checkpoint field has the wrong type: {error}"
             ) from None
 
     def to_json(self) -> str:

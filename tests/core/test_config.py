@@ -1,9 +1,10 @@
 """Tests for the system configuration (repro.core.config)."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.config import (
-    PrecisionConfig,
     PruningRuntimeConfig,
     SystemConfig,
     default_system,
@@ -11,19 +12,6 @@ from repro.core.config import (
     homo_mc_system,
     scaled_system,
 )
-
-
-class TestPrecisionConfig:
-    def test_byte_conversions(self):
-        precision = PrecisionConfig(weight_bits=8, activation_bits=16)
-        assert precision.weight_bytes == 1.0
-        assert precision.activation_bytes == 2.0
-
-    def test_rejects_non_multiple_of_eight(self):
-        with pytest.raises(ValueError):
-            PrecisionConfig(weight_bits=7)
-        with pytest.raises(ValueError):
-            PrecisionConfig(activation_bits=0)
 
 
 class TestPruningRuntimeConfig:
@@ -44,7 +32,15 @@ class TestSystemConfig:
         system = default_system()
         assert system.chip.n_cc_clusters > 0
         assert system.chip.n_mc_clusters > 0
-        assert system.cc_bandwidth_fraction == 0.5
+
+    def test_fields_are_the_chip_pruning_and_name(self):
+        # The bandwidth split is a per-call argument of the pipeline and
+        # serving models, and no cost path reads an operand precision.
+        assert [field.name for field in fields(SystemConfig)] == [
+            "chip",
+            "pruning",
+            "name",
+        ]
 
     def test_with_pruning_returns_new_config(self):
         base = default_system()
@@ -53,14 +49,6 @@ class TestSystemConfig:
         assert pruned.pruning.average_keep_fraction == 0.3
         assert not base.pruning.enabled
         assert pruned.name.endswith("+pruning")
-
-    def test_with_bandwidth_fraction(self):
-        system = default_system().with_bandwidth_fraction(0.25)
-        assert system.cc_bandwidth_fraction == 0.25
-
-    def test_rejects_bad_bandwidth_fraction(self):
-        with pytest.raises(ValueError):
-            SystemConfig(cc_bandwidth_fraction=1.5)
 
     def test_homogeneous_variants(self):
         assert homo_cc_system().chip.n_mc_clusters == 0
@@ -84,8 +72,3 @@ class TestScaledSystem:
     def test_scaled_name_reflects_shape(self):
         system = scaled_system(n_groups=2, cc_clusters_per_group=1, mc_clusters_per_group=1)
         assert "2x1cc1mc" in system.name
-
-    def test_scaled_inherits_base_precision(self):
-        base = default_system()
-        system = scaled_system(base=base)
-        assert system.precision == base.precision

@@ -93,6 +93,24 @@ def test_cli_plan_rejects_a_job_count_below_one(capsys):
     assert "--jobs must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["chat-poisson", "--policies", "bogus"], "policy must be one of"),
+        (["chat-poisson", "--min-chips", "0"], "min_chips must be >= 1"),
+        (["chat-poisson", "--keep-fractions", "1.5"], "keep_fraction must be in"),
+        (["chat-poisson", "--slo-p99-ttft", "-1"], "ttft_p99_s must be positive"),
+        (["bogus"], "unknown scenario 'bogus'"),
+    ],
+)
+def test_cli_plan_rejects_a_bad_value_as_usage(argv, message, capsys):
+    # Exit 1 means "no feasible plan"; a bad value is a usage error.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["plan", *argv, "--json"])
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_plan_human_rendering(capsys):
     main(["plan", "chat-poisson", "--max-chips", "1", "--static-only",
           "--slo-p99-ttft", "30.0", "--slo-p95-latency", "30.0"])

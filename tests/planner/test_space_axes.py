@@ -21,7 +21,6 @@ from repro.planner import (
     ChipDesign,
     PlannerConfig,
     build_chip_grid,
-    default_chip_grid,
     parse_mixes,
 )
 from repro.planner.__main__ import main
@@ -97,7 +96,6 @@ class TestChipDesignAxes:
 
 class TestBuildChipGrid:
     def test_defaults_reproduce_the_default_grid(self):
-        assert build_chip_grid() == default_chip_grid()
         assert PlannerConfig.from_axes().chip_grid == PlannerConfig().chip_grid
 
     def test_cross_product_size_and_order(self):

@@ -1,6 +1,7 @@
 """Scenario runner and CLI: end-to-end runs, reports, command surface."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,6 @@ from repro.scenarios import (
     ScenarioSpec,
     SLOSpec,
     TEXT_CHAT,
-    autoscaler_config,
     build_fleet,
     format_scenario_report,
     get_scenario,
@@ -74,7 +74,10 @@ class TestBuildFleet:
         )
         fleet = build_fleet(spec)
         assert type(fleet) is FleetSimulator
-        assert fleet.autoscaler.target_p99_ttft_s == 1.0
+        # The spec's own block, with the SLO as the controller's target.
+        assert fleet.autoscaler == replace(
+            spec.fleet.autoscaler, target_p99_ttft_s=1.0
+        )
         assert fleet.n_chips == 3  # full max_chips fleet instantiated
         assert fleet.policy == "least_loaded"
 
@@ -86,7 +89,7 @@ class TestBuildFleet:
             fleet=FleetSpec(autoscaler=AutoscalerSpec()),
         )
         with pytest.raises(ValueError, match="states no"):
-            autoscaler_config(spec)
+            build_fleet(spec)
 
 
 class TestCLI:

@@ -25,7 +25,6 @@ from repro.scenarios import (
     available_scenarios,
     get_scenario,
 )
-from repro.serving.autoscale import AutoscalerConfig
 
 REFERENCE = ScenarioSpec(
     name="reference",
@@ -133,20 +132,26 @@ class TestValidation:
         assert excinfo.value.path == "fleet"
         assert str(excinfo.value) == f"fleet: {message}"
 
-    def test_spec_file_and_config_refuse_a_tuning_value_alike(self):
-        # AutoscalerSpec and AutoscalerConfig run one check, so a bad
-        # knob reads the same from a spec file and from a config.
+    def test_spec_file_may_not_set_the_autoscaler_target(self):
+        # The spec's autoscaler block is the fleet's own config, whose
+        # target comes from the scenario's SLO, never from the block.
         text = json.dumps(
-            {"name": "x", "fleet": {"autoscaler": {"scale_down_ratio": -0.1}}}
+            {
+                "name": "x",
+                "fleet": {"autoscaler": {"target_p99_ttft_s": 1.0}},
+                "slo": {"ttft_p99_s": 1.0},
+            }
         )
-        with pytest.raises(SpecError) as from_file:
+        with pytest.raises(SpecError) as excinfo:
             ScenarioSpec.from_json(text)
-        with pytest.raises(ValueError) as from_config:
-            AutoscalerConfig(target_p99_ttft_s=1.0, scale_down_ratio=-0.1)
-        message = "scale_down_ratio must be in [0, scale_up_ratio)"
-        assert from_file.value.path == "fleet.autoscaler"
-        assert str(from_file.value) == f"fleet.autoscaler: {message}"
-        assert str(from_config.value) == message
+        assert excinfo.value.path == "fleet"
+        assert "slo.ttft_p99_s" in str(excinfo.value)
+
+    def test_unset_autoscaler_target_is_not_written(self):
+        # So a spec's serialized form and hash never carry the target.
+        assert "target_p99_ttft_s" not in AutoscalerSpec().to_dict()
+        targeted = AutoscalerSpec(target_p99_ttft_s=2.0).to_dict()
+        assert targeted["target_p99_ttft_s"] == 2.0
 
     def test_rejects_fields_the_kind_would_lose_on_serialization(self):
         # `to_dict` omits fields irrelevant to the kind, so non-default

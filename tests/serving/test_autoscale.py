@@ -10,7 +10,7 @@ import pytest
 
 from repro.models.mllm import get_mllm
 from repro.serving import (
-    AutoscalerConfig,
+    AutoscalerSpec,
     BurstyArrivals,
     FleetSimulator,
     PoissonArrivals,
@@ -39,19 +39,19 @@ def reactive_config(**overrides):
         scale_up_ratio=0.5,
     )
     defaults.update(overrides)
-    return AutoscalerConfig(**defaults)
+    return AutoscalerSpec(**defaults)
 
 
 class TestConfigValidation:
     def test_rejects_bad_bounds_and_policies(self):
         with pytest.raises(ValueError, match="target_p99_ttft_s"):
-            AutoscalerConfig(target_p99_ttft_s=0.0)
+            AutoscalerSpec(target_p99_ttft_s=0.0)
         with pytest.raises(ValueError, match="max_chips"):
-            AutoscalerConfig(target_p99_ttft_s=1.0, min_chips=3, max_chips=2)
+            AutoscalerSpec(target_p99_ttft_s=1.0, min_chips=3, max_chips=2)
         with pytest.raises(ValueError, match="admission"):
-            AutoscalerConfig(target_p99_ttft_s=1.0, admission="never")
+            AutoscalerSpec(target_p99_ttft_s=1.0, admission="never")
         with pytest.raises(ValueError, match="scale_down_ratio"):
-            AutoscalerConfig(
+            AutoscalerSpec(
                 target_p99_ttft_s=1.0, scale_up_ratio=0.5, scale_down_ratio=0.5
             )
 
@@ -67,6 +67,12 @@ class TestAutoscaledFleetArguments:
             FleetSimulator(
                 sphinx_tiny, autoscaler=reactive_config(), **{argument: value}
             )
+
+    def test_autoscaler_without_a_target_is_rejected(self, sphinx_tiny):
+        # A spec's autoscaler block leaves the target to the scenario's
+        # SLO; handed to a fleet as is, its controller has no set point.
+        with pytest.raises(ValueError, match="target_p99_ttft_s"):
+            FleetSimulator(sphinx_tiny, autoscaler=AutoscalerSpec())
 
     def test_static_fleet_defaults(self, sphinx_tiny):
         fleet = FleetSimulator(sphinx_tiny)

@@ -23,7 +23,7 @@ from repro.scenarios.registry import get_scenario
 from repro.scenarios import resume_scenario, run_scenario_live, runner
 from repro.scenarios.runner import build_fleet, run_scenario
 from repro.serving import (
-    AutoscalerConfig,
+    AutoscalerSpec,
     FleetSimulator,
     PoissonArrivals,
     RequestSampler,
@@ -72,7 +72,7 @@ def _static_fleet(n_chips, policy="least_loaded"):
 def _autoscaled_fleet(n_chips):
     return FleetSimulator(
         get_mllm("sphinx-tiny"),
-        autoscaler=AutoscalerConfig(target_p99_ttft_s=1.0, max_chips=n_chips),
+        autoscaler=AutoscalerSpec(target_p99_ttft_s=1.0, max_chips=n_chips),
     )
 
 
@@ -149,6 +149,30 @@ CORRUPTIONS = [
     pytest.param(
         _mutate("version", "one"), "version must be an integer", id="non-int-version"
     ),
+    # Top-level integers read like a spec file's: an integer-valued JSON
+    # number, never a string, a boolean or a fraction; strings stay strings.
+    pytest.param(
+        _mutate("version", "3"), "version must be an integer", id="string-version"
+    ),
+    pytest.param(
+        _mutate("version", 3.9), "version must be an integer", id="fractional-version"
+    ),
+    pytest.param(
+        _mutate("cursor", 60.7), "cursor must be an integer", id="fractional-cursor"
+    ),
+    pytest.param(
+        _mutate("cursor", "60"), "cursor must be an integer", id="string-cursor"
+    ),
+    pytest.param(
+        _mutate("cursor", True), "cursor must be an integer", id="boolean-cursor"
+    ),
+    pytest.param(_mutate("kind", 5), "kind must be a string", id="numeric-kind"),
+    pytest.param(_mutate("kind", None), "kind must be a string", id="null-kind"),
+    pytest.param(
+        _mutate("trace_sha256", 7),
+        "trace_sha256 must be a string",
+        id="numeric-digest",
+    ),
     pytest.param(_drop("kind"), "missing required field", id="missing-kind"),
     pytest.param(_drop("cursor"), "missing required field", id="missing-cursor"),
     pytest.param(
@@ -212,6 +236,11 @@ class TestParseMatrix:
         with pytest.raises(CheckpointError, match="not UTF-8 text") as excinfo:
             Checkpoint.load(path)
         assert str(excinfo.value).startswith(f"{path}: ")
+
+    def test_integral_float_cursor_reads_as_an_integer(self, checkpoint):
+        # The spec files' integer rule accepts an integer-valued number.
+        text = _mutate("cursor", 10.0)(checkpoint.to_json())
+        assert Checkpoint.from_json(text) == checkpoint
 
     def test_errors_are_value_errors(self, checkpoint):
         # One catchable family: callers may keep catching ValueError.

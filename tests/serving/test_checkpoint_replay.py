@@ -31,7 +31,7 @@ from repro.scenarios.registry import get_scenario
 from repro.scenarios import resume_scenario, run_scenario_live
 from repro.scenarios.runner import run_scenario
 from repro.serving import (
-    AutoscalerConfig,
+    AutoscalerSpec,
     FleetSimulator,
     PoissonArrivals,
     RequestSampler,
@@ -230,7 +230,7 @@ def _static(n_chips=2, policy="least_loaded"):
 def _autoscaled():
     return FleetSimulator(
         get_mllm("sphinx-tiny"),
-        autoscaler=AutoscalerConfig(target_p99_ttft_s=1.0, max_chips=2),
+        autoscaler=AutoscalerSpec(target_p99_ttft_s=1.0, max_chips=2),
     )
 
 

@@ -41,7 +41,7 @@ from repro.scenarios import (
     WorkloadComponent,
 )
 from repro.serving import (
-    AutoscalerConfig,
+    AutoscalerSpec,
     ContinuousBatchingSimulator,
     FleetSimulator,
     PoissonArrivals,
@@ -153,7 +153,7 @@ def _fleet(kind, size, simulator=None):
         return FleetSimulator(
             MODEL, n_chips=size, policy="least_loaded", simulator=simulator
         )
-    autoscaler = AutoscalerConfig(
+    autoscaler = AutoscalerSpec(
         target_p99_ttft_s=0.05, min_chips=1, max_chips=size, min_observations=4
     )
     return FleetSimulator(MODEL, autoscaler=autoscaler, simulator=simulator)

@@ -12,7 +12,7 @@ import pytest
 
 from repro.models.mllm import get_mllm
 from repro.serving import (
-    AutoscalerConfig,
+    AutoscalerSpec,
     FleetResult,
     FleetSimulator,
     PoissonArrivals,
@@ -44,7 +44,7 @@ def _burst_then_idle_trace(n_burst=30, n_tail=15):
     )
 
 
-class TestAutoscalerConfigValidation:
+class TestAutoscalerSpecValidation:
     @pytest.mark.parametrize(
         "overrides, match",
         [
@@ -63,7 +63,7 @@ class TestAutoscalerConfigValidation:
     def test_invalid_knobs_rejected(self, overrides, match):
         kwargs = {"target_p99_ttft_s": 1.0, **overrides}
         with pytest.raises(ValueError, match=match):
-            AutoscalerConfig(**kwargs)
+            AutoscalerSpec(**kwargs)
 
 
 class TestFleetResultProperties:
@@ -98,28 +98,28 @@ class TestFleetResultProperties:
 class TestAutoscaleRunGuards:
     def test_invalid_runtime_rejected(self, model):
         fleet = FleetSimulator(
-            model, autoscaler=AutoscalerConfig(target_p99_ttft_s=1.0)
+            model, autoscaler=AutoscalerSpec(target_p99_ttft_s=1.0)
         )
         with pytest.raises(ValueError, match="runtime"):
             fleet.run(_trace(3), runtime="warp")
 
     def test_empty_trace_rejected(self, model):
         fleet = FleetSimulator(
-            model, autoscaler=AutoscalerConfig(target_p99_ttft_s=1.0)
+            model, autoscaler=AutoscalerSpec(target_p99_ttft_s=1.0)
         )
         with pytest.raises(ValueError, match="empty"):
             fleet.run([])
 
     def test_fault_path_rejects_empty_trace(self, model):
         fleet = FleetSimulator(
-            model, autoscaler=AutoscalerConfig(target_p99_ttft_s=1.0)
+            model, autoscaler=AutoscalerSpec(target_p99_ttft_s=1.0)
         )
         with pytest.raises(ValueError, match="empty"):
             fleet.run([], faults=FaultSchedule())
 
 
 class TestFaultAutoscaleBranches:
-    CONFIG = AutoscalerConfig(
+    CONFIG = AutoscalerSpec(
         target_p99_ttft_s=1.0,
         min_chips=1,
         max_chips=3,
@@ -167,7 +167,7 @@ class TestFaultAutoscaleBranches:
                 ),
             )
         )
-        config = AutoscalerConfig(
+        config = AutoscalerSpec(
             target_p99_ttft_s=0.5,
             min_chips=1,
             max_chips=1,
@@ -196,7 +196,7 @@ class TestFaultAutoscaleBranches:
                 ),
             )
         )
-        config = AutoscalerConfig(
+        config = AutoscalerSpec(
             target_p99_ttft_s=0.5,
             min_chips=1,
             max_chips=1,
@@ -229,7 +229,7 @@ class TestFaultAutoscaleBranches:
                 ),
             )
         )
-        config = AutoscalerConfig(
+        config = AutoscalerSpec(
             target_p99_ttft_s=0.5, min_chips=1, max_chips=1
         )
         fleet = FleetSimulator(model, autoscaler=config)
@@ -261,7 +261,7 @@ class TestFaultAutoscaleBranches:
                 FaultEvent(time_s=0.0, kind="chip_down", chip_id=0),
             )
         )
-        config = AutoscalerConfig(
+        config = AutoscalerSpec(
             target_p99_ttft_s=0.5, min_chips=1, max_chips=1
         )
         fleet = FleetSimulator(model, autoscaler=config)

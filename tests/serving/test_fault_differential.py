@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.models.mllm import InferenceRequest, get_mllm
 from repro.serving import (
-    AutoscalerConfig,
+    AutoscalerSpec,
     BurstyArrivals,
     ContinuousBatchingSimulator,
     FleetSimulator,
@@ -65,7 +65,7 @@ def _bursty_trace(seed, n=60):
 
 
 def _config():
-    return AutoscalerConfig(
+    return AutoscalerSpec(
         target_p99_ttft_s=2.0,
         min_chips=1,
         max_chips=3,

@@ -13,7 +13,7 @@ import pytest
 
 from repro.models.mllm import get_mllm
 from repro.serving import (
-    AutoscalerConfig,
+    AutoscalerSpec,
     BurstyArrivals,
     FleetSimulator,
     RequestSampler,
@@ -41,7 +41,7 @@ def test_autoscaler_reconverges_after_mid_trace_chip_failure():
     schedule = FaultSchedule(events=(down, up))
     fleet = FleetSimulator(
         get_mllm("sphinx-tiny"),
-        autoscaler=AutoscalerConfig(
+        autoscaler=AutoscalerSpec(
             target_p99_ttft_s=TARGET_P99_TTFT_S,
             min_chips=1,
             max_chips=6,

@@ -476,7 +476,7 @@ class TestTotalOutage:
 
 class TestAutoscaleUnderFaults:
     def _config(self, **overrides):
-        from repro.serving import AutoscalerConfig
+        from repro.serving import AutoscalerSpec
 
         defaults = dict(
             target_p99_ttft_s=1.0,
@@ -488,7 +488,7 @@ class TestAutoscaleUnderFaults:
             max_queue_depth=8,
         )
         defaults.update(overrides)
-        return AutoscalerConfig(**defaults)
+        return AutoscalerSpec(**defaults)
 
     def _schedule(self, span):
         return FaultSchedule(

@@ -5,7 +5,7 @@ import pytest
 from repro.models.mllm import get_mllm
 from repro.serving import (
     RUNTIMES,
-    AutoscalerConfig,
+    AutoscalerSpec,
     ContinuousBatchingSimulator,
     FaultEvent,
     FaultSchedule,
@@ -199,7 +199,7 @@ class TestOneResult:
         sizing = (
             {"n_chips": 2}
             if kind == "static"
-            else {"autoscaler": AutoscalerConfig(target_p99_ttft_s=1.0, max_chips=3)}
+            else {"autoscaler": AutoscalerSpec(target_p99_ttft_s=1.0, max_chips=3)}
         )
         result = FleetSimulator(model, **sizing).run(trace, runtime=runtime)
         assert type(result) is FleetResult

@@ -29,7 +29,7 @@ from repro.scenarios.registry import get_scenario
 from repro.scenarios import resume_scenario, run_scenario_live
 from repro.scenarios.runner import run_scenario
 from repro.serving import (
-    AutoscalerConfig,
+    AutoscalerSpec,
     FleetSimulator,
     PoissonArrivals,
     RequestSampler,
@@ -234,7 +234,7 @@ class TestFleetLevelGuards:
             FleetSimulator(model, n_chips=2), trace, pause_after=5
         )
         autoscaled = FleetSimulator(
-            model, autoscaler=AutoscalerConfig(target_p99_ttft_s=1.0)
+            model, autoscaler=AutoscalerSpec(target_p99_ttft_s=1.0)
         )
         with pytest.raises(CheckpointError, match="controller"):
             run_live(autoscaled, trace, checkpoint=checkpoint)

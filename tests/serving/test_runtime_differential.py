@@ -23,7 +23,7 @@ from repro.models.mllm import get_mllm
 from repro.scenarios.registry import available_scenarios, get_scenario
 from repro.scenarios.runner import run_scenario
 from repro.serving import (
-    AutoscalerConfig,
+    AutoscalerSpec,
     FleetSimulator,
     PoissonArrivals,
     RequestSampler,
@@ -72,7 +72,7 @@ class TestFleetLevel:
         trace = _trace(13, n=60)
         fleet = FleetSimulator(
             model,
-            autoscaler=AutoscalerConfig(
+            autoscaler=AutoscalerSpec(
                 target_p99_ttft_s=0.4,
                 max_chips=3,
                 window=8,
@@ -135,7 +135,7 @@ class TestFleetLevel:
         ]
         fleet = FleetSimulator(
             model,
-            autoscaler=AutoscalerConfig(
+            autoscaler=AutoscalerSpec(
                 target_p99_ttft_s=0.4,
                 max_chips=3,
                 window=8,
@@ -155,7 +155,7 @@ class TestFleetLevel:
         priorities = [1.0 + (index % 2) for index in range(len(trace))]
         fleet = FleetSimulator(
             model,
-            autoscaler=AutoscalerConfig(
+            autoscaler=AutoscalerSpec(
                 target_p99_ttft_s=0.4,
                 max_chips=2,
                 window=8,

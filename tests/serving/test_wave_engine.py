@@ -29,7 +29,6 @@ from repro.core.simulator import PerformanceSimulator
 from repro.models.mllm import InferenceRequest, get_mllm
 from repro.planner.__main__ import _build_parser as planner_parser
 from repro.planner.evaluate import (
-    candidate_fleet,
     candidate_survives_chip_loss,
     evaluate_candidate,
     simulate_candidate,
@@ -40,7 +39,7 @@ from repro.scenarios import resume_scenario, run_scenario_live
 from repro.scenarios.__main__ import _build_parser as scenarios_parser
 from repro.scenarios.runner import build_fleet, run_scenario
 from repro.serving import (
-    AutoscalerConfig,
+    AutoscalerSpec,
     BurstyArrivals,
     ContinuousBatchingSimulator,
     ENGINES,
@@ -191,7 +190,6 @@ class TestEngineSelection:
             run_scenario_live,
             resume_scenario,
             run_live,
-            candidate_fleet,
             evaluate_candidate,
             candidate_survives_chip_loss,
             simulate_candidate,
@@ -517,7 +515,7 @@ class TestAutoscalerEquivalence:
         trace = make_trace(
             120, seed=seed, rate=8.0, bursty=True, output_choices=(8, 16, 64)
         )
-        config = AutoscalerConfig(
+        config = AutoscalerSpec(
             target_p99_ttft_s=2.0,
             min_chips=1,
             max_chips=3,
